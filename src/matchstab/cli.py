@@ -13,7 +13,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional
@@ -545,7 +544,6 @@ def _run_selftest(seed: int) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="matchstab", description=__doc__)
     parser.add_argument("--timing", action="store_true", help="append wall-clock timing")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for batch runs")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in RUN_COMMANDS:
         p = sub.add_parser(name)
@@ -609,9 +607,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             doc, code, elapsed = run_one(paths[0])
             _emit(doc, elapsed if args.timing else None, compact=False)
             return code
-        workers = max(1, args.jobs)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, paths))
+        results = [run_one(path) for path in paths]
         final = 0
         for doc, code, elapsed in results:
             _emit(doc, elapsed if args.timing else None, compact=True)

@@ -61,9 +61,6 @@ class AuxiliaryGraph:
             return "cycle"
         return "unused"
 
-    def exposed_pseudonodes(self) -> list[int]:
-        return sorted(self.cycle_of, key=lambda p: self.cycle_of[p])
-
 
 def build_auxiliary(
     graph: WeightedGraph,
@@ -132,6 +129,10 @@ def build_auxiliary(
             matching_pairs.append((v, shadow))
 
     for u, v in bfm.matched.pairs:
+        # a frustrated tree holds each of its odd nodes with its mate, so a
+        # matched pair leaves the search graph whole or not at all
+        if u in gone and v in gone:
+            continue
         assert u not in gone and v not in gone, "matched edge touches deleted node"
         matching_pairs.append((u, v))
 

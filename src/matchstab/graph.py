@@ -256,20 +256,6 @@ class BasicFractionalMatching:
         """x(delta(v)) for this vector."""
         return sum((self.values[idx] for _n, idx in self.graph.adjacency[v]), start=ZERO)
 
-    @cached_property
-    def cycle_vertices(self) -> frozenset[int]:
-        return frozenset(v for cycle in self.odd_cycles for v in cycle)
-
-    def is_exposed(self, v: int) -> bool:
-        """True when v carries no support at all (integral nor half)."""
-        return self.vertex_load(v) == 0
-
-
-def cycle_edge_indices(graph: WeightedGraph, cycle: Sequence[int]) -> tuple[int, ...]:
-    """Edge indices around a vertex cycle, in cyclic order."""
-    k = len(cycle)
-    return tuple(graph.edge_index(cycle[i], cycle[(i + 1) % k]) for i in range(k))
-
 
 def decompose(
     graph: WeightedGraph, values: Sequence[Fraction]
@@ -322,11 +308,6 @@ def decompose(
         cycles.append(canonical_cycle(order))
     cycles.sort()
     return BasicFractionalMatching(graph, vec, matched, tuple(cycles))
-
-
-def recompose(bfm: BasicFractionalMatching) -> tuple[Fraction, ...]:
-    """The raw edge vector of a basic fractional matching (decompose inverse)."""
-    return bfm.values
 
 
 def alternate_round(

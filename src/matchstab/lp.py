@@ -339,9 +339,3 @@ def solve_fractional(
     bfm = normalize_to_basic(graph, raw)
     verify_optimal_pair(graph, bfm, cover)
     return bfm, cover
-
-
-def nu_f(graph: WeightedGraph) -> Fraction:
-    """Value of a maximum-weight fractional matching."""
-    bfm, _cover = solve_fractional(graph)
-    return bfm.weight

@@ -71,17 +71,13 @@ class _Residual:
         self.graph = new_graph
 
 
-def m_vertex_stabilizer(
-    graph: WeightedGraph,
-    matching: Matching,
-    descending: bool = False,
-) -> MStabilizerResult:
+def m_vertex_stabilizer(graph: WeightedGraph, matching: Matching) -> MStabilizerResult:
     """Run both deletion passes and the final exact feasibility check.
 
-    Exposed vertices are processed in ascending index order (descending is a
-    diagnostic knob used to confirm the first pass is order-independent).
-    The walk length bounds are 3n for the first pass and n for the second,
-    with n the vertex count of the graph as it currently stands.
+    Exposed vertices are processed in ascending index order; the first pass
+    deletes the same set in any order. The walk length bounds are 3n for the
+    first pass and n for the second, with n the vertex count of the graph as
+    it currently stands.
     """
     if not matching.is_matching_in(graph):
         raise MNotAMatching("matching uses edges outside the graph")
@@ -91,8 +87,6 @@ def m_vertex_stabilizer(
     second_phase: list[int] = []
 
     exposed = [v for v in range(graph.n) if not matching.covers(v)]
-    if descending:
-        exposed = exposed[::-1]
 
     for u_orig in exposed:
         u = res.current_of(u_orig)

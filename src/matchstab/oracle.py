@@ -9,25 +9,21 @@ stabilizer subset searches affordable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from .errors import BudgetExceeded
-from .graph import HALF, ZERO, AlternatingWalk, Matching, WeightedGraph
+from .graph import HALF, ZERO, Matching, WeightedGraph
 
+# Hard size limits; the oracle refuses anything bigger.
+MAX_VERTICES = 12
+MAX_SUBSET_VERTICES = 8
+MAX_WALK_LENGTH = 12
 
-@dataclass(frozen=True)
-class OracleBudget:
-    """Hard size limits; the oracle refuses anything bigger."""
-
-    max_vertices: int = 12
-    max_subset_vertices: int = 8
-    max_walk_length: int = 12
-
-
-DEFAULT_BUDGET = OracleBudget()
+# Callers ask for one graph's tables repeatedly before moving on to the next
+# graph, so a few entries keep every hit and bound memory in batch runs.
+TABLE_CACHE_SIZE = 4
 
 
 def _require(condition: bool, message: str) -> None:
@@ -39,7 +35,7 @@ def _full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _nu_table(graph: WeightedGraph) -> tuple[Fraction, ...]:
     """table[mask] = maximum matching weight inside the induced subgraph."""
     n = graph.n
@@ -81,7 +77,7 @@ def _cycles_from(
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _basic_table(graph: WeightedGraph) -> tuple[tuple[Fraction, int], ...]:
     """table[mask] = (best basic value, fewest cycles among best) inside mask.
 
@@ -110,11 +106,9 @@ def _basic_table(graph: WeightedGraph) -> tuple[tuple[Fraction, int], ...]:
     return tuple(table)
 
 
-def exact_nu(
-    graph: WeightedGraph, budget: OracleBudget = DEFAULT_BUDGET
-) -> tuple[Fraction, Matching]:
+def exact_nu(graph: WeightedGraph) -> tuple[Fraction, Matching]:
     """Maximum-weight matching value and one witness, by enumeration."""
-    _require(graph.n <= budget.max_vertices, f"nu oracle limited to {budget.max_vertices} vertices")
+    _require(graph.n <= MAX_VERTICES, f"nu oracle limited to {MAX_VERTICES} vertices")
     table = _nu_table(graph)
     # reconstruct one optimal matching deterministically
     pairs: list[tuple[int, int]] = []
@@ -135,37 +129,35 @@ def exact_nu(
     return table[_full_mask(graph.n)], Matching.from_pairs(pairs)
 
 
-def exact_nu_f(graph: WeightedGraph, budget: OracleBudget = DEFAULT_BUDGET) -> Fraction:
+def exact_nu_f(graph: WeightedGraph) -> Fraction:
     """Maximum basic fractional matching value, by structure enumeration."""
-    _require(graph.n <= budget.max_vertices, f"nu_f oracle limited to {budget.max_vertices} vertices")
+    _require(graph.n <= MAX_VERTICES, f"nu_f oracle limited to {MAX_VERTICES} vertices")
     return _basic_table(graph)[_full_mask(graph.n)][0]
 
 
-def brute_gamma(graph: WeightedGraph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+def brute_gamma(graph: WeightedGraph) -> int:
     """Fewest odd cycles over all optimal basic fractional matchings."""
-    _require(graph.n <= budget.max_vertices, f"gamma oracle limited to {budget.max_vertices} vertices")
+    _require(graph.n <= MAX_VERTICES, f"gamma oracle limited to {MAX_VERTICES} vertices")
     return _basic_table(graph)[_full_mask(graph.n)][1]
 
 
-def is_stable(graph: WeightedGraph, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
+def is_stable(graph: WeightedGraph) -> bool:
     """nu(G) == nu_f(G), both by enumeration."""
-    value, _m = exact_nu(graph, budget)
-    return value == exact_nu_f(graph, budget)
+    value, _m = exact_nu(graph)
+    return value == exact_nu_f(graph)
 
 
 def _mask_stable(graph: WeightedGraph, mask: int) -> bool:
     return _nu_table(graph)[mask] == _basic_table(graph)[mask][0]
 
 
-def brute_min_vertex_stabilizer(
-    graph: WeightedGraph, budget: OracleBudget = DEFAULT_BUDGET
-) -> frozenset[int]:
+def brute_min_vertex_stabilizer(graph: WeightedGraph) -> frozenset[int]:
     """Smallest vertex set whose removal is stabilizing; lexicographic ties."""
     from itertools import combinations
 
     _require(
-        graph.n <= budget.max_subset_vertices,
-        f"vertex-stabilizer oracle limited to {budget.max_subset_vertices} vertices",
+        graph.n <= MAX_SUBSET_VERTICES,
+        f"vertex-stabilizer oracle limited to {MAX_SUBSET_VERTICES} vertices",
     )
     full = _full_mask(graph.n)
     for k in range(graph.n + 1):
@@ -178,19 +170,17 @@ def brute_min_vertex_stabilizer(
     raise AssertionError("empty graph is stable")  # pragma: no cover
 
 
-def brute_min_edge_stabilizer(
-    graph: WeightedGraph, budget: OracleBudget = DEFAULT_BUDGET
-) -> frozenset[int]:
+def brute_min_edge_stabilizer(graph: WeightedGraph) -> frozenset[int]:
     """Smallest edge-index set whose removal is stabilizing; lexicographic ties."""
     from itertools import combinations
 
     _require(
-        graph.n <= budget.max_subset_vertices,
-        f"edge-stabilizer oracle limited to {budget.max_subset_vertices} vertices",
+        graph.n <= MAX_SUBSET_VERTICES,
+        f"edge-stabilizer oracle limited to {MAX_SUBSET_VERTICES} vertices",
     )
     for k in range(graph.m + 1):
         for subset in combinations(range(graph.m), k):
-            if is_stable(graph.delete_edges(subset), budget):
+            if is_stable(graph.delete_edges(subset)):
                 return frozenset(subset)
     raise AssertionError("edgeless graph is stable")  # pragma: no cover
 
@@ -199,7 +189,7 @@ INFEASIBLE = "infeasible"
 
 
 def brute_min_m_stabilizer(
-    graph: WeightedGraph, matching: Matching, budget: OracleBudget = DEFAULT_BUDGET
+    graph: WeightedGraph, matching: Matching
 ) -> "frozenset[int] | str":
     """Smallest exposed-vertex set S with G-S stable and M still maximum-weight.
 
@@ -208,8 +198,8 @@ def brute_min_m_stabilizer(
     from itertools import combinations
 
     _require(
-        graph.n <= budget.max_subset_vertices,
-        f"M-stabilizer oracle limited to {budget.max_subset_vertices} vertices",
+        graph.n <= MAX_SUBSET_VERTICES,
+        f"M-stabilizer oracle limited to {MAX_SUBSET_VERTICES} vertices",
     )
     exposed = [v for v in range(graph.n) if not matching.covers(v)]
     target = matching.weight(graph)
@@ -226,18 +216,14 @@ def brute_min_m_stabilizer(
 
 
 def enumerate_valid_walks(
-    graph: WeightedGraph,
-    matching: Matching,
-    source: int,
-    k: int,
-    budget: OracleBudget = DEFAULT_BUDGET,
+    graph: WeightedGraph, matching: Matching, source: int, k: int
 ) -> list[tuple[int, Fraction, tuple[int, ...]]]:
     """Every valid alternating walk from the source, depth-first, length <= k.
 
     Yields (endpoint, value, vertex sequence) for each point at which the walk
     may validly stop: exposed current vertex, or just after a matched edge.
     """
-    _require(k <= budget.max_walk_length, f"walk oracle limited to length {budget.max_walk_length}")
+    _require(k <= MAX_WALK_LENGTH, f"walk oracle limited to length {MAX_WALK_LENGTH}")
     out: list[tuple[int, Fraction, tuple[int, ...]]] = []
     source_exposed = not matching.covers(source)
 
@@ -268,18 +254,14 @@ def enumerate_valid_walks(
 
 
 def optimal_walk_values(
-    graph: WeightedGraph,
-    matching: Matching,
-    source: int,
-    k: int,
-    budget: OracleBudget = DEFAULT_BUDGET,
+    graph: WeightedGraph, matching: Matching, source: int, k: int
 ) -> dict[int, dict[int, Optional[Fraction]]]:
     """Per-length brute maxima: result[length][v] = best valid sv-walk value.
 
     result[i][v] is None when no valid walk of length <= i ends at v. Ground
     truth for the walk DP's table entries at every iteration up to k.
     """
-    walks = enumerate_valid_walks(graph, matching, source, k, budget)
+    walks = enumerate_valid_walks(graph, matching, source, k)
     best: dict[int, dict[int, Optional[Fraction]]] = {
         i: {v: None for v in range(graph.n)} for i in range(k + 1)
     }
@@ -290,9 +272,3 @@ def optimal_walk_values(
             if cur is None or value > cur:
                 best[i][endpoint] = value
     return best
-
-
-def walk_to_alternating(
-    graph: WeightedGraph, matching: Matching, vertices: tuple[int, ...]
-) -> AlternatingWalk:
-    return AlternatingWalk.from_vertices(graph, matching, vertices)

@@ -15,7 +15,7 @@ from typing import Optional
 from .cycles import ReduceCyclesResult, reduce_cycles
 from .errors import BudgetExceeded
 from .graph import ZERO, Matching, WeightedGraph, alternate_round
-from .oracle import DEFAULT_BUDGET, OracleBudget, exact_nu
+from .oracle import exact_nu
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,7 @@ class VertexStabilizerResult:
     reduction: ReduceCyclesResult
 
 
-def min_vertex_stabilizer(
-    graph: WeightedGraph, budget: OracleBudget = DEFAULT_BUDGET
-) -> VertexStabilizerResult:
+def min_vertex_stabilizer(graph: WeightedGraph) -> VertexStabilizerResult:
     """Remove the least-covered vertex of each cycle of a gamma-cycle optimum.
 
     |S| equals gamma(G), which is a lower bound for any vertex-stabilizer, and
@@ -65,7 +63,7 @@ def min_vertex_stabilizer(
     nu_after = survivors.weight(graph)
     assert nu_after == sum(surviving_cover.values(), start=ZERO)
     try:
-        nu_before, _witness = exact_nu(graph, budget)
+        nu_before, _witness = exact_nu(graph)
     except BudgetExceeded:
         nu_before = None
     return VertexStabilizerResult(
@@ -94,18 +92,10 @@ class EdgeStabilizerResult:
     upper_bound: int
     vertex_result: VertexStabilizerResult
 
-    @property
-    def ratio_bound(self) -> Optional[Fraction]:
-        if self.lower_bound == 0:
-            return None
-        return Fraction(len(self.removed_edges), self.lower_bound)
 
-
-def edge_stabilizer_approx(
-    graph: WeightedGraph, budget: OracleBudget = DEFAULT_BUDGET
-) -> EdgeStabilizerResult:
+def edge_stabilizer_approx(graph: WeightedGraph) -> EdgeStabilizerResult:
     """Delete every edge incident to the minimum vertex-stabilizer."""
-    vertex_result = min_vertex_stabilizer(graph, budget)
+    vertex_result = min_vertex_stabilizer(graph)
     removed_edges: set[int] = set()
     for v in vertex_result.removed:
         removed_edges.update(graph.incident_edges(v))

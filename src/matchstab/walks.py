@@ -125,24 +125,25 @@ def reconstruct_walk(tables: WalkTables, v: int, table: int) -> AlternatingWalk:
     if final is None:
         raise EntryIsMinusInfinity(f"y{table}({v}) is -infinity")
 
-    def build(vertex: int, tab: int, bound: int, target: Fraction) -> list[int]:
+    vertices = [v]
+    vertex, tab, bound, target = v, table, tables.k, final
+    while True:
         history = tables.history1 if tab == 1 else tables.history2
         first = next(
             i for i in range(bound + 1) if history[i][vertex] == target
         )
         if first == 0:
             assert vertex == tables.source
-            return [vertex]
+            break
         pred = (tables.pred1 if tab == 1 else tables.pred2)[(first, vertex)]
         w = tables.graph.weight(pred, vertex)
         if tab == 1:
-            prefix = build(pred, 2, first - 1, target - w)
+            tab, target = 2, target - w
         else:
-            prefix = build(pred, 1, first - 1, target + w)
-        prefix.append(vertex)
-        return prefix
-
-    vertices = build(v, table, tables.k, final)
+            tab, target = 1, target + w
+        vertex, bound = pred, first - 1
+        vertices.append(vertex)
+    vertices.reverse()
     walk = AlternatingWalk.from_vertices(tables.graph, tables.matching, vertices)
     assert walk_value(walk, tables.graph, tables.matching) == final
     assert len(walk) <= tables.k

@@ -21,7 +21,7 @@ from matchstab.graph import (
     WeightedGraph,
     decompose,
 )
-from matchstab.lp import solve_fractional
+from matchstab.lp import solve_fractional, verify_optimal_pair
 
 H = Fraction(1, 2)
 
@@ -236,3 +236,24 @@ def test_weight_and_slackness_invariant_along_the_run(property_suite):
         result = reduce_cycles(g)
         assert result.weight == result.cover.total
         assert result.gamma == len(result.solution.odd_cycles)
+
+
+def test_frustrated_tree_deletes_matched_pair_whole():
+    # smallest graph found whose first frustrated tree takes the matched edge
+    # (4, 7) with it; the next rebuild must drop the pair, not reject it
+    g = WeightedGraph.from_edges(
+        8,
+        [
+            (3, 6, 4), (1, 5, 4), (0, 6, 3), (2, 5, 4), (2, 7, 1), (0, 2, 2),
+            (0, 3, 4), (4, 6, 3), (4, 7, 3), (0, 1, 2), (3, 5, 4), (1, 2, 2),
+            (5, 6, 3), (0, 5, 2), (2, 6, 1), (4, 5, 3),
+        ],
+    )
+    result = reduce_cycles(g)
+    first = result.events[0]
+    assert isinstance(first, FrustrationEvent)
+    assert {4, 7} <= set(first.deleted_vertices)
+    assert result.solution.matched.contains_edge(4, 7)
+    assert result.gamma == oracle.brute_gamma(g)
+    assert result.weight == oracle.exact_nu_f(g)
+    verify_optimal_pair(g, result.solution, result.cover)

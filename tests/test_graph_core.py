@@ -114,7 +114,7 @@ def test_alternate_round_five_cycle():
     bfm = decompose(g, [H] * 5)
     out = alternate_round(bfm, (0, 1, 2, 3, 4), 0)
     assert out.matched.pairs == frozenset({(1, 2), (3, 4)})
-    assert out.is_exposed(0)
+    assert out.vertex_load(0) == 0
 
 
 def test_alternate_round_fig9():

@@ -139,10 +139,9 @@ def test_verify_catches_tampering(tmp_path, capsys):
     assert json.loads(out)["verified"] is False
 
 
-def test_batch_runs_with_jobs(capsys):
+def test_batch_runs_in_input_order(capsys):
     code, out, _err = _run(
         capsys,
-        "--jobs", "2",
         "gamma",
         str(FIXTURES / "fig6.json"),
         str(FIXTURES / "fig9.json"),
@@ -152,6 +151,14 @@ def test_batch_runs_with_jobs(capsys):
     assert len(lines) == 2
     assert json.loads(lines[0])["outputs"]["gamma"] == 2
     assert json.loads(lines[1])["outputs"]["gamma"] == 1
+
+
+def test_jobs_flag_is_gone(capsys):
+    fig6 = str(FIXTURES / "fig6.json")
+    code, out, err = _run(capsys, "--jobs", "2", "gamma", fig6)
+    assert code == 1 and out == "" and "invalid choice" in err
+    code, out, err = _run(capsys, "gamma", "--jobs", "2", fig6)
+    assert code == 1 and out == "" and "unrecognized arguments: --jobs" in err
 
 
 def test_selftest_smoke(capsys):

@@ -41,14 +41,19 @@ def test_rejects_non_matching():
 
 
 def test_first_phase_is_order_independent():
+    # relabelling v -> n-1-v makes the ascending scan visit the exposed
+    # vertices in the opposite order
     rng = random.Random(515)
     for _ in range(60):
         g = random_graph(rng, n_max=7)
         m = random_matching(rng, g)
-        ascending = m_vertex_stabilizer(g, m)
-        descending = m_vertex_stabilizer(g, m, descending=True)
-        assert set(ascending.first_phase) == set(descending.first_phase)
-        assert ascending.status == descending.status
+        flip = g.n - 1
+        g_rev = WeightedGraph.from_edges(g.n, [(flip - u, flip - v, w) for u, v, w in g.edges])
+        m_rev = Matching.from_pairs((flip - u, flip - v) for u, v in m.pairs)
+        forward = m_vertex_stabilizer(g, m)
+        backward = m_vertex_stabilizer(g_rev, m_rev)
+        assert set(forward.first_phase) == {flip - v for v in backward.first_phase}
+        assert forward.status == backward.status
 
 
 def test_feasible_results_verified_by_oracle():

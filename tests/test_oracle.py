@@ -87,6 +87,22 @@ def test_budgets_fail_loudly():
         )
 
 
+def test_table_caches_stay_bounded():
+    # the edge search builds the tables of one edge-deleted graph per subset;
+    # two disjoint triangles need two deletions, so it tries ten subsets
+    two_triangles = WeightedGraph.from_edges(
+        6, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (3, 4, 1), (3, 5, 1), (4, 5, 1)]
+    )
+    tables = (oracle._nu_table, oracle._basic_table)
+    for table in tables:
+        table.cache_clear()
+    assert len(oracle.brute_min_edge_stabilizer(two_triangles)) == 2
+    for table in tables:
+        info = table.cache_info()
+        assert info.misses > oracle.TABLE_CACHE_SIZE
+        assert info.currsize <= oracle.TABLE_CACHE_SIZE
+
+
 def test_walk_enumeration_examples():
     g = WeightedGraph.from_edges(2, [(0, 1, 5)])
     walks = oracle.enumerate_valid_walks(g, Matching.empty(), 0, 1)

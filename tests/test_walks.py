@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -99,6 +101,22 @@ def test_reconstruction_matches_entries_and_is_valid():
             assert walk.is_valid(m)
             assert walk_value(walk, g, m) == entry
             assert len(walk) <= k
+
+
+def test_reconstruct_long_walk_without_recursion():
+    # a 200-edge augmenting path: 0-1 unmatched (2), 1-2 matched (1), ...
+    n = 201
+    g = WeightedGraph.from_edges(n, [(i, i + 1, 2 if i % 2 == 0 else 1) for i in range(n - 1)])
+    m = Matching.from_pairs((i, i + 1) for i in range(1, n - 1, 2))
+    t = optimal_walks(g, m, 0, n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        walk = reconstruct_walk(t, n - 1, 2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert walk.vertices == tuple(range(n))
+    assert walk_value(walk, g, m) == 100
 
 
 def test_detect_structures_examples():
