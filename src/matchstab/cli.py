@@ -607,9 +607,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             doc, code, elapsed = run_one(paths[0])
             _emit(doc, elapsed if args.timing else None, compact=False)
             return code
-        results = [run_one(path) for path in paths]
         final = 0
-        for doc, code, elapsed in results:
+        for path in paths:
+            doc, code, elapsed = run_one(path)
             _emit(doc, elapsed if args.timing else None, compact=True)
             final = max(final, code)
         return final

@@ -22,6 +22,7 @@ from .graph import (
     FractionalVertexCover,
     Matching,
     WeightedGraph,
+    _round_cycles,
     alternate_round,
     complement,
     decompose,
@@ -74,12 +75,27 @@ def build_auxiliary(
     Only tight edges survive; vz edges appear at covered zero-cover vertices,
     shadow gadgets at exposed zero-cover vertices, and every live support
     cycle is shrunk into a pseudonode. `excluded_vertices` and `dead_cycles`
-    are the parts already deleted as frustrated trees.
+    are the parts already deleted as frustrated trees. The pair is checked
+    in full here; `reduce_cycles` builds through `_build_auxiliary` instead,
+    because every pair it holds has already been checked.
     """
     verify_optimal_pair(graph, bfm, cover)
-    n = graph.n
-    tight = tight_edges(graph, cover)
+    return _build_auxiliary(
+        graph, bfm, cover, tight_edges(graph, cover), excluded_vertices, dead_cycles
+    )
 
+
+def _build_auxiliary(
+    graph: WeightedGraph,
+    bfm: BasicFractionalMatching,
+    cover: FractionalVertexCover,
+    tight: frozenset[int],
+    excluded_vertices: frozenset[int],
+    dead_cycles: frozenset[tuple[int, ...]],
+) -> AuxiliaryGraph:
+    """`build_auxiliary` for a pair already proven optimal under `cover`,
+    whose tight edge set is `tight`."""
+    n = graph.n
     live_cycles = sorted(c for c in bfm.odd_cycles if c not in dead_cycles)
     dead_vertices = {v for c in dead_cycles for v in c}
     gone = set(excluded_vertices) | dead_vertices
@@ -235,7 +251,7 @@ def apply_augmentation(
             u = _entry_vertex(aux, start, inner[0])
             v = _entry_vertex(aux, end, inner[-1])
             g_path = [u] + inner + [v]
-        rounded = alternate_round(alternate_round(bfm, cycle_r, u), cycle_s, v)
+        rounded = _round_cycles(bfm, [(cycle_r, u), (cycle_s, v)])
         new = decompose(graph, complement(rounded, path_edges(g_path)))
         event = AugmentationEvent(
             "two_cycles", (cycle_r, cycle_s), (u, v), tuple(g_path)
@@ -305,7 +321,14 @@ def reduce_cycles(
 
     Solves the LP (unless a complementary-slack pair is supplied), then runs
     the pseudonode search: augment and update, or delete a frustrated tree,
-    until no exposed pseudonode is left. The cover is fixed throughout.
+    until no exposed pseudonode is left. The cover is fixed throughout, so
+    its tight edges are computed once.
+
+    Every pair the search holds is proven optimal exactly once: the entry
+    pair by `solve_fractional` (or here, when `start` is given), and each
+    augmented pair by `apply_augmentation`. A frustrated tree changes
+    neither x nor the cover, so the search graph is rebuilt without a
+    second check.
     """
     if start is None:
         bfm, cover = solve_fractional(graph)
@@ -314,6 +337,7 @@ def reduce_cycles(
         verify_optimal_pair(graph, bfm, cover)
     cover_snapshot = cover.values
     weight = bfm.weight
+    tight = tight_edges(graph, cover)
 
     excluded: set[int] = set()
     dead: set[tuple[int, ...]] = set()
@@ -323,8 +347,8 @@ def reduce_cycles(
         if not live:
             break
         assert cover.values == cover_snapshot, "cover must stay fixed"
-        aux = build_auxiliary(
-            graph, bfm, cover, frozenset(excluded), frozenset(dead)
+        aux = _build_auxiliary(
+            graph, bfm, cover, tight, frozenset(excluded), frozenset(dead)
         )
         root = aux.pseudonode_of[min(live)]
         outcome = grow_tree(aux.adjacency, aux.matching, root)

@@ -318,19 +318,34 @@ def alternate_round(
     Walking the cycle from v, odd-position edges drop to 0 and even-position
     edges rise to 1; entries outside E(C) are untouched.
     """
-    canon = canonical_cycle(cycle)
-    if canon not in bfm.odd_cycles:
-        raise CycleNotInSupport(f"cycle {canon} not in the support")
-    if v not in canon:
-        raise VertexNotOnCycle(f"vertex {v} not on cycle {canon}")
-    k = len(canon)
-    pos = canon.index(v)
-    order = [canon[(pos + i) % k] for i in range(k)]
+    return _round_cycles(bfm, [(cycle, v)])
+
+
+def _round_cycles(
+    bfm: BasicFractionalMatching, picks: Sequence[tuple[Sequence[int], int]]
+) -> BasicFractionalMatching:
+    """`alternate_round` of several distinct support cycles, each at its own
+    vertex, validated by one `decompose`.
+
+    The cycles are vertex-disjoint, so the result equals rounding them one
+    after another.
+    """
     new_values = list(bfm.values)
-    for i in range(k):
-        idx = bfm.graph.edge_index(order[i], order[(i + 1) % k])
-        # positions are 1-based from v; the first and last edges touch v
-        new_values[idx] = ZERO if i % 2 == 0 else ONE
+    done: set[tuple[int, ...]] = set()
+    for cycle, v in picks:
+        canon = canonical_cycle(cycle)
+        if canon not in bfm.odd_cycles or canon in done:
+            raise CycleNotInSupport(f"cycle {canon} not in the support")
+        if v not in canon:
+            raise VertexNotOnCycle(f"vertex {v} not on cycle {canon}")
+        done.add(canon)
+        k = len(canon)
+        pos = canon.index(v)
+        order = [canon[(pos + i) % k] for i in range(k)]
+        for i in range(k):
+            idx = bfm.graph.edge_index(order[i], order[(i + 1) % k])
+            # positions are 1-based from v; the first and last edges touch v
+            new_values[idx] = ZERO if i % 2 == 0 else ONE
     return decompose(bfm.graph, new_values)
 
 

@@ -50,24 +50,23 @@ class _Residual:
         self.graph = graph
         self.matching = matching
         self.to_original = list(range(graph.n))
+        self.to_current: dict[int, int] = {v: v for v in range(graph.n)}
 
     def original(self, v: int) -> int:
         return self.to_original[v]
 
     def current_of(self, original: int) -> Optional[int]:
-        try:
-            return self.to_original.index(original)
-        except ValueError:
-            return None
+        return self.to_current.get(original)
 
     def remove(self, originals: list[int]) -> None:
-        current = [self.to_original.index(o) for o in originals]
+        current = [self.to_current[o] for o in originals]
         new_graph, kept = self.graph.delete_vertices(current)
         remap = {old: new for new, old in enumerate(kept)}
         self.matching = Matching.from_pairs(
             (remap[u], remap[v]) for u, v in self.matching.pairs
         )
         self.to_original = [self.to_original[old] for old in kept]
+        self.to_current = {o: v for v, o in enumerate(self.to_original)}
         self.graph = new_graph
 
 

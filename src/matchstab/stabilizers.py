@@ -14,7 +14,7 @@ from typing import Optional
 
 from .cycles import ReduceCyclesResult, reduce_cycles
 from .errors import BudgetExceeded
-from .graph import ZERO, Matching, WeightedGraph, alternate_round
+from .graph import ZERO, Matching, WeightedGraph, _round_cycles
 from .oracle import exact_nu
 
 
@@ -48,12 +48,10 @@ def min_vertex_stabilizer(graph: WeightedGraph) -> VertexStabilizerResult:
     """
     reduction = reduce_cycles(graph)
     bfm, cover = reduction.solution, reduction.cover
-    removed: list[int] = []
-    rounded = bfm
-    for cycle in bfm.odd_cycles:
-        pick = min(cycle, key=lambda v: (cover.values[v], v))
-        removed.append(pick)
-        rounded = alternate_round(rounded, cycle, pick)
+    removed = [
+        min(cycle, key=lambda v: (cover.values[v], v)) for cycle in bfm.odd_cycles
+    ]
+    rounded = _round_cycles(bfm, list(zip(bfm.odd_cycles, removed)))
     assert not rounded.odd_cycles
     survivors = rounded.matched
     assert not (survivors.vertices & set(removed))

@@ -60,13 +60,31 @@ class WalkTables:
 def optimal_walks(
     graph: WeightedGraph, matching: Matching, source: int, k: int
 ) -> WalkTables:
-    """Run the synchronous DP for k iterations from the source."""
+    """Run the synchronous DP for k iterations from the source.
+
+    An iteration reads only the previous snapshot, so once one commits no
+    strict improvement, every later one would repeat it. The DP stops there
+    and pads both histories with that snapshot to k + 1 entries; the
+    predecessor records are the ones a full k-iteration run would make.
+    """
     if k < 0:
         raise ValueError("length bound must be nonnegative")
     if not matching.is_matching_in(graph):
         raise MNotAMatching("matching uses edges outside the graph")
     n = graph.n
     zero = Fraction(0)
+    # Each vertex's matched edge (partner, weight) or None, and its unmatched
+    # edges in adjacency order, which is the order `pred1` ties break in.
+    mate: list[Optional[tuple[int, Fraction]]] = [None] * n
+    free: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+    for v in range(n):
+        partner = matching.partner(v)
+        for u, idx in graph.adjacency[v]:
+            w = graph.edges[idx][2]
+            if u == partner:
+                mate[v] = (u, w)
+            else:
+                free[v].append((u, w))
     y1: list[Entry] = [None] * n
     y2: list[Entry] = [None] * n
     y1[source] = zero
@@ -80,31 +98,35 @@ def optimal_walks(
         z1: list[Entry] = [None] * n
         z2: list[Entry] = [None] * n
         arg1: list[int] = [-1] * n
-        arg2: list[int] = [-1] * n
         for v in range(n):
-            for u, idx in graph.adjacency[v]:
-                w = graph.edges[idx][2]
-                if matching.contains_edge(u, v):
-                    if y1[u] is not None:
-                        cand = y1[u] - w
-                        if z2[v] is None or cand > z2[v]:
-                            z2[v] = cand
-                            arg2[v] = u
-                else:
-                    if y2[u] is not None:
-                        cand = y2[u] + w
-                        if z1[v] is None or cand > z1[v]:
-                            z1[v] = cand
-                            arg1[v] = u
+            if mate[v] is not None:
+                u, w = mate[v]
+                if y1[u] is not None:
+                    z2[v] = y1[u] - w
+            best = None
+            for u, w in free[v]:
+                if y2[u] is not None:
+                    cand = y2[u] + w
+                    if best is None or cand > best:
+                        best = cand
+                        arg1[v] = u
+            z1[v] = best
+        changed = False
         for v in range(n):
             if z1[v] is not None and (y1[v] is None or z1[v] > y1[v]):
                 y1[v] = z1[v]
                 pred1[(i, v)] = arg1[v]
+                changed = True
             if z2[v] is not None and (y2[v] is None or z2[v] > y2[v]):
                 y2[v] = z2[v]
-                pred2[(i, v)] = arg2[v]
+                pred2[(i, v)] = mate[v][0]
+                changed = True
+        if not changed:
+            break
         history1.append(tuple(y1))
         history2.append(tuple(y2))
+    history1 += [history1[-1]] * (k + 1 - len(history1))
+    history2 += [history2[-1]] * (k + 1 - len(history2))
     return WalkTables(
         graph, matching, source, k,
         tuple(history1), tuple(history2), pred1, pred2,
@@ -152,11 +174,12 @@ def reconstruct_walk(tables: WalkTables, v: int, table: int) -> AlternatingWalk:
 
 @dataclass(frozen=True)
 class StructureScan:
-    """What the two DP passes found from one exposed root.
+    """What the walk DP found from one exposed root.
 
     flower_at_root: an augmenting uu-walk of length <= 3n exists.
     walk_to_covered: lowest covered v reachable by an augmenting walk (<= 3n).
     walk_to_exposed: lowest other exposed v with an augmenting walk (<= n).
+    short_tables is the first n iterations of long_tables.
     """
 
     root: int
@@ -170,7 +193,12 @@ class StructureScan:
 def detect_structures(
     graph: WeightedGraph, matching: Matching, root: int
 ) -> StructureScan:
-    """Scan for augmenting structures anchored at an exposed vertex."""
+    """Scan for augmenting structures anchored at an exposed vertex.
+
+    One DP runs to 3n. The DP's iterations do not depend on its bound, so
+    the n-table is that run's prefix: the first n + 1 snapshots and the
+    predecessor records of iterations up to n, equal to a separate run to n.
+    """
     if matching.covers(root):
         raise VertexNotExposed(f"vertex {root} is covered")
     n = graph.n
@@ -186,7 +214,13 @@ def detect_structures(
         ),
         None,
     )
-    short_tables = optimal_walks(graph, matching, root, n)
+    short_tables = WalkTables(
+        graph, matching, root, n,
+        long_tables.history1[: n + 1],
+        long_tables.history2[: n + 1],
+        {key: u for key, u in long_tables.pred1.items() if key[0] <= n},
+        {key: u for key, u in long_tables.pred2.items() if key[0] <= n},
+    )
     walk_to_exposed = next(
         (
             v
@@ -219,29 +253,29 @@ class AugmentingStructure:
 def _segments(
     verts: tuple[int, ...], flags: tuple[bool, ...]
 ) -> list[tuple[str, tuple[int, ...], tuple[bool, ...]]]:
-    """Split a walk at its first repeated vertex, recursively.
+    """Split a walk at its first repeated vertex, then the rest the same way.
 
     Segment kinds: open alternating "path", even alternating "cycle", odd
     "blossom" (closed, both end edges unmatched).
     """
-    if len(verts) <= 1:
-        return []
-    seen: dict[int, int] = {}
-    split = None
-    for j, v in enumerate(verts):
-        if v in seen:
-            split = (seen[v], j)
-            break
-        seen[v] = j
-    if split is None:
-        return [("path", verts, flags)]
-    i, j = split
     out: list[tuple[str, tuple[int, ...], tuple[bool, ...]]] = []
-    if i > 0:
-        out.append(("path", verts[: i + 1], flags[:i]))
-    kind = "cycle" if (j - i) % 2 == 0 else "blossom"
-    out.append((kind, verts[i : j + 1], flags[i:j]))
-    out.extend(_segments(verts[j:], flags[j:]))
+    while len(verts) > 1:
+        seen: dict[int, int] = {}
+        split = None
+        for j, v in enumerate(verts):
+            if v in seen:
+                split = (seen[v], j)
+                break
+            seen[v] = j
+        if split is None:
+            out.append(("path", verts, flags))
+            break
+        i, j = split
+        if i > 0:
+            out.append(("path", verts[: i + 1], flags[:i]))
+        kind = "cycle" if (j - i) % 2 == 0 else "blossom"
+        out.append((kind, verts[i : j + 1], flags[i:j]))
+        verts, flags = verts[j:], flags[j:]
     return out
 
 

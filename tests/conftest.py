@@ -80,6 +80,39 @@ def random_graph(
     return WeightedGraph.from_edges(n, edges)
 
 
+def count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Replace module.name by a wrapper that counts its calls in a
+    one-element list, which is returned."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def tri_chain(rng: random.Random, t: int) -> WeightedGraph:
+    """t weight-4 triangles on a shuffled vertex order plus 2t cross-links
+    of weight 1..3. The cover y = 2 is tight only on the triangles, so
+    gamma = t and every step of the cycle search is a frustrated tree."""
+    n = 3 * t
+    order = list(range(n))
+    rng.shuffle(order)
+    triangle = {v: i // 3 for i, v in enumerate(order)}
+    edges: dict[tuple[int, int], int] = {}
+    for i in range(t):
+        a, b, c = order[3 * i : 3 * i + 3]
+        edges[(a, b)] = edges[(a, c)] = edges[(b, c)] = 4
+    while len(edges) < 5 * t:
+        u, v = rng.sample(range(n), 2)
+        if triangle[u] != triangle[v] and (u, v) not in edges and (v, u) not in edges:
+            edges[(u, v)] = rng.randint(1, 3)
+    return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
 def random_matching(rng: random.Random, graph: WeightedGraph, p: float = 0.5) -> Matching:
     pairs = []
     used: set[int] = set()

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fig6, fig9, random_graph
+from conftest import count_calls, fig6, fig9, random_graph, tri_chain
+import matchstab.cycles
 from matchstab import oracle
 from matchstab.cycles import (
     AugmentationEvent,
@@ -257,3 +258,17 @@ def test_frustrated_tree_deletes_matched_pair_whole():
     assert result.gamma == oracle.brute_gamma(g)
     assert result.weight == oracle.exact_nu_f(g)
     verify_optimal_pair(g, result.solution, result.cover)
+
+
+def test_pair_checks_do_not_grow_with_gamma(monkeypatch):
+    g = tri_chain(random.Random(12), 12)
+    start = solve_fractional(g)
+    checks = count_calls(monkeypatch, matchstab.cycles, "verify_optimal_pair")
+    tights = count_calls(monkeypatch, matchstab.cycles, "tight_edges")
+    for given in (None, start):
+        checks[0] = tights[0] = 0
+        result = reduce_cycles(g, start=given)
+        assert result.gamma == 12
+        assert len(result.events) == 12
+        assert all(isinstance(e, FrustrationEvent) for e in result.events)
+        assert checks[0] <= 2 and tights[0] <= 2

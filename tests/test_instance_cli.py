@@ -153,6 +153,18 @@ def test_batch_runs_in_input_order(capsys):
     assert json.loads(lines[1])["outputs"]["gamma"] == 1
 
 
+def test_batch_prints_documents_before_a_failing_file(capsys, monkeypatch):
+    # fig9m's document is out before fig6, which has no matching, fails
+    monkeypatch.chdir(FIXTURES.parent)
+    code, out, err = _run(capsys, "m-stabilize", "fixtures/fig9m.json", "fixtures/fig6.json")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1
+    single = _run(capsys, "m-stabilize", "fixtures/fig9m.json")[1]
+    assert json.loads(lines[0]) == json.loads(single)
+    assert err == 'matchstab: error: fixtures/fig6.json: m-stabilize needs a "matching" field\n'
+
+
 def test_jobs_flag_is_gone(capsys):
     fig6 = str(FIXTURES / "fig6.json")
     code, out, err = _run(capsys, "--jobs", "2", "gamma", fig6)

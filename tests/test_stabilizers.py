@@ -3,8 +3,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from conftest import fig6, fig7, fig9, random_graph
+from conftest import count_calls, fig6, fig7, fig9, random_graph, tri_chain
+import matchstab.graph
+import matchstab.stabilizers
 from matchstab import oracle
+from matchstab.cycles import reduce_cycles
 from matchstab.graph import WeightedGraph
 from matchstab.stabilizers import (
     edge_stabilizer_approx,
@@ -89,3 +92,15 @@ def test_edge_result_sandwich_on_sub_suite():
         assert result.lower_bound <= opt <= len(result.removed_edges) <= result.upper_bound
         rest = g.delete_edges(result.removed_edges)
         assert oracle.is_stable(rest)
+
+
+def test_rounding_decomposes_once(monkeypatch):
+    g = tri_chain(random.Random(12), 12)
+    reduction = reduce_cycles(g)
+    assert reduction.gamma == 12
+    monkeypatch.setattr(matchstab.stabilizers, "reduce_cycles", lambda _g: reduction)
+    decomposes = count_calls(monkeypatch, matchstab.graph, "decompose")
+    result = min_vertex_stabilizer(g)
+    assert decomposes[0] == 1
+    assert len(result.removed) == 12
+    assert result.nu_after == 48

@@ -9,7 +9,7 @@ import pytest
 from conftest import random_graph, random_matching
 from matchstab import oracle
 from matchstab.errors import EntryIsMinusInfinity, VertexNotExposed
-from matchstab.graph import Matching, WeightedGraph, walk_value
+from matchstab.graph import AlternatingWalk, Matching, WeightedGraph, walk_value
 from matchstab.walks import (
     detect_structures,
     extract_augmenting_structure,
@@ -117,6 +117,51 @@ def test_reconstruct_long_walk_without_recursion():
         sys.setrecursionlimit(limit)
     assert walk.vertices == tuple(range(n))
     assert walk_value(walk, g, m) == 100
+
+
+def test_extract_structure_from_long_walk_without_recursion():
+    # 400 edges around the 4-cycle 0-1-2-3 (3, 1, 3, 1), M = {12, 03}
+    g = WeightedGraph.from_edges(4, [(0, 1, 3), (1, 2, 1), (2, 3, 3), (0, 3, 1)])
+    m = Matching.from_pairs([(1, 2), (0, 3)])
+    walk = AlternatingWalk.from_vertices(g, m, [i % 4 for i in range(401)])
+    assert walk_value(walk, g, m) == 400
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        structure = extract_augmenting_structure(g, m, walk)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert structure.kind == "cycle"
+    assert structure.pieces == ((0, 1, 2, 3, 0),)
+
+
+def test_short_tables_are_the_prefix_of_the_long_run(property_suite):
+    rng = random.Random(515)
+    for g in property_suite:
+        m = random_matching(rng, g)
+        for root in range(g.n):
+            if m.covers(root):
+                continue
+            short = detect_structures(g, m, root).short_tables
+            alone = optimal_walks(g, m, root, g.n)
+            assert (short.source, short.k) == (alone.source, alone.k)
+            assert short.history1 == alone.history1
+            assert short.history2 == alone.history2
+            assert short.pred1 == alone.pred1
+            assert short.pred2 == alone.pred2
+
+
+def test_run_stopped_at_fixpoint_keeps_k_plus_one_snapshots():
+    g, m = _triangle_flower()
+    k = 50
+    t = optimal_walks(g, m, 0, k)
+    assert len(t.history1) == len(t.history2) == k + 1
+    # nothing improves after the flower closes at iteration 3
+    assert all(h == t.history1[3] for h in t.history1[3:])
+    assert all(h == t.history2[3] for h in t.history2[3:])
+    assert max(i for i, _v in (*t.pred1, *t.pred2)) <= 3
+    assert t.y1[0] == 2
+    assert oracle.optimal_walk_values(g, m, 0, 8)[8][0] == t.y1[0]
 
 
 def test_detect_structures_examples():
