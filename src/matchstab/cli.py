@@ -20,20 +20,23 @@ from typing import Any, Optional
 from . import oracle as oracle_mod
 from .cycles import AugmentationEvent, FrustrationEvent, reduce_cycles
 from .errors import (
+    DegreeConstraintViolated,
     MatchingRequired,
     MatchstabError,
+    NotBasic,
+    NotHalfIntegral,
     ParseError,
     UnknownCommand,
 )
 from .graph import (
+    BasicFractionalMatching,
     FractionalVertexCover,
     Matching,
     WeightedGraph,
     decompose,
-    tight_edges,
 )
 from .instance import Instance, parse_instance
-from .lp import solve_fractional
+from .lp import optimal_pair_checks, solve_fractional
 from .mstab import INFEASIBLE, m_vertex_stabilizer
 from .stabilizers import edge_stabilizer_approx, min_vertex_stabilizer
 
@@ -290,19 +293,21 @@ def _cover_from_doc(graph: WeightedGraph, doc: dict[str, str]) -> dict[int, Frac
     return {index[label]: Fraction(val) for label, val in doc.items()}
 
 
-def _check_optimal_pair_doc(graph, x_entries, cover_entries, checks) -> None:
-    values = _vector_from_entries(graph, x_entries)
-    bfm = decompose(graph, values)
+def _check_optimal_pair_doc(
+    graph, x_entries, cover_entries, checks
+) -> Optional[BasicFractionalMatching]:
+    """Append `x_is_basic_feasible` and, when x is basic, the optimal-pair
+    checks; returns the decomposed x, or None when it is not basic."""
+    try:
+        bfm = decompose(graph, _vector_from_entries(graph, x_entries))
+    except (NotHalfIntegral, DegreeConstraintViolated, NotBasic):
+        checks.append(("x_is_basic_feasible", False))
+        return None
     checks.append(("x_is_basic_feasible", True))
     cover_map = _cover_from_doc(graph, cover_entries)
     cover = FractionalVertexCover(tuple(cover_map[v] for v in range(graph.n)))
-    tight = tight_edges(graph, cover)  # raises if infeasible
-    checks.append(("cover_is_feasible", True))
-    checks.append(("strong_duality", bfm.weight == cover.total))
-    slack_ok = all(i in tight for i in bfm.support) and all(
-        cover.values[v] == 0 or bfm.vertex_load(v) == 1 for v in range(graph.n)
-    )
-    checks.append(("complementary_slackness", slack_ok))
+    checks.extend(optimal_pair_checks(graph, bfm, cover))
+    return bfm
 
 
 def _check_stable_subgraph_doc(
@@ -332,9 +337,9 @@ def _check_stable_subgraph_doc(
         if removed_edge_pairs and (min(u, v), max(u, v)) in removed_edge_pairs:
             ok_edges = False
     checks.append(("matching_lives_in_residual", ok_edges))
-    # cover must dominate every surviving edge
+    # cover must be nonnegative and dominate every surviving edge
     full = {v: cover_map.get(v, Fraction(0)) for v in range(graph.n)}
-    feasible = True
+    feasible = all(y >= 0 for y in cover_map.values())
     for u, v, w in graph.edges:
         if u in removed_vertices or v in removed_vertices:
             continue
@@ -370,10 +375,9 @@ def _run_verify_inner(instance: Instance, result_doc: dict) -> tuple[dict, int]:
     if command == "solve-fractional":
         _check_optimal_pair_doc(graph, outputs["x"], certificates["cover"], checks)
     elif command in ("min-cycles", "gamma"):
-        _check_optimal_pair_doc(graph, certificates["x"], certificates["cover"], checks)
-        values = _vector_from_entries(graph, certificates["x"])
-        bfm = decompose(graph, values)
-        checks.append(("gamma_matches_support", outputs["gamma"] == len(bfm.odd_cycles)))
+        bfm = _check_optimal_pair_doc(graph, certificates["x"], certificates["cover"], checks)
+        if bfm is not None:
+            checks.append(("gamma_matches_support", outputs["gamma"] == len(bfm.odd_cycles)))
     elif command == "stabilize-vertices":
         removed = {index[s] for s in outputs["S"]}
         _check_stable_subgraph_doc(

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .errors import NotAugmenting, VertexNotExposed
+from .errors import VertexNotExposed
 from .graph import Matching
 
 
@@ -146,41 +146,3 @@ def grow_tree(
     even = frozenset(i for i in range(n) if used[i])
     odd = frozenset(i for i in range(n) if parent[i] is not None and not used[i])
     return FrustratedTree(even | odd, even, odd, tuple(base))
-
-
-def augment(matching: Matching, path: AugmentingPath) -> Matching:
-    """Symmetric difference of a matching with an augmenting path."""
-    verts = path.vertices
-    if len(verts) < 2 or len(verts) % 2 != 0:
-        raise NotAugmenting("augmenting paths have odd length")
-    if matching.covers(verts[0]) or matching.covers(verts[-1]):
-        raise NotAugmenting("both endpoints must be exposed")
-    pairs = set(matching.pairs)
-    for i, (a, b) in enumerate(zip(verts, verts[1:])):
-        edge = (min(a, b), max(a, b))
-        if i % 2 == 0:
-            if edge in pairs:
-                raise NotAugmenting("path does not alternate")
-            pairs.add(edge)
-        else:
-            if edge not in pairs:
-                raise NotAugmenting("path does not alternate")
-            pairs.remove(edge)
-    return Matching.from_pairs(pairs)
-
-
-def maximum_cardinality_matching(adjacency: Sequence[Sequence[int]]) -> Matching:
-    """Repeated tree growth from exposed vertices, lowest index first."""
-    matching = Matching.empty()
-    n = len(adjacency)
-    improved = True
-    while improved:
-        improved = False
-        for r in range(n):
-            if matching.covers(r):
-                continue
-            result = grow_tree(adjacency, matching, r)
-            if isinstance(result, AugmentingPath):
-                matching = augment(matching, result)
-                improved = True
-    return matching

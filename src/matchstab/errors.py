@@ -52,11 +52,7 @@ class WeightLoss(MatchstabError, ValueError):
 
 
 class NotOptimalPair(MatchstabError, ValueError):
-    """Primal/dual pair fails exact complementary slackness."""
-
-
-class NotAugmenting(MatchstabError, ValueError):
-    """Path is not augmenting for the given matching."""
+    """Primal/dual pair fails cover feasibility, strong duality or slackness."""
 
 
 class PathNotAugmenting(MatchstabError, ValueError):

@@ -431,7 +431,12 @@ class FractionalVertexCover:
         )
 
     def is_feasible_for(self, graph: WeightedGraph) -> bool:
-        return len(self.values) == graph.n and not self.violated_edges(graph)
+        """y >= 0, and y_u + y_v >= w_uv on every edge of `graph`."""
+        return (
+            len(self.values) == graph.n
+            and all(y >= 0 for y in self.values)
+            and not self.violated_edges(graph)
+        )
 
 
 def tight_edges(graph: WeightedGraph, cover: FractionalVertexCover) -> frozenset[int]:

@@ -1,19 +1,22 @@
 """Exact combinatorial solver for the fractional matching LP and its dual.
 
-The primal is solved on the bipartite duplicate of the graph (two copies of
-every vertex, two copies of every edge) with a Hungarian-style primal-dual
-method that keeps exact Fraction potentials. Averaging the two copies yields a
-half-integral optimum of the original LP and a minimum fractional w-vertex
-cover satisfying complementary slackness bit-exactly.
+One path, on the graph's own incidence lists: `bipartite_max_weight_matching`
+runs a Hungarian-style primal-dual method with exact Fraction potentials on
+the bipartite duplicate of the graph (a left and a right copy of every
+vertex, and for every edge uv the two edges (u, v') and (v, u') of weight
+w_uv), without building the duplicate. `solve_fractional` averages the two
+copies into a half-integral optimum x and a minimum fractional w-vertex
+cover y, `normalize_to_basic` rounds the half-valued paths and even cycles of
+x, and `optimal_pair_checks` proves the pair optimal: the same named checks
+that `matchstab verify` reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import NotOptimalPair, WeightLoss
+from .errors import DegreeConstraintViolated, InfeasibleCover, NotOptimalPair, WeightLoss
 from .graph import (
     HALF,
     ONE,
@@ -22,77 +25,28 @@ from .graph import (
     FractionalVertexCover,
     WeightedGraph,
     decompose,
-    tight_edges,
 )
 
 
-@dataclass(frozen=True)
-class BipartiteDuplicate:
-    """Bipartite double cover used to solve (P) without an LP solver.
-
-    Vertex v has a left copy and a right copy; each original edge uv turns
-    into the two bipartite edges (u, v') and (v, u'), both of weight w_uv.
-    """
-
-    graph: WeightedGraph
-    # per left vertex: tuple of (right_vertex, weight, original_edge_index)
-    adjacency: tuple[tuple[tuple[int, Fraction, int], ...], ...]
-
-    @staticmethod
-    def of(graph: WeightedGraph) -> "BipartiteDuplicate":
-        adj: list[list[tuple[int, Fraction, int]]] = [[] for _ in range(graph.n)]
-        for idx, (u, v, w) in enumerate(graph.edges):
-            adj[u].append((v, w, idx))
-            adj[v].append((u, w, idx))
-        return BipartiteDuplicate(graph, tuple(tuple(sorted(a)) for a in adj))
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-
-@dataclass(frozen=True)
-class DualPotentials:
-    """Feasible bipartite potentials certifying the duplicate's optimum.
-
-    Matched edges are tight and every exposed copy has potential zero, which
-    is what makes the averaged vertex cover minimum.
-    """
-
-    left: tuple[Fraction, ...]
-    right: tuple[Fraction, ...]
-
-    @property
-    def total(self) -> Fraction:
-        return sum(self.left, start=ZERO) + sum(self.right, start=ZERO)
-
-
-@dataclass(frozen=True)
-class BipartiteMatchingResult:
-    # match_left[u] = right partner of left copy u, or None
-    match_left: tuple[Optional[int], ...]
-    match_right: tuple[Optional[int], ...]
-    weight: Fraction
-    potentials: DualPotentials
-
-
-def bipartite_max_weight_matching(dup: BipartiteDuplicate) -> BipartiteMatchingResult:
+def bipartite_max_weight_matching(
+    graph: WeightedGraph,
+) -> tuple[list[Optional[int]], list[Fraction], list[Fraction]]:
     """Maximum-weight matching on the duplicate with an exact dual certificate.
 
-    Primal-dual phases rooted at exposed left copies with positive potential.
-    A phase ends by augmenting to an exposed right copy, by the root potential
-    reaching zero (the root retires exposed), or by a matched left node's
-    potential reaching zero, in which case the matching is flipped along the
-    alternating tree so that node retires exposed instead. All three keep the
-    invariants: feasible potentials, tight matched edges, exposed right copies
-    at potential zero.
+    Returns the right partner of every left copy (or None) and the left and
+    right potentials. Primal-dual phases are rooted at exposed left copies
+    with positive potential. A phase ends by augmenting to an exposed right
+    copy, by the root potential reaching zero (the root retires exposed), or
+    by a matched left node's potential reaching zero, in which case the
+    matching is flipped along the alternating tree so that node retires
+    exposed instead. All three keep the invariants: feasible potentials,
+    tight matched edges, exposed right copies at potential zero.
     """
-    n = dup.n
+    n = graph.n
+    adjacency = graph.adjacency
+    weight = [w for _u, _v, w in graph.edges]
     p_left: list[Fraction] = [
-        max(
-            (w for _r, w, _i in dup.adjacency[u] if w > 0),
-            default=ZERO,
-        )
+        max((weight[i] for _r, i in adjacency[u] if weight[i] > 0), default=ZERO)
         for u in range(n)
     ]
     p_right: list[Fraction] = [ZERO] * n
@@ -121,8 +75,8 @@ def bipartite_max_weight_matching(dup: BipartiteDuplicate) -> BipartiteMatchingR
             while grew:
                 grew = False
                 for u in list(even):
-                    for r, w, _i in dup.adjacency[u]:
-                        if r in odd_set or p_left[u] + p_right[r] != w:
+                    for r, i in adjacency[u]:
+                        if r in odd_set or p_left[u] + p_right[r] != weight[i]:
                             continue
                         if match_r[r] is None:
                             rematch_chain(r, u)  # augmenting path
@@ -137,10 +91,10 @@ def bipartite_max_weight_matching(dup: BipartiteDuplicate) -> BipartiteMatchingR
             # stuck on tight edges: adjust the duals
             delta_edge: Optional[Fraction] = None
             for u in even:
-                for r, w, _i in dup.adjacency[u]:
+                for r, i in adjacency[u]:
                     if r in odd_set:
                         continue
-                    slack = p_left[u] + p_right[r] - w
+                    slack = p_left[u] + p_right[r] - weight[i]
                     if delta_edge is None or slack < delta_edge:
                         delta_edge = slack
             zero_at = min(even, key=lambda u: (p_left[u], u))
@@ -170,71 +124,25 @@ def bipartite_max_weight_matching(dup: BipartiteDuplicate) -> BipartiteMatchingR
             break
         run_phase(root)
 
-    weight = ZERO
+    # invariant checks: feasibility, tight matched edges, exposed copies at
+    # zero, and equal primal and dual totals
+    total = ZERO
     for u in range(n):
-        r = match_l[u]
-        if r is not None:
-            weight += dup.graph.weight(u, r)
-    potentials = DualPotentials(tuple(p_left), tuple(p_right))
-
-    # invariant checks: feasibility, tight matched edges, exposed copies at zero
-    for u in range(n):
-        for r, w, _i in dup.adjacency[u]:
-            assert p_left[u] + p_right[r] >= w
+        for r, i in adjacency[u]:
+            assert p_left[u] + p_right[r] >= weight[i]
         r = match_l[u]
         if r is None:
             assert p_left[u] == 0
         else:
-            assert p_left[u] + p_right[r] == dup.graph.weight(u, r)
+            w = graph.weight(u, r)
+            assert p_left[u] + p_right[r] == w
+            total += w
     for r in range(n):
         if match_r[r] is None:
             assert p_right[r] == 0
-    assert potentials.total == weight
+    assert sum(p_left, start=ZERO) + sum(p_right, start=ZERO) == total
 
-    return BipartiteMatchingResult(tuple(match_l), tuple(match_r), weight, potentials)
-
-
-def symmetrize(
-    dup: BipartiteDuplicate, result: BipartiteMatchingResult
-) -> tuple[Fraction, ...]:
-    """Average the two bipartite copies back into a half-integral vector.
-
-    x_uv gets 1/2 per matched copy of uv, so both copies matched means 1.
-    """
-    graph = dup.graph
-    values = [ZERO] * graph.m
-    for u in range(graph.n):
-        r = result.match_left[u]
-        if r is not None:
-            values[graph.edge_index(u, r)] += HALF
-    return tuple(values)
-
-
-def _ordered_component(
-    graph: WeightedGraph,
-    adjmap: dict[int, list[tuple[int, int]]],
-    is_cycle: bool,
-) -> list[int]:
-    """Edge indices of a half-valued path or cycle in traversal order."""
-    if is_cycle:
-        start = min(adjmap)
-        second = min(nbr for nbr, _i in adjmap[start])
-    else:
-        endpoints = sorted(v for v, nbrs in adjmap.items() if len(nbrs) == 1)
-        start = endpoints[0]
-        second = adjmap[start][0][0]
-    ordered = [graph.edge_index(start, second)]
-    prev, cur = start, second
-    while True:
-        if is_cycle and cur == start:
-            break
-        nxt = [(nbr, idx) for nbr, idx in adjmap[cur] if nbr != prev]
-        if not nxt:
-            break  # end of a path
-        nbr, idx = nxt[0]
-        ordered.append(idx)
-        prev, cur = cur, nbr
-    return ordered
+    return match_l, p_left, p_right
 
 
 def normalize_to_basic(
@@ -242,59 +150,77 @@ def normalize_to_basic(
 ) -> BasicFractionalMatching:
     """Round half-valued paths and even cycles so only odd cycles stay at 1/2.
 
-    Each connected half-valued structure is evaluated under both of its 0/1
-    alternations and the heavier one is kept; for an optimal input this never
-    changes the weight. Ties go to the alternation containing the component's
-    lowest edge index.
+    Each half-valued path, walked from one of its endpoints, and then each
+    half-valued cycle is split into its two 0/1 alternations and the heavier
+    one is kept; for an optimal input this never changes the weight. Ties go
+    to the alternation containing the lowest edge index. A vertex with more
+    than two half-valued edges raises DegreeConstraintViolated.
     """
     vec = list(Fraction(x) for x in values)
-    adjmap_all: dict[int, list[tuple[int, int]]] = {}
+    half: dict[int, list[tuple[int, int]]] = {}
     for idx, x in enumerate(vec):
         if x == HALF:
             u, v, _w = graph.edges[idx]
-            adjmap_all.setdefault(u, []).append((v, idx))
-            adjmap_all.setdefault(v, []).append((u, idx))
+            half.setdefault(u, []).append((v, idx))
+            half.setdefault(v, []).append((u, idx))
+    for v, nbrs in half.items():
+        if len(nbrs) > 2:
+            raise DegreeConstraintViolated(f"vertex {v} has {len(nbrs)} half-valued edges")
     seen: set[int] = set()
-    for seed, x in enumerate(vec):
-        if x != HALF or seed in seen:
+    # paths from their endpoints first; every vertex left then is on a cycle
+    for start in [v for v, nbrs in half.items() if len(nbrs) == 1] + list(half):
+        if start in seen:
             continue
-        comp: set[int] = set()
-        stack = [seed]
-        while stack:
-            e = stack.pop()
-            if e in comp:
-                continue
-            comp.add(e)
-            u, v, _w = graph.edges[e]
-            for endpoint in (u, v):
-                for _nbr, e2 in adjmap_all[endpoint]:
-                    if e2 not in comp:
-                        stack.append(e2)
-        seen |= comp
-        comp_vertices = {v for e in comp for v in graph.edges[e][:2]}
-        adjmap = {v: adjmap_all[v] for v in comp_vertices}
-        is_cycle = all(len(nbrs) == 2 for nbrs in adjmap.values())
-        if is_cycle and len(comp) % 2 == 1:
+        ordered: list[int] = []  # edge indices in walking order
+        prev, cur = -1, start
+        while True:
+            seen.add(cur)
+            step = [(nbr, i) for nbr, i in half[cur] if i != prev]
+            if not step:
+                break  # far end of a path
+            cur, prev = step[0]
+            ordered.append(prev)
+            if cur == start:
+                break  # back around a cycle
+        if cur == start and len(ordered) % 2 == 1:
             continue  # odd cycle: already basic
-        ordered = _ordered_component(graph, adjmap, is_cycle)
-        assert len(ordered) == len(comp)
-        evens = tuple(ordered[0::2])
-        odds = tuple(ordered[1::2])
-        w_even = sum((graph.edges[i][2] for i in evens), start=ZERO)
-        w_odd = sum((graph.edges[i][2] for i in odds), start=ZERO)
-        if 2 * max(w_even, w_odd) < w_even + w_odd:
+        keep, drop = ordered[0::2], ordered[1::2]
+        w_keep = sum((graph.edges[i][2] for i in keep), start=ZERO)
+        w_drop = sum((graph.edges[i][2] for i in drop), start=ZERO)
+        if 2 * max(w_keep, w_drop) < w_keep + w_drop:
             raise WeightLoss("both alternations lose weight; upstream bug")
-        if w_even > w_odd:
-            keep = set(evens)
-        elif w_odd > w_even:
-            keep = set(odds)
-        elif odds and min(odds) < min(evens):
-            keep = set(odds)
-        else:
-            keep = set(evens)
-        for i in comp:
-            vec[i] = ONE if i in keep else ZERO
+        if w_drop > w_keep or (w_drop == w_keep and drop and min(drop) < min(keep)):
+            keep, drop = drop, keep
+        for i in keep:
+            vec[i] = ONE
+        for i in drop:
+            vec[i] = ZERO
     return decompose(graph, vec)
+
+
+def optimal_pair_checks(
+    graph: WeightedGraph,
+    bfm: BasicFractionalMatching,
+    cover: FractionalVertexCover,
+) -> list[tuple[str, bool]]:
+    """The exact conditions that make (x, y) an optimal primal-dual pair.
+
+    Returns `cover_is_feasible` (y_u + y_v >= w_uv on every edge),
+    `strong_duality` (w.x = sum y) and `complementary_slackness` (every
+    supported edge is tight, and x(delta(v)) = 1 wherever y_v > 0), each with
+    its result.
+    """
+    y = cover.values
+    if len(y) != graph.n:
+        raise InfeasibleCover("cover length does not match vertex count")
+    slack_ok = all(
+        y[u] + y[v] == w for (u, v, w), x in zip(graph.edges, bfm.values) if x != 0
+    ) and all(y[v] == 0 or bfm.vertex_load(v) == 1 for v in range(graph.n))
+    return [
+        ("cover_is_feasible", cover.is_feasible_for(graph)),
+        ("strong_duality", bfm.weight == cover.total),
+        ("complementary_slackness", slack_ok),
+    ]
 
 
 def verify_optimal_pair(
@@ -302,21 +228,11 @@ def verify_optimal_pair(
     bfm: BasicFractionalMatching,
     cover: FractionalVertexCover,
 ) -> None:
-    """Raise NotOptimalPair unless (x, y) satisfy exact duality and slackness."""
-    if not cover.is_feasible_for(graph):
-        raise NotOptimalPair("cover is not feasible")
-    if bfm.weight != cover.total:
-        raise NotOptimalPair(
-            f"strong duality fails: w.x = {bfm.weight}, sum y = {cover.total}"
-        )
-    tight = tight_edges(graph, cover)
-    for i, x in enumerate(bfm.values):
-        if x != 0 and i not in tight:
-            u, v, _w = graph.edges[i]
-            raise NotOptimalPair(f"supported edge ({u},{v}) is not tight")
-    for v in range(graph.n):
-        if cover.values[v] > 0 and bfm.vertex_load(v) != 1:
-            raise NotOptimalPair(f"vertex {v} has y_v > 0 but x(delta(v)) != 1")
+    """Raise NotOptimalPair, naming the failed checks, unless (x, y) passes
+    every one of `optimal_pair_checks`."""
+    failed = [name for name, ok in optimal_pair_checks(graph, bfm, cover) if not ok]
+    if failed:
+        raise NotOptimalPair(f"not an optimal pair: {', '.join(failed)} failed")
 
 
 def solve_fractional(
@@ -324,18 +240,19 @@ def solve_fractional(
 ) -> tuple[BasicFractionalMatching, FractionalVertexCover]:
     """Basic maximum-weight fractional matching plus a minimum fractional cover.
 
-    The pair satisfies w.x = sum(y) and complementary slackness with exact
-    arithmetic; both facts are asserted before returning.
+    x_uv gets 1/2 per matched copy of uv in the duplicate and y_v is the
+    mean of v's two potentials. The pair satisfies w.x = sum(y) and
+    complementary slackness with exact arithmetic; both facts are checked
+    before returning.
     """
-    dup = BipartiteDuplicate.of(graph)
-    result = bipartite_max_weight_matching(dup)
-    raw = symmetrize(dup, result)
+    match_left, p_left, p_right = bipartite_max_weight_matching(graph)
+    values = [ZERO] * graph.m
+    for u, r in enumerate(match_left):
+        if r is not None:
+            values[graph.edge_index(u, r)] += HALF
     cover = FractionalVertexCover(
-        tuple(
-            (result.potentials.left[v] + result.potentials.right[v]) / 2
-            for v in range(graph.n)
-        )
+        tuple((p_left[v] + p_right[v]) / 2 for v in range(graph.n))
     )
-    bfm = normalize_to_basic(graph, raw)
+    bfm = normalize_to_basic(graph, values)
     verify_optimal_pair(graph, bfm, cover)
     return bfm, cover

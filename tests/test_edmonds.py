@@ -5,14 +5,8 @@ import random
 
 import pytest
 
-from matchstab.edmonds import (
-    AugmentingPath,
-    FrustratedTree,
-    augment,
-    grow_tree,
-    maximum_cardinality_matching,
-)
-from matchstab.errors import NotAugmenting, VertexNotExposed
+from matchstab.edmonds import AugmentingPath, FrustratedTree, grow_tree
+from matchstab.errors import VertexNotExposed
 from matchstab.graph import Matching
 
 
@@ -22,6 +16,30 @@ def _adjacency(n, pairs):
         adj[u].append(v)
         adj[v].append(u)
     return [sorted(a) for a in adj]
+
+
+def _augment(matching, path):
+    """Symmetric difference of a matching with an augmenting path."""
+    pairs = set(matching.pairs)
+    for a, b in zip(path.vertices, path.vertices[1:]):
+        pairs ^= {(min(a, b), max(a, b))}
+    return Matching.from_pairs(pairs)
+
+
+def _maximum_cardinality_matching(adjacency):
+    """Grow trees from exposed vertices, lowest index first, until none
+    augments."""
+    matching = Matching.empty()
+    improved = True
+    while improved:
+        improved = False
+        for r in range(len(adjacency)):
+            if not matching.covers(r):
+                result = grow_tree(adjacency, matching, r)
+                if isinstance(result, AugmentingPath):
+                    matching = _augment(matching, result)
+                    improved = True
+    return matching
 
 
 def test_isolated_root_is_frustrated():
@@ -46,18 +64,12 @@ def test_blossom_then_pendant_augments():
     path = result.vertices
     assert path[0] == 0 and path[-1] == 3
     assert len(set(path)) == len(path)  # simple after blossom expansion
-    new = augment(Matching.from_pairs([(1, 2)]), result)
+    new = _augment(Matching.from_pairs([(1, 2)]), result)
     assert len(new) == 2
 
 
-def test_augment_examples_and_errors():
-    path = AugmentingPath((0, 1))
-    assert augment(Matching.empty(), path).pairs == frozenset({(0, 1)})
+def test_grow_tree_rejects_covered_root():
     m = Matching.from_pairs([(1, 2)])
-    grown = augment(m, AugmentingPath((0, 1, 2, 3)))
-    assert grown.pairs == frozenset({(0, 1), (2, 3)})
-    with pytest.raises(NotAugmenting):
-        augment(m, AugmentingPath((1, 2)))
     with pytest.raises(VertexNotExposed):
         grow_tree(_adjacency(3, [(0, 1), (1, 2)]), m, 1)
 
@@ -91,7 +103,7 @@ def test_matches_brute_force_cardinality_on_random_graphs():
         possible = list(itertools.combinations(range(n), 2))
         pairs = rng.sample(possible, rng.randint(0, len(possible)))
         adj = _adjacency(n, pairs)
-        matching = maximum_cardinality_matching(adj)
+        matching = _maximum_cardinality_matching(adj)
         assert all(v in adj[u] for u, v in matching.pairs)
         assert len(matching) == _brute_max_matching_size(n, pairs)
 

@@ -139,6 +139,67 @@ def test_verify_catches_tampering(tmp_path, capsys):
     assert json.loads(out)["verified"] is False
 
 
+@pytest.mark.parametrize(
+    "where,key,value,expected_checks",
+    [
+        (
+            "cover",
+            "p",
+            "0",
+            {
+                "x_is_basic_feasible": True,
+                "cover_is_feasible": False,
+                "strong_duality": False,
+                "complementary_slackness": False,
+            },
+        ),
+        ("x", 0, "3/4", {"x_is_basic_feasible": False}),
+    ],
+)
+def test_verify_reports_tampered_pair_as_failed_checks(
+    tmp_path, capsys, where, key, value, expected_checks
+):
+    instance = str(FIXTURES / "fig8.json")
+    _code, out, _err = _run(capsys, "solve-fractional", instance)
+    doc = json.loads(out)
+    if where == "cover":
+        doc["certificates"]["cover"][key] = value
+    else:
+        doc["outputs"]["x"][key]["x"] = value
+    result_path = tmp_path / "tampered.json"
+    result_path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "verify", instance, "--result", str(result_path))
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["verified"] is False
+    # the pair checks are skipped when x is not a basic fractional matching
+    assert {c["name"]: c["ok"] for c in report["checks"]} == expected_checks
+
+
+def test_verify_rejects_a_negative_cover_on_an_unstable_graph(tmp_path, capsys):
+    # a unit triangle is not stable (nu = 1 < nu_f = 3/2), but y = 1/2 on the
+    # triangle and -1/2 on an isolated vertex covers every edge with total 1
+    instance = tmp_path / "triangle.json"
+    instance.write_text(json.dumps({
+        "vertices": ["a", "b", "c", "z"],
+        "edges": [{"u": u, "v": v, "w": "1"} for u, v in ("ab", "bc", "ac")],
+    }))
+    doc = {
+        "command": "stabilize-vertices",
+        "outputs": {"S": [], "gamma": 1, "nu_before": "1", "nu_after": "1"},
+        "certificates": {
+            "surviving_matching": [["a", "b"]],
+            "surviving_cover": {"a": "1/2", "b": "1/2", "c": "1/2", "z": "-1/2"},
+        },
+    }
+    result_path = tmp_path / "forged.json"
+    result_path.write_text(json.dumps(doc))
+    code, out, _err = _run(capsys, "verify", str(instance), "--result", str(result_path))
+    assert code == 1
+    checks = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
+    assert checks["cover_feasible_on_residual"] is False
+
+
 def test_batch_runs_in_input_order(capsys):
     code, out, _err = _run(
         capsys,
