@@ -21,6 +21,7 @@ from . import oracle as oracle_mod
 from .cycles import AugmentationEvent, FrustrationEvent, reduce_cycles
 from .errors import (
     DegreeConstraintViolated,
+    GraphError,
     MatchingRequired,
     MatchstabError,
     NotBasic,
@@ -36,7 +37,7 @@ from .graph import (
     decompose,
 )
 from .instance import Instance, parse_instance
-from .lp import optimal_pair_checks, solve_fractional
+from .lp import optimal_pair_checks, solve_fractional, stable_subgraph_checks
 from .mstab import INFEASIBLE, m_vertex_stabilizer
 from .stabilizers import edge_stabilizer_approx, min_vertex_stabilizer
 
@@ -279,162 +280,132 @@ def _run_oracle(sub: str, instance: Instance, path: str) -> tuple[dict, int]:
 # verify: re-check certificates using only graph-core arithmetic
 
 
-def _vector_from_entries(graph: WeightedGraph, entries) -> list[Fraction]:
+def _vector_from_entries(graph: WeightedGraph, index, entries) -> list[Fraction]:
     values = [Fraction(0)] * graph.m
-    index = {graph.label_of(v): v for v in range(graph.n)}
     for entry in entries:
-        idx = graph.edge_index(index[entry["u"]], index[entry["v"]])
-        values[idx] = Fraction(entry["x"])
+        values[graph.edge_index(index[entry["u"]], index[entry["v"]])] = Fraction(entry["x"])
     return values
 
 
-def _cover_from_doc(graph: WeightedGraph, doc: dict[str, str]) -> dict[int, Fraction]:
-    index = {graph.label_of(v): v for v in range(graph.n)}
+def _cover_from_doc(index, doc: dict[str, str]) -> dict[int, Fraction]:
     return {index[label]: Fraction(val) for label, val in doc.items()}
 
 
 def _check_optimal_pair_doc(
-    graph, x_entries, cover_entries, checks
+    graph, index, x_entries, cover_map, checks
 ) -> Optional[BasicFractionalMatching]:
     """Append `x_is_basic_feasible` and, when x is basic, the optimal-pair
     checks; returns the decomposed x, or None when it is not basic."""
     try:
-        bfm = decompose(graph, _vector_from_entries(graph, x_entries))
+        bfm = decompose(graph, _vector_from_entries(graph, index, x_entries))
     except (NotHalfIntegral, DegreeConstraintViolated, NotBasic):
         checks.append(("x_is_basic_feasible", False))
         return None
     checks.append(("x_is_basic_feasible", True))
-    cover_map = _cover_from_doc(graph, cover_entries)
     cover = FractionalVertexCover(tuple(cover_map[v] for v in range(graph.n)))
     checks.extend(optimal_pair_checks(graph, bfm, cover))
     return bfm
 
 
-def _check_stable_subgraph_doc(
-    graph: WeightedGraph,
-    removed_vertices: set[int],
-    removed_edge_pairs: Optional[set[tuple[int, int]]],
-    matching_pairs,
-    cover_entries,
-    checks,
-) -> None:
-    """Certify stability of G minus vertices (or minus an edge set).
-
-    A matching of the residual graph and a residual cover with the same total
-    prove nu = tau_f there, by weak duality.
-    """
-    index = {graph.label_of(v): v for v in range(graph.n)}
-    pairs = [(index[a], index[b]) for a, b in matching_pairs]
-    matching = Matching.from_pairs(pairs)
-    cover_map = _cover_from_doc(graph, cover_entries)
-    in_residual = [
-        v for v in range(graph.n) if v not in removed_vertices
-    ]
-    ok_edges = True
-    for u, v in pairs:
-        if u in removed_vertices or v in removed_vertices or not graph.has_edge(u, v):
-            ok_edges = False
-        if removed_edge_pairs and (min(u, v), max(u, v)) in removed_edge_pairs:
-            ok_edges = False
-    checks.append(("matching_lives_in_residual", ok_edges))
-    # cover must be nonnegative and dominate every surviving edge
-    full = {v: cover_map.get(v, Fraction(0)) for v in range(graph.n)}
-    feasible = all(y >= 0 for y in cover_map.values())
-    for u, v, w in graph.edges:
-        if u in removed_vertices or v in removed_vertices:
-            continue
-        if removed_edge_pairs and (u, v) in removed_edge_pairs:
-            continue
-        if full[u] + full[v] < w:
-            feasible = False
-    checks.append(("cover_feasible_on_residual", feasible))
-    total = sum((cover_map[v] for v in cover_map), start=Fraction(0))
-    checks.append(("matching_weight_equals_cover", matching.weight(graph) == total))
-    checks.append(
-        ("cover_only_on_residual", set(cover_map) <= set(in_residual))
-    )
-
-
-def _run_verify(instance: Instance, result_doc: dict) -> tuple[dict, int]:
+def _matching_from_doc(index, pairs, checks) -> Optional[Matching]:
+    """Append `matching_pairs_disjoint`; returns the matching, or None when
+    two of its pairs share a vertex."""
     try:
-        return _run_verify_inner(instance, result_doc)
-    except MatchstabError:
-        raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"malformed result document: {exc!r}") from exc
+        matching = Matching.from_pairs((index[a], index[b]) for a, b in pairs)
+    except GraphError:
+        checks.append(("matching_pairs_disjoint", False))
+        return None
+    checks.append(("matching_pairs_disjoint", True))
+    return matching
 
 
-def _run_verify_inner(instance: Instance, result_doc: dict) -> tuple[dict, int]:
+def _run_verify(path: str, result_doc: dict) -> tuple[dict, int]:
+    instance = _load_instance(path)
     graph = instance.graph
     command = result_doc.get("command", "")
     certificates = result_doc.get("certificates", {})
     outputs = result_doc.get("outputs", {})
-    checks: list[tuple[str, bool]] = []
+    checks = [("instance_sha256_matches", result_doc.get("instance_sha256") == _sha256(path))]
     index = {graph.label_of(v): v for v in range(graph.n)}
 
     if command == "solve-fractional":
-        _check_optimal_pair_doc(graph, outputs["x"], certificates["cover"], checks)
+        cover = _cover_from_doc(index, certificates["cover"])
+        _check_optimal_pair_doc(graph, index, outputs["x"], cover, checks)
+        nu_f = Fraction(outputs["nu_f"])
+        checks.append(("nu_f_equals_cover_total", nu_f == sum(cover.values())))
     elif command in ("min-cycles", "gamma"):
-        bfm = _check_optimal_pair_doc(graph, certificates["x"], certificates["cover"], checks)
+        cover = _cover_from_doc(index, certificates["cover"])
+        bfm = _check_optimal_pair_doc(graph, index, certificates["x"], cover, checks)
         if bfm is not None:
             checks.append(("gamma_matches_support", outputs["gamma"] == len(bfm.odd_cycles)))
+        if command == "min-cycles":
+            checks += [
+                ("nu_f_equals_cover_total", Fraction(outputs["nu_f"]) == sum(cover.values())),
+                ("x_equals_certificate_x", outputs["x"] == certificates["x"]),
+            ]
     elif command == "stabilize-vertices":
         removed = {index[s] for s in outputs["S"]}
-        _check_stable_subgraph_doc(
-            graph,
-            removed,
-            None,
-            certificates["surviving_matching"],
-            certificates["surviving_cover"],
-            checks,
-        )
+        cover = _cover_from_doc(index, certificates["surviving_cover"])
+        matching = _matching_from_doc(index, certificates["surviving_matching"], checks)
+        if matching is not None:
+            residual = graph.delete_edges(i for v in removed for i in graph.incident_edges(v))
+            checks.extend(stable_subgraph_checks(residual, matching, cover, removed))
+        checks += [
+            ("nu_after_equals_cover_total", Fraction(outputs["nu_after"]) == sum(cover.values())),
+            ("S_size_equals_gamma", len(removed) == outputs["gamma"]),
+        ]
     elif command == "stabilize-edges":
-        removed_edges = {
-            (min(index[a], index[b]), max(index[a], index[b])) for a, b in outputs["F"]
-        }
+        removed_edges = {graph.edge_index(index[a], index[b]) for a, b in outputs["F"]}
         removed = {index[s] for s in certificates["S"]}
         # deleting F isolates S, so certify on G minus F with the cover extended by 0
-        _check_stable_subgraph_doc(
-            graph,
-            set(),
-            removed_edges,
-            certificates["surviving_matching"],
-            certificates["surviving_cover"],
-            checks,
-        )
-        isolates = all(
-            (min(graph.edges[i][0], graph.edges[i][1]), max(graph.edges[i][0], graph.edges[i][1]))
-            in removed_edges
-            for v in removed
-            for i in graph.incident_edges(v)
-        )
-        checks.append(("F_isolates_S", isolates))
-    elif command == "m-stabilize":
-        if outputs["status"] == "feasible":
-            if instance.matching is None:
-                raise MatchingRequired("verifying m-stabilize needs the instance matching")
-            removed = {index[s] for s in outputs["S"]}
-            _check_stable_subgraph_doc(
-                graph,
-                removed,
-                None,
-                [[graph.label_of(u), graph.label_of(v)] for u, v in instance.matching.sorted_pairs()],
-                certificates["residual_cover"],
-                checks,
+        matching = _matching_from_doc(index, certificates["surviving_matching"], checks)
+        if matching is not None:
+            cover = _cover_from_doc(index, certificates["surviving_cover"])
+            checks.extend(
+                stable_subgraph_checks(graph.delete_edges(removed_edges), matching, cover, ())
             )
+        isolates = all(i in removed_edges for v in removed for i in graph.incident_edges(v))
+        gamma, delta = outputs["gamma"], graph.max_degree
+        checks += [
+            ("F_isolates_S", isolates),
+            ("size_equals_F", outputs["size"] == len(removed_edges)),
+            ("lower_bound_is_half_gamma", outputs["lower_bound"] == -(-gamma // 2)),
+            ("upper_bound_is_gamma_times_delta", outputs["upper_bound"] == gamma * delta),
+            ("S_size_equals_gamma", len(removed) == gamma),
+        ]
+    elif command == "m-stabilize":
+        matching = instance.matching
+        if matching is None:
+            raise MatchingRequired("verifying m-stabilize needs the instance matching")
+        if outputs["status"] == "feasible":
+            removed = {index[s] for s in outputs["S"]}
+            cover = _cover_from_doc(index, certificates["residual_cover"])
+            residual = graph.delete_edges(i for v in removed for i in graph.incident_edges(v))
+            checks.extend(stable_subgraph_checks(residual, matching, cover, removed))
+            nu_f = Fraction(outputs["residual_nu_f"])
+            checks.append(("residual_nu_f_equals_cover_total", nu_f == sum(cover.values())))
         else:
             checks.append(("infeasible_reported", True))
+        w_m = Fraction(outputs["w_M"])
+        checks.append(("w_M_equals_matching_weight", w_m == matching.weight(graph)))
     elif command == "check-stability":
-        _check_optimal_pair_doc(graph, certificates["x"], certificates["cover"], checks)
-        pairs = [(index[a], index[b]) for a, b in certificates["max_matching"]]
-        witness = Matching.from_pairs(pairs)
-        checks.append(("witness_is_matching", witness.is_matching_in(graph)))
-        cover_map = _cover_from_doc(graph, certificates["cover"])
-        total = sum(cover_map.values(), start=Fraction(0))
-        if outputs["stable"]:
-            checks.append(("nu_equals_tau_f", witness.weight(graph) == total))
-        else:
-            checks.append(("gap_witnessed", witness.weight(graph) < total))
+        cover = _cover_from_doc(index, certificates["cover"])
+        _check_optimal_pair_doc(graph, index, certificates["x"], cover, checks)
+        total = sum(cover.values())
+        nu, nu_f = Fraction(outputs["nu"]), Fraction(outputs["nu_f"])
+        checks.append(("nu_f_equals_cover_total", nu_f == total))
+        checks.append(("stable_iff_nu_equals_nu_f", outputs["stable"] == (nu == nu_f)))
+        witness = _matching_from_doc(index, certificates["max_matching"], checks)
+        if witness is not None:
+            in_graph = witness.is_matching_in(graph)
+            checks.append(("witness_is_matching", in_graph))
+            if in_graph:
+                weight = witness.weight(graph)
+                checks.append(("nu_equals_witness_weight", nu == weight))
+                if outputs["stable"]:
+                    checks.append(("nu_equals_tau_f", weight == total))
+                else:
+                    checks.append(("gap_witnessed", weight < total))
     else:
         raise ParseError(f"verify does not support command {command!r}")
 
@@ -588,12 +559,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "selftest":
             return _run_selftest(args.seed)
         if args.command == "verify":
-            instance = _load_instance(args.instance)
             try:
                 result_doc = json.loads(Path(args.result).read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError) as exc:
                 raise ParseError(f"{args.result}: {exc}") from exc
-            doc, code = _run_verify(instance, result_doc)
+            try:
+                doc, code = _run_verify(args.instance, result_doc)
+            except MatchstabError:
+                raise
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"malformed result document: {exc!r}") from exc
             _emit(doc, None, compact=False)
             return code
 

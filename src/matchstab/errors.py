@@ -47,10 +47,6 @@ class NotAlternating(MatchstabError, ValueError):
     """Walk edges do not alternate between matched and unmatched."""
 
 
-class WeightLoss(MatchstabError, ValueError):
-    """Rounding a half-valued component would strictly lose weight."""
-
-
 class NotOptimalPair(MatchstabError, ValueError):
     """Primal/dual pair fails cover feasibility, strong duality or slackness."""
 

@@ -6,23 +6,29 @@ the bipartite duplicate of the graph (a left and a right copy of every
 vertex, and for every edge uv the two edges (u, v') and (v, u') of weight
 w_uv), without building the duplicate. `solve_fractional` averages the two
 copies into a half-integral optimum x and a minimum fractional w-vertex
-cover y, `normalize_to_basic` rounds the half-valued paths and even cycles of
-x, and `optimal_pair_checks` proves the pair optimal: the same named checks
-that `matchstab verify` reports.
+cover y, and `normalize_to_basic` rounds the half-valued paths and even
+cycles of x.
+
+Both certificates are checked here, once per result and also under
+`python -O`, by the named checks `matchstab verify` reports:
+`optimal_pair_checks` for the pair of `solve_fractional` and every pair
+`reduce_cycles` augments to, and `stable_subgraph_checks` for the results of
+`min_vertex_stabilizer` and `m_vertex_stabilizer`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import DegreeConstraintViolated, InfeasibleCover, NotOptimalPair, WeightLoss
+from .errors import DegreeConstraintViolated, InfeasibleCover, NotOptimalPair
 from .graph import (
     HALF,
     ONE,
     ZERO,
     BasicFractionalMatching,
     FractionalVertexCover,
+    Matching,
     WeightedGraph,
     decompose,
 )
@@ -123,25 +129,6 @@ def bipartite_max_weight_matching(
         if root is None:
             break
         run_phase(root)
-
-    # invariant checks: feasibility, tight matched edges, exposed copies at
-    # zero, and equal primal and dual totals
-    total = ZERO
-    for u in range(n):
-        for r, i in adjacency[u]:
-            assert p_left[u] + p_right[r] >= weight[i]
-        r = match_l[u]
-        if r is None:
-            assert p_left[u] == 0
-        else:
-            w = graph.weight(u, r)
-            assert p_left[u] + p_right[r] == w
-            total += w
-    for r in range(n):
-        if match_r[r] is None:
-            assert p_right[r] == 0
-    assert sum(p_left, start=ZERO) + sum(p_right, start=ZERO) == total
-
     return match_l, p_left, p_right
 
 
@@ -187,8 +174,6 @@ def normalize_to_basic(
         keep, drop = ordered[0::2], ordered[1::2]
         w_keep = sum((graph.edges[i][2] for i in keep), start=ZERO)
         w_drop = sum((graph.edges[i][2] for i in drop), start=ZERO)
-        if 2 * max(w_keep, w_drop) < w_keep + w_drop:
-            raise WeightLoss("both alternations lose weight; upstream bug")
         if w_drop > w_keep or (w_drop == w_keep and drop and min(drop) < min(keep)):
             keep, drop = drop, keep
         for i in keep:
@@ -233,6 +218,41 @@ def verify_optimal_pair(
     failed = [name for name, ok in optimal_pair_checks(graph, bfm, cover) if not ok]
     if failed:
         raise NotOptimalPair(f"not an optimal pair: {', '.join(failed)} failed")
+
+
+def stable_subgraph_checks(
+    residual: WeightedGraph, matching: Matching,
+    cover: Mapping[int, Fraction], removed: Iterable[int],
+) -> list[tuple[str, bool]]:
+    """The exact conditions under which a matching and a fractional w-vertex
+    cover of equal totals prove nu = nu_f on `residual`, by weak duality.
+
+    `residual` keeps the original vertex ids and loses the stabilizer's edges
+    (delta(S) for a vertex set S, F for an edge set); `cover` omits vertices
+    of value 0. Returns `matching_lives_in_residual`,
+    `cover_feasible_on_residual`, `matching_weight_equals_cover` and
+    `cover_only_on_residual` (no value on `removed`), each with its result.
+    """
+    y = FractionalVertexCover(tuple(cover.get(v, ZERO) for v in range(residual.n)))
+    lives = matching.is_matching_in(residual)
+    return [
+        ("matching_lives_in_residual", lives),
+        ("cover_feasible_on_residual", y.is_feasible_for(residual)),
+        ("matching_weight_equals_cover", lives and matching.weight(residual) == y.total),
+        ("cover_only_on_residual", set(cover).isdisjoint(removed)),
+    ]
+
+
+def verify_stable_subgraph(
+    residual: WeightedGraph, matching: Matching,
+    cover: Mapping[int, Fraction], removed: Iterable[int],
+) -> None:
+    """Raise NotOptimalPair, naming the failed checks, unless the result
+    passes every one of `stable_subgraph_checks`."""
+    checks = stable_subgraph_checks(residual, matching, cover, removed)
+    failed = [name for name, ok in checks if not ok]
+    if failed:
+        raise NotOptimalPair(f"not a stable subgraph: {', '.join(failed)} failed")
 
 
 def solve_fractional(

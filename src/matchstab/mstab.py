@@ -4,7 +4,9 @@ Two deletion passes over exposed vertices (roots of augmenting flowers or
 endpoints of augmenting walks to covered vertices first, then endpoint pairs
 of exposed-to-exposed augmenting walks), followed by an exact feasibility
 check of the residual graph. 2-approximate in general and exact whenever the
-second pass stays empty.
+second pass stays empty. A feasible result's certificate, M and a residual
+cover of total w(M), is checked once by `lp.verify_stable_subgraph`, the
+checks `matchstab verify` runs on it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional
 
 from .errors import MNotAMatching
 from .graph import Matching, WeightedGraph
-from .lp import solve_fractional
+from .lp import solve_fractional, verify_stable_subgraph
 from .walks import detect_structures
 
 FEASIBLE = "feasible"
@@ -129,10 +131,11 @@ def m_vertex_stabilizer(graph: WeightedGraph, matching: Matching) -> MStabilizer
             residual_nu_f=residual_bfm.weight,
             residual_cover=None,
         )
-    assert weight == residual_bfm.weight
     cover_by_original = {
         res.original(v): residual_cover.values[v] for v in range(res.graph.n)
     }
+    residual = graph.delete_edges(i for v in removed for i in graph.incident_edges(v))
+    verify_stable_subgraph(residual, matching, cover_by_original, removed)
     return MStabilizerResult(
         status=FEASIBLE,
         removed=removed,

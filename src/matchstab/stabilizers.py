@@ -4,6 +4,9 @@ The vertex stabilizer removes, from every remaining support cycle of a
 cycle-minimal optimal solution, the vertex with the smallest cover value;
 that is optimal in cardinality and keeps at least two thirds of the maximum
 matching weight. The edge stabilizer deletes the stars of those vertices.
+Their shared certificate, a matching and a fractional cover of G - S with
+equal totals, is checked once by `lp.verify_stable_subgraph`, the checks
+`matchstab verify` runs on it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from typing import Optional
 
 from .cycles import ReduceCyclesResult, reduce_cycles
 from .errors import BudgetExceeded
-from .graph import ZERO, Matching, WeightedGraph, _round_cycles
+from .graph import Matching, WeightedGraph, _round_cycles
+from .lp import verify_stable_subgraph
 from .oracle import exact_nu
 
 
@@ -51,15 +55,13 @@ def min_vertex_stabilizer(graph: WeightedGraph) -> VertexStabilizerResult:
     removed = [
         min(cycle, key=lambda v: (cover.values[v], v)) for cycle in bfm.odd_cycles
     ]
-    rounded = _round_cycles(bfm, list(zip(bfm.odd_cycles, removed)))
-    assert not rounded.odd_cycles
-    survivors = rounded.matched
-    assert not (survivors.vertices & set(removed))
+    survivors = _round_cycles(bfm, list(zip(bfm.odd_cycles, removed))).matched
     surviving_cover = {
         v: cover.values[v] for v in range(graph.n) if v not in removed
     }
+    residual = graph.delete_edges(i for v in removed for i in graph.incident_edges(v))
+    verify_stable_subgraph(residual, survivors, surviving_cover, removed)
     nu_after = survivors.weight(graph)
-    assert nu_after == sum(surviving_cover.values(), start=ZERO)
     try:
         nu_before, _witness = exact_nu(graph)
     except BudgetExceeded:

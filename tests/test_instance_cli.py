@@ -147,13 +147,24 @@ def test_verify_catches_tampering(tmp_path, capsys):
             "p",
             "0",
             {
+                "instance_sha256_matches": True,
                 "x_is_basic_feasible": True,
                 "cover_is_feasible": False,
                 "strong_duality": False,
                 "complementary_slackness": False,
+                "nu_f_equals_cover_total": False,
             },
         ),
-        ("x", 0, "3/4", {"x_is_basic_feasible": False}),
+        (
+            "x",
+            0,
+            "3/4",
+            {
+                "instance_sha256_matches": True,
+                "x_is_basic_feasible": False,
+                "nu_f_equals_cover_total": True,
+            },
+        ),
     ],
 )
 def test_verify_reports_tampered_pair_as_failed_checks(
@@ -198,6 +209,84 @@ def test_verify_rejects_a_negative_cover_on_an_unstable_graph(tmp_path, capsys):
     assert code == 1
     checks = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
     assert checks["cover_feasible_on_residual"] is False
+
+
+# a path a-b-c whose matching {ab} is already maximum: m-stabilize is feasible
+FEASIBLE_M = {
+    "vertices": ["a", "b", "c"],
+    "edges": [{"u": "a", "v": "b", "w": "2"}, {"u": "b", "v": "c", "w": "1"}],
+    "matching": [["a", "b"]],
+}
+
+
+def _write(tmp_path, doc) -> Path:
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _set(section, key, value):
+    def edit(doc):
+        doc[section][key] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "command,fixture,edit,failing",
+    [
+        ("stabilize-vertices", "fig9", lambda d: d.pop("instance_sha256"),
+         {"instance_sha256_matches"}),
+        ("stabilize-vertices", "fig9", lambda d: d.update(instance_sha256="0" * 64),
+         {"instance_sha256_matches"}),
+        ("stabilize-vertices", "fig9", _set("certificates", "surviving_matching",
+                                            [["q", "r"], ["r", "s"]]),
+         {"matching_pairs_disjoint"}),
+        ("check-stability", "fig8", _set("certificates", "max_matching",
+                                         [["q", "r"], ["r", "s"]]),
+         {"matching_pairs_disjoint"}),
+        ("solve-fractional", "fig8", _set("outputs", "nu_f", "999"),
+         {"nu_f_equals_cover_total"}),
+        ("min-cycles", "fig6", _set("outputs", "nu_f", "7"), {"nu_f_equals_cover_total"}),
+        ("min-cycles", "fig6", lambda d: d["outputs"]["x"][3].update(x="1/2"),
+         {"x_equals_certificate_x"}),
+        ("stabilize-vertices", "fig9", _set("outputs", "nu_after", "100"),
+         {"nu_after_equals_cover_total"}),
+        ("stabilize-vertices", "fig9", _set("outputs", "gamma", 2), {"S_size_equals_gamma"}),
+        ("stabilize-edges", "fig6", _set("outputs", "size", 7), {"size_equals_F"}),
+        ("stabilize-edges", "fig6", _set("outputs", "lower_bound", 2),
+         {"lower_bound_is_half_gamma"}),
+        ("stabilize-edges", "fig6", _set("outputs", "upper_bound", 7),
+         {"upper_bound_is_gamma_times_delta"}),
+        ("stabilize-edges", "fig6",
+         lambda d: d["outputs"].update(gamma=3, lower_bound=2, upper_bound=9),
+         {"S_size_equals_gamma"}),
+        ("m-stabilize", "fig9m", _set("outputs", "w_M", "4"), {"w_M_equals_matching_weight"}),
+        ("m-stabilize", None, _set("outputs", "residual_nu_f", "3"),
+         {"residual_nu_f_equals_cover_total"}),
+        ("check-stability", "fig8", _set("outputs", "nu", "7"), {"nu_equals_witness_weight"}),
+        ("check-stability", "fig8", _set("outputs", "nu_f", "999"),
+         {"nu_f_equals_cover_total"}),
+        ("check-stability", "fig8", _set("outputs", "stable", True),
+         {"stable_iff_nu_equals_nu_f", "nu_equals_tau_f"}),
+    ],
+)
+def test_verify_rejects_each_forged_claim(tmp_path, capsys, command, fixture, edit, failing):
+    instance = tmp_path / "instance.json"
+    if fixture is None:
+        instance.write_text(json.dumps(FEASIBLE_M))
+    else:
+        instance.write_text((FIXTURES / f"{fixture}.json").read_text())
+    _code, out, _err = _run(capsys, command, str(instance))
+    doc = json.loads(out)
+    code, out, err = _run(capsys, "verify", str(instance), "--result", str(_write(tmp_path, doc)))
+    assert code == 0 and json.loads(out)["verified"] is True
+    edit(doc)
+    code, out, err = _run(capsys, "verify", str(instance), "--result", str(_write(tmp_path, doc)))
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["verified"] is False
+    assert {c["name"] for c in report["checks"] if not c["ok"]} == failing
 
 
 def test_batch_runs_in_input_order(capsys):
