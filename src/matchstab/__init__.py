@@ -27,7 +27,7 @@ from .stabilizers import (
     gamma_lower_bounds,
     min_vertex_stabilizer,
 )
-from .walks import detect_structures, optimal_walks, reconstruct_walk
+from .walks import first_pass_scan, optimal_walks, reconstruct_walk, second_pass_scan
 
 __all__ = [
     "AlternatingWalk",
@@ -38,14 +38,15 @@ __all__ = [
     "alternate_round",
     "complement",
     "decompose",
-    "detect_structures",
     "edge_stabilizer_approx",
+    "first_pass_scan",
     "gamma_lower_bounds",
     "m_vertex_stabilizer",
     "min_vertex_stabilizer",
     "optimal_walks",
     "reconstruct_walk",
     "reduce_cycles",
+    "second_pass_scan",
     "solve_fractional",
     "switch",
     "tight_edges",

@@ -319,8 +319,10 @@ def _matching_from_doc(index, pairs, checks) -> Optional[Matching]:
     return matching
 
 
-def _run_verify(path: str, result_doc: dict) -> tuple[dict, int]:
+def _run_verify(path: str, result_doc: object) -> tuple[dict, int]:
     instance = _load_instance(path)
+    if not isinstance(result_doc, dict):
+        return _verify_report(None, [("result_is_object", False)])
     graph = instance.graph
     command = result_doc.get("command", "")
     certificates = result_doc.get("certificates", {})
@@ -355,7 +357,9 @@ def _run_verify(path: str, result_doc: dict) -> tuple[dict, int]:
             ("S_size_equals_gamma", len(removed) == outputs["gamma"]),
         ]
     elif command == "stabilize-edges":
-        removed_edges = {graph.edge_index(index[a], index[b]) for a, b in outputs["F"]}
+        pairs = [(index[a], index[b]) for a, b in outputs["F"]]
+        checks.append(("F_edges_in_graph", all(graph.has_edge(u, v) for u, v in pairs)))
+        removed_edges = {graph.edge_index(u, v) for u, v in pairs if graph.has_edge(u, v)}
         removed = {index[s] for s in certificates["S"]}
         # deleting F isolates S, so certify on G minus F with the cover extended by 0
         matching = _matching_from_doc(index, certificates["surviving_matching"], checks)
@@ -408,7 +412,10 @@ def _run_verify(path: str, result_doc: dict) -> tuple[dict, int]:
                     checks.append(("gap_witnessed", weight < total))
     else:
         raise ParseError(f"verify does not support command {command!r}")
+    return _verify_report(command, checks)
 
+
+def _verify_report(command: Optional[str], checks: list[tuple[str, bool]]) -> tuple[dict, int]:
     verified = all(ok for _name, ok in checks)
     doc = {
         "command": "verify",

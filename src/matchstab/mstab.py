@@ -18,7 +18,7 @@ from typing import Optional
 from .errors import MNotAMatching
 from .graph import Matching, WeightedGraph
 from .lp import solve_fractional, verify_stable_subgraph
-from .walks import detect_structures
+from .walks import first_pass_scan, second_pass_scan
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -92,13 +92,11 @@ def m_vertex_stabilizer(graph: WeightedGraph, matching: Matching) -> MStabilizer
     for u_orig in exposed:
         u = res.current_of(u_orig)
         assert u is not None
-        scan = detect_structures(res.graph, res.matching, u)
-        if scan.flower_at_root:
+        flower, walk_to_covered = first_pass_scan(res.graph, res.matching, u)
+        if flower:
             diagnostics.append(("flower", u_orig, None))
-        elif scan.walk_to_covered is not None:
-            diagnostics.append(
-                ("walk_to_covered", u_orig, res.original(scan.walk_to_covered))
-            )
+        elif walk_to_covered is not None:
+            diagnostics.append(("walk_to_covered", u_orig, res.original(walk_to_covered)))
         else:
             continue
         first_phase.append(u_orig)
@@ -109,10 +107,10 @@ def m_vertex_stabilizer(graph: WeightedGraph, matching: Matching) -> MStabilizer
             continue
         u = res.current_of(u_orig)
         assert u is not None
-        scan = detect_structures(res.graph, res.matching, u)
-        if scan.walk_to_exposed is None:
+        walk_to_exposed = second_pass_scan(res.graph, res.matching, u)
+        if walk_to_exposed is None:
             continue
-        v_orig = res.original(scan.walk_to_exposed)
+        v_orig = res.original(walk_to_exposed)
         diagnostics.append(("walk_between_exposed", u_orig, v_orig))
         second_phase.extend([u_orig, v_orig])
         res.remove([u_orig, v_orig])

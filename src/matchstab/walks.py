@@ -5,15 +5,23 @@ unmatched edges out of y2 and y2(v) through matched edges out of y1, with a
 synchronous buffer so iteration i only sees length-(i-1) walks. After k
 iterations, y2 at a covered vertex (and y1 at an exposed one) is the best
 value of a valid alternating sv-walk of length at most k, with a None
-sentinel when no such walk exists. Per-iteration snapshots and predecessor
-records allow reconstructing an optimal walk.
+sentinel when no such walk exists.
+
+The DP runs on integers: every edge weight is multiplied by D, the lcm of
+the weight denominators. That is exact and keeps every sign and every
+order, so an entry is converted back as Fraction(entry, D) only where a
+caller reads it. Only `optimal_walks` keeps the per-iteration snapshots and
+predecessor records that `reconstruct_walk` needs. The M-vertex-stabilizer's
+two scans, `first_pass_scan` and `second_pass_scan`, keep no history and
+stop as soon as their verdict is fixed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from math import lcm
+from typing import Iterator, Optional
 
 from .errors import EntryIsMinusInfinity, MNotAMatching, VertexNotExposed
 from .graph import (
@@ -24,6 +32,9 @@ from .graph import (
 )
 
 Entry = Optional[Fraction]  # None is the -infinity sentinel
+
+# (vertex, predecessor, new value) for one strict improvement
+_Commit = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -57,74 +68,97 @@ class WalkTables:
         return self.history2[-1]
 
 
+class _IntegerDP:
+    """The DP on weights scaled by `scale`, started at the source.
+
+    `y1` and `y2` hold the current entries as ints (None is -infinity).
+    `matched` lists each covered vertex with its partner and matched-edge
+    weight; `free[v]` lists v's unmatched edges in adjacency order, which is
+    the order `pred1` ties break in.
+    """
+
+    def __init__(self, graph: WeightedGraph, matching: Matching, source: int):
+        if not matching.is_matching_in(graph):
+            raise MNotAMatching("matching uses edges outside the graph")
+        n = graph.n
+        self.scale = lcm(*(w.denominator for _u, _v, w in graph.edges))
+        scaled = [w.numerator * (self.scale // w.denominator) for _u, _v, w in graph.edges]
+        self.matched: list[tuple[int, int, int]] = []
+        self.free: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for v in range(n):
+            partner = matching.partner(v)
+            for u, idx in graph.adjacency[v]:
+                if u == partner:
+                    self.matched.append((v, u, scaled[idx]))
+                else:
+                    self.free[v].append((u, scaled[idx]))
+        self.y1: list[Optional[int]] = [None] * n
+        self.y2: list[Optional[int]] = [None] * n
+        self.y1[source] = 0
+        if not matching.covers(source):
+            self.y2[source] = 0
+
+    def iterations(self, k: int) -> Iterator[tuple[int, list[_Commit], list[_Commit]]]:
+        """Run iterations 1..k, yielding (i, commits1, commits2) after each.
+
+        An iteration reads only the previous entries, so once one commits no
+        strict improvement every later one would repeat it: the run ends
+        there, before k when it comes sooner.
+        """
+        y1, y2, free = self.y1, self.y2, self.free
+        for i in range(1, k + 1):
+            commits2 = []
+            for v, u, w in self.matched:
+                if y1[u] is not None:
+                    cand = y1[u] - w
+                    if y2[v] is None or cand > y2[v]:
+                        commits2.append((v, u, cand))
+            commits1 = []
+            for v, edges in enumerate(free):
+                best = None
+                for u, w in edges:
+                    if y2[u] is not None:
+                        cand = y2[u] + w
+                        if best is None or cand > best:
+                            best, arg = cand, u
+                if best is not None and (y1[v] is None or best > y1[v]):
+                    commits1.append((v, arg, best))
+            if not commits1 and not commits2:
+                return
+            for v, _u, value in commits1:
+                y1[v] = value
+            for v, _u, value in commits2:
+                y2[v] = value
+            yield i, commits1, commits2
+
+
 def optimal_walks(
     graph: WeightedGraph, matching: Matching, source: int, k: int
 ) -> WalkTables:
     """Run the synchronous DP for k iterations from the source.
 
-    An iteration reads only the previous snapshot, so once one commits no
-    strict improvement, every later one would repeat it. The DP stops there
-    and pads both histories with that snapshot to k + 1 entries; the
-    predecessor records are the ones a full k-iteration run would make.
+    When the DP reaches its fixpoint before k, both histories are padded
+    with that snapshot to k + 1 entries; the predecessor records are the
+    ones a full k-iteration run would make.
     """
     if k < 0:
         raise ValueError("length bound must be nonnegative")
-    if not matching.is_matching_in(graph):
-        raise MNotAMatching("matching uses edges outside the graph")
-    n = graph.n
-    zero = Fraction(0)
-    # Each vertex's matched edge (partner, weight) or None, and its unmatched
-    # edges in adjacency order, which is the order `pred1` ties break in.
-    mate: list[Optional[tuple[int, Fraction]]] = [None] * n
-    free: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-    for v in range(n):
-        partner = matching.partner(v)
-        for u, idx in graph.adjacency[v]:
-            w = graph.edges[idx][2]
-            if u == partner:
-                mate[v] = (u, w)
-            else:
-                free[v].append((u, w))
-    y1: list[Entry] = [None] * n
-    y2: list[Entry] = [None] * n
-    y1[source] = zero
-    if not matching.covers(source):
-        y2[source] = zero
-    history1 = [tuple(y1)]
-    history2 = [tuple(y2)]
+    dp = _IntegerDP(graph, matching, source)
+
+    def snapshot(y: list[Optional[int]]) -> tuple[Entry, ...]:
+        return tuple(None if e is None else Fraction(e, dp.scale) for e in y)
+
+    history1 = [snapshot(dp.y1)]
+    history2 = [snapshot(dp.y2)]
     pred1: dict[tuple[int, int], int] = {}
     pred2: dict[tuple[int, int], int] = {}
-    for i in range(1, k + 1):
-        z1: list[Entry] = [None] * n
-        z2: list[Entry] = [None] * n
-        arg1: list[int] = [-1] * n
-        for v in range(n):
-            if mate[v] is not None:
-                u, w = mate[v]
-                if y1[u] is not None:
-                    z2[v] = y1[u] - w
-            best = None
-            for u, w in free[v]:
-                if y2[u] is not None:
-                    cand = y2[u] + w
-                    if best is None or cand > best:
-                        best = cand
-                        arg1[v] = u
-            z1[v] = best
-        changed = False
-        for v in range(n):
-            if z1[v] is not None and (y1[v] is None or z1[v] > y1[v]):
-                y1[v] = z1[v]
-                pred1[(i, v)] = arg1[v]
-                changed = True
-            if z2[v] is not None and (y2[v] is None or z2[v] > y2[v]):
-                y2[v] = z2[v]
-                pred2[(i, v)] = mate[v][0]
-                changed = True
-        if not changed:
-            break
-        history1.append(tuple(y1))
-        history2.append(tuple(y2))
+    for i, commits1, commits2 in dp.iterations(k):
+        for v, u, _value in commits1:
+            pred1[(i, v)] = u
+        for v, u, _value in commits2:
+            pred2[(i, v)] = u
+        history1.append(snapshot(dp.y1))
+        history2.append(snapshot(dp.y2))
     history1 += [history1[-1]] * (k + 1 - len(history1))
     history2 += [history2[-1]] * (k + 1 - len(history2))
     return WalkTables(
@@ -172,202 +206,52 @@ def reconstruct_walk(tables: WalkTables, v: int, table: int) -> AlternatingWalk:
     return walk
 
 
-@dataclass(frozen=True)
-class StructureScan:
-    """What the walk DP found from one exposed root.
-
-    flower_at_root: an augmenting uu-walk of length <= 3n exists.
-    walk_to_covered: lowest covered v reachable by an augmenting walk (<= 3n).
-    walk_to_exposed: lowest other exposed v with an augmenting walk (<= n).
-    short_tables is the first n iterations of long_tables.
-    """
-
-    root: int
-    flower_at_root: bool
-    walk_to_covered: Optional[int]
-    walk_to_exposed: Optional[int]
-    long_tables: WalkTables
-    short_tables: WalkTables
-
-
-def detect_structures(
-    graph: WeightedGraph, matching: Matching, root: int
-) -> StructureScan:
-    """Scan for augmenting structures anchored at an exposed vertex.
-
-    One DP runs to 3n. The DP's iterations do not depend on its bound, so
-    the n-table is that run's prefix: the first n + 1 snapshots and the
-    predecessor records of iterations up to n, equal to a separate run to n.
-    """
+def _exposed_root_dp(graph: WeightedGraph, matching: Matching, root: int) -> _IntegerDP:
     if matching.covers(root):
         raise VertexNotExposed(f"vertex {root} is covered")
-    n = graph.n
-    long_tables = optimal_walks(graph, matching, root, 3 * n)
-    flower = long_tables.y1[root] is not None and long_tables.y1[root] > 0
-    walk_to_covered = next(
-        (
-            v
-            for v in range(n)
-            if matching.covers(v)
-            and long_tables.y2[v] is not None
-            and long_tables.y2[v] > 0
-        ),
-        None,
-    )
-    short_tables = WalkTables(
-        graph, matching, root, n,
-        long_tables.history1[: n + 1],
-        long_tables.history2[: n + 1],
-        {key: u for key, u in long_tables.pred1.items() if key[0] <= n},
-        {key: u for key, u in long_tables.pred2.items() if key[0] <= n},
-    )
-    walk_to_exposed = next(
-        (
-            v
-            for v in range(n)
-            if v != root
-            and not matching.covers(v)
-            and short_tables.y1[v] is not None
-            and short_tables.y1[v] > 0
-        ),
-        None,
-    )
-    return StructureScan(
-        root, flower, walk_to_covered, walk_to_exposed, long_tables, short_tables
-    )
+    return _IntegerDP(graph, matching, root)
 
 
-# ---------------------------------------------------------------------------
-# Walk decomposition (diagnostics and tests only): any augmenting walk must
-# contain an augmenting path, cycle, flower at an endpoint, or bi-cycle.
+def first_pass_scan(
+    graph: WeightedGraph, matching: Matching, root: int
+) -> tuple[bool, Optional[int]]:
+    """(flower_at_root, walk_to_covered) for an exposed root, with bound 3n.
 
+    flower_at_root: an augmenting root-root walk of length <= 3n exists.
+    walk_to_covered: when there is no such flower, the lowest covered v
+    reached by an augmenting walk of length <= 3n, else None.
 
-@dataclass(frozen=True)
-class AugmentingStructure:
-    kind: str  # "path" | "cycle" | "flower" | "bicycle"
-    # vertex sequences; blossoms are closed (first == last), paths are open
-    pieces: tuple[tuple[int, ...], ...]
-    root: Optional[int] = None
-
-
-def _segments(
-    verts: tuple[int, ...], flags: tuple[bool, ...]
-) -> list[tuple[str, tuple[int, ...], tuple[bool, ...]]]:
-    """Split a walk at its first repeated vertex, then the rest the same way.
-
-    Segment kinds: open alternating "path", even alternating "cycle", odd
-    "blossom" (closed, both end edges unmatched).
+    Entries never decrease, so the scan stops as soon as y1(root) > 0: the
+    flower verdict is then fixed and outranks any walk to a covered vertex,
+    which is reported as None. A walk to a covered vertex does not stop the
+    scan, because a later flower still outranks it.
     """
-    out: list[tuple[str, tuple[int, ...], tuple[bool, ...]]] = []
-    while len(verts) > 1:
-        seen: dict[int, int] = {}
-        split = None
-        for j, v in enumerate(verts):
-            if v in seen:
-                split = (seen[v], j)
-                break
-            seen[v] = j
-        if split is None:
-            out.append(("path", verts, flags))
-            break
-        i, j = split
-        if i > 0:
-            out.append(("path", verts[: i + 1], flags[:i]))
-        kind = "cycle" if (j - i) % 2 == 0 else "blossom"
-        out.append((kind, verts[i : j + 1], flags[i:j]))
-        verts, flags = verts[j:], flags[j:]
-    return out
+    dp = _exposed_root_dp(graph, matching, root)
+    for _iteration in dp.iterations(3 * graph.n):
+        if dp.y1[root] > 0:
+            return True, None
+    y2 = dp.y2
+    walk_to_covered = next(
+        (v for v in range(graph.n) if matching.covers(v) and y2[v] is not None and y2[v] > 0),
+        None,
+    )
+    return False, walk_to_covered
 
 
-def _piece_value(
-    graph: WeightedGraph, verts: tuple[int, ...], flags: tuple[bool, ...]
-) -> Fraction:
-    total = Fraction(0)
-    for (a, b), matched in zip(zip(verts, verts[1:]), flags):
-        w = graph.weight(a, b)
-        total += -w if matched else w
-    return total
-
-
-def extract_augmenting_structure(
-    graph: WeightedGraph, matching: Matching, walk: AlternatingWalk
-) -> AugmentingStructure:
-    """Pull one augmenting path/cycle/flower/bi-cycle out of an augmenting walk."""
-    verts, flags = walk.vertices, walk.matched_flags
-    assert walk_value(walk, graph, matching) > 0, "walk must be augmenting"
-
-    while True:
-        segs = _segments(verts, flags)
-        for kind, sv, sf in segs:
-            if kind == "cycle" and _piece_value(graph, sv, sf) > 0:
-                return AugmentingStructure("cycle", (sv,))
-        if not any(kind == "cycle" for kind, _sv, _sf in segs):
-            break
-        new_verts: list[int] = [segs[0][1][0]]
-        for kind, sv, _sf in segs:
-            if kind == "cycle":
-                continue
-            new_verts.extend(sv[1:])
-        verts = tuple(new_verts)
-        rebuilt = AlternatingWalk.from_vertices(graph, matching, verts)
-        flags = rebuilt.matched_flags
-
-    candidates: list[AugmentingStructure] = []
-    if len(segs) == 1:
-        kind, sv, sf = segs[0]
-        if kind == "path":
-            candidates.append(AugmentingStructure("path", (sv,)))
-        else:
-            candidates.append(AugmentingStructure("flower", (sv, (sv[0],)), root=sv[0]))
-    else:
-        # only the end pairs are flowers rooted at the walk's endpoints
-        first, second = segs[0], segs[1]
-        if first[0] == "path" and second[0] == "blossom":
-            candidates.append(
-                AugmentingStructure("flower", (second[1], first[1]), root=first[1][0])
-            )
-        last, before = segs[-1], segs[-2]
-        if before[0] == "blossom" and last[0] == "path":
-            candidates.append(
-                AugmentingStructure("flower", (before[1], last[1]), root=last[1][-1])
-            )
-        for a, b, c in zip(segs, segs[1:], segs[2:]):
-            if a[0] == "blossom" and b[0] == "path" and c[0] == "blossom":
-                candidates.append(AugmentingStructure("bicycle", (a[1], b[1], c[1])))
-
-    for cand in candidates:
-        if _structure_is_augmenting(graph, matching, cand):
-            return cand
-    raise AssertionError("augmenting walk without an augmenting structure")
-
-
-def _structure_is_augmenting(
-    graph: WeightedGraph, matching: Matching, structure: AugmentingStructure
-) -> bool:
-    def split(piece: tuple[int, ...]) -> tuple[Fraction, Fraction]:
-        out_w = Fraction(0)
-        in_w = Fraction(0)
-        for a, b in zip(piece, piece[1:]):
-            w = graph.weight(a, b)
-            if matching.contains_edge(a, b):
-                in_w += w
-            else:
-                out_w += w
-        return out_w, in_w
-
-    if structure.kind == "path":
-        out_w, in_w = split(structure.pieces[0])
-        return out_w > in_w
-    if structure.kind == "cycle":
-        out_w, in_w = split(structure.pieces[0])
-        return out_w > in_w
-    if structure.kind == "flower":
-        blossom, path = structure.pieces
-        c_out, c_in = split(blossom)
-        p_out, p_in = split(path)
-        return c_out + 2 * p_out > c_in + 2 * p_in
-    blossom_a, path, blossom_b = structure.pieces
-    a_out, a_in = split(blossom_a)
-    p_out, p_in = split(path)
-    b_out, b_in = split(blossom_b)
-    return a_out + 2 * p_out + b_out > a_in + 2 * p_in + b_in
+def second_pass_scan(
+    graph: WeightedGraph, matching: Matching, root: int
+) -> Optional[int]:
+    """The lowest exposed v other than the root that an augmenting walk of
+    length <= n reaches from the exposed root, or None."""
+    dp = _exposed_root_dp(graph, matching, root)
+    for _iteration in dp.iterations(graph.n):
+        pass
+    y1 = dp.y1
+    return next(
+        (
+            v
+            for v in range(graph.n)
+            if v != root and not matching.covers(v) and y1[v] is not None and y1[v] > 0
+        ),
+        None,
+    )

@@ -269,6 +269,8 @@ def _set(section, key, value):
          {"nu_f_equals_cover_total"}),
         ("check-stability", "fig8", _set("outputs", "stable", True),
          {"stable_iff_nu_equals_nu_f", "nu_equals_tau_f"}),
+        ("stabilize-edges", "fig6", lambda d: d["outputs"]["F"].append(["1", "8"]),
+         {"F_edges_in_graph"}),
     ],
 )
 def test_verify_rejects_each_forged_claim(tmp_path, capsys, command, fixture, edit, failing):
@@ -287,6 +289,18 @@ def test_verify_rejects_each_forged_claim(tmp_path, capsys, command, fixture, ed
     report = json.loads(out)
     assert report["verified"] is False
     assert {c["name"] for c in report["checks"] if not c["ok"]} == failing
+
+
+@pytest.mark.parametrize(
+    "document", [[], "m-stabilize", 3, None], ids=["list", "string", "number", "null"]
+)
+def test_verify_reports_a_result_that_is_not_an_object(tmp_path, capsys, document):
+    instance = str(FIXTURES / "fig9.json")
+    code, out, err = _run(capsys, "verify", instance, "--result", str(_write(tmp_path, document)))
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["verified"] is False
+    assert report["checks"] == [{"name": "result_is_object", "ok": False}]
 
 
 def test_batch_runs_in_input_order(capsys):

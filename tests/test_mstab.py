@@ -9,6 +9,7 @@ from matchstab import oracle
 from matchstab.errors import MNotAMatching
 from matchstab.graph import Matching, WeightedGraph
 from matchstab.mstab import FEASIBLE, INFEASIBLE, m_vertex_stabilizer
+from matchstab.walks import first_pass_scan, second_pass_scan
 
 
 def test_fig9_with_maximum_matching_is_infeasible():
@@ -81,13 +82,9 @@ def test_feasible_results_verified_by_oracle():
         # (b) the residual graph is stable
         assert oracle.is_stable(residual)
         # (c) no augmenting structure is left at any exposed vertex
-        from matchstab.walks import detect_structures
-
         for v in range(residual.n):
             if m_res.covers(v):
                 continue
-            scan = detect_structures(residual, m_res, v)
-            assert not scan.flower_at_root
-            assert scan.walk_to_covered is None
-            assert scan.walk_to_exposed is None
+            assert first_pass_scan(residual, m_res, v) == (False, None)
+            assert second_pass_scan(residual, m_res, v) is None
     assert feasible > 20 and infeasible > 5

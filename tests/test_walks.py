@@ -3,19 +3,161 @@ from __future__ import annotations
 import inspect
 import random
 import sys
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
 
 import pytest
 
 from conftest import random_graph, random_matching
-from matchstab import oracle
+from matchstab import oracle, walks
 from matchstab.errors import EntryIsMinusInfinity, VertexNotExposed
 from matchstab.graph import AlternatingWalk, Matching, WeightedGraph, walk_value
 from matchstab.walks import (
-    detect_structures,
-    extract_augmenting_structure,
+    WalkTables,
+    first_pass_scan,
     optimal_walks,
     reconstruct_walk,
+    second_pass_scan,
 )
+
+
+
+# ---------------------------------------------------------------------------
+# Walk decomposition: any augmenting walk must contain an augmenting path,
+# cycle, flower at an endpoint, or bi-cycle. The tests below extract one from
+# every augmenting walk the DP reconstructs.
+
+
+@dataclass(frozen=True)
+class AugmentingStructure:
+    kind: str  # "path" | "cycle" | "flower" | "bicycle"
+    # vertex sequences; blossoms are closed (first == last), paths are open
+    pieces: tuple[tuple[int, ...], ...]
+    root: Optional[int] = None
+
+
+def _segments(
+    verts: tuple[int, ...], flags: tuple[bool, ...]
+) -> list[tuple[str, tuple[int, ...], tuple[bool, ...]]]:
+    """Split a walk at its first repeated vertex, then the rest the same way.
+
+    Segment kinds: open alternating "path", even alternating "cycle", odd
+    "blossom" (closed, both end edges unmatched).
+    """
+    out: list[tuple[str, tuple[int, ...], tuple[bool, ...]]] = []
+    while len(verts) > 1:
+        seen: dict[int, int] = {}
+        split = None
+        for j, v in enumerate(verts):
+            if v in seen:
+                split = (seen[v], j)
+                break
+            seen[v] = j
+        if split is None:
+            out.append(("path", verts, flags))
+            break
+        i, j = split
+        if i > 0:
+            out.append(("path", verts[: i + 1], flags[:i]))
+        kind = "cycle" if (j - i) % 2 == 0 else "blossom"
+        out.append((kind, verts[i : j + 1], flags[i:j]))
+        verts, flags = verts[j:], flags[j:]
+    return out
+
+
+def _piece_value(
+    graph: WeightedGraph, verts: tuple[int, ...], flags: tuple[bool, ...]
+) -> Fraction:
+    total = Fraction(0)
+    for (a, b), matched in zip(zip(verts, verts[1:]), flags):
+        w = graph.weight(a, b)
+        total += -w if matched else w
+    return total
+
+
+def extract_augmenting_structure(
+    graph: WeightedGraph, matching: Matching, walk: AlternatingWalk
+) -> AugmentingStructure:
+    """Pull one augmenting path/cycle/flower/bi-cycle out of an augmenting walk."""
+    verts, flags = walk.vertices, walk.matched_flags
+    assert walk_value(walk, graph, matching) > 0, "walk must be augmenting"
+
+    while True:
+        segs = _segments(verts, flags)
+        for kind, sv, sf in segs:
+            if kind == "cycle" and _piece_value(graph, sv, sf) > 0:
+                return AugmentingStructure("cycle", (sv,))
+        if not any(kind == "cycle" for kind, _sv, _sf in segs):
+            break
+        new_verts: list[int] = [segs[0][1][0]]
+        for kind, sv, _sf in segs:
+            if kind == "cycle":
+                continue
+            new_verts.extend(sv[1:])
+        verts = tuple(new_verts)
+        rebuilt = AlternatingWalk.from_vertices(graph, matching, verts)
+        flags = rebuilt.matched_flags
+
+    candidates: list[AugmentingStructure] = []
+    if len(segs) == 1:
+        kind, sv, sf = segs[0]
+        if kind == "path":
+            candidates.append(AugmentingStructure("path", (sv,)))
+        else:
+            candidates.append(AugmentingStructure("flower", (sv, (sv[0],)), root=sv[0]))
+    else:
+        # only the end pairs are flowers rooted at the walk's endpoints
+        first, second = segs[0], segs[1]
+        if first[0] == "path" and second[0] == "blossom":
+            candidates.append(
+                AugmentingStructure("flower", (second[1], first[1]), root=first[1][0])
+            )
+        last, before = segs[-1], segs[-2]
+        if before[0] == "blossom" and last[0] == "path":
+            candidates.append(
+                AugmentingStructure("flower", (before[1], last[1]), root=last[1][-1])
+            )
+        for a, b, c in zip(segs, segs[1:], segs[2:]):
+            if a[0] == "blossom" and b[0] == "path" and c[0] == "blossom":
+                candidates.append(AugmentingStructure("bicycle", (a[1], b[1], c[1])))
+
+    for cand in candidates:
+        if _structure_is_augmenting(graph, matching, cand):
+            return cand
+    raise AssertionError("augmenting walk without an augmenting structure")
+
+
+def _structure_is_augmenting(
+    graph: WeightedGraph, matching: Matching, structure: AugmentingStructure
+) -> bool:
+    def split(piece: tuple[int, ...]) -> tuple[Fraction, Fraction]:
+        out_w = Fraction(0)
+        in_w = Fraction(0)
+        for a, b in zip(piece, piece[1:]):
+            w = graph.weight(a, b)
+            if matching.contains_edge(a, b):
+                in_w += w
+            else:
+                out_w += w
+        return out_w, in_w
+
+    if structure.kind == "path":
+        out_w, in_w = split(structure.pieces[0])
+        return out_w > in_w
+    if structure.kind == "cycle":
+        out_w, in_w = split(structure.pieces[0])
+        return out_w > in_w
+    if structure.kind == "flower":
+        blossom, path = structure.pieces
+        c_out, c_in = split(blossom)
+        p_out, p_in = split(path)
+        return c_out + 2 * p_out > c_in + 2 * p_in
+    blossom_a, path, blossom_b = structure.pieces
+    a_out, a_in = split(blossom_a)
+    p_out, p_in = split(path)
+    b_out, b_in = split(blossom_b)
+    return a_out + 2 * p_out + b_out > a_in + 2 * p_in + b_in
 
 
 def _triangle_flower():
@@ -136,13 +278,22 @@ def test_extract_structure_from_long_walk_without_recursion():
 
 
 def test_short_tables_are_the_prefix_of_the_long_run(property_suite):
+    # the DP's iterations do not depend on its bound: the first n + 1
+    # snapshots of a 3n run, with its records up to iteration n, are a run to n
     rng = random.Random(515)
     for g in property_suite:
         m = random_matching(rng, g)
         for root in range(g.n):
             if m.covers(root):
                 continue
-            short = detect_structures(g, m, root).short_tables
+            long = optimal_walks(g, m, root, 3 * g.n)
+            short = WalkTables(
+                g, m, root, g.n,
+                long.history1[: g.n + 1],
+                long.history2[: g.n + 1],
+                {key: u for key, u in long.pred1.items() if key[0] <= g.n},
+                {key: u for key, u in long.pred2.items() if key[0] <= g.n},
+            )
             alone = optimal_walks(g, m, root, g.n)
             assert (short.source, short.k) == (alone.source, alone.k)
             assert short.history1 == alone.history1
@@ -164,22 +315,129 @@ def test_run_stopped_at_fixpoint_keeps_k_plus_one_snapshots():
     assert oracle.optimal_walk_values(g, m, 0, 8)[8][0] == t.y1[0]
 
 
-def test_detect_structures_examples():
+def _walk_values(t, m):
+    """Best walk value per vertex: y1 at exposed vertices, y2 at covered ones."""
+    return [t.y2[v] if m.covers(v) else t.y1[v] for v in range(t.graph.n)]
+
+
+def _verdicts(g, m, root, long, short):
+    """The M-vertex-stabilizer's verdicts read off best walk values per
+    vertex, with bound 3n (long) and n (short)."""
+    augmenting = [v for v in range(g.n) if long[v] is not None and long[v] > 0]
+    flower = root in augmenting
+    to_covered = next((v for v in augmenting if m.covers(v)), None)
+    to_exposed = next(
+        (
+            v
+            for v in range(g.n)
+            if v != root and not m.covers(v) and short[v] is not None and short[v] > 0
+        ),
+        None,
+    )
+    return flower, to_covered, to_exposed
+
+
+def _assert_scans_give(g, m, root, verdicts):
+    flower, to_covered, to_exposed = verdicts
+    assert first_pass_scan(g, m, root) == (flower, None if flower else to_covered)
+    assert second_pass_scan(g, m, root) == to_exposed
+
+
+def test_scans_give_the_verdicts_of_the_full_tables(property_suite):
+    rng = random.Random(717)
+    flowers = covered = exposed = 0
+    for g in property_suite:
+        m = random_matching(rng, g)
+        for root in range(g.n):
+            if m.covers(root):
+                continue
+            long = _walk_values(optimal_walks(g, m, root, 3 * g.n), m)
+            short = _walk_values(optimal_walks(g, m, root, g.n), m)
+            verdicts = _verdicts(g, m, root, long, short)
+            _assert_scans_give(g, m, root, verdicts)
+            flowers += verdicts[0]
+            covered += not verdicts[0] and verdicts[1] is not None
+            exposed += verdicts[2] is not None
+    # every verdict occurs, so each branch of both scans is exercised
+    assert min(flowers, covered, exposed) > 20
+
+
+def test_scans_on_fractional_weights_match_enumeration():
+    # denominators 2..6 make the DP's scale D anything up to 60; n <= 4 keeps
+    # the 3n bound within the oracle's walk length limit
+    rng = random.Random(2718)
+    for _ in range(60):
+        base = random_graph(rng, n_max=4)
+        g = WeightedGraph.from_edges(
+            base.n,
+            [(u, v, Fraction(rng.randint(1, 12), rng.randint(2, 6))) for u, v, _w in base.edges],
+        )
+        m = random_matching(rng, g)
+        for root in range(g.n):
+            k = 3 * g.n
+            t = optimal_walks(g, m, root, k)
+            brute = oracle.optimal_walk_values(g, m, root, k)
+            for i in range(k + 1):
+                for v in range(g.n):
+                    got = t.history2[i][v] if m.covers(v) else t.history1[i][v]
+                    assert brute[i][v] == got
+            if m.covers(root):
+                continue
+            long = [brute[k][v] for v in range(g.n)]
+            short = [brute[g.n][v] for v in range(g.n)]
+            _assert_scans_give(g, m, root, _verdicts(g, m, root, long, short))
+
+
+def test_first_pass_scan_stops_at_a_flower(monkeypatch):
+    # a flower closes at the exposed root 0 in iteration 3; a 40-edge
+    # alternating path hanging off vertex 1 keeps the DP improving far longer
+    length = 40
+    edges = [(0, 1, 2), (0, 2, 2), (1, 2, 2), (1, 3, 1)]
+    edges += [(v, v + 1, 1) for v in range(3, 3 + length)]
+    g = WeightedGraph.from_edges(4 + length, edges)
+    m = Matching.from_pairs([(1, 2)] + [(v, v + 1) for v in range(3, 3 + length, 2)])
+    full = optimal_walks(g, m, 0, 3 * g.n)
+    assert full.y1[0] > 0
+    assert max(i for i, _v in full.pred1) > length
+
+    counted = []
+    iterations = walks._IntegerDP.iterations
+
+    def counting(self, k):
+        for step in iterations(self, k):
+            counted.append(step[0])
+            yield step
+
+    monkeypatch.setattr(walks._IntegerDP, "iterations", counting)
+    assert first_pass_scan(g, m, 0) == (True, None)
+    assert counted == [1, 2, 3]
+
+
+def test_scan_examples():
     g, m = _triangle_flower()
-    scan = detect_structures(g, m, 0)
-    assert scan.flower_at_root
-    assert scan.walk_to_covered is None
+    assert first_pass_scan(g, m, 0) == (True, None)
 
     single = WeightedGraph.from_edges(2, [(0, 1, 3)])
-    scan = detect_structures(single, Matching.empty(), 0)
-    assert scan.walk_to_exposed == 1 and not scan.flower_at_root
+    assert first_pass_scan(single, Matching.empty(), 0) == (False, None)
+    assert second_pass_scan(single, Matching.empty(), 0) == 1
 
     path = WeightedGraph.from_edges(3, [(0, 1, 3), (1, 2, 2)])
-    scan = detect_structures(path, Matching.from_pairs([(1, 2)]), 0)
-    assert scan.walk_to_covered == 2
+    assert first_pass_scan(path, Matching.from_pairs([(1, 2)]), 0) == (False, 2)
 
-    with pytest.raises(VertexNotExposed):
-        detect_structures(path, Matching.from_pairs([(1, 2)]), 1)
+    # from root 1 the only augmenting walk to the exposed vertex 3 goes round
+    # the blossom 5-4-0: 1-2=5-4=0-5=2-3 has value 7 but length 7 > n = 6
+    # (the same detour back to 1 is a flower at the root)
+    blossom = WeightedGraph.from_edges(
+        6, [(2, 5, 2), (0, 5, 2), (1, 2, 2), (4, 5, 4), (2, 3, 5), (0, 4, 2)]
+    )
+    blossom_m = Matching.from_pairs([(2, 5), (0, 4)])
+    assert optimal_walks(blossom, blossom_m, 1, 18).y1[3] == 7
+    assert second_pass_scan(blossom, blossom_m, 1) is None
+    assert first_pass_scan(blossom, blossom_m, 1) == (True, None)
+
+    for scan in (first_pass_scan, second_pass_scan):
+        with pytest.raises(VertexNotExposed):
+            scan(path, Matching.from_pairs([(1, 2)]), 1)
 
 
 def test_flower_extraction_from_triangle():
@@ -198,14 +456,18 @@ def test_every_augmenting_walk_decomposes():
         m = random_matching(rng, g)
         exposed = [v for v in range(g.n) if not m.covers(v)]
         for u in exposed:
-            scan = detect_structures(g, m, u)
+            long = optimal_walks(g, m, u, 3 * g.n)
+            short = optimal_walks(g, m, u, g.n)
+            flower, to_covered, to_exposed = _verdicts(
+                g, m, u, _walk_values(long, m), _walk_values(short, m)
+            )
             targets = []
-            if scan.flower_at_root:
-                targets.append((u, 1, scan.long_tables))
-            if scan.walk_to_covered is not None:
-                targets.append((scan.walk_to_covered, 2, scan.long_tables))
-            if scan.walk_to_exposed is not None:
-                targets.append((scan.walk_to_exposed, 1, scan.short_tables))
+            if flower:
+                targets.append((u, 1, long))
+            if to_covered is not None:
+                targets.append((to_covered, 2, long))
+            if to_exposed is not None:
+                targets.append((to_exposed, 1, short))
             for v, table, tables in targets:
                 walk = reconstruct_walk(tables, v, table)
                 if walk_value(walk, g, m) <= 0:
