@@ -63,28 +63,6 @@ class AuxiliaryGraph:
         return "unused"
 
 
-def build_auxiliary(
-    graph: WeightedGraph,
-    bfm: BasicFractionalMatching,
-    cover: FractionalVertexCover,
-    excluded_vertices: frozenset[int] = frozenset(),
-    dead_cycles: frozenset[tuple[int, ...]] = frozenset(),
-) -> AuxiliaryGraph:
-    """Construct G' and M' from a complementary-slack optimal pair.
-
-    Only tight edges survive; vz edges appear at covered zero-cover vertices,
-    shadow gadgets at exposed zero-cover vertices, and every live support
-    cycle is shrunk into a pseudonode. `excluded_vertices` and `dead_cycles`
-    are the parts already deleted as frustrated trees. The pair is checked
-    in full here; `reduce_cycles` builds through `_build_auxiliary` instead,
-    because every pair it holds has already been checked.
-    """
-    verify_optimal_pair(graph, bfm, cover)
-    return _build_auxiliary(
-        graph, bfm, cover, tight_edges(graph, cover), excluded_vertices, dead_cycles
-    )
-
-
 def _build_auxiliary(
     graph: WeightedGraph,
     bfm: BasicFractionalMatching,
@@ -93,8 +71,14 @@ def _build_auxiliary(
     excluded_vertices: frozenset[int],
     dead_cycles: frozenset[tuple[int, ...]],
 ) -> AuxiliaryGraph:
-    """`build_auxiliary` for a pair already proven optimal under `cover`,
-    whose tight edge set is `tight`."""
+    """Construct G' and M' from a pair already proven optimal under `cover`,
+    whose tight edge set is `tight`.
+
+    Only tight edges survive; vz edges appear at covered zero-cover vertices,
+    shadow gadgets at exposed zero-cover vertices, and every live support
+    cycle is shrunk into a pseudonode. `excluded_vertices` and `dead_cycles`
+    are the parts already deleted as frustrated trees.
+    """
     n = graph.n
     live_cycles = sorted(c for c in bfm.odd_cycles if c not in dead_cycles)
     dead_vertices = {v for c in dead_cycles for v in c}

@@ -137,24 +137,15 @@ class WeightedGraph:
         kept = tuple(e for i, e in enumerate(self.edges) if i not in drop)
         return WeightedGraph(self.n, kept, self.labels)
 
-    def delete_vertices(
-        self, vertices: Iterable[int]
-    ) -> tuple["WeightedGraph", tuple[int, ...]]:
-        """Induced subgraph on the complement, plus the old id of each new vertex.
+    def delete_stars(self, vertices: Iterable[int]) -> "WeightedGraph":
+        """G - delta(S): the same vertex set, with every edge at a vertex of
+        S removed, so the vertices of S stay as isolated ones.
 
-        Surviving vertices keep their relative order, so index-based
-        tie-breaking is stable across deletions.
+        Vertex ids and the order of the kept edges do not change.
         """
         gone = set(vertices)
-        keep = [v for v in range(self.n) if v not in gone]
-        new_id = {old: new for new, old in enumerate(keep)}
-        edges = tuple(
-            (new_id[u], new_id[v], w)
-            for u, v, w in self.edges
-            if u not in gone and v not in gone
-        )
-        labels = tuple(self.label_of(v) for v in keep) if self.labels is not None else None
-        return WeightedGraph(len(keep), edges, labels), tuple(keep)
+        kept = tuple(e for e in self.edges if e[0] not in gone and e[1] not in gone)
+        return WeightedGraph(self.n, kept, self.labels)
 
 
 @dataclass(frozen=True)

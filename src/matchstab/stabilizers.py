@@ -59,7 +59,7 @@ def min_vertex_stabilizer(graph: WeightedGraph) -> VertexStabilizerResult:
     surviving_cover = {
         v: cover.values[v] for v in range(graph.n) if v not in removed
     }
-    residual = graph.delete_edges(i for v in removed for i in graph.incident_edges(v))
+    residual = graph.delete_stars(removed)
     verify_stable_subgraph(residual, survivors, surviving_cover, removed)
     nu_after = survivors.weight(graph)
     try:

@@ -206,28 +206,33 @@ def reconstruct_walk(tables: WalkTables, v: int, table: int) -> AlternatingWalk:
     return walk
 
 
-def _exposed_root_dp(graph: WeightedGraph, matching: Matching, root: int) -> _IntegerDP:
+def _exposed_root_dp(
+    graph: WeightedGraph, matching: Matching, root: int, k: int
+) -> _IntegerDP:
+    if k < 0:
+        raise ValueError("length bound must be nonnegative")
     if matching.covers(root):
         raise VertexNotExposed(f"vertex {root} is covered")
     return _IntegerDP(graph, matching, root)
 
 
 def first_pass_scan(
-    graph: WeightedGraph, matching: Matching, root: int
+    graph: WeightedGraph, matching: Matching, root: int, k: int
 ) -> tuple[bool, Optional[int]]:
-    """(flower_at_root, walk_to_covered) for an exposed root, with bound 3n.
+    """(flower_at_root, walk_to_covered) for an exposed root and walk length
+    bound k; the M-vertex-stabilizer passes k = 3n.
 
-    flower_at_root: an augmenting root-root walk of length <= 3n exists.
+    flower_at_root: an augmenting root-root walk of length <= k exists.
     walk_to_covered: when there is no such flower, the lowest covered v
-    reached by an augmenting walk of length <= 3n, else None.
+    reached by an augmenting walk of length <= k, else None.
 
     Entries never decrease, so the scan stops as soon as y1(root) > 0: the
     flower verdict is then fixed and outranks any walk to a covered vertex,
     which is reported as None. A walk to a covered vertex does not stop the
     scan, because a later flower still outranks it.
     """
-    dp = _exposed_root_dp(graph, matching, root)
-    for _iteration in dp.iterations(3 * graph.n):
+    dp = _exposed_root_dp(graph, matching, root, k)
+    for _iteration in dp.iterations(k):
         if dp.y1[root] > 0:
             return True, None
     y2 = dp.y2
@@ -239,12 +244,13 @@ def first_pass_scan(
 
 
 def second_pass_scan(
-    graph: WeightedGraph, matching: Matching, root: int
+    graph: WeightedGraph, matching: Matching, root: int, k: int
 ) -> Optional[int]:
     """The lowest exposed v other than the root that an augmenting walk of
-    length <= n reaches from the exposed root, or None."""
-    dp = _exposed_root_dp(graph, matching, root)
-    for _iteration in dp.iterations(graph.n):
+    length <= k reaches from the exposed root, or None; the
+    M-vertex-stabilizer passes k = n."""
+    dp = _exposed_root_dp(graph, matching, root, k)
+    for _iteration in dp.iterations(k):
         pass
     y1 = dp.y1
     return next(

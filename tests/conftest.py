@@ -80,6 +80,26 @@ def random_graph(
     return WeightedGraph.from_edges(n, edges)
 
 
+def delete_vertices(
+    graph: WeightedGraph, vertices
+) -> tuple[WeightedGraph, tuple[int, ...]]:
+    """The subgraph induced on the other vertices, renumbered 0..n'-1 in
+    their old order, plus the old id of each new vertex.
+
+    The tests build G - S this way, apart from `WeightedGraph.delete_stars`,
+    which keeps the deleted vertices as isolated ones and is what the code
+    under test uses.
+    """
+    gone = set(vertices)
+    keep = [v for v in range(graph.n) if v not in gone]
+    new_id = {old: new for new, old in enumerate(keep)}
+    edges = [
+        (new_id[u], new_id[v], w) for u, v, w in graph.edges if u not in gone and v not in gone
+    ]
+    labels = [graph.label_of(v) for v in keep] if graph.labels is not None else None
+    return WeightedGraph.from_edges(len(keep), edges, labels), tuple(keep)
+
+
 def count_calls(monkeypatch, module, name: str) -> list[int]:
     """Replace module.name by a wrapper that counts its calls in a
     one-element list, which is returned."""

@@ -12,7 +12,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import fig6, fig7, fig8, fig9, random_graph, random_matching
+from conftest import delete_vertices, fig6, fig7, fig8, fig9, random_graph, random_matching
 from matchstab import oracle
 from matchstab.cycles import AugmentationEvent, reduce_cycles
 from matchstab.errors import NotOptimalPair
@@ -88,7 +88,7 @@ def test_criterion_4_fig7_tightness():
         assert oracle.exact_nu(g)[0] == Fraction(11, 4)
         for k in range(g.n + 1):
             for subset in itertools.combinations(range(g.n), k):
-                rest, _keep = g.delete_vertices(subset)
+                rest, _keep = delete_vertices(g, subset)
                 if oracle.is_stable(rest):
                     assert oracle.exact_nu(rest)[0] <= 2
         result = min_vertex_stabilizer(g)
@@ -112,7 +112,7 @@ def test_criterion_6_vertex_stabilizer_optimality(property_suite):
         for g in property_suite:
             result = min_vertex_stabilizer(g)
             assert len(result.removed) == len(oracle.brute_min_vertex_stabilizer(g))
-            rest, _keep = g.delete_vertices(result.removed)
+            rest, _keep = delete_vertices(g, result.removed)
             assert oracle.is_stable(rest)
             assert 3 * result.nu_after >= 2 * result.nu_before
 
@@ -122,7 +122,7 @@ def test_criterion_7_deletion_monotonicity(property_suite):
         for g in property_suite:
             base = oracle.brute_gamma(g)
             for v in range(g.n):
-                rest, _keep = g.delete_vertices([v])
+                rest, _keep = delete_vertices(g, [v])
                 assert oracle.brute_gamma(rest) >= base - 1
             for e in range(g.m):
                 assert oracle.brute_gamma(g.delete_edges([e])) >= base - 2

@@ -11,8 +11,8 @@ from matchstab import oracle
 from matchstab.cycles import (
     AugmentationEvent,
     FrustrationEvent,
+    _build_auxiliary,
     apply_augmentation,
-    build_auxiliary,
     reduce_cycles,
 )
 from matchstab.edmonds import AugmentingPath, grow_tree
@@ -21,10 +21,18 @@ from matchstab.graph import (
     FractionalVertexCover,
     WeightedGraph,
     decompose,
+    tight_edges,
 )
 from matchstab.lp import solve_fractional, verify_optimal_pair
 
 H = Fraction(1, 2)
+
+
+def build_auxiliary(g, bfm, cover):
+    """The search graph G' of a pair with nothing deleted yet, after checking
+    in full that the pair is optimal."""
+    verify_optimal_pair(g, bfm, cover)
+    return _build_auxiliary(g, bfm, cover, tight_edges(g, cover), frozenset(), frozenset())
 
 
 def _two_triangles_bridged() -> WeightedGraph:

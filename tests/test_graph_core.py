@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fig6, fig8, fig9, random_graph, random_matching
+from conftest import delete_vertices, fig6, fig8, fig9, random_graph, random_matching
 from matchstab.errors import (
     CycleNotInSupport,
     DegreeConstraintViolated,
@@ -43,6 +43,24 @@ def test_graph_rejects_loops_parallel_negative():
         WeightedGraph.from_edges(2, [(0, 1, -1)])
     with pytest.raises(GraphError):
         WeightedGraph.from_edges(2, [(0, 1, 0.5)])
+
+
+def test_delete_stars_isolates_the_vertices():
+    g = fig8()
+    rest = g.delete_stars([0])  # p
+    assert rest.n == g.n and rest.labels == g.labels
+    assert rest.degree(0) == 0
+    # the kept edges keep their order
+    assert [(rest.label_of(u), rest.label_of(v)) for u, v, _w in rest.edges] == [
+        ("q", "r"), ("s", "t"), ("r", "s"), ("q", "s"),
+    ]
+    rng = random.Random(77)
+    for _ in range(50):
+        g = random_graph(rng)
+        gone = rng.sample(range(g.n), rng.randint(0, g.n))
+        induced, keep = delete_vertices(g, gone)
+        relabelled = [(keep[u], keep[v], w) for u, v, w in induced.edges]
+        assert list(g.delete_stars(gone).edges) == relabelled
 
 
 def test_decompose_zero_vector():

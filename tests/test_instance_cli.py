@@ -303,6 +303,16 @@ def test_verify_reports_a_result_that_is_not_an_object(tmp_path, capsys, documen
     assert report["checks"] == [{"name": "result_is_object", "ok": False}]
 
 
+def test_verify_reports_a_nested_field_of_the_wrong_type(tmp_path, capsys):
+    # a cover given as a list, not an object mapping labels to values
+    instance = str(FIXTURES / "fig8.json")
+    doc = json.loads(_run(capsys, "solve-fractional", instance)[1])
+    doc["certificates"]["cover"] = []
+    code, out, err = _run(capsys, "verify", instance, "--result", str(_write(tmp_path, doc)))
+    assert code == 1 and out == ""
+    assert err.startswith("matchstab: error: malformed result document: AttributeError(")
+
+
 def test_batch_runs_in_input_order(capsys):
     code, out, _err = _run(
         capsys,

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import fig9, random_graph, random_matching
+from conftest import delete_vertices, fig9, random_graph, random_matching
 from matchstab import oracle
 from matchstab.errors import MNotAMatching
 from matchstab.graph import Matching, WeightedGraph
@@ -74,7 +74,7 @@ def test_feasible_results_verified_by_oracle():
         assert len(result.removed) <= 2 * len(brute)
         if not result.second_phase:
             assert len(result.removed) == len(brute)
-        residual, keep = g.delete_vertices(result.removed)
+        residual, keep = delete_vertices(g, result.removed)
         remap = {old: new for new, old in enumerate(keep)}
         m_res = Matching.from_pairs((remap[u], remap[v]) for u, v in m.pairs)
         # (a) M is maximum-weight in the residual graph
@@ -85,6 +85,22 @@ def test_feasible_results_verified_by_oracle():
         for v in range(residual.n):
             if m_res.covers(v):
                 continue
-            assert first_pass_scan(residual, m_res, v) == (False, None)
-            assert second_pass_scan(residual, m_res, v) is None
+            assert first_pass_scan(residual, m_res, v, 3 * residual.n) == (False, None)
+            assert second_pass_scan(residual, m_res, v, residual.n) is None
     assert feasible > 20 and infeasible > 5
+
+
+def test_walk_bounds_count_only_the_vertices_left():
+    # after 1 and 5 are deleted, n = 5 and the first-pass bound is 15: the
+    # augmenting walk from 6 to the covered 3 is then found (3 * 7 = 21
+    # would find one to 0 instead)
+    g = WeightedGraph.from_edges(
+        7, [(1, 3, 6), (4, 6, 1), (3, 4, 1), (2, 3, 2), (3, 5, 1), (0, 2, 6), (0, 4, 4)]
+    )
+    result = m_vertex_stabilizer(g, Matching.from_pairs([(0, 4), (2, 3)]))
+    assert result.status == INFEASIBLE
+    assert result.diagnostics == (
+        ("walk_to_covered", 1, 2),
+        ("walk_to_covered", 5, 2),
+        ("walk_to_covered", 6, 3),
+    )

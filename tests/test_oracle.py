@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fig8, fig9, random_graph, random_matching
+from conftest import delete_vertices, fig8, fig9, random_graph, random_matching
 from matchstab import oracle
 from matchstab.errors import BudgetExceeded
 from matchstab.graph import Matching, WeightedGraph
@@ -62,7 +62,7 @@ def test_fig8_single_edge_deletions():
 def test_fig9_vertex_deletions():
     g = fig9()
     for v in (0, 1, 2):
-        rest, _keep = g.delete_vertices([v])
+        rest, _keep = delete_vertices(g, [v])
         assert oracle.exact_nu(rest)[0] == 4
 
 

@@ -339,8 +339,8 @@ def _verdicts(g, m, root, long, short):
 
 def _assert_scans_give(g, m, root, verdicts):
     flower, to_covered, to_exposed = verdicts
-    assert first_pass_scan(g, m, root) == (flower, None if flower else to_covered)
-    assert second_pass_scan(g, m, root) == to_exposed
+    assert first_pass_scan(g, m, root, 3 * g.n) == (flower, None if flower else to_covered)
+    assert second_pass_scan(g, m, root, g.n) == to_exposed
 
 
 def test_scans_give_the_verdicts_of_the_full_tables(property_suite):
@@ -409,20 +409,20 @@ def test_first_pass_scan_stops_at_a_flower(monkeypatch):
             yield step
 
     monkeypatch.setattr(walks._IntegerDP, "iterations", counting)
-    assert first_pass_scan(g, m, 0) == (True, None)
+    assert first_pass_scan(g, m, 0, 3 * g.n) == (True, None)
     assert counted == [1, 2, 3]
 
 
 def test_scan_examples():
     g, m = _triangle_flower()
-    assert first_pass_scan(g, m, 0) == (True, None)
+    assert first_pass_scan(g, m, 0, 3 * g.n) == (True, None)
 
     single = WeightedGraph.from_edges(2, [(0, 1, 3)])
-    assert first_pass_scan(single, Matching.empty(), 0) == (False, None)
-    assert second_pass_scan(single, Matching.empty(), 0) == 1
+    assert first_pass_scan(single, Matching.empty(), 0, 3 * single.n) == (False, None)
+    assert second_pass_scan(single, Matching.empty(), 0, single.n) == 1
 
     path = WeightedGraph.from_edges(3, [(0, 1, 3), (1, 2, 2)])
-    assert first_pass_scan(path, Matching.from_pairs([(1, 2)]), 0) == (False, 2)
+    assert first_pass_scan(path, Matching.from_pairs([(1, 2)]), 0, 3 * path.n) == (False, 2)
 
     # from root 1 the only augmenting walk to the exposed vertex 3 goes round
     # the blossom 5-4-0: 1-2=5-4=0-5=2-3 has value 7 but length 7 > n = 6
@@ -432,12 +432,14 @@ def test_scan_examples():
     )
     blossom_m = Matching.from_pairs([(2, 5), (0, 4)])
     assert optimal_walks(blossom, blossom_m, 1, 18).y1[3] == 7
-    assert second_pass_scan(blossom, blossom_m, 1) is None
-    assert first_pass_scan(blossom, blossom_m, 1) == (True, None)
+    assert second_pass_scan(blossom, blossom_m, 1, blossom.n) is None
+    assert first_pass_scan(blossom, blossom_m, 1, 3 * blossom.n) == (True, None)
 
     for scan in (first_pass_scan, second_pass_scan):
         with pytest.raises(VertexNotExposed):
-            scan(path, Matching.from_pairs([(1, 2)]), 1)
+            scan(path, Matching.from_pairs([(1, 2)]), 1, path.n)
+        with pytest.raises(ValueError):
+            scan(path, Matching.from_pairs([(1, 2)]), 0, -1)
 
 
 def test_flower_extraction_from_triangle():
