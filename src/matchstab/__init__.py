@@ -22,11 +22,7 @@ from .graph import (
 )
 from .lp import solve_fractional
 from .mstab import m_vertex_stabilizer
-from .stabilizers import (
-    edge_stabilizer_approx,
-    gamma_lower_bounds,
-    min_vertex_stabilizer,
-)
+from .stabilizers import edge_stabilizer_approx, min_vertex_stabilizer
 from .walks import first_pass_scan, optimal_walks, reconstruct_walk, second_pass_scan
 
 __all__ = [
@@ -40,7 +36,6 @@ __all__ = [
     "decompose",
     "edge_stabilizer_approx",
     "first_pass_scan",
-    "gamma_lower_bounds",
     "m_vertex_stabilizer",
     "min_vertex_stabilizer",
     "optimal_walks",

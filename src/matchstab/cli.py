@@ -20,6 +20,7 @@ from typing import Any, Optional
 from . import oracle as oracle_mod
 from .cycles import AugmentationEvent, FrustrationEvent, reduce_cycles
 from .errors import (
+    BudgetExceeded,
     DegreeConstraintViolated,
     GraphError,
     MatchingRequired,
@@ -154,10 +155,14 @@ def _run_command(command: str, instance: Instance, path: str) -> tuple[dict, int
         }
     elif command == "stabilize-vertices":
         result = min_vertex_stabilizer(graph)
+        try:
+            nu_before: Optional[str] = _frac(oracle_mod.exact_nu(graph)[0])
+        except BudgetExceeded:
+            nu_before = None  # the 2/3 guarantee holds but is not reported
         outputs = {
             "S": _labels(graph, result.removed),
             "gamma": result.gamma,
-            "nu_before": _frac(result.nu_before) if result.nu_before is not None else None,
+            "nu_before": nu_before,
             "nu_after": _frac(result.nu_after),
         }
         certificates = {
@@ -209,13 +214,9 @@ def _run_command(command: str, instance: Instance, path: str) -> tuple[dict, int
             exit_code = 2
     elif command == "check-stability":
         nu, witness = oracle_mod.exact_nu(graph)
-        nu_f_value = oracle_mod.exact_nu_f(graph)
         bfm, cover = solve_fractional(graph)
-        outputs = {
-            "stable": nu == nu_f_value,
-            "nu": _frac(nu),
-            "nu_f": _frac(nu_f_value),
-        }
+        nu_f = bfm.weight  # the pair is proven optimal, so w(x) = nu_f
+        outputs = {"stable": nu == nu_f, "nu": _frac(nu), "nu_f": _frac(nu_f)}
         certificates = {
             "max_matching": _pairs(graph, witness),
             "x": _x_entries(graph, bfm.values),

@@ -6,20 +6,18 @@ that is optimal in cardinality and keeps at least two thirds of the maximum
 matching weight. The edge stabilizer deletes the stars of those vertices.
 Their shared certificate, a matching and a fractional cover of G - S with
 equal totals, is checked once by `lp.verify_stable_subgraph`, the checks
-`matchstab verify` runs on it.
+`matchstab verify` runs on it. Neither stabilizer computes nu(G), which the
+certificate does not need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .cycles import ReduceCyclesResult, reduce_cycles
-from .errors import BudgetExceeded
+from .cycles import reduce_cycles
 from .graph import Matching, WeightedGraph, _round_cycles
 from .lp import verify_stable_subgraph
-from .oracle import exact_nu
 
 
 @dataclass(frozen=True)
@@ -29,17 +27,14 @@ class VertexStabilizerResult:
     `surviving_matching` is a maximum-weight matching of the stabilized graph
     and `surviving_cover` a fractional cover of it with the same total, so
     stability of the residual graph can be re-checked by pure arithmetic.
+    `nu_after` is that total, nu(G - S).
     """
 
     removed: tuple[int, ...]
     gamma: int
-    # exact nu(G) from the enumeration oracle; None beyond its budget, where
-    # the 2/3 guarantee still holds but cannot be reported numerically
-    nu_before: Optional[Fraction]
     nu_after: Fraction
     surviving_matching: Matching
     surviving_cover: dict[int, Fraction]
-    reduction: ReduceCyclesResult
 
 
 def min_vertex_stabilizer(graph: WeightedGraph) -> VertexStabilizerResult:
@@ -47,8 +42,7 @@ def min_vertex_stabilizer(graph: WeightedGraph) -> VertexStabilizerResult:
 
     |S| equals gamma(G), which is a lower bound for any vertex-stabilizer, and
     nu(G - S) >= (2/3) nu(G). Ties on the cover value break to the lowest
-    vertex index. nu_before is evaluated by the enumeration oracle, which
-    stands in for an exact weighted matching solver at desk scale.
+    vertex index. nu(G) itself is not computed here.
     """
     reduction = reduce_cycles(graph)
     bfm, cover = reduction.solution, reduction.cover
@@ -61,19 +55,12 @@ def min_vertex_stabilizer(graph: WeightedGraph) -> VertexStabilizerResult:
     }
     residual = graph.delete_stars(removed)
     verify_stable_subgraph(residual, survivors, surviving_cover, removed)
-    nu_after = survivors.weight(graph)
-    try:
-        nu_before, _witness = exact_nu(graph)
-    except BudgetExceeded:
-        nu_before = None
     return VertexStabilizerResult(
         removed=tuple(sorted(removed)),
         gamma=reduction.gamma,
-        nu_before=nu_before,
-        nu_after=nu_after,
+        nu_after=survivors.weight(graph),
         surviving_matching=survivors,
         surviving_cover=surviving_cover,
-        reduction=reduction,
     )
 
 
@@ -108,15 +95,3 @@ def edge_stabilizer_approx(graph: WeightedGraph) -> EdgeStabilizerResult:
         vertex_result=vertex_result,
     )
 
-
-@dataclass(frozen=True)
-class GammaBounds:
-    gamma: int
-    vertex_lower_bound: int
-    edge_lower_bound: int
-
-
-def gamma_lower_bounds(graph: WeightedGraph) -> GammaBounds:
-    """gamma(G) with the stabilizer lower bounds it implies."""
-    gamma = reduce_cycles(graph).gamma
-    return GammaBounds(gamma, gamma, -(-gamma // 2))

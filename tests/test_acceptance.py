@@ -25,7 +25,7 @@ from matchstab.graph import (
 )
 from matchstab.lp import solve_fractional, verify_optimal_pair
 from matchstab.mstab import FEASIBLE, INFEASIBLE, m_vertex_stabilizer
-from matchstab.stabilizers import gamma_lower_bounds, min_vertex_stabilizer
+from matchstab.stabilizers import edge_stabilizer_approx, min_vertex_stabilizer
 from matchstab.walks import optimal_walks
 
 H = Fraction(1, 2)
@@ -67,7 +67,7 @@ def test_criterion_2_fig9_fixture():
         assert result.gamma == 1
         assert len(result.removed) == 1 and result.removed[0] in (0, 1, 2)
         assert result.nu_after == 4
-        assert 3 * result.nu_after >= 2 * result.nu_before == 10
+        assert 3 * result.nu_after >= 2 * oracle.exact_nu(g)[0] == 10
 
 
 def test_criterion_3_fig6_fixture():
@@ -78,8 +78,7 @@ def test_criterion_3_fig6_fixture():
         assert len(optimum) == 1
         # the 1/2-weight bridge is also an optimal edge-stabilizer
         assert oracle.is_stable(g.delete_edges([4]))
-        bounds = gamma_lower_bounds(g)
-        assert bounds.edge_lower_bound == 1 <= len(optimum)
+        assert edge_stabilizer_approx(g).lower_bound == 1 <= len(optimum)
 
 
 def test_criterion_4_fig7_tightness():
@@ -93,7 +92,7 @@ def test_criterion_4_fig7_tightness():
                     assert oracle.exact_nu(rest)[0] <= 2
         result = min_vertex_stabilizer(g)
         assert result.nu_after == 2
-        assert 3 * result.nu_after >= 2 * result.nu_before
+        assert 3 * result.nu_after >= 2 * oracle.exact_nu(g)[0]
 
 
 def test_criterion_5_cycle_minimization_matches_oracle(property_suite):
@@ -114,7 +113,7 @@ def test_criterion_6_vertex_stabilizer_optimality(property_suite):
             assert len(result.removed) == len(oracle.brute_min_vertex_stabilizer(g))
             rest, _keep = delete_vertices(g, result.removed)
             assert oracle.is_stable(rest)
-            assert 3 * result.nu_after >= 2 * result.nu_before
+            assert 3 * result.nu_after >= 2 * oracle.exact_nu(g)[0]
 
 
 def test_criterion_7_deletion_monotonicity(property_suite):

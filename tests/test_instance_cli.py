@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
+import matchstab
+from conftest import count_calls
+from matchstab import oracle
 from matchstab.cli import main
 from matchstab.errors import ParseError
 from matchstab.instance import emit_instance, parse_instance
@@ -345,6 +349,59 @@ def test_jobs_flag_is_gone(capsys):
     assert code == 1 and out == "" and "invalid choice" in err
     code, out, err = _run(capsys, "gamma", "--jobs", "2", fig6)
     assert code == 1 and out == "" and "unrecognized arguments: --jobs" in err
+
+
+def test_only_the_printed_nu_runs_the_oracle(capsys, monkeypatch):
+    # every oracle entry point goes through one of the two 2^n tables; they
+    # are counted at the module attribute, whatever name a caller imported
+    nu_calls = count_calls(monkeypatch, oracle, "_nu_table")
+    basic_calls = count_calls(monkeypatch, oracle, "_basic_table")
+    for command, calls in [
+        ("check-stability", (1, 0)),  # nu only; nu_f is the certified pair's
+        ("stabilize-edges", (0, 0)),
+        ("stabilize-vertices", (1, 0)),  # the printed nu_before
+    ]:
+        nu_calls[0] = basic_calls[0] = 0
+        code, _out, _err = _run(capsys, command, str(FIXTURES / "fig9.json"))
+        assert code == 0
+        assert (nu_calls[0], basic_calls[0]) == calls, command
+    importers = []
+    for path in sorted(Path(matchstab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any("oracle" in name.split(".") for name in names):
+                importers.append(path.name)
+    assert importers == ["cli.py"]
+
+
+def test_commands_past_the_oracle_budget(tmp_path, capsys):
+    # 13 vertices: four weight-4 triangles and a weight-1 pendant edge
+    vertices = [f"v{i}" for i in range(13)]
+    edges = [(3 * t + a, 3 * t + b, "4") for t in range(4) for a, b in ((0, 1), (0, 2), (1, 2))]
+    edges.append((0, 12, "1"))
+    instance = tmp_path / "big.json"
+    instance.write_text(json.dumps({
+        "vertices": vertices,
+        "edges": [{"u": vertices[u], "v": vertices[v], "w": w} for u, v, w in edges],
+    }))
+    code, out, _err = _run(capsys, "stabilize-vertices", str(instance))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["outputs"]["nu_before"] is None
+    result = tmp_path / "result.json"
+    result.write_text(out)
+    code, out, _err = _run(capsys, "verify", str(instance), "--result", str(result))
+    assert code == 0 and json.loads(out)["verified"] is True
+    code, _out, _err = _run(capsys, "stabilize-edges", str(instance))
+    assert code == 0
+    code, out, err = _run(capsys, "check-stability", str(instance))
+    assert code == 1 and out == ""
+    assert err == "matchstab: error: nu oracle limited to 12 vertices\n"
 
 
 def test_selftest_smoke(capsys):

@@ -9,26 +9,25 @@ import matchstab.stabilizers
 from matchstab import oracle
 from matchstab.cycles import reduce_cycles
 from matchstab.graph import WeightedGraph
-from matchstab.stabilizers import (
-    edge_stabilizer_approx,
-    gamma_lower_bounds,
-    min_vertex_stabilizer,
-)
+from matchstab.stabilizers import edge_stabilizer_approx, min_vertex_stabilizer
 
 
 def test_min_vertex_stabilizer_fig9():
-    result = min_vertex_stabilizer(fig9())
+    g = fig9()
+    result = min_vertex_stabilizer(g)
+    nu_before = oracle.exact_nu(g)[0]
     assert result.removed == (0,)  # tie on the triangle breaks to p
     assert result.gamma == 1
-    assert result.nu_before == 5
+    assert nu_before == 5
     assert result.nu_after == 4
-    assert 3 * result.nu_after >= 2 * result.nu_before
+    assert 3 * result.nu_after >= 2 * nu_before
 
 
 def test_min_vertex_stabilizer_fig7():
-    result = min_vertex_stabilizer(fig7())
+    g = fig7()
+    result = min_vertex_stabilizer(g)
     assert result.removed == (0,)
-    assert result.nu_before == Fraction(11, 4)
+    assert oracle.exact_nu(g)[0] == Fraction(11, 4)
     assert result.nu_after == 2
     assert result.surviving_matching.pairs == frozenset({(1, 2)})
 
@@ -37,7 +36,7 @@ def test_min_vertex_stabilizer_stable_graph():
     g = WeightedGraph.from_edges(2, [(0, 1, 5)])
     result = min_vertex_stabilizer(g)
     assert result.removed == ()
-    assert result.nu_after == result.nu_before == 5
+    assert result.nu_after == oracle.exact_nu(g)[0] == 5
 
 
 def test_certificate_totals_match():
@@ -69,12 +68,13 @@ def test_edge_stabilizer_fig9_and_stable():
 
 
 def test_gamma_lower_bounds_values():
-    b = gamma_lower_bounds(WeightedGraph.from_edges(2, [(0, 1, 1)]))
-    assert (b.gamma, b.vertex_lower_bound, b.edge_lower_bound) == (0, 0, 0)
-    b = gamma_lower_bounds(fig6())
-    assert (b.gamma, b.vertex_lower_bound, b.edge_lower_bound) == (2, 2, 1)
-    b = gamma_lower_bounds(fig9())
-    assert (b.gamma, b.vertex_lower_bound, b.edge_lower_bound) == (1, 1, 1)
+    def bounds(g):
+        r = edge_stabilizer_approx(g)
+        return (r.gamma, len(r.vertex_result.removed), r.lower_bound)
+
+    assert bounds(WeightedGraph.from_edges(2, [(0, 1, 1)])) == (0, 0, 0)
+    assert bounds(fig6()) == (2, 2, 1)
+    assert bounds(fig9()) == (1, 1, 1)
 
 
 def test_edge_result_sandwich_on_sub_suite():
