@@ -4,9 +4,10 @@ The search graph has a helper vertex z, a shadow vertex v' for every exposed
 zero-cover vertex, and one pseudonode per half-valued odd cycle. An augmenting
 path from an exposed pseudonode maps back to a tight alternating path in the
 original graph, along which alternate rounding plus complementing removes one
-or two cycles without losing weight. Frustrated trees are deleted from the
-search graph and stay deleted; when no exposed pseudonode remains, the cycle
-count has reached its minimum.
+or two cycles without losing weight. The search graph is built once per x:
+at entry and after each augmentation. A frustrated tree's nodes are marked
+dead and stay dead, since node ids do not change between builds; when no live
+exposed pseudonode remains, the cycle count has reached its minimum.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .graph import (
     Matching,
     WeightedGraph,
     _round_cycles,
-    alternate_round,
     complement,
     decompose,
     tight_edges,
@@ -36,9 +36,11 @@ class AuxiliaryGraph:
     """The unweighted search graph G' with its matching M' and back-maps.
 
     Node ids: original vertices keep their ids, z is `n`, the shadow of v is
-    `n + 1 + v`, pseudonodes come after. `provenance` maps each search edge to
-    the sorted tuple of original objects it stands for (edge endpoint pairs,
-    or cycle vertices for pseudonode-z edges); expansion picks the minimum.
+    `n + 1 + v`, and the pseudonode of a cycle is `2n + 1` plus the cycle's
+    lowest vertex, so a node keeps its id when G' is rebuilt for a new x.
+    `provenance` maps each search edge to the least original object it
+    stands for (an edge endpoint pair, or a cycle vertex for a pseudonode-z
+    edge); expansion uses that one.
     """
 
     graph: WeightedGraph
@@ -48,7 +50,7 @@ class AuxiliaryGraph:
     cycle_of: dict[int, tuple[int, ...]]
     pseudonode_of: dict[tuple[int, ...], int]
     shadow_vertex: dict[int, int]  # shadow node id -> original vertex
-    provenance: dict[tuple[int, int], tuple]
+    provenance: dict[tuple[int, int], object]
 
     def kind(self, node: int) -> str:
         n = self.graph.n
@@ -68,73 +70,51 @@ def _build_auxiliary(
     bfm: BasicFractionalMatching,
     cover: FractionalVertexCover,
     tight: frozenset[int],
-    excluded_vertices: frozenset[int],
-    dead_cycles: frozenset[tuple[int, ...]],
 ) -> AuxiliaryGraph:
     """Construct G' and M' from a pair already proven optimal under `cover`,
     whose tight edge set is `tight`.
 
     Only tight edges survive; vz edges appear at covered zero-cover vertices,
-    shadow gadgets at exposed zero-cover vertices, and every live support
-    cycle is shrunk into a pseudonode. `excluded_vertices` and `dead_cycles`
-    are the parts already deleted as frustrated trees.
+    shadow gadgets at exposed zero-cover vertices, and every support cycle is
+    shrunk into a pseudonode.
     """
     n = graph.n
-    live_cycles = sorted(c for c in bfm.odd_cycles if c not in dead_cycles)
-    dead_vertices = {v for c in dead_cycles for v in c}
-    gone = set(excluded_vertices) | dead_vertices
-
     z = n
-    pseudonode_of = {c: 2 * n + 1 + j for j, c in enumerate(live_cycles)}
+    pseudonode_of = {c: 2 * n + 1 + c[0] for c in bfm.odd_cycles}
     cycle_of = {node: c for c, node in pseudonode_of.items()}
-    on_live_cycle: dict[int, tuple[int, ...]] = {
-        v: c for c in live_cycles for v in c
-    }
+    # a cycle vertex stands for its pseudonode, any other vertex for itself
+    node_of = {v: node for c, node in pseudonode_of.items() for v in c}
 
-    def node_of(v: int) -> int:
-        c = on_live_cycle.get(v)
-        return pseudonode_of[c] if c is not None else v
-
-    n_nodes = 2 * n + 1 + len(live_cycles)
-    adjacency: list[set[int]] = [set() for _ in range(n_nodes)]
-    provenance: dict[tuple[int, int], list] = {}
+    adjacency: list[set[int]] = [set() for _ in range(3 * n + 1)]
+    provenance: dict[tuple[int, int], object] = {}
 
     def add_edge(a: int, b: int, item) -> None:
         adjacency[a].add(b)
         adjacency[b].add(a)
-        provenance.setdefault((min(a, b), max(a, b)), []).append(item)
+        key = (min(a, b), max(a, b))
+        provenance[key] = min(item, provenance.get(key, item))
 
     for idx in sorted(tight):
         u, v, _w = graph.edges[idx]
-        if u in gone or v in gone:
-            continue
-        a, b = node_of(u), node_of(v)
+        a, b = node_of.get(u, u), node_of.get(v, v)
         if a == b:
             continue  # intra-cycle edge or chord of a shrunk cycle
         add_edge(a, b, (u, v))
 
-    matching_pairs: list[tuple[int, int]] = []
+    matching_pairs = list(bfm.matched.pairs)
     shadow_vertex: dict[int, int] = {}
     for v in range(n):
-        if v in gone or cover.values[v] != 0:
+        if cover.values[v] != 0:
             continue
         load = bfm.vertex_load(v)
         if load == 1:
-            add_edge(node_of(v), z, v)
+            add_edge(node_of.get(v, v), z, v)
         elif load == 0:
             shadow = n + 1 + v
             shadow_vertex[shadow] = v
             add_edge(v, shadow, v)
             add_edge(shadow, z, v)
             matching_pairs.append((v, shadow))
-
-    for u, v in bfm.matched.pairs:
-        # a frustrated tree holds each of its odd nodes with its mate, so a
-        # matched pair leaves the search graph whole or not at all
-        if u in gone and v in gone:
-            continue
-        assert u not in gone and v not in gone, "matched edge touches deleted node"
-        matching_pairs.append((u, v))
 
     return AuxiliaryGraph(
         graph=graph,
@@ -144,7 +124,7 @@ def _build_auxiliary(
         cycle_of=cycle_of,
         pseudonode_of=pseudonode_of,
         shadow_vertex=shadow_vertex,
-        provenance={k: tuple(sorted(v)) for k, v in provenance.items()},
+        provenance=provenance,
     )
 
 
@@ -165,19 +145,14 @@ class FrustrationEvent:
     deleted_vertices: tuple[int, ...]
 
 
-def _representative(aux: AuxiliaryGraph, a: int, b: int):
-    return aux.provenance[(min(a, b), max(a, b))][0]
-
-
-def _entry_vertex(aux: AuxiliaryGraph, pseudonode: int, first_inner: int) -> int:
-    """Original endpoint on the pseudonode's cycle of the search edge."""
-    cycle = set(aux.cycle_of[pseudonode])
-    rep = _representative(aux, pseudonode, first_inner)
+def _entry_vertex(aux: AuxiliaryGraph, pseudonode: int, neighbor: int) -> int:
+    """The vertex of the pseudonode's cycle that its search edge to
+    `neighbor` stands for."""
+    rep = aux.provenance[(min(pseudonode, neighbor), max(pseudonode, neighbor))]
+    if isinstance(rep, int):
+        return rep  # a pseudonode-z edge stands for a zero-cover cycle vertex
     u, v = rep
-    if u in cycle:
-        return u
-    assert v in cycle
-    return v
+    return u if u in aux.cycle_of[pseudonode] else v
 
 
 def _validate_alternating(aux: AuxiliaryGraph, path: Sequence[int]) -> None:
@@ -199,85 +174,46 @@ def _validate_alternating(aux: AuxiliaryGraph, path: Sequence[int]) -> None:
 
 def apply_augmentation(
     bfm: BasicFractionalMatching,
-    cover: FractionalVertexCover,
     aux: AuxiliaryGraph,
     path: Sequence[int],
 ) -> tuple[BasicFractionalMatching, AugmentationEvent]:
     """Map a search-graph augmenting path back to G and perform the move.
 
-    Rounds the endpoint cycles at their path-entry vertices and complements
-    along the tight alternating path; the result is re-validated and has the
-    same weight. The three endpoint shapes (second pseudonode, z through a
-    covered vertex, z through a shadow gadget) follow the update rules of the
-    minimization algorithm.
+    The path starts at a pseudonode and ends at a second pseudonode or at z.
+    Each end cycle is rounded at the vertex its path edge enters (for a
+    pseudonode-z edge, the zero-cover vertex that edge stands for), and the
+    tight alternating path between them in G, which drops a trailing shadow
+    node and z, is complemented. The endpoint shape only names the event.
+    The caller proves the resulting pair optimal.
     """
     graph = bfm.graph
     _validate_alternating(aux, path)
     start, end = path[0], path[-1]
     if aux.kind(start) != "cycle":
         raise PathNotAugmenting("path must start at a pseudonode")
-    cycle_r = aux.cycle_of[start]
-
-    def path_edges(vertices: Sequence[int]) -> list[int]:
-        return [graph.edge_index(a, b) for a, b in zip(vertices, vertices[1:])]
-
+    ends = [(start, path[1])]
     if aux.kind(end) == "cycle":
-        cycle_s = aux.cycle_of[end]
-        if len(path) == 2:
-            rep = _representative(aux, start, end)
-            u = rep[0] if rep[0] in set(cycle_r) else rep[1]
-            v = rep[1] if u == rep[0] else rep[0]
-            assert v in set(cycle_s)
-            g_path = [u, v]
-        else:
-            inner = list(path[1:-1])
-            assert all(aux.kind(x) == "vertex" for x in inner)
-            u = _entry_vertex(aux, start, inner[0])
-            v = _entry_vertex(aux, end, inner[-1])
-            g_path = [u] + inner + [v]
-        rounded = _round_cycles(bfm, [(cycle_r, u), (cycle_s, v)])
-        new = decompose(graph, complement(rounded, path_edges(g_path)))
-        event = AugmentationEvent(
-            "two_cycles", (cycle_r, cycle_s), (u, v), tuple(g_path)
-        )
-    elif aux.kind(end) == "z":
-        before = path[-2]
-        if aux.kind(before) == "cycle":
-            # direct pseudonode-z edge: some cycle vertex has zero cover value
-            if len(path) != 2:
-                raise PathNotAugmenting("z reached from a pseudonode mid-path")
-            v0 = _representative(aux, before, end)
-            new = alternate_round(bfm, cycle_r, v0)
-            event = AugmentationEvent("cycle_zero_cover", (cycle_r,), (v0,), ())
-        elif aux.kind(before) == "shadow":
-            v = aux.shadow_vertex[before]
-            inner = list(path[1:-2])
-            assert inner and inner[-1] == v
-            assert all(aux.kind(x) == "vertex" for x in inner)
-            u = _entry_vertex(aux, start, inner[0])
-            g_path = [u] + inner
-            rounded = alternate_round(bfm, cycle_r, u)
-            new = decompose(graph, complement(rounded, path_edges(g_path)))
-            event = AugmentationEvent(
-                "path_to_exposed", (cycle_r,), (u,), tuple(g_path)
-            )
-        else:
-            assert aux.kind(before) == "vertex"
-            inner = list(path[1:-1])
-            assert all(aux.kind(x) == "vertex" for x in inner)
-            u = _entry_vertex(aux, start, inner[0])
-            g_path = [u] + inner
-            rounded = alternate_round(bfm, cycle_r, u)
-            new = decompose(graph, complement(rounded, path_edges(g_path)))
-            event = AugmentationEvent(
-                "path_to_covered", (cycle_r,), (u,), tuple(g_path)
-            )
-    else:
+        ends.append((end, path[-2]))
+    elif aux.kind(end) != "z":
         raise EndpointNotRecognized(f"endpoint {end} is neither a pseudonode nor z")
+    picks = [(aux.cycle_of[p], _entry_vertex(aux, p, q)) for p, q in ends]
+    rounded_at = tuple(v for _c, v in picks)
+    inner = tuple(node for node in path[1:-1] if aux.kind(node) == "vertex")
+    g_path = rounded_at[:1] + inner + rounded_at[1:]
+    if len(ends) == 2:
+        kind = "two_cycles"
+    elif not inner:
+        kind, g_path = "cycle_zero_cover", ()
+    elif aux.kind(path[-2]) == "shadow":
+        kind = "path_to_exposed"
+    else:
+        kind = "path_to_covered"
 
-    verify_optimal_pair(graph, new, cover)
-    expected_gone = set(event.cycles)
-    assert set(bfm.odd_cycles) - set(new.odd_cycles) == expected_gone
+    rounded = _round_cycles(bfm, picks)
+    flips = [graph.edge_index(a, b) for a, b in zip(g_path, g_path[1:])]
+    new = decompose(graph, complement(rounded, flips))
+    event = AugmentationEvent(kind, tuple(c for c, _v in picks), rounded_at, g_path)
+    assert set(bfm.odd_cycles) - set(new.odd_cycles) == set(event.cycles)
     assert set(new.odd_cycles) <= set(bfm.odd_cycles)
     return new, event
 
@@ -303,15 +239,16 @@ def reduce_cycles(
     """Optimal basic fractional matching with the fewest odd cycles.
 
     Solves the LP (unless a complementary-slack pair is supplied), then runs
-    the pseudonode search: augment and update, or delete a frustrated tree,
-    until no exposed pseudonode is left. The cover is fixed throughout, so
-    its tight edges are computed once.
+    the pseudonode search: augment and update, or mark a frustrated tree's
+    nodes dead, until no live exposed pseudonode is left. The cover is fixed
+    throughout, so its tight edges are computed once, and G' is built once
+    per x that has a cycle: at entry and after each augmentation. A
+    frustrated tree changes neither x nor the cover, and its nodes keep
+    their ids in every later G'.
 
-    Every pair the search holds is proven optimal exactly once: the entry
-    pair by `solve_fractional` (or here, when `start` is given), and each
-    augmented pair by `apply_augmentation`. A frustrated tree changes
-    neither x nor the cover, so the search graph is rebuilt without a
-    second check.
+    The entry pair is proven optimal by `solve_fractional` (or here, when
+    `start` is given). The moves change x but not the cover, so the final
+    pair is proven once more after the search, when any move ran.
     """
     if start is None:
         bfm, cover = solve_fractional(graph)
@@ -320,38 +257,28 @@ def reduce_cycles(
         verify_optimal_pair(graph, bfm, cover)
     tight = tight_edges(graph, cover)
 
-    excluded: set[int] = set()
-    dead: set[tuple[int, ...]] = set()
+    aux: Optional[AuxiliaryGraph] = None
+    dead: set[int] = set()
     events: list = []
-    while True:
-        live = [c for c in bfm.odd_cycles if c not in dead]
+    while bfm.odd_cycles:
+        if aux is None:
+            aux = _build_auxiliary(graph, bfm, cover, tight)
+        live = [c for c in bfm.odd_cycles if aux.pseudonode_of[c] not in dead]
         if not live:
             break
-        aux = _build_auxiliary(
-            graph, bfm, cover, tight, frozenset(excluded), frozenset(dead)
-        )
-        root = aux.pseudonode_of[min(live)]
-        outcome = grow_tree(aux.adjacency, aux.matching, root)
+        root = aux.pseudonode_of[live[0]]
+        outcome = grow_tree(aux.adjacency, aux.matching, root, dead)
         if isinstance(outcome, AugmentingPath):
-            bfm, event = apply_augmentation(bfm, cover, aux, outcome.vertices)
+            bfm, event = apply_augmentation(bfm, aux, outcome.vertices)
             events.append(event)
+            aux = None  # x changed, so the next turn builds G' anew
         else:
             tree: FrustratedTree = outcome
-            removed_vertices: list[int] = []
-            removed_cycles: list[tuple[int, ...]] = []
-            for node in sorted(tree.nodes):
-                kind = aux.kind(node)
-                if kind == "vertex":
-                    removed_vertices.append(node)
-                elif kind == "cycle":
-                    removed_cycles.append(aux.cycle_of[node])
-                else:  # pragma: no cover - z/shadows cannot join a frustrated tree
-                    raise AssertionError(f"unexpected {kind} node in frustrated tree")
-            assert removed_cycles == [aux.cycle_of[root]]
-            assert not (set(removed_vertices) & excluded)
-            excluded.update(removed_vertices)
-            dead.update(removed_cycles)
-            events.append(
-                FrustrationEvent(aux.cycle_of[root], tuple(removed_vertices))
-            )
+            deleted = sorted(v for v in tree.nodes if aux.kind(v) == "vertex")
+            # z and shadows cannot join a frustrated tree, nor a second cycle
+            assert tree.nodes - set(deleted) == {root}
+            dead.update(tree.nodes)
+            events.append(FrustrationEvent(aux.cycle_of[root], tuple(deleted)))
+    if any(isinstance(e, AugmentationEvent) for e in events):
+        verify_optimal_pair(graph, bfm, cover)
     return ReduceCyclesResult(bfm, cover, len(bfm.odd_cycles), tuple(events))

@@ -3,14 +3,15 @@
 Used by the cycle minimizer to search the unweighted auxiliary graph. The
 search is rooted: it either returns an augmenting path from the root (fully
 expanded through all shrunken blossoms, simple in the input graph) or a
-frustrated-tree certificate whose node set the caller deletes.
+frustrated-tree certificate whose nodes the caller marks dead. A later search
+never enters a dead node, as if it were deleted from the graph.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import AbstractSet, Optional, Sequence, Union
 
 from .errors import VertexNotExposed
 from .graph import Matching
@@ -44,7 +45,10 @@ GrowResult = Union[AugmentingPath, FrustratedTree]
 
 
 def _find_alternating(
-    adjacency: Sequence[Sequence[int]], match: list[Optional[int]], root: int
+    adjacency: Sequence[Sequence[int]],
+    match: list[Optional[int]],
+    root: int,
+    dead: AbstractSet[int],
 ) -> tuple[int, list[Optional[int]], list[bool], list[int]]:
     """Core BFS with implicit blossom contraction via base classes.
 
@@ -88,7 +92,7 @@ def _find_alternating(
     while queue:
         v = queue.popleft()
         for to in adjacency[v]:
-            if base[v] == base[to] or match[v] == to:
+            if to in dead or base[v] == base[to] or match[v] == to:
                 continue
             if to == root or (match[to] is not None and parent[match[to]] is not None):
                 # edge between two even vertices: contract the blossom
@@ -115,11 +119,14 @@ def grow_tree(
     adjacency: Sequence[Sequence[int]],
     matching: Matching,
     root: int,
+    dead: AbstractSet[int],
 ) -> GrowResult:
     """Grow an alternating tree at an exposed root; augment or frustrate.
 
     `adjacency` is the unweighted graph as sorted neighbor lists (scan order
-    is by lowest index, so results are deterministic).
+    is by lowest index, so results are deterministic). The tree never enters
+    a node of `dead`, which must hold no node matched to a live one; the
+    result is then the one on the graph with `dead` cut out.
     """
     n = len(adjacency)
     if matching.covers(root):
@@ -128,7 +135,7 @@ def grow_tree(
     for u, v in matching.pairs:
         match[u] = v
         match[v] = u
-    endpoint, parent, used, base = _find_alternating(adjacency, match, root)
+    endpoint, parent, used, base = _find_alternating(adjacency, match, root, dead)
     if endpoint >= 0:
         path = [endpoint]
         v: Optional[int] = endpoint

@@ -11,9 +11,10 @@ cycles of x.
 
 Both certificates are checked here, once per result and also under
 `python -O`, by the named checks `matchstab verify` reports:
-`optimal_pair_checks` for the pair of `solve_fractional` and every pair
-`reduce_cycles` augments to, and `stable_subgraph_checks` for the results of
-`min_vertex_stabilizer` and `m_vertex_stabilizer`.
+`optimal_pair_checks` for the pair of `solve_fractional` and for the pair
+`reduce_cycles` returns after its moves (one check, not one per move), and
+`stable_subgraph_checks` for the results of `min_vertex_stabilizer` and
+`m_vertex_stabilizer`.
 """
 
 from __future__ import annotations

@@ -29,10 +29,10 @@ H = Fraction(1, 2)
 
 
 def build_auxiliary(g, bfm, cover):
-    """The search graph G' of a pair with nothing deleted yet, after checking
-    in full that the pair is optimal."""
+    """The search graph G' of a pair, after checking in full that the pair
+    is optimal."""
     verify_optimal_pair(g, bfm, cover)
-    return _build_auxiliary(g, bfm, cover, tight_edges(g, cover), frozenset(), frozenset())
+    return _build_auxiliary(g, bfm, cover, tight_edges(g, cover))
 
 
 def _two_triangles_bridged() -> WeightedGraph:
@@ -105,10 +105,10 @@ def test_apply_augmentation_two_cycles():
     aux = build_auxiliary(g, bfm, cover)
     root = aux.pseudonode_of[(0, 1, 2)]
     other = aux.pseudonode_of[(3, 4, 5)]
-    outcome = grow_tree(aux.adjacency, aux.matching, root)
+    outcome = grow_tree(aux.adjacency, aux.matching, root, frozenset())
     assert isinstance(outcome, AugmentingPath)
     assert outcome.vertices == (root, other)
-    new, event = apply_augmentation(bfm, cover, aux, outcome.vertices)
+    new, event = apply_augmentation(bfm, aux, outcome.vertices)
     assert event.kind == "two_cycles"
     assert event.rounded_at == (2, 3)
     assert new.odd_cycles == ()
@@ -125,7 +125,7 @@ def test_apply_augmentation_rejects_garbage_path():
     cover = FractionalVertexCover.from_values([H] * 6)
     aux = build_auxiliary(g, bfm, cover)
     with pytest.raises(PathNotAugmenting):
-        apply_augmentation(bfm, cover, aux, (0, 1))
+        apply_augmentation(bfm, aux, (0, 1))
 
 
 def test_reduce_cycles_fixtures():
@@ -162,7 +162,10 @@ def test_direct_rounding_at_zero_cover_cycle_vertex():
     result = reduce_cycles(g, start=start)
     assert result.gamma == 0 == oracle.brute_gamma(g)
     assert result.weight == 2
-    assert [e.kind for e in result.events] == ["cycle_zero_cover"]
+    assert result.events == (
+        AugmentationEvent("cycle_zero_cover", ((0, 1, 2),), (0,), ()),
+    )
+    assert result.solution.values == (0, 0, 1)
     assert result.solution.matched.pairs == frozenset({(1, 2)})
 
 
@@ -175,7 +178,10 @@ def test_path_to_covered_zero_cover_vertex():
     result = reduce_cycles(g, start=start)
     assert result.gamma == 0 == oracle.brute_gamma(g)
     assert result.weight == 4
-    assert [e.kind for e in result.events] == ["path_to_covered"]
+    assert result.events == (
+        AugmentationEvent("path_to_covered", ((0, 1, 2),), (0,), (0, 3, 4)),
+    )
+    assert result.solution.values == (0, 0, 1, 1, 0)
     assert result.solution.matched.pairs == frozenset({(1, 2), (0, 3)})
 
 
@@ -195,10 +201,12 @@ def test_two_cycles_linked_through_interior_matched_path():
     result = reduce_cycles(g, start=start)
     assert result.gamma == 0 == oracle.brute_gamma(g)
     assert result.weight == 8
-    assert len(result.events) == 1
-    event = result.events[0]
-    assert event.kind == "two_cycles"
-    assert event.path == (2, 3, 4, 5)
+    assert result.events == (
+        AugmentationEvent(
+            "two_cycles", ((0, 1, 2), (5, 6, 7)), (2, 5), (2, 3, 4, 5)
+        ),
+    )
+    assert result.solution.values == (1, 0, 0, 1, 0, 1, 0, 0, 1)
     assert result.solution.matched.pairs == frozenset(
         {(0, 1), (2, 3), (4, 5), (6, 7)}
     )
@@ -214,7 +222,10 @@ def test_path_to_exposed_zero_cover_vertex():
     result = reduce_cycles(g, start=start)
     assert result.gamma == 0 == oracle.brute_gamma(g)
     assert result.weight == Fraction(3, 2)
-    assert [e.kind for e in result.events] == ["path_to_exposed"]
+    assert result.events == (
+        AugmentationEvent("path_to_exposed", ((0, 1, 2),), (0,), (0, 3)),
+    )
+    assert result.solution.values == (0, 0, 1, 1)
     assert result.solution.matched.pairs == frozenset({(1, 2), (0, 3)})
 
 
@@ -249,7 +260,7 @@ def test_weight_and_slackness_invariant_along_the_run(property_suite):
 
 def test_frustrated_tree_deletes_matched_pair_whole():
     # smallest graph found whose first frustrated tree takes the matched edge
-    # (4, 7) with it; the next rebuild must drop the pair, not reject it
+    # (4, 7) with it; the pair turns dead whole, and the search goes on
     g = WeightedGraph.from_edges(
         8,
         [
@@ -273,10 +284,13 @@ def test_pair_checks_do_not_grow_with_gamma(monkeypatch):
     start = solve_fractional(g)
     checks = count_calls(monkeypatch, matchstab.cycles, "verify_optimal_pair")
     tights = count_calls(monkeypatch, matchstab.cycles, "tight_edges")
+    builds = count_calls(monkeypatch, matchstab.cycles, "_build_auxiliary")
     for given in (None, start):
-        checks[0] = tights[0] = 0
+        checks[0] = tights[0] = builds[0] = 0
         result = reduce_cycles(g, start=given)
         assert result.gamma == 12
         assert len(result.events) == 12
         assert all(isinstance(e, FrustrationEvent) for e in result.events)
         assert checks[0] <= 2 and tights[0] <= 2
+        # a frustrated tree marks nodes dead; only an augmentation rebuilds G'
+        assert builds[0] == 1

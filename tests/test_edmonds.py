@@ -35,7 +35,7 @@ def _maximum_cardinality_matching(adjacency):
         improved = False
         for r in range(len(adjacency)):
             if not matching.covers(r):
-                result = grow_tree(adjacency, matching, r)
+                result = grow_tree(adjacency, matching, r, frozenset())
                 if isinstance(result, AugmentingPath):
                     matching = _augment(matching, result)
                     improved = True
@@ -43,14 +43,14 @@ def _maximum_cardinality_matching(adjacency):
 
 
 def test_isolated_root_is_frustrated():
-    result = grow_tree(_adjacency(1, []), Matching.empty(), 0)
+    result = grow_tree(_adjacency(1, []), Matching.empty(), 0, frozenset())
     assert isinstance(result, FrustratedTree)
     assert result.nodes == {0}
 
 
 def test_three_path_with_matched_far_edge_is_frustrated():
     adj = _adjacency(3, [(0, 1), (1, 2)])
-    result = grow_tree(adj, Matching.from_pairs([(1, 2)]), 0)
+    result = grow_tree(adj, Matching.from_pairs([(1, 2)]), 0, frozenset())
     assert isinstance(result, FrustratedTree)
     assert result.nodes == {0, 1, 2}
     assert result.even == {0, 2} and result.odd == {1}
@@ -59,7 +59,7 @@ def test_three_path_with_matched_far_edge_is_frustrated():
 def test_blossom_then_pendant_augments():
     # triangle {0,1,2} with 1-2 matched plus pendant 2-3; path must expand
     adj = _adjacency(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    result = grow_tree(adj, Matching.from_pairs([(1, 2)]), 0)
+    result = grow_tree(adj, Matching.from_pairs([(1, 2)]), 0, frozenset())
     assert isinstance(result, AugmentingPath)
     path = result.vertices
     assert path[0] == 0 and path[-1] == 3
@@ -71,7 +71,7 @@ def test_blossom_then_pendant_augments():
 def test_grow_tree_rejects_covered_root():
     m = Matching.from_pairs([(1, 2)])
     with pytest.raises(VertexNotExposed):
-        grow_tree(_adjacency(3, [(0, 1), (1, 2)]), m, 1)
+        grow_tree(_adjacency(3, [(0, 1), (1, 2)]), m, 1, frozenset())
 
 
 def _brute_max_matching_size(n, pairs):
@@ -110,6 +110,7 @@ def test_matches_brute_force_cardinality_on_random_graphs():
 
 def test_frustrated_tree_condition_and_path_shape():
     rng = random.Random(77)
+    draw_dead = random.Random(78)  # its own stream, so the graphs stay the same
     for _ in range(120):
         n = rng.randint(1, 9)
         possible = list(itertools.combinations(range(n), 2))
@@ -123,7 +124,23 @@ def test_frustrated_tree_condition_and_path_shape():
         for r in range(n):
             if matching.covers(r):
                 continue
-            result = grow_tree(adj, matching, r)
+            result = grow_tree(adj, matching, r, frozenset())
+            # a dead set of whole matched pairs and exposed vertices, never
+            # the root, acts as if those nodes were cut out of the graph
+            units = [
+                pair for pair in sorted(matching.pairs) if draw_dead.random() < 0.3
+            ] + [
+                (v,) for v in range(n)
+                if v != r and not matching.covers(v) and draw_dead.random() < 0.3
+            ]
+            dead = frozenset(v for unit in units for v in unit)
+            cut = [
+                [] if u in dead else [v for v in a if v not in dead]
+                for u, a in enumerate(adj)
+            ]
+            assert grow_tree(adj, matching, r, dead) == grow_tree(
+                cut, matching, r, frozenset()
+            )
             if isinstance(result, AugmentingPath):
                 verts = result.vertices
                 assert verts[0] == r and len(verts) % 2 == 0

@@ -1,9 +1,10 @@
 """Certificate checks that must hold under ``python -O``.
 
 Each case plants one fault behind a solver's back and expects the solver's
-final certificate check to raise NotOptimalPair. The cases run in a
-``python -O`` subprocess, where every ``assert`` is stripped, so they pass
-only if those checks are explicit raises.
+final certificate check to raise NotOptimalPair: the LP pair, the pair
+`reduce_cycles` ends with after its moves, and the stabilizers' results.
+The cases run in a ``python -O`` subprocess, where every ``assert`` is
+stripped, so they pass only if those checks are explicit raises.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SCRIPT = r"""
 import json
 import sys
+from fractions import Fraction
 
+import matchstab.cycles as cycles
 import matchstab.lp as lp
 import matchstab.mstab as mstab
 import matchstab.stabilizers as stabilizers
 from matchstab.cycles import ReduceCyclesResult, reduce_cycles
 from matchstab.errors import NotOptimalPair
-from matchstab.graph import FractionalVertexCover, Matching, WeightedGraph
+from matchstab.graph import FractionalVertexCover, Matching, WeightedGraph, decompose
 
 
 def raised(run):
@@ -79,6 +82,28 @@ mstab.solve_fractional = residual_cover_raised
 out["m_vertex_stabilizer"] = raised(
     lambda: mstab.m_vertex_stabilizer(path, Matching.from_pairs([(0, 1)]))
 )
+
+# unit triangles {0,1,2} and {3,4,5} joined by 2-3, both half-valued under
+# the all-1/2 cover: the one move rounds them and complements 2-3, and the
+# planted move then also drops the matched edge 0-1, off its path
+bridged = WeightedGraph.from_edges(
+    6, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (3, 5, 1), (4, 5, 1)]
+)
+half = Fraction(1, 2)
+halves = tuple(0 if (u, v) == (2, 3) else half for u, v, _w in bridged.edges)
+start = (decompose(bridged, halves), FractionalVertexCover.from_values([half] * 6))
+move = cycles.apply_augmentation
+
+
+def move_dropping_an_edge(bfm, aux, path):
+    new, event = move(bfm, aux, path)
+    values = list(new.values)
+    values[bridged.edge_index(0, 1)] = 0
+    return decompose(bfm.graph, values), event
+
+
+cycles.apply_augmentation = move_dropping_an_edge
+out["reduce_cycles"] = raised(lambda: reduce_cycles(bridged, start=start))
 print(json.dumps(out))
 """
 
@@ -98,3 +123,4 @@ def test_certificate_checks_catch_planted_faults_under_dash_o():
     assert "strong_duality" in out["solve_fractional"]
     assert "matching_weight_equals_cover" in out["min_vertex_stabilizer"]
     assert "matching_weight_equals_cover" in out["m_vertex_stabilizer"]
+    assert "strong_duality" in out["reduce_cycles"]
