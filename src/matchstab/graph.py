@@ -232,20 +232,27 @@ class BasicFractionalMatching:
     matched: Matching
     odd_cycles: tuple[tuple[int, ...], ...]
 
-    @property
-    def weight(self) -> Fraction:
-        return sum(
-            (w * x for (_u, _v, w), x in zip(self.graph.edges, self.values)),
-            start=ZERO,
-        )
-
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, x in enumerate(self.values) if x != 0)
 
+    @cached_property
+    def weight(self) -> Fraction:
+        edges = self.graph.edges
+        return sum((edges[i][2] * self.values[i] for i in self.support), start=ZERO)
+
+    @cached_property
+    def _loads(self) -> list[Fraction]:
+        loads = [ZERO] * self.graph.n
+        for i in self.support:
+            u, v, _w = self.graph.edges[i]
+            loads[u] += self.values[i]
+            loads[v] += self.values[i]
+        return loads
+
     def vertex_load(self, v: int) -> Fraction:
         """x(delta(v)) for this vector."""
-        return sum((self.values[idx] for _n, idx in self.graph.adjacency[v]), start=ZERO)
+        return self._loads[v]
 
 
 def decompose(
@@ -259,24 +266,33 @@ def decompose(
     if len(values) != graph.m:
         raise NotHalfIntegral("value vector length does not match edge count")
     vec = tuple(Fraction(x) for x in values)
-    for idx, x in enumerate(vec):
-        if x not in (ZERO, HALF, ONE):
-            raise NotHalfIntegral(f"edge {idx} has value {x}, expected 0, 1/2 or 1")
-    for v in range(graph.n):
-        load = sum((vec[idx] for _n, idx in graph.adjacency[v]), start=ZERO)
-        if load > 1:
-            raise DegreeConstraintViolated(f"vertex {v} carries x(delta(v)) = {load}")
-
-    matched = Matching.from_pairs(
-        (u, v) for (u, v, _w), x in zip(graph.edges, vec) if x == ONE
-    )
-
-    # Half-valued edges must form vertex-disjoint odd cycles.
+    halves = [0] * graph.n  # 2 x(delta(v)), counted over the nonzero entries
+    matched_pairs: list[tuple[int, int]] = []
     half_adj: dict[int, list[int]] = {}
-    for (u, v, _w), x in zip(graph.edges, vec):
-        if x == HALF:
+    for idx, x in enumerate(vec):
+        if x == 0:
+            continue
+        u, v, _w = graph.edges[idx]
+        if x == ONE:
+            matched_pairs.append((u, v))
+            halves[u] += 2
+            halves[v] += 2
+        elif x == HALF:
             half_adj.setdefault(u, []).append(v)
             half_adj.setdefault(v, []).append(u)
+            halves[u] += 1
+            halves[v] += 1
+        else:
+            raise NotHalfIntegral(f"edge {idx} has value {x}, expected 0, 1/2 or 1")
+    for v, h in enumerate(halves):
+        if h > 2:
+            raise DegreeConstraintViolated(
+                f"vertex {v} carries x(delta(v)) = {Fraction(h, 2)}"
+            )
+
+    matched = Matching.from_pairs(matched_pairs)
+
+    # Half-valued edges must form vertex-disjoint odd cycles.
     cycles: list[tuple[int, ...]] = []
     visited: set[int] = set()
     for start in sorted(half_adj):

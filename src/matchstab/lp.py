@@ -1,13 +1,15 @@
 """Exact combinatorial solver for the fractional matching LP and its dual.
 
 One path, on the graph's own incidence lists: `bipartite_max_weight_matching`
-runs a Hungarian-style primal-dual method with exact Fraction potentials on
-the bipartite duplicate of the graph (a left and a right copy of every
-vertex, and for every edge uv the two edges (u, v') and (v, u') of weight
-w_uv), without building the duplicate. `solve_fractional` averages the two
-copies into a half-integral optimum x and a minimum fractional w-vertex
-cover y, and `normalize_to_basic` rounds the half-valued paths and even
-cycles of x.
+runs a Hungarian-style primal-dual method on the bipartite duplicate of the
+graph (a left and a right copy of every vertex, and for every edge uv the
+two edges (u, v') and (v, u') of weight w_uv), without building the
+duplicate. Its kernel runs on the integer weights D.w, D the lcm of the
+weight denominators, with a per-right-copy slack array so that each even
+row is scanned once per phase; `Fraction` appears only at its return, as
+the potentials divided by D. `solve_fractional` averages the two copies
+into a half-integral optimum x and a minimum fractional w-vertex cover y,
+and `normalize_to_basic` rounds the half-valued paths and even cycles of x.
 
 Both certificates are checked here, once per result and also under
 `python -O`, by the named checks `matchstab verify` reports:
@@ -20,6 +22,7 @@ Both certificates are checked here, once per result and also under
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DegreeConstraintViolated, InfeasibleCover, NotOptimalPair
@@ -48,23 +51,35 @@ def bipartite_max_weight_matching(
     matching is flipped along the alternating tree so that node retires
     exposed instead. All three keep the invariants: feasible potentials,
     tight matched edges, exposed right copies at potential zero.
+
+    The kernel runs on the integers D.w, D the lcm of the weight
+    denominators; the potentials start at such integers and move by integer
+    slacks, so they stay integral and are divided by D only on return. A
+    phase scans each even row once, in the order the rows joined, and keeps
+    per right copy the least slack from an even row and the first row that
+    attains it, so a dual adjustment needs no rescan.
     """
     n = graph.n
     adjacency = graph.adjacency
-    weight = [w for _u, _v, w in graph.edges]
-    p_left: list[Fraction] = [
-        max((weight[i] for _r, i in adjacency[u] if weight[i] > 0), default=ZERO)
+    scale = lcm(*(w.denominator for _u, _v, w in graph.edges))
+    weight = [w.numerator * (scale // w.denominator) for _u, _v, w in graph.edges]
+    p_left = [
+        max((weight[i] for _r, i in adjacency[u] if weight[i] > 0), default=0)
         for u in range(n)
     ]
-    p_right: list[Fraction] = [ZERO] * n
+    p_right = [0] * n
     match_l: list[Optional[int]] = [None] * n
     match_r: list[Optional[int]] = [None] * n
 
     def run_phase(root: int) -> None:
-        even: list[int] = [root]
-        even_set = {root}
-        odd_set: set[int] = set()
+        even: list[int] = []
+        position: dict[int, int] = {}  # even left copy -> its place in `even`
+        odd: set[int] = set()
         parent_right: dict[int, int] = {}
+        # every right copy reached from an even row but not odd: its least
+        # slack, and the first even row in `even` order that attains it
+        slack: dict[int, int] = {}
+        arg: dict[int, int] = {}
 
         def rematch_chain(r: int, u: int) -> None:
             # give right r to even node u, cascading along the tree to the root
@@ -77,40 +92,47 @@ def bipartite_max_weight_matching(
                 r = next_r
                 u = parent_right[r]
 
+        def take(r: int, u: int) -> bool:
+            # follow the tight edge (u, r); True if it augmented
+            mate = match_r[r]
+            if mate is None:
+                rematch_chain(r, u)
+                return True
+            odd.add(r)
+            parent_right[r] = u
+            slack.pop(r, None)
+            assert mate not in position
+            position[mate] = len(even)
+            even.append(mate)
+            return False
+
+        position[root] = 0
+        even.append(root)
+        scanned = 0
         while True:
-            grew = True
-            while grew:
-                grew = False
-                for u in list(even):
-                    for r, i in adjacency[u]:
-                        if r in odd_set or p_left[u] + p_right[r] != weight[i]:
-                            continue
-                        if match_r[r] is None:
-                            rematch_chain(r, u)  # augmenting path
-                            return
-                        odd_set.add(r)
-                        parent_right[r] = u
-                        mate = match_r[r]
-                        assert mate not in even_set
-                        even_set.add(mate)
-                        even.append(mate)
-                        grew = True
-            # stuck on tight edges: adjust the duals
-            delta_edge: Optional[Fraction] = None
-            for u in even:
+            while scanned < len(even):
+                u = even[scanned]
+                scanned += 1
+                pu = p_left[u]
                 for r, i in adjacency[u]:
-                    if r in odd_set:
+                    if r in odd:
                         continue
-                    slack = p_left[u] + p_right[r] - weight[i]
-                    if delta_edge is None or slack < delta_edge:
-                        delta_edge = slack
+                    s = pu + p_right[r] - weight[i]
+                    if s == 0:
+                        if take(r, u):
+                            return
+                    elif r not in slack or s < slack[r]:
+                        slack[r] = s
+                        arg[r] = u
+            # stuck on tight edges: adjust the duals
             zero_at = min(even, key=lambda u: (p_left[u], u))
             delta = p_left[zero_at]
+            delta_edge = min(slack.values(), default=None)
             if delta_edge is not None and delta_edge < delta:
                 delta = delta_edge
             for u in even:
                 p_left[u] -= delta
-            for r in odd_set:
+            for r in odd:
                 p_right[r] += delta
             if p_left[zero_at] == 0:
                 if zero_at == root:
@@ -121,7 +143,16 @@ def bipartite_max_weight_matching(
                 match_l[zero_at] = None
                 rematch_chain(r, parent_right[r])
                 return
-            # a new tight edge appeared; keep growing
+            # new tight edges, taken in the order a rescan of the even rows
+            # would meet them: by row position, then by right copy
+            for r in slack:
+                slack[r] -= delta
+            tight = sorted(
+                (r for r, s in slack.items() if s == 0), key=lambda r: (position[arg[r]], r)
+            )
+            for r in tight:
+                if take(r, arg[r]):
+                    return
 
     while True:
         root = next(
@@ -130,7 +161,11 @@ def bipartite_max_weight_matching(
         if root is None:
             break
         run_phase(root)
-    return match_l, p_left, p_right
+    return (
+        match_l,
+        [Fraction(p, scale) for p in p_left],
+        [Fraction(p, scale) for p in p_right],
+    )
 
 
 def normalize_to_basic(
@@ -200,7 +235,7 @@ def optimal_pair_checks(
     if len(y) != graph.n:
         raise InfeasibleCover("cover length does not match vertex count")
     slack_ok = all(
-        y[u] + y[v] == w for (u, v, w), x in zip(graph.edges, bfm.values) if x != 0
+        y[u] + y[v] == w for u, v, w in (graph.edges[i] for i in bfm.support)
     ) and all(y[v] == 0 or bfm.vertex_load(v) == 1 for v in range(graph.n))
     return [
         ("cover_is_feasible", cover.is_feasible_for(graph)),

@@ -2,13 +2,20 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
 from conftest import fig6, fig8, fig9, random_graph
 from matchstab import oracle
-from matchstab.errors import DegreeConstraintViolated, NotOptimalPair
-from matchstab.graph import FractionalVertexCover, WeightedGraph, decompose, tight_edges
+from matchstab.errors import DegreeConstraintViolated, NotHalfIntegral, NotOptimalPair
+from matchstab.graph import (
+    ZERO,
+    FractionalVertexCover,
+    WeightedGraph,
+    decompose,
+    tight_edges,
+)
 from matchstab.lp import (
     bipartite_max_weight_matching,
     normalize_to_basic,
@@ -18,6 +25,107 @@ from matchstab.lp import (
 )
 
 H = Fraction(1, 2)
+
+
+def _reference_hungarian(
+    graph: WeightedGraph,
+) -> tuple[list[Optional[int]], list[Fraction], list[Fraction]]:
+    """The Hungarian method on Fraction potentials that rescans every even
+    row on each growth pass: the reference the integer kernel must match.
+
+    Maximum-weight matching on the duplicate with an exact dual certificate.
+
+    Returns the right partner of every left copy (or None) and the left and
+    right potentials. Primal-dual phases are rooted at exposed left copies
+    with positive potential. A phase ends by augmenting to an exposed right
+    copy, by the root potential reaching zero (the root retires exposed), or
+    by a matched left node's potential reaching zero, in which case the
+    matching is flipped along the alternating tree so that node retires
+    exposed instead. All three keep the invariants: feasible potentials,
+    tight matched edges, exposed right copies at potential zero.
+    """
+    n = graph.n
+    adjacency = graph.adjacency
+    weight = [w for _u, _v, w in graph.edges]
+    p_left: list[Fraction] = [
+        max((weight[i] for _r, i in adjacency[u] if weight[i] > 0), default=ZERO)
+        for u in range(n)
+    ]
+    p_right: list[Fraction] = [ZERO] * n
+    match_l: list[Optional[int]] = [None] * n
+    match_r: list[Optional[int]] = [None] * n
+
+    def run_phase(root: int) -> None:
+        even: list[int] = [root]
+        even_set = {root}
+        odd_set: set[int] = set()
+        parent_right: dict[int, int] = {}
+
+        def rematch_chain(r: int, u: int) -> None:
+            # give right r to even node u, cascading along the tree to the root
+            while True:
+                next_r = match_l[u]  # None exactly at the root
+                match_l[u] = r
+                match_r[r] = u
+                if next_r is None:
+                    return
+                r = next_r
+                u = parent_right[r]
+
+        while True:
+            grew = True
+            while grew:
+                grew = False
+                for u in list(even):
+                    for r, i in adjacency[u]:
+                        if r in odd_set or p_left[u] + p_right[r] != weight[i]:
+                            continue
+                        if match_r[r] is None:
+                            rematch_chain(r, u)  # augmenting path
+                            return
+                        odd_set.add(r)
+                        parent_right[r] = u
+                        mate = match_r[r]
+                        assert mate not in even_set
+                        even_set.add(mate)
+                        even.append(mate)
+                        grew = True
+            # stuck on tight edges: adjust the duals
+            delta_edge: Optional[Fraction] = None
+            for u in even:
+                for r, i in adjacency[u]:
+                    if r in odd_set:
+                        continue
+                    slack = p_left[u] + p_right[r] - weight[i]
+                    if delta_edge is None or slack < delta_edge:
+                        delta_edge = slack
+            zero_at = min(even, key=lambda u: (p_left[u], u))
+            delta = p_left[zero_at]
+            if delta_edge is not None and delta_edge < delta:
+                delta = delta_edge
+            for u in even:
+                p_left[u] -= delta
+            for r in odd_set:
+                p_right[r] += delta
+            if p_left[zero_at] == 0:
+                if zero_at == root:
+                    return  # root retires exposed at potential zero
+                # flip the matching along the tree: zero_at retires exposed
+                r = match_l[zero_at]
+                assert r is not None
+                match_l[zero_at] = None
+                rematch_chain(r, parent_right[r])
+                return
+            # a new tight edge appeared; keep growing
+
+    while True:
+        root = next(
+            (u for u in range(n) if match_l[u] is None and p_left[u] > 0), None
+        )
+        if root is None:
+            break
+        run_phase(root)
+    return match_l, p_left, p_right
 
 
 def _duplicate_weight_and_total(g):
@@ -151,3 +259,84 @@ def test_pair_checks_reject_a_negative_cover():
     }
     with pytest.raises(NotOptimalPair, match="cover_is_feasible"):
         verify_optimal_pair(g, bfm, cover)
+
+
+def _complete(rng, n, draw):
+    """K_n with the weight of each edge u < v drawn in order."""
+    return WeightedGraph.from_edges(
+        n, [(u, v, draw(rng)) for u in range(n) for v in range(u + 1, n)]
+    )
+
+
+def _sparse(rng, draw):
+    n = rng.randint(2, 10)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return WeightedGraph.from_edges(
+        n, [(u, v, draw(rng)) for u, v in rng.sample(pairs, rng.randint(0, len(pairs)))]
+    )
+
+
+def test_kernel_matches_the_fraction_reference(property_suite):
+    rng = random.Random(10)
+    graphs = list(property_suite)
+    graphs += [_complete(rng, n, lambda r: r.randint(1, 1000)) for n in range(4, 41, 4)]
+    graphs += [_sparse(rng, lambda r: r.choice((0, 0, 1, 2, 3))) for _ in range(60)]
+    graphs += [
+        _sparse(rng, lambda r: Fraction(r.randint(0, 12), r.randint(2, 6))) for _ in range(60)
+    ]
+    for g in graphs:
+        assert bipartite_max_weight_matching(g) == _reference_hungarian(g), g
+
+
+class _CountingRows(tuple):
+    """An adjacency tuple that counts the rows read from it."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_kernel_reads_each_even_row_once_per_phase():
+    g = _complete(random.Random(1), 40, lambda r: r.randint(1, 1000))
+    rows = _CountingRows(g.adjacency)
+    g.__dict__["adjacency"] = rows
+    bipartite_max_weight_matching(g)
+    # 40 rows for the start potentials plus one per even row per phase (242
+    # in all); rescanning the even rows on every growth pass reads 2639
+    assert rows.reads <= 400
+
+
+def test_decompose_degree_message_names_the_load():
+    path = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+    with pytest.raises(DegreeConstraintViolated) as exc:
+        decompose(path, (1, H))
+    assert str(exc.value) == "vertex 1 carries x(delta(v)) = 3/2"
+    with pytest.raises(DegreeConstraintViolated) as exc:
+        decompose(path, (1, 1))
+    assert str(exc.value) == "vertex 1 carries x(delta(v)) = 2"
+
+
+def test_pair_checks_on_tampered_fig8_pairs():
+    g = fig8()
+    bfm, cover = solve_fractional(g)
+    y = list(cover.values)
+    y[0] = Fraction(0)  # p's cover value
+    assert optimal_pair_checks(g, bfm, FractionalVertexCover(tuple(y))) == [
+        ("cover_is_feasible", False),
+        ("strong_duality", False),
+        ("complementary_slackness", False),
+    ]
+    # x_qr = 3/4 is refused before any pair check, ahead of q's load 5/4
+    x = list(bfm.values)
+    x[0] = Fraction(3, 4)
+    with pytest.raises(NotHalfIntegral) as exc:
+        decompose(g, x)
+    assert str(exc.value) == "edge 0 has value 3/4, expected 0, 1/2 or 1"
+    # a basic x of weight 8 < nu_f that leaves p (y_p = 1) exposed
+    assert optimal_pair_checks(g, decompose(g, (1, 1, 0, 0, 0, 0, 0)), cover) == [
+        ("cover_is_feasible", True),
+        ("strong_duality", False),
+        ("complementary_slackness", False),
+    ]
