@@ -13,10 +13,9 @@ from .graph import (
     FractionalVertexCover,
     Matching,
     WeightedGraph,
-    alternate_round,
     complement,
     decompose,
-    switch,
+    round_cycles,
     tight_edges,
     walk_value,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "FractionalVertexCover",
     "Matching",
     "WeightedGraph",
-    "alternate_round",
     "complement",
     "decompose",
     "edge_stabilizer_approx",
@@ -41,9 +39,9 @@ __all__ = [
     "optimal_walks",
     "reconstruct_walk",
     "reduce_cycles",
+    "round_cycles",
     "second_pass_scan",
     "solve_fractional",
-    "switch",
     "tight_edges",
     "walk_value",
 ]

@@ -308,6 +308,14 @@ def _check_optimal_pair_doc(
     return bfm
 
 
+def _support_check(graph, outputs, bfm: BasicFractionalMatching) -> tuple[str, bool]:
+    """`matched_and_odd_cycles_equal_x`: the printed M(x) and C(x) are the
+    ones of the checked x."""
+    matched_ok = outputs["matched"] == _pairs(graph, bfm.matched)
+    cycles_ok = outputs["odd_cycles"] == _cycles_doc(graph, bfm.odd_cycles)
+    return ("matched_and_odd_cycles_equal_x", matched_ok and cycles_ok)
+
+
 def _matching_from_doc(index, pairs, checks) -> Optional[Matching]:
     """Append `matching_pairs_disjoint`; returns the matching, or None when
     two of its pairs share a vertex."""
@@ -333,7 +341,9 @@ def _run_verify(path: str, result_doc: object) -> tuple[dict, int]:
 
     if command == "solve-fractional":
         cover = _cover_from_doc(index, certificates["cover"])
-        _check_optimal_pair_doc(graph, index, outputs["x"], cover, checks)
+        bfm = _check_optimal_pair_doc(graph, index, outputs["x"], cover, checks)
+        if bfm is not None:
+            checks.append(_support_check(graph, outputs, bfm))
         nu_f = Fraction(outputs["nu_f"])
         checks.append(("nu_f_equals_cover_total", nu_f == sum(cover.values())))
     elif command in ("min-cycles", "gamma"):
@@ -341,6 +351,8 @@ def _run_verify(path: str, result_doc: object) -> tuple[dict, int]:
         bfm = _check_optimal_pair_doc(graph, index, certificates["x"], cover, checks)
         if bfm is not None:
             checks.append(("gamma_matches_support", outputs["gamma"] == len(bfm.odd_cycles)))
+            if command == "min-cycles":
+                checks.append(_support_check(graph, outputs, bfm))
         if command == "min-cycles":
             checks += [
                 ("nu_f_equals_cover_total", Fraction(outputs["nu_f"]) == sum(cover.values())),
@@ -390,7 +402,7 @@ def _run_verify(path: str, result_doc: object) -> tuple[dict, int]:
             nu_f = Fraction(outputs["residual_nu_f"])
             checks.append(("residual_nu_f_equals_cover_total", nu_f == sum(cover.values())))
         else:
-            checks.append(("infeasible_reported", True))
+            checks.append(("infeasible_reported", outputs["status"] == "infeasible"))
         w_m = Fraction(outputs["w_M"])
         checks.append(("w_M_equals_matching_weight", w_m == matching.weight(graph)))
     elif command == "check-stability":

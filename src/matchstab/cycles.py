@@ -23,9 +23,9 @@ from .graph import (
     FractionalVertexCover,
     Matching,
     WeightedGraph,
-    _round_cycles,
     complement,
     decompose,
+    round_cycles,
     tight_edges,
 )
 from .lp import solve_fractional, verify_optimal_pair
@@ -209,7 +209,7 @@ def apply_augmentation(
     else:
         kind = "path_to_covered"
 
-    rounded = _round_cycles(bfm, picks)
+    rounded = round_cycles(bfm, picks)
     flips = [graph.edge_index(a, b) for a, b in zip(g_path, g_path[1:])]
     new = decompose(graph, complement(rounded, flips))
     event = AugmentationEvent(kind, tuple(c for c, _v in picks), rounded_at, g_path)

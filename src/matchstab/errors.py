@@ -35,10 +35,6 @@ class HalfValueOnPath(MatchstabError, ValueError):
     """Complementing is only defined on 0/1-valued edges."""
 
 
-class NotAComponent(MatchstabError, ValueError):
-    """Switch set is not the full edge set of a support component."""
-
-
 class InfeasibleCover(MatchstabError, ValueError):
     """Vertex values violate a cover constraint y_u + y_v >= w_uv."""
 

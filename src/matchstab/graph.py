@@ -2,7 +2,11 @@
 
 Everything in this module is immutable and exact: weights, matching values and
 cover values are `fractions.Fraction`, and every test (tightness, degree
-constraints, duality) is an equality test, never a tolerance.
+constraints, duality) is an equality test, never a tolerance. The integer
+form of the weights lives here too: `WeightedGraph.scale` is D, the lcm of
+the weight denominators, and `WeightedGraph.int_weights` the integers D.w,
+both computed once per graph for the LP kernel, the walk DP and the
+rounding of half-valued paths.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -18,7 +23,6 @@ from .errors import (
     GraphError,
     HalfValueOnPath,
     InfeasibleCover,
-    NotAComponent,
     NotAlternating,
     NotBasic,
     NotHalfIntegral,
@@ -35,11 +39,12 @@ ONE = Fraction(1)
 def as_fraction(value: WeightLike) -> Fraction:
     """Coerce an int/str/Fraction into an exact Fraction.
 
-    Floats are rejected on purpose: weights must stay exact.
+    Floats are rejected on purpose: weights must stay exact. A Fraction is
+    returned as it is.
     """
     if isinstance(value, bool) or isinstance(value, float):
         raise GraphError(f"weights must be exact (int, str or Fraction), got {value!r}")
-    return Fraction(value)
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,17 @@ class WeightedGraph:
             adj[u].append((v, idx))
             adj[v].append((u, idx))
         return tuple(tuple(sorted(a)) for a in adj)
+
+    @cached_property
+    def scale(self) -> int:
+        """D, the lcm of the weight denominators (1 for an edgeless graph)."""
+        return lcm(*(w.denominator for _u, _v, w in self.edges))
+
+    @cached_property
+    def int_weights(self) -> tuple[int, ...]:
+        """The integer weights D.w, by edge index."""
+        d = self.scale
+        return tuple(w.numerator * (d // w.denominator) for _u, _v, w in self.edges)
 
     @cached_property
     def _index_of(self) -> dict[tuple[int, int], int]:
@@ -168,10 +184,6 @@ class Matching:
     def from_pairs(pairs: Iterable[tuple[int, int]]) -> "Matching":
         return Matching(frozenset((min(u, v), max(u, v)) for u, v in pairs))
 
-    @staticmethod
-    def empty() -> "Matching":
-        return Matching(frozenset())
-
     @cached_property
     def _partner(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -185,10 +197,6 @@ class Matching:
 
     def partner(self, v: int) -> Optional[int]:
         return self._partner.get(v)
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(self._partner)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -317,25 +325,17 @@ def decompose(
     return BasicFractionalMatching(graph, vec, matched, tuple(cycles))
 
 
-def alternate_round(
-    bfm: BasicFractionalMatching, cycle: Sequence[int], v: int
-) -> BasicFractionalMatching:
-    """Round a half-valued odd cycle to the near-perfect matching exposing v.
-
-    Walking the cycle from v, odd-position edges drop to 0 and even-position
-    edges rise to 1; entries outside E(C) are untouched.
-    """
-    return _round_cycles(bfm, [(cycle, v)])
-
-
-def _round_cycles(
+def round_cycles(
     bfm: BasicFractionalMatching, picks: Sequence[tuple[Sequence[int], int]]
 ) -> BasicFractionalMatching:
-    """`alternate_round` of several distinct support cycles, each at its own
-    vertex, validated by one `decompose`.
+    """Alternate rounding of distinct support cycles, each at its own vertex,
+    validated by one `decompose`.
 
-    The cycles are vertex-disjoint, so the result equals rounding them one
-    after another.
+    Each half-valued odd cycle becomes the near-perfect matching of it that
+    exposes its vertex v: walking the cycle from v, odd-position edges drop
+    to 0 and even-position edges rise to 1; entries outside the cycles are
+    untouched. The cycles are vertex-disjoint, so the result equals rounding
+    them one after another.
     """
     new_values = list(bfm.values)
     done: set[tuple[int, ...]] = set()
@@ -372,95 +372,40 @@ def complement(
     return tuple(new_values)
 
 
-def switch(
-    bfm: BasicFractionalMatching,
-    other: BasicFractionalMatching,
-    component_edges: Iterable[int],
-) -> BasicFractionalMatching:
-    """Replace x by x' on one connected component of supp(x + x').
-
-    The component restriction is what makes the result feasible again; any
-    other edge set is rejected.
-    """
-    graph = bfm.graph
-    want = frozenset(component_edges)
-    support = [
-        i for i in range(graph.m) if bfm.values[i] != 0 or other.values[i] != 0
-    ]
-    # connected components of the support subgraph, as edge sets
-    parent = list(range(graph.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in support:
-        u, v, _w = graph.edges[i]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    components: dict[int, set[int]] = {}
-    for i in support:
-        u, _v, _w = graph.edges[i]
-        components.setdefault(find(u), set()).add(i)
-    if want not in [frozenset(es) for es in components.values()]:
-        raise NotAComponent("edge set is not a full component of supp(x + x')")
-    new_values = tuple(
-        other.values[i] if i in want else bfm.values[i] for i in range(graph.m)
-    )
-    return decompose(graph, new_values)
-
-
 @dataclass(frozen=True)
 class FractionalVertexCover:
     """Nonnegative vertex values y with y_u + y_v >= w_uv on every edge."""
 
     values: tuple[Fraction, ...]
 
-    @staticmethod
-    def from_values(values: Iterable[WeightLike]) -> "FractionalVertexCover":
-        vec = tuple(as_fraction(v) for v in values)
-        if any(v < 0 for v in vec):
-            raise InfeasibleCover("cover values must be nonnegative")
-        return FractionalVertexCover(vec)
-
     @property
     def total(self) -> Fraction:
         return sum(self.values, start=ZERO)
 
-    def violated_edges(self, graph: WeightedGraph) -> tuple[int, ...]:
-        return tuple(
-            i
-            for i, (u, v, w) in enumerate(graph.edges)
-            if self.values[u] + self.values[v] < w
-        )
-
     def is_feasible_for(self, graph: WeightedGraph) -> bool:
         """y >= 0, and y_u + y_v >= w_uv on every edge of `graph`."""
+        y = self.values
         return (
-            len(self.values) == graph.n
-            and all(y >= 0 for y in self.values)
-            and not self.violated_edges(graph)
+            len(y) == graph.n
+            and all(y_v >= 0 for y_v in y)
+            and all(y[u] + y[v] >= w for u, v, w in graph.edges)
         )
 
 
 def tight_edges(graph: WeightedGraph, cover: FractionalVertexCover) -> frozenset[int]:
-    """Edge indices where y_u + y_v equals w_uv exactly."""
-    if len(cover.values) != graph.n:
+    """Edge indices where y_u + y_v equals w_uv exactly, found in one pass
+    that raises InfeasibleCover at the first edge with y_u + y_v < w_uv."""
+    y = cover.values
+    if len(y) != graph.n:
         raise InfeasibleCover("cover length does not match vertex count")
-    bad = cover.violated_edges(graph)
-    if bad:
-        u, v, w = graph.edges[bad[0]]
-        raise InfeasibleCover(
-            f"edge ({u},{v}) violates the cover: {cover.values[u]} + {cover.values[v]} < {w}"
-        )
-    return frozenset(
-        i
-        for i, (u, v, w) in enumerate(graph.edges)
-        if cover.values[u] + cover.values[v] == w
-    )
+    tight = []
+    for i, (u, v, w) in enumerate(graph.edges):
+        covered = y[u] + y[v]
+        if covered < w:
+            raise InfeasibleCover(f"edge ({u},{v}) violates the cover: {y[u]} + {y[v]} < {w}")
+        if covered == w:
+            tight.append(i)
+    return frozenset(tight)
 
 
 @dataclass(frozen=True)
@@ -491,16 +436,6 @@ class AlternatingWalk:
     @property
     def is_alternating(self) -> bool:
         return all(a != b for a, b in zip(self.matched_flags, self.matched_flags[1:]))
-
-    def is_valid(self, matching: Matching) -> bool:
-        """Starts and ends with an exposed vertex or a matched edge."""
-        if not self.is_alternating:
-            return False
-        if len(self) == 0:
-            return not matching.covers(self.vertices[0])
-        start_ok = (not matching.covers(self.vertices[0])) or self.matched_flags[0]
-        end_ok = (not matching.covers(self.vertices[-1])) or self.matched_flags[-1]
-        return start_ok and end_ok
 
 
 def walk_value(

@@ -1,4 +1,4 @@
-"""Instance file parsing and emission.
+"""Instance file parsing.
 
 Instances are JSON documents with string vertex labels, exact weight strings
 (decimal like "0.5" or fraction like "3/4"; plain integers also allowed) and
@@ -93,21 +93,3 @@ def parse_instance(text: str) -> Instance:
         except GraphError as exc:
             raise ParseError(f'"matching" is not a matching: {exc}') from exc
     return Instance(graph, matching)
-
-
-def emit_instance(instance: Instance) -> str:
-    """Canonical JSON text for an instance; parse(emit(i)) round-trips."""
-    graph = instance.graph
-    doc: dict[str, Any] = {
-        "vertices": [graph.label_of(v) for v in range(graph.n)],
-        "edges": [
-            {"u": graph.label_of(u), "v": graph.label_of(v), "w": str(w)}
-            for u, v, w in graph.edges
-        ],
-    }
-    if instance.matching is not None:
-        doc["matching"] = [
-            [graph.label_of(u), graph.label_of(v)]
-            for u, v in instance.matching.sorted_pairs()
-        ]
-    return json.dumps(doc, indent=2) + "\n"

@@ -4,12 +4,14 @@ One path, on the graph's own incidence lists: `bipartite_max_weight_matching`
 runs a Hungarian-style primal-dual method on the bipartite duplicate of the
 graph (a left and a right copy of every vertex, and for every edge uv the
 two edges (u, v') and (v, u') of weight w_uv), without building the
-duplicate. Its kernel runs on the integer weights D.w, D the lcm of the
-weight denominators, with a per-right-copy slack array so that each even
-row is scanned once per phase; `Fraction` appears only at its return, as
-the potentials divided by D. `solve_fractional` averages the two copies
-into a half-integral optimum x and a minimum fractional w-vertex cover y,
-and `normalize_to_basic` rounds the half-valued paths and even cycles of x.
+duplicate. Its kernel runs on the integer weights D.w that the graph
+computes once (`WeightedGraph.scale` is D, the lcm of the weight
+denominators, and `WeightedGraph.int_weights` the D.w), with a
+per-right-copy slack array so that each even row is scanned once per
+phase; `Fraction` appears only at its return, as the potentials divided
+by D. `solve_fractional` averages the two copies into a half-integral
+optimum x and a minimum fractional w-vertex cover y, and
+`normalize_to_basic` rounds the half-valued paths and even cycles of x.
 
 Both certificates are checked here, once per result and also under
 `python -O`, by the named checks `matchstab verify` reports:
@@ -22,7 +24,6 @@ Both certificates are checked here, once per result and also under
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DegreeConstraintViolated, InfeasibleCover, NotOptimalPair
@@ -52,7 +53,7 @@ def bipartite_max_weight_matching(
     exposed instead. All three keep the invariants: feasible potentials,
     tight matched edges, exposed right copies at potential zero.
 
-    The kernel runs on the integers D.w, D the lcm of the weight
+    The kernel runs on the graph's integers D.w, D the lcm of the weight
     denominators; the potentials start at such integers and move by integer
     slacks, so they stay integral and are divided by D only on return. A
     phase scans each even row once, in the order the rows joined, and keeps
@@ -61,8 +62,7 @@ def bipartite_max_weight_matching(
     """
     n = graph.n
     adjacency = graph.adjacency
-    scale = lcm(*(w.denominator for _u, _v, w in graph.edges))
-    weight = [w.numerator * (scale // w.denominator) for _u, _v, w in graph.edges]
+    scale, weight = graph.scale, graph.int_weights
     p_left = [
         max((weight[i] for _r, i in adjacency[u] if weight[i] > 0), default=0)
         for u in range(n)
@@ -177,9 +177,12 @@ def normalize_to_basic(
     half-valued cycle is split into its two 0/1 alternations and the heavier
     one is kept; for an optimal input this never changes the weight. Ties go
     to the alternation containing the lowest edge index. A vertex with more
-    than two half-valued edges raises DegreeConstraintViolated.
+    than two half-valued edges raises DegreeConstraintViolated. The two
+    alternations are compared on the graph's integer weights; `decompose`
+    validates the result.
     """
-    vec = list(Fraction(x) for x in values)
+    vec = list(values)
+    weight = graph.int_weights
     half: dict[int, list[tuple[int, int]]] = {}
     for idx, x in enumerate(vec):
         if x == HALF:
@@ -208,8 +211,8 @@ def normalize_to_basic(
         if cur == start and len(ordered) % 2 == 1:
             continue  # odd cycle: already basic
         keep, drop = ordered[0::2], ordered[1::2]
-        w_keep = sum((graph.edges[i][2] for i in keep), start=ZERO)
-        w_drop = sum((graph.edges[i][2] for i in drop), start=ZERO)
+        w_keep = sum(weight[i] for i in keep)
+        w_drop = sum(weight[i] for i in drop)
         if w_drop > w_keep or (w_drop == w_keep and drop and min(drop) < min(keep)):
             keep, drop = drop, keep
         for i in keep:
@@ -302,10 +305,11 @@ def solve_fractional(
     before returning.
     """
     match_left, p_left, p_right = bipartite_max_weight_matching(graph)
-    values = [ZERO] * graph.m
+    halves = [0] * graph.m  # matched copies of each edge, 0, 1 or 2
     for u, r in enumerate(match_left):
         if r is not None:
-            values[graph.edge_index(u, r)] += HALF
+            halves[graph.edge_index(u, r)] += 1
+    values = [(ZERO, HALF, ONE)[h] for h in halves]
     cover = FractionalVertexCover(
         tuple((p_left[v] + p_right[v]) / 2 for v in range(graph.n))
     )

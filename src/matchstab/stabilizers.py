@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cycles import reduce_cycles
-from .graph import Matching, WeightedGraph, _round_cycles
+from .graph import Matching, WeightedGraph, round_cycles
 from .lp import verify_stable_subgraph
 
 
@@ -49,7 +49,7 @@ def min_vertex_stabilizer(graph: WeightedGraph) -> VertexStabilizerResult:
     removed = [
         min(cycle, key=lambda v: (cover.values[v], v)) for cycle in bfm.odd_cycles
     ]
-    survivors = _round_cycles(bfm, list(zip(bfm.odd_cycles, removed))).matched
+    survivors = round_cycles(bfm, list(zip(bfm.odd_cycles, removed))).matched
     surviving_cover = {
         v: cover.values[v] for v in range(graph.n) if v not in removed
     }

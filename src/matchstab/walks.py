@@ -7,10 +7,12 @@ iterations, y2 at a covered vertex (and y1 at an exposed one) is the best
 value of a valid alternating sv-walk of length at most k, with a None
 sentinel when no such walk exists.
 
-The DP runs on integers: every edge weight is multiplied by D, the lcm of
-the weight denominators. That is exact and keeps every sign and every
-order, so an entry is converted back as Fraction(entry, D) only where a
-caller reads it. Only `optimal_walks` keeps the per-iteration snapshots and
+The DP runs on integers: it reads the weights D.w that the graph computes
+once (`WeightedGraph.scale` is D, the lcm of the weight denominators, and
+`WeightedGraph.int_weights` the D.w), so scans that share a residual graph
+share its scaling. That is exact and keeps every sign and every order, so
+an entry is converted back as Fraction(entry, D) only where a caller reads
+it. Only `optimal_walks` keeps the per-iteration snapshots and
 predecessor records that `reconstruct_walk` needs. The M-vertex-stabilizer's
 two scans, `first_pass_scan` and `second_pass_scan`, keep no history and
 stop as soon as their verdict is fixed.
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, Optional
 
 from .errors import EntryIsMinusInfinity, MNotAMatching, VertexNotExposed
@@ -69,7 +70,7 @@ class WalkTables:
 
 
 class _IntegerDP:
-    """The DP on weights scaled by `scale`, started at the source.
+    """The DP on the graph's integer weights, started at the source.
 
     `y1` and `y2` hold the current entries as ints (None is -infinity).
     `matched` lists each covered vertex with its partner and matched-edge
@@ -81,8 +82,7 @@ class _IntegerDP:
         if not matching.is_matching_in(graph):
             raise MNotAMatching("matching uses edges outside the graph")
         n = graph.n
-        self.scale = lcm(*(w.denominator for _u, _v, w in graph.edges))
-        scaled = [w.numerator * (self.scale // w.denominator) for _u, _v, w in graph.edges]
+        scaled = graph.int_weights
         self.matched: list[tuple[int, int, int]] = []
         self.free: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for v in range(n):
@@ -146,7 +146,7 @@ def optimal_walks(
     dp = _IntegerDP(graph, matching, source)
 
     def snapshot(y: list[Optional[int]]) -> tuple[Entry, ...]:
-        return tuple(None if e is None else Fraction(e, dp.scale) for e in y)
+        return tuple(None if e is None else Fraction(e, graph.scale) for e in y)
 
     history1 = [snapshot(dp.y1)]
     history2 = [snapshot(dp.y2)]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from matchstab.graph import Matching, WeightedGraph
+from matchstab.graph import AlternatingWalk, FractionalVertexCover, Matching, WeightedGraph
 
 
 def fig6() -> WeightedGraph:
@@ -98,6 +98,24 @@ def delete_vertices(
     ]
     labels = [graph.label_of(v) for v in keep] if graph.labels is not None else None
     return WeightedGraph.from_edges(len(keep), edges, labels), tuple(keep)
+
+
+def cover_of(values) -> FractionalVertexCover:
+    """A fractional vertex cover with the given exact values (ints, strings
+    or Fractions), by vertex."""
+    return FractionalVertexCover(tuple(Fraction(v) for v in values))
+
+
+def is_valid_walk(walk: AlternatingWalk, matching: Matching) -> bool:
+    """An alternating walk that starts and ends with an exposed vertex or a
+    matched edge."""
+    if not walk.is_alternating:
+        return False
+    if len(walk) == 0:
+        return not matching.covers(walk.vertices[0])
+    start_ok = (not matching.covers(walk.vertices[0])) or walk.matched_flags[0]
+    end_ok = (not matching.covers(walk.vertices[-1])) or walk.matched_flags[-1]
+    return start_ok and end_ok
 
 
 def count_calls(monkeypatch, module, name: str) -> list[int]:

@@ -12,12 +12,20 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import delete_vertices, fig6, fig7, fig8, fig9, random_graph, random_matching
+from conftest import (
+    cover_of,
+    delete_vertices,
+    fig6,
+    fig7,
+    fig8,
+    fig9,
+    random_graph,
+    random_matching,
+)
 from matchstab import oracle
 from matchstab.cycles import AugmentationEvent, reduce_cycles
 from matchstab.errors import NotOptimalPair
 from matchstab.graph import (
-    FractionalVertexCover,
     Matching,
     WeightedGraph,
     decompose,
@@ -224,7 +232,7 @@ def test_criterion_10_duality_assertions_always_on(property_suite):
         g = fig9()
         bfm, _cover = solve_fractional(g)
         try:
-            verify_optimal_pair(g, bfm, FractionalVertexCover.from_values([4, 4, 4, 4]))
+            verify_optimal_pair(g, bfm, cover_of([4, 4, 4, 4]))
         except NotOptimalPair:
             pass
         else:  # pragma: no cover

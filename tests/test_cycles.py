@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import count_calls, fig6, fig9, random_graph, tri_chain
+from conftest import count_calls, cover_of, fig6, fig9, random_graph, tri_chain
 import matchstab.cycles
 from matchstab import oracle
 from matchstab.cycles import (
@@ -18,7 +18,6 @@ from matchstab.cycles import (
 from matchstab.edmonds import AugmentingPath, grow_tree
 from matchstab.errors import NotOptimalPair, PathNotAugmenting
 from matchstab.graph import (
-    FractionalVertexCover,
     WeightedGraph,
     decompose,
     tight_edges,
@@ -76,7 +75,7 @@ def test_build_auxiliary_fig6_with_alternate_cover():
         x[g.edge_index(*pair)] = H
     x[g.edge_index(3, 4)] = Fraction(1)
     bfm = decompose(g, x)
-    cover = FractionalVertexCover.from_values([1, 1, 1, H, 0, 1, 1, 1])
+    cover = cover_of([1, 1, 1, H, 0, 1, 1, 1])
     aux = build_auxiliary(g, bfm, cover)
     # internal vertex 4 (label 5) is covered with zero cover value: edge to z
     assert aux.z in aux.adjacency[4]
@@ -90,7 +89,7 @@ def test_build_auxiliary_fig6_with_alternate_cover():
 def test_build_auxiliary_rejects_non_optimal_pair():
     g = fig9()
     bfm, _cover = solve_fractional(g)
-    bad = FractionalVertexCover.from_values([4, 4, 4, 1])
+    bad = cover_of([4, 4, 4, 1])
     with pytest.raises(NotOptimalPair):
         build_auxiliary(g, bfm, bad)
 
@@ -101,7 +100,7 @@ def test_apply_augmentation_two_cycles():
     for pair in [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]:
         x[g.edge_index(*pair)] = H
     bfm = decompose(g, x)
-    cover = FractionalVertexCover.from_values([H] * 6)
+    cover = cover_of([H] * 6)
     aux = build_auxiliary(g, bfm, cover)
     root = aux.pseudonode_of[(0, 1, 2)]
     other = aux.pseudonode_of[(3, 4, 5)]
@@ -122,7 +121,7 @@ def test_apply_augmentation_rejects_garbage_path():
     for pair in [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]:
         x[g.edge_index(*pair)] = H
     bfm = decompose(g, x)
-    cover = FractionalVertexCover.from_values([H] * 6)
+    cover = cover_of([H] * 6)
     aux = build_auxiliary(g, bfm, cover)
     with pytest.raises(PathNotAugmenting):
         apply_augmentation(bfm, aux, (0, 1))
@@ -151,7 +150,7 @@ def _forced_start(g, half_cycles, matched_pairs, cover_values):
             x[g.edge_index(cycle[i], cycle[(i + 1) % k])] = H
     for pair in matched_pairs:
         x[g.edge_index(*pair)] = Fraction(1)
-    return decompose(g, x), FractionalVertexCover.from_values(cover_values)
+    return decompose(g, x), cover_of(cover_values)
 
 
 def test_direct_rounding_at_zero_cover_cycle_vertex():

@@ -29,7 +29,7 @@ def _augment(matching, path):
 def _maximum_cardinality_matching(adjacency):
     """Grow trees from exposed vertices, lowest index first, until none
     augments."""
-    matching = Matching.empty()
+    matching = Matching.from_pairs([])
     improved = True
     while improved:
         improved = False
@@ -43,7 +43,7 @@ def _maximum_cardinality_matching(adjacency):
 
 
 def test_isolated_root_is_frustrated():
-    result = grow_tree(_adjacency(1, []), Matching.empty(), 0, frozenset())
+    result = grow_tree(_adjacency(1, []), Matching.from_pairs([]), 0, frozenset())
     assert isinstance(result, FrustratedTree)
     assert result.nodes == {0}
 
@@ -116,7 +116,7 @@ def test_frustrated_tree_condition_and_path_shape():
         possible = list(itertools.combinations(range(n), 2))
         pairs = rng.sample(possible, rng.randint(0, len(possible)))
         adj = _adjacency(n, pairs)
-        matching = Matching.empty()
+        matching = Matching.from_pairs([])
         # grow a partial matching greedily, then probe every exposed vertex
         for u, v in pairs:
             if not matching.covers(u) and not matching.covers(v) and rng.random() < 0.6:

@@ -91,7 +91,7 @@ bridged = WeightedGraph.from_edges(
 )
 half = Fraction(1, 2)
 halves = tuple(0 if (u, v) == (2, 3) else half for u, v, _w in bridged.edges)
-start = (decompose(bridged, halves), FractionalVertexCover.from_values([half] * 6))
+start = (decompose(bridged, halves), FractionalVertexCover((half,) * 6))
 move = cycles.apply_augmentation
 
 

@@ -1,31 +1,42 @@
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import delete_vertices, fig6, fig8, fig9, random_graph, random_matching
+from conftest import (
+    count_calls,
+    cover_of,
+    delete_vertices,
+    fig6,
+    fig8,
+    fig9,
+    is_valid_walk,
+    random_graph,
+    random_matching,
+)
+from matchstab import graph as graph_module
 from matchstab.errors import (
     CycleNotInSupport,
     DegreeConstraintViolated,
     GraphError,
     HalfValueOnPath,
     InfeasibleCover,
-    NotAComponent,
     NotBasic,
     NotHalfIntegral,
     VertexNotOnCycle,
 )
 from matchstab.graph import (
     AlternatingWalk,
-    FractionalVertexCover,
     Matching,
     WeightedGraph,
-    alternate_round,
+    as_fraction,
     complement,
     decompose,
-    switch,
+    round_cycles,
     tight_edges,
     walk_value,
 )
@@ -43,6 +54,36 @@ def test_graph_rejects_loops_parallel_negative():
         WeightedGraph.from_edges(2, [(0, 1, -1)])
     with pytest.raises(GraphError):
         WeightedGraph.from_edges(2, [(0, 1, 0.5)])
+
+
+def test_as_fraction_keeps_a_fraction():
+    w = Fraction(7, 6)
+    assert as_fraction(w) is w
+    assert WeightedGraph.from_edges(2, [(0, 1, w)]).edges[0][2] is w
+    assert as_fraction("3/4") == Fraction(3, 4) and as_fraction(2) == 2
+
+
+def test_scale_and_int_weights_are_computed_once_per_graph(monkeypatch):
+    lcm_calls = count_calls(monkeypatch, graph_module, "lcm")
+    g = WeightedGraph.from_edges(3, [(0, 1, "0.5"), (1, 2, "3/4"), (0, 2, "7/6")])
+    assert g.scale == 12  # lcm(2, 4, 6)
+    assert g.int_weights == (6, 9, 14)
+    assert all(d == g.scale * w for d, (_u, _v, w) in zip(g.int_weights, g.edges))
+    assert g.int_weights is g.int_weights and lcm_calls[0] == 1
+    assert WeightedGraph.from_edges(2, []).scale == 1
+    assert WeightedGraph.from_edges(2, []).int_weights == ()
+
+
+def test_only_the_graph_module_scales_weights():
+    # D lives on WeightedGraph; no other module may compute an lcm of its own
+    users = set()
+    for path in sorted(Path(graph_module.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and any(a.name == "lcm" for a in node.names):
+                users.add(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "lcm":
+                users.add(path.name)
+    assert users == {"graph.py"}
 
 
 def test_delete_stars_isolates_the_vertices():
@@ -118,7 +159,7 @@ def test_decompose_recompose_roundtrip():
 def test_alternate_round_triangle():
     g = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
     bfm = decompose(g, [H, H, H])
-    out = alternate_round(bfm, (0, 1, 2), 0)
+    out = round_cycles(bfm, [((0, 1, 2), 0)])
     assert out.values[g.edge_index(1, 2)] == 1
     assert out.values[g.edge_index(0, 1)] == 0
     assert out.values[g.edge_index(0, 2)] == 0
@@ -130,7 +171,7 @@ def test_alternate_round_five_cycle():
         5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (0, 4, 1)]
     )
     bfm = decompose(g, [H] * 5)
-    out = alternate_round(bfm, (0, 1, 2, 3, 4), 0)
+    out = round_cycles(bfm, [((0, 1, 2, 3, 4), 0)])
     assert out.matched.pairs == frozenset({(1, 2), (3, 4)})
     assert out.vertex_load(0) == 0
 
@@ -139,7 +180,7 @@ def test_alternate_round_fig9():
     g = fig9()
     x = [H, H, H, Fraction(0)]
     bfm = decompose(g, x)
-    out = alternate_round(bfm, (0, 1, 2), 0)
+    out = round_cycles(bfm, [((0, 1, 2), 0)])
     assert out.matched.pairs == frozenset({(1, 2)})
     assert out.weight == 4
 
@@ -151,10 +192,10 @@ def test_alternate_round_errors_and_locality():
         x[g.edge_index(*pair)] = H
     bfm = decompose(g, x)
     with pytest.raises(CycleNotInSupport):
-        alternate_round(bfm, (0, 1, 3), 0)
+        round_cycles(bfm, [((0, 1, 3), 0)])
     with pytest.raises(VertexNotOnCycle):
-        alternate_round(bfm, (0, 1, 2), 7)
-    out = alternate_round(bfm, (0, 1, 2), 1)
+        round_cycles(bfm, [((0, 1, 2), 7)])
+    out = round_cycles(bfm, [((0, 1, 2), 1)])
     # everything outside E(C) untouched, cycle count down by one
     for i in range(g.m):
         u, v, _w = g.edges[i]
@@ -162,6 +203,11 @@ def test_alternate_round_errors_and_locality():
             continue
         assert out.values[i] == bfm.values[i]
     assert len(out.odd_cycles) == len(bfm.odd_cycles) - 1
+    # both cycles at once equal one after the other; a cycle goes only once
+    both = round_cycles(bfm, [((0, 1, 2), 1), ((5, 6, 7), 6)])
+    assert both.values == round_cycles(out, [((5, 6, 7), 6)]).values
+    with pytest.raises(CycleNotInSupport):
+        round_cycles(bfm, [((0, 1, 2), 1), ((2, 1, 0), 0)])
 
 
 def test_complement():
@@ -177,80 +223,21 @@ def test_complement():
         complement(tri, [0])
 
 
-def test_switch_examples():
-    g = WeightedGraph.from_edges(4, [(0, 1, 1), (2, 3, 1)])
-    x1 = decompose(g, [Fraction(1), Fraction(0)])
-    x2 = decompose(g, [Fraction(0), Fraction(1)])
-    out = switch(x1, x2, [1])
-    assert out.values == (Fraction(1), Fraction(1))
-    # identity switch
-    assert switch(x1, x1, [0]).values == x1.values
-
-    path = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
-    a = decompose(path, [Fraction(1), Fraction(0)])
-    b = decompose(path, [Fraction(0), Fraction(1)])
-    out = switch(a, b, [0, 1])
-    assert out.values == b.values
-    with pytest.raises(NotAComponent):
-        switch(a, b, [0])
-
-
-def test_switch_random_components_stay_basic():
-    rng = random.Random(5)
-    from matchstab.lp import solve_fractional
-
-    for _ in range(40):
-        g = random_graph(rng, n_max=7)
-        if g.m == 0:
-            continue
-        x1, _c1 = solve_fractional(g)
-        sub = g.delete_edges([rng.randrange(g.m)])
-        x2_sub, _c2 = solve_fractional(sub)
-        by_pair = {e[:2]: x for e, x in zip(sub.edges, x2_sub.values)}
-        lifted = [by_pair.get((u, v), Fraction(0)) for u, v, _w in g.edges]
-        x2 = decompose(g, lifted)
-        support = [i for i in range(g.m) if x1.values[i] != 0 or x2.values[i] != 0]
-        if not support:
-            continue
-        comp = _component_of(g, support, support[0])
-        out = switch(x1, x2, comp)
-        assert decompose(g, out.values).values == out.values
-
-
-def _component_of(g, support, seed_edge):
-    adj = {}
-    for i in support:
-        u, v, _w = g.edges[i]
-        adj.setdefault(u, []).append((v, i))
-        adj.setdefault(v, []).append((u, i))
-    comp = {seed_edge}
-    frontier = [seed_edge]
-    while frontier:
-        e = frontier.pop()
-        u, v, _w = g.edges[e]
-        for end in (u, v):
-            for _n, e2 in adj.get(end, []):
-                if e2 not in comp:
-                    comp.add(e2)
-                    frontier.append(e2)
-    return comp
-
-
 def test_tight_edges_examples():
     g = fig9()
-    cover = FractionalVertexCover.from_values([2, 2, 2, 0])
+    cover = cover_of([2, 2, 2, 0])
     tight = tight_edges(g, cover)
     assert tight == {g.edge_index(0, 1), g.edge_index(0, 2), g.edge_index(1, 2)}
 
     single = WeightedGraph.from_edges(2, [(0, 1, 3)])
-    assert tight_edges(single, FractionalVertexCover.from_values([2, 1])) == {0}
-    with pytest.raises(InfeasibleCover):
-        tight_edges(single, FractionalVertexCover.from_values([1, 1]))
+    assert tight_edges(single, cover_of([2, 1])) == {0}
+    with pytest.raises(InfeasibleCover, match=r"edge \(0,1\) violates the cover: 1 \+ 1 < 3"):
+        tight_edges(single, cover_of([1, 1]))
 
 
 def test_tight_edges_fig8_after_deleting_qr():
     g = fig8().delete_edges([0])
-    cover = FractionalVertexCover.from_values([3, 0, 4, 3, 1])
+    cover = cover_of([3, 0, 4, 3, 1])
     tight = tight_edges(g, cover)
     labels = {tuple(sorted((g.label_of(g.edges[i][0]), g.label_of(g.edges[i][1])))) for i in tight}
     assert ("p", "q") in labels and ("s", "t") in labels
@@ -258,10 +245,10 @@ def test_tight_edges_fig8_after_deleting_qr():
 
 def test_walk_value_examples():
     g = WeightedGraph.from_edges(2, [(0, 1, 5)])
-    empty = AlternatingWalk.from_vertices(g, Matching.empty(), [0])
-    assert walk_value(empty, g, Matching.empty()) == 0
-    one = AlternatingWalk.from_vertices(g, Matching.empty(), [0, 1])
-    assert walk_value(one, g, Matching.empty()) == 5
+    empty = AlternatingWalk.from_vertices(g, Matching.from_pairs([]), [0])
+    assert walk_value(empty, g, Matching.from_pairs([])) == 0
+    one = AlternatingWalk.from_vertices(g, Matching.from_pairs([]), [0, 1])
+    assert walk_value(one, g, Matching.from_pairs([])) == 5
 
     tri = WeightedGraph.from_edges(3, [(0, 1, 2), (1, 2, 2), (0, 2, 2)])
     m = Matching.from_pairs([(1, 2)])
@@ -284,4 +271,4 @@ def test_walk_value_matches_naive_resummation():
                 for a, b in zip(verts, verts[1:])
             )
             assert walk_value(walk, g, m) == value == naive
-            assert walk.is_valid(m)
+            assert is_valid_walk(walk, m)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,8 @@ from conftest import count_calls
 from matchstab import oracle
 from matchstab.cli import main
 from matchstab.errors import ParseError
-from matchstab.instance import emit_instance, parse_instance
+from matchstab.graph import Matching
+from matchstab.instance import parse_instance
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -22,13 +24,18 @@ def _run(capsys, *args):
     return code, captured.out, captured.err
 
 
-def test_parse_fixtures_and_roundtrip():
+def test_parse_fixtures():
     for name in ("fig6", "fig7", "fig8", "fig9", "fig9m"):
         text = (FIXTURES / f"{name}.json").read_text()
+        doc = json.loads(text)
+        index = {label: i for i, label in enumerate(doc["vertices"])}
         instance = parse_instance(text)
-        again = parse_instance(emit_instance(instance))
-        assert again.graph == instance.graph
-        assert again.matching == instance.matching
+        assert instance.graph.labels == tuple(doc["vertices"])
+        assert instance.graph.edges == tuple(
+            (*sorted((index[e["u"]], index[e["v"]])), Fraction(e["w"])) for e in doc["edges"]
+        )
+        pairs = [(index[a], index[b]) for a, b in doc.get("matching", [])]
+        assert instance.matching == (Matching.from_pairs(pairs) if "matching" in doc else None)
 
 
 def test_parse_rejects_bad_documents():
@@ -156,6 +163,7 @@ def test_verify_catches_tampering(tmp_path, capsys):
                 "cover_is_feasible": False,
                 "strong_duality": False,
                 "complementary_slackness": False,
+                "matched_and_odd_cycles_equal_x": True,
                 "nu_f_equals_cover_total": False,
             },
         ),
@@ -275,6 +283,12 @@ def _set(section, key, value):
          {"stable_iff_nu_equals_nu_f", "nu_equals_tau_f"}),
         ("stabilize-edges", "fig6", lambda d: d["outputs"]["F"].append(["1", "8"]),
          {"F_edges_in_graph"}),
+        ("solve-fractional", "fig8", _set("outputs", "matched", [["p", "q"]]),
+         {"matched_and_odd_cycles_equal_x"}),
+        ("min-cycles", "fig6", _set("outputs", "odd_cycles", [["1", "2", "3"]]),
+         {"matched_and_odd_cycles_equal_x"}),
+        ("m-stabilize", "fig9m", _set("outputs", "status", "banana"), {"infeasible_reported"}),
+        ("m-stabilize", None, _set("outputs", "status", "banana"), {"infeasible_reported"}),
     ],
 )
 def test_verify_rejects_each_forged_claim(tmp_path, capsys, command, fixture, edit, failing):

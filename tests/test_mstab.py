@@ -29,10 +29,10 @@ def test_triangle_flower_root_removed():
 
 def test_single_edge_empty_matching_two_approximation_boundary():
     g = WeightedGraph.from_edges(2, [(0, 1, 3)])
-    result = m_vertex_stabilizer(g, Matching.empty())
+    result = m_vertex_stabilizer(g, Matching.from_pairs([]))
     assert result.status == FEASIBLE
     assert result.second_phase == (0, 1) and result.removed == (0, 1)
-    assert len(oracle.brute_min_m_stabilizer(g, Matching.empty())) == 1
+    assert len(oracle.brute_min_m_stabilizer(g, Matching.from_pairs([]))) == 1
 
 
 def test_rejects_non_matching():

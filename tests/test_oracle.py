@@ -83,7 +83,7 @@ def test_budgets_fail_loudly():
         oracle.brute_min_vertex_stabilizer(mid)
     with pytest.raises(BudgetExceeded):
         oracle.enumerate_valid_walks(
-            WeightedGraph.from_edges(2, [(0, 1, 1)]), Matching.empty(), 0, 99
+            WeightedGraph.from_edges(2, [(0, 1, 1)]), Matching.from_pairs([]), 0, 99
         )
 
 
@@ -105,7 +105,7 @@ def test_table_caches_stay_bounded():
 
 def test_walk_enumeration_examples():
     g = WeightedGraph.from_edges(2, [(0, 1, 5)])
-    walks = oracle.enumerate_valid_walks(g, Matching.empty(), 0, 1)
+    walks = oracle.enumerate_valid_walks(g, Matching.from_pairs([]), 0, 1)
     assert (0, Fraction(0), (0,)) in walks
     assert (1, Fraction(5), (0, 1)) in walks
 

@@ -9,7 +9,7 @@ from typing import Optional
 
 import pytest
 
-from conftest import random_graph, random_matching
+from conftest import is_valid_walk, random_graph, random_matching
 from matchstab import oracle, walks
 from matchstab.errors import EntryIsMinusInfinity, VertexNotExposed
 from matchstab.graph import AlternatingWalk, Matching, WeightedGraph, walk_value
@@ -174,7 +174,7 @@ def test_k0_exposed_source():
 
 def test_single_edge_walk():
     g = WeightedGraph.from_edges(2, [(0, 1, 5)])
-    t = optimal_walks(g, Matching.empty(), 0, 1)
+    t = optimal_walks(g, Matching.from_pairs([]), 0, 1)
     assert t.y1[1] == 5
     walk = reconstruct_walk(t, 1, 1)
     assert walk.vertices == (0, 1)
@@ -240,7 +240,7 @@ def test_reconstruction_matches_entries_and_is_valid():
             if entry is None:
                 continue
             walk = reconstruct_walk(t, v, table)
-            assert walk.is_valid(m)
+            assert is_valid_walk(walk, m)
             assert walk_value(walk, g, m) == entry
             assert len(walk) <= k
 
@@ -418,8 +418,8 @@ def test_scan_examples():
     assert first_pass_scan(g, m, 0, 3 * g.n) == (True, None)
 
     single = WeightedGraph.from_edges(2, [(0, 1, 3)])
-    assert first_pass_scan(single, Matching.empty(), 0, 3 * single.n) == (False, None)
-    assert second_pass_scan(single, Matching.empty(), 0, single.n) == 1
+    assert first_pass_scan(single, Matching.from_pairs([]), 0, 3 * single.n) == (False, None)
+    assert second_pass_scan(single, Matching.from_pairs([]), 0, single.n) == 1
 
     path = WeightedGraph.from_edges(3, [(0, 1, 3), (1, 2, 2)])
     assert first_pass_scan(path, Matching.from_pairs([(1, 2)]), 0, 3 * path.n) == (False, 2)
