@@ -381,10 +381,10 @@ def _run_verify(path: str, result_doc: object) -> tuple[dict, int]:
             checks.extend(
                 stable_subgraph_checks(graph.delete_edges(removed_edges), matching, cover, ())
             )
-        isolates = all(i in removed_edges for v in removed for i in graph.incident_edges(v))
+        stars = {i for v in removed for i in graph.incident_edges(v)}
         gamma, delta = outputs["gamma"], graph.max_degree
         checks += [
-            ("F_isolates_S", isolates),
+            ("F_equals_stars_of_S", removed_edges == stars),
             ("size_equals_F", outputs["size"] == len(removed_edges)),
             ("lower_bound_is_half_gamma", outputs["lower_bound"] == -(-gamma // 2)),
             ("upper_bound_is_gamma_times_delta", outputs["upper_bound"] == gamma * delta),

@@ -273,19 +273,21 @@ def decompose(
     """
     if len(values) != graph.m:
         raise NotHalfIntegral("value vector length does not match edge count")
-    vec = tuple(Fraction(x) for x in values)
+    vec = [ZERO] * graph.m  # each accepted entry as the shared ZERO, HALF or ONE
     halves = [0] * graph.n  # 2 x(delta(v)), counted over the nonzero entries
     matched_pairs: list[tuple[int, int]] = []
     half_adj: dict[int, list[int]] = {}
-    for idx, x in enumerate(vec):
+    for idx, x in enumerate(values):
         if x == 0:
             continue
         u, v, _w = graph.edges[idx]
         if x == ONE:
+            vec[idx] = ONE
             matched_pairs.append((u, v))
             halves[u] += 2
             halves[v] += 2
         elif x == HALF:
+            vec[idx] = HALF
             half_adj.setdefault(u, []).append(v)
             half_adj.setdefault(v, []).append(u)
             halves[u] += 1
@@ -322,7 +324,7 @@ def decompose(
             raise NotBasic(f"half-edges around vertex {start} form an even cycle")
         cycles.append(canonical_cycle(order))
     cycles.sort()
-    return BasicFractionalMatching(graph, vec, matched, tuple(cycles))
+    return BasicFractionalMatching(graph, tuple(vec), matched, tuple(cycles))
 
 
 def round_cycles(

@@ -3,13 +3,22 @@
 Two deletion passes over exposed vertices (roots of augmenting flowers or
 endpoints of augmenting walks to covered vertices first, then endpoint pairs
 of exposed-to-exposed augmenting walks), followed by an exact feasibility
-check of the residual graph. Both passes and the check run on G - delta(S),
-for S the vertices deleted so far, in the original vertex ids; the walk
+check of the residual graph. The final check runs on G - delta(S), for S
+the vertices the passes deleted, in the original vertex ids; the walk
 length bounds are 3n for the first pass and n for the second, with
-n = |V| - |S| the number of vertices not deleted. 2-approximate in general
-and exact whenever the second pass stays empty. A feasible result's
+n = |V| - |S| the number of vertices not deleted so far. 2-approximate in
+general and exact whenever the second pass stays empty. A feasible result's
 certificate, M and a residual cover of total w(M), is checked once by
 `lp.verify_stable_subgraph`, the checks `matchstab verify` runs on it.
+
+Both passes scan G itself, and G - delta(S) is built once, for the final
+check. That is exact, because S holds only M-exposed vertices other than
+the root: for every vertex outside S, each walk-DP entry is the same on G
+as on G - delta(S), iteration by iteration. Proof: y2 is written only
+through a matched edge, so an exposed s != root never gets a y2 entry and
+its unmatched edges carry nothing out of s; y1 is read only through a
+matched edge, so the y1 entry s gets is never read. The second pass skips
+S when it picks the vertex it reports, since y1 at s may be positive on G.
 """
 
 from __future__ import annotations
@@ -57,16 +66,14 @@ def m_vertex_stabilizer(graph: WeightedGraph, matching: Matching) -> MStabilizer
     """
     if not matching.is_matching_in(graph):
         raise MNotAMatching("matching uses edges outside the graph")
-    residual = graph
     diagnostics: list[tuple[str, int, Optional[int]]] = []
     first_phase: list[int] = []
-    second_phase: list[int] = []
 
     exposed = [v for v in range(graph.n) if not matching.covers(v)]
 
     for u in exposed:
         n = graph.n - len(first_phase)
-        flower, walk_to_covered = first_pass_scan(residual, matching, u, 3 * n)
+        flower, walk_to_covered = first_pass_scan(graph, matching, u, 3 * n)
         if flower:
             diagnostics.append(("flower", u, None))
         elif walk_to_covered is not None:
@@ -74,22 +81,21 @@ def m_vertex_stabilizer(graph: WeightedGraph, matching: Matching) -> MStabilizer
         else:
             continue
         first_phase.append(u)
-        residual = residual.delete_stars([u])
 
+    deleted = set(first_phase)
     for u in exposed:
-        if u in first_phase or u in second_phase:
+        if u in deleted:
             continue
-        n = graph.n - len(first_phase) - len(second_phase)
-        v = second_pass_scan(residual, matching, u, n)
+        v = second_pass_scan(graph, matching, u, graph.n - len(deleted), deleted)
         if v is None:
             continue
         diagnostics.append(("walk_between_exposed", u, v))
-        second_phase.extend([u, v])
-        residual = residual.delete_stars([u, v])
+        deleted.update((u, v))
 
+    removed = tuple(sorted(deleted))
+    residual = graph.delete_stars(removed)
     residual_bfm, residual_cover = solve_fractional(residual)
     weight = matching.weight(graph)
-    removed = tuple(sorted(first_phase + second_phase))
     cover = None
     if weight >= residual_bfm.weight:
         cover = {v: residual_cover.values[v] for v in range(graph.n) if v not in removed}
@@ -98,7 +104,7 @@ def m_vertex_stabilizer(graph: WeightedGraph, matching: Matching) -> MStabilizer
         status=INFEASIBLE if cover is None else FEASIBLE,
         removed=removed,
         first_phase=tuple(sorted(first_phase)),
-        second_phase=tuple(sorted(second_phase)),
+        second_phase=tuple(sorted(deleted.difference(first_phase))),
         diagnostics=tuple(diagnostics),
         matching_weight=weight,
         residual_nu_f=residual_bfm.weight,

@@ -9,8 +9,8 @@ sentinel when no such walk exists.
 
 The DP runs on integers: it reads the weights D.w that the graph computes
 once (`WeightedGraph.scale` is D, the lcm of the weight denominators, and
-`WeightedGraph.int_weights` the D.w), so scans that share a residual graph
-share its scaling. That is exact and keeps every sign and every order, so
+`WeightedGraph.int_weights` the D.w), so no scan scales the weights
+itself. That is exact and keeps every sign and every order, so
 an entry is converted back as Fraction(entry, D) only where a caller reads
 it. Only `optimal_walks` keeps the per-iteration snapshots and
 predecessor records that `reconstruct_walk` needs. The M-vertex-stabilizer's
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import AbstractSet, Iterator, Optional
 
 from .errors import EntryIsMinusInfinity, MNotAMatching, VertexNotExposed
 from .graph import (
@@ -244,11 +244,16 @@ def first_pass_scan(
 
 
 def second_pass_scan(
-    graph: WeightedGraph, matching: Matching, root: int, k: int
+    graph: WeightedGraph, matching: Matching, root: int, k: int, deleted: AbstractSet[int]
 ) -> Optional[int]:
-    """The lowest exposed v other than the root that an augmenting walk of
-    length <= k reaches from the exposed root, or None; the
-    M-vertex-stabilizer passes k = n."""
+    """The lowest exposed v other than the root and not in `deleted` that an
+    augmenting walk of length <= k reaches from the exposed root, or None;
+    the M-vertex-stabilizer passes k = n.
+
+    `deleted` is a set S of exposed vertices other than the root, whose
+    stars count as deleted: the scan runs on the graph as given and returns
+    the verdict of the graph without the edges at S (see `mstab`).
+    """
     dp = _exposed_root_dp(graph, matching, root, k)
     for _iteration in dp.iterations(k):
         pass
@@ -257,7 +262,8 @@ def second_pass_scan(
         (
             v
             for v in range(graph.n)
-            if v != root and not matching.covers(v) and y1[v] is not None and y1[v] > 0
+            if v != root and v not in deleted and not matching.covers(v)
+            and y1[v] is not None and y1[v] > 0
         ),
         None,
     )

@@ -6,7 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from matchstab.errors import MNotAMatching
 from matchstab.graph import AlternatingWalk, FractionalVertexCover, Matching, WeightedGraph
+from matchstab.lp import solve_fractional, verify_stable_subgraph
+from matchstab.mstab import FEASIBLE, INFEASIBLE, MStabilizerResult
+from matchstab.walks import first_pass_scan, second_pass_scan
 
 
 def fig6() -> WeightedGraph:
@@ -98,6 +102,62 @@ def delete_vertices(
     ]
     labels = [graph.label_of(v) for v in keep] if graph.labels is not None else None
     return WeightedGraph.from_edges(len(keep), edges, labels), tuple(keep)
+
+
+def m_vertex_stabilizer_rebuilding(graph: WeightedGraph, matching: Matching) -> MStabilizerResult:
+    """The M-vertex-stabilizer with the residual graph G - delta(S) rebuilt
+    after every deletion and each scan run on it, as the code ran before
+    both passes scanned G itself; `m_vertex_stabilizer` must give the same
+    result."""
+    if not matching.is_matching_in(graph):
+        raise MNotAMatching("matching uses edges outside the graph")
+    residual = graph
+    diagnostics: list = []
+    first_phase: list[int] = []
+    second_phase: list[int] = []
+
+    exposed = [v for v in range(graph.n) if not matching.covers(v)]
+
+    for u in exposed:
+        n = graph.n - len(first_phase)
+        flower, walk_to_covered = first_pass_scan(residual, matching, u, 3 * n)
+        if flower:
+            diagnostics.append(("flower", u, None))
+        elif walk_to_covered is not None:
+            diagnostics.append(("walk_to_covered", u, walk_to_covered))
+        else:
+            continue
+        first_phase.append(u)
+        residual = residual.delete_stars([u])
+
+    for u in exposed:
+        if u in first_phase or u in second_phase:
+            continue
+        n = graph.n - len(first_phase) - len(second_phase)
+        v = second_pass_scan(residual, matching, u, n, set())
+        if v is None:
+            continue
+        diagnostics.append(("walk_between_exposed", u, v))
+        second_phase.extend([u, v])
+        residual = residual.delete_stars([u, v])
+
+    residual_bfm, residual_cover = solve_fractional(residual)
+    weight = matching.weight(graph)
+    removed = tuple(sorted(first_phase + second_phase))
+    cover = None
+    if weight >= residual_bfm.weight:
+        cover = {v: residual_cover.values[v] for v in range(graph.n) if v not in removed}
+        verify_stable_subgraph(residual, matching, cover, removed)
+    return MStabilizerResult(
+        status=INFEASIBLE if cover is None else FEASIBLE,
+        removed=removed,
+        first_phase=tuple(sorted(first_phase)),
+        second_phase=tuple(sorted(second_phase)),
+        diagnostics=tuple(diagnostics),
+        matching_weight=weight,
+        residual_nu_f=residual_bfm.weight,
+        residual_cover=cover,
+    )
 
 
 def cover_of(values) -> FractionalVertexCover:

@@ -289,6 +289,9 @@ def _set(section, key, value):
          {"matched_and_odd_cycles_equal_x"}),
         ("m-stabilize", "fig9m", _set("outputs", "status", "banana"), {"infeasible_reported"}),
         ("m-stabilize", None, _set("outputs", "status", "banana"), {"infeasible_reported"}),
+        # S names a vertex whose star is a proper part of F
+        ("stabilize-edges", "fig9", _set("certificates", "S", ["s"]), {"F_equals_stars_of_S"}),
+        ("stabilize-edges", "fig7", _set("certificates", "S", ["4"]), {"F_equals_stars_of_S"}),
     ],
 )
 def test_verify_rejects_each_forged_claim(tmp_path, capsys, command, fixture, edit, failing):

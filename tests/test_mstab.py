@@ -1,10 +1,18 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import delete_vertices, fig9, random_graph, random_matching
+from conftest import (
+    count_calls,
+    delete_vertices,
+    fig9,
+    m_vertex_stabilizer_rebuilding,
+    random_graph,
+    random_matching,
+)
 from matchstab import oracle
 from matchstab.errors import MNotAMatching
 from matchstab.graph import Matching, WeightedGraph
@@ -86,7 +94,7 @@ def test_feasible_results_verified_by_oracle():
             if m_res.covers(v):
                 continue
             assert first_pass_scan(residual, m_res, v, 3 * residual.n) == (False, None)
-            assert second_pass_scan(residual, m_res, v, residual.n) is None
+            assert second_pass_scan(residual, m_res, v, residual.n, set()) is None
     assert feasible > 20 and infeasible > 5
 
 
@@ -104,3 +112,58 @@ def test_walk_bounds_count_only_the_vertices_left():
         ("walk_to_covered", 5, 2),
         ("walk_to_covered", 6, 3),
     )
+
+
+def test_residual_graph_is_built_once(monkeypatch):
+    # the instance above deletes three vertices, yet G - delta(S) is built
+    # only once, for the final check
+    g = WeightedGraph.from_edges(
+        7, [(1, 3, 6), (4, 6, 1), (3, 4, 1), (2, 3, 2), (3, 5, 1), (0, 2, 6), (0, 4, 4)]
+    )
+    calls = count_calls(monkeypatch, WeightedGraph, "delete_stars")
+    m_vertex_stabilizer(g, Matching.from_pairs([(0, 4), (2, 3)]))
+    assert calls == [1]
+
+
+def _random_instance(rng):
+    """A graph with n in 2..14 and integer weights, or half the time the same
+    edges with fractional weights, and a random matching of it."""
+    g = random_graph(rng, n_max=14)
+    if rng.random() < 0.5:
+        g = WeightedGraph.from_edges(
+            g.n,
+            [(u, v, Fraction(rng.randint(1, 12), rng.randint(1, 6))) for u, v, _w in g.edges],
+        )
+    return g, random_matching(rng, g)
+
+
+def test_scans_on_g_give_the_verdicts_of_g_minus_the_stars_of_s():
+    # S holds exposed vertices other than the root: scanning G with S
+    # skipped gives what scanning G - delta(S) gives
+    rng = random.Random(1212)
+    skipped = 0
+    for _ in range(300):
+        g, m = _random_instance(rng)
+        exposed = [v for v in range(g.n) if not m.covers(v)]
+        for root in exposed:
+            others = [v for v in exposed if v != root]
+            deleted = set(rng.sample(others, rng.randint(0, len(others))))
+            rest = g.delete_stars(deleted)
+            for k in (0, 1, g.n, 3 * g.n):
+                assert first_pass_scan(g, m, root, k) == first_pass_scan(rest, m, root, k)
+                on_rest = second_pass_scan(rest, m, root, k, set())
+                assert second_pass_scan(g, m, root, k, deleted) == on_rest
+                skipped += second_pass_scan(g, m, root, k, set()) != on_rest
+    # without the deleted set the scan on G often reports a vertex of S
+    assert skipped > 500
+
+
+def test_same_result_as_rebuilding_the_residual_after_every_deletion():
+    rng = random.Random(1313)
+    second = 0
+    for _ in range(2000):
+        g, m = _random_instance(rng)
+        result = m_vertex_stabilizer(g, m)
+        assert repr(result) == repr(m_vertex_stabilizer_rebuilding(g, m))
+        second += bool(result.second_phase)
+    assert second >= 400

@@ -340,7 +340,7 @@ def _verdicts(g, m, root, long, short):
 def _assert_scans_give(g, m, root, verdicts):
     flower, to_covered, to_exposed = verdicts
     assert first_pass_scan(g, m, root, 3 * g.n) == (flower, None if flower else to_covered)
-    assert second_pass_scan(g, m, root, g.n) == to_exposed
+    assert second_pass_scan(g, m, root, g.n, set()) == to_exposed
 
 
 def test_scans_give_the_verdicts_of_the_full_tables(property_suite):
@@ -419,7 +419,7 @@ def test_scan_examples():
 
     single = WeightedGraph.from_edges(2, [(0, 1, 3)])
     assert first_pass_scan(single, Matching.from_pairs([]), 0, 3 * single.n) == (False, None)
-    assert second_pass_scan(single, Matching.from_pairs([]), 0, single.n) == 1
+    assert second_pass_scan(single, Matching.from_pairs([]), 0, single.n, set()) == 1
 
     path = WeightedGraph.from_edges(3, [(0, 1, 3), (1, 2, 2)])
     assert first_pass_scan(path, Matching.from_pairs([(1, 2)]), 0, 3 * path.n) == (False, 2)
@@ -432,14 +432,14 @@ def test_scan_examples():
     )
     blossom_m = Matching.from_pairs([(2, 5), (0, 4)])
     assert optimal_walks(blossom, blossom_m, 1, 18).y1[3] == 7
-    assert second_pass_scan(blossom, blossom_m, 1, blossom.n) is None
+    assert second_pass_scan(blossom, blossom_m, 1, blossom.n, set()) is None
     assert first_pass_scan(blossom, blossom_m, 1, 3 * blossom.n) == (True, None)
 
-    for scan in (first_pass_scan, second_pass_scan):
+    for scan, extra in ((first_pass_scan, ()), (second_pass_scan, (set(),))):
         with pytest.raises(VertexNotExposed):
-            scan(path, Matching.from_pairs([(1, 2)]), 1, path.n)
+            scan(path, Matching.from_pairs([(1, 2)]), 1, path.n, *extra)
         with pytest.raises(ValueError):
-            scan(path, Matching.from_pairs([(1, 2)]), 0, -1)
+            scan(path, Matching.from_pairs([(1, 2)]), 0, -1, *extra)
 
 
 def test_flower_extraction_from_triangle():
