@@ -67,6 +67,11 @@ class EntryIsMinusInfinity(MatchstabError, ValueError):
     """Requested walk-table entry is the -infinity sentinel."""
 
 
+class InconsistentWalkTables(MatchstabError, ValueError):
+    """Walk tables do not rebuild a walk from the source with the entry's
+    value and a length within the bound."""
+
+
 class BudgetExceeded(MatchstabError, ValueError):
     """Instance is beyond the oracle's desk-scale budget."""
 

@@ -12,13 +12,16 @@ certificate, M and a residual cover of total w(M), is checked once by
 `lp.verify_stable_subgraph`, the checks `matchstab verify` runs on it.
 
 Both passes scan G itself, and G - delta(S) is built once, for the final
-check. That is exact, because S holds only M-exposed vertices other than
-the root: for every vertex outside S, each walk-DP entry is the same on G
-as on G - delta(S), iteration by iteration. Proof: y2 is written only
-through a matched edge, so an exposed s != root never gets a y2 entry and
-its unmatched edges carry nothing out of s; y1 is read only through a
-matched edge, so the y1 entry s gets is never read. The second pass skips
-S when it picks the vertex it reports, since y1 at s may be positive on G.
+check. The walk arcs of (G, M), with their integer weights, are built once
+per call (`walks.WalkArcs`, which also checks once that M is a matching of
+G), and every scan of both passes runs on them. Each scan is told the
+current S and writes no DP entry at a vertex of S. That is exact, because S
+holds only M-exposed vertices other than the root: each walk-DP entry is
+the same as on G - delta(S), iteration by iteration, and the scan stops at
+the same iteration. Proof: y2 is written only through a matched edge, so
+an exposed s != root never gets a y2 entry; with no y1 entry either, s
+carries no value along its unmatched edges and has no matched one, just
+as if its star were gone.
 """
 
 from __future__ import annotations
@@ -27,10 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import MNotAMatching
 from .graph import Matching, WeightedGraph
 from .lp import solve_fractional, verify_stable_subgraph
-from .walks import first_pass_scan, second_pass_scan
+from .walks import WalkArcs
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -64,16 +66,16 @@ def m_vertex_stabilizer(graph: WeightedGraph, matching: Matching) -> MStabilizer
     residual graph. Exposed vertices are processed in ascending index order;
     the first pass deletes the same set in any order.
     """
-    if not matching.is_matching_in(graph):
-        raise MNotAMatching("matching uses edges outside the graph")
+    arcs = WalkArcs(graph, matching)
     diagnostics: list[tuple[str, int, Optional[int]]] = []
     first_phase: list[int] = []
+    deleted: set[int] = set()
 
     exposed = [v for v in range(graph.n) if not matching.covers(v)]
 
     for u in exposed:
-        n = graph.n - len(first_phase)
-        flower, walk_to_covered = first_pass_scan(graph, matching, u, 3 * n)
+        n = graph.n - len(deleted)
+        flower, walk_to_covered = arcs.first_pass_scan(u, 3 * n, deleted)
         if flower:
             diagnostics.append(("flower", u, None))
         elif walk_to_covered is not None:
@@ -81,12 +83,12 @@ def m_vertex_stabilizer(graph: WeightedGraph, matching: Matching) -> MStabilizer
         else:
             continue
         first_phase.append(u)
+        deleted.add(u)
 
-    deleted = set(first_phase)
     for u in exposed:
         if u in deleted:
             continue
-        v = second_pass_scan(graph, matching, u, graph.n - len(deleted), deleted)
+        v = arcs.second_pass_scan(u, graph.n - len(deleted), deleted)
         if v is None:
             continue
         diagnostics.append(("walk_between_exposed", u, v))

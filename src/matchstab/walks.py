@@ -7,15 +7,27 @@ iterations, y2 at a covered vertex (and y1 at an exposed one) is the best
 value of a valid alternating sv-walk of length at most k, with a None
 sentinel when no such walk exists.
 
+Each iteration relaxes only the arcs out of the entries that changed in the
+iteration before: the queue (changed-vertex) form of Bellman-Ford (Moore,
+"The shortest path through a maze", 1959). Entries never decrease, and an
+entry that did not change offers the same candidate it offered one
+iteration earlier, which was then committed or beaten; so every strict
+improvement comes from a changed entry. A y1 entry is recomputed over all
+of its vertex's free arcs, in adjacency order, so it gets the full sweep's
+value and the full sweep's `pred1` tie-break. Each iteration therefore
+commits exactly what relaxing every arc would (see `_IntegerDP`).
+
 The DP runs on integers: it reads the weights D.w that the graph computes
 once (`WeightedGraph.scale` is D, the lcm of the weight denominators, and
 `WeightedGraph.int_weights` the D.w), so no scan scales the weights
 itself. That is exact and keeps every sign and every order, so
 an entry is converted back as Fraction(entry, D) only where a caller reads
-it. Only `optimal_walks` keeps the per-iteration snapshots and
-predecessor records that `reconstruct_walk` needs. The M-vertex-stabilizer's
-two scans, `first_pass_scan` and `second_pass_scan`, keep no history and
-stop as soon as their verdict is fixed.
+it. `WalkArcs` holds the matched and free arcs with these integer weights;
+one set of arcs serves every DP run on the same G and M. Only
+`optimal_walks` keeps the per-iteration snapshots and predecessor records
+that `reconstruct_walk` needs. The M-vertex-stabilizer's two scans,
+`first_pass_scan` and `second_pass_scan`, keep no history and stop as soon
+as their verdict is fixed.
 """
 
 from __future__ import annotations
@@ -24,7 +36,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Iterator, Optional
 
-from .errors import EntryIsMinusInfinity, MNotAMatching, VertexNotExposed
+from .errors import (
+    EntryIsMinusInfinity,
+    InconsistentWalkTables,
+    MNotAMatching,
+    VertexNotExposed,
+)
 from .graph import (
     AlternatingWalk,
     Matching,
@@ -69,33 +86,107 @@ class WalkTables:
         return self.history2[-1]
 
 
-class _IntegerDP:
-    """The DP on the graph's integer weights, started at the source.
+class WalkArcs:
+    """The integer arcs of (G, M) that the walk DP relaxes.
 
-    `y1` and `y2` hold the current entries as ints (None is -infinity).
-    `matched` lists each covered vertex with its partner and matched-edge
-    weight; `free[v]` lists v's unmatched edges in adjacency order, which is
-    the order `pred1` ties break in.
+    `matched[v]` is (partner, D.w) for a covered v and None for an exposed
+    one; `free[v]` lists (u, D.w) for each unmatched edge uv in v's
+    adjacency order, which is the order `pred1` ties break in. Building the
+    arcs checks once that M is a matching of G; every DP run on them relies
+    on it. The M-vertex-stabilizer builds them once per call and runs all of
+    its scans on them.
     """
 
-    def __init__(self, graph: WeightedGraph, matching: Matching, source: int):
+    def __init__(self, graph: WeightedGraph, matching: Matching):
         if not matching.is_matching_in(graph):
             raise MNotAMatching("matching uses edges outside the graph")
-        n = graph.n
+        self.n = graph.n
         scaled = graph.int_weights
-        self.matched: list[tuple[int, int, int]] = []
-        self.free: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for v in range(n):
+        self.matched: list[Optional[tuple[int, int]]] = [None] * graph.n
+        self.free: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
+        for v in range(graph.n):
             partner = matching.partner(v)
             for u, idx in graph.adjacency[v]:
                 if u == partner:
-                    self.matched.append((v, u, scaled[idx]))
+                    self.matched[v] = (u, scaled[idx])
                 else:
                     self.free[v].append((u, scaled[idx]))
-        self.y1: list[Optional[int]] = [None] * n
-        self.y2: list[Optional[int]] = [None] * n
+
+    def first_pass_scan(
+        self, root: int, k: int, deleted: AbstractSet[int]
+    ) -> tuple[bool, Optional[int]]:
+        """`first_pass_scan` on these arcs, run on G - delta(S) for the set
+        S = `deleted` of exposed vertices other than the root."""
+        dp = self._exposed_root_dp(root, k, deleted)
+        for _iteration in dp.iterations(k):
+            if dp.y1[root] > 0:
+                return True, None
+        y2 = dp.y2
+        walk_to_covered = next(
+            (
+                v
+                for v in range(self.n)
+                if self.matched[v] is not None and y2[v] is not None and y2[v] > 0
+            ),
+            None,
+        )
+        return False, walk_to_covered
+
+    def second_pass_scan(self, root: int, k: int, deleted: AbstractSet[int]) -> Optional[int]:
+        """`second_pass_scan` on these arcs."""
+        dp = self._exposed_root_dp(root, k, deleted)
+        for _iteration in dp.iterations(k):
+            pass
+        y1 = dp.y1
+        return next(
+            (
+                v
+                for v in range(self.n)
+                if v != root and self.matched[v] is None and y1[v] is not None and y1[v] > 0
+            ),
+            None,
+        )
+
+    def _exposed_root_dp(self, root: int, k: int, deleted: AbstractSet[int]) -> _IntegerDP:
+        if k < 0:
+            raise ValueError("length bound must be nonnegative")
+        if self.matched[root] is not None:
+            raise VertexNotExposed(f"vertex {root} is covered")
+        return _IntegerDP(self, root, deleted)
+
+
+class _IntegerDP:
+    """The DP on the graph's integer weights, started at the source.
+
+    `y1` and `y2` hold the current entries as ints (None is -infinity). The
+    DP writes no entry at a vertex of `deleted`, a set S of exposed
+    vertices other than the source, so it runs exactly as on G - delta(S):
+    an exposed vertex gets no y2 entry, so with no y1 entry either it
+    carries nothing along its arcs, as if it had none.
+
+    An iteration relaxes only the arcs out of entries that changed in the
+    iteration before (the queue form of Bellman-Ford), and it still reads
+    only the entries of the iteration before. It commits exactly what
+    relaxing every arc would commit. Entries never decrease. An entry that
+    did not change offers the same candidate as in the iteration before,
+    and that iteration committed it or already held a value at least as
+    large. So only a changed entry can give a strict improvement. y2(v)
+    reads only y1 of v's partner, so the matched arc is relaxed only from a
+    y1 that changed. y1(v) is recomputed, as the first maximum over all of
+    v's free arcs in adjacency order, only when some free neighbour's y2
+    changed. Where it is recomputed, it gets the full sweep's value and the
+    full sweep's `pred1` tie-break; where it is not, the full sweep would
+    not commit either.
+    """
+
+    def __init__(self, arcs: WalkArcs, source: int, deleted: AbstractSet[int] = frozenset()):
+        self.arcs = arcs
+        self.source = source
+        self.deleted = deleted
+        self.y1: list[Optional[int]] = [None] * arcs.n
+        self.y2: list[Optional[int]] = [None] * arcs.n
         self.y1[source] = 0
-        if not matching.covers(source):
+        if arcs.matched[source] is None:
             self.y2[source] = 0
 
     def iterations(self, k: int) -> Iterator[tuple[int, list[_Commit], list[_Commit]]]:
@@ -105,18 +196,26 @@ class _IntegerDP:
         strict improvement every later one would repeat it: the run ends
         there, before k when it comes sooner.
         """
-        y1, y2, free = self.y1, self.y2, self.free
+        y1, y2, deleted = self.y1, self.y2, self.deleted
+        matched, free = self.arcs.matched, self.arcs.free
+        changed1 = [self.source]
+        changed2 = [self.source] if y2[self.source] is not None else []
         for i in range(1, k + 1):
             commits2 = []
-            for v, u, w in self.matched:
-                if y1[u] is not None:
+            for u in changed1:
+                arc = matched[u]
+                if arc is not None:
+                    v, w = arc
                     cand = y1[u] - w
                     if y2[v] is None or cand > y2[v]:
                         commits2.append((v, u, cand))
             commits1 = []
-            for v, edges in enumerate(free):
+            targets = {v for u in changed2 for v, _w in free[u]}
+            if deleted:
+                targets.difference_update(deleted)
+            for v in targets:
                 best = None
-                for u, w in edges:
+                for u, w in free[v]:
                     if y2[u] is not None:
                         cand = y2[u] + w
                         if best is None or cand > best:
@@ -129,6 +228,8 @@ class _IntegerDP:
                 y1[v] = value
             for v, _u, value in commits2:
                 y2[v] = value
+            changed1 = [v for v, _u, _value in commits1]
+            changed2 = [v for v, _u, _value in commits2]
             yield i, commits1, commits2
 
 
@@ -143,7 +244,7 @@ def optimal_walks(
     """
     if k < 0:
         raise ValueError("length bound must be nonnegative")
-    dp = _IntegerDP(graph, matching, source)
+    dp = _IntegerDP(WalkArcs(graph, matching), source)
 
     def snapshot(y: list[Optional[int]]) -> tuple[Entry, ...]:
         return tuple(None if e is None else Fraction(e, graph.scale) for e in y)
@@ -186,10 +287,17 @@ def reconstruct_walk(tables: WalkTables, v: int, table: int) -> AlternatingWalk:
     while True:
         history = tables.history1 if tab == 1 else tables.history2
         first = next(
-            i for i in range(bound + 1) if history[i][vertex] == target
+            (i for i in range(bound + 1) if history[i][vertex] == target), None
         )
+        if first is None:
+            raise InconsistentWalkTables(
+                f"y{tab}({vertex}) is never {target} within {bound} iterations"
+            )
         if first == 0:
-            assert vertex == tables.source
+            if vertex != tables.source:
+                raise InconsistentWalkTables(
+                    f"the walk to {v} starts at {vertex}, not at the source {tables.source}"
+                )
             break
         pred = (tables.pred1 if tab == 1 else tables.pred2)[(first, vertex)]
         w = tables.graph.weight(pred, vertex)
@@ -201,19 +309,18 @@ def reconstruct_walk(tables: WalkTables, v: int, table: int) -> AlternatingWalk:
         vertices.append(vertex)
     vertices.reverse()
     walk = AlternatingWalk.from_vertices(tables.graph, tables.matching, vertices)
-    assert walk_value(walk, tables.graph, tables.matching) == final
-    assert len(walk) <= tables.k
+    value = walk_value(walk, tables.graph, tables.matching)
+    if value != final:
+        raise InconsistentWalkTables(
+            f"the walk to {v} has value {value}, not y{table}({v}) = {final}"
+        )
+    # each step back takes a smaller iteration, so the trace above cannot
+    # exceed the bound; this guards the trace itself
+    if len(walk) > tables.k:
+        raise InconsistentWalkTables(
+            f"the walk to {v} has length {len(walk)} > k = {tables.k}"
+        )
     return walk
-
-
-def _exposed_root_dp(
-    graph: WeightedGraph, matching: Matching, root: int, k: int
-) -> _IntegerDP:
-    if k < 0:
-        raise ValueError("length bound must be nonnegative")
-    if matching.covers(root):
-        raise VertexNotExposed(f"vertex {root} is covered")
-    return _IntegerDP(graph, matching, root)
 
 
 def first_pass_scan(
@@ -231,16 +338,7 @@ def first_pass_scan(
     which is reported as None. A walk to a covered vertex does not stop the
     scan, because a later flower still outranks it.
     """
-    dp = _exposed_root_dp(graph, matching, root, k)
-    for _iteration in dp.iterations(k):
-        if dp.y1[root] > 0:
-            return True, None
-    y2 = dp.y2
-    walk_to_covered = next(
-        (v for v in range(graph.n) if matching.covers(v) and y2[v] is not None and y2[v] > 0),
-        None,
-    )
-    return False, walk_to_covered
+    return WalkArcs(graph, matching).first_pass_scan(root, k, frozenset())
 
 
 def second_pass_scan(
@@ -251,19 +349,8 @@ def second_pass_scan(
     the M-vertex-stabilizer passes k = n.
 
     `deleted` is a set S of exposed vertices other than the root, whose
-    stars count as deleted: the scan runs on the graph as given and returns
-    the verdict of the graph without the edges at S (see `mstab`).
+    stars count as deleted: the scan runs on the graph as given but writes
+    no DP entry at S, so it makes the iterations and returns the verdict of
+    the graph without the edges at S (see `mstab`).
     """
-    dp = _exposed_root_dp(graph, matching, root, k)
-    for _iteration in dp.iterations(k):
-        pass
-    y1 = dp.y1
-    return next(
-        (
-            v
-            for v in range(graph.n)
-            if v != root and v not in deleted and not matching.covers(v)
-            and y1[v] is not None and y1[v] > 0
-        ),
-        None,
-    )
+    return WalkArcs(graph, matching).second_pass_scan(root, k, deleted)

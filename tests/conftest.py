@@ -160,6 +160,40 @@ def m_vertex_stabilizer_rebuilding(graph: WeightedGraph, matching: Matching) -> 
     )
 
 
+def full_sweep_iterations(dp, k: int):
+    """The walk DP's iterations as they ran before each iteration relaxed
+    only the arcs out of changed entries: every iteration relaxes every arc
+    of `dp.arcs` from the entries of `dp`, which it updates in place, and
+    yields (i, commits1, commits2) like `_IntegerDP.iterations`."""
+    y1, y2 = dp.y1, dp.y2
+    for i in range(1, k + 1):
+        commits2 = []
+        for v, arc in enumerate(dp.arcs.matched):
+            if arc is not None:
+                u, w = arc
+                if y1[u] is not None:
+                    cand = y1[u] - w
+                    if y2[v] is None or cand > y2[v]:
+                        commits2.append((v, u, cand))
+        commits1 = []
+        for v, edges in enumerate(dp.arcs.free):
+            best = None
+            for u, w in edges:
+                if y2[u] is not None:
+                    cand = y2[u] + w
+                    if best is None or cand > best:
+                        best, arg = cand, u
+            if best is not None and (y1[v] is None or best > y1[v]):
+                commits1.append((v, arg, best))
+        if not commits1 and not commits2:
+            return
+        for v, _u, value in commits1:
+            y1[v] = value
+        for v, _u, value in commits2:
+            y2[v] = value
+        yield i, commits1, commits2
+
+
 def cover_of(values) -> FractionalVertexCover:
     """A fractional vertex cover with the given exact values (ints, strings
     or Fractions), by vertex."""

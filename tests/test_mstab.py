@@ -13,11 +13,11 @@ from conftest import (
     random_graph,
     random_matching,
 )
-from matchstab import oracle
+from matchstab import oracle, walks
 from matchstab.errors import MNotAMatching
 from matchstab.graph import Matching, WeightedGraph
 from matchstab.mstab import FEASIBLE, INFEASIBLE, m_vertex_stabilizer
-from matchstab.walks import first_pass_scan, second_pass_scan
+from matchstab.walks import WalkArcs, first_pass_scan, second_pass_scan
 
 
 def test_fig9_with_maximum_matching_is_infeasible():
@@ -123,6 +123,19 @@ def test_residual_graph_is_built_once(monkeypatch):
     calls = count_calls(monkeypatch, WeightedGraph, "delete_stars")
     m_vertex_stabilizer(g, Matching.from_pairs([(0, 4), (2, 3)]))
     assert calls == [1]
+
+
+def test_walk_arcs_are_built_once(monkeypatch):
+    # the instance above runs a first-pass scan from each of its three
+    # exposed roots, all on one set of arcs
+    g = WeightedGraph.from_edges(
+        7, [(1, 3, 6), (4, 6, 1), (3, 4, 1), (2, 3, 2), (3, 5, 1), (0, 2, 6), (0, 4, 4)]
+    )
+    calls = count_calls(monkeypatch, WalkArcs, "__init__")
+    scans = count_calls(monkeypatch, walks._IntegerDP, "__init__")
+    m_vertex_stabilizer(g, Matching.from_pairs([(0, 4), (2, 3)]))
+    assert calls == [1]
+    assert scans == [3]
 
 
 def _random_instance(rng):

@@ -1,19 +1,24 @@
 from __future__ import annotations
 
 import inspect
+import json
+import os
 import random
+import subprocess
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional
 
 import pytest
 
-from conftest import is_valid_walk, random_graph, random_matching
+from conftest import full_sweep_iterations, is_valid_walk, random_graph, random_matching
 from matchstab import oracle, walks
 from matchstab.errors import EntryIsMinusInfinity, VertexNotExposed
 from matchstab.graph import AlternatingWalk, Matching, WeightedGraph, walk_value
 from matchstab.walks import (
+    WalkArcs,
     WalkTables,
     first_pass_scan,
     optimal_walks,
@@ -440,6 +445,128 @@ def test_scan_examples():
             scan(path, Matching.from_pairs([(1, 2)]), 1, path.n, *extra)
         with pytest.raises(ValueError):
             scan(path, Matching.from_pairs([(1, 2)]), 0, -1, *extra)
+
+
+def _commits_per_iteration(iterations, scale=1):
+    """(i, commits1, commits2) of each iteration, each commit's value
+    divided by the scale and each list sorted."""
+
+    def exact(commits):
+        return sorted((v, u, Fraction(value, scale)) for v, u, value in commits)
+
+    return [(i, exact(commits1), exact(commits2)) for i, commits1, commits2 in iterations]
+
+
+def _exact_entries(dp, scale):
+    return [[None if e is None else Fraction(e, scale) for e in y] for y in (dp.y1, dp.y2)]
+
+
+def _random_instance(rng, n_max):
+    """A graph with integer weights, or half the time the same edges with
+    fractional weights, and a random matching of it."""
+    g = random_graph(rng, n_max=n_max)
+    if rng.random() < 0.5:
+        g = WeightedGraph.from_edges(
+            g.n,
+            [(u, v, Fraction(rng.randint(1, 12), rng.randint(1, 6))) for u, v, _w in g.edges],
+        )
+    return g, random_matching(rng, g)
+
+
+def test_changed_entry_dp_commits_what_the_full_sweep_commits():
+    # the same commits, with the same predecessors, at every iteration, from
+    # every source, covered and exposed, until both runs stop
+    rng = random.Random(1414)
+    covered = exposed = 0
+    for _ in range(300):
+        g, m = _random_instance(rng, 12)
+        arcs = WalkArcs(g, m)
+        for source in range(g.n):
+            dp = walks._IntegerDP(arcs, source)
+            reference = walks._IntegerDP(arcs, source)
+            run = _commits_per_iteration(dp.iterations(3 * g.n))
+            assert run == _commits_per_iteration(full_sweep_iterations(reference, 3 * g.n))
+            assert (dp.y1, dp.y2) == (reference.y1, reference.y2)
+            covered += m.covers(source)
+            exposed += not m.covers(source)
+    assert min(covered, exposed) > 500
+
+
+def test_dp_that_skips_s_runs_as_the_full_sweep_on_g_minus_the_stars_of_s():
+    # no entry is written at S, so the run on G makes exactly the iterations
+    # and commits of the full sweep on G - delta(S)
+    rng = random.Random(1515)
+    skipped = 0
+    for _ in range(300):
+        g, m = _random_instance(rng, 12)
+        arcs = WalkArcs(g, m)
+        exposed = [v for v in range(g.n) if not m.covers(v)]
+        for root in exposed:
+            others = [v for v in exposed if v != root]
+            deleted = set(rng.sample(others, rng.randint(0, len(others))))
+            rest = g.delete_stars(deleted)
+            dp = walks._IntegerDP(arcs, root, deleted)
+            reference = walks._IntegerDP(WalkArcs(rest, m), root)
+            # G - delta(S) may have a smaller weight scale than G
+            run = _commits_per_iteration(dp.iterations(3 * g.n), g.scale)
+            sweep = full_sweep_iterations(reference, 3 * g.n)
+            assert run == _commits_per_iteration(sweep, rest.scale)
+            assert _exact_entries(dp, g.scale) == _exact_entries(reference, rest.scale)
+            on_g = _commits_per_iteration(walks._IntegerDP(arcs, root).iterations(3 * g.n))
+            skipped += len(on_g) > len(run)
+    # on G itself the y1 entries at S often keep a run going for longer
+    assert skipped > 100
+
+
+FORGED_TABLES_SCRIPT = r"""
+import dataclasses
+import json
+import sys
+
+from matchstab.errors import InconsistentWalkTables
+from matchstab.graph import Matching, WeightedGraph
+from matchstab.walks import optimal_walks, reconstruct_walk
+
+
+def raised(tables):
+    try:
+        reconstruct_walk(tables, 1, 1)
+    except InconsistentWalkTables as exc:
+        return str(exc)
+    return None
+
+
+# the walk 0-1 of value 3 from the exposed source 0
+tables = optimal_walks(WeightedGraph.from_edges(2, [(0, 1, 3)]), Matching.from_pairs([]), 0, 1)
+out = {
+    "optimize": sys.flags.optimize,
+    "source": raised(dataclasses.replace(tables, source=1)),
+    "value": raised(dataclasses.replace(tables, matching=Matching.from_pairs([(0, 1)]))),
+    "history": raised(dataclasses.replace(tables, history2=((1, None), (1, None)))),
+}
+print(json.dumps(out))
+"""
+
+
+def test_reconstruct_walk_rejects_forged_tables_under_dash_o():
+    # the walk's source and value checks are explicit raises, so they also
+    # run in a python -O subprocess, where every assert is stripped
+    src = Path(walks.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FORGED_TABLES_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out == {
+        "optimize": 1,
+        "source": "the walk to 1 starts at 0, not at the source 1",
+        "value": "the walk to 1 has value -3, not y1(1) = 3",
+        "history": "y2(0) is never 0 within 0 iterations",
+    }
 
 
 def test_flower_extraction_from_triangle():
