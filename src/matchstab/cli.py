@@ -69,10 +69,6 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _frac(x) -> str:
-    return str(Fraction(x))
-
-
 def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -87,16 +83,17 @@ def _pairs(graph: WeightedGraph, matching: Matching) -> list[list[str]]:
     ]
 
 
-def _x_entries(graph: WeightedGraph, values) -> list[dict[str, str]]:
+def _x_entries(graph: WeightedGraph, bfm: BasicFractionalMatching) -> list[dict[str, str]]:
+    """The nonzero entries of x, in edge order."""
+    edges, values = graph.edges, bfm.values
     return [
-        {"u": graph.label_of(u), "v": graph.label_of(v), "x": _frac(x)}
-        for (u, v, _w), x in zip(graph.edges, values)
-        if x != 0
+        {"u": graph.label_of(edges[i][0]), "v": graph.label_of(edges[i][1]), "x": str(values[i])}
+        for i in bfm.support
     ]
 
 
 def _cover_doc(graph: WeightedGraph, values: dict[int, Fraction]) -> dict[str, str]:
-    return {graph.label_of(v): _frac(values[v]) for v in sorted(values)}
+    return {graph.label_of(v): str(values[v]) for v in sorted(values)}
 
 
 def _cycles_doc(graph: WeightedGraph, cycles) -> list[list[str]]:
@@ -128,8 +125,8 @@ def _run_command(command: str, instance: Instance, path: str) -> tuple[dict, int
     if command == "solve-fractional":
         bfm, cover = solve_fractional(graph)
         outputs = {
-            "nu_f": _frac(bfm.weight),
-            "x": _x_entries(graph, bfm.values),
+            "nu_f": str(bfm.weight),
+            "x": _x_entries(graph, bfm),
             "matched": _pairs(graph, bfm.matched),
             "odd_cycles": _cycles_doc(graph, bfm.odd_cycles),
         }
@@ -138,32 +135,33 @@ def _run_command(command: str, instance: Instance, path: str) -> tuple[dict, int
         }
     elif command in ("min-cycles", "gamma"):
         result = reduce_cycles(graph)
+        x_entries = _x_entries(graph, result.solution)
         if command == "gamma":
             outputs = {"gamma": result.gamma}
         else:
             outputs = {
                 "gamma": result.gamma,
-                "nu_f": _frac(result.weight),
-                "x": _x_entries(graph, result.solution.values),
+                "nu_f": str(result.weight),
+                "x": x_entries,
                 "matched": _pairs(graph, result.solution.matched),
                 "odd_cycles": _cycles_doc(graph, result.solution.odd_cycles),
             }
         certificates = {
-            "x": _x_entries(graph, result.solution.values),
+            "x": x_entries,
             "cover": _cover_doc(graph, dict(enumerate(result.cover.values))),
             "events": [_event_doc(graph, e) for e in result.events],
         }
     elif command == "stabilize-vertices":
         result = min_vertex_stabilizer(graph)
         try:
-            nu_before: Optional[str] = _frac(oracle_mod.exact_nu(graph)[0])
+            nu_before: Optional[str] = str(oracle_mod.exact_nu(graph)[0])
         except BudgetExceeded:
             nu_before = None  # the 2/3 guarantee holds but is not reported
         outputs = {
             "S": _labels(graph, result.removed),
             "gamma": result.gamma,
             "nu_before": nu_before,
-            "nu_after": _frac(result.nu_after),
+            "nu_after": str(result.nu_after),
         }
         certificates = {
             "surviving_matching": _pairs(graph, result.surviving_matching),
@@ -195,8 +193,8 @@ def _run_command(command: str, instance: Instance, path: str) -> tuple[dict, int
             "S": _labels(graph, result.removed),
             "S1": _labels(graph, result.first_phase),
             "S2": _labels(graph, result.second_phase),
-            "w_M": _frac(result.matching_weight),
-            "residual_nu_f": _frac(result.residual_nu_f),
+            "w_M": str(result.matching_weight),
+            "residual_nu_f": str(result.residual_nu_f),
         }
         certificates = {
             "diagnostics": [
@@ -216,10 +214,10 @@ def _run_command(command: str, instance: Instance, path: str) -> tuple[dict, int
         nu, witness = oracle_mod.exact_nu(graph)
         bfm, cover = solve_fractional(graph)
         nu_f = bfm.weight  # the pair is proven optimal, so w(x) = nu_f
-        outputs = {"stable": nu == nu_f, "nu": _frac(nu), "nu_f": _frac(nu_f)}
+        outputs = {"stable": nu == nu_f, "nu": str(nu), "nu_f": str(nu_f)}
         certificates = {
             "max_matching": _pairs(graph, witness),
-            "x": _x_entries(graph, bfm.values),
+            "x": _x_entries(graph, bfm),
             "cover": _cover_doc(graph, dict(enumerate(cover.values))),
         }
     else:  # pragma: no cover - guarded by the parser
@@ -239,9 +237,9 @@ def _run_oracle(sub: str, instance: Instance, path: str) -> tuple[dict, int]:
     outputs: dict[str, Any] = {}
     if sub == "nu":
         value, witness = oracle_mod.exact_nu(graph)
-        outputs = {"nu": _frac(value), "matching": _pairs(graph, witness)}
+        outputs = {"nu": str(value), "matching": _pairs(graph, witness)}
     elif sub == "nu-f":
-        outputs = {"nu_f": _frac(oracle_mod.exact_nu_f(graph))}
+        outputs = {"nu_f": str(oracle_mod.exact_nu_f(graph))}
     elif sub == "gamma":
         outputs = {"gamma": oracle_mod.brute_gamma(graph)}
     elif sub == "stable":
@@ -290,6 +288,10 @@ def _vector_from_entries(graph: WeightedGraph, index, entries) -> list[Fraction]
 
 def _cover_from_doc(index, doc: dict[str, str]) -> dict[int, Fraction]:
     return {index[label]: Fraction(val) for label, val in doc.items()}
+
+
+def _cover_total(cover: dict[int, Fraction]) -> Fraction:
+    return FractionalVertexCover(tuple(cover.values())).total
 
 
 def _check_optimal_pair_doc(
@@ -345,7 +347,7 @@ def _run_verify(path: str, result_doc: object) -> tuple[dict, int]:
         if bfm is not None:
             checks.append(_support_check(graph, outputs, bfm))
         nu_f = Fraction(outputs["nu_f"])
-        checks.append(("nu_f_equals_cover_total", nu_f == sum(cover.values())))
+        checks.append(("nu_f_equals_cover_total", nu_f == _cover_total(cover)))
     elif command in ("min-cycles", "gamma"):
         cover = _cover_from_doc(index, certificates["cover"])
         bfm = _check_optimal_pair_doc(graph, index, certificates["x"], cover, checks)
@@ -355,7 +357,7 @@ def _run_verify(path: str, result_doc: object) -> tuple[dict, int]:
                 checks.append(_support_check(graph, outputs, bfm))
         if command == "min-cycles":
             checks += [
-                ("nu_f_equals_cover_total", Fraction(outputs["nu_f"]) == sum(cover.values())),
+                ("nu_f_equals_cover_total", Fraction(outputs["nu_f"]) == _cover_total(cover)),
                 ("x_equals_certificate_x", outputs["x"] == certificates["x"]),
             ]
     elif command == "stabilize-vertices":
@@ -366,7 +368,7 @@ def _run_verify(path: str, result_doc: object) -> tuple[dict, int]:
             residual = graph.delete_stars(removed)
             checks.extend(stable_subgraph_checks(residual, matching, cover, removed))
         checks += [
-            ("nu_after_equals_cover_total", Fraction(outputs["nu_after"]) == sum(cover.values())),
+            ("nu_after_equals_cover_total", Fraction(outputs["nu_after"]) == _cover_total(cover)),
             ("S_size_equals_gamma", len(removed) == outputs["gamma"]),
         ]
     elif command == "stabilize-edges":
@@ -400,7 +402,7 @@ def _run_verify(path: str, result_doc: object) -> tuple[dict, int]:
             residual = graph.delete_stars(removed)
             checks.extend(stable_subgraph_checks(residual, matching, cover, removed))
             nu_f = Fraction(outputs["residual_nu_f"])
-            checks.append(("residual_nu_f_equals_cover_total", nu_f == sum(cover.values())))
+            checks.append(("residual_nu_f_equals_cover_total", nu_f == _cover_total(cover)))
         else:
             checks.append(("infeasible_reported", outputs["status"] == "infeasible"))
         w_m = Fraction(outputs["w_M"])
@@ -408,7 +410,7 @@ def _run_verify(path: str, result_doc: object) -> tuple[dict, int]:
     elif command == "check-stability":
         cover = _cover_from_doc(index, certificates["cover"])
         _check_optimal_pair_doc(graph, index, certificates["x"], cover, checks)
-        total = sum(cover.values())
+        total = _cover_total(cover)
         nu, nu_f = Fraction(outputs["nu"]), Fraction(outputs["nu_f"])
         checks.append(("nu_f_equals_cover_total", nu_f == total))
         checks.append(("stable_iff_nu_equals_nu_f", outputs["stable"] == (nu == nu_f)))

@@ -103,11 +103,12 @@ def _build_auxiliary(
 
     matching_pairs = list(bfm.matched.pairs)
     shadow_vertex: dict[int, int] = {}
+    _q, scaled_cover = cover.scaled
     for v in range(n):
-        if cover.values[v] != 0:
+        if scaled_cover[v] != 0:
             continue
-        load = bfm.vertex_load(v)
-        if load == 1:
+        load = bfm.vertex_halves[v]  # 2 x(delta(v))
+        if load == 2:
             add_edge(node_of.get(v, v), z, v)
         elif load == 0:
             shadow = n + 1 + v

@@ -1,17 +1,20 @@
 """Exact-rational weighted graphs and the primitive fractional-matching moves.
 
 Everything in this module is immutable and exact: weights, matching values and
-cover values are `fractions.Fraction`, and every test (tightness, degree
-constraints, duality) is an equality test, never a tolerance. The integer
-form of the weights lives here too: `WeightedGraph.scale` is D, the lcm of
-the weight denominators, and `WeightedGraph.int_weights` the integers D.w,
-both computed once per graph for the LP kernel, the walk DP and the
-rounding of half-valued paths.
+cover values are `fractions.Fraction` at the API, and every test (tightness,
+degree constraints, duality) is an exact comparison, never a tolerance. The
+tests run on integers: `WeightedGraph.scale` is D, the lcm of the weight
+denominators, and `WeightedGraph.int_weights` the integers D.w, both
+computed once per graph for the LP kernel, the walk DP, the rounding of
+half-valued paths and the cover checks. A cover carries its own common
+denominator q and the integers q.y (`FractionalVertexCover.scaled`), so
+y_u + y_v >= w_uv is tested as (q.y_u + q.y_v).D >= D.w_uv.q, and a basic
+fractional matching keeps its values as half counts 2x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -77,7 +80,7 @@ class WeightedGraph:
                 raise GraphError(f"parallel edge ({u},{v})")
             if not isinstance(w, Fraction):
                 raise GraphError(f"edge ({u},{v}) weight must be a Fraction")
-            if w < 0:
+            if w.numerator < 0:
                 raise GraphError(f"edge ({u},{v}) has negative weight {w}")
             seen.add((u, v))
 
@@ -208,7 +211,11 @@ class Matching:
         return all(graph.has_edge(u, v) for u, v in self.pairs)
 
     def weight(self, graph: WeightedGraph) -> Fraction:
-        return sum((graph.weight(u, v) for u, v in self.pairs), start=ZERO)
+        """w(M), summed on the graph's integer weights D.w."""
+        weight = graph.int_weights
+        return Fraction(
+            sum(weight[graph.edge_index(u, v)] for u, v in self.pairs), graph.scale
+        )
 
     def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.pairs))
@@ -232,35 +239,32 @@ class BasicFractionalMatching:
     """A half-integral vector split into matched edges and odd half-cycles.
 
     Built through :func:`decompose`, which is the only validated constructor.
-    `values[i]` is the x-value of edge i of `graph`.
+    `values[i]` is the x-value of edge i of `graph`; `halves[i]` is 2x_i and
+    `vertex_halves[v]` is 2x(delta(v)), the counts `decompose` makes.
     """
 
     graph: WeightedGraph
     values: tuple[Fraction, ...]
     matched: Matching
     odd_cycles: tuple[tuple[int, ...], ...]
+    halves: tuple[int, ...] = field(compare=False, repr=False)
+    vertex_halves: tuple[int, ...] = field(compare=False, repr=False)
 
     @cached_property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, x in enumerate(self.values) if x != 0)
+        return tuple(i for i, h in enumerate(self.halves) if h)
 
     @cached_property
     def weight(self) -> Fraction:
-        edges = self.graph.edges
-        return sum((edges[i][2] * self.values[i] for i in self.support), start=ZERO)
-
-    @cached_property
-    def _loads(self) -> list[Fraction]:
-        loads = [ZERO] * self.graph.n
-        for i in self.support:
-            u, v, _w = self.graph.edges[i]
-            loads[u] += self.values[i]
-            loads[v] += self.values[i]
-        return loads
+        """w.x, summed as D.w_i times 2x_i over 2D."""
+        weight, halves = self.graph.int_weights, self.halves
+        return Fraction(
+            sum(weight[i] * halves[i] for i in self.support), 2 * self.graph.scale
+        )
 
     def vertex_load(self, v: int) -> Fraction:
         """x(delta(v)) for this vector."""
-        return self._loads[v]
+        return (ZERO, HALF, ONE)[self.vertex_halves[v]]
 
 
 def decompose(
@@ -274,7 +278,8 @@ def decompose(
     if len(values) != graph.m:
         raise NotHalfIntegral("value vector length does not match edge count")
     vec = [ZERO] * graph.m  # each accepted entry as the shared ZERO, HALF or ONE
-    halves = [0] * graph.n  # 2 x(delta(v)), counted over the nonzero entries
+    halves = [0] * graph.m  # 2 x_i
+    vertex_halves = [0] * graph.n  # 2 x(delta(v)), counted over the nonzero entries
     matched_pairs: list[tuple[int, int]] = []
     half_adj: dict[int, list[int]] = {}
     for idx, x in enumerate(values):
@@ -283,18 +288,20 @@ def decompose(
         u, v, _w = graph.edges[idx]
         if x == ONE:
             vec[idx] = ONE
+            halves[idx] = 2
             matched_pairs.append((u, v))
-            halves[u] += 2
-            halves[v] += 2
+            vertex_halves[u] += 2
+            vertex_halves[v] += 2
         elif x == HALF:
             vec[idx] = HALF
+            halves[idx] = 1
             half_adj.setdefault(u, []).append(v)
             half_adj.setdefault(v, []).append(u)
-            halves[u] += 1
-            halves[v] += 1
+            vertex_halves[u] += 1
+            vertex_halves[v] += 1
         else:
             raise NotHalfIntegral(f"edge {idx} has value {x}, expected 0, 1/2 or 1")
-    for v, h in enumerate(halves):
+    for v, h in enumerate(vertex_halves):
         if h > 2:
             raise DegreeConstraintViolated(
                 f"vertex {v} carries x(delta(v)) = {Fraction(h, 2)}"
@@ -324,7 +331,9 @@ def decompose(
             raise NotBasic(f"half-edges around vertex {start} form an even cycle")
         cycles.append(canonical_cycle(order))
     cycles.sort()
-    return BasicFractionalMatching(graph, tuple(vec), matched, tuple(cycles))
+    return BasicFractionalMatching(
+        graph, tuple(vec), matched, tuple(cycles), tuple(halves), tuple(vertex_halves)
+    )
 
 
 def round_cycles(
@@ -380,32 +389,49 @@ class FractionalVertexCover:
 
     values: tuple[Fraction, ...]
 
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """(q, q.y): q, the lcm of the value denominators, and the integers
+        q.y_v, by vertex; every check of the cover runs on these."""
+        q = lcm(*(y.denominator for y in self.values))
+        return q, tuple(y.numerator * (q // y.denominator) for y in self.values)
+
     @property
     def total(self) -> Fraction:
-        return sum(self.values, start=ZERO)
+        q, a = self.scaled
+        return Fraction(sum(a), q)
 
     def is_feasible_for(self, graph: WeightedGraph) -> bool:
         """y >= 0, and y_u + y_v >= w_uv on every edge of `graph`."""
-        y = self.values
-        return (
-            len(y) == graph.n
-            and all(y_v >= 0 for y_v in y)
-            and all(y[u] + y[v] >= w for u, v, w in graph.edges)
+        if len(self.values) != graph.n:
+            return False
+        q, a = self.scaled
+        if any(a_v < 0 for a_v in a):
+            return False
+        d = graph.scale
+        return all(
+            (a[u] + a[v]) * d >= w * q
+            for (u, v, _w), w in zip(graph.edges, graph.int_weights)
         )
 
 
 def tight_edges(graph: WeightedGraph, cover: FractionalVertexCover) -> frozenset[int]:
     """Edge indices where y_u + y_v equals w_uv exactly, found in one pass
-    that raises InfeasibleCover at the first edge with y_u + y_v < w_uv."""
+    that raises InfeasibleCover at the first edge with y_u + y_v < w_uv.
+
+    Compares (q.y_u + q.y_v).D with D.w_uv.q on integers (see
+    `FractionalVertexCover.scaled`)."""
     y = cover.values
     if len(y) != graph.n:
         raise InfeasibleCover("cover length does not match vertex count")
+    q, a = cover.scaled
+    d = graph.scale
     tight = []
-    for i, (u, v, w) in enumerate(graph.edges):
-        covered = y[u] + y[v]
-        if covered < w:
+    for i, ((u, v, w), w_int) in enumerate(zip(graph.edges, graph.int_weights)):
+        covered, needed = (a[u] + a[v]) * d, w_int * q
+        if covered < needed:
             raise InfeasibleCover(f"edge ({u},{v}) violates the cover: {y[u]} + {y[v]} < {w}")
-        if covered == w:
+        if covered == needed:
             tight.append(i)
     return frozenset(tight)
 

@@ -29,12 +29,13 @@ def _parse_weight(raw: Any, where: str) -> Fraction:
         value = Fraction(raw)
     elif isinstance(raw, str):
         try:
-            value = Fraction(raw)
+            # ASCII digits alone spell a nonnegative integer: skip the regex
+            value = Fraction(int(raw)) if raw.isascii() and raw.isdigit() else Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{where}: cannot parse weight {raw!r}") from exc
     else:
         raise ParseError(f"{where}: weight must be an integer or string, got {raw!r}")
-    if value < 0:
+    if value.numerator < 0:
         raise ParseError(f"{where}: weight {raw!r} is negative")
     return value
 

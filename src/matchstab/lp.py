@@ -18,7 +18,10 @@ Both certificates are checked here, once per result and also under
 `optimal_pair_checks` for the pair of `solve_fractional` and for the pair
 `reduce_cycles` returns after its moves (one check, not one per move), and
 `stable_subgraph_checks` for the results of `min_vertex_stabilizer` and
-`m_vertex_stabilizer`.
+`m_vertex_stabilizer`. Every check runs on scaled integers: the graph's
+D.w, the cover's common denominator q and integers q.y
+(`FractionalVertexCover.scaled`), and the half counts 2x that
+`graph.decompose` keeps.
 """
 
 from __future__ import annotations
@@ -232,14 +235,17 @@ def optimal_pair_checks(
     Returns `cover_is_feasible` (y_u + y_v >= w_uv on every edge),
     `strong_duality` (w.x = sum y) and `complementary_slackness` (every
     supported edge is tight, and x(delta(v)) = 1 wherever y_v > 0), each with
-    its result.
+    its result. All three are decided on integers: the graph's D.w, the
+    cover's q.y and the half counts 2x of `decompose`.
     """
-    y = cover.values
-    if len(y) != graph.n:
+    if len(cover.values) != graph.n:
         raise InfeasibleCover("cover length does not match vertex count")
+    q, a = cover.scaled
+    d, weight, edges = graph.scale, graph.int_weights, graph.edges
+    loads = bfm.vertex_halves
     slack_ok = all(
-        y[u] + y[v] == w for u, v, w in (graph.edges[i] for i in bfm.support)
-    ) and all(y[v] == 0 or bfm.vertex_load(v) == 1 for v in range(graph.n))
+        (a[edges[i][0]] + a[edges[i][1]]) * d == weight[i] * q for i in bfm.support
+    ) and all(a_v == 0 or loads[v] == 2 for v, a_v in enumerate(a))
     return [
         ("cover_is_feasible", cover.is_feasible_for(graph)),
         ("strong_duality", bfm.weight == cover.total),

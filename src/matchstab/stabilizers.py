@@ -46,9 +46,8 @@ def min_vertex_stabilizer(graph: WeightedGraph) -> VertexStabilizerResult:
     """
     reduction = reduce_cycles(graph)
     bfm, cover = reduction.solution, reduction.cover
-    removed = [
-        min(cycle, key=lambda v: (cover.values[v], v)) for cycle in bfm.odd_cycles
-    ]
+    _q, scaled_cover = cover.scaled  # q.y orders the vertices as y does
+    removed = [min(cycle, key=lambda v: (scaled_cover[v], v)) for cycle in bfm.odd_cycles]
     survivors = round_cycles(bfm, list(zip(bfm.odd_cycles, removed))).matched
     surviving_cover = {
         v: cover.values[v] for v in range(graph.n) if v not in removed

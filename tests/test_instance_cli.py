@@ -13,7 +13,7 @@ from matchstab import oracle
 from matchstab.cli import main
 from matchstab.errors import ParseError
 from matchstab.graph import Matching
-from matchstab.instance import parse_instance
+from matchstab.instance import _parse_weight, parse_instance
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -52,6 +52,34 @@ def test_parse_rejects_bad_documents():
             '{"vertices": ["a", "b", "c"], "edges": [{"u": "a", "v": "b", "w": "1"}],'
             ' "matching": [["a", "c"]]}'
         )
+
+
+def _parse_weight_by_fraction(raw: str, where: str) -> Fraction:
+    """A weight string parsed as `_parse_weight` parses every string that
+    is not all ASCII digits: through `Fraction(raw)`."""
+    try:
+        value = Fraction(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{where}: cannot parse weight {raw!r}") from exc
+    if value < 0:
+        raise ParseError(f"{where}: weight {raw!r} is negative")
+    return value
+
+
+@pytest.mark.parametrize(
+    "raw",
+    ["0", "007", "12", " 7", "+7", "-0", "-1", "1_000", "\u0663", "3/4", "0.5", "1e3", "",
+     pytest.param("9" * 5000, id="5000 digits")],
+)
+def test_weight_strings_parse_as_fraction_parses_them(raw):
+    def outcome(parse):
+        try:
+            value = parse(raw, "edges[0]")
+        except ParseError as exc:
+            return "ParseError", str(exc)
+        return type(value), value
+
+    assert outcome(_parse_weight) == outcome(_parse_weight_by_fraction)
 
 
 def test_gamma_command(capsys):
@@ -221,6 +249,28 @@ def test_verify_rejects_a_negative_cover_on_an_unstable_graph(tmp_path, capsys):
     assert code == 1
     checks = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
     assert checks["cover_feasible_on_residual"] is False
+
+
+def test_verify_rejects_a_cover_lowered_by_a_foreign_denominator(tmp_path, capsys):
+    # fig8 has integer weights; 1/1000003 gives the cover a common
+    # denominator that the weights' denominator does not divide
+    instance = str(FIXTURES / "fig8.json")
+    doc = json.loads(_run(capsys, "solve-fractional", instance)[1])
+    cover = doc["certificates"]["cover"]
+    label = next(v for v, y in cover.items() if Fraction(y) > 0)
+    cover[label] = str(Fraction(cover[label]) - Fraction(1, 1000003))
+    result_path = tmp_path / "lowered.json"
+    result_path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "verify", instance, "--result", str(result_path))
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["verified"] is False
+    assert {c["name"] for c in report["checks"] if not c["ok"]} == {
+        "cover_is_feasible",
+        "strong_duality",
+        "complementary_slackness",
+        "nu_f_equals_cover_total",
+    }
 
 
 # a path a-b-c whose matching {ab} is already maximum: m-stabilize is feasible
