@@ -69,10 +69,6 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _labels(graph: WeightedGraph, vertices) -> list[str]:
     return [graph.label_of(v) for v in sorted(vertices)]
 
@@ -116,7 +112,7 @@ def _event_doc(graph: WeightedGraph, event) -> dict[str, Any]:
     }
 
 
-def _run_command(command: str, instance: Instance, path: str) -> tuple[dict, int]:
+def _run_command(command: str, instance: Instance, path: str, digest: str) -> tuple[dict, int]:
     graph = instance.graph
     outputs: dict[str, Any] = {}
     certificates: dict[str, Any] = {}
@@ -225,14 +221,14 @@ def _run_command(command: str, instance: Instance, path: str) -> tuple[dict, int
 
     doc = {
         "command": command,
-        "instance_sha256": _sha256(path),
+        "instance_sha256": digest,
         "outputs": outputs,
         "certificates": certificates,
     }
     return doc, exit_code
 
 
-def _run_oracle(sub: str, instance: Instance, path: str) -> tuple[dict, int]:
+def _run_oracle(sub: str, instance: Instance, path: str, digest: str) -> tuple[dict, int]:
     graph = instance.graph
     outputs: dict[str, Any] = {}
     if sub == "nu":
@@ -268,7 +264,7 @@ def _run_oracle(sub: str, instance: Instance, path: str) -> tuple[dict, int]:
         raise UnknownCommand(sub)
     doc = {
         "command": f"oracle {sub}",
-        "instance_sha256": _sha256(path),
+        "instance_sha256": digest,
         "outputs": outputs,
         "certificates": {},
     }
@@ -331,14 +327,14 @@ def _matching_from_doc(index, pairs, checks) -> Optional[Matching]:
 
 
 def _run_verify(path: str, result_doc: object) -> tuple[dict, int]:
-    instance = _load_instance(path)
+    instance, digest = _load_instance(path)
     if not isinstance(result_doc, dict):
         return _verify_report(None, [("result_is_object", False)])
     graph = instance.graph
     command = result_doc.get("command", "")
     certificates = result_doc.get("certificates", {})
     outputs = result_doc.get("outputs", {})
-    checks = [("instance_sha256_matches", result_doc.get("instance_sha256") == _sha256(path))]
+    checks = [("instance_sha256_matches", result_doc.get("instance_sha256") == digest)]
     index = {graph.label_of(v): v for v in range(graph.n)}
 
     if command == "solve-fractional":
@@ -537,30 +533,38 @@ def _run_selftest(seed: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> _Parser:
+def _parse_args(args_list: list[str]) -> argparse.Namespace:
+    """Parse argv in two stages: `--timing` and the command name first, then
+    the rest with a parser built for that one command alone."""
     parser = _Parser(prog="matchstab", description=__doc__)
     parser.add_argument("--timing", action="store_true", help="append wall-clock timing")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in RUN_COMMANDS:
-        p = sub.add_parser(name)
+    parser.add_argument("command", choices=(*RUN_COMMANDS, "oracle", "verify", "selftest"))
+    rest = parser.add_argument("rest", nargs=argparse.REMAINDER, help="the command's arguments")
+    rest.required = False  # an empty argv reports the missing command alone
+    args = parser.parse_args(args_list)
+    p = _Parser(prog=f"matchstab {args.command}")
+    if args.command == "verify":
+        p.add_argument("instance")
+        p.add_argument("--result", required=True, help="result document to re-check")
+    elif args.command == "selftest":
+        p.add_argument("--seed", type=int, default=0)
+    else:
+        if args.command == "oracle":
+            p.add_argument("oracle_command", choices=ORACLE_SUBCOMMANDS)
         p.add_argument("instances", nargs="+")
-    p = sub.add_parser("oracle")
-    p.add_argument("oracle_command", choices=ORACLE_SUBCOMMANDS)
-    p.add_argument("instances", nargs="+")
-    p = sub.add_parser("verify")
-    p.add_argument("instance")
-    p.add_argument("--result", required=True, help="result document to re-check")
-    p = sub.add_parser("selftest")
-    p.add_argument("--seed", type=int, default=0)
-    return parser
+    return p.parse_args(args.rest, namespace=args)
 
 
-def _load_instance(path: str) -> Instance:
+def _load_instance(path: str) -> tuple[Instance, str]:
+    """The parsed instance file and the sha256 of its bytes, read once."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return parse_instance(text)
+    if "\r" in text:  # the newline translation of a text-mode read
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return parse_instance(text), hashlib.sha256(data).hexdigest()
 
 
 def _emit(doc: dict, timing: Optional[float], compact: bool) -> None:
@@ -576,13 +580,13 @@ def _emit(doc: dict, timing: Optional[float], compact: bool) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     args_list = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _build_parser().parse_args(args_list)
+        args = _parse_args(args_list)
         if args.command == "selftest":
             return _run_selftest(args.seed)
         if args.command == "verify":
             try:
                 result_doc = json.loads(Path(args.result).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ParseError(f"{args.result}: {exc}") from exc
             try:
                 doc, code = _run_verify(args.instance, result_doc)
@@ -595,11 +599,11 @@ def main(argv: Optional[list[str]] = None) -> int:
 
         def run_one(path: str) -> tuple[dict, int, float]:
             started = time.monotonic()
-            instance = _load_instance(path)
+            instance, digest = _load_instance(path)
             if args.command == "oracle":
-                doc, code = _run_oracle(args.oracle_command, instance, path)
+                doc, code = _run_oracle(args.oracle_command, instance, path, digest)
             else:
-                doc, code = _run_command(args.command, instance, path)
+                doc, code = _run_command(args.command, instance, path, digest)
             return doc, code, time.monotonic() - started
 
         paths = args.instances

@@ -262,10 +262,6 @@ class BasicFractionalMatching:
             sum(weight[i] * halves[i] for i in self.support), 2 * self.graph.scale
         )
 
-    def vertex_load(self, v: int) -> Fraction:
-        """x(delta(v)) for this vector."""
-        return (ZERO, HALF, ONE)[self.vertex_halves[v]]
-
 
 def decompose(
     graph: WeightedGraph, values: Sequence[Fraction]

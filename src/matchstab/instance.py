@@ -57,18 +57,24 @@ def parse_instance(text: str) -> Instance:
     edges_doc = doc.get("edges")
     if not isinstance(edges_doc, list):
         raise ParseError('"edges" must be a list')
+    parsed: dict[str, Fraction] = {}  # each distinct weight string is parsed once
     edges = []
     for pos, entry in enumerate(edges_doc):
-        where = f"edges[{pos}]"
-        if not isinstance(entry, dict) or not {"u", "v", "w"} <= set(entry):
-            raise ParseError(f"{where}: each edge needs u, v and w")
         try:
-            u, v = index[entry["u"]], index[entry["v"]]
+            u, v, raw = index[entry["u"]], index[entry["v"]], entry["w"]
         except (KeyError, TypeError) as exc:
-            raise ParseError(f"{where}: unknown vertex label") from exc
-        edges.append((u, v, _parse_weight(entry["w"], where)))
+            if not isinstance(entry, dict) or not {"u", "v", "w"} <= set(entry):
+                raise ParseError(f"edges[{pos}]: each edge needs u, v and w") from exc
+            raise ParseError(f"edges[{pos}]: unknown vertex label") from exc
+        if type(raw) is str:
+            w = parsed.get(raw)
+            if w is None:
+                w = parsed[raw] = _parse_weight(raw, f"edges[{pos}]")
+        else:
+            w = _parse_weight(raw, f"edges[{pos}]")
+        edges.append((u, v, w) if u < v else (v, u, w))
     try:
-        graph = WeightedGraph.from_edges(len(vertices), edges, labels=vertices)
+        graph = WeightedGraph(len(vertices), tuple(edges), tuple(vertices))
     except GraphError as exc:
         raise ParseError(str(exc)) from exc
 

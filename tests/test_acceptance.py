@@ -222,7 +222,7 @@ def test_criterion_10_duality_assertions_always_on(property_suite):
             tight = tight_edges(g, cover)
             assert all(i in tight for i in bfm.support)
             assert all(
-                cover.values[v] == 0 or bfm.vertex_load(v) == 1 for v in range(g.n)
+                cover.values[v] == 0 or bfm.vertex_halves[v] == 2 for v in range(g.n)
             )
             result = reduce_cycles(g)
             verify_optimal_pair(g, result.solution, result.cover)

@@ -173,7 +173,7 @@ def test_alternate_round_five_cycle():
     bfm = decompose(g, [H] * 5)
     out = round_cycles(bfm, [((0, 1, 2, 3, 4), 0)])
     assert out.matched.pairs == frozenset({(1, 2), (3, 4)})
-    assert out.vertex_load(0) == 0
+    assert out.vertex_halves[0] == 0  # 2x(delta(0)) = 0
 
 
 def test_alternate_round_fig9():

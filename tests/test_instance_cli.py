@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 
 import matchstab
 from conftest import count_calls
-from matchstab import oracle
+from matchstab import cli, oracle
 from matchstab.cli import main
 from matchstab.errors import ParseError
 from matchstab.graph import Matching
@@ -475,3 +477,167 @@ def test_selftest_smoke(capsys):
     code, out, _err = _run(capsys, "selftest", "--seed", "3")
     assert code == 0
     assert "selftest: PASS" in out
+
+
+# ---------------------------------------------------------------------------
+# argv handling: one small parser for `--timing` and the command name, then
+# one for that command's own arguments
+
+
+_CHOICES = (
+    "'solve-fractional', 'min-cycles', 'stabilize-vertices', 'stabilize-edges', "
+    "'m-stabilize', 'check-stability', 'gamma', 'oracle', 'verify', 'selftest'"
+)
+_ORACLE_CHOICES = (
+    "'nu', 'nu-f', 'gamma', 'stable', 'min-vertex-stabilizer', 'min-edge-stabilizer', "
+    "'min-m-stabilizer'"
+)
+_GAMMA_FIG8 = json.loads((Path(__file__).parent / "golden" / "fixtures.json").read_text())[
+    "gamma fig8.json"
+]["stdout"]
+_F = "fixtures/fig8.json"
+
+# (argv, exit code, stdout, stderr) as the single argparse tree with one
+# subparser per command printed them; "exit" is the SystemExit code of -h
+ARGV_TABLE = [
+    ([], 1, "", "matchstab: error: the following arguments are required: command\n"),
+    (["--timing"], 1, "", "matchstab: error: the following arguments are required: command\n"),
+    (["frobnicate", _F], 1, "",
+     f"matchstab: error: argument command: invalid choice: 'frobnicate' (choose from {_CHOICES})\n"),
+    (["--jobs", "2", "gamma", _F], 1, "",
+     f"matchstab: error: argument command: invalid choice: '2' (choose from {_CHOICES})\n"),
+    (["gamma", "--jobs", "2", _F], 1, "", "matchstab: error: unrecognized arguments: --jobs\n"),
+    (["gamma"], 1, "", "matchstab: error: the following arguments are required: instances\n"),
+    (["gamma", _F, "--timing"], 1, "", "matchstab: error: unrecognized arguments: --timing\n"),
+    (["oracle"], 1, "",
+     "matchstab: error: the following arguments are required: oracle_command, instances\n"),
+    (["oracle", "frob", _F], 1, "",
+     "matchstab: error: argument oracle_command: invalid choice: 'frob' "
+     f"(choose from {_ORACLE_CHOICES})\n"),
+    (["oracle", "nu"], 1, "", "matchstab: error: the following arguments are required: instances\n"),
+    (["verify", _F], 1, "", "matchstab: error: the following arguments are required: --result\n"),
+    (["verify", "--result"], 1, "", "matchstab: error: argument --result: expected one argument\n"),
+    (["selftest", "--seed", "x"], 1, "", "matchstab: error: argument --seed: invalid int value: 'x'\n"),
+    (["selftest", "extra"], 1, "", "matchstab: error: unrecognized arguments: extra\n"),
+    (["--tim", "gamma", _F], 0, _GAMMA_FIG8[:-3] + ',\n  "timing_seconds": T\n}\n', ""),
+    (["gamma", "--", _F], 0, _GAMMA_FIG8, ""),
+    (["gamma", "-h"], "exit 0",
+     "usage: matchstab gamma [-h] instances [instances ...]\n\npositional arguments:\n"
+     "  instances\n\noptions:\n  -h, --help  show this help message and exit\n", ""),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", ARGV_TABLE, ids=[" ".join(row[0]) or "(empty)" for row in ARGV_TABLE]
+)
+def test_argv_outcomes_are_unchanged(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.chdir(FIXTURES.parent)
+    try:
+        got = main(list(argv))
+    except SystemExit as exc:
+        got = f"exit {exc.code}"
+    captured = capsys.readouterr()
+    stdout = re.sub(r'"timing_seconds": [0-9.e-]+', '"timing_seconds": T', captured.out)
+    assert (got, stdout, captured.err) == (code, out, err)
+
+
+def test_each_call_builds_at_most_two_parsers(tmp_path, capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    fig8 = str(FIXTURES / "fig8.json")
+    result = tmp_path / "result.json"
+    result.write_text(_run(capsys, "gamma", fig8)[1])
+    assert len(built) == 2
+    for argv in (["gamma", fig8], ["verify", fig8, "--result", str(result)],
+                 ["oracle", "nu", fig8], ["selftest", "--seed", "x"], ["frobnicate"], []):
+        before = len(built)
+        _run(capsys, *argv)
+        assert 1 <= len(built) - before <= 2, argv
+    # a second identical call builds its own parsers again
+    before = len(built)
+    _run(capsys, "gamma", fig8)
+    _run(capsys, "gamma", fig8)
+    fresh = built[before:]
+    assert len(fresh) == 4 and len({id(p) for p in fresh}) == 4
+
+
+# ---------------------------------------------------------------------------
+# instance and result files: read once, hashed as bytes, decoded as UTF-8
+
+_NOT_UTF8 = b'{"vertices": ["a\xff"], "edges": []}'
+_DECODE_ERROR = "'utf-8' codec can't decode byte 0xff in position 16: invalid start byte"
+
+
+@pytest.mark.parametrize("command", [["gamma"], ["solve-fractional"], ["oracle", "nu"]])
+def test_a_non_utf8_instance_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(_NOT_UTF8)
+    code, out, err = _run(capsys, *command, str(path))
+    assert (code, out, err) == (1, "", f"matchstab: error: {path}: {_DECODE_ERROR}\n")
+
+
+def test_verify_of_a_non_utf8_instance_is_an_input_error(tmp_path, capsys):
+    fig8 = str(FIXTURES / "fig8.json")
+    result = tmp_path / "result.json"
+    result.write_text(_run(capsys, "gamma", fig8)[1])
+    path = tmp_path / "bad.json"
+    path.write_bytes(_NOT_UTF8)
+    code, out, err = _run(capsys, "verify", str(path), "--result", str(result))
+    assert (code, out, err) == (1, "", f"matchstab: error: {path}: {_DECODE_ERROR}\n")
+
+
+def test_verify_of_a_non_utf8_result_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(_NOT_UTF8)
+    code, out, err = _run(capsys, "verify", str(FIXTURES / "fig8.json"), "--result", str(path))
+    assert (code, out, err) == (1, "", f"matchstab: error: {path}: {_DECODE_ERROR}\n")
+
+
+def _count_reads(monkeypatch) -> list[str]:
+    reads = []
+    for name in ("read_bytes", "read_text"):
+        original = getattr(Path, name)
+
+        def counted(self, *args, _original=original, **kwargs):
+            reads.append(self.name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, name, counted)
+    return reads
+
+
+def test_the_instance_file_is_read_once_and_hashed_as_bytes(tmp_path, capsys, monkeypatch):
+    # CRLF newlines: the hash is of the bytes, the parse of the decoded text
+    path = tmp_path / "crlf.json"
+    data = (FIXTURES / "fig8.json").read_bytes().replace(b"\n", b"\r\n")
+    path.write_bytes(data)
+    reads = _count_reads(monkeypatch)
+    code, out, _err = _run(capsys, "gamma", str(path))
+    assert code == 0 and reads == ["crlf.json"]
+    doc = json.loads(out)
+    assert doc["instance_sha256"] == hashlib.sha256(data).hexdigest()
+    assert doc["outputs"] == {"gamma": 1}
+    result = tmp_path / "result.json"
+    result.write_text(out)
+    reads.clear()
+    code, out, _err = _run(capsys, "verify", str(path), "--result", str(result))
+    assert code == 0 and json.loads(out)["verified"] is True
+    assert sorted(reads) == ["crlf.json", "result.json"]
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_a_json_error_reads_as_after_newline_translation(tmp_path, capsys, newline):
+    # a text-mode read turns \r\n and \r into \n, and JSON error positions count them
+    path = tmp_path / "broken.json"
+    path.write_bytes(b'{\n "vertices": ["a"],\n "edges": [}\n'.replace(b"\n", newline))
+    code, out, err = _run(capsys, "gamma", str(path))
+    with pytest.raises(ParseError) as expected:
+        parse_instance(path.read_text(encoding="utf-8"))
+    assert (code, out, err) == (1, "", f"matchstab: error: {expected.value}\n")
+    assert "line 3" in err

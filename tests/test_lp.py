@@ -214,7 +214,7 @@ def test_duality_and_slackness_on_random_suite(property_suite):
         tight = tight_edges(g, cover)
         assert all(i in tight for i in bfm.support)
         assert all(
-            cover.values[v] == 0 or bfm.vertex_load(v) == 1 for v in range(g.n)
+            cover.values[v] == 0 or bfm.vertex_halves[v] == 2 for v in range(g.n)
         )
         # solver value equals the enumeration oracle
         assert bfm.weight == oracle.exact_nu_f(g)
