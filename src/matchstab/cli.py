@@ -79,6 +79,11 @@ def _pairs(graph: WeightedGraph, matching: Matching) -> list[list[str]]:
     ]
 
 
+def _edges_doc(graph: WeightedGraph, indices) -> list[list[str]]:
+    edges = graph.edges
+    return [[graph.label_of(edges[i][0]), graph.label_of(edges[i][1])] for i in indices]
+
+
 def _x_entries(graph: WeightedGraph, bfm: BasicFractionalMatching) -> list[dict[str, str]]:
     """The nonzero entries of x, in edge order."""
     edges, values = graph.edges, bfm.values
@@ -166,10 +171,7 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
     elif command == "stabilize-edges":
         result = edge_stabilizer_approx(graph)
         outputs = {
-            "F": [
-                [graph.label_of(graph.edges[i][0]), graph.label_of(graph.edges[i][1])]
-                for i in result.removed_edges
-            ],
+            "F": _edges_doc(graph, result.removed_edges),
             "size": len(result.removed_edges),
             "gamma": result.gamma,
             "lower_bound": result.lower_bound,
@@ -246,10 +248,7 @@ def _run_oracle(sub: str, instance: Instance, path: str, digest: str) -> tuple[d
     elif sub == "min-edge-stabilizer":
         subset = oracle_mod.brute_min_edge_stabilizer(graph)
         outputs = {
-            "F": [
-                [graph.label_of(graph.edges[i][0]), graph.label_of(graph.edges[i][1])]
-                for i in sorted(subset)
-            ],
+            "F": _edges_doc(graph, sorted(subset)),
             "size": len(subset),
         }
     elif sub == "min-m-stabilizer":
@@ -275,11 +274,33 @@ def _run_oracle(sub: str, instance: Instance, path: str, digest: str) -> tuple[d
 # verify: re-check certificates using only graph-core arithmetic
 
 
-def _vector_from_entries(graph: WeightedGraph, index, entries) -> list[Fraction]:
-    values = [Fraction(0)] * graph.m
-    for entry in entries:
-        values[graph.edge_index(index[entry["u"]], index[entry["v"]])] = Fraction(entry["x"])
-    return values
+def _distinct(name: str, keys: list) -> list:
+    """`keys`, read off a list the document states as a set; an entry it
+    names twice makes the document malformed."""
+    if len(set(keys)) != len(keys):
+        raise ParseError(f"malformed result document: {name} names an entry twice")
+    return keys
+
+
+def _vertex_set(index, doc: dict, key: str) -> set[int]:
+    return set(_distinct(key, [index[label] for label in doc[key]]))
+
+
+def _edge_pairs(index, doc: dict, key: str) -> list[tuple[int, int]]:
+    """The vertex pairs of the list of edges `doc[key]`, each sorted, so
+    that an edge named twice in either order counts as named twice."""
+    return _distinct(key, [tuple(sorted((index[a], index[b]))) for a, b in doc[key]])
+
+
+def _halves_from_entries(graph: WeightedGraph, index, entries) -> list:
+    """The document's x as the half counts 2x_i that `decompose` validates;
+    an x_i that is not a multiple of 1/2 gives a count such as 3/2, which
+    `decompose` refuses."""
+    edges = _distinct("x", [graph.edge_index(index[e["u"]], index[e["v"]]) for e in entries])
+    halves: list = [0] * graph.m
+    for i, entry in zip(edges, entries):
+        halves[i] = 2 * Fraction(entry["x"])
+    return halves
 
 
 def _cover_from_doc(index, doc: dict[str, str]) -> dict[int, Fraction]:
@@ -296,7 +317,7 @@ def _check_optimal_pair_doc(
     """Append `x_is_basic_feasible` and, when x is basic, the optimal-pair
     checks; returns the decomposed x, or None when it is not basic."""
     try:
-        bfm = decompose(graph, _vector_from_entries(graph, index, x_entries))
+        bfm = decompose(graph, _halves_from_entries(graph, index, x_entries))
     except (NotHalfIntegral, DegreeConstraintViolated, NotBasic):
         checks.append(("x_is_basic_feasible", False))
         return None
@@ -314,11 +335,11 @@ def _support_check(graph, outputs, bfm: BasicFractionalMatching) -> tuple[str, b
     return ("matched_and_odd_cycles_equal_x", matched_ok and cycles_ok)
 
 
-def _matching_from_doc(index, pairs, checks) -> Optional[Matching]:
-    """Append `matching_pairs_disjoint`; returns the matching, or None when
-    two of its pairs share a vertex."""
+def _matching_from_doc(index, doc: dict, key: str, checks) -> Optional[Matching]:
+    """Append `matching_pairs_disjoint`; returns the matching `doc[key]`,
+    or None when two of its pairs share a vertex."""
     try:
-        matching = Matching.from_pairs((index[a], index[b]) for a, b in pairs)
+        matching = Matching.from_pairs(_edge_pairs(index, doc, key))
     except GraphError:
         checks.append(("matching_pairs_disjoint", False))
         return None
@@ -357,9 +378,9 @@ def _run_verify(path: str, result_doc: object) -> tuple[dict, int]:
                 ("x_equals_certificate_x", outputs["x"] == certificates["x"]),
             ]
     elif command == "stabilize-vertices":
-        removed = {index[s] for s in outputs["S"]}
+        removed = _vertex_set(index, outputs, "S")
         cover = _cover_from_doc(index, certificates["surviving_cover"])
-        matching = _matching_from_doc(index, certificates["surviving_matching"], checks)
+        matching = _matching_from_doc(index, certificates, "surviving_matching", checks)
         if matching is not None:
             residual = graph.delete_stars(removed)
             checks.extend(stable_subgraph_checks(residual, matching, cover, removed))
@@ -368,12 +389,12 @@ def _run_verify(path: str, result_doc: object) -> tuple[dict, int]:
             ("S_size_equals_gamma", len(removed) == outputs["gamma"]),
         ]
     elif command == "stabilize-edges":
-        pairs = [(index[a], index[b]) for a, b in outputs["F"]]
+        pairs = _edge_pairs(index, outputs, "F")
         checks.append(("F_edges_in_graph", all(graph.has_edge(u, v) for u, v in pairs)))
         removed_edges = {graph.edge_index(u, v) for u, v in pairs if graph.has_edge(u, v)}
-        removed = {index[s] for s in certificates["S"]}
+        removed = _vertex_set(index, certificates, "S")
         # deleting F isolates S, so certify on G minus F with the cover extended by 0
-        matching = _matching_from_doc(index, certificates["surviving_matching"], checks)
+        matching = _matching_from_doc(index, certificates, "surviving_matching", checks)
         if matching is not None:
             cover = _cover_from_doc(index, certificates["surviving_cover"])
             checks.extend(
@@ -392,8 +413,9 @@ def _run_verify(path: str, result_doc: object) -> tuple[dict, int]:
         matching = instance.matching
         if matching is None:
             raise MatchingRequired("verifying m-stabilize needs the instance matching")
+        # S1 and S2 are read only as sets without repeats
+        removed, _s1, _s2 = (_vertex_set(index, outputs, key) for key in ("S", "S1", "S2"))
         if outputs["status"] == "feasible":
-            removed = {index[s] for s in outputs["S"]}
             cover = _cover_from_doc(index, certificates["residual_cover"])
             residual = graph.delete_stars(removed)
             checks.extend(stable_subgraph_checks(residual, matching, cover, removed))
@@ -410,7 +432,7 @@ def _run_verify(path: str, result_doc: object) -> tuple[dict, int]:
         nu, nu_f = Fraction(outputs["nu"]), Fraction(outputs["nu_f"])
         checks.append(("nu_f_equals_cover_total", nu_f == total))
         checks.append(("stable_iff_nu_equals_nu_f", outputs["stable"] == (nu == nu_f)))
-        witness = _matching_from_doc(index, certificates["max_matching"], checks)
+        witness = _matching_from_doc(index, certificates, "max_matching", checks)
         if witness is not None:
             in_graph = witness.is_matching_in(graph)
             checks.append(("witness_is_matching", in_graph))

@@ -24,7 +24,6 @@ from .graph import (
     Matching,
     WeightedGraph,
     complement,
-    decompose,
     round_cycles,
     tight_edges,
 )
@@ -212,7 +211,7 @@ def apply_augmentation(
 
     rounded = round_cycles(bfm, picks)
     flips = [graph.edge_index(a, b) for a, b in zip(g_path, g_path[1:])]
-    new = decompose(graph, complement(rounded, flips))
+    new = complement(rounded, flips)
     event = AugmentationEvent(kind, tuple(c for c, _v in picks), rounded_at, g_path)
     assert set(bfm.odd_cycles) - set(new.odd_cycles) == set(event.cycles)
     assert set(new.odd_cycles) <= set(bfm.odd_cycles)

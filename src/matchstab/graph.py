@@ -1,15 +1,18 @@
 """Exact-rational weighted graphs and the primitive fractional-matching moves.
 
-Everything in this module is immutable and exact: weights, matching values and
-cover values are `fractions.Fraction` at the API, and every test (tightness,
-degree constraints, duality) is an exact comparison, never a tolerance. The
-tests run on integers: `WeightedGraph.scale` is D, the lcm of the weight
+Everything in this module is immutable and exact: weights and cover values
+are `fractions.Fraction` at the API, and every test (tightness, degree
+constraints, duality) is an exact comparison, never a tolerance. The tests
+run on integers: `WeightedGraph.scale` is D, the lcm of the weight
 denominators, and `WeightedGraph.int_weights` the integers D.w, both
 computed once per graph for the LP kernel, the walk DP, the rounding of
 half-valued paths and the cover checks. A cover carries its own common
 denominator q and the integers q.y (`FractionalVertexCover.scaled`), so
-y_u + y_v >= w_uv is tested as (q.y_u + q.y_v).D >= D.w_uv.q, and a basic
-fractional matching keeps its values as half counts 2x.
+y_u + y_v >= w_uv is tested as (q.y_u + q.y_v).D >= D.w_uv.q. A fractional
+matching x is half counts 2x_i, ints 0, 1 or 2, everywhere: `decompose`
+validates them, `round_cycles` and `complement` rewrite them, and x becomes
+`Fraction`s only in `BasicFractionalMatching.values`, for the API and the
+JSON documents.
 """
 
 from __future__ import annotations
@@ -239,16 +242,22 @@ class BasicFractionalMatching:
     """A half-integral vector split into matched edges and odd half-cycles.
 
     Built through :func:`decompose`, which is the only validated constructor.
-    `values[i]` is the x-value of edge i of `graph`; `halves[i]` is 2x_i and
-    `vertex_halves[v]` is 2x(delta(v)), the counts `decompose` makes.
+    x is kept as half counts: `halves[i]` is 2x_i, an int 0, 1 or 2, for edge
+    i of `graph`, and `vertex_halves[v]` is 2x(delta(v)); `==` and `repr`
+    read `halves`. `values`, the x_i as `Fraction`s, is derived from them for
+    the API and the JSON documents only.
     """
 
     graph: WeightedGraph
-    values: tuple[Fraction, ...]
+    halves: tuple[int, ...]
     matched: Matching
     odd_cycles: tuple[tuple[int, ...], ...]
-    halves: tuple[int, ...] = field(compare=False, repr=False)
     vertex_halves: tuple[int, ...] = field(compare=False, repr=False)
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """x_i = halves[i] / 2, by edge index."""
+        return tuple((ZERO, HALF, ONE)[h] for h in self.halves)
 
     @cached_property
     def support(self) -> tuple[int, ...]:
@@ -263,40 +272,37 @@ class BasicFractionalMatching:
         )
 
 
-def decompose(
-    graph: WeightedGraph, values: Sequence[Fraction]
-) -> BasicFractionalMatching:
-    """Validate a half-integral vector and split it into M(x) and C(x).
+def decompose(graph: WeightedGraph, halves: Sequence[int]) -> BasicFractionalMatching:
+    """Validate x, given as half counts 2x_i, and split it into M(x) and C(x).
 
-    Raises NotHalfIntegral / DegreeConstraintViolated / NotBasic when the
-    vector is not a basic fractional matching.
+    This is the one validator of x. An entry other than 0, 1 or 2 (such as
+    the 3/2 that stands for x_i = 3/4) raises NotHalfIntegral, a load
+    x(delta(v)) above 1 raises DegreeConstraintViolated, and half-valued
+    edges that do not form vertex-disjoint odd cycles raise NotBasic.
     """
-    if len(values) != graph.m:
+    if len(halves) != graph.m:
         raise NotHalfIntegral("value vector length does not match edge count")
-    vec = [ZERO] * graph.m  # each accepted entry as the shared ZERO, HALF or ONE
-    halves = [0] * graph.m  # 2 x_i
+    counts = [0] * graph.m  # each accepted entry as the int 0, 1 or 2
     vertex_halves = [0] * graph.n  # 2 x(delta(v)), counted over the nonzero entries
     matched_pairs: list[tuple[int, int]] = []
     half_adj: dict[int, list[int]] = {}
-    for idx, x in enumerate(values):
-        if x == 0:
+    for idx, h in enumerate(halves):
+        if h == 0:
             continue
         u, v, _w = graph.edges[idx]
-        if x == ONE:
-            vec[idx] = ONE
-            halves[idx] = 2
+        if h == 2:
+            counts[idx] = 2
             matched_pairs.append((u, v))
-            vertex_halves[u] += 2
-            vertex_halves[v] += 2
-        elif x == HALF:
-            vec[idx] = HALF
-            halves[idx] = 1
+        elif h == 1:
+            counts[idx] = 1
             half_adj.setdefault(u, []).append(v)
             half_adj.setdefault(v, []).append(u)
-            vertex_halves[u] += 1
-            vertex_halves[v] += 1
         else:
-            raise NotHalfIntegral(f"edge {idx} has value {x}, expected 0, 1/2 or 1")
+            raise NotHalfIntegral(
+                f"edge {idx} has value {Fraction(h, 2)}, expected 0, 1/2 or 1"
+            )
+        vertex_halves[u] += counts[idx]
+        vertex_halves[v] += counts[idx]
     for v, h in enumerate(vertex_halves):
         if h > 2:
             raise DegreeConstraintViolated(
@@ -328,7 +334,7 @@ def decompose(
         cycles.append(canonical_cycle(order))
     cycles.sort()
     return BasicFractionalMatching(
-        graph, tuple(vec), matched, tuple(cycles), tuple(halves), tuple(vertex_halves)
+        graph, tuple(counts), matched, tuple(cycles), tuple(vertex_halves)
     )
 
 
@@ -344,7 +350,7 @@ def round_cycles(
     untouched. The cycles are vertex-disjoint, so the result equals rounding
     them one after another.
     """
-    new_values = list(bfm.values)
+    halves = list(bfm.halves)
     done: set[tuple[int, ...]] = set()
     for cycle, v in picks:
         canon = canonical_cycle(cycle)
@@ -359,24 +365,21 @@ def round_cycles(
         for i in range(k):
             idx = bfm.graph.edge_index(order[i], order[(i + 1) % k])
             # positions are 1-based from v; the first and last edges touch v
-            new_values[idx] = ZERO if i % 2 == 0 else ONE
-    return decompose(bfm.graph, new_values)
+            halves[idx] = 0 if i % 2 == 0 else 2
+    return decompose(bfm.graph, halves)
 
 
 def complement(
     bfm: BasicFractionalMatching, edge_indices: Iterable[int]
-) -> tuple[Fraction, ...]:
-    """Flip x_e to 1 - x_e along a set of integral edges.
-
-    Returns the raw vector; callers re-validate through decompose.
-    """
-    new_values = list(bfm.values)
+) -> BasicFractionalMatching:
+    """Flip x_e to 1 - x_e along a set of integral edges, validated by one
+    `decompose`."""
+    halves = list(bfm.halves)
     for idx in edge_indices:
-        x = new_values[idx]
-        if x not in (ZERO, ONE):
-            raise HalfValueOnPath(f"edge {idx} has value {x}; complement needs 0/1")
-        new_values[idx] = ONE - x
-    return tuple(new_values)
+        if halves[idx] == 1:
+            raise HalfValueOnPath(f"edge {idx} has value 1/2; complement needs 0/1")
+        halves[idx] = 2 - halves[idx]
+    return decompose(bfm.graph, halves)
 
 
 @dataclass(frozen=True)

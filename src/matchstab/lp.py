@@ -8,10 +8,12 @@ duplicate. Its kernel runs on the integer weights D.w that the graph
 computes once (`WeightedGraph.scale` is D, the lcm of the weight
 denominators, and `WeightedGraph.int_weights` the D.w), with a
 per-right-copy slack array so that each even row is scanned once per
-phase; `Fraction` appears only at its return, as the potentials divided
-by D. `solve_fractional` averages the two copies into a half-integral
-optimum x and a minimum fractional w-vertex cover y, and
-`normalize_to_basic` rounds the half-valued paths and even cycles of x.
+phase, and returns its potentials as those integers too.
+`solve_fractional` counts the matched copies of each edge into the half
+counts 2x of a half-integral optimum x, which stay ints through
+`normalize_to_basic` (it rounds the half-valued paths and even cycles of
+x) and `graph.decompose`, and averages the two potentials of each vertex
+into one `Fraction` of a minimum fractional w-vertex cover y.
 
 Both certificates are checked here, once per result and also under
 `python -O`, by the named checks `matchstab verify` reports:
@@ -31,8 +33,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DegreeConstraintViolated, InfeasibleCover, NotOptimalPair
 from .graph import (
-    HALF,
-    ONE,
     ZERO,
     BasicFractionalMatching,
     FractionalVertexCover,
@@ -44,28 +44,30 @@ from .graph import (
 
 def bipartite_max_weight_matching(
     graph: WeightedGraph,
-) -> tuple[list[Optional[int]], list[Fraction], list[Fraction]]:
+) -> tuple[list[Optional[int]], list[int], list[int]]:
     """Maximum-weight matching on the duplicate with an exact dual certificate.
 
     Returns the right partner of every left copy (or None) and the left and
-    right potentials. Primal-dual phases are rooted at exposed left copies
-    with positive potential. A phase ends by augmenting to an exposed right
-    copy, by the root potential reaching zero (the root retires exposed), or
-    by a matched left node's potential reaching zero, in which case the
-    matching is flipped along the alternating tree so that node retires
-    exposed instead. All three keep the invariants: feasible potentials,
-    tight matched edges, exposed right copies at potential zero.
+    right potentials, scaled by D (see below). Primal-dual phases are rooted
+    at exposed left copies with positive potential. A phase ends by
+    augmenting to an exposed right copy, by the root potential reaching zero
+    (the root retires exposed), or by a matched left node's potential
+    reaching zero, in which case the matching is flipped along the
+    alternating tree so that node retires exposed instead. All three keep
+    the invariants: feasible potentials, tight matched edges, exposed right
+    copies at potential zero.
 
     The kernel runs on the graph's integers D.w, D the lcm of the weight
     denominators; the potentials start at such integers and move by integer
-    slacks, so they stay integral and are divided by D only on return. A
-    phase scans each even row once, in the order the rows joined, and keeps
-    per right copy the least slack from an even row and the first row that
-    attains it, so a dual adjustment needs no rescan.
+    slacks, so they stay integral and are returned as they are: D times the
+    potentials of the duplicate's dual. A phase scans each even row once, in
+    the order the rows joined, and keeps per right copy the least slack from
+    an even row and the first row that attains it, so a dual adjustment
+    needs no rescan.
     """
     n = graph.n
     adjacency = graph.adjacency
-    scale, weight = graph.scale, graph.int_weights
+    weight = graph.int_weights
     p_left = [
         max((weight[i] for _r, i in adjacency[u] if weight[i] > 0), default=0)
         for u in range(n)
@@ -164,17 +166,15 @@ def bipartite_max_weight_matching(
         if root is None:
             break
         run_phase(root)
-    return (
-        match_l,
-        [Fraction(p, scale) for p in p_left],
-        [Fraction(p, scale) for p in p_right],
-    )
+    return match_l, p_left, p_right
 
 
 def normalize_to_basic(
-    graph: WeightedGraph, values: Sequence[Fraction]
+    graph: WeightedGraph, halves: Sequence[int]
 ) -> BasicFractionalMatching:
     """Round half-valued paths and even cycles so only odd cycles stay at 1/2.
+
+    x comes and goes as half counts 2x_i (see `graph.decompose`).
 
     Each half-valued path, walked from one of its endpoints, and then each
     half-valued cycle is split into its two 0/1 alternations and the heavier
@@ -184,11 +184,11 @@ def normalize_to_basic(
     alternations are compared on the graph's integer weights; `decompose`
     validates the result.
     """
-    vec = list(values)
+    vec = list(halves)
     weight = graph.int_weights
     half: dict[int, list[tuple[int, int]]] = {}
-    for idx, x in enumerate(vec):
-        if x == HALF:
+    for idx, h in enumerate(vec):
+        if h == 1:
             u, v, _w = graph.edges[idx]
             half.setdefault(u, []).append((v, idx))
             half.setdefault(v, []).append((u, idx))
@@ -219,9 +219,9 @@ def normalize_to_basic(
         if w_drop > w_keep or (w_drop == w_keep and drop and min(drop) < min(keep)):
             keep, drop = drop, keep
         for i in keep:
-            vec[i] = ONE
+            vec[i] = 2
         for i in drop:
-            vec[i] = ZERO
+            vec[i] = 0
     return decompose(graph, vec)
 
 
@@ -305,20 +305,20 @@ def solve_fractional(
 ) -> tuple[BasicFractionalMatching, FractionalVertexCover]:
     """Basic maximum-weight fractional matching plus a minimum fractional cover.
 
-    x_uv gets 1/2 per matched copy of uv in the duplicate and y_v is the
-    mean of v's two potentials. The pair satisfies w.x = sum(y) and
-    complementary slackness with exact arithmetic; both facts are checked
-    before returning.
+    x_uv gets 1/2 per matched copy of uv in the duplicate, counted as the
+    half count 2x_uv, and y_v is the mean of v's two potentials. The pair
+    satisfies w.x = sum(y) and complementary slackness with exact
+    arithmetic; both facts are checked before returning.
     """
     match_left, p_left, p_right = bipartite_max_weight_matching(graph)
     halves = [0] * graph.m  # matched copies of each edge, 0, 1 or 2
     for u, r in enumerate(match_left):
         if r is not None:
             halves[graph.edge_index(u, r)] += 1
-    values = [(ZERO, HALF, ONE)[h] for h in halves]
+    double = 2 * graph.scale
     cover = FractionalVertexCover(
-        tuple((p_left[v] + p_right[v]) / 2 for v in range(graph.n))
+        tuple(Fraction(p_left[v] + p_right[v], double) for v in range(graph.n))
     )
-    bfm = normalize_to_basic(graph, values)
+    bfm = normalize_to_basic(graph, halves)
     verify_optimal_pair(graph, bfm, cover)
     return bfm, cover

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,8 @@ from matchstab.graph import AlternatingWalk, FractionalVertexCover, Matching, We
 from matchstab.lp import solve_fractional, verify_stable_subgraph
 from matchstab.mstab import FEASIBLE, INFEASIBLE, MStabilizerResult
 from matchstab.walks import first_pass_scan, second_pass_scan
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def fig6() -> WeightedGraph:
@@ -210,6 +215,16 @@ def is_valid_walk(walk: AlternatingWalk, matching: Matching) -> bool:
     start_ok = (not matching.covers(walk.vertices[0])) or walk.matched_flags[0]
     end_ok = (not matching.covers(walk.vertices[-1])) or walk.matched_flags[-1]
     return start_ok and end_ok
+
+
+def bench_families(monkeypatch):
+    """The benchmark's instance generator, `bench/families.py`, loaded from
+    its file without writing anything."""
+    spec = importlib.util.spec_from_file_location("families", ROOT / "bench" / "families.py")
+    families = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "families", families)  # its dataclass looks itself up
+    spec.loader.exec_module(families)
+    return families
 
 
 def count_calls(monkeypatch, module, name: str) -> list[int]:

@@ -111,7 +111,7 @@ def test_criterion_5_cycle_minimization_matches_oracle(property_suite):
             assert result.weight == oracle.exact_nu_f(g)
             # the final solution is basic and optimal with slackness intact
             verify_optimal_pair(g, result.solution, result.cover)
-            assert decompose(g, result.solution.values).values == result.solution.values
+            assert decompose(g, result.solution.halves) == result.solution
 
 
 def test_criterion_6_vertex_stabilizer_optimality(property_suite):

@@ -17,7 +17,6 @@ from fractions import Fraction
 from conftest import fig8, random_graph
 from matchstab.errors import InfeasibleCover
 from matchstab.graph import (
-    HALF,
     ZERO,
     FractionalVertexCover,
     WeightedGraph,
@@ -118,8 +117,8 @@ def _assert_checks_agree(graph, seen: Counter) -> None:
     bfm, cover = solve_fractional(graph)
     xs = [
         bfm,
-        decompose(graph, [ZERO] * graph.m),
-        decompose(graph, [ZERO if x == HALF else x for x in bfm.values]),
+        decompose(graph, [0] * graph.m),
+        decompose(graph, [0 if h == 1 else h for h in bfm.halves]),
     ]
     for y in _covers_near(graph, cover.values):
         candidate = FractionalVertexCover(y)

@@ -70,10 +70,10 @@ def test_build_auxiliary_fig9():
 
 def test_build_auxiliary_fig6_with_alternate_cover():
     g = fig6()
-    x = [Fraction(0)] * g.m
+    x = [0] * g.m  # half counts 2x
     for pair in [(0, 1), (0, 2), (1, 2), (5, 6), (5, 7), (6, 7)]:
-        x[g.edge_index(*pair)] = H
-    x[g.edge_index(3, 4)] = Fraction(1)
+        x[g.edge_index(*pair)] = 1
+    x[g.edge_index(3, 4)] = 2
     bfm = decompose(g, x)
     cover = cover_of([1, 1, 1, H, 0, 1, 1, 1])
     aux = build_auxiliary(g, bfm, cover)
@@ -96,9 +96,9 @@ def test_build_auxiliary_rejects_non_optimal_pair():
 
 def test_apply_augmentation_two_cycles():
     g = _two_triangles_bridged()
-    x = [Fraction(0)] * g.m
+    x = [0] * g.m
     for pair in [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]:
-        x[g.edge_index(*pair)] = H
+        x[g.edge_index(*pair)] = 1
     bfm = decompose(g, x)
     cover = cover_of([H] * 6)
     aux = build_auxiliary(g, bfm, cover)
@@ -117,9 +117,9 @@ def test_apply_augmentation_two_cycles():
 
 def test_apply_augmentation_rejects_garbage_path():
     g = _two_triangles_bridged()
-    x = [Fraction(0)] * g.m
+    x = [0] * g.m
     for pair in [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]:
-        x[g.edge_index(*pair)] = H
+        x[g.edge_index(*pair)] = 1
     bfm = decompose(g, x)
     cover = cover_of([H] * 6)
     aux = build_auxiliary(g, bfm, cover)
@@ -143,13 +143,13 @@ def test_reduce_cycles_identity_when_no_augmentation_exists():
 
 
 def _forced_start(g, half_cycles, matched_pairs, cover_values):
-    x = [Fraction(0)] * g.m
+    x = [0] * g.m  # half counts 2x
     for cycle in half_cycles:
         k = len(cycle)
         for i in range(k):
-            x[g.edge_index(cycle[i], cycle[(i + 1) % k])] = H
+            x[g.edge_index(cycle[i], cycle[(i + 1) % k])] = 1
     for pair in matched_pairs:
-        x[g.edge_index(*pair)] = Fraction(1)
+        x[g.edge_index(*pair)] = 2
     return decompose(g, x), cover_of(cover_values)
 
 

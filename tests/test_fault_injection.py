@@ -90,16 +90,16 @@ bridged = WeightedGraph.from_edges(
     6, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (3, 5, 1), (4, 5, 1)]
 )
 half = Fraction(1, 2)
-halves = tuple(0 if (u, v) == (2, 3) else half for u, v, _w in bridged.edges)
+halves = tuple(0 if (u, v) == (2, 3) else 1 for u, v, _w in bridged.edges)
 start = (decompose(bridged, halves), FractionalVertexCover((half,) * 6))
 move = cycles.apply_augmentation
 
 
 def move_dropping_an_edge(bfm, aux, path):
     new, event = move(bfm, aux, path)
-    values = list(new.values)
-    values[bridged.edge_index(0, 1)] = 0
-    return decompose(bfm.graph, values), event
+    halves = list(new.halves)
+    halves[bridged.edge_index(0, 1)] = 0
+    return decompose(bfm.graph, halves), event
 
 
 cycles.apply_augmentation = move_dropping_an_edge

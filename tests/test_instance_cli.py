@@ -386,6 +386,73 @@ def test_verify_reports_a_nested_field_of_the_wrong_type(tmp_path, capsys):
     assert err.startswith("matchstab: error: malformed result document: AttributeError(")
 
 
+def _append(section, key, entry):
+    def edit(doc):
+        doc[section][key].append(entry)
+
+    return edit
+
+
+def _swapped_first_x(section):
+    def edit(doc):
+        first = doc[section]["x"][0]
+        doc[section]["x"].append({**first, "u": first["v"], "v": first["u"]})
+
+    return edit
+
+
+def _doubled(*places):
+    def edit(doc):
+        for section, key in places:
+            doc[section][key] *= 2
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "command,fixture,edit,name",
+    [
+        # the two forgeries that verified before lists read as sets were
+        # checked for repeats: the first x entry repeated, and S and the
+        # surviving matching doubled
+        ("solve-fractional", "fig9",
+         lambda d: d["outputs"]["x"].append(d["outputs"]["x"][0]), "x"),
+        ("stabilize-vertices", "fig9",
+         _doubled(("outputs", "S"), ("certificates", "surviving_matching")), "S"),
+        ("solve-fractional", "fig9", _swapped_first_x("outputs"), "x"),
+        ("min-cycles", "fig9", _swapped_first_x("certificates"), "x"),
+        ("gamma", "fig9", _swapped_first_x("certificates"), "x"),
+        ("check-stability", "fig9", _swapped_first_x("certificates"), "x"),
+        ("stabilize-vertices", "fig9", _append("certificates", "surviving_matching", ["r", "q"]),
+         "surviving_matching"),
+        ("stabilize-edges", "fig9", _append("outputs", "F", ["q", "p"]), "F"),
+        ("stabilize-edges", "fig9", _append("certificates", "S", "p"), "S"),
+        ("stabilize-edges", "fig9", _append("certificates", "surviving_matching", ["q", "r"]),
+         "surviving_matching"),
+        ("m-stabilize", None, _set("outputs", "S", ["c", "c"]), "S"),
+        ("m-stabilize", None, _set("outputs", "S1", ["c", "c"]), "S1"),
+        ("m-stabilize", "fig9m", _set("outputs", "S", ["s", "s"]), "S"),
+        ("m-stabilize", "fig9m", _set("outputs", "S1", ["s", "s"]), "S1"),
+        ("m-stabilize", "fig9m", _set("outputs", "S2", ["p", "s", "p"]), "S2"),
+        ("check-stability", "fig9", _append("certificates", "max_matching", ["s", "p"]),
+         "max_matching"),
+    ],
+)
+def test_verify_refuses_a_repeated_entry_of_a_set(tmp_path, capsys, command, fixture, edit, name):
+    instance = tmp_path / "instance.json"
+    if fixture is None:
+        instance.write_text(json.dumps(FEASIBLE_M))
+    else:
+        instance.write_text((FIXTURES / f"{fixture}.json").read_text())
+    doc = json.loads(_run(capsys, command, str(instance))[1])
+    code, out, err = _run(capsys, "verify", str(instance), "--result", str(_write(tmp_path, doc)))
+    assert code == 0 and json.loads(out)["verified"] is True
+    edit(doc)
+    code, out, err = _run(capsys, "verify", str(instance), "--result", str(_write(tmp_path, doc)))
+    assert (code, out) == (1, "")
+    assert err == f"matchstab: error: malformed result document: {name} names an entry twice\n"
+
+
 def test_batch_runs_in_input_order(capsys):
     code, out, _err = _run(
         capsys,

@@ -8,15 +8,14 @@ equal `Instance`s or raise the same `ParseError` text.
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
 import pytest
 
+from conftest import bench_families
 from matchstab.errors import GraphError, ParseError
 from matchstab.graph import Matching, WeightedGraph
 from matchstab.instance import Instance, parse_instance
@@ -124,10 +123,7 @@ def test_fixtures_parse_as_the_reference_parses_them(name):
 
 def test_bench_documents_parse_as_the_reference_parses_them(monkeypatch):
     # one round of every workload of the benchmark's instance generator
-    spec = importlib.util.spec_from_file_location("families", ROOT / "bench" / "families.py")
-    families = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "families", families)  # its dataclass looks itself up
-    spec.loader.exec_module(families)
+    families = bench_families(monkeypatch)
     count = 0
     for workload in families.LADDERS:
         for inst in families.Generator(workload, 7).round():

@@ -129,23 +129,25 @@ def _reference_hungarian(
 
 
 def _duplicate_weight_and_total(g):
-    """Weight of the duplicate's matching and the sum of its potentials."""
+    """Weight of the duplicate's matching and the sum of its potentials,
+    which the kernel returns scaled by D."""
     match_left, p_left, p_right = bipartite_max_weight_matching(g)
     weight = sum(
         (g.weight(u, r) for u, r in enumerate(match_left) if r is not None),
         start=Fraction(0),
     )
-    return weight, sum(p_left, start=Fraction(0)) + sum(p_right, start=Fraction(0))
+    return weight, Fraction(sum(p_left) + sum(p_right), g.scale)
 
 
 def _averaged(g):
-    """The duplicate's matching averaged back onto g: 1/2 per matched copy."""
+    """The duplicate's matching averaged back onto g: 1/2 per matched copy,
+    as half counts 2x."""
     match_left, _p_left, _p_right = bipartite_max_weight_matching(g)
-    values = [Fraction(0)] * g.m
+    halves = [0] * g.m
     for u, r in enumerate(match_left):
         if r is not None:
-            values[g.edge_index(u, r)] += H
-    return values
+            halves[g.edge_index(u, r)] += 1
+    return halves
 
 
 def test_bipartite_empty_and_single_edge():
@@ -163,27 +165,27 @@ def test_bipartite_fig9_value_doubles_nu_f():
 
 def test_averaged_unit_triangle():
     tri = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
-    values = _averaged(tri)
-    assert sum(w * x for (_u, _v, w), x in zip(tri.edges, values)) == Fraction(3, 2)
-    assert all(x in (Fraction(0), H, Fraction(1)) for x in values)
+    halves = _averaged(tri)
+    assert sum(w * h for (_u, _v, w), h in zip(tri.edges, halves)) == 3  # 2 w.x
+    assert all(h in (0, 1, 2) for h in halves)
 
 
 def test_normalize_identity_on_basic():
     tri = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
-    out = normalize_to_basic(tri, (H, H, H))
+    out = normalize_to_basic(tri, (1, 1, 1))
     assert out.values == (H, H, H)
 
 
 def test_normalize_even_cycle_ties_break_by_edge_index():
     g4 = WeightedGraph.from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
-    out = normalize_to_basic(g4, (H, H, H, H))
+    out = normalize_to_basic(g4, (1, 1, 1, 1))
     assert out.weight == 2
     assert out.values[0] == 1  # lowest-index edge wins the tie
 
 
 def test_normalize_half_path():
     g = WeightedGraph.from_edges(3, [(0, 1, 3), (1, 2, 3)])
-    out = normalize_to_basic(g, (H, H))
+    out = normalize_to_basic(g, (1, 1))
     assert out.weight == 3
     assert out.values[0] == 1 and out.values[1] == 0
 
@@ -191,7 +193,7 @@ def test_normalize_half_path():
 def test_normalize_rejects_three_half_edges_at_a_vertex():
     claw = WeightedGraph.from_edges(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
     with pytest.raises(DegreeConstraintViolated):
-        normalize_to_basic(claw, (H, H, H))
+        normalize_to_basic(claw, (1, 1, 1))
 
 
 def test_solve_fractional_fixture_values():
@@ -219,7 +221,7 @@ def test_duality_and_slackness_on_random_suite(property_suite):
         # solver value equals the enumeration oracle
         assert bfm.weight == oracle.exact_nu_f(g)
         # the result round-trips through decompose bit-exactly
-        assert decompose(g, bfm.values).values == bfm.values
+        assert decompose(g, bfm.halves) == bfm
 
 
 def test_normalize_never_changes_weight():
@@ -228,8 +230,8 @@ def test_normalize_never_changes_weight():
         g = random_graph(rng)
         raw = _averaged(g)
         raw_weight = sum(
-            (w * x for (_u, _v, w), x in zip(g.edges, raw)), start=Fraction(0)
-        )
+            (w * h for (_u, _v, w), h in zip(g.edges, raw)), start=Fraction(0)
+        ) / 2
         assert normalize_to_basic(g, raw).weight == raw_weight
 
 
@@ -250,7 +252,7 @@ def test_pair_checks_reject_a_negative_cover():
     # path 0-2-3-1 with weights 1, 3, 1: x = {02, 13} weighs 2 < nu_f = 3, yet
     # y = (-2, -2, 3, 3) covers every edge, sums to 2 and is complementary
     g = WeightedGraph.from_edges(4, [(0, 2, 1), (1, 3, 1), (2, 3, 3)])
-    bfm = decompose(g, (1, 1, 0))
+    bfm = decompose(g, (2, 2, 0))
     cover = FractionalVertexCover(tuple(Fraction(y) for y in (-2, -2, 3, 3)))
     assert dict(optimal_pair_checks(g, bfm, cover)) == {
         "cover_is_feasible": False,
@@ -285,7 +287,12 @@ def test_kernel_matches_the_fraction_reference(property_suite):
         _sparse(rng, lambda r: Fraction(r.randint(0, 12), r.randint(2, 6))) for _ in range(60)
     ]
     for g in graphs:
-        assert bipartite_max_weight_matching(g) == _reference_hungarian(g), g
+        # the kernel's potentials are the reference's scaled by D
+        match_left, p_left, p_right = _reference_hungarian(g)
+        d = g.scale
+        assert bipartite_max_weight_matching(g) == (
+            match_left, [p * d for p in p_left], [p * d for p in p_right]
+        ), g
 
 
 class _CountingRows(tuple):
@@ -311,10 +318,10 @@ def test_kernel_reads_each_even_row_once_per_phase():
 def test_decompose_degree_message_names_the_load():
     path = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
     with pytest.raises(DegreeConstraintViolated) as exc:
-        decompose(path, (1, H))
+        decompose(path, (2, 1))
     assert str(exc.value) == "vertex 1 carries x(delta(v)) = 3/2"
     with pytest.raises(DegreeConstraintViolated) as exc:
-        decompose(path, (1, 1))
+        decompose(path, (2, 2))
     assert str(exc.value) == "vertex 1 carries x(delta(v)) = 2"
 
 
@@ -328,14 +335,15 @@ def test_pair_checks_on_tampered_fig8_pairs():
         ("strong_duality", False),
         ("complementary_slackness", False),
     ]
-    # x_qr = 3/4 is refused before any pair check, ahead of q's load 5/4
-    x = list(bfm.values)
-    x[0] = Fraction(3, 4)
+    # x_qr = 3/4 (the half count 3/2) is refused before any pair check,
+    # ahead of q's load 5/4
+    x = list(bfm.halves)
+    x[0] = Fraction(3, 2)
     with pytest.raises(NotHalfIntegral) as exc:
         decompose(g, x)
     assert str(exc.value) == "edge 0 has value 3/4, expected 0, 1/2 or 1"
     # a basic x of weight 8 < nu_f that leaves p (y_p = 1) exposed
-    assert optimal_pair_checks(g, decompose(g, (1, 1, 0, 0, 0, 0, 0)), cover) == [
+    assert optimal_pair_checks(g, decompose(g, (2, 2, 0, 0, 0, 0, 0)), cover) == [
         ("cover_is_feasible", True),
         ("strong_duality", False),
         ("complementary_slackness", False),
