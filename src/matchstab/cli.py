@@ -413,8 +413,11 @@ def _run_verify(path: str, result_doc: object) -> tuple[dict, int]:
         matching = instance.matching
         if matching is None:
             raise MatchingRequired("verifying m-stabilize needs the instance matching")
-        # S1 and S2 are read only as sets without repeats
-        removed, _s1, _s2 = (_vertex_set(index, outputs, key) for key in ("S", "S1", "S2"))
+        removed, s1, s2 = (_vertex_set(index, outputs, key) for key in ("S", "S1", "S2"))
+        checks += [
+            ("S_is_S1_plus_S2", not s1 & s2 and s1 | s2 == removed),
+            ("S_is_M_exposed", not any(matching.covers(v) for v in removed)),
+        ]
         if outputs["status"] == "feasible":
             cover = _cover_from_doc(index, certificates["residual_cover"])
             residual = graph.delete_stars(removed)

@@ -2,9 +2,15 @@
 
 Everything here is an independent verifier: values come from enumeration over
 basic solutions (matchings plus vertex-disjoint odd cycle packings) and from
-exhaustive subset/walk search, never from the production solvers. The mask
-tables double as per-induced-subgraph answers, which is what makes the
-stabilizer subset searches affordable.
+exhaustive subset/walk search, never from the production solvers.
+
+Both oracles are keyed by vertex mask, so one graph's memo answers for every
+induced subgraph, which is what makes the stabilizer subset searches
+affordable. ν is a lazy memo on the integers D.w (`WeightedGraph.int_weights`)
+filled top-down: it holds only the masks its recursion reaches from the
+masks asked for, 377 of the 4096 for ν of K_12, against the 2^n of a full
+table. ν_f and γ still come from a full bottom-up table of `Fraction` values
+over all 2^n masks.
 """
 
 from __future__ import annotations
@@ -36,20 +42,35 @@ def _full_mask(n: int) -> int:
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _nu_table(graph: WeightedGraph) -> tuple[Fraction, ...]:
-    """table[mask] = maximum matching weight inside the induced subgraph."""
-    n = graph.n
-    table: list[Fraction] = [ZERO] * (1 << n)
-    for mask in range(1, 1 << n):
+def _nu_memo(graph: WeightedGraph) -> dict[int, int]:
+    """The graph's ν memo, memo[mask] = D.ν of the subgraph induced by mask,
+    with D = `graph.scale`; it starts with the empty mask and `_nu_at` fills
+    it on demand, so it never holds more than 2^n entries."""
+    return {0: 0}
+
+
+def _nu_at(graph: WeightedGraph, memo: dict[int, int], mask: int) -> int:
+    """D.ν of the subgraph induced by mask, through the memo.
+
+    With v the lowest vertex of the mask and rest the mask without v,
+    ν(mask) = max(ν(rest), max over u in N(v) & rest of D.w_vu + ν(rest - u)).
+    Every mask stored has all of these submasks stored too, which is what
+    `exact_nu` rebuilds its witness from. Each call drops at least one
+    vertex, so the recursion is at most n deep.
+    """
+    value = memo.get(mask)
+    if value is None:
         v = (mask & -mask).bit_length() - 1
-        best = table[mask & ~(1 << v)]
+        rest = mask & ~(1 << v)
+        value = _nu_at(graph, memo, rest)
+        weights = graph.int_weights
         for u, idx in graph.adjacency[v]:
-            if mask >> u & 1:
-                cand = graph.edges[idx][2] + table[mask & ~(1 << v) & ~(1 << u)]
-                if cand > best:
-                    best = cand
-        table[mask] = best
-    return tuple(table)
+            if rest >> u & 1:
+                cand = weights[idx] + _nu_at(graph, memo, rest & ~(1 << u))
+                if cand > value:
+                    value = cand
+        memo[mask] = value
+    return value
 
 
 def _cycles_from(
@@ -109,24 +130,29 @@ def _basic_table(graph: WeightedGraph) -> tuple[tuple[Fraction, int], ...]:
 def exact_nu(graph: WeightedGraph) -> tuple[Fraction, Matching]:
     """Maximum-weight matching value and one witness, by enumeration."""
     _require(graph.n <= MAX_VERTICES, f"nu oracle limited to {MAX_VERTICES} vertices")
-    table = _nu_table(graph)
-    # reconstruct one optimal matching deterministically
+    memo = _nu_memo(graph)
+    full = _full_mask(graph.n)
+    nu = _nu_at(graph, memo, full)
+    # rebuild one optimal matching deterministically: v stays exposed when
+    # that is optimal, else it takes its first optimal neighbour
+    weights = graph.int_weights
     pairs: list[tuple[int, int]] = []
-    mask = _full_mask(graph.n)
+    mask = full
     while mask:
         v = (mask & -mask).bit_length() - 1
         rest = mask & ~(1 << v)
-        if table[mask] == table[rest]:
+        value = memo[mask]
+        if value == memo[rest]:
             mask = rest
             continue
         for u, idx in graph.adjacency[v]:
-            if mask >> u & 1 and table[mask] == graph.edges[idx][2] + table[rest & ~(1 << u)]:
+            if rest >> u & 1 and value == weights[idx] + memo[rest & ~(1 << u)]:
                 pairs.append((v, u))
                 mask = rest & ~(1 << u)
                 break
-        else:  # pragma: no cover - table reconstruction cannot fail
-            raise AssertionError("nu table reconstruction failed")
-    return table[_full_mask(graph.n)], Matching.from_pairs(pairs)
+        else:  # pragma: no cover - the memo holds every submask it was built from
+            raise AssertionError("nu memo reconstruction failed")
+    return Fraction(nu, graph.scale), Matching.from_pairs(pairs)
 
 
 def exact_nu_f(graph: WeightedGraph) -> Fraction:
@@ -148,7 +174,8 @@ def is_stable(graph: WeightedGraph) -> bool:
 
 
 def _mask_stable(graph: WeightedGraph, mask: int) -> bool:
-    return _nu_table(graph)[mask] == _basic_table(graph)[mask][0]
+    nu = _nu_at(graph, _nu_memo(graph), mask)
+    return nu == _basic_table(graph)[mask][0] * graph.scale
 
 
 def brute_min_vertex_stabilizer(graph: WeightedGraph) -> frozenset[int]:
@@ -202,15 +229,15 @@ def brute_min_m_stabilizer(
         f"M-stabilizer oracle limited to {MAX_SUBSET_VERTICES} vertices",
     )
     exposed = [v for v in range(graph.n) if not matching.covers(v)]
-    target = matching.weight(graph)
+    target = matching.weight(graph) * graph.scale
     full = _full_mask(graph.n)
-    nu_tab = _nu_table(graph)
+    memo = _nu_memo(graph)
     for k in range(len(exposed) + 1):
         for subset in combinations(exposed, k):
             mask = full
             for v in subset:
                 mask &= ~(1 << v)
-            if nu_tab[mask] == target and _mask_stable(graph, mask):
+            if _nu_at(graph, memo, mask) == target and _mask_stable(graph, mask):
                 return frozenset(subset)
     return INFEASIBLE
 

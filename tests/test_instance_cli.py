@@ -3,7 +3,10 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -344,6 +347,12 @@ def _set(section, key, value):
         # S names a vertex whose star is a proper part of F
         ("stabilize-edges", "fig9", _set("certificates", "S", ["s"]), {"F_equals_stars_of_S"}),
         ("stabilize-edges", "fig7", _set("certificates", "S", ["4"]), {"F_equals_stars_of_S"}),
+        # S1 and S2 must split S, and S may name only M-exposed vertices
+        ("m-stabilize", None, lambda d: d["outputs"].update(S1=["a"], S2=["b", "c"]),
+         {"S_is_S1_plus_S2"}),
+        ("m-stabilize", "fig9m", _set("outputs", "S1", ["p"]), {"S_is_S1_plus_S2"}),
+        ("m-stabilize", "fig9m", lambda d: d["outputs"].update(S=["p", "q"], S1=["p"], S2=["q"]),
+         {"S_is_M_exposed"}),
     ],
 )
 def test_verify_rejects_each_forged_claim(tmp_path, capsys, command, fixture, edit, failing):
@@ -362,6 +371,27 @@ def test_verify_rejects_each_forged_claim(tmp_path, capsys, command, fixture, ed
     report = json.loads(out)
     assert report["verified"] is False
     assert {c["name"] for c in report["checks"] if not c["ok"]} == failing
+
+
+def test_verify_rejects_the_s1_s2_forgery_under_dash_o(tmp_path, capsys):
+    # a-b-c with M = {ab}: S empty, but S1 and S2 name a, b and c; the
+    # check must be an explicit one, so it runs in a python -O subprocess
+    instance = _write(tmp_path, FEASIBLE_M).rename(tmp_path / "instance.json")
+    doc = json.loads(_run(capsys, "m-stabilize", str(instance))[1])
+    assert doc["outputs"]["status"] == "feasible" and doc["outputs"]["S"] == []
+    doc["outputs"].update(S1=["a"], S2=["b", "c"])
+    result = _write(tmp_path, doc)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "matchstab", "verify", str(instance), "--result", str(result)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(matchstab.__file__).parents[1])),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    report = json.loads(proc.stdout)
+    assert report["verified"] is False
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == ["S_is_S1_plus_S2"]
 
 
 @pytest.mark.parametrize(
@@ -488,9 +518,10 @@ def test_jobs_flag_is_gone(capsys):
 
 
 def test_only_the_printed_nu_runs_the_oracle(capsys, monkeypatch):
-    # every oracle entry point goes through one of the two 2^n tables; they
-    # are counted at the module attribute, whatever name a caller imported
-    nu_calls = count_calls(monkeypatch, oracle, "_nu_table")
+    # every oracle entry point goes through the ν memo or the 2^n table of
+    # ν_f and γ; they are counted at the module attribute, whatever name a
+    # caller imported
+    nu_calls = count_calls(monkeypatch, oracle, "_nu_memo")
     basic_calls = count_calls(monkeypatch, oracle, "_basic_table")
     for command, calls in [
         ("check-stability", (1, 0)),  # nu only; nu_f is the certified pair's

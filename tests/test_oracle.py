@@ -88,12 +88,13 @@ def test_budgets_fail_loudly():
 
 
 def test_table_caches_stay_bounded():
-    # the edge search builds the tables of one edge-deleted graph per subset;
-    # two disjoint triangles need two deletions, so it tries ten subsets
+    # the edge search builds the ν memo and the table of one edge-deleted
+    # graph per subset; two disjoint triangles need two deletions, so it
+    # tries ten subsets
     two_triangles = WeightedGraph.from_edges(
         6, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (3, 4, 1), (3, 5, 1), (4, 5, 1)]
     )
-    tables = (oracle._nu_table, oracle._basic_table)
+    tables = (oracle._nu_memo, oracle._basic_table)
     for table in tables:
         table.cache_clear()
     assert len(oracle.brute_min_edge_stabilizer(two_triangles)) == 2
