@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Optional
 
@@ -282,6 +283,15 @@ def _distinct(name: str, keys: list) -> list:
     return keys
 
 
+def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """One JSON object of a result document; a key it names twice makes the
+    document malformed, where `json.loads` alone would keep the last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ParseError("malformed result document: an object names an entry twice")
+    return obj
+
+
 def _vertex_set(index, doc: dict, key: str) -> set[int]:
     return set(_distinct(key, [index[label] for label in doc[key]]))
 
@@ -292,6 +302,11 @@ def _edge_pairs(index, doc: dict, key: str) -> list[tuple[int, int]]:
     return _distinct(key, [tuple(sorted((index[a], index[b]))) for a, b in doc[key]])
 
 
+# A result document repeats a few values, such as "1/2" and "0", many times:
+# each distinct one is parsed once.
+_fraction = lru_cache(maxsize=256)(Fraction)
+
+
 def _halves_from_entries(graph: WeightedGraph, index, entries) -> list:
     """The document's x as the half counts 2x_i that `decompose` validates;
     an x_i that is not a multiple of 1/2 gives a count such as 3/2, which
@@ -299,12 +314,12 @@ def _halves_from_entries(graph: WeightedGraph, index, entries) -> list:
     edges = _distinct("x", [graph.edge_index(index[e["u"]], index[e["v"]]) for e in entries])
     halves: list = [0] * graph.m
     for i, entry in zip(edges, entries):
-        halves[i] = 2 * Fraction(entry["x"])
+        halves[i] = 2 * _fraction(entry["x"])
     return halves
 
 
 def _cover_from_doc(index, doc: dict[str, str]) -> dict[int, Fraction]:
-    return {index[label]: Fraction(val) for label, val in doc.items()}
+    return {index[label]: _fraction(val) for label, val in doc.items()}
 
 
 def _cover_total(cover: dict[int, Fraction]) -> Fraction:
@@ -610,7 +625,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             return _run_selftest(args.seed)
         if args.command == "verify":
             try:
-                result_doc = json.loads(Path(args.result).read_text(encoding="utf-8"))
+                text = Path(args.result).read_text(encoding="utf-8")
+                result_doc = json.loads(text, object_pairs_hook=_object)
             except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ParseError(f"{args.result}: {exc}") from exc
             try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .edmonds import AugmentingPath, FrustratedTree, grow_tree
+from .edmonds import AugmentingPath, FrustratedTree, TreeSearch, grow_tree
 from .errors import EndpointNotRecognized, PathNotAugmenting
 from .graph import (
     BasicFractionalMatching,
@@ -244,7 +244,14 @@ def reduce_cycles(
     throughout, so its tight edges are computed once, and G' is built once
     per x that has a cycle: at entry and after each augmentation. A
     frustrated tree changes neither x nor the cover, and its nodes keep
-    their ids in every later G'.
+    their ids in every later G'. The trees of one G' share its
+    `TreeSearch`, so each costs time in its own size.
+
+    Each turn roots its tree at the first cycle of `bfm.odd_cycles` whose
+    pseudonode is live, found by a cursor into that list: while G' stands,
+    x and its cycles do not change and a dead node stays dead, so a cycle
+    the cursor has passed is never live again. The cursor goes back to the
+    first cycle only when an augmentation makes G' anew.
 
     The entry pair is proven optimal by `solve_fractional` (or here, when
     `start` is given). The moves change x but not the cover, so the final
@@ -260,18 +267,22 @@ def reduce_cycles(
     aux: Optional[AuxiliaryGraph] = None
     dead: set[int] = set()
     events: list = []
-    while bfm.odd_cycles:
+    cursor = 0  # cycles before it are dead in the current G'
+    while cursor < len(bfm.odd_cycles):
         if aux is None:
             aux = _build_auxiliary(graph, bfm, cover, tight)
-        live = [c for c in bfm.odd_cycles if aux.pseudonode_of[c] not in dead]
-        if not live:
-            break
-        root = aux.pseudonode_of[live[0]]
-        outcome = grow_tree(aux.adjacency, aux.matching, root, dead)
+            search = TreeSearch(aux.adjacency, aux.matching)
+        root = aux.pseudonode_of[bfm.odd_cycles[cursor]]
+        if root in dead:
+            cursor += 1
+            continue
+        outcome = grow_tree(search, root, dead)
         if isinstance(outcome, AugmentingPath):
             bfm, event = apply_augmentation(bfm, aux, outcome.vertices)
             events.append(event)
-            aux = None  # x changed, so the next turn builds G' anew
+            # x changed, so the next turn builds G' anew and scans its
+            # cycles from the first
+            aux, cursor = None, 0
         else:
             tree: FrustratedTree = outcome
             deleted = sorted(v for v in tree.nodes if aux.kind(v) == "vertex")

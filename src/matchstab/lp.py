@@ -57,6 +57,12 @@ def bipartite_max_weight_matching(
     the invariants: feasible potentials, tight matched edges, exposed right
     copies at potential zero.
 
+    The roots are taken in one pass over 0..n-1, which picks the same roots
+    in the same order as a rescan from 0 before each phase, because a left
+    copy that is not eligible never becomes eligible again: a potential
+    only falls, a left copy loses its partner only by retiring at potential
+    zero, and a root leaves its phase matched or retired.
+
     The kernel runs on the graph's integers D.w, D the lcm of the weight
     denominators; the potentials start at such integers and move by integer
     slacks, so they stay integral and are returned as they are: D times the
@@ -159,13 +165,9 @@ def bipartite_max_weight_matching(
                 if take(r, arg[r]):
                     return
 
-    while True:
-        root = next(
-            (u for u in range(n) if match_l[u] is None and p_left[u] > 0), None
-        )
-        if root is None:
-            break
-        run_phase(root)
+    for root in range(n):
+        if match_l[root] is None and p_left[root] > 0:
+            run_phase(root)
     return match_l, p_left, p_right
 
 

@@ -15,7 +15,7 @@ from matchstab.cycles import (
     apply_augmentation,
     reduce_cycles,
 )
-from matchstab.edmonds import AugmentingPath, grow_tree
+from matchstab.edmonds import AugmentingPath, TreeSearch, grow_tree
 from matchstab.errors import NotOptimalPair, PathNotAugmenting
 from matchstab.graph import (
     WeightedGraph,
@@ -104,7 +104,7 @@ def test_apply_augmentation_two_cycles():
     aux = build_auxiliary(g, bfm, cover)
     root = aux.pseudonode_of[(0, 1, 2)]
     other = aux.pseudonode_of[(3, 4, 5)]
-    outcome = grow_tree(aux.adjacency, aux.matching, root, frozenset())
+    outcome = grow_tree(TreeSearch(aux.adjacency, aux.matching), root, frozenset())
     assert isinstance(outcome, AugmentingPath)
     assert outcome.vertices == (root, other)
     new, event = apply_augmentation(bfm, aux, outcome.vertices)

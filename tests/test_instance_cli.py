@@ -483,6 +483,47 @@ def test_verify_refuses_a_repeated_entry_of_a_set(tmp_path, capsys, command, fix
     assert err == f"matchstab: error: malformed result document: {name} names an entry twice\n"
 
 
+REPEATED_KEYS = [
+    # a cover that names p twice: json.loads alone keeps the last value, 2,
+    # and the document verified
+    ("solve-fractional", '"p": "2",', '"p": "0", "p": "2",'),
+    ("stabilize-vertices", '"q": "2",', '"q": "0", "q": "2",'),
+    ("solve-fractional", '"x": "1/2"', '"x": "1", "x": "1/2"'),
+    ("gamma", '"command": "gamma",', '"command": "solve-fractional", "command": "gamma",'),
+]
+
+
+@pytest.mark.parametrize("command,key,repeated", REPEATED_KEYS)
+def test_verify_refuses_a_repeated_key(tmp_path, capsys, command, key, repeated):
+    instance = str(FIXTURES / "fig9.json")
+    text = _run(capsys, command, instance)[1]
+    result = tmp_path / "result.json"
+    result.write_text(text)
+    assert _run(capsys, "verify", instance, "--result", str(result))[0] == 0
+    result.write_text(text.replace(key, repeated, 1))
+    assert _run(capsys, "verify", instance, "--result", str(result)) == (
+        1, "", "matchstab: error: malformed result document: an object names an entry twice\n"
+    )
+
+
+def test_verify_refuses_a_repeated_cover_key_under_dash_o(tmp_path, capsys):
+    instance = str(FIXTURES / "fig9.json")
+    command, key, repeated = REPEATED_KEYS[0]
+    result = tmp_path / "result.json"
+    result.write_text(_run(capsys, command, instance)[1].replace(key, repeated, 1))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "matchstab", "verify", instance, "--result", str(result)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(matchstab.__file__).parents[1])),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "matchstab: error: malformed result document: an object names an entry twice\n"
+    )
+
+
 def test_batch_runs_in_input_order(capsys):
     code, out, _err = _run(
         capsys,

@@ -6,7 +6,7 @@ from typing import Optional
 
 import pytest
 
-from conftest import fig6, fig8, fig9, random_graph
+from conftest import bench_families, fig6, fig8, fig9, random_graph
 from matchstab import oracle
 from matchstab.errors import DegreeConstraintViolated, NotHalfIntegral, NotOptimalPair
 from matchstab.graph import (
@@ -16,6 +16,7 @@ from matchstab.graph import (
     decompose,
     tight_edges,
 )
+from matchstab.instance import parse_instance
 from matchstab.lp import (
     bipartite_max_weight_matching,
     normalize_to_basic,
@@ -117,6 +118,116 @@ def _reference_hungarian(
                 rematch_chain(r, parent_right[r])
                 return
             # a new tight edge appeared; keep growing
+
+    while True:
+        root = next(
+            (u for u in range(n) if match_l[u] is None and p_left[u] > 0), None
+        )
+        if root is None:
+            break
+        run_phase(root)
+    return match_l, p_left, p_right
+
+
+def _next_root_kernel(
+    graph: WeightedGraph,
+) -> tuple[list[Optional[int]], list[int], list[int]]:
+    """The integer kernel as it ran before its single pass over the roots:
+    before each phase it scans for the lowest eligible left copy from 0.
+    The reference the kernel must match."""
+    n = graph.n
+    adjacency = graph.adjacency
+    weight = graph.int_weights
+    p_left = [
+        max((weight[i] for _r, i in adjacency[u] if weight[i] > 0), default=0)
+        for u in range(n)
+    ]
+    p_right = [0] * n
+    match_l: list[Optional[int]] = [None] * n
+    match_r: list[Optional[int]] = [None] * n
+
+    def run_phase(root: int) -> None:
+        even: list[int] = []
+        position: dict[int, int] = {}  # even left copy -> its place in `even`
+        odd: set[int] = set()
+        parent_right: dict[int, int] = {}
+        # every right copy reached from an even row but not odd: its least
+        # slack, and the first even row in `even` order that attains it
+        slack: dict[int, int] = {}
+        arg: dict[int, int] = {}
+
+        def rematch_chain(r: int, u: int) -> None:
+            # give right r to even node u, cascading along the tree to the root
+            while True:
+                next_r = match_l[u]  # None exactly at the root
+                match_l[u] = r
+                match_r[r] = u
+                if next_r is None:
+                    return
+                r = next_r
+                u = parent_right[r]
+
+        def take(r: int, u: int) -> bool:
+            # follow the tight edge (u, r); True if it augmented
+            mate = match_r[r]
+            if mate is None:
+                rematch_chain(r, u)
+                return True
+            odd.add(r)
+            parent_right[r] = u
+            slack.pop(r, None)
+            assert mate not in position
+            position[mate] = len(even)
+            even.append(mate)
+            return False
+
+        position[root] = 0
+        even.append(root)
+        scanned = 0
+        while True:
+            while scanned < len(even):
+                u = even[scanned]
+                scanned += 1
+                pu = p_left[u]
+                for r, i in adjacency[u]:
+                    if r in odd:
+                        continue
+                    s = pu + p_right[r] - weight[i]
+                    if s == 0:
+                        if take(r, u):
+                            return
+                    elif r not in slack or s < slack[r]:
+                        slack[r] = s
+                        arg[r] = u
+            # stuck on tight edges: adjust the duals
+            zero_at = min(even, key=lambda u: (p_left[u], u))
+            delta = p_left[zero_at]
+            delta_edge = min(slack.values(), default=None)
+            if delta_edge is not None and delta_edge < delta:
+                delta = delta_edge
+            for u in even:
+                p_left[u] -= delta
+            for r in odd:
+                p_right[r] += delta
+            if p_left[zero_at] == 0:
+                if zero_at == root:
+                    return  # root retires exposed at potential zero
+                # flip the matching along the tree: zero_at retires exposed
+                r = match_l[zero_at]
+                assert r is not None
+                match_l[zero_at] = None
+                rematch_chain(r, parent_right[r])
+                return
+            # new tight edges, taken in the order a rescan of the even rows
+            # would meet them: by row position, then by right copy
+            for r in slack:
+                slack[r] -= delta
+            tight = sorted(
+                (r for r, s in slack.items() if s == 0), key=lambda r: (position[arg[r]], r)
+            )
+            for r in tight:
+                if take(r, arg[r]):
+                    return
 
     while True:
         root = next(
@@ -276,6 +387,20 @@ def _sparse(rng, draw):
     return WeightedGraph.from_edges(
         n, [(u, v, draw(rng)) for u, v in rng.sample(pairs, rng.randint(0, len(pairs)))]
     )
+
+
+def test_root_pass_matches_the_next_root_kernel(monkeypatch, property_suite):
+    families = bench_families(monkeypatch)
+    graphs = list(property_suite)
+    graphs += [  # one round of every workload of the benchmark's instance generator
+        parse_instance(inst.to_json()).graph
+        for workload in families.LADDERS
+        for inst in families.Generator(workload, 7).round()
+    ]
+    n, edges = families._sparse(random.Random(1), 1600)
+    graphs.append(WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in sorted(edges.items())]))
+    for g in graphs:
+        assert bipartite_max_weight_matching(g) == _next_root_kernel(g), g
 
 
 def test_kernel_matches_the_fraction_reference(property_suite):
