@@ -1,5 +1,6 @@
 """Command-line interface: run the solvers on instance files, emit certified
-JSON result documents, and re-verify such documents with pure arithmetic.
+JSON result documents, and re-verify such documents with pure arithmetic
+(`certify.verify`).
 
 Every numeric value in a result document is an exact fraction string; counts
 are plain integers. Identical inputs produce byte-identical output (timing is
@@ -14,32 +15,16 @@ import json
 import sys
 import time
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Optional
 
 from . import oracle as oracle_mod
+from .certify import cycles_doc, labels_doc, load_result, pairs_doc, verify
 from .cycles import AugmentationEvent, FrustrationEvent, reduce_cycles
-from .errors import (
-    BudgetExceeded,
-    DegreeConstraintViolated,
-    GraphError,
-    MatchingRequired,
-    MatchstabError,
-    NotBasic,
-    NotHalfIntegral,
-    ParseError,
-    UnknownCommand,
-)
-from .graph import (
-    BasicFractionalMatching,
-    FractionalVertexCover,
-    Matching,
-    WeightedGraph,
-    decompose,
-)
+from .errors import BudgetExceeded, MatchingRequired, MatchstabError, ParseError, UnknownCommand
+from .graph import BasicFractionalMatching, Matching, WeightedGraph
 from .instance import Instance, parse_instance
-from .lp import optimal_pair_checks, solve_fractional, stable_subgraph_checks
+from .lp import solve_fractional
 from .mstab import INFEASIBLE, m_vertex_stabilizer
 from .stabilizers import edge_stabilizer_approx, min_vertex_stabilizer
 
@@ -70,16 +55,6 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _labels(graph: WeightedGraph, vertices) -> list[str]:
-    return [graph.label_of(v) for v in sorted(vertices)]
-
-
-def _pairs(graph: WeightedGraph, matching: Matching) -> list[list[str]]:
-    return [
-        [graph.label_of(u), graph.label_of(v)] for u, v in matching.sorted_pairs()
-    ]
-
-
 def _edges_doc(graph: WeightedGraph, indices) -> list[list[str]]:
     edges = graph.edges
     return [[graph.label_of(edges[i][0]), graph.label_of(edges[i][1])] for i in indices]
@@ -98,22 +73,18 @@ def _cover_doc(graph: WeightedGraph, values: dict[int, Fraction]) -> dict[str, s
     return {graph.label_of(v): str(values[v]) for v in sorted(values)}
 
 
-def _cycles_doc(graph: WeightedGraph, cycles) -> list[list[str]]:
-    return [[graph.label_of(v) for v in cycle] for cycle in cycles]
-
-
 def _event_doc(graph: WeightedGraph, event) -> dict[str, Any]:
     if isinstance(event, AugmentationEvent):
         return {
             "event": event.kind,
-            "cycles": _cycles_doc(graph, event.cycles),
+            "cycles": cycles_doc(graph, event.cycles),
             "rounded_at": [graph.label_of(v) for v in event.rounded_at],
             "path": [graph.label_of(v) for v in event.path],
         }
     assert isinstance(event, FrustrationEvent)
     return {
         "event": "frustrated_tree",
-        "cycles": _cycles_doc(graph, [event.root_cycle]),
+        "cycles": cycles_doc(graph, [event.root_cycle]),
         "deleted_vertices": [graph.label_of(v) for v in event.deleted_vertices],
     }
 
@@ -129,8 +100,8 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
         outputs = {
             "nu_f": str(bfm.weight),
             "x": _x_entries(graph, bfm),
-            "matched": _pairs(graph, bfm.matched),
-            "odd_cycles": _cycles_doc(graph, bfm.odd_cycles),
+            "matched": pairs_doc(graph, bfm.matched),
+            "odd_cycles": cycles_doc(graph, bfm.odd_cycles),
         }
         certificates = {
             "cover": _cover_doc(graph, dict(enumerate(cover.values))),
@@ -139,20 +110,19 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
         result = reduce_cycles(graph)
         x_entries = _x_entries(graph, result.solution)
         if command == "gamma":
+            # x is printed once: among the outputs of min-cycles, here in the certificate
             outputs = {"gamma": result.gamma}
+            certificates = {"x": x_entries}
         else:
             outputs = {
                 "gamma": result.gamma,
                 "nu_f": str(result.weight),
                 "x": x_entries,
-                "matched": _pairs(graph, result.solution.matched),
-                "odd_cycles": _cycles_doc(graph, result.solution.odd_cycles),
+                "matched": pairs_doc(graph, result.solution.matched),
+                "odd_cycles": cycles_doc(graph, result.solution.odd_cycles),
             }
-        certificates = {
-            "x": x_entries,
-            "cover": _cover_doc(graph, dict(enumerate(result.cover.values))),
-            "events": [_event_doc(graph, e) for e in result.events],
-        }
+        certificates["cover"] = _cover_doc(graph, dict(enumerate(result.cover.values)))
+        certificates["events"] = [_event_doc(graph, e) for e in result.events]
     elif command == "stabilize-vertices":
         result = min_vertex_stabilizer(graph)
         try:
@@ -160,13 +130,13 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
         except BudgetExceeded:
             nu_before = None  # the 2/3 guarantee holds but is not reported
         outputs = {
-            "S": _labels(graph, result.removed),
+            "S": labels_doc(graph, result.removed),
             "gamma": result.gamma,
             "nu_before": nu_before,
             "nu_after": str(result.nu_after),
         }
         certificates = {
-            "surviving_matching": _pairs(graph, result.surviving_matching),
+            "surviving_matching": pairs_doc(graph, result.surviving_matching),
             "surviving_cover": _cover_doc(graph, result.surviving_cover),
         }
     elif command == "stabilize-edges":
@@ -179,8 +149,8 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
             "upper_bound": result.upper_bound,
         }
         certificates = {
-            "S": _labels(graph, result.vertex_result.removed),
-            "surviving_matching": _pairs(graph, result.vertex_result.surviving_matching),
+            "S": labels_doc(graph, result.vertex_result.removed),
+            "surviving_matching": pairs_doc(graph, result.vertex_result.surviving_matching),
             "surviving_cover": _cover_doc(graph, result.vertex_result.surviving_cover),
         }
     elif command == "m-stabilize":
@@ -189,9 +159,9 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
         result = m_vertex_stabilizer(graph, instance.matching)
         outputs = {
             "status": result.status,
-            "S": _labels(graph, result.removed),
-            "S1": _labels(graph, result.first_phase),
-            "S2": _labels(graph, result.second_phase),
+            "S": labels_doc(graph, result.removed),
+            "S1": labels_doc(graph, result.first_phase),
+            "S2": labels_doc(graph, result.second_phase),
             "w_M": str(result.matching_weight),
             "residual_nu_f": str(result.residual_nu_f),
         }
@@ -215,7 +185,7 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
         nu_f = bfm.weight  # the pair is proven optimal, so w(x) = nu_f
         outputs = {"stable": nu == nu_f, "nu": str(nu), "nu_f": str(nu_f)}
         certificates = {
-            "max_matching": _pairs(graph, witness),
+            "max_matching": pairs_doc(graph, witness),
             "x": _x_entries(graph, bfm),
             "cover": _cover_doc(graph, dict(enumerate(cover.values))),
         }
@@ -236,7 +206,7 @@ def _run_oracle(sub: str, instance: Instance, path: str, digest: str) -> tuple[d
     outputs: dict[str, Any] = {}
     if sub == "nu":
         value, witness = oracle_mod.exact_nu(graph)
-        outputs = {"nu": str(value), "matching": _pairs(graph, witness)}
+        outputs = {"nu": str(value), "matching": pairs_doc(graph, witness)}
     elif sub == "nu-f":
         outputs = {"nu_f": str(oracle_mod.exact_nu_f(graph))}
     elif sub == "gamma":
@@ -245,7 +215,7 @@ def _run_oracle(sub: str, instance: Instance, path: str, digest: str) -> tuple[d
         outputs = {"stable": oracle_mod.is_stable(graph)}
     elif sub == "min-vertex-stabilizer":
         subset = oracle_mod.brute_min_vertex_stabilizer(graph)
-        outputs = {"S": _labels(graph, subset), "size": len(subset)}
+        outputs = {"S": labels_doc(graph, subset), "size": len(subset)}
     elif sub == "min-edge-stabilizer":
         subset = oracle_mod.brute_min_edge_stabilizer(graph)
         outputs = {
@@ -259,7 +229,7 @@ def _run_oracle(sub: str, instance: Instance, path: str, digest: str) -> tuple[d
         if result == oracle_mod.INFEASIBLE:
             outputs = {"status": "infeasible"}
         else:
-            outputs = {"status": "feasible", "S": _labels(graph, result)}
+            outputs = {"status": "feasible", "S": labels_doc(graph, result)}
     else:  # pragma: no cover - guarded by the parser
         raise UnknownCommand(sub)
     doc = {
@@ -269,212 +239,6 @@ def _run_oracle(sub: str, instance: Instance, path: str, digest: str) -> tuple[d
         "certificates": {},
     }
     return doc, 0
-
-
-# ---------------------------------------------------------------------------
-# verify: re-check certificates using only graph-core arithmetic
-
-
-def _distinct(name: str, keys: list) -> list:
-    """`keys`, read off a list the document states as a set; an entry it
-    names twice makes the document malformed."""
-    if len(set(keys)) != len(keys):
-        raise ParseError(f"malformed result document: {name} names an entry twice")
-    return keys
-
-
-def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    """One JSON object of a result document; a key it names twice makes the
-    document malformed, where `json.loads` alone would keep the last value."""
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        raise ParseError("malformed result document: an object names an entry twice")
-    return obj
-
-
-def _vertex_set(index, doc: dict, key: str) -> set[int]:
-    return set(_distinct(key, [index[label] for label in doc[key]]))
-
-
-def _edge_pairs(index, doc: dict, key: str) -> list[tuple[int, int]]:
-    """The vertex pairs of the list of edges `doc[key]`, each sorted, so
-    that an edge named twice in either order counts as named twice."""
-    return _distinct(key, [tuple(sorted((index[a], index[b]))) for a, b in doc[key]])
-
-
-# A result document repeats a few values, such as "1/2" and "0", many times:
-# each distinct one is parsed once.
-_fraction = lru_cache(maxsize=256)(Fraction)
-
-
-def _halves_from_entries(graph: WeightedGraph, index, entries) -> list:
-    """The document's x as the half counts 2x_i that `decompose` validates;
-    an x_i that is not a multiple of 1/2 gives a count such as 3/2, which
-    `decompose` refuses."""
-    edges = _distinct("x", [graph.edge_index(index[e["u"]], index[e["v"]]) for e in entries])
-    halves: list = [0] * graph.m
-    for i, entry in zip(edges, entries):
-        halves[i] = 2 * _fraction(entry["x"])
-    return halves
-
-
-def _cover_from_doc(index, doc: dict[str, str]) -> dict[int, Fraction]:
-    return {index[label]: _fraction(val) for label, val in doc.items()}
-
-
-def _cover_total(cover: dict[int, Fraction]) -> Fraction:
-    return FractionalVertexCover(tuple(cover.values())).total
-
-
-def _check_optimal_pair_doc(
-    graph, index, x_entries, cover_map, checks
-) -> Optional[BasicFractionalMatching]:
-    """Append `x_is_basic_feasible` and, when x is basic, the optimal-pair
-    checks; returns the decomposed x, or None when it is not basic."""
-    try:
-        bfm = decompose(graph, _halves_from_entries(graph, index, x_entries))
-    except (NotHalfIntegral, DegreeConstraintViolated, NotBasic):
-        checks.append(("x_is_basic_feasible", False))
-        return None
-    checks.append(("x_is_basic_feasible", True))
-    cover = FractionalVertexCover(tuple(cover_map[v] for v in range(graph.n)))
-    checks.extend(optimal_pair_checks(graph, bfm, cover))
-    return bfm
-
-
-def _support_check(graph, outputs, bfm: BasicFractionalMatching) -> tuple[str, bool]:
-    """`matched_and_odd_cycles_equal_x`: the printed M(x) and C(x) are the
-    ones of the checked x."""
-    matched_ok = outputs["matched"] == _pairs(graph, bfm.matched)
-    cycles_ok = outputs["odd_cycles"] == _cycles_doc(graph, bfm.odd_cycles)
-    return ("matched_and_odd_cycles_equal_x", matched_ok and cycles_ok)
-
-
-def _matching_from_doc(index, doc: dict, key: str, checks) -> Optional[Matching]:
-    """Append `matching_pairs_disjoint`; returns the matching `doc[key]`,
-    or None when two of its pairs share a vertex."""
-    try:
-        matching = Matching.from_pairs(_edge_pairs(index, doc, key))
-    except GraphError:
-        checks.append(("matching_pairs_disjoint", False))
-        return None
-    checks.append(("matching_pairs_disjoint", True))
-    return matching
-
-
-def _run_verify(path: str, result_doc: object) -> tuple[dict, int]:
-    instance, digest = _load_instance(path)
-    if not isinstance(result_doc, dict):
-        return _verify_report(None, [("result_is_object", False)])
-    graph = instance.graph
-    command = result_doc.get("command", "")
-    certificates = result_doc.get("certificates", {})
-    outputs = result_doc.get("outputs", {})
-    checks = [("instance_sha256_matches", result_doc.get("instance_sha256") == digest)]
-    index = {graph.label_of(v): v for v in range(graph.n)}
-
-    if command == "solve-fractional":
-        cover = _cover_from_doc(index, certificates["cover"])
-        bfm = _check_optimal_pair_doc(graph, index, outputs["x"], cover, checks)
-        if bfm is not None:
-            checks.append(_support_check(graph, outputs, bfm))
-        nu_f = Fraction(outputs["nu_f"])
-        checks.append(("nu_f_equals_cover_total", nu_f == _cover_total(cover)))
-    elif command in ("min-cycles", "gamma"):
-        cover = _cover_from_doc(index, certificates["cover"])
-        bfm = _check_optimal_pair_doc(graph, index, certificates["x"], cover, checks)
-        if bfm is not None:
-            checks.append(("gamma_matches_support", outputs["gamma"] == len(bfm.odd_cycles)))
-            if command == "min-cycles":
-                checks.append(_support_check(graph, outputs, bfm))
-        if command == "min-cycles":
-            checks += [
-                ("nu_f_equals_cover_total", Fraction(outputs["nu_f"]) == _cover_total(cover)),
-                ("x_equals_certificate_x", outputs["x"] == certificates["x"]),
-            ]
-    elif command == "stabilize-vertices":
-        removed = _vertex_set(index, outputs, "S")
-        cover = _cover_from_doc(index, certificates["surviving_cover"])
-        matching = _matching_from_doc(index, certificates, "surviving_matching", checks)
-        if matching is not None:
-            residual = graph.delete_stars(removed)
-            checks.extend(stable_subgraph_checks(residual, matching, cover, removed))
-        checks += [
-            ("nu_after_equals_cover_total", Fraction(outputs["nu_after"]) == _cover_total(cover)),
-            ("S_size_equals_gamma", len(removed) == outputs["gamma"]),
-        ]
-    elif command == "stabilize-edges":
-        pairs = _edge_pairs(index, outputs, "F")
-        checks.append(("F_edges_in_graph", all(graph.has_edge(u, v) for u, v in pairs)))
-        removed_edges = {graph.edge_index(u, v) for u, v in pairs if graph.has_edge(u, v)}
-        removed = _vertex_set(index, certificates, "S")
-        # deleting F isolates S, so certify on G minus F with the cover extended by 0
-        matching = _matching_from_doc(index, certificates, "surviving_matching", checks)
-        if matching is not None:
-            cover = _cover_from_doc(index, certificates["surviving_cover"])
-            checks.extend(
-                stable_subgraph_checks(graph.delete_edges(removed_edges), matching, cover, ())
-            )
-        stars = {i for v in removed for i in graph.incident_edges(v)}
-        gamma, delta = outputs["gamma"], graph.max_degree
-        checks += [
-            ("F_equals_stars_of_S", removed_edges == stars),
-            ("size_equals_F", outputs["size"] == len(removed_edges)),
-            ("lower_bound_is_half_gamma", outputs["lower_bound"] == -(-gamma // 2)),
-            ("upper_bound_is_gamma_times_delta", outputs["upper_bound"] == gamma * delta),
-            ("S_size_equals_gamma", len(removed) == gamma),
-        ]
-    elif command == "m-stabilize":
-        matching = instance.matching
-        if matching is None:
-            raise MatchingRequired("verifying m-stabilize needs the instance matching")
-        removed, s1, s2 = (_vertex_set(index, outputs, key) for key in ("S", "S1", "S2"))
-        checks += [
-            ("S_is_S1_plus_S2", not s1 & s2 and s1 | s2 == removed),
-            ("S_is_M_exposed", not any(matching.covers(v) for v in removed)),
-        ]
-        if outputs["status"] == "feasible":
-            cover = _cover_from_doc(index, certificates["residual_cover"])
-            residual = graph.delete_stars(removed)
-            checks.extend(stable_subgraph_checks(residual, matching, cover, removed))
-            nu_f = Fraction(outputs["residual_nu_f"])
-            checks.append(("residual_nu_f_equals_cover_total", nu_f == _cover_total(cover)))
-        else:
-            checks.append(("infeasible_reported", outputs["status"] == "infeasible"))
-        w_m = Fraction(outputs["w_M"])
-        checks.append(("w_M_equals_matching_weight", w_m == matching.weight(graph)))
-    elif command == "check-stability":
-        cover = _cover_from_doc(index, certificates["cover"])
-        _check_optimal_pair_doc(graph, index, certificates["x"], cover, checks)
-        total = _cover_total(cover)
-        nu, nu_f = Fraction(outputs["nu"]), Fraction(outputs["nu_f"])
-        checks.append(("nu_f_equals_cover_total", nu_f == total))
-        checks.append(("stable_iff_nu_equals_nu_f", outputs["stable"] == (nu == nu_f)))
-        witness = _matching_from_doc(index, certificates, "max_matching", checks)
-        if witness is not None:
-            in_graph = witness.is_matching_in(graph)
-            checks.append(("witness_is_matching", in_graph))
-            if in_graph:
-                weight = witness.weight(graph)
-                checks.append(("nu_equals_witness_weight", nu == weight))
-                if outputs["stable"]:
-                    checks.append(("nu_equals_tau_f", weight == total))
-                else:
-                    checks.append(("gap_witnessed", weight < total))
-    else:
-        raise ParseError(f"verify does not support command {command!r}")
-    return _verify_report(command, checks)
-
-
-def _verify_report(command: Optional[str], checks: list[tuple[str, bool]]) -> tuple[dict, int]:
-    verified = all(ok for _name, ok in checks)
-    doc = {
-        "command": "verify",
-        "verified_command": command,
-        "verified": verified,
-        "checks": [{"name": name, "ok": ok} for name, ok in checks],
-    }
-    return doc, 0 if verified else 1
 
 
 # ---------------------------------------------------------------------------
@@ -625,16 +389,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             return _run_selftest(args.seed)
         if args.command == "verify":
             try:
-                text = Path(args.result).read_text(encoding="utf-8")
-                result_doc = json.loads(text, object_pairs_hook=_object)
+                result_doc = load_result(Path(args.result).read_text(encoding="utf-8"))
             except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ParseError(f"{args.result}: {exc}") from exc
-            try:
-                doc, code = _run_verify(args.instance, result_doc)
-            except MatchstabError:
-                raise
-            except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"malformed result document: {exc!r}") from exc
+            doc, code = verify(*_load_instance(args.instance), result_doc)
             _emit(doc, None, compact=False)
             return code
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .certify import verify_optimal_pair
 from .edmonds import AugmentingPath, FrustratedTree, TreeSearch, grow_tree
 from .errors import EndpointNotRecognized, PathNotAugmenting
 from .graph import (
@@ -27,7 +28,7 @@ from .graph import (
     round_cycles,
     tight_edges,
 )
-from .lp import solve_fractional, verify_optimal_pair
+from .lp import solve_fractional
 
 
 @dataclass(frozen=True)

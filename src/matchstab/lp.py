@@ -15,31 +15,18 @@ counts 2x of a half-integral optimum x, which stay ints through
 x) and `graph.decompose`, and averages the two potentials of each vertex
 into one `Fraction` of a minimum fractional w-vertex cover y.
 
-Both certificates are checked here, once per result and also under
-`python -O`, by the named checks `matchstab verify` reports:
-`optimal_pair_checks` for the pair of `solve_fractional` and for the pair
-`reduce_cycles` returns after its moves (one check, not one per move), and
-`stable_subgraph_checks` for the results of `min_vertex_stabilizer` and
-`m_vertex_stabilizer`. Every check runs on scaled integers: the graph's
-D.w, the cover's common denominator q and integers q.y
-(`FractionalVertexCover.scaled`), and the half counts 2x that
-`graph.decompose` keeps.
+The pair is proven optimal once per result, also under `python -O`, by
+`certify.verify_optimal_pair`, the checks `matchstab verify` reports on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import DegreeConstraintViolated, InfeasibleCover, NotOptimalPair
-from .graph import (
-    ZERO,
-    BasicFractionalMatching,
-    FractionalVertexCover,
-    Matching,
-    WeightedGraph,
-    decompose,
-)
+from .certify import verify_optimal_pair
+from .errors import DegreeConstraintViolated
+from .graph import BasicFractionalMatching, FractionalVertexCover, WeightedGraph, decompose
 
 
 def bipartite_max_weight_matching(
@@ -225,81 +212,6 @@ def normalize_to_basic(
         for i in drop:
             vec[i] = 0
     return decompose(graph, vec)
-
-
-def optimal_pair_checks(
-    graph: WeightedGraph,
-    bfm: BasicFractionalMatching,
-    cover: FractionalVertexCover,
-) -> list[tuple[str, bool]]:
-    """The exact conditions that make (x, y) an optimal primal-dual pair.
-
-    Returns `cover_is_feasible` (y_u + y_v >= w_uv on every edge),
-    `strong_duality` (w.x = sum y) and `complementary_slackness` (every
-    supported edge is tight, and x(delta(v)) = 1 wherever y_v > 0), each with
-    its result. All three are decided on integers: the graph's D.w, the
-    cover's q.y and the half counts 2x of `decompose`.
-    """
-    if len(cover.values) != graph.n:
-        raise InfeasibleCover("cover length does not match vertex count")
-    q, a = cover.scaled
-    d, weight, edges = graph.scale, graph.int_weights, graph.edges
-    loads = bfm.vertex_halves
-    slack_ok = all(
-        (a[edges[i][0]] + a[edges[i][1]]) * d == weight[i] * q for i in bfm.support
-    ) and all(a_v == 0 or loads[v] == 2 for v, a_v in enumerate(a))
-    return [
-        ("cover_is_feasible", cover.is_feasible_for(graph)),
-        ("strong_duality", bfm.weight == cover.total),
-        ("complementary_slackness", slack_ok),
-    ]
-
-
-def verify_optimal_pair(
-    graph: WeightedGraph,
-    bfm: BasicFractionalMatching,
-    cover: FractionalVertexCover,
-) -> None:
-    """Raise NotOptimalPair, naming the failed checks, unless (x, y) passes
-    every one of `optimal_pair_checks`."""
-    failed = [name for name, ok in optimal_pair_checks(graph, bfm, cover) if not ok]
-    if failed:
-        raise NotOptimalPair(f"not an optimal pair: {', '.join(failed)} failed")
-
-
-def stable_subgraph_checks(
-    residual: WeightedGraph, matching: Matching,
-    cover: Mapping[int, Fraction], removed: Iterable[int],
-) -> list[tuple[str, bool]]:
-    """The exact conditions under which a matching and a fractional w-vertex
-    cover of equal totals prove nu = nu_f on `residual`, by weak duality.
-
-    `residual` keeps the original vertex ids and loses the stabilizer's edges
-    (delta(S) for a vertex set S, F for an edge set); `cover` omits vertices
-    of value 0. Returns `matching_lives_in_residual`,
-    `cover_feasible_on_residual`, `matching_weight_equals_cover` and
-    `cover_only_on_residual` (no value on `removed`), each with its result.
-    """
-    y = FractionalVertexCover(tuple(cover.get(v, ZERO) for v in range(residual.n)))
-    lives = matching.is_matching_in(residual)
-    return [
-        ("matching_lives_in_residual", lives),
-        ("cover_feasible_on_residual", y.is_feasible_for(residual)),
-        ("matching_weight_equals_cover", lives and matching.weight(residual) == y.total),
-        ("cover_only_on_residual", set(cover).isdisjoint(removed)),
-    ]
-
-
-def verify_stable_subgraph(
-    residual: WeightedGraph, matching: Matching,
-    cover: Mapping[int, Fraction], removed: Iterable[int],
-) -> None:
-    """Raise NotOptimalPair, naming the failed checks, unless the result
-    passes every one of `stable_subgraph_checks`."""
-    checks = stable_subgraph_checks(residual, matching, cover, removed)
-    failed = [name for name, ok in checks if not ok]
-    if failed:
-        raise NotOptimalPair(f"not a stable subgraph: {', '.join(failed)} failed")
 
 
 def solve_fractional(

@@ -9,7 +9,7 @@ length bounds are 3n for the first pass and n for the second, with
 n = |V| - |S| the number of vertices not deleted so far. 2-approximate in
 general and exact whenever the second pass stays empty. A feasible result's
 certificate, M and a residual cover of total w(M), is checked once by
-`lp.verify_stable_subgraph`, the checks `matchstab verify` runs on it.
+`certify.verify_stable_subgraph`, the checks `matchstab verify` runs on it.
 
 Both passes scan G itself, and G - delta(S) is built once, for the final
 check. The walk arcs of (G, M), with their integer weights, are built once
@@ -30,8 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .certify import verify_stable_subgraph
 from .graph import Matching, WeightedGraph
-from .lp import solve_fractional, verify_stable_subgraph
+from .lp import solve_fractional
 from .walks import WalkArcs
 
 FEASIBLE = "feasible"

@@ -5,7 +5,7 @@ cycle-minimal optimal solution, the vertex with the smallest cover value;
 that is optimal in cardinality and keeps at least two thirds of the maximum
 matching weight. The edge stabilizer deletes the stars of those vertices.
 Their shared certificate, a matching and a fractional cover of G - S with
-equal totals, is checked once by `lp.verify_stable_subgraph`, the checks
+equal totals, is checked once by `certify.verify_stable_subgraph`, the checks
 `matchstab verify` runs on it. Neither stabilizer computes nu(G), which the
 certificate does not need.
 """
@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .certify import verify_stable_subgraph
 from .cycles import reduce_cycles
 from .graph import Matching, WeightedGraph, round_cycles
-from .lp import verify_stable_subgraph
 
 
 @dataclass(frozen=True)

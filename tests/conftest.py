@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from matchstab.certify import verify_stable_subgraph
 from matchstab.errors import MNotAMatching
 from matchstab.graph import AlternatingWalk, FractionalVertexCover, Matching, WeightedGraph
-from matchstab.lp import solve_fractional, verify_stable_subgraph
+from matchstab.lp import solve_fractional
 from matchstab.mstab import FEASIBLE, INFEASIBLE, MStabilizerResult
 from matchstab.walks import first_pass_scan, second_pass_scan
 

@@ -23,6 +23,7 @@ from conftest import (
     random_matching,
 )
 from matchstab import oracle
+from matchstab.certify import verify_optimal_pair
 from matchstab.cycles import AugmentationEvent, reduce_cycles
 from matchstab.errors import NotOptimalPair
 from matchstab.graph import (
@@ -31,7 +32,7 @@ from matchstab.graph import (
     decompose,
     tight_edges,
 )
-from matchstab.lp import solve_fractional, verify_optimal_pair
+from matchstab.lp import solve_fractional
 from matchstab.mstab import FEASIBLE, INFEASIBLE, m_vertex_stabilizer
 from matchstab.stabilizers import edge_stabilizer_approx, min_vertex_stabilizer
 from matchstab.walks import optimal_walks

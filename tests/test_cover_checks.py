@@ -15,6 +15,7 @@ from collections import Counter
 from fractions import Fraction
 
 from conftest import fig8, random_graph
+from matchstab.certify import optimal_pair_checks
 from matchstab.errors import InfeasibleCover
 from matchstab.graph import (
     ZERO,
@@ -23,7 +24,7 @@ from matchstab.graph import (
     decompose,
     tight_edges,
 )
-from matchstab.lp import optimal_pair_checks, solve_fractional
+from matchstab.lp import solve_fractional
 
 # ---------------------------------------------------------------------------
 # The Fraction reference: the checks as they were, with the weight, loads

@@ -8,6 +8,7 @@ import pytest
 from conftest import count_calls, cover_of, fig6, fig9, random_graph, tri_chain
 import matchstab.cycles
 from matchstab import oracle
+from matchstab.certify import verify_optimal_pair
 from matchstab.cycles import (
     AugmentationEvent,
     FrustrationEvent,
@@ -22,7 +23,7 @@ from matchstab.graph import (
     decompose,
     tight_edges,
 )
-from matchstab.lp import solve_fractional, verify_optimal_pair
+from matchstab.lp import solve_fractional
 
 H = Fraction(1, 2)
 

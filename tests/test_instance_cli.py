@@ -299,9 +299,18 @@ def _set(section, key, value):
     return edit
 
 
-@pytest.mark.parametrize(
-    "command,fixture,edit,failing",
-    [
+def _instance(tmp_path, fixture) -> Path:
+    """The instance file of `fixture`, or of FEASIBLE_M when it is None."""
+    if fixture is not None:
+        return FIXTURES / f"{fixture}.json"
+    path = tmp_path / "feasible_m.json"
+    path.write_text(json.dumps(FEASIBLE_M))
+    return path
+
+
+# (command, fixture, forgery, the checks it fails); verified in process here
+# and, every row in one subprocess, under python -O below
+FORGED_CLAIMS = [
         ("stabilize-vertices", "fig9", lambda d: d.pop("instance_sha256"),
          {"instance_sha256_matches"}),
         ("stabilize-vertices", "fig9", lambda d: d.update(instance_sha256="0" * 64),
@@ -316,7 +325,7 @@ def _set(section, key, value):
          {"nu_f_equals_cover_total"}),
         ("min-cycles", "fig6", _set("outputs", "nu_f", "7"), {"nu_f_equals_cover_total"}),
         ("min-cycles", "fig6", lambda d: d["outputs"]["x"][3].update(x="1/2"),
-         {"x_equals_certificate_x"}),
+         {"x_is_basic_feasible"}),
         ("stabilize-vertices", "fig9", _set("outputs", "nu_after", "100"),
          {"nu_after_equals_cover_total"}),
         ("stabilize-vertices", "fig9", _set("outputs", "gamma", 2), {"S_size_equals_gamma"}),
@@ -353,14 +362,12 @@ def _set(section, key, value):
         ("m-stabilize", "fig9m", _set("outputs", "S1", ["p"]), {"S_is_S1_plus_S2"}),
         ("m-stabilize", "fig9m", lambda d: d["outputs"].update(S=["p", "q"], S1=["p"], S2=["q"]),
          {"S_is_M_exposed"}),
-    ],
-)
+]
+
+
+@pytest.mark.parametrize("command,fixture,edit,failing", FORGED_CLAIMS)
 def test_verify_rejects_each_forged_claim(tmp_path, capsys, command, fixture, edit, failing):
-    instance = tmp_path / "instance.json"
-    if fixture is None:
-        instance.write_text(json.dumps(FEASIBLE_M))
-    else:
-        instance.write_text((FIXTURES / f"{fixture}.json").read_text())
+    instance = _instance(tmp_path, fixture)
     _code, out, _err = _run(capsys, command, str(instance))
     doc = json.loads(out)
     code, out, err = _run(capsys, "verify", str(instance), "--result", str(_write(tmp_path, doc)))
@@ -373,25 +380,47 @@ def test_verify_rejects_each_forged_claim(tmp_path, capsys, command, fixture, ed
     assert {c["name"] for c in report["checks"] if not c["ok"]} == failing
 
 
-def test_verify_rejects_the_s1_s2_forgery_under_dash_o(tmp_path, capsys):
-    # a-b-c with M = {ab}: S empty, but S1 and S2 name a, b and c; the
-    # check must be an explicit one, so it runs in a python -O subprocess
-    instance = _write(tmp_path, FEASIBLE_M).rename(tmp_path / "instance.json")
-    doc = json.loads(_run(capsys, "m-stabilize", str(instance))[1])
-    assert doc["outputs"]["status"] == "feasible" and doc["outputs"]["S"] == []
-    doc["outputs"].update(S1=["a"], S2=["b", "c"])
-    result = _write(tmp_path, doc)
+_VERIFY_EACH = r"""
+import contextlib
+import io
+import json
+import sys
+
+from matchstab.cli import main
+
+outcomes = []
+for instance, result in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", instance, "--result", result])
+    checks = json.loads(out.getvalue())["checks"]
+    outcomes.append([code, err.getvalue(), sorted(c["name"] for c in checks if not c["ok"])])
+print(json.dumps({"optimize": sys.flags.optimize, "outcomes": outcomes}))
+"""
+
+
+def test_verify_rejects_each_forged_claim_under_dash_o(tmp_path, capsys):
+    # every check must be an explicit one, not an assert, so the whole table
+    # runs again in one python -O subprocess
+    jobs = []
+    for row, (command, fixture, edit, _failing) in enumerate(FORGED_CLAIMS):
+        instance = _instance(tmp_path, fixture)
+        doc = json.loads(_run(capsys, command, str(instance))[1])
+        edit(doc)
+        result = tmp_path / f"forged-{row}.json"
+        result.write_text(json.dumps(doc))
+        jobs.append([str(instance), str(result)])
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "matchstab", "verify", str(instance), "--result", str(result)],
+        [sys.executable, "-O", "-c", _VERIFY_EACH, json.dumps(jobs)],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(Path(matchstab.__file__).parents[1])),
         timeout=120,
     )
-    assert (proc.returncode, proc.stderr) == (1, "")
-    report = json.loads(proc.stdout)
-    assert report["verified"] is False
-    assert [c["name"] for c in report["checks"] if not c["ok"]] == ["S_is_S1_plus_S2"]
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["optimize"] == 1
+    assert out["outcomes"] == [[1, "", sorted(failing)] for *_row, failing in FORGED_CLAIMS]
 
 
 @pytest.mark.parametrize(
@@ -450,7 +479,7 @@ def _doubled(*places):
         ("stabilize-vertices", "fig9",
          _doubled(("outputs", "S"), ("certificates", "surviving_matching")), "S"),
         ("solve-fractional", "fig9", _swapped_first_x("outputs"), "x"),
-        ("min-cycles", "fig9", _swapped_first_x("certificates"), "x"),
+        ("min-cycles", "fig9", _swapped_first_x("outputs"), "x"),
         ("gamma", "fig9", _swapped_first_x("certificates"), "x"),
         ("check-stability", "fig9", _swapped_first_x("certificates"), "x"),
         ("stabilize-vertices", "fig9", _append("certificates", "surviving_matching", ["r", "q"]),
@@ -469,11 +498,7 @@ def _doubled(*places):
     ],
 )
 def test_verify_refuses_a_repeated_entry_of_a_set(tmp_path, capsys, command, fixture, edit, name):
-    instance = tmp_path / "instance.json"
-    if fixture is None:
-        instance.write_text(json.dumps(FEASIBLE_M))
-    else:
-        instance.write_text((FIXTURES / f"{fixture}.json").read_text())
+    instance = _instance(tmp_path, fixture)
     doc = json.loads(_run(capsys, command, str(instance))[1])
     code, out, err = _run(capsys, "verify", str(instance), "--result", str(_write(tmp_path, doc)))
     assert code == 0 and json.loads(out)["verified"] is True
@@ -521,6 +546,33 @@ def test_verify_refuses_a_repeated_cover_key_under_dash_o(tmp_path, capsys):
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == (
         "matchstab: error: malformed result document: an object names an entry twice\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command,fixture,key,value,want",
+    [
+        # each equals the printed value in Python, so each verified as long
+        # as counts and flags were read by value alone
+        ("gamma", "fig9", "gamma", True, "an integer"),
+        ("stabilize-vertices", "fig9", "gamma", True, "an integer"),
+        ("check-stability", "fig9", "stable", 0, "true or false"),
+        ("stabilize-edges", "fig9", "gamma", True, "an integer"),
+        ("stabilize-edges", "fig9", "size", 3.0, "an integer"),
+        ("stabilize-edges", "fig9", "lower_bound", True, "an integer"),
+        ("stabilize-edges", "fig9", "upper_bound", 3.0, "an integer"),
+    ],
+)
+def test_verify_refuses_a_count_or_flag_of_another_json_type(
+    tmp_path, capsys, command, fixture, key, value, want
+):
+    instance = str(FIXTURES / f"{fixture}.json")
+    doc = json.loads(_run(capsys, command, instance)[1])
+    assert doc["outputs"][key] == value and type(doc["outputs"][key]) is not type(value)
+    doc["outputs"][key] = value
+    assert _run(capsys, "verify", instance, "--result", str(_write(tmp_path, doc))) == (
+        1, "", f"matchstab: error: malformed result document: {key} must be {want}, "
+        f"got {json.dumps(value)}\n"
     )
 
 

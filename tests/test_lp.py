@@ -16,14 +16,9 @@ from matchstab.graph import (
     decompose,
     tight_edges,
 )
+from matchstab.certify import optimal_pair_checks, verify_optimal_pair
 from matchstab.instance import parse_instance
-from matchstab.lp import (
-    bipartite_max_weight_matching,
-    normalize_to_basic,
-    optimal_pair_checks,
-    solve_fractional,
-    verify_optimal_pair,
-)
+from matchstab.lp import bipartite_max_weight_matching, normalize_to_basic, solve_fractional
 
 H = Fraction(1, 2)
 
