@@ -72,10 +72,10 @@ def optimal_pair_checks(
     if len(cover.values) != graph.n:
         raise InfeasibleCover("cover length does not match vertex count")
     q, a = cover.scaled
-    d, weight, edges = graph.scale, graph.int_weights, graph.edges
+    d, weight, ends = graph.scale, graph.int_weights, graph.ends
     loads = bfm.vertex_halves
     slack_ok = all(
-        (a[edges[i][0]] + a[edges[i][1]]) * d == weight[i] * q for i in bfm.support
+        (a[ends[i][0]] + a[ends[i][1]]) * d == weight[i] * q for i in bfm.support
     ) and all(a_v == 0 or loads[v] == 2 for v, a_v in enumerate(a))
     return [
         ("cover_is_feasible", cover.is_feasible_for(graph)),
@@ -179,9 +179,21 @@ def _edge_pairs(index, doc: dict, key: str) -> list[tuple[int, int]]:
     return _distinct(key, [tuple(sorted((index[a], index[b]))) for a, b in doc[key]])
 
 
-# A result document repeats a few values, such as "1/2" and "0", many times:
-# each distinct one is parsed once.
-_fraction = lru_cache(maxsize=256)(Fraction)
+@lru_cache(maxsize=256)
+def _exact(value: object) -> Fraction:
+    """An exact value of the document, which prints each one as a string
+    such as "3/4". `Fraction` alone would also take the JSON number 6.0 or
+    0.5, which no document prints, so a value that is not a string makes
+    the document malformed.
+
+    A document repeats a few values, such as "1/2" and "0", many times: each
+    distinct one is parsed once. Only strings are cached, and no string
+    equals a number, so the cache never answers for a number."""
+    if type(value) is not str:
+        raise ParseError(
+            f"malformed result document: an exact value must be a string, got {json.dumps(value)}"
+        )
+    return Fraction(value)
 
 
 def _halves_from_entries(graph: WeightedGraph, index, entries) -> list:
@@ -191,12 +203,12 @@ def _halves_from_entries(graph: WeightedGraph, index, entries) -> list:
     edges = _distinct("x", [graph.edge_index(index[e["u"]], index[e["v"]]) for e in entries])
     halves: list = [0] * graph.m
     for i, entry in zip(edges, entries):
-        halves[i] = 2 * _fraction(entry["x"])
+        halves[i] = 2 * _exact(entry["x"])
     return halves
 
 
 def _cover_from_doc(index, doc: dict[str, str]) -> dict[int, Fraction]:
-    return {index[label]: _fraction(val) for label, val in doc.items()}
+    return {index[label]: _exact(val) for label, val in doc.items()}
 
 
 def _cover_total(cover: dict[int, Fraction]) -> Fraction:
@@ -294,14 +306,14 @@ def _verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, 
         if bfm is not None and command != "gamma":
             checks.append(_support_check(graph, outputs, bfm))
         if command != "gamma":
-            nu_f = Fraction(outputs["nu_f"])
+            nu_f = _exact(outputs["nu_f"])
             checks.append(("nu_f_equals_cover_total", nu_f == _cover_total(cover)))
     elif command == "stabilize-vertices":
         removed = _vertex_set(index, outputs, "S")
         residual = graph.delete_stars(removed)
         cover = _stable_subgraph_doc(index, certificates, residual, removed, checks)
         checks += [
-            ("nu_after_equals_cover_total", Fraction(outputs["nu_after"]) == _cover_total(cover)),
+            ("nu_after_equals_cover_total", _exact(outputs["nu_after"]) == _cover_total(cover)),
             ("S_size_equals_gamma", len(removed) == _typed(outputs, "gamma", int)),
         ]
     elif command == "stabilize-edges":
@@ -333,17 +345,17 @@ def _verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, 
         if outputs["status"] == "feasible":
             residual = graph.delete_stars(removed)
             cover = _stable_subgraph_doc(index, certificates, residual, removed, checks, matching)
-            nu_f = Fraction(outputs["residual_nu_f"])
+            nu_f = _exact(outputs["residual_nu_f"])
             checks.append(("residual_nu_f_equals_cover_total", nu_f == _cover_total(cover)))
         else:
             checks.append(("infeasible_reported", outputs["status"] == "infeasible"))
-        w_m = Fraction(outputs["w_M"])
+        w_m = _exact(outputs["w_M"])
         checks.append(("w_M_equals_matching_weight", w_m == matching.weight(graph)))
     elif command == "check-stability":
         cover = _cover_from_doc(index, certificates["cover"])
         _check_optimal_pair_doc(graph, index, certificates["x"], cover, checks)
         total = _cover_total(cover)
-        nu, nu_f = Fraction(outputs["nu"]), Fraction(outputs["nu_f"])
+        nu, nu_f = _exact(outputs["nu"]), _exact(outputs["nu_f"])
         stable = _typed(outputs, "stable", bool)
         checks.append(("nu_f_equals_cover_total", nu_f == total))
         checks.append(("stable_iff_nu_equals_nu_f", stable == (nu == nu_f)))

@@ -56,15 +56,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _edges_doc(graph: WeightedGraph, indices) -> list[list[str]]:
-    edges = graph.edges
-    return [[graph.label_of(edges[i][0]), graph.label_of(edges[i][1])] for i in indices]
+    ends = graph.ends
+    return [[graph.label_of(ends[i][0]), graph.label_of(ends[i][1])] for i in indices]
 
 
 def _x_entries(graph: WeightedGraph, bfm: BasicFractionalMatching) -> list[dict[str, str]]:
     """The nonzero entries of x, in edge order."""
-    edges, values = graph.edges, bfm.values
+    ends, values = graph.ends, bfm.values
     return [
-        {"u": graph.label_of(edges[i][0]), "v": graph.label_of(edges[i][1]), "x": str(values[i])}
+        {"u": graph.label_of(ends[i][0]), "v": graph.label_of(ends[i][1]), "x": str(values[i])}
         for i in bfm.support
     ]
 
@@ -258,9 +258,9 @@ def _random_graph(rng, n_max=7, weight_max=5) -> WeightedGraph:
 def _random_matching(rng, graph: WeightedGraph) -> Matching:
     pairs = []
     used: set[int] = set()
-    shuffled = list(graph.edges)
+    shuffled = list(graph.ends)
     rng.shuffle(shuffled)
-    for u, v, _w in shuffled:
+    for u, v in shuffled:
         if u not in used and v not in used and rng.random() < 0.5:
             pairs.append((u, v))
             used.update((u, v))

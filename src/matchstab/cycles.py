@@ -95,7 +95,7 @@ def _build_auxiliary(
         provenance[key] = min(item, provenance.get(key, item))
 
     for idx in sorted(tight):
-        u, v, _w = graph.edges[idx]
+        u, v = graph.ends[idx]
         a, b = node_of.get(u, u), node_of.get(v, v)
         if a == b:
             continue  # intra-cycle edge or chord of a shrunk cycle

@@ -2,17 +2,19 @@
 
 Everything in this module is immutable and exact: weights and cover values
 are `fractions.Fraction` at the API, and every test (tightness, degree
-constraints, duality) is an exact comparison, never a tolerance. The tests
-run on integers: `WeightedGraph.scale` is D, the lcm of the weight
-denominators, and `WeightedGraph.int_weights` the integers D.w, both
-computed once per graph for the LP kernel, the walk DP, the rounding of
-half-valued paths and the cover checks. A cover carries its own common
-denominator q and the integers q.y (`FractionalVertexCover.scaled`), so
-y_u + y_v >= w_uv is tested as (q.y_u + q.y_v).D >= D.w_uv.q. A fractional
-matching x is half counts 2x_i, ints 0, 1 or 2, everywhere: `decompose`
-validates them, `round_cycles` and `complement` rewrite them, and x becomes
-`Fraction`s only in `BasicFractionalMatching.values`, for the API and the
-JSON documents.
+constraints, duality) is an exact comparison, never a tolerance. The graph
+is its integers: `WeightedGraph` stores the ends (u, v) of each edge,
+`scale`, D, the lcm of the weight denominators, and `int_weights`, the
+integers D.w, which the LP kernel, the walk DP, the rounding of half-valued
+paths and the cover checks run on. `scale_weights` is the one place that
+turns exact weights into D and D.w, for `WeightedGraph.from_edges` and the
+instance parser; `WeightedGraph.edges` is the view with `Fraction` weights
+for the API. A cover carries its own common denominator q and the integers
+q.y (`FractionalVertexCover.scaled`), so y_u + y_v >= w_uv is tested as
+(q.y_u + q.y_v).D >= D.w_uv.q. A fractional matching x is half counts 2x_i,
+ints 0, 1 or 2, everywhere: `decompose` validates them, `round_cycles` and
+`complement` rewrite them, and x becomes `Fraction`s only in
+`BasicFractionalMatching.values`, for the API and the JSON documents.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -53,39 +55,73 @@ def as_fraction(value: WeightLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+def scale_weights(weights: Sequence[WeightLike]) -> tuple[int, tuple[int, ...]]:
+    """(D, D.w) for exact weights: D, the lcm of their denominators, and the
+    integers D.w, in order.
+
+    All-int weights are their own D.w with D = 1, read with no lcm and no
+    Fraction; any other weight list is coerced by `as_fraction`, so a float
+    or bool is refused. D is canonical: no prime divides D and every D.w.
+    """
+    if all(type(w) is int for w in weights):
+        return 1, tuple(weights)
+    exact = [as_fraction(w) for w in weights]
+    d = lcm(*(w.denominator for w in exact))
+    return d, tuple(w.numerator * (d // w.denominator) for w in exact)
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Simple undirected graph with exact nonnegative edge weights.
+    """Simple undirected graph with exact nonnegative edge weights, stored as
+    integers.
 
     Vertices are dense indices 0..n-1; optional string labels exist only for
-    the I/O boundary. Edges are stored as (u, v, w) with u < v, and the edge
-    index (position in `edges`) is the canonical identity used everywhere.
+    the I/O boundary. Edge i joins `ends[i]` = (u, v), u < v, with weight
+    `int_weights[i]` / `scale`: `scale` is D and `int_weights` the integers
+    D.w. D is canonical, gcd(D, D.w_1, ..., D.w_m) = 1, so equal graphs have
+    equal fields, and `==` and `hash` compare graph values. The edge index is
+    the canonical identity used everywhere; `edges` is the view with
+    `Fraction` weights for the API.
     """
 
     n: int
-    edges: tuple[tuple[int, int, Fraction], ...]
+    ends: tuple[tuple[int, int], ...]
+    int_weights: tuple[int, ...]
+    scale: int
     labels: Optional[tuple[str, ...]] = None
+    _index_of: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        n, ends, weights, d = self.n, self.ends, self.int_weights, self.scale
+        if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        if self.labels is not None and len(self.labels) != self.n:
+        if self.labels is not None and len(self.labels) != n:
             raise GraphError("label list length must equal vertex count")
-        seen: set[tuple[int, int]] = set()
-        for u, v, w in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge ({u},{v}) out of range")
-            if u == v:
-                raise GraphError(f"loop at vertex {u} not allowed")
-            if u > v:
+        if type(d) is not int or d < 1:
+            raise GraphError(f"scale D must be a positive int, got {d!r}")
+        if len(weights) != len(ends):
+            raise GraphError("int_weights must give one weight per edge")
+        index: dict[tuple[int, int], int] = {}
+        for i, e in enumerate(ends):
+            u, v = e
+            if not 0 <= u < v < n:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise GraphError(f"edge ({u},{v}) out of range")
+                if u == v:
+                    raise GraphError(f"loop at vertex {u} not allowed")
                 raise GraphError(f"edge ({u},{v}) must be stored with u < v")
-            if (u, v) in seen:
+            if e in index:
                 raise GraphError(f"parallel edge ({u},{v})")
-            if not isinstance(w, Fraction):
-                raise GraphError(f"edge ({u},{v}) weight must be a Fraction")
-            if w.numerator < 0:
-                raise GraphError(f"edge ({u},{v}) has negative weight {w}")
-            seen.add((u, v))
+            index[e] = i
+            w = weights[i]
+            if type(w) is not int:
+                raise GraphError(f"edge ({u},{v}) weight D.w must be an int, got {w!r}")
+            if w < 0:
+                raise GraphError(f"edge ({u},{v}) has negative weight {Fraction(w, d)}")
+        common = gcd(d, *weights)
+        if common != 1:
+            raise GraphError(f"scale D = {d} is not canonical: D and every D.w share {common}")
+        object.__setattr__(self, "_index_of", index)
 
     @staticmethod
     def from_edges(
@@ -93,39 +129,32 @@ class WeightedGraph:
         edges: Iterable[tuple[int, int, WeightLike]],
         labels: Optional[Sequence[str]] = None,
     ) -> "WeightedGraph":
-        """Build a graph, normalizing edge orientation and coercing weights."""
-        normalized = tuple(
-            (min(u, v), max(u, v), as_fraction(w)) for u, v, w in edges
+        """Build a graph, normalizing edge orientation and scaling weights."""
+        edges = tuple(edges)
+        ends = tuple((u, v) if u < v else (v, u) for u, v, _w in edges)
+        scale, int_weights = scale_weights([w for _u, _v, w in edges])
+        return WeightedGraph(
+            n, ends, int_weights, scale, tuple(labels) if labels is not None else None
         )
-        return WeightedGraph(n, normalized, tuple(labels) if labels is not None else None)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.ends)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, Fraction], ...]:
+        """The edges as (u, v, w) with `Fraction` weights, by edge index."""
+        d = self.scale
+        return tuple((u, v, Fraction(w, d)) for (u, v), w in zip(self.ends, self.int_weights))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-vertex incidence lists of (neighbor, edge_index), sorted."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for idx, (u, v, _w) in enumerate(self.edges):
+        for idx, (u, v) in enumerate(self.ends):
             adj[u].append((v, idx))
             adj[v].append((u, idx))
         return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
-    def scale(self) -> int:
-        """D, the lcm of the weight denominators (1 for an edgeless graph)."""
-        return lcm(*(w.denominator for _u, _v, w in self.edges))
-
-    @cached_property
-    def int_weights(self) -> tuple[int, ...]:
-        """The integer weights D.w, by edge index."""
-        d = self.scale
-        return tuple(w.numerator * (d // w.denominator) for _u, _v, w in self.edges)
-
-    @cached_property
-    def _index_of(self) -> dict[tuple[int, int], int]:
-        return {(u, v): i for i, (u, v, _w) in enumerate(self.edges)}
 
     def edge_index(self, u: int, v: int) -> int:
         """Index of edge {u, v}; raises KeyError if absent."""
@@ -135,7 +164,7 @@ class WeightedGraph:
         return (min(u, v), max(u, v)) in self._index_of
 
     def weight(self, u: int, v: int) -> Fraction:
-        return self.edges[self.edge_index(u, v)][2]
+        return Fraction(self.int_weights[self.edge_index(u, v)], self.scale)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -150,14 +179,26 @@ class WeightedGraph:
     def incident_edges(self, v: int) -> tuple[int, ...]:
         return tuple(idx for _nbr, idx in self.adjacency[v])
 
+    def _keep(self, kept: Sequence[int]) -> "WeightedGraph":
+        """The graph on the same vertex set with the edges `kept`, in order.
+        Only a D > 1 can lose its canonical form, so only that one is
+        reduced again."""
+        ends, weights, d = self.ends, self.int_weights, self.scale
+        kept_weights = tuple(weights[i] for i in kept)
+        if d > 1:
+            g = gcd(d, *kept_weights)
+            if g > 1:
+                d //= g
+                kept_weights = tuple(w // g for w in kept_weights)
+        return WeightedGraph(self.n, tuple(ends[i] for i in kept), kept_weights, d, self.labels)
+
     def delete_edges(self, edge_indices: Iterable[int]) -> "WeightedGraph":
         """Graph on the same vertex set with the given edges removed.
 
         Edge indices of the result differ from the original's.
         """
         drop = set(edge_indices)
-        kept = tuple(e for i, e in enumerate(self.edges) if i not in drop)
-        return WeightedGraph(self.n, kept, self.labels)
+        return self._keep([i for i in range(self.m) if i not in drop])
 
     def delete_stars(self, vertices: Iterable[int]) -> "WeightedGraph":
         """G - delta(S): the same vertex set, with every edge at a vertex of
@@ -166,8 +207,9 @@ class WeightedGraph:
         Vertex ids and the order of the kept edges do not change.
         """
         gone = set(vertices)
-        kept = tuple(e for e in self.edges if e[0] not in gone and e[1] not in gone)
-        return WeightedGraph(self.n, kept, self.labels)
+        return self._keep(
+            [i for i, (u, v) in enumerate(self.ends) if u not in gone and v not in gone]
+        )
 
 
 @dataclass(frozen=True)
@@ -289,7 +331,7 @@ def decompose(graph: WeightedGraph, halves: Sequence[int]) -> BasicFractionalMat
     for idx, h in enumerate(halves):
         if h == 0:
             continue
-        u, v, _w = graph.edges[idx]
+        u, v = graph.ends[idx]
         if h == 2:
             counts[idx] = 2
             matched_pairs.append((u, v))
@@ -410,7 +452,7 @@ class FractionalVertexCover:
         d = graph.scale
         return all(
             (a[u] + a[v]) * d >= w * q
-            for (u, v, _w), w in zip(graph.edges, graph.int_weights)
+            for (u, v), w in zip(graph.ends, graph.int_weights)
         )
 
 
@@ -426,10 +468,12 @@ def tight_edges(graph: WeightedGraph, cover: FractionalVertexCover) -> frozenset
     q, a = cover.scaled
     d = graph.scale
     tight = []
-    for i, ((u, v, w), w_int) in enumerate(zip(graph.edges, graph.int_weights)):
-        covered, needed = (a[u] + a[v]) * d, w_int * q
+    for i, ((u, v), w) in enumerate(zip(graph.ends, graph.int_weights)):
+        covered, needed = (a[u] + a[v]) * d, w * q
         if covered < needed:
-            raise InfeasibleCover(f"edge ({u},{v}) violates the cover: {y[u]} + {y[v]} < {w}")
+            raise InfeasibleCover(
+                f"edge ({u},{v}) violates the cover: {y[u]} + {y[v]} < {Fraction(w, d)}"
+            )
         if covered == needed:
             tight.append(i)
     return frozenset(tight)

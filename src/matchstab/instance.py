@@ -3,6 +3,11 @@
 Instances are JSON documents with string vertex labels, exact weight strings
 (decimal like "0.5" or fraction like "3/4"; plain integers also allowed) and
 an optional fixed matching. Floats are rejected so weights stay exact.
+
+The parser hands the graph its integers: a weight string of ASCII digits is
+read by `int`, any other through `Fraction`, each distinct string once, and
+`graph.scale_weights` turns the weights into D and D.w. An instance whose
+weights are all integers is read with no `Fraction` at all.
 """
 
 from __future__ import annotations
@@ -10,10 +15,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from .errors import GraphError, ParseError
-from .graph import Matching, WeightedGraph
+from .graph import Matching, WeightedGraph, scale_weights
 
 
 @dataclass(frozen=True)
@@ -22,21 +27,23 @@ class Instance:
     matching: Optional[Matching]
 
 
-def _parse_weight(raw: Any, where: str) -> Fraction:
-    if isinstance(raw, bool) or isinstance(raw, float):
-        raise ParseError(f"{where}: weight must be an integer or exact string, got {raw!r}")
-    if isinstance(raw, int):
-        value = Fraction(raw)
-    elif isinstance(raw, str):
+def _parse_weight(raw: Any, pos: int) -> Union[int, Fraction]:
+    """The exact weight of edge `pos`: an int for a JSON integer or a string
+    of ASCII digits, else the `Fraction` of the string."""
+    if type(raw) is str:
         try:
             # ASCII digits alone spell a nonnegative integer: skip the regex
-            value = Fraction(int(raw)) if raw.isascii() and raw.isdigit() else Fraction(raw)
+            value = int(raw) if raw.isascii() and raw.isdigit() else Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: cannot parse weight {raw!r}") from exc
+            raise ParseError(f"edges[{pos}]: cannot parse weight {raw!r}") from exc
+    elif type(raw) is int:
+        value = raw
+    elif isinstance(raw, (bool, float)):
+        raise ParseError(f"edges[{pos}]: weight must be an integer or exact string, got {raw!r}")
     else:
-        raise ParseError(f"{where}: weight must be an integer or string, got {raw!r}")
-    if value.numerator < 0:
-        raise ParseError(f"{where}: weight {raw!r} is negative")
+        raise ParseError(f"edges[{pos}]: weight must be an integer or string, got {raw!r}")
+    if value < 0:
+        raise ParseError(f"edges[{pos}]: weight {raw!r} is negative")
     return value
 
 
@@ -57,8 +64,8 @@ def parse_instance(text: str) -> Instance:
     edges_doc = doc.get("edges")
     if not isinstance(edges_doc, list):
         raise ParseError('"edges" must be a list')
-    parsed: dict[str, Fraction] = {}  # each distinct weight string is parsed once
-    edges = []
+    parsed: dict[str, Union[int, Fraction]] = {}  # each distinct weight string, parsed once
+    ends, weights = [], []
     for pos, entry in enumerate(edges_doc):
         try:
             u, v, raw = index[entry["u"]], index[entry["v"]], entry["w"]
@@ -69,12 +76,14 @@ def parse_instance(text: str) -> Instance:
         if type(raw) is str:
             w = parsed.get(raw)
             if w is None:
-                w = parsed[raw] = _parse_weight(raw, f"edges[{pos}]")
+                w = parsed[raw] = _parse_weight(raw, pos)
         else:
-            w = _parse_weight(raw, f"edges[{pos}]")
-        edges.append((u, v, w) if u < v else (v, u, w))
+            w = _parse_weight(raw, pos)
+        ends.append((u, v) if u < v else (v, u))
+        weights.append(w)
+    scale, int_weights = scale_weights(weights)
     try:
-        graph = WeightedGraph(len(vertices), tuple(edges), tuple(vertices))
+        graph = WeightedGraph(len(vertices), tuple(ends), int_weights, scale, tuple(vertices))
     except GraphError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -5,7 +5,7 @@ runs a Hungarian-style primal-dual method on the bipartite duplicate of the
 graph (a left and a right copy of every vertex, and for every edge uv the
 two edges (u, v') and (v, u') of weight w_uv), without building the
 duplicate. Its kernel runs on the integer weights D.w that the graph
-computes once (`WeightedGraph.scale` is D, the lcm of the weight
+stores (`WeightedGraph.scale` is D, the lcm of the weight
 denominators, and `WeightedGraph.int_weights` the D.w), with a
 per-right-copy slack array so that each even row is scanned once per
 phase, and returns its potentials as those integers too.
@@ -178,7 +178,7 @@ def normalize_to_basic(
     half: dict[int, list[tuple[int, int]]] = {}
     for idx, h in enumerate(vec):
         if h == 1:
-            u, v, _w = graph.edges[idx]
+            u, v = graph.ends[idx]
             half.setdefault(u, []).append((v, idx))
             half.setdefault(v, []).append((u, idx))
     for v, nbrs in half.items():

@@ -17,8 +17,8 @@ of its vertex's free arcs, in adjacency order, so it gets the full sweep's
 value and the full sweep's `pred1` tie-break. Each iteration therefore
 commits exactly what relaxing every arc would (see `_IntegerDP`).
 
-The DP runs on integers: it reads the weights D.w that the graph computes
-once (`WeightedGraph.scale` is D, the lcm of the weight denominators, and
+The DP runs on integers: it reads the weights D.w that the graph stores
+(`WeightedGraph.scale` is D, the lcm of the weight denominators, and
 `WeightedGraph.int_weights` the D.w), so no scan scales the weights
 itself. That is exact and keeps every sign and every order, so
 an entry is converted back as Fraction(entry, D) only where a caller reads

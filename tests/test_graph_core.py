@@ -59,7 +59,7 @@ def test_graph_rejects_loops_parallel_negative():
 def test_as_fraction_keeps_a_fraction():
     w = Fraction(7, 6)
     assert as_fraction(w) is w
-    assert WeightedGraph.from_edges(2, [(0, 1, w)]).edges[0][2] is w
+    assert WeightedGraph.from_edges(2, [(0, 1, w)]).edges[0][2] == w
     assert as_fraction("3/4") == Fraction(3, 4) and as_fraction(2) == 2
 
 
@@ -72,6 +72,41 @@ def test_scale_and_int_weights_are_computed_once_per_graph(monkeypatch):
     assert g.int_weights is g.int_weights and lcm_calls[0] == 1
     assert WeightedGraph.from_edges(2, []).scale == 1
     assert WeightedGraph.from_edges(2, []).int_weights == ()
+
+
+def test_deleting_the_only_fractional_edge_brings_d_back_to_1():
+    g = WeightedGraph.from_edges(5, [(0, 1, "7"), (1, 4, "3/4"), (2, 3, 5), (0, 3, "2")])
+    assert (g.scale, g.int_weights) == (4, (28, 3, 20, 8))
+    fresh = WeightedGraph.from_edges(5, [(0, 1, 7), (2, 3, 5), (0, 3, 2)])
+    for rest in (g.delete_edges([1]), g.delete_stars([4])):
+        assert rest.scale == 1 and rest.int_weights == (7, 5, 2)
+        assert rest == fresh and hash(rest) == hash(fresh)
+    # a D > 1 that stays canonical is kept as it is
+    halves = WeightedGraph.from_edges(3, [(0, 1, "1/2"), (1, 2, "3/4"), (0, 2, "5/4")])
+    assert halves.delete_edges([1]) == WeightedGraph.from_edges(3, [(0, 1, "1/2"), (0, 2, "5/4")])
+    assert halves.delete_edges([1]).scale == 4
+    assert halves.delete_edges([0, 1, 2]).scale == 1
+
+
+@pytest.mark.parametrize(
+    "int_weights,scale,message",
+    [
+        ((2, 4), 2, "not canonical"),  # the weights 1 and 2 are (1, 2) with D = 1
+        ((0, 0), 3, "not canonical"),
+        ((1, 2), 0, "positive int"),
+        ((1, 2), -1, "positive int"),
+        ((1, 2), True, "positive int"),
+        ((1, -2), 1, "negative weight -2"),
+        ((1, -3), 2, "negative weight -3/2"),
+        ((1, Fraction(2)), 1, "must be an int"),
+        ((1, 2.0), 1, "must be an int"),
+        ((1, True), 1, "must be an int"),
+        ((1,), 1, "one weight per edge"),
+    ],
+)
+def test_constructor_refuses_a_bad_scale_or_int_weight(int_weights, scale, message):
+    with pytest.raises(GraphError, match=message):
+        WeightedGraph(3, ((0, 1), (1, 2)), int_weights, scale)
 
 
 def test_only_the_graph_module_scales_weights():

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -77,14 +78,16 @@ def _parse_weight_by_fraction(raw: str, where: str) -> Fraction:
      pytest.param("9" * 5000, id="5000 digits")],
 )
 def test_weight_strings_parse_as_fraction_parses_them(raw):
-    def outcome(parse):
+    # `_parse_weight` reads ASCII digits as an int: the value, not its type,
+    # must be the one `Fraction(raw)` gives
+    def outcome(parse, where):
         try:
-            value = parse(raw, "edges[0]")
+            value = parse(raw, where)
         except ParseError as exc:
             return "ParseError", str(exc)
-        return type(value), value
+        return "value", value
 
-    assert outcome(_parse_weight) == outcome(_parse_weight_by_fraction)
+    assert outcome(_parse_weight, 0) == outcome(_parse_weight_by_fraction, "edges[0]")
 
 
 def test_gamma_command(capsys):
@@ -308,8 +311,29 @@ def _instance(tmp_path, fixture) -> Path:
     return path
 
 
-# (command, fixture, forgery, the checks it fails); verified in process here
-# and, every row in one subprocess, under python -O below
+class Malformed(NamedTuple):
+    """A forgery that verify cannot read: its diagnostic, and no report."""
+
+    diagnostic: str
+
+
+def _not_a_string(got: str) -> Malformed:
+    """A document that gives an exact value as a JSON number, which
+    `Fraction` alone would take."""
+    return Malformed(f"malformed result document: an exact value must be a string, got {got}")
+
+
+def _floats(doc):
+    """The float forgery of a fig9 `solve-fractional` document: nu_f, one x
+    and one cover value as the numbers they stand for."""
+    doc["outputs"]["nu_f"] = 6.0
+    doc["outputs"]["x"][0]["x"] = 0.5
+    doc["certificates"]["cover"]["p"] = 2.0
+
+
+# (command, fixture, forgery, the checks it fails, or Malformed for a
+# document that cannot be read); verified in process here and, every row
+# in one subprocess, under python -O below
 FORGED_CLAIMS = [
         ("stabilize-vertices", "fig9", lambda d: d.pop("instance_sha256"),
          {"instance_sha256_matches"}),
@@ -362,7 +386,33 @@ FORGED_CLAIMS = [
         ("m-stabilize", "fig9m", _set("outputs", "S1", ["p"]), {"S_is_S1_plus_S2"}),
         ("m-stabilize", "fig9m", lambda d: d["outputs"].update(S=["p", "q"], S1=["p"], S2=["q"]),
          {"S_is_M_exposed"}),
+        # an exact value given as a JSON number, which verified while the
+        # values were read by `Fraction` alone
+        ("solve-fractional", "fig9", _floats, _not_a_string("2.0")),
+        ("solve-fractional", "fig9", _set("outputs", "nu_f", 6.0), _not_a_string("6.0")),
+        ("solve-fractional", "fig9", lambda d: d["outputs"]["x"][0].update(x=0.5),
+         _not_a_string("0.5")),
+        ("solve-fractional", "fig9", lambda d: d["certificates"]["cover"].update(p=2.0),
+         _not_a_string("2.0")),
+        ("gamma", "fig6", lambda d: d["certificates"]["cover"].update({"4": 0.25}),
+         _not_a_string("0.25")),
+        ("check-stability", "fig8", _set("outputs", "nu", 8.0), _not_a_string("8.0")),
+        ("check-stability", "fig8", _set("outputs", "nu_f", 9), _not_a_string("9")),
+        ("stabilize-vertices", "fig9", _set("outputs", "nu_after", 4.0), _not_a_string("4.0")),
+        ("stabilize-vertices", "fig9", lambda d: d["certificates"]["surviving_cover"].update(q=2),
+         _not_a_string("2")),
+        ("m-stabilize", "fig9m", _set("outputs", "w_M", 5.0), _not_a_string("5.0")),
+        ("m-stabilize", None, _set("outputs", "residual_nu_f", 2.0), _not_a_string("2.0")),
+        ("m-stabilize", None, lambda d: d["certificates"]["residual_cover"].update(b=1.5),
+         _not_a_string("1.5")),
 ]
+
+
+def _forged_outcome(failing) -> list:
+    """[exit code, stderr, failed checks] that verify gives a row's forgery."""
+    if isinstance(failing, Malformed):
+        return [1, f"matchstab: error: {failing.diagnostic}\n", []]
+    return [1, "", sorted(failing)]
 
 
 @pytest.mark.parametrize("command,fixture,edit,failing", FORGED_CLAIMS)
@@ -374,6 +424,9 @@ def test_verify_rejects_each_forged_claim(tmp_path, capsys, command, fixture, ed
     assert code == 0 and json.loads(out)["verified"] is True
     edit(doc)
     code, out, err = _run(capsys, "verify", str(instance), "--result", str(_write(tmp_path, doc)))
+    if isinstance(failing, Malformed):
+        assert (code, out, err) == (1, "", f"matchstab: error: {failing.diagnostic}\n")
+        return
     assert code == 1 and err == ""
     report = json.loads(out)
     assert report["verified"] is False
@@ -393,7 +446,7 @@ for instance, result in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify", instance, "--result", result])
-    checks = json.loads(out.getvalue())["checks"]
+    checks = json.loads(out.getvalue())["checks"] if out.getvalue() else []
     outcomes.append([code, err.getvalue(), sorted(c["name"] for c in checks if not c["ok"])])
 print(json.dumps({"optimize": sys.flags.optimize, "outcomes": outcomes}))
 """
@@ -420,7 +473,7 @@ def test_verify_rejects_each_forged_claim_under_dash_o(tmp_path, capsys):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["optimize"] == 1
-    assert out["outcomes"] == [[1, "", sorted(failing)] for *_row, failing in FORGED_CLAIMS]
+    assert out["outcomes"] == [_forged_outcome(failing) for *_row, failing in FORGED_CLAIMS]
 
 
 @pytest.mark.parametrize(

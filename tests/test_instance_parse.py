@@ -8,14 +8,18 @@ equal `Instance`s or raise the same `ParseError` text.
 
 from __future__ import annotations
 
+import itertools
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
 import pytest
 
-from conftest import bench_families
+from conftest import bench_families, count_calls
+from matchstab import graph as graph_module
+from matchstab import instance as instance_module
 from matchstab.errors import GraphError, ParseError
 from matchstab.graph import Matching, WeightedGraph
 from matchstab.instance import Instance, parse_instance
@@ -199,3 +203,78 @@ def test_malformed_documents_fail_as_the_reference_fails_them(text):
 def test_malformed_set_covers_both_outcomes():
     kinds = [_outcome(parse_instance, text)[0] for text in MALFORMED.values()]
     assert kinds.count("ok") >= 5 and kinds.count("ParseError") >= 30
+
+
+# ---------------------------------------------------------------------------
+# The graph a document parses to is its integers D and D.w, built with no
+# `Fraction` for integer weights; it must equal, with an equal hash, the
+# graph the reference builds from `Fraction`s.
+
+
+def _mixed_weight_document(seed: int) -> str:
+    rng = random.Random(seed)
+    n = rng.randint(4, 12)
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [
+        _e(vertices[a], vertices[b], rng.choice(["7", "3/4", "0.5", "12", "5/6", "0"]))
+        for a, b in itertools.combinations(range(n), 2)
+        if rng.random() < 0.4
+    ]
+    return json.dumps({"vertices": vertices, "edges": edges})
+
+
+GRAPH_DOCUMENTS = {
+    **{name: (ROOT / "fixtures" / f"{name}.json").read_text()
+       for name in ("fig6", "fig7", "fig8", "fig9", "fig9m")},
+    **{f"mixed seed {seed}": _mixed_weight_document(seed) for seed in range(8)},
+}
+
+
+@pytest.mark.parametrize("text", GRAPH_DOCUMENTS.values(), ids=GRAPH_DOCUMENTS.keys())
+def test_parsed_graph_equals_the_graph_built_from_fractions(text):
+    graph = parse_instance(text).graph
+    reference = _reference_parse_instance(text).graph
+    assert graph == reference and hash(graph) == hash(reference)
+    assert (graph.scale, graph.int_weights, graph.edges) == (
+        reference.scale, reference.int_weights, reference.edges
+    )
+    assert graph.int_weights == tuple(w * graph.scale for _u, _v, w in reference.edges)
+
+
+def test_mixed_documents_take_the_fraction_path():
+    scales = {parse_instance(text).graph.scale for text in GRAPH_DOCUMENTS.values()}
+    assert 1 in scales and 12 in scales  # lcm(4, 2, 6)
+
+
+def _count_fractions(monkeypatch, module) -> list[int]:
+    """Replace `module.Fraction` by a subclass that counts the `Fraction`s
+    made through it in a one-element list, which is returned. Being a
+    class, it keeps the module's isinstance checks working."""
+    calls = [0]
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            calls[0] += 1
+            return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(module, "Fraction", Counted)
+    return calls
+
+
+def test_an_integer_k40_is_parsed_with_no_fraction(monkeypatch):
+    vertices = [f"v{i}" for i in range(40)]
+    rng = random.Random(40)
+    edges = [
+        _e(vertices[a], vertices[b], str(rng.randint(1, 1000)))
+        for a, b in itertools.combinations(range(40), 2)
+    ]
+    text = json.dumps({"vertices": vertices, "edges": edges})
+    fractions = [_count_fractions(monkeypatch, m) for m in (instance_module, graph_module)]
+    lcms = count_calls(monkeypatch, graph_module, "lcm")
+    graph = parse_instance(text).graph
+    assert graph.m == 780 and graph.scale == 1
+    assert graph.int_weights == tuple(int(e["w"]) for e in edges)
+    assert [calls[0] for calls in fractions] == [0, 0] and lcms[0] == 0
+    # the same counters see the Fraction and the lcm of a "3/4"
+    parse_instance(json.dumps({"vertices": ["a", "b"], "edges": [_e("a", "b", "3/4")]}))
+    assert fractions[0][0] == 1 and lcms[0] == 1
