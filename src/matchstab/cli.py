@@ -396,24 +396,16 @@ def main(argv: Optional[list[str]] = None) -> int:
             _emit(doc, None, compact=False)
             return code
 
-        def run_one(path: str) -> tuple[dict, int, float]:
+        final = 0
+        for path in args.instances:  # one document per line when there are several
             started = time.monotonic()
             instance, digest = _load_instance(path)
             if args.command == "oracle":
                 doc, code = _run_oracle(args.oracle_command, instance, path, digest)
             else:
                 doc, code = _run_command(args.command, instance, path, digest)
-            return doc, code, time.monotonic() - started
-
-        paths = args.instances
-        if len(paths) == 1:
-            doc, code, elapsed = run_one(paths[0])
-            _emit(doc, elapsed if args.timing else None, compact=False)
-            return code
-        final = 0
-        for path in paths:
-            doc, code, elapsed = run_one(path)
-            _emit(doc, elapsed if args.timing else None, compact=True)
+            elapsed = time.monotonic() - started
+            _emit(doc, elapsed if args.timing else None, compact=len(args.instances) > 1)
             final = max(final, code)
         return final
     except MatchstabError as exc:

@@ -4,32 +4,29 @@ Everything here is an independent verifier: values come from enumeration over
 basic solutions (matchings plus vertex-disjoint odd cycle packings) and from
 exhaustive subset/walk search, never from the production solvers.
 
-Both oracles are keyed by vertex mask, so one graph's memo answers for every
-induced subgraph, which is what makes the stabilizer subset searches
-affordable. ν is a lazy memo on the integers D.w (`WeightedGraph.int_weights`)
-filled top-down: it holds only the masks its recursion reaches from the
-masks asked for, 377 of the 4096 for ν of K_12, against the 2^n of a full
-table. ν_f and γ still come from a full bottom-up table of `Fraction` values
-over all 2^n masks.
+Every call builds its own tables on the integers D.w (`WeightedGraph.int_weights`)
+and keeps nothing once it returns. Both are keyed by vertex mask, so one call's
+tables answer for every induced subgraph, which is what makes the stabilizer
+subset searches affordable. ν is a lazy memo filled top-down: it holds only
+the masks its recursion reaches from the masks asked for, 377 of the 4096 for
+ν of K_12. ν_f and γ come from a bottom-up table of (2D.ν_f, γ) over all 2^n
+masks, which reads the heaviest odd cycle on each vertex set from a Held-Karp
+path table built once per call, O(2^n.n^2) work.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from itertools import combinations
 from typing import Optional
 
 from .errors import BudgetExceeded
-from .graph import HALF, ZERO, Matching, WeightedGraph
+from .graph import ZERO, Matching, WeightedGraph
 
 # Hard size limits; the oracle refuses anything bigger.
 MAX_VERTICES = 12
 MAX_SUBSET_VERTICES = 8
 MAX_WALK_LENGTH = 12
-
-# Callers ask for one graph's tables repeatedly before moving on to the next
-# graph, so a few entries keep every hit and bound memory in batch runs.
-TABLE_CACHE_SIZE = 4
 
 
 def _require(condition: bool, message: str) -> None:
@@ -41,16 +38,9 @@ def _full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _nu_memo(graph: WeightedGraph) -> dict[int, int]:
-    """The graph's ν memo, memo[mask] = D.ν of the subgraph induced by mask,
-    with D = `graph.scale`; it starts with the empty mask and `_nu_at` fills
-    it on demand, so it never holds more than 2^n entries."""
-    return {0: 0}
-
-
 def _nu_at(graph: WeightedGraph, memo: dict[int, int], mask: int) -> int:
-    """D.ν of the subgraph induced by mask, through the memo.
+    """D.ν of the subgraph induced by mask, through the memo, which maps
+    masks to D.ν with D = `graph.scale` and starts as {0: 0}.
 
     With v the lowest vertex of the mask and rest the mask without v,
     ν(mask) = max(ν(rest), max over u in N(v) & rest of D.w_vu + ν(rest - u)).
@@ -73,64 +63,75 @@ def _nu_at(graph: WeightedGraph, memo: dict[int, int], mask: int) -> int:
     return value
 
 
-def _cycles_from(
-    graph: WeightedGraph, v: int, mask: int
-) -> list[tuple[Fraction, int]]:
-    """All odd cycles through v inside mask as (weight, vertex_mask).
+def _cycle_weights(graph: WeightedGraph) -> list[Optional[int]]:
+    """cycles[C] = D.w of the heaviest cycle through every vertex of C, for
+    each odd vertex set C with |C| >= 3 that has one; None elsewhere.
 
-    v is the smallest vertex of the mask, so walking paths out of v and only
-    closing when the path's second vertex is below its last counts every odd
-    cycle exactly once.
+    Held-Karp on paths rooted at r = min(C): paths[mask][u] is the heaviest
+    path from the lowest vertex of mask to u through exactly the vertices of
+    mask. Paths only grow to bigger vertices, so each mask is complete when
+    the loop reaches it, and is dropped once it has been extended.
     """
-    out: list[tuple[Fraction, int]] = []
+    weights, adjacency = graph.int_weights, graph.adjacency
+    cycles: list[Optional[int]] = [None] * (1 << graph.n)
+    paths: dict[int, dict[int, int]] = {}
+    for mask in range(1, 1 << graph.n):
+        low = mask & -mask
+        r = low.bit_length() - 1
+        ends = {r: 0} if mask == low else paths.pop(mask, None)
+        if not ends:
+            continue
+        if bin(mask).count("1") % 2:  # odd; one vertex alone closes no cycle
+            closed = [ends[u] + weights[idx] for u, idx in adjacency[r] if u in ends]
+            cycles[mask] = max(closed, default=None)
+        for end, value in ends.items():
+            for u, idx in adjacency[end]:
+                if u > r and not mask >> u & 1:
+                    grown = paths.setdefault(mask | 1 << u, {})
+                    grown[u] = max(grown.get(u, 0), value + weights[idx])  # weights are >= 0
+    return cycles
 
-    def dfs(cur: int, second: int, used: int, weight: Fraction, length: int) -> None:
-        if length >= 2 and length % 2 == 0 and graph.has_edge(cur, v) and second < cur:
-            close_w = graph.weight(cur, v)
-            out.append((weight + close_w, used))
-        for u, idx in graph.adjacency[cur]:
-            if u != v and (mask >> u & 1) and not (used >> u & 1):
-                dfs(u, second, used | (1 << u), weight + graph.edges[idx][2], length + 1)
 
-    for u, idx in graph.adjacency[v]:
-        if mask >> u & 1:
-            dfs(u, u, (1 << v) | (1 << u), graph.edges[idx][2], 1)
-    return out
+def _basic_table(graph: WeightedGraph) -> list[tuple[int, int]]:
+    """table[mask] = (2D.value, cycles) of the best basic fractional matching
+    inside mask, fewest cycles among the best.
 
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _basic_table(graph: WeightedGraph) -> tuple[tuple[Fraction, int], ...]:
-    """table[mask] = (best basic value, fewest cycles among best) inside mask.
-
-    Enumerates every basic structure: at the smallest vertex of the mask,
-    either leave it exposed, match it, or put it on an odd cycle.
+    Enumerates every basic structure: at the lowest vertex v of the mask,
+    either leave it exposed, match it (x = 1, adding 2D.w_vu), or put it on
+    an odd cycle on a vertex set C with min(C) = v (x = 1/2, adding D.w(C)).
+    Only the heaviest cycle on each C can be optimal, so it is the only one
+    tried.
     """
-    n = graph.n
-    table: list[tuple[Fraction, int]] = [(ZERO, 0)] * (1 << n)
-    for mask in range(1, 1 << n):
-        v = (mask & -mask).bit_length() - 1
-        rest = mask & ~(1 << v)
+    weights, adjacency = graph.int_weights, graph.adjacency
+    cycles = _cycle_weights(graph)
+    table: list[tuple[int, int]] = [(0, 0)] * (1 << graph.n)
+    for mask in range(1, 1 << graph.n):
+        low = mask & -mask
+        rest = mask ^ low
         best_val, best_cyc = table[rest]
-        for u, idx in graph.adjacency[v]:
-            if mask >> u & 1:
+        for u, idx in adjacency[low.bit_length() - 1]:
+            if rest >> u & 1:
                 val, cyc = table[rest & ~(1 << u)]
-                val = val + graph.edges[idx][2]
+                val += 2 * weights[idx]
                 if val > best_val or (val == best_val and cyc < best_cyc):
                     best_val, best_cyc = val, cyc
-        for cyc_weight, cyc_mask in _cycles_from(graph, v, mask):
-            val, cyc = table[mask & ~cyc_mask]
-            val = val + cyc_weight * HALF
-            cyc += 1
-            if val > best_val or (val == best_val and cyc < best_cyc):
-                best_val, best_cyc = val, cyc
+        sub = rest
+        while sub:  # the other vertices of each C, as submasks of rest
+            weight = cycles[sub | low]
+            if weight is not None:
+                val, cyc = table[rest ^ sub]
+                val, cyc = val + weight, cyc + 1
+                if val > best_val or (val == best_val and cyc < best_cyc):
+                    best_val, best_cyc = val, cyc
+            sub = (sub - 1) & rest
         table[mask] = (best_val, best_cyc)
-    return tuple(table)
+    return table
 
 
 def exact_nu(graph: WeightedGraph) -> tuple[Fraction, Matching]:
     """Maximum-weight matching value and one witness, by enumeration."""
     _require(graph.n <= MAX_VERTICES, f"nu oracle limited to {MAX_VERTICES} vertices")
-    memo = _nu_memo(graph)
+    memo = {0: 0}
     full = _full_mask(graph.n)
     nu = _nu_at(graph, memo, full)
     # rebuild one optimal matching deterministically: v stays exposed when
@@ -158,49 +159,44 @@ def exact_nu(graph: WeightedGraph) -> tuple[Fraction, Matching]:
 def exact_nu_f(graph: WeightedGraph) -> Fraction:
     """Maximum basic fractional matching value, by structure enumeration."""
     _require(graph.n <= MAX_VERTICES, f"nu_f oracle limited to {MAX_VERTICES} vertices")
-    return _basic_table(graph)[_full_mask(graph.n)][0]
+    return Fraction(_basic_table(graph)[-1][0], 2 * graph.scale)
 
 
 def brute_gamma(graph: WeightedGraph) -> int:
     """Fewest odd cycles over all optimal basic fractional matchings."""
     _require(graph.n <= MAX_VERTICES, f"gamma oracle limited to {MAX_VERTICES} vertices")
-    return _basic_table(graph)[_full_mask(graph.n)][1]
+    return _basic_table(graph)[-1][1]
 
 
 def is_stable(graph: WeightedGraph) -> bool:
     """nu(G) == nu_f(G), both by enumeration."""
-    value, _m = exact_nu(graph)
-    return value == exact_nu_f(graph)
+    _require(graph.n <= MAX_VERTICES, f"nu oracle limited to {MAX_VERTICES} vertices")
+    return _mask_stable(graph, {0: 0}, _basic_table(graph), _full_mask(graph.n))
 
 
-def _mask_stable(graph: WeightedGraph, mask: int) -> bool:
-    nu = _nu_at(graph, _nu_memo(graph), mask)
-    return nu == _basic_table(graph)[mask][0] * graph.scale
+def _mask_stable(graph: WeightedGraph, memo: dict[int, int], table: list, mask: int) -> bool:
+    """ν == ν_f on the subgraph induced by mask, as 2.(D.ν) == 2D.ν_f."""
+    return 2 * _nu_at(graph, memo, mask) == table[mask][0]
 
 
 def brute_min_vertex_stabilizer(graph: WeightedGraph) -> frozenset[int]:
     """Smallest vertex set whose removal is stabilizing; lexicographic ties."""
-    from itertools import combinations
-
     _require(
         graph.n <= MAX_SUBSET_VERTICES,
         f"vertex-stabilizer oracle limited to {MAX_SUBSET_VERTICES} vertices",
     )
     full = _full_mask(graph.n)
+    memo, table = {0: 0}, _basic_table(graph)
     for k in range(graph.n + 1):
         for subset in combinations(range(graph.n), k):
-            mask = full
-            for v in subset:
-                mask &= ~(1 << v)
-            if _mask_stable(graph, mask):
+            mask = full & ~sum(1 << v for v in subset)
+            if _mask_stable(graph, memo, table, mask):
                 return frozenset(subset)
     raise AssertionError("empty graph is stable")  # pragma: no cover
 
 
 def brute_min_edge_stabilizer(graph: WeightedGraph) -> frozenset[int]:
     """Smallest edge-index set whose removal is stabilizing; lexicographic ties."""
-    from itertools import combinations
-
     _require(
         graph.n <= MAX_SUBSET_VERTICES,
         f"edge-stabilizer oracle limited to {MAX_SUBSET_VERTICES} vertices",
@@ -222,8 +218,6 @@ def brute_min_m_stabilizer(
 
     Returns the INFEASIBLE sentinel when no subset of exposed vertices works.
     """
-    from itertools import combinations
-
     _require(
         graph.n <= MAX_SUBSET_VERTICES,
         f"M-stabilizer oracle limited to {MAX_SUBSET_VERTICES} vertices",
@@ -231,13 +225,11 @@ def brute_min_m_stabilizer(
     exposed = [v for v in range(graph.n) if not matching.covers(v)]
     target = matching.weight(graph) * graph.scale
     full = _full_mask(graph.n)
-    memo = _nu_memo(graph)
+    memo, table = {0: 0}, _basic_table(graph)
     for k in range(len(exposed) + 1):
         for subset in combinations(exposed, k):
-            mask = full
-            for v in subset:
-                mask &= ~(1 << v)
-            if _nu_at(graph, memo, mask) == target and _mask_stable(graph, mask):
+            mask = full & ~sum(1 << v for v in subset)
+            if _nu_at(graph, memo, mask) == target and _mask_stable(graph, memo, table, mask):
                 return frozenset(subset)
     return INFEASIBLE
 

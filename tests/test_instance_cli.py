@@ -664,10 +664,10 @@ def test_jobs_flag_is_gone(capsys):
 
 
 def test_only_the_printed_nu_runs_the_oracle(capsys, monkeypatch):
-    # every oracle entry point goes through the ν memo or the 2^n table of
-    # ν_f and γ; they are counted at the module attribute, whatever name a
-    # caller imported
-    nu_calls = count_calls(monkeypatch, oracle, "_nu_memo")
+    # ν comes from exact_nu, and every oracle entry point for ν_f and γ
+    # builds the 2^n table; both are counted at the module attribute,
+    # whatever name a caller imported
+    nu_calls = count_calls(monkeypatch, oracle, "exact_nu")
     basic_calls = count_calls(monkeypatch, oracle, "_basic_table")
     for command, calls in [
         ("check-stability", (1, 0)),  # nu only; nu_f is the certified pair's

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from conftest import delete_vertices, fig8, fig9, random_graph, random_matching
+from conftest import delete_vertices, fig8, fig9, random_graph, random_matching, tri_chain
 from matchstab import oracle
+from matchstab.cycles import reduce_cycles
 from matchstab.errors import BudgetExceeded
 from matchstab.graph import Matching, WeightedGraph
+from matchstab.lp import solve_fractional
 
 
 def test_nu_values():
@@ -87,21 +90,32 @@ def test_budgets_fail_loudly():
         )
 
 
-def test_table_caches_stay_bounded():
-    # the edge search builds the ν memo and the table of one edge-deleted
-    # graph per subset; two disjoint triangles need two deletions, so it
-    # tries ten subsets
+def test_the_oracle_keeps_no_cache():
+    # every call builds its own tables; the edge search builds those of one
+    # edge-deleted graph per subset, and two disjoint triangles need two
+    # deletions, so it tries ten subsets
     two_triangles = WeightedGraph.from_edges(
         6, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (3, 4, 1), (3, 5, 1), (4, 5, 1)]
     )
-    tables = (oracle._nu_memo, oracle._basic_table)
-    for table in tables:
-        table.cache_clear()
     assert len(oracle.brute_min_edge_stabilizer(two_triangles)) == 2
-    for table in tables:
-        info = table.cache_info()
-        assert info.misses > oracle.TABLE_CACHE_SIZE
-        assert info.currsize <= oracle.TABLE_CACHE_SIZE
+    assert [name for name, obj in vars(oracle).items() if hasattr(obj, "cache_info")] == []
+
+
+def test_the_oracle_at_its_12_vertex_budget():
+    # against the production solvers: the stable K_12 with weights a/b of
+    # the CI step, and a sparse chain of four weight-4 triangles (gamma = 4,
+    # not stable)
+    rng = random.Random(12)
+    k12 = WeightedGraph.from_edges(
+        12,
+        [(u, v, Fraction(rng.randint(1, 30), rng.randint(1, 6))) for u, v in combinations(range(12), 2)],
+    )
+    for g in (k12, tri_chain(random.Random(12), 4)):
+        assert g.n == oracle.MAX_VERTICES
+        nu_f = oracle.exact_nu_f(g)
+        assert nu_f == solve_fractional(g)[0].weight
+        assert oracle.brute_gamma(g) == reduce_cycles(g).gamma
+        assert oracle.is_stable(g) == (oracle.exact_nu(g)[0] == nu_f)
 
 
 def test_walk_enumeration_examples():
