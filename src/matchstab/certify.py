@@ -2,8 +2,10 @@
 
 Each claim matchstab prints rests on an LP-duality certificate: an optimal
 pair (x, y) of the fractional matching LP and its dual, or a matching and a
-fractional w-vertex cover of G - S with equal totals. This module alone
-decides whether a certificate holds, with exact arithmetic and nothing else:
+fractional w-vertex cover of G - S with equal totals; an infeasible
+M-stabilizer rests on a fractional matching heavier than M that uses no
+edge at an M-exposed vertex. This module alone decides whether a
+certificate holds, with exact arithmetic and nothing else:
 
 - `optimal_pair_checks` and `stable_subgraph_checks` return the named
   checks of one certificate, each with its result. `verify_optimal_pair`
@@ -196,14 +198,22 @@ def _exact(value: object) -> Fraction:
     return Fraction(value)
 
 
+@lru_cache(maxsize=256)
+def _half_count(value: object):
+    """2x for the exact value string x of an x entry: an int when 2x is
+    one, as for every entry of a basic x, else the `Fraction`, such as 3/2,
+    which `decompose` refuses. Each distinct string is read once, and, as
+    in `_exact`, a value that is not a string raises and is not cached."""
+    count = 2 * _exact(value)
+    return count.numerator if count.denominator == 1 else count
+
+
 def _halves_from_entries(graph: WeightedGraph, index, entries) -> list:
-    """The document's x as the half counts 2x_i that `decompose` validates;
-    an x_i that is not a multiple of 1/2 gives a count such as 3/2, which
-    `decompose` refuses."""
+    """The document's x as the half counts 2x_i that `decompose` validates."""
     edges = _distinct("x", [graph.edge_index(index[e["u"]], index[e["v"]]) for e in entries])
     halves: list = [0] * graph.m
     for i, entry in zip(edges, entries):
-        halves[i] = 2 * _exact(entry["x"])
+        halves[i] = _half_count(entry["x"])
     return halves
 
 
@@ -215,20 +225,48 @@ def _cover_total(cover: dict[int, Fraction]) -> Fraction:
     return FractionalVertexCover(tuple(cover.values())).total
 
 
-def _check_optimal_pair_doc(
-    graph, index, x_entries, cover_map, checks
-) -> Optional[BasicFractionalMatching]:
-    """Append `x_is_basic_feasible` and, when x is basic, the optimal-pair
-    checks; returns the decomposed x, or None when it is not basic."""
+def _basic_x_doc(graph, index, x_entries, checks) -> Optional[BasicFractionalMatching]:
+    """Append `x_is_basic_feasible`; returns the document's x decomposed on
+    `graph`, or None when it is not a basic fractional matching of it."""
     try:
         bfm = decompose(graph, _halves_from_entries(graph, index, x_entries))
     except (NotHalfIntegral, DegreeConstraintViolated, NotBasic):
         checks.append(("x_is_basic_feasible", False))
         return None
     checks.append(("x_is_basic_feasible", True))
-    cover = FractionalVertexCover(tuple(cover_map[v] for v in range(graph.n)))
-    checks.extend(optimal_pair_checks(graph, bfm, cover))
     return bfm
+
+
+def _check_optimal_pair_doc(
+    graph, index, x_entries, cover_map, checks
+) -> Optional[BasicFractionalMatching]:
+    """Append `x_is_basic_feasible` and, when x is basic, the optimal-pair
+    checks; returns the decomposed x, or None when it is not basic."""
+    bfm = _basic_x_doc(graph, index, x_entries, checks)
+    if bfm is not None:
+        cover = FractionalVertexCover(tuple(cover_map[v] for v in range(graph.n)))
+        checks.extend(optimal_pair_checks(graph, bfm, cover))
+    return bfm
+
+
+def _infeasibility_doc(
+    graph, index, matching: Matching, w_m: Fraction, certificates, checks
+) -> None:
+    """Append the checks of an infeasible `m-stabilize` certificate: x, a
+    basic fractional matching of G that uses no edge at an M-exposed vertex,
+    so one of G - delta(X) for X the M-exposed vertices, and weighs more
+    than M, whose weight is `w_m`. Then every S the stabilizer may delete
+    leaves x in G - delta(S), and nu_f(G - delta(S)) > w(M). w(x) is the
+    int sum of 2x_i.D.w_i over 2D, as `BasicFractionalMatching.weight` sums
+    it, and w(M) the int sum of its D.w_i over D."""
+    bfm = _basic_x_doc(graph, index, certificates["x"], checks)
+    if bfm is None:
+        return
+    ends, covers = graph.ends, matching.covers
+    checks += [
+        ("x_avoids_M_exposed", all(covers(ends[i][0]) and covers(ends[i][1]) for i in bfm.support)),
+        ("x_outweighs_M", bfm.weight > w_m),
+    ]
 
 
 def _support_check(graph, outputs, bfm: BasicFractionalMatching) -> tuple[str, bool]:
@@ -342,15 +380,20 @@ def _verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, 
             ("S_is_S1_plus_S2", not s1 & s2 and s1 | s2 == removed),
             ("S_is_M_exposed", not any(matching.covers(v) for v in removed)),
         ]
-        if outputs["status"] == "feasible":
+        w_m = matching.weight(graph)
+        status = outputs["status"]
+        if status == "feasible":
             residual = graph.delete_stars(removed)
             cover = _stable_subgraph_doc(index, certificates, residual, removed, checks, matching)
             nu_f = _exact(outputs["residual_nu_f"])
             checks.append(("residual_nu_f_equals_cover_total", nu_f == _cover_total(cover)))
         else:
-            checks.append(("infeasible_reported", outputs["status"] == "infeasible"))
-        w_m = _exact(outputs["w_M"])
-        checks.append(("w_M_equals_matching_weight", w_m == matching.weight(graph)))
+            checks.append(("infeasible_reported", status == "infeasible"))
+            if status == "infeasible":
+                printed = removed or s1 or s2 or certificates["diagnostics"] != []
+                checks.append(("infeasible_prints_no_stabilizer", not printed))
+                _infeasibility_doc(graph, index, matching, w_m, certificates, checks)
+        checks.append(("w_M_equals_matching_weight", _exact(outputs["w_M"]) == w_m))
     elif command == "check-stability":
         cover = _cover_from_doc(index, certificates["cover"])
         _check_optimal_pair_doc(graph, index, certificates["x"], cover, checks)

@@ -60,8 +60,9 @@ def _edges_doc(graph: WeightedGraph, indices) -> list[list[str]]:
     return [[graph.label_of(ends[i][0]), graph.label_of(ends[i][1])] for i in indices]
 
 
-def _x_entries(graph: WeightedGraph, bfm: BasicFractionalMatching) -> list[dict[str, str]]:
-    """The nonzero entries of x, in edge order."""
+def _x_entries(bfm: BasicFractionalMatching) -> list[dict[str, str]]:
+    """The nonzero entries of x, in the edge order of the graph x lives on."""
+    graph = bfm.graph
     ends, values = graph.ends, bfm.values
     return [
         {"u": graph.label_of(ends[i][0]), "v": graph.label_of(ends[i][1]), "x": str(values[i])}
@@ -99,7 +100,7 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
         bfm, cover = solve_fractional(graph)
         outputs = {
             "nu_f": str(bfm.weight),
-            "x": _x_entries(graph, bfm),
+            "x": _x_entries(bfm),
             "matched": pairs_doc(graph, bfm.matched),
             "odd_cycles": cycles_doc(graph, bfm.odd_cycles),
         }
@@ -108,7 +109,7 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
         }
     elif command in ("min-cycles", "gamma"):
         result = reduce_cycles(graph)
-        x_entries = _x_entries(graph, result.solution)
+        x_entries = _x_entries(result.solution)
         if command == "gamma":
             # x is printed once: among the outputs of min-cycles, here in the certificate
             outputs = {"gamma": result.gamma}
@@ -163,7 +164,6 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
             "S1": labels_doc(graph, result.first_phase),
             "S2": labels_doc(graph, result.second_phase),
             "w_M": str(result.matching_weight),
-            "residual_nu_f": str(result.residual_nu_f),
         }
         certificates = {
             "diagnostics": [
@@ -175,10 +175,13 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
                 for reason, u, v in result.diagnostics
             ],
         }
-        if result.residual_cover is not None:
-            certificates["residual_cover"] = _cover_doc(graph, result.residual_cover)
         if result.status == INFEASIBLE:
+            # x lives on G - delta(X), X the M-exposed vertices, and outweighs M
+            certificates["x"] = _x_entries(result.x)
             exit_code = 2
+        else:
+            outputs["residual_nu_f"] = str(result.residual_nu_f)
+            certificates["residual_cover"] = _cover_doc(graph, result.residual_cover)
     elif command == "check-stability":
         nu, witness = oracle_mod.exact_nu(graph)
         bfm, cover = solve_fractional(graph)
@@ -186,7 +189,7 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
         outputs = {"stable": nu == nu_f, "nu": str(nu), "nu_f": str(nu_f)}
         certificates = {
             "max_matching": pairs_doc(graph, witness),
-            "x": _x_entries(graph, bfm),
+            "x": _x_entries(bfm),
             "cover": _cover_doc(graph, dict(enumerate(cover.values))),
         }
     else:  # pragma: no cover - guarded by the parser

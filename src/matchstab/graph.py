@@ -256,11 +256,11 @@ class Matching:
         return all(graph.has_edge(u, v) for u, v in self.pairs)
 
     def weight(self, graph: WeightedGraph) -> Fraction:
-        """w(M), summed on the graph's integer weights D.w."""
-        weight = graph.int_weights
-        return Fraction(
-            sum(weight[graph.edge_index(u, v)] for u, v in self.pairs), graph.scale
-        )
+        """w(M), summed on the graph's integer weights D.w. Each pair is
+        stored sorted, as the graph keys its edges; a pair that is no edge of
+        the graph raises KeyError."""
+        weight, index_of = graph.int_weights, graph._index_of
+        return Fraction(sum(weight[index_of[pair]] for pair in self.pairs), graph.scale)
 
     def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.pairs))
@@ -351,7 +351,7 @@ def decompose(graph: WeightedGraph, halves: Sequence[int]) -> BasicFractionalMat
                 f"vertex {v} carries x(delta(v)) = {Fraction(h, 2)}"
             )
 
-    matched = Matching.from_pairs(matched_pairs)
+    matched = Matching(frozenset(matched_pairs))  # each pair is an edge (u, v), u < v
 
     # Half-valued edges must form vertex-disjoint odd cycles.
     cycles: list[tuple[int, ...]] = []

@@ -302,12 +302,29 @@ def _set(section, key, value):
     return edit
 
 
+# fig9m's triangle pqr, with M = {qr, ps}, beside a matched edge ab of weight 5
+# and an M-exposed t on the edge at of weight 5: X = {t}, and on G - delta(X)
+# the x of the triangle at 1/2 plus ab at 1 weighs 11 > w(M) = 10
+INFEASIBLE_M = {
+    "vertices": ["p", "q", "r", "s", "a", "b", "t"],
+    "edges": [
+        {"u": "p", "v": "q", "w": "4"}, {"u": "p", "v": "r", "w": "4"},
+        {"u": "q", "v": "r", "w": "4"}, {"u": "p", "v": "s", "w": "1"},
+        {"u": "a", "v": "b", "w": "5"}, {"u": "a", "v": "t", "w": "5"},
+    ],
+    "matching": [["q", "r"], ["p", "s"], ["a", "b"]],
+}
+
+# the instances rows may name besides the fixtures; None is FEASIBLE_M
+INSTANCES = {None: FEASIBLE_M, "infeasible_m": INFEASIBLE_M}
+
+
 def _instance(tmp_path, fixture) -> Path:
-    """The instance file of `fixture`, or of FEASIBLE_M when it is None."""
-    if fixture is not None:
+    """The instance file of `fixture`: a fixture's, or one of INSTANCES."""
+    if fixture not in INSTANCES:
         return FIXTURES / f"{fixture}.json"
-    path = tmp_path / "feasible_m.json"
-    path.write_text(json.dumps(FEASIBLE_M))
+    path = tmp_path / f"{fixture or 'feasible_m'}.json"
+    path.write_text(json.dumps(INSTANCES[fixture]))
     return path
 
 
@@ -383,9 +400,28 @@ FORGED_CLAIMS = [
         # S1 and S2 must split S, and S may name only M-exposed vertices
         ("m-stabilize", None, lambda d: d["outputs"].update(S1=["a"], S2=["b", "c"]),
          {"S_is_S1_plus_S2"}),
-        ("m-stabilize", "fig9m", _set("outputs", "S1", ["p"]), {"S_is_S1_plus_S2"}),
+        ("m-stabilize", "fig9m", _set("outputs", "S1", ["p"]),
+         {"S_is_S1_plus_S2", "infeasible_prints_no_stabilizer"}),
         ("m-stabilize", "fig9m", lambda d: d["outputs"].update(S=["p", "q"], S1=["p"], S2=["q"]),
-         {"S_is_M_exposed"}),
+         {"S_is_M_exposed", "infeasible_prints_no_stabilizer"}),
+        # an infeasible document prints no stabilizer, and its x is a basic
+        # fractional matching of G - delta(X), X the M-exposed vertices,
+        # heavier than M; a feasible one relabelled infeasible has no x
+        ("m-stabilize", None, _set("outputs", "status", "infeasible"),
+         Malformed("malformed result document: KeyError('x')")),
+        ("m-stabilize", "infeasible_m", lambda d: d["outputs"].update(S=["t"], S1=["t"]),
+         {"infeasible_prints_no_stabilizer"}),
+        ("m-stabilize", "infeasible_m", lambda d: d["certificates"]["diagnostics"].append(
+            {"reason": "flower", "vertex": "t", "other": None}),
+         {"infeasible_prints_no_stabilizer"}),
+        ("m-stabilize", "fig9m", _set("certificates", "x", [{"u": "p", "v": "s", "x": "1"},
+                                                            {"u": "q", "v": "r", "x": "1"}]),
+         {"x_outweighs_M"}),
+        ("m-stabilize", "fig9m", lambda d: d["certificates"]["x"][0].update(x="1"),
+         {"x_is_basic_feasible"}),
+        # the entry x_ab = 1 moved onto at, at the M-exposed t
+        ("m-stabilize", "infeasible_m", lambda d: d["certificates"]["x"][3].update(v="t"),
+         {"x_avoids_M_exposed"}),
         # an exact value given as a JSON number, which verified while the
         # values were read by `Fraction` alone
         ("solve-fractional", "fig9", _floats, _not_a_string("2.0")),

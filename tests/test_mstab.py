@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,10 +15,12 @@ from conftest import (
     random_graph,
     random_matching,
 )
-from matchstab import oracle, walks
-from matchstab.errors import MNotAMatching
+from matchstab import cli, mstab, oracle, walks
+from matchstab.certify import load_result, verify
+from matchstab.errors import MNotAMatching, NotOptimalPair
 from matchstab.graph import Matching, WeightedGraph
-from matchstab.mstab import FEASIBLE, INFEASIBLE, m_vertex_stabilizer
+from matchstab.instance import Instance
+from matchstab.mstab import FEASIBLE, INFEASIBLE, _deletion_passes, m_vertex_stabilizer
 from matchstab.walks import WalkArcs, first_pass_scan, second_pass_scan
 
 
@@ -102,12 +106,14 @@ def test_walk_bounds_count_only_the_vertices_left():
     # after 1 and 5 are deleted, n = 5 and the first-pass bound is 15: the
     # augmenting walk from 6 to the covered 3 is then found (3 * 7 = 21
     # would find one to 0 instead)
+    # (the instance is infeasible, so the passes are run directly)
     g = WeightedGraph.from_edges(
         7, [(1, 3, 6), (4, 6, 1), (3, 4, 1), (2, 3, 2), (3, 5, 1), (0, 2, 6), (0, 4, 4)]
     )
-    result = m_vertex_stabilizer(g, Matching.from_pairs([(0, 4), (2, 3)]))
-    assert result.status == INFEASIBLE
-    assert result.diagnostics == (
+    m = Matching.from_pairs([(0, 4), (2, 3)])
+    assert m_vertex_stabilizer(g, m).status == INFEASIBLE
+    _first, _second, diagnostics = _deletion_passes(g, m)
+    assert diagnostics == (
         ("walk_to_covered", 1, 2),
         ("walk_to_covered", 5, 2),
         ("walk_to_covered", 6, 3),
@@ -115,25 +121,31 @@ def test_walk_bounds_count_only_the_vertices_left():
 
 
 def test_residual_graph_is_built_once(monkeypatch):
-    # the instance above deletes three vertices, yet G - delta(S) is built
-    # only once, for the final check
+    # G - delta(X), X the M-exposed vertices, is built once for the LP that
+    # decides feasibility; the infeasible instance above stops there
     g = WeightedGraph.from_edges(
         7, [(1, 3, 6), (4, 6, 1), (3, 4, 1), (2, 3, 2), (3, 5, 1), (0, 2, 6), (0, 4, 4)]
     )
     calls = count_calls(monkeypatch, WeightedGraph, "delete_stars")
     m_vertex_stabilizer(g, Matching.from_pairs([(0, 4), (2, 3)]))
     assert calls == [1]
+    # a feasible instance whose passes delete three vertices, 0 in the first
+    # and 1, 2 in the second, adds G - delta(S) once, for the final check
+    g = WeightedGraph.from_edges(6, [(4, 5, 1), (1, 2, 4), (3, 4, 2), (0, 3, 4)])
+    result = m_vertex_stabilizer(g, Matching.from_pairs([(3, 4)]))
+    assert (result.status, result.first_phase, result.second_phase) == (FEASIBLE, (0,), (1, 2))
+    assert calls == [3]
 
 
 def test_walk_arcs_are_built_once(monkeypatch):
-    # the instance above runs a first-pass scan from each of its three
-    # exposed roots, all on one set of arcs
+    # the passes on the instance above run a first-pass scan from each of
+    # its three exposed roots, all on one set of arcs
     g = WeightedGraph.from_edges(
         7, [(1, 3, 6), (4, 6, 1), (3, 4, 1), (2, 3, 2), (3, 5, 1), (0, 2, 6), (0, 4, 4)]
     )
     calls = count_calls(monkeypatch, WalkArcs, "__init__")
     scans = count_calls(monkeypatch, walks._IntegerDP, "__init__")
-    m_vertex_stabilizer(g, Matching.from_pairs([(0, 4), (2, 3)]))
+    _deletion_passes(g, Matching.from_pairs([(0, 4), (2, 3)]))
     assert calls == [1]
     assert scans == [3]
 
@@ -172,11 +184,53 @@ def test_scans_on_g_give_the_verdicts_of_g_minus_the_stars_of_s():
 
 
 def test_same_result_as_rebuilding_the_residual_after_every_deletion():
+    # the passes on every instance, and the whole result on the feasible ones
     rng = random.Random(1313)
     second = 0
     for _ in range(2000):
         g, m = _random_instance(rng)
-        result = m_vertex_stabilizer(g, m)
-        assert repr(result) == repr(m_vertex_stabilizer_rebuilding(g, m))
-        second += bool(result.second_phase)
+        reference = m_vertex_stabilizer_rebuilding(g, m)
+        passes = _deletion_passes(g, m)
+        assert passes == (reference.first_phase, reference.second_phase, reference.diagnostics)
+        if reference.status == FEASIBLE:
+            assert repr(m_vertex_stabilizer(g, m)) == repr(reference)
+        second += bool(passes[1])
     assert second >= 400
+
+
+def test_one_lp_gives_the_verdict_of_the_passes_and_of_the_oracle(property_suite):
+    # the lemma of `mstab`: a stabilizer exists iff nu_f(G - delta(X)) = w(M)
+    rng = random.Random(1313)
+    instances = [_random_instance(rng) for _ in range(2000)]
+    rng = random.Random(1414)
+    instances += [(g, random_matching(rng, g)) for g in property_suite]
+    verdicts = Counter()
+    for g, m in instances:
+        status = m_vertex_stabilizer(g, m).status
+        assert status == m_vertex_stabilizer_rebuilding(g, m).status
+        if g.n <= 8:
+            brute = oracle.brute_min_m_stabilizer(g, m)
+            assert status == (INFEASIBLE if brute == oracle.INFEASIBLE else FEASIBLE)
+            verdicts["oracle"] += 1
+        verdicts[status] += 1
+        if status == INFEASIBLE:
+            # the document prints the LP's x as the certificate, and verifies
+            instance, digest = Instance(g, m), "0" * 64
+            doc, code = cli._run_command("m-stabilize", instance, "instance.json", digest)
+            assert code == 2 and doc["certificates"]["x"]
+            report, code = verify(instance, digest, load_result(json.dumps(doc)))
+            assert code == 0, report
+    assert verdicts[INFEASIBLE] >= 250 and verdicts[FEASIBLE] >= 1900 and verdicts["oracle"] >= 1300
+
+
+def test_a_final_check_that_contradicts_the_lemma_raises(monkeypatch):
+    # on a triangle with M one edge, G - delta(X) is that edge alone, so the
+    # LP finds the input feasible; passes that deleted nothing would leave
+    # the triangle, with nu_f 3 > w(M) = 2, which must raise, not be printed
+    # as infeasible
+    g = WeightedGraph.from_edges(3, [(0, 1, 2), (0, 2, 2), (1, 2, 2)])
+    m = Matching.from_pairs([(1, 2)])
+    assert m_vertex_stabilizer(g, m).removed == (0,)
+    monkeypatch.setattr(mstab, "_deletion_passes", lambda graph, matching: ((), (), ()))
+    with pytest.raises(NotOptimalPair, match="matching_weight_equals_cover"):
+        m_vertex_stabilizer(g, m)
