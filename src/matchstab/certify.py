@@ -22,8 +22,9 @@ certificate holds, with exact arithmetic and nothing else:
   `verify` compares a document's `matched` and `odd_cycles` with them.
 
 Every check runs on scaled integers: the graph's D.w, the cover's common
-denominator q and integers q.y (`FractionalVertexCover.scaled`), and the
-half counts 2x that `graph.decompose` keeps.
+denominator q and integers q.y that `FractionalVertexCover` stores, and the
+half counts 2x that `graph.decompose` keeps. `verify` reads each cover a
+document prints into one such object, once.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Optional
 
 from .errors import (
     DegreeConstraintViolated, GraphError, InfeasibleCover, MatchingRequired, MatchstabError,
@@ -71,9 +72,9 @@ def optimal_pair_checks(
     its result. All three are decided on integers: the graph's D.w, the
     cover's q.y and the half counts 2x of `decompose`.
     """
-    if len(cover.values) != graph.n:
+    q, a = cover.scale, cover.int_values
+    if len(a) != graph.n:
         raise InfeasibleCover("cover length does not match vertex count")
-    q, a = cover.scaled
     d, weight, ends = graph.scale, graph.int_weights, graph.ends
     loads = bfm.vertex_halves
     slack_ok = all(
@@ -87,25 +88,30 @@ def optimal_pair_checks(
 
 
 def stable_subgraph_checks(
-    residual: WeightedGraph, matching: Matching,
-    cover: Mapping[int, Fraction], removed: Iterable[int],
+    residual: WeightedGraph, matching: Matching, cover: FractionalVertexCover
 ) -> list[tuple[str, bool]]:
     """The exact conditions under which a matching and a fractional w-vertex
     cover of equal totals prove nu = nu_f on `residual`, by weak duality.
 
     `residual` keeps the original vertex ids and loses the stabilizer's edges
-    (delta(S) for a vertex set S, F for an edge set); `cover` omits vertices
-    of value 0. Returns `matching_lives_in_residual`,
-    `cover_feasible_on_residual`, `matching_weight_equals_cover` and
-    `cover_only_on_residual` (no value on `removed`), each with its result.
+    (delta(S) for a vertex set S, F for an edge set), and `cover` gives a
+    value to every vertex. Returns `matching_lives_in_residual`,
+    `cover_feasible_on_residual` and `matching_weight_equals_cover`, each
+    with its result.
+
+    These three imply that y is 0 on S, where S is isolated in `residual`.
+    Let y >= 0 be feasible on `residual`, H, and let M be a matching of H
+    with w(M) = sum y. Then y restricted to V - S still covers H, so
+    nu_f(H) <= w(M) - y(S) <= nu(H) - y(S) <= nu_f(H) - y(S), hence
+    y(S) = 0. So the solvers need no fourth check; `verify` adds
+    `cover_only_on_residual` to check which vertices a document's cover
+    names.
     """
-    y = FractionalVertexCover(tuple(cover.get(v, ZERO) for v in range(residual.n)))
     lives = matching.is_matching_in(residual)
     return [
         ("matching_lives_in_residual", lives),
-        ("cover_feasible_on_residual", y.is_feasible_for(residual)),
-        ("matching_weight_equals_cover", lives and matching.weight(residual) == y.total),
-        ("cover_only_on_residual", set(cover).isdisjoint(removed)),
+        ("cover_feasible_on_residual", cover.is_feasible_for(residual)),
+        ("matching_weight_equals_cover", lives and matching.weight(residual) == cover.total),
     ]
 
 
@@ -124,12 +130,11 @@ def verify_optimal_pair(
 
 
 def verify_stable_subgraph(
-    residual: WeightedGraph, matching: Matching,
-    cover: Mapping[int, Fraction], removed: Iterable[int],
+    residual: WeightedGraph, matching: Matching, cover: FractionalVertexCover
 ) -> None:
     """Raise NotOptimalPair, naming the failed checks, unless the result
     passes every one of `stable_subgraph_checks`."""
-    checks = stable_subgraph_checks(residual, matching, cover, removed)
+    checks = stable_subgraph_checks(residual, matching, cover)
     _raise_unless_all("a stable subgraph", checks)
 
 
@@ -217,12 +222,15 @@ def _halves_from_entries(graph: WeightedGraph, index, entries) -> list:
     return halves
 
 
-def _cover_from_doc(index, doc: dict[str, str]) -> dict[int, Fraction]:
-    return {index[label]: _exact(val) for label, val in doc.items()}
-
-
-def _cover_total(cover: dict[int, Fraction]) -> Fraction:
-    return FractionalVertexCover(tuple(cover.values())).total
+def _cover_from_doc(graph, index, doc, zero_elsewhere=False) -> FractionalVertexCover:
+    """The cover a document prints as {label: value}. An optimal pair's
+    cover names every vertex, and a vertex it leaves out makes the document
+    malformed; a stable subgraph's cover leaves out S, and is 0 on every
+    vertex it does not name."""
+    named = {index[label]: _exact(value) for label, value in doc.items()}
+    return FractionalVertexCover.from_values(
+        named.get(v, ZERO) if zero_elsewhere else named[v] for v in range(graph.n)
+    )
 
 
 def _basic_x_doc(graph, index, x_entries, checks) -> Optional[BasicFractionalMatching]:
@@ -238,13 +246,12 @@ def _basic_x_doc(graph, index, x_entries, checks) -> Optional[BasicFractionalMat
 
 
 def _check_optimal_pair_doc(
-    graph, index, x_entries, cover_map, checks
+    graph, index, x_entries, cover: FractionalVertexCover, checks
 ) -> Optional[BasicFractionalMatching]:
     """Append `x_is_basic_feasible` and, when x is basic, the optimal-pair
     checks; returns the decomposed x, or None when it is not basic."""
     bfm = _basic_x_doc(graph, index, x_entries, checks)
     if bfm is not None:
-        cover = FractionalVertexCover(tuple(cover_map[v] for v in range(graph.n)))
         checks.extend(optimal_pair_checks(graph, bfm, cover))
     return bfm
 
@@ -292,19 +299,20 @@ def _matching_from_doc(index, doc: dict, key: str, checks) -> Optional[Matching]
 def _stable_subgraph_doc(
     index, certificates: dict, residual: WeightedGraph, removed, checks,
     matching: Optional[Matching] = None,
-) -> dict[int, Fraction]:
-    """Append the stable-subgraph checks on `residual` and return the cover
-    they read. The certificate is `surviving_matching`, which must pass
-    `matching_pairs_disjoint` first, with `surviving_cover`; or, given the
-    instance `matching` of an `m-stabilize` document, that with
-    `residual_cover`."""
+) -> FractionalVertexCover:
+    """Append the stable-subgraph checks on `residual`, then
+    `cover_only_on_residual` (the cover names no vertex of the stabilizer's
+    S, `removed`), and return the cover they read. The certificate is
+    `surviving_matching`, which must pass `matching_pairs_disjoint` first,
+    with `surviving_cover`; or, given the instance `matching` of an
+    `m-stabilize` document, that with `residual_cover`."""
+    named = certificates["surviving_cover" if matching is None else "residual_cover"]
+    cover = _cover_from_doc(residual, index, named, zero_elsewhere=True)
     if matching is None:
-        cover = _cover_from_doc(index, certificates["surviving_cover"])
         matching = _matching_from_doc(index, certificates, "surviving_matching", checks)
-    else:
-        cover = _cover_from_doc(index, certificates["residual_cover"])
     if matching is not None:
-        checks.extend(stable_subgraph_checks(residual, matching, cover, removed))
+        checks.extend(stable_subgraph_checks(residual, matching, cover))
+        checks.append(("cover_only_on_residual", not any(index[v] in removed for v in named)))
     return cover
 
 
@@ -335,7 +343,7 @@ def _verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, 
     index = {graph.label_of(v): v for v in range(graph.n)}
 
     if command in ("solve-fractional", "min-cycles", "gamma"):
-        cover = _cover_from_doc(index, certificates["cover"])
+        cover = _cover_from_doc(graph, index, certificates["cover"])
         x_doc = certificates if command == "gamma" else outputs
         bfm = _check_optimal_pair_doc(graph, index, x_doc["x"], cover, checks)
         if bfm is not None and command != "solve-fractional":
@@ -345,13 +353,13 @@ def _verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, 
             checks.append(_support_check(graph, outputs, bfm))
         if command != "gamma":
             nu_f = _exact(outputs["nu_f"])
-            checks.append(("nu_f_equals_cover_total", nu_f == _cover_total(cover)))
+            checks.append(("nu_f_equals_cover_total", nu_f == cover.total))
     elif command == "stabilize-vertices":
         removed = _vertex_set(index, outputs, "S")
         residual = graph.delete_stars(removed)
         cover = _stable_subgraph_doc(index, certificates, residual, removed, checks)
         checks += [
-            ("nu_after_equals_cover_total", _exact(outputs["nu_after"]) == _cover_total(cover)),
+            ("nu_after_equals_cover_total", _exact(outputs["nu_after"]) == cover.total),
             ("S_size_equals_gamma", len(removed) == _typed(outputs, "gamma", int)),
         ]
     elif command == "stabilize-edges":
@@ -386,7 +394,7 @@ def _verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, 
             residual = graph.delete_stars(removed)
             cover = _stable_subgraph_doc(index, certificates, residual, removed, checks, matching)
             nu_f = _exact(outputs["residual_nu_f"])
-            checks.append(("residual_nu_f_equals_cover_total", nu_f == _cover_total(cover)))
+            checks.append(("residual_nu_f_equals_cover_total", nu_f == cover.total))
         else:
             checks.append(("infeasible_reported", status == "infeasible"))
             if status == "infeasible":
@@ -395,9 +403,9 @@ def _verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, 
                 _infeasibility_doc(graph, index, matching, w_m, certificates, checks)
         checks.append(("w_M_equals_matching_weight", _exact(outputs["w_M"]) == w_m))
     elif command == "check-stability":
-        cover = _cover_from_doc(index, certificates["cover"])
+        cover = _cover_from_doc(graph, index, certificates["cover"])
         _check_optimal_pair_doc(graph, index, certificates["x"], cover, checks)
-        total = _cover_total(cover)
+        total = cover.total
         nu, nu_f = _exact(outputs["nu"]), _exact(outputs["nu_f"])
         stable = _typed(outputs, "stable", bool)
         checks.append(("nu_f_equals_cover_total", nu_f == total))

@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional
 
@@ -22,7 +21,7 @@ from . import oracle as oracle_mod
 from .certify import cycles_doc, labels_doc, load_result, pairs_doc, verify
 from .cycles import AugmentationEvent, FrustrationEvent, reduce_cycles
 from .errors import BudgetExceeded, MatchingRequired, MatchstabError, ParseError, UnknownCommand
-from .graph import BasicFractionalMatching, Matching, WeightedGraph
+from .graph import BasicFractionalMatching, FractionalVertexCover, Matching, WeightedGraph
 from .instance import Instance, parse_instance
 from .lp import solve_fractional
 from .mstab import INFEASIBLE, m_vertex_stabilizer
@@ -70,8 +69,10 @@ def _x_entries(bfm: BasicFractionalMatching) -> list[dict[str, str]]:
     ]
 
 
-def _cover_doc(graph: WeightedGraph, values: dict[int, Fraction]) -> dict[str, str]:
-    return {graph.label_of(v): str(values[v]) for v in sorted(values)}
+def _cover_doc(graph: WeightedGraph, cover: FractionalVertexCover, removed=()) -> dict[str, str]:
+    """y on every vertex that is not in the stabilizer's S, `removed`."""
+    y, removed = cover.values, set(removed)
+    return {graph.label_of(v): str(y[v]) for v in range(graph.n) if v not in removed}
 
 
 def _event_doc(graph: WeightedGraph, event) -> dict[str, Any]:
@@ -105,7 +106,7 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
             "odd_cycles": cycles_doc(graph, bfm.odd_cycles),
         }
         certificates = {
-            "cover": _cover_doc(graph, dict(enumerate(cover.values))),
+            "cover": _cover_doc(graph, cover),
         }
     elif command in ("min-cycles", "gamma"):
         result = reduce_cycles(graph)
@@ -122,7 +123,7 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
                 "matched": pairs_doc(graph, result.solution.matched),
                 "odd_cycles": cycles_doc(graph, result.solution.odd_cycles),
             }
-        certificates["cover"] = _cover_doc(graph, dict(enumerate(result.cover.values)))
+        certificates["cover"] = _cover_doc(graph, result.cover)
         certificates["events"] = [_event_doc(graph, e) for e in result.events]
     elif command == "stabilize-vertices":
         result = min_vertex_stabilizer(graph)
@@ -138,7 +139,7 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
         }
         certificates = {
             "surviving_matching": pairs_doc(graph, result.surviving_matching),
-            "surviving_cover": _cover_doc(graph, result.surviving_cover),
+            "surviving_cover": _cover_doc(graph, result.surviving_cover, result.removed),
         }
     elif command == "stabilize-edges":
         result = edge_stabilizer_approx(graph)
@@ -149,10 +150,11 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
             "lower_bound": result.lower_bound,
             "upper_bound": result.upper_bound,
         }
+        vertex_result = result.vertex_result
         certificates = {
-            "S": labels_doc(graph, result.vertex_result.removed),
-            "surviving_matching": pairs_doc(graph, result.vertex_result.surviving_matching),
-            "surviving_cover": _cover_doc(graph, result.vertex_result.surviving_cover),
+            "S": labels_doc(graph, vertex_result.removed),
+            "surviving_matching": pairs_doc(graph, vertex_result.surviving_matching),
+            "surviving_cover": _cover_doc(graph, vertex_result.surviving_cover, vertex_result.removed),
         }
     elif command == "m-stabilize":
         if instance.matching is None:
@@ -181,7 +183,7 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
             exit_code = 2
         else:
             outputs["residual_nu_f"] = str(result.residual_nu_f)
-            certificates["residual_cover"] = _cover_doc(graph, result.residual_cover)
+            certificates["residual_cover"] = _cover_doc(graph, result.residual_cover, result.removed)
     elif command == "check-stability":
         nu, witness = oracle_mod.exact_nu(graph)
         bfm, cover = solve_fractional(graph)
@@ -190,7 +192,7 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
         certificates = {
             "max_matching": pairs_doc(graph, witness),
             "x": _x_entries(bfm),
-            "cover": _cover_doc(graph, dict(enumerate(cover.values))),
+            "cover": _cover_doc(graph, cover),
         }
     else:  # pragma: no cover - guarded by the parser
         raise UnknownCommand(command)

@@ -103,9 +103,8 @@ def _build_auxiliary(
 
     matching_pairs = list(bfm.matched.pairs)
     shadow_vertex: dict[int, int] = {}
-    _q, scaled_cover = cover.scaled
     for v in range(n):
-        if scaled_cover[v] != 0:
+        if cover.int_values[v] != 0:
             continue
         load = bfm.vertex_halves[v]  # 2 x(delta(v))
         if load == 2:

@@ -9,9 +9,10 @@ integers D.w, which the LP kernel, the walk DP, the rounding of half-valued
 paths and the cover checks run on. `scale_weights` is the one place that
 turns exact weights into D and D.w, for `WeightedGraph.from_edges` and the
 instance parser; `WeightedGraph.edges` is the view with `Fraction` weights
-for the API. A cover carries its own common denominator q and the integers
-q.y (`FractionalVertexCover.scaled`), so y_u + y_v >= w_uv is tested as
-(q.y_u + q.y_v).D >= D.w_uv.q. A fractional matching x is half counts 2x_i,
+for the API. A cover y is its integers too: `FractionalVertexCover` stores
+its common denominator q and the integers q.y, so y_u + y_v >= w_uv is
+tested as (q.y_u + q.y_v).D >= D.w_uv.q, and y becomes `Fraction`s only in
+`FractionalVertexCover.values`. A fractional matching x is half counts 2x_i,
 ints 0, 1 or 2, everywhere: `decompose` validates them, `round_cycles` and
 `complement` rewrite them, and x becomes `Fraction`s only in
 `BasicFractionalMatching.values`, for the API and the JSON documents.
@@ -426,30 +427,48 @@ def complement(
 
 @dataclass(frozen=True)
 class FractionalVertexCover:
-    """Nonnegative vertex values y with y_u + y_v >= w_uv on every edge."""
+    """Vertex values y, stored as integers: `int_values[v]` is q.y_v over
+    the common denominator `scale`, q.
 
-    values: tuple[Fraction, ...]
+    Like the graph's D, the pair is canonical: the constructor divides q, a
+    positive int, and every q.y by their gcd, so `==` compares covers by
+    value. `values`, the
+    y_v as `Fraction`s, is derived for the API and the JSON documents only;
+    `from_values` builds a cover from such values.
+    """
+
+    int_values: tuple[int, ...]
+    scale: int
+
+    def __post_init__(self) -> None:
+        g = gcd(self.scale, *self.int_values)
+        if g > 1:
+            object.__setattr__(self, "scale", self.scale // g)
+            object.__setattr__(self, "int_values", tuple(a_v // g for a_v in self.int_values))
+
+    @staticmethod
+    def from_values(values: Iterable[Fraction]) -> "FractionalVertexCover":
+        """The cover of the exact values y, by vertex, over q, the lcm of
+        their denominators."""
+        values = tuple(values)
+        q = lcm(*(y.denominator for y in values))
+        return FractionalVertexCover(tuple(y.numerator * (q // y.denominator) for y in values), q)
 
     @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...]]:
-        """(q, q.y): q, the lcm of the value denominators, and the integers
-        q.y_v, by vertex; every check of the cover runs on these."""
-        q = lcm(*(y.denominator for y in self.values))
-        return q, tuple(y.numerator * (q // y.denominator) for y in self.values)
+    def values(self) -> tuple[Fraction, ...]:
+        """y_v = q.y_v / q, by vertex."""
+        return tuple(Fraction(a_v, self.scale) for a_v in self.int_values)
 
     @property
     def total(self) -> Fraction:
-        q, a = self.scaled
-        return Fraction(sum(a), q)
+        return Fraction(sum(self.int_values), self.scale)
 
     def is_feasible_for(self, graph: WeightedGraph) -> bool:
         """y >= 0, and y_u + y_v >= w_uv on every edge of `graph`."""
-        if len(self.values) != graph.n:
+        a = self.int_values
+        if len(a) != graph.n or any(a_v < 0 for a_v in a):
             return False
-        q, a = self.scaled
-        if any(a_v < 0 for a_v in a):
-            return False
-        d = graph.scale
+        d, q = graph.scale, self.scale
         return all(
             (a[u] + a[v]) * d >= w * q
             for (u, v), w in zip(graph.ends, graph.int_weights)
@@ -460,17 +479,16 @@ def tight_edges(graph: WeightedGraph, cover: FractionalVertexCover) -> frozenset
     """Edge indices where y_u + y_v equals w_uv exactly, found in one pass
     that raises InfeasibleCover at the first edge with y_u + y_v < w_uv.
 
-    Compares (q.y_u + q.y_v).D with D.w_uv.q on integers (see
-    `FractionalVertexCover.scaled`)."""
-    y = cover.values
-    if len(y) != graph.n:
+    Compares (q.y_u + q.y_v).D with D.w_uv.q on integers."""
+    a, q = cover.int_values, cover.scale
+    if len(a) != graph.n:
         raise InfeasibleCover("cover length does not match vertex count")
-    q, a = cover.scaled
     d = graph.scale
     tight = []
     for i, ((u, v), w) in enumerate(zip(graph.ends, graph.int_weights)):
         covered, needed = (a[u] + a[v]) * d, w * q
         if covered < needed:
+            y = cover.values
             raise InfeasibleCover(
                 f"edge ({u},{v}) violates the cover: {y[u]} + {y[v]} < {Fraction(w, d)}"
             )

@@ -12,8 +12,9 @@ phase, and returns its potentials as those integers too.
 `solve_fractional` counts the matched copies of each edge into the half
 counts 2x of a half-integral optimum x, which stay ints through
 `normalize_to_basic` (it rounds the half-valued paths and even cycles of
-x) and `graph.decompose`, and averages the two potentials of each vertex
-into one `Fraction` of a minimum fractional w-vertex cover y.
+x) and `graph.decompose`, and adds the two potentials of each vertex into
+the integer 2D.y_v of a minimum fractional w-vertex cover y, which keeps
+them over q = 2D (`graph.FractionalVertexCover`).
 
 The pair is proven optimal once per result, also under `python -O`, by
 `certify.verify_optimal_pair`, the checks `matchstab verify` reports on it.
@@ -21,7 +22,6 @@ The pair is proven optimal once per result, also under `python -O`, by
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .certify import verify_optimal_pair
@@ -220,7 +220,8 @@ def solve_fractional(
     """Basic maximum-weight fractional matching plus a minimum fractional cover.
 
     x_uv gets 1/2 per matched copy of uv in the duplicate, counted as the
-    half count 2x_uv, and y_v is the mean of v's two potentials. The pair
+    half count 2x_uv, and y_v is the mean of v's two potentials, built on
+    integers as their sum over 2D. The pair
     satisfies w.x = sum(y) and complementary slackness with exact
     arithmetic; both facts are checked before returning.
     """
@@ -229,9 +230,8 @@ def solve_fractional(
     for u, r in enumerate(match_left):
         if r is not None:
             halves[graph.edge_index(u, r)] += 1
-    double = 2 * graph.scale
     cover = FractionalVertexCover(
-        tuple(Fraction(p_left[v] + p_right[v], double) for v in range(graph.n))
+        tuple(p_left[v] + p_right[v] for v in range(graph.n)), 2 * graph.scale
     )
     bfm = normalize_to_basic(graph, halves)
     verify_optimal_pair(graph, bfm, cover)

@@ -49,7 +49,7 @@ from typing import Optional
 
 from .certify import verify_stable_subgraph
 from .errors import MNotAMatching
-from .graph import BasicFractionalMatching, Matching, WeightedGraph
+from .graph import BasicFractionalMatching, FractionalVertexCover, Matching, WeightedGraph
 from .lp import solve_fractional
 from .walks import WalkArcs
 
@@ -66,11 +66,12 @@ class MStabilizerResult:
     On feasible instances, removing `removed` leaves the input matching
     maximum-weight and the graph stable; `residual_nu_f` is nu_f of the
     residual graph, equal to w(M), and `residual_cover` a fractional cover
-    of it with total exactly w(M), certifying both. On infeasible instances
-    nothing is deleted: `removed`, both phases and `diagnostics` are empty,
-    `residual_nu_f` is nu_f(G - delta(X)) for X the M-exposed vertices, more
-    than w(M), and `x` is a basic fractional matching of G - delta(X) of that
-    weight, which proves that no stabilizer exists. `repr` leaves `x` out.
+    of it, 0 on `removed`, with total exactly w(M), certifying both. On
+    infeasible instances nothing is deleted: `removed`, both phases and
+    `diagnostics` are empty, `residual_cover` is None, `residual_nu_f` is
+    nu_f(G - delta(X)) for X the M-exposed vertices, more than w(M), and `x`
+    is a basic fractional matching of G - delta(X) of that weight, which
+    proves that no stabilizer exists. `repr` leaves `x` out.
     """
 
     status: str
@@ -80,7 +81,7 @@ class MStabilizerResult:
     diagnostics: Diagnostics
     matching_weight: Fraction
     residual_nu_f: Fraction
-    residual_cover: Optional[dict[int, Fraction]]
+    residual_cover: Optional[FractionalVertexCover]
     x: Optional[BasicFractionalMatching] = field(default=None, repr=False)
 
 
@@ -105,8 +106,7 @@ def m_vertex_stabilizer(graph: WeightedGraph, matching: Matching) -> MStabilizer
     removed = tuple(sorted(first_phase + second_phase))
     residual = graph.delete_stars(removed)
     residual_bfm, residual_cover = solve_fractional(residual)
-    cover = {v: residual_cover.values[v] for v in range(graph.n) if v not in removed}
-    verify_stable_subgraph(residual, matching, cover, removed)
+    verify_stable_subgraph(residual, matching, residual_cover)
     return MStabilizerResult(
         status=FEASIBLE,
         removed=removed,
@@ -115,7 +115,7 @@ def m_vertex_stabilizer(graph: WeightedGraph, matching: Matching) -> MStabilizer
         diagnostics=diagnostics,
         matching_weight=weight,
         residual_nu_f=residual_bfm.weight,
-        residual_cover=cover,
+        residual_cover=residual_cover,
     )
 
 

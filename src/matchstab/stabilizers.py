@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .certify import verify_stable_subgraph
 from .cycles import reduce_cycles
-from .graph import Matching, WeightedGraph, round_cycles
+from .graph import FractionalVertexCover, Matching, WeightedGraph, round_cycles
 
 
 @dataclass(frozen=True)
@@ -25,16 +25,16 @@ class VertexStabilizerResult:
     """Minimum vertex-stabilizer with its survival certificate.
 
     `surviving_matching` is a maximum-weight matching of the stabilized graph
-    and `surviving_cover` a fractional cover of it with the same total, so
-    stability of the residual graph can be re-checked by pure arithmetic.
-    `nu_after` is that total, nu(G - S).
+    and `surviving_cover` a fractional cover of it with the same total, 0 on
+    the removed vertices, so stability of the residual graph can be
+    re-checked by pure arithmetic. `nu_after` is that total, nu(G - S).
     """
 
     removed: tuple[int, ...]
     gamma: int
     nu_after: Fraction
     surviving_matching: Matching
-    surviving_cover: dict[int, Fraction]
+    surviving_cover: FractionalVertexCover
 
 
 def min_vertex_stabilizer(graph: WeightedGraph) -> VertexStabilizerResult:
@@ -46,14 +46,13 @@ def min_vertex_stabilizer(graph: WeightedGraph) -> VertexStabilizerResult:
     """
     reduction = reduce_cycles(graph)
     bfm, cover = reduction.solution, reduction.cover
-    _q, scaled_cover = cover.scaled  # q.y orders the vertices as y does
-    removed = [min(cycle, key=lambda v: (scaled_cover[v], v)) for cycle in bfm.odd_cycles]
+    a = list(cover.int_values)  # q.y orders the vertices as y does
+    removed = [min(cycle, key=lambda v: (a[v], v)) for cycle in bfm.odd_cycles]
     survivors = round_cycles(bfm, list(zip(bfm.odd_cycles, removed))).matched
-    surviving_cover = {
-        v: cover.values[v] for v in range(graph.n) if v not in removed
-    }
-    residual = graph.delete_stars(removed)
-    verify_stable_subgraph(residual, survivors, surviving_cover, removed)
+    for v in removed:
+        a[v] = 0
+    surviving_cover = FractionalVertexCover(tuple(a), cover.scale)
+    verify_stable_subgraph(graph.delete_stars(removed), survivors, surviving_cover)
     return VertexStabilizerResult(
         removed=tuple(sorted(removed)),
         gamma=reduction.gamma,

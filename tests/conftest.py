@@ -152,8 +152,8 @@ def m_vertex_stabilizer_rebuilding(graph: WeightedGraph, matching: Matching) -> 
     removed = tuple(sorted(first_phase + second_phase))
     cover = None
     if weight >= residual_bfm.weight:
-        cover = {v: residual_cover.values[v] for v in range(graph.n) if v not in removed}
-        verify_stable_subgraph(residual, matching, cover, removed)
+        cover = residual_cover
+        verify_stable_subgraph(residual, matching, cover)
     return MStabilizerResult(
         status=INFEASIBLE if cover is None else FEASIBLE,
         removed=removed,
@@ -202,8 +202,8 @@ def full_sweep_iterations(dp, k: int):
 
 def cover_of(values) -> FractionalVertexCover:
     """A fractional vertex cover with the given exact values (ints, strings
-    or Fractions), by vertex."""
-    return FractionalVertexCover(tuple(Fraction(v) for v in values))
+    or Fractions), by vertex, built as `verify` builds a document's."""
+    return FractionalVertexCover.from_values(Fraction(v) for v in values)
 
 
 def is_valid_walk(walk: AlternatingWalk, matching: Matching) -> bool:

@@ -42,7 +42,7 @@ def raised(run):
 def one_more_at(cover, v):
     values = list(cover.values)
     values[v] += 1
-    return FractionalVertexCover(tuple(values))
+    return FractionalVertexCover.from_values(values)
 
 
 fig9 = WeightedGraph.from_edges(4, [(0, 1, 4), (0, 2, 4), (1, 2, 4), (0, 3, 1)])
@@ -91,7 +91,7 @@ bridged = WeightedGraph.from_edges(
 )
 half = Fraction(1, 2)
 halves = tuple(0 if (u, v) == (2, 3) else 1 for u, v, _w in bridged.edges)
-start = (decompose(bridged, halves), FractionalVertexCover((half,) * 6))
+start = (decompose(bridged, halves), FractionalVertexCover.from_values((half,) * 6))
 move = cycles.apply_augmentation
 
 

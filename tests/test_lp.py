@@ -359,7 +359,7 @@ def test_pair_checks_reject_a_negative_cover():
     # y = (-2, -2, 3, 3) covers every edge, sums to 2 and is complementary
     g = WeightedGraph.from_edges(4, [(0, 2, 1), (1, 3, 1), (2, 3, 3)])
     bfm = decompose(g, (2, 2, 0))
-    cover = FractionalVertexCover(tuple(Fraction(y) for y in (-2, -2, 3, 3)))
+    cover = FractionalVertexCover.from_values(Fraction(y) for y in (-2, -2, 3, 3))
     assert dict(optimal_pair_checks(g, bfm, cover)) == {
         "cover_is_feasible": False,
         "strong_duality": True,
@@ -450,7 +450,7 @@ def test_pair_checks_on_tampered_fig8_pairs():
     bfm, cover = solve_fractional(g)
     y = list(cover.values)
     y[0] = Fraction(0)  # p's cover value
-    assert optimal_pair_checks(g, bfm, FractionalVertexCover(tuple(y))) == [
+    assert optimal_pair_checks(g, bfm, FractionalVertexCover.from_values(y)) == [
         ("cover_is_feasible", False),
         ("strong_duality", False),
         ("complementary_slackness", False),

@@ -42,7 +42,7 @@ def test_min_vertex_stabilizer_stable_graph():
 def test_certificate_totals_match():
     for g in (fig6(), fig7(), fig9()):
         result = min_vertex_stabilizer(g)
-        total = sum(result.surviving_cover.values(), start=Fraction(0))
+        total = result.surviving_cover.total
         assert result.nu_after == total == result.surviving_matching.weight(g)
 
 
