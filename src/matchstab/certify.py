@@ -39,7 +39,8 @@ from .errors import (
     NotBasic, NotHalfIntegral, NotOptimalPair, ParseError,
 )
 from .graph import (
-    ZERO, BasicFractionalMatching, FractionalVertexCover, Matching, WeightedGraph, decompose,
+    ZERO, BasicFractionalMatching, FractionalVertexCover, Matching, WeightedGraph, as_fraction,
+    decompose,
 )
 from .instance import Instance
 
@@ -189,9 +190,9 @@ def _edge_pairs(index, doc: dict, key: str) -> list[tuple[int, int]]:
 @lru_cache(maxsize=256)
 def _exact(value: object) -> Fraction:
     """An exact value of the document, which prints each one as a string
-    such as "3/4". `Fraction` alone would also take the JSON number 6.0 or
-    0.5, which no document prints, so a value that is not a string makes
-    the document malformed.
+    such as "3/4", read by `as_fraction`. `Fraction` alone would also take
+    the JSON number 6.0 or 0.5, which no document prints, so a value that
+    is not a string makes the document malformed.
 
     A document repeats a few values, such as "1/2" and "0", many times: each
     distinct one is parsed once. Only strings are cached, and no string
@@ -200,7 +201,7 @@ def _exact(value: object) -> Fraction:
         raise ParseError(
             f"malformed result document: an exact value must be a string, got {json.dumps(value)}"
         )
-    return Fraction(value)
+    return as_fraction(value)
 
 
 @lru_cache(maxsize=256)

@@ -20,6 +20,7 @@ ints 0, 1 or 2, everywhere: `decompose` validates them, `round_cycles` and
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -45,14 +46,26 @@ HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
 
+# the largest exponent an exact string may give: the int-to-str digit limit
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def as_fraction(value: WeightLike) -> Fraction:
     """Coerce an int/str/Fraction into an exact Fraction.
 
     Floats are rejected on purpose: weights must stay exact. A Fraction is
-    returned as it is.
+    returned as it is. A string such as "1e999999999" raises ValueError, as
+    an unreadable one does, when its exponent's magnitude exceeds
+    MAX_EXPONENT: `Fraction` would expand 10**exponent before anything
+    could check its size, which takes seconds to hours.
     """
     if isinstance(value, bool) or isinstance(value, float):
         raise GraphError(f"weights must be exact (int, str or Fraction), got {value!r}")
+    if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+            raise ValueError(f"exponent of {value!r} exceeds {MAX_EXPONENT}")
     return value if isinstance(value, Fraction) else Fraction(value)
 
 

@@ -5,7 +5,8 @@ Instances are JSON documents with string vertex labels, exact weight strings
 an optional fixed matching. Floats are rejected so weights stay exact.
 
 The parser hands the graph its integers: a weight string of ASCII digits is
-read by `int`, any other through `Fraction`, each distinct string once, and
+read by `int`, any other through `graph.as_fraction`, which refuses an
+exponent too large to expand, each distinct string once, and
 `graph.scale_weights` turns the weights into D and D.w. An instance whose
 weights are all integers is read with no `Fraction` at all.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Any, Optional, Union
 
 from .errors import GraphError, ParseError
-from .graph import Matching, WeightedGraph, scale_weights
+from .graph import Matching, WeightedGraph, as_fraction, scale_weights
 
 
 @dataclass(frozen=True)
@@ -29,11 +30,12 @@ class Instance:
 
 def _parse_weight(raw: Any, pos: int) -> Union[int, Fraction]:
     """The exact weight of edge `pos`: an int for a JSON integer or a string
-    of ASCII digits, else the `Fraction` of the string."""
+    of ASCII digits, else the `Fraction` of the string, read by
+    `as_fraction`."""
     if type(raw) is str:
         try:
             # ASCII digits alone spell a nonnegative integer: skip the regex
-            value = int(raw) if raw.isascii() and raw.isdigit() else Fraction(raw)
+            value = int(raw) if raw.isascii() and raw.isdigit() else as_fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"edges[{pos}]: cannot parse weight {raw!r}") from exc
     elif type(raw) is int:

@@ -242,6 +242,20 @@ def count_calls(monkeypatch, module, name: str) -> list[int]:
     return calls
 
 
+def count_fractions(monkeypatch) -> list[int]:
+    """Count every `Fraction` made from now on, by any module and by
+    `Fraction` arithmetic, in a one-element list, which is returned."""
+    calls = [0]
+    make = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls[0] += 1
+        return make(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return calls
+
+
 def tri_chain(rng: random.Random, t: int) -> WeightedGraph:
     """t weight-4 triangles on a shuffled vertex order plus 2t cross-links
     of weight 1..3. The cover y = 2 is tight only on the triangles, so

@@ -21,7 +21,9 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from conftest import bench_families, count_calls, fig8, random_graph, random_matching
+from conftest import (
+    bench_families, count_calls, count_fractions, fig8, random_graph, random_matching,
+)
 import matchstab.graph as graph_module
 from matchstab.certify import optimal_pair_checks
 from matchstab.errors import InfeasibleCover
@@ -301,27 +303,13 @@ def test_the_cover_is_the_reference_on_the_bench_families(monkeypatch):
     _assert_every_case(seen, m_cases=False)
 
 
-def _count_all_fractions(monkeypatch) -> list[int]:
-    """Count every `Fraction` made from now on, by any module and by
-    `Fraction` arithmetic, in a one-element list, which is returned."""
-    calls = [0]
-    make = Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        calls[0] += 1
-        return make(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
-    return calls
-
-
 def test_a_dense_k40_cover_is_built_with_no_fraction_per_vertex(monkeypatch):
     # the bench's dense K_40 of seed 1: solve_fractional makes only the two
     # totals strong_duality compares, w(x) and sum y, and computes no lcm
     families = bench_families(monkeypatch)
     _n, edges = families._dense(random.Random(1), 40)
     graph = WeightedGraph.from_edges(40, [(u, v, w) for (u, v), w in sorted(edges.items())])
-    fractions = _count_all_fractions(monkeypatch)
+    fractions = count_fractions(monkeypatch)
     lcms = count_calls(monkeypatch, graph_module, "lcm")
     _bfm, cover = solve_fractional(graph)
     assert fractions[0] == 2 and lcms[0] == 0

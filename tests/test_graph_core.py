@@ -30,6 +30,7 @@ from matchstab.errors import (
     VertexNotOnCycle,
 )
 from matchstab.graph import (
+    MAX_EXPONENT,
     AlternatingWalk,
     Matching,
     WeightedGraph,
@@ -61,6 +62,17 @@ def test_as_fraction_keeps_a_fraction():
     assert as_fraction(w) is w
     assert WeightedGraph.from_edges(2, [(0, 1, w)]).edges[0][2] == w
     assert as_fraction("3/4") == Fraction(3, 4) and as_fraction(2) == 2
+
+
+def test_as_fraction_refuses_an_exponent_above_the_bound():
+    assert as_fraction("1e3") == 1000 and as_fraction("25e-2") == Fraction(1, 4)
+    assert as_fraction(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
+    assert as_fraction(f"1E-{MAX_EXPONENT}") == Fraction(1, 10**MAX_EXPONENT)
+    for raw in (f"1e{MAX_EXPONENT + 1}", f"2.5E-{MAX_EXPONENT + 1} ", "1e999_999_999"):
+        with pytest.raises(ValueError, match="exceeds 4300"):
+            as_fraction(raw)
+    with pytest.raises(ValueError):
+        WeightedGraph.from_edges(2, [(0, 1, "1e999999999")])
 
 
 def test_scale_and_int_weights_are_computed_once_per_graph(monkeypatch):

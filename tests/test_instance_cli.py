@@ -90,6 +90,40 @@ def test_weight_strings_parse_as_fraction_parses_them(raw):
     assert outcome(_parse_weight, 0) == outcome(_parse_weight_by_fraction, "edges[0]")
 
 
+def _cli_in_subprocess(*args) -> subprocess.CompletedProcess:
+    """`python -m matchstab` with `args`, stopped after 30 s, so that a hang
+    fails the test instead of stalling the suite."""
+    return subprocess.run(
+        [sys.executable, "-m", "matchstab", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(matchstab.__file__).parents[1])),
+        timeout=30,
+    )
+
+
+@pytest.mark.parametrize("weight", ["1e999999999", "1e-999999999", "1e5000"])
+def test_a_weight_whose_exponent_is_too_large_is_refused(tmp_path, weight):
+    # `Fraction` alone would expand 10**999999999, and 10**5000 parses but
+    # has more digits than an int may print
+    instance = tmp_path / "huge.json"
+    edges = [{"u": "a", "v": "b", "w": weight}]
+    instance.write_text(json.dumps({"vertices": ["a", "b"], "edges": edges}), encoding="utf-8")
+    proc = _cli_in_subprocess("gamma", str(instance))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"matchstab: error: edges[0]: cannot parse weight {weight!r}\n"
+
+
+def test_a_document_value_whose_exponent_is_too_large_is_malformed(tmp_path, capsys):
+    instance = str(FIXTURES / "fig9.json")
+    doc = json.loads(_run(capsys, "solve-fractional", instance)[1])
+    doc["outputs"]["nu_f"] = "1e999999999"
+    proc = _cli_in_subprocess("verify", instance, "--result", str(_write(tmp_path, doc)))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("matchstab: error: malformed result document: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_gamma_command(capsys):
     code, out, _err = _run(capsys, "gamma", str(FIXTURES / "fig6.json"))
     assert code == 0

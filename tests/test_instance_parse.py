@@ -17,9 +17,8 @@ from typing import Any
 
 import pytest
 
-from conftest import bench_families, count_calls
+from conftest import bench_families, count_calls, count_fractions
 from matchstab import graph as graph_module
-from matchstab import instance as instance_module
 from matchstab.errors import GraphError, ParseError
 from matchstab.graph import Matching, WeightedGraph
 from matchstab.instance import Instance, parse_instance
@@ -246,21 +245,6 @@ def test_mixed_documents_take_the_fraction_path():
     assert 1 in scales and 12 in scales  # lcm(4, 2, 6)
 
 
-def _count_fractions(monkeypatch, module) -> list[int]:
-    """Replace `module.Fraction` by a subclass that counts the `Fraction`s
-    made through it in a one-element list, which is returned. Being a
-    class, it keeps the module's isinstance checks working."""
-    calls = [0]
-
-    class Counted(Fraction):
-        def __new__(cls, *args, **kwargs):
-            calls[0] += 1
-            return Fraction(*args, **kwargs)
-
-    monkeypatch.setattr(module, "Fraction", Counted)
-    return calls
-
-
 def test_an_integer_k40_is_parsed_with_no_fraction(monkeypatch):
     vertices = [f"v{i}" for i in range(40)]
     rng = random.Random(40)
@@ -269,12 +253,12 @@ def test_an_integer_k40_is_parsed_with_no_fraction(monkeypatch):
         for a, b in itertools.combinations(range(40), 2)
     ]
     text = json.dumps({"vertices": vertices, "edges": edges})
-    fractions = [_count_fractions(monkeypatch, m) for m in (instance_module, graph_module)]
+    fractions = count_fractions(monkeypatch)
     lcms = count_calls(monkeypatch, graph_module, "lcm")
     graph = parse_instance(text).graph
     assert graph.m == 780 and graph.scale == 1
     assert graph.int_weights == tuple(int(e["w"]) for e in edges)
-    assert [calls[0] for calls in fractions] == [0, 0] and lcms[0] == 0
+    assert fractions[0] == 0 and lcms[0] == 0
     # the same counters see the Fraction and the lcm of a "3/4"
     parse_instance(json.dumps({"vertices": ["a", "b"], "edges": [_e("a", "b", "3/4")]}))
-    assert fractions[0][0] == 1 and lcms[0] == 1
+    assert fractions[0] == 1 and lcms[0] == 1
