@@ -313,7 +313,7 @@ def _stable_subgraph_doc(
         matching = _matching_from_doc(index, certificates, "surviving_matching", checks)
     if matching is not None:
         checks.extend(stable_subgraph_checks(residual, matching, cover))
-        checks.append(("cover_only_on_residual", not any(index[v] in removed for v in named)))
+        checks.append(("cover_only_on_residual", not any(index[lb] in removed for lb in named)))
     return cover
 
 

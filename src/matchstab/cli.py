@@ -150,11 +150,11 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
             "lower_bound": result.lower_bound,
             "upper_bound": result.upper_bound,
         }
-        vertex_result = result.vertex_result
+        vertex_stab = result.vertex_result
         certificates = {
-            "S": labels_doc(graph, vertex_result.removed),
-            "surviving_matching": pairs_doc(graph, vertex_result.surviving_matching),
-            "surviving_cover": _cover_doc(graph, vertex_result.surviving_cover, vertex_result.removed),
+            "S": labels_doc(graph, vertex_stab.removed),
+            "surviving_matching": pairs_doc(graph, vertex_stab.surviving_matching),
+            "surviving_cover": _cover_doc(graph, vertex_stab.surviving_cover, vertex_stab.removed),
         }
     elif command == "m-stabilize":
         if instance.matching is None:

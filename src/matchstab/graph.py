@@ -445,9 +445,8 @@ class FractionalVertexCover:
 
     Like the graph's D, the pair is canonical: the constructor divides q, a
     positive int, and every q.y by their gcd, so `==` compares covers by
-    value. `values`, the
-    y_v as `Fraction`s, is derived for the API and the JSON documents only;
-    `from_values` builds a cover from such values.
+    value. `values`, the y_v as `Fraction`s, is derived for the API and the
+    JSON documents only; `from_values` builds a cover from such values.
     """
 
     int_values: tuple[int, ...]

@@ -13,8 +13,9 @@ phase, and returns its potentials as those integers too.
 counts 2x of a half-integral optimum x, which stay ints through
 `normalize_to_basic` (it rounds the half-valued paths and even cycles of
 x) and `graph.decompose`, and adds the two potentials of each vertex into
-the integer 2D.y_v of a minimum fractional w-vertex cover y, which keeps
-them over q = 2D (`graph.FractionalVertexCover`).
+2D.y_v: the integers, over q = 2D, of a minimum fractional w-vertex cover y,
+which `graph.FractionalVertexCover` stores as they are, reduced by their
+gcd.
 
 The pair is proven optimal once per result, also under `python -O`, by
 `certify.verify_optimal_pair`, the checks `matchstab verify` reports on it.
@@ -220,10 +221,10 @@ def solve_fractional(
     """Basic maximum-weight fractional matching plus a minimum fractional cover.
 
     x_uv gets 1/2 per matched copy of uv in the duplicate, counted as the
-    half count 2x_uv, and y_v is the mean of v's two potentials, built on
-    integers as their sum over 2D. The pair
-    satisfies w.x = sum(y) and complementary slackness with exact
-    arithmetic; both facts are checked before returning.
+    half count 2x_uv, and y_v is the mean of v's two potentials, kept as
+    their integer sum over 2D. The pair satisfies w.x = sum(y) and
+    complementary slackness with exact arithmetic; both facts are checked
+    before returning.
     """
     match_left, p_left, p_right = bipartite_max_weight_matching(graph)
     halves = [0] * graph.m  # matched copies of each edge, 0, 1 or 2
