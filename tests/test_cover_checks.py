@@ -264,15 +264,13 @@ def _assert_covers_are_the_reference(graph, matching, seen: Counter) -> None:
             seen["m-stabilize S empty", not removed] += 1
 
 
-def _assert_every_case(seen: Counter, m_cases=True) -> None:
+def _assert_every_case(seen: Counter) -> None:
     """The comparison met each case both ways: covers with q = 1 and with
-    q > 1, and stabilizers with empty and nonempty S; feasible and
-    infeasible m-stabilize runs when `m_cases`."""
-    cases = ["q > 1", "S empty"] + (["m-stabilize S empty"] if m_cases else [])
-    for name in cases:
+    q > 1, stabilizers with empty and nonempty S, and feasible and
+    infeasible m-stabilize runs."""
+    for name in ("q > 1", "S empty", "m-stabilize S empty"):
         assert seen[name, True] and seen[name, False], (name, seen)
-    if m_cases:
-        assert seen["m-stabilize", "feasible"] and seen["m-stabilize", "infeasible"], seen
+    assert seen["m-stabilize", "feasible"] and seen["m-stabilize", "infeasible"], seen
 
 
 def test_the_cover_is_the_reference_on_the_property_suite(property_suite):
@@ -299,8 +297,7 @@ def test_the_cover_is_the_reference_on_the_bench_families(monkeypatch):
         for inst in families.Generator(workload, 1).round():
             instance = parse_instance(inst.to_json())
             _assert_covers_are_the_reference(instance.graph, instance.matching, seen)
-    assert seen["m-stabilize", "infeasible"], seen
-    _assert_every_case(seen, m_cases=False)
+    _assert_every_case(seen)
 
 
 def test_a_dense_k40_cover_is_built_with_no_fraction_per_vertex(monkeypatch):
