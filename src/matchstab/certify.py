@@ -369,7 +369,7 @@ def _verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, 
         removed_edges = {graph.edge_index(u, v) for u, v in pairs if graph.has_edge(u, v)}
         removed = _vertex_set(index, certificates, "S")
         # deleting F isolates S, so certify on G minus F with the cover extended by 0
-        _stable_subgraph_doc(index, certificates, graph.delete_edges(removed_edges), (), checks)
+        _stable_subgraph_doc(index, certificates, graph.delete_edges(removed_edges), removed, checks)
         stars = {i for v in removed for i in graph.incident_edges(v)}
         gamma, delta = _typed(outputs, "gamma", int), graph.max_degree
         checks += [

@@ -54,6 +54,21 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+# the int-to-str digit limit in force; 0, or a Python before 3.10.7, means none
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _exact_str(value) -> str:
+    """str(value) for an exact value, or MatchstabError when its numerator
+    or denominator has more digits than Python may convert to a string."""
+    limit = _max_str_digits()
+    for part in (value.numerator, value.denominator):
+        # 8**limit < 10**limit, so a shorter part has at most `limit` digits
+        if limit and part.bit_length() > 3 * limit and abs(part) >= 10**limit:
+            raise MatchstabError(f"an exact value has more than {limit} digits, too many to print")
+    return str(value)
+
+
 def _edges_doc(graph: WeightedGraph, indices) -> list[list[str]]:
     ends = graph.ends
     return [[graph.label_of(ends[i][0]), graph.label_of(ends[i][1])] for i in indices]
@@ -72,7 +87,7 @@ def _x_entries(bfm: BasicFractionalMatching) -> list[dict[str, str]]:
 def _cover_doc(graph: WeightedGraph, cover: FractionalVertexCover, removed=()) -> dict[str, str]:
     """y on every vertex that is not in the stabilizer's S, `removed`."""
     y, removed = cover.values, set(removed)
-    return {graph.label_of(v): str(y[v]) for v in range(graph.n) if v not in removed}
+    return {graph.label_of(v): _exact_str(y[v]) for v in range(graph.n) if v not in removed}
 
 
 def _event_doc(graph: WeightedGraph, event) -> dict[str, Any]:
@@ -100,7 +115,7 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
     if command == "solve-fractional":
         bfm, cover = solve_fractional(graph)
         outputs = {
-            "nu_f": str(bfm.weight),
+            "nu_f": _exact_str(bfm.weight),
             "x": _x_entries(bfm),
             "matched": pairs_doc(graph, bfm.matched),
             "odd_cycles": cycles_doc(graph, bfm.odd_cycles),
@@ -118,7 +133,7 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
         else:
             outputs = {
                 "gamma": result.gamma,
-                "nu_f": str(result.weight),
+                "nu_f": _exact_str(result.weight),
                 "x": x_entries,
                 "matched": pairs_doc(graph, result.solution.matched),
                 "odd_cycles": cycles_doc(graph, result.solution.odd_cycles),
@@ -128,14 +143,14 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
     elif command == "stabilize-vertices":
         result = min_vertex_stabilizer(graph)
         try:
-            nu_before: Optional[str] = str(oracle_mod.exact_nu(graph)[0])
+            nu_before: Optional[str] = _exact_str(oracle_mod.exact_nu(graph)[0])
         except BudgetExceeded:
             nu_before = None  # the 2/3 guarantee holds but is not reported
         outputs = {
             "S": labels_doc(graph, result.removed),
             "gamma": result.gamma,
             "nu_before": nu_before,
-            "nu_after": str(result.nu_after),
+            "nu_after": _exact_str(result.nu_after),
         }
         certificates = {
             "surviving_matching": pairs_doc(graph, result.surviving_matching),
@@ -165,7 +180,7 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
             "S": labels_doc(graph, result.removed),
             "S1": labels_doc(graph, result.first_phase),
             "S2": labels_doc(graph, result.second_phase),
-            "w_M": str(result.matching_weight),
+            "w_M": _exact_str(result.matching_weight),
         }
         certificates = {
             "diagnostics": [
@@ -182,13 +197,13 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
             certificates["x"] = _x_entries(result.x)
             exit_code = 2
         else:
-            outputs["residual_nu_f"] = str(result.residual_nu_f)
+            outputs["residual_nu_f"] = _exact_str(result.residual_nu_f)
             certificates["residual_cover"] = _cover_doc(graph, result.residual_cover, result.removed)
     elif command == "check-stability":
         nu, witness = oracle_mod.exact_nu(graph)
         bfm, cover = solve_fractional(graph)
         nu_f = bfm.weight  # the pair is proven optimal, so w(x) = nu_f
-        outputs = {"stable": nu == nu_f, "nu": str(nu), "nu_f": str(nu_f)}
+        outputs = {"stable": nu == nu_f, "nu": _exact_str(nu), "nu_f": _exact_str(nu_f)}
         certificates = {
             "max_matching": pairs_doc(graph, witness),
             "x": _x_entries(bfm),
@@ -211,9 +226,9 @@ def _run_oracle(sub: str, instance: Instance, path: str, digest: str) -> tuple[d
     outputs: dict[str, Any] = {}
     if sub == "nu":
         value, witness = oracle_mod.exact_nu(graph)
-        outputs = {"nu": str(value), "matching": pairs_doc(graph, witness)}
+        outputs = {"nu": _exact_str(value), "matching": pairs_doc(graph, witness)}
     elif sub == "nu-f":
-        outputs = {"nu_f": str(oracle_mod.exact_nu_f(graph))}
+        outputs = {"nu_f": _exact_str(oracle_mod.exact_nu_f(graph))}
     elif sub == "gamma":
         outputs = {"gamma": oracle_mod.brute_gamma(graph)}
     elif sub == "stable":
@@ -343,6 +358,26 @@ def _run_selftest(seed: int) -> int:
 
 
 def _parse_args(args_list: list[str]) -> argparse.Namespace:
+    """The Namespace of argv.
+
+    The two plain forms build no parser: `<run command> PATH [PATH ...]`
+    and `verify PATH --result PATH`, where no PATH starts with `-`. Building the two argparse parsers costs about a third
+    of a whole desk-scale command, and these forms are nearly every call.
+    Every other argv goes through `_parse_with_parsers`, so `--timing`,
+    `--`, `-h` and every error keep argparse's own handling and messages;
+    on the plain forms it returns the same Namespace."""
+    command, rest = args_list[0] if args_list else None, args_list[1:]
+    dashed = [i for i, arg in enumerate(rest) if arg.startswith("-")]
+    if command in RUN_COMMANDS and rest and not dashed:
+        return argparse.Namespace(timing=False, command=command, rest=rest, instances=rest)
+    if command == "verify" and len(rest) == 3 and rest[1] == "--result" and dashed == [1]:
+        return argparse.Namespace(
+            timing=False, command=command, rest=rest, instance=rest[0], result=rest[2]
+        )
+    return _parse_with_parsers(args_list)
+
+
+def _parse_with_parsers(args_list: list[str]) -> argparse.Namespace:
     """Parse argv in two stages: `--timing` and the command name first, then
     the rest with a parser built for that one command alone."""
     parser = _Parser(prog="matchstab", description=__doc__)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import hashlib
 import json
 import os
@@ -17,7 +18,7 @@ import matchstab
 from conftest import count_calls
 from matchstab import cli, oracle
 from matchstab.cli import main
-from matchstab.errors import ParseError
+from matchstab.errors import MatchstabError, ParseError
 from matchstab.graph import Matching
 from matchstab.instance import _parse_weight, parse_instance
 
@@ -122,6 +123,21 @@ def test_a_document_value_whose_exponent_is_too_large_is_malformed(tmp_path, cap
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("matchstab: error: malformed result document: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("weights", [["9" * 4300] * 2, ["1e4300"]], ids=["nines", "1e4300"])
+def test_a_printed_value_of_more_than_4300_digits_is_an_input_error(tmp_path, weights):
+    # nu_f is 2 * (10**4300 - 1), or 10**4300: 4301 digits, one more than an
+    # int may print
+    labels = ["a", "b", "c", "d"][: 2 * len(weights)]
+    edges = [{"u": labels[2 * i], "v": labels[2 * i + 1], "w": w} for i, w in enumerate(weights)]
+    instance = tmp_path / "long.json"
+    instance.write_text(json.dumps({"vertices": labels, "edges": edges}), encoding="utf-8")
+    proc = _cli_in_subprocess("solve-fractional", str(instance))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "matchstab: error: an exact value has more than 4300 digits, too many to print\n"
+    )
 
 
 def test_gamma_command(capsys):
@@ -428,9 +444,12 @@ FORGED_CLAIMS = [
          {"matched_and_odd_cycles_equal_x"}),
         ("m-stabilize", "fig9m", _set("outputs", "status", "banana"), {"infeasible_reported"}),
         ("m-stabilize", None, _set("outputs", "status", "banana"), {"infeasible_reported"}),
-        # S names a vertex whose star is a proper part of F
-        ("stabilize-edges", "fig9", _set("certificates", "S", ["s"]), {"F_equals_stars_of_S"}),
-        ("stabilize-edges", "fig7", _set("certificates", "S", ["4"]), {"F_equals_stars_of_S"}),
+        # S names a vertex whose star is a proper part of F, and which the
+        # cover names
+        ("stabilize-edges", "fig9", _set("certificates", "S", ["s"]),
+         {"F_equals_stars_of_S", "cover_only_on_residual"}),
+        ("stabilize-edges", "fig7", _set("certificates", "S", ["4"]),
+         {"F_equals_stars_of_S", "cover_only_on_residual"}),
         # S1 and S2 must split S, and S may name only M-exposed vertices
         ("m-stabilize", None, lambda d: d["outputs"].update(S1=["a"], S2=["b", "c"]),
          {"S_is_S1_plus_S2"}),
@@ -794,8 +813,9 @@ def test_selftest_smoke(capsys):
 
 
 # ---------------------------------------------------------------------------
-# argv handling: one small parser for `--timing` and the command name, then
-# one for that command's own arguments
+# argv handling: a plain run command or `verify` builds no parser; any other
+# argv gets one small parser for `--timing` and the command name, then one
+# for that command's own arguments
 
 
 _CHOICES = (
@@ -867,18 +887,65 @@ def test_each_call_builds_at_most_two_parsers(tmp_path, capsys, monkeypatch):
     fig8 = str(FIXTURES / "fig8.json")
     result = tmp_path / "result.json"
     result.write_text(_run(capsys, "gamma", fig8)[1])
-    assert len(built) == 2
-    for argv in (["gamma", fig8], ["verify", fig8, "--result", str(result)],
-                 ["oracle", "nu", fig8], ["selftest", "--seed", "x"], ["frobnicate"], []):
+    assert built == []  # the plain forms build none
+    _run(capsys, "verify", fig8, "--result", str(result))
+    assert built == []
+    for argv in (["--timing", "gamma", fig8], ["gamma", "--", fig8],
+                 ["verify", "--result", str(result), fig8], ["oracle", "nu", fig8],
+                 ["selftest", "--seed", "x"], ["frobnicate"], []):
         before = len(built)
         _run(capsys, *argv)
         assert 1 <= len(built) - before <= 2, argv
     # a second identical call builds its own parsers again
     before = len(built)
-    _run(capsys, "gamma", fig8)
-    _run(capsys, "gamma", fig8)
+    _run(capsys, "gamma", "--", fig8)
+    _run(capsys, "gamma", "--", fig8)
     fresh = built[before:]
     assert len(fresh) == 4 and len({id(p) for p in fresh}) == 4
+
+
+_PLAIN_PATHS = (
+    ["a.json"],
+    ["", "with space.json"],
+    ["caf\u00e9 \u03b3.json", "w=1.json", "@args.txt"],
+    ["verify"],
+    ["a.json", "verify", "gamma"],
+)
+PLAIN_ARGV = [[command, *paths] for command in cli.RUN_COMMANDS for paths in _PLAIN_PATHS] + [
+    ["verify", "P.json", "--result", "R.json"],
+    ["verify", "verify", "--result", "caf\u00e9 @=.json"],
+    ["verify", "", "--result", ""],
+]
+
+
+def test_a_plain_argv_parses_as_the_two_parsers_parse_it(monkeypatch):
+    expected = [cli._parse_with_parsers(list(argv)) for argv in PLAIN_ARGV]
+
+    def refuse(argv):
+        raise AssertionError(f"{argv} built a parser")
+
+    monkeypatch.setattr(cli, "_parse_with_parsers", refuse)
+    for argv, namespace in zip(PLAIN_ARGV, expected):
+        assert cli._parse_args(list(argv)) == namespace, argv
+
+
+def test_every_other_argv_takes_the_parsers(capsys, monkeypatch):
+    taken = []
+    parse = cli._parse_with_parsers
+
+    def recorded(argv):
+        taken.append(argv)
+        return parse(argv)
+
+    monkeypatch.setattr(cli, "_parse_with_parsers", recorded)
+    others = [argv for argv, *_outcome in ARGV_TABLE] + [
+        ["--timing", "gamma", _F], ["gamma", "-1"], ["verify", "--result", "R.json", _F],
+        ["oracle", "nu", _F], ["selftest", "--seed", "3"],
+    ]
+    for argv in others:
+        with contextlib.suppress(MatchstabError, SystemExit):
+            cli._parse_args(list(argv))
+        assert taken[-1:] == [argv], argv
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,6 @@ ESCAPE_PREFIXES = {
 }
 
 ZERO_ENTRY = "a deleted cover entry of value 0 makes the claims the document makes"
-ONTO_S = "a cover entry of value 0 renamed onto the S vertex, which F isolates, claims the same"
 
 # (document, mutation) -> why the mutant still verifies: it makes the
 # claims the document makes, or it is in a field UNREAD names
@@ -176,9 +175,6 @@ ESCAPES = {
     ("stabilize-edges fig7", "certificates.surviving_cover.4 deleted"): ZERO_ENTRY,
     ("stabilize-edges fig9", "certificates.surviving_cover.s deleted"): ZERO_ENTRY,
     ("stabilize-edges fig9m", "certificates.surviving_cover.s deleted"): ZERO_ENTRY,
-    ("stabilize-edges fig7", "certificates.surviving_cover.4 renamed 1"): ONTO_S,
-    ("stabilize-edges fig9", "certificates.surviving_cover.s renamed p"): ONTO_S,
-    ("stabilize-edges fig9m", "certificates.surviving_cover.s renamed p"): ONTO_S,
 }
 
 # the fields whose mutations the cover sweep makes: the covers, and the
