@@ -428,12 +428,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "selftest":
             return _run_selftest(args.seed)
         if args.command == "verify":
+            started = time.monotonic()
             try:
                 result_doc = load_result(Path(args.result).read_text(encoding="utf-8"))
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except MatchstabError:
+                raise  # a repeated key: already a diagnostic of the document
+            except (OSError, ValueError, RecursionError) as exc:
+                # ValueError covers undecodable bytes, malformed JSON and an
+                # integer literal past Python's int digit limit
                 raise ParseError(f"{args.result}: {exc}") from exc
             doc, code = verify(*_load_instance(args.instance), result_doc)
-            _emit(doc, None, compact=False)
+            _emit(doc, time.monotonic() - started if args.timing else None, compact=False)
             return code
 
         final = 0

@@ -53,7 +53,9 @@ def parse_instance(text: str) -> Instance:
     """Parse an instance document; raises ParseError on any schema violation."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides malformed JSON: an integer literal past Python's int digit
+        # limit, or nesting past its recursion limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("instance must be a JSON object")

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from typing import NamedTuple
 import pytest
 
 import matchstab
-from conftest import count_calls
+from conftest import bench_families, count_calls
 from matchstab import cli, oracle
 from matchstab.cli import main
 from matchstab.errors import MatchstabError, ParseError
@@ -92,21 +93,21 @@ def test_weight_strings_parse_as_fraction_parses_them(raw):
 
 
 def _cli_in_subprocess(*args) -> subprocess.CompletedProcess:
-    """`python -m matchstab` with `args`, stopped after 30 s, so that a hang
+    """`python -m matchstab` with `args`, stopped after 10 s, so that a hang
     fails the test instead of stalling the suite."""
     return subprocess.run(
         [sys.executable, "-m", "matchstab", *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(Path(matchstab.__file__).parents[1])),
-        timeout=30,
+        timeout=10,
     )
 
 
 @pytest.mark.parametrize("weight", ["1e999999999", "1e-999999999", "1e5000"])
 def test_a_weight_whose_exponent_is_too_large_is_refused(tmp_path, weight):
     # `Fraction` alone would expand 10**999999999, and 10**5000 parses but
-    # has more digits than an int may print
+    # has more digits than an int may print; the refusal takes under 10 s
     instance = tmp_path / "huge.json"
     edges = [{"u": "a", "v": "b", "w": weight}]
     instance.write_text(json.dumps({"vertices": ["a", "b"], "edges": edges}), encoding="utf-8")
@@ -138,6 +139,28 @@ def test_a_printed_value_of_more_than_4300_digits_is_an_input_error(tmp_path, we
     assert proc.stderr == (
         "matchstab: error: an exact value has more than 4300 digits, too many to print\n"
     )
+
+
+# JSON that Python's decoder refuses: nesting past its recursion limit, and
+# an integer literal past its int digit limit
+_UNDECODABLE = {
+    "nested": "[" * 200000 + "]" * 200000,
+    "long": '{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "w": ' + "9" * 5000 + "}]}",
+}
+
+
+@pytest.mark.parametrize("text", _UNDECODABLE.values(), ids=_UNDECODABLE)
+@pytest.mark.parametrize("role", ["instance", "result"])
+def test_json_the_decoder_refuses_is_an_input_error(tmp_path, role, text):
+    path = tmp_path / "undecodable.json"
+    path.write_text(text, encoding="utf-8")
+    if role == "instance":
+        proc = _cli_in_subprocess("gamma", str(path))
+    else:
+        proc = _cli_in_subprocess("verify", str(FIXTURES / "fig8.json"), "--result", str(path))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("matchstab: error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_gamma_command(capsys):
@@ -194,6 +217,18 @@ def test_outputs_are_byte_identical(capsys):
     assert "timing" not in first
 
 
+def test_verify_appends_its_timing_under_timing(tmp_path, capsys):
+    fig8 = str(FIXTURES / "fig8.json")
+    result = _write(tmp_path, json.loads(_run(capsys, "gamma", fig8)[1]))
+    _code, plain, _err = _run(capsys, "verify", fig8, "--result", str(result))
+    code, out, err = _run(capsys, "--timing", "verify", fig8, "--result", str(result))
+    timed = json.loads(out)
+    assert list(timed)[-1] == "timing_seconds"
+    seconds = timed.pop("timing_seconds")
+    assert (code, err, timed) == (0, "", json.loads(plain))
+    assert type(seconds) is float and seconds >= 0
+
+
 def test_oracle_subcommands(capsys):
     code, out, _err = _run(capsys, "oracle", "nu", str(FIXTURES / "fig8.json"))
     assert code == 0 and json.loads(out)["outputs"]["nu"] == "8"
@@ -222,6 +257,75 @@ def test_verify_roundtrip(tmp_path, capsys):
         code, out, _err = _run(capsys, "verify", instance, "--result", str(result_path))
         assert code == 0, (command, out)
         assert json.loads(out)["verified"] is True
+
+
+def _bench_instance(
+    tmp_path, monkeypatch, family: str, size: int, over_six=False, with_matching=False
+) -> Path:
+    """The instance file of a `family` graph of bench/families.py drawn
+    from random.Random(1), each weight k written as "k/6" if `over_six`,
+    with the bench's greedy M if `with_matching`."""
+    families = bench_families(monkeypatch)
+    rng = random.Random(1)
+    n, edges = families._FAMILY_GRAPHS[family](rng, size)
+    matching = families._greedy_matching(rng, edges) if with_matching else None
+    weights = tuple((u, v, f"{w}/6" if over_six else w) for (u, v), w in sorted(edges.items()))
+    path = tmp_path / f"{family}-{size}.json"
+    path.write_text(families.Generated(family, size, n, weights, matching).to_json())
+    return path
+
+
+def _bench_facts(doc: dict, report: dict) -> dict:
+    """What the rows of BENCH_DOCUMENTS pin of a document and its report."""
+    outputs, certificates = doc["outputs"], doc["certificates"]
+    facts = {key: outputs[key] for key in ("gamma", "nu_f", "nu_after") if key in outputs}
+    facts["|S|"] = len(outputs.get("S", certificates.get("S", [])))
+    cover = certificates.get("cover", certificates.get("surviving_cover", {}))
+    facts["cover denominator > 1"] = any(Fraction(y).denominator > 1 for y in cover.values())
+    checks = {check["name"]: check["ok"] for check in report["checks"]}
+    facts["x_outweighs_M"] = checks.get("x_outweighs_M")
+    return facts
+
+
+# (the `_bench_instance` arguments, command, exit code, the facts the
+# document and its report must show). A tri-chain has gamma = t and
+# nu_f = 6t, and deleting one vertex per triangle leaves nu = 4t.
+BENCH_DOCUMENTS = [
+    ("tri", 1280, False, False, "min-cycles", 0, {"gamma": 1280, "nu_f": str(6 * 1280)}),
+    ("tri", 1280, False, False, "stabilize-vertices", 0,
+     {"gamma": 1280, "|S|": 1280, "nu_after": str(4 * 1280)}),
+    ("tri", 40, True, False, "min-cycles", 0,
+     {"gamma": 40, "|S|": 0, "cover denominator > 1": True}),
+    ("tri", 40, True, False, "stabilize-vertices", 0,
+     {"gamma": 40, "|S|": 40, "cover denominator > 1": True}),
+    ("tri", 40, True, False, "stabilize-edges", 0,
+     {"gamma": 40, "|S|": 40, "cover denominator > 1": True}),
+    ("dense", 40, False, False, "solve-fractional", 0, {}),
+    ("dense", 40, True, False, "solve-fractional", 0, {}),
+    ("dense", 40, True, False, "min-cycles", 0, {}),
+    ("sparse", 400, False, True, "m-stabilize", 2, {"x_outweighs_M": True}),
+]
+
+
+@pytest.mark.parametrize(
+    "family, size, over_six, with_matching, command, exit_code, facts",
+    BENCH_DOCUMENTS,
+    ids=[f"{row[4]} {row[0]} {row[1]}{' k/6' * row[2]}" for row in BENCH_DOCUMENTS],
+)
+def test_verify_roundtrip_on_bench_instances(
+    tmp_path, capsys, monkeypatch, family, size, over_six, with_matching, command, exit_code, facts
+):
+    instance = _bench_instance(tmp_path, monkeypatch, family, size, over_six, with_matching)
+    code, out, _err = _run(capsys, command, str(instance))
+    assert code == exit_code
+    doc = json.loads(out)
+    result_path = tmp_path / "result.json"
+    result_path.write_text(out)
+    code, out, _err = _run(capsys, "verify", str(instance), "--result", str(result_path))
+    report = json.loads(out)
+    assert (code, report["verified"]) == (0, True), report
+    got = _bench_facts(doc, report)
+    assert {key: got[key] for key in facts} == facts
 
 
 def test_verify_catches_tampering(tmp_path, capsys):
@@ -309,26 +413,27 @@ def test_verify_rejects_a_negative_cover_on_an_unstable_graph(tmp_path, capsys):
     assert checks["cover_feasible_on_residual"] is False
 
 
-def test_verify_rejects_a_cover_lowered_by_a_foreign_denominator(tmp_path, capsys):
-    # fig8 has integer weights; 1/1000003 gives the cover a common
-    # denominator that the weights' denominator does not divide
-    instance = str(FIXTURES / "fig8.json")
-    doc = json.loads(_run(capsys, "solve-fractional", instance)[1])
-    cover = doc["certificates"]["cover"]
-    label = next(v for v, y in cover.items() if Fraction(y) > 0)
-    cover[label] = str(Fraction(cover[label]) - Fraction(1, 1000003))
-    result_path = tmp_path / "lowered.json"
-    result_path.write_text(json.dumps(doc))
-    code, out, err = _run(capsys, "verify", instance, "--result", str(result_path))
-    assert code == 1 and err == ""
-    report = json.loads(out)
-    assert report["verified"] is False
-    assert {c["name"] for c in report["checks"] if not c["ok"]} == {
-        "cover_is_feasible",
-        "strong_duality",
-        "complementary_slackness",
-        "nu_f_equals_cover_total",
-    }
+def test_verify_rejects_a_cover_lowered_by_a_foreign_denominator(tmp_path, capsys, monkeypatch):
+    # fig8 and the bench's dense K_40 have integer weights; 1/1000003 gives
+    # the cover a common denominator that the weights' denominator does not
+    # divide
+    for instance in (FIXTURES / "fig8.json", _bench_instance(tmp_path, monkeypatch, "dense", 40)):
+        doc = json.loads(_run(capsys, "solve-fractional", str(instance))[1])
+        cover = doc["certificates"]["cover"]
+        label = next(v for v, y in cover.items() if Fraction(y) > 0)
+        cover[label] = str(Fraction(cover[label]) - Fraction(1, 1000003))
+        result_path = tmp_path / "lowered.json"
+        result_path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "verify", str(instance), "--result", str(result_path))
+        assert code == 1 and err == "", instance
+        report = json.loads(out)
+        assert report["verified"] is False
+        assert {c["name"] for c in report["checks"] if not c["ok"]} == {
+            "cover_is_feasible",
+            "strong_duality",
+            "complementary_slackness",
+            "nu_f_equals_cover_total",
+        }
 
 
 # a path a-b-c whose matching {ab} is already maximum: m-stabilize is feasible

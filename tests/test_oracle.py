@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,6 +10,7 @@ import pytest
 
 from conftest import delete_vertices, fig8, fig9, random_graph, random_matching, tri_chain
 from matchstab import oracle
+from matchstab.cli import main
 from matchstab.cycles import reduce_cycles
 from matchstab.errors import BudgetExceeded
 from matchstab.graph import Matching, WeightedGraph
@@ -101,21 +104,46 @@ def test_the_oracle_keeps_no_cache():
     assert [name for name, obj in vars(oracle).items() if hasattr(obj, "cache_info")] == []
 
 
-def test_the_oracle_at_its_12_vertex_budget():
-    # against the production solvers: the stable K_12 with weights a/b of
-    # the CI step, and a sparse chain of four weight-4 triangles (gamma = 4,
-    # not stable)
+def _within_60_s(call, *args):
+    """call(*args), which must return within 60 s."""
+    started = time.monotonic()
+    value = call(*args)
+    assert time.monotonic() - started < 60, call
+    return value
+
+
+def test_the_oracle_at_its_12_vertex_budget(tmp_path, capsys):
+    # against the production solvers: a stable K_12 with weights a/b, a in
+    # 1..30 and b in 1..6, and a sparse chain of four weight-4 triangles
+    # (gamma = 4, not stable)
     rng = random.Random(12)
-    k12 = WeightedGraph.from_edges(
-        12,
-        [(u, v, Fraction(rng.randint(1, 30), rng.randint(1, 6))) for u, v in combinations(range(12), 2)],
-    )
+    weights = {
+        (u, v): f"{rng.randint(1, 30)}/{rng.randint(1, 6)}" for u, v in combinations(range(12), 2)
+    }
+    k12 = WeightedGraph.from_edges(12, [(u, v, Fraction(w)) for (u, v), w in weights.items()])
     for g in (k12, tri_chain(random.Random(12), 4)):
         assert g.n == oracle.MAX_VERTICES
-        nu_f = oracle.exact_nu_f(g)
+        nu_f = _within_60_s(oracle.exact_nu_f, g)
         assert nu_f == solve_fractional(g)[0].weight
-        assert oracle.brute_gamma(g) == reduce_cycles(g).gamma
-        assert oracle.is_stable(g) == (oracle.exact_nu(g)[0] == nu_f)
+        assert _within_60_s(oracle.brute_gamma, g) == reduce_cycles(g).gamma
+        assert _within_60_s(oracle.is_stable, g) == (_within_60_s(oracle.exact_nu, g)[0] == nu_f)
+
+    # through the CLI: check-stability's nu, stabilize-vertices' nu_before
+    # and oracle nu are one value on the K_12, and both documents verify
+    instance = tmp_path / "k12.json"
+    edges = [{"u": f"v{u}", "v": f"v{v}", "w": w} for (u, v), w in weights.items()]
+    instance.write_text(json.dumps({"vertices": [f"v{i}" for i in range(12)], "edges": edges}))
+    nus = []
+    for command, key in (("check-stability", "nu"), ("stabilize-vertices", "nu_before")):
+        assert main([command, str(instance)]) == 0
+        result = tmp_path / f"{command}.json"
+        result.write_text(capsys.readouterr().out)
+        nus.append(json.loads(result.read_text())["outputs"][key])
+        assert main(["verify", str(instance), "--result", str(result)]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+    assert _within_60_s(main, ["oracle", "nu", str(instance)]) == 0
+    nus.append(json.loads(capsys.readouterr().out)["outputs"]["nu"])
+    assert nus[0] is not None and nus == [nus[0]] * 3
 
 
 def test_walk_enumeration_examples():
