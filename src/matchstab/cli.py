@@ -400,15 +400,17 @@ def _parse_with_parsers(args_list: list[str]) -> argparse.Namespace:
 
 
 def _load_instance(path: str) -> tuple[Instance, str]:
-    """The parsed instance file and the sha256 of its bytes, read once."""
+    """The parsed instance file and the sha256 of its bytes, read once. A
+    file that cannot be read or parsed is a ParseError that names it."""
     try:
         data = Path(path).read_bytes()
         text = data.decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        if "\r" in text:  # the newline translation of a text-mode read
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        instance = parse_instance(text)
+    except (OSError, UnicodeDecodeError, ParseError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if "\r" in text:  # the newline translation of a text-mode read
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return parse_instance(text), hashlib.sha256(data).hexdigest()
+    return instance, hashlib.sha256(data).hexdigest()
 
 
 def _emit(doc: dict, timing: Optional[float], compact: bool) -> None:

@@ -12,9 +12,8 @@ exposed pseudonode remains, the cycle count has reached its minimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .certify import verify_optimal_pair
 from .edmonds import AugmentingPath, FrustratedTree, TreeSearch, grow_tree
@@ -31,8 +30,7 @@ from .graph import (
 from .lp import solve_fractional
 
 
-@dataclass(frozen=True)
-class AuxiliaryGraph:
+class AuxiliaryGraph(NamedTuple):
     """The unweighted search graph G' with its matching M' and back-maps.
 
     Node ids: original vertices keep their ids, z is `n`, the shadow of v is
@@ -128,8 +126,7 @@ def _build_auxiliary(
     )
 
 
-@dataclass(frozen=True)
-class AugmentationEvent:
+class AugmentationEvent(NamedTuple):
     """One weight-preserving move: which cycles died, where they were
     rounded, and the tight path (original vertex ids) that was complemented."""
 
@@ -139,8 +136,7 @@ class AugmentationEvent:
     path: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FrustrationEvent:
+class FrustrationEvent(NamedTuple):
     root_cycle: tuple[int, ...]
     deleted_vertices: tuple[int, ...]
 
@@ -218,8 +214,7 @@ def apply_augmentation(
     return new, event
 
 
-@dataclass(frozen=True)
-class ReduceCyclesResult:
+class ReduceCyclesResult(NamedTuple):
     """Final solution with gamma cycles plus the move-by-move certificate."""
 
     solution: BasicFractionalMatching

@@ -15,22 +15,19 @@ so it costs time in the size of its tree, not of the graph.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import AbstractSet, Optional, Sequence, Union
+from typing import AbstractSet, NamedTuple, Optional, Sequence, Union
 
 from .errors import VertexNotExposed
 from .graph import Matching
 
 
-@dataclass(frozen=True)
-class AugmentingPath:
+class AugmentingPath(NamedTuple):
     """Simple alternating path between two exposed vertices, root first."""
 
     vertices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FrustratedTree:
+class FrustratedTree(NamedTuple):
     """Alternating tree with no augmenting edge leaving its even side.
 
     It is read off the arrays of the graph's `TreeSearch` just before

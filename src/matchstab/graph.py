@@ -1,27 +1,27 @@
 """Exact-rational weighted graphs and the primitive fractional-matching moves.
 
-Everything in this module is immutable and exact: weights and cover values
-are `fractions.Fraction` at the API, and every test (tightness, degree
-constraints, duality) is an exact comparison, never a tolerance. The graph
-is its integers: `WeightedGraph` stores the ends (u, v) of each edge,
-`scale`, D, the lcm of the weight denominators, and `int_weights`, the
-integers D.w, which the LP kernel, the walk DP, the rounding of half-valued
-paths and the cover checks run on. `scale_weights` is the one place that
-turns exact weights into D and D.w, for `WeightedGraph.from_edges` and the
-instance parser; `WeightedGraph.edges` is the view with `Fraction` weights
-for the API. A cover y is its integers too: `FractionalVertexCover` stores
-its common denominator q and the integers q.y, so y_u + y_v >= w_uv is
-tested as (q.y_u + q.y_v).D >= D.w_uv.q, and y becomes `Fraction`s only in
-`FractionalVertexCover.values`. A fractional matching x is half counts 2x_i,
-ints 0, 1 or 2, everywhere: `decompose` validates them, `round_cycles` and
-`complement` rewrite them, and x becomes `Fraction`s only in
-`BasicFractionalMatching.values`, for the API and the JSON documents.
+Everything in this module is exact, and immutable by construction, with no
+runtime freeze: weights and cover values are `fractions.Fraction` at the
+API, and every test (tightness, degree constraints, duality) is an exact
+comparison, never a tolerance. The graph is its integers: `WeightedGraph`
+stores the ends (u, v) of each edge, `scale`, D, the lcm of the weight
+denominators, and `int_weights`, the integers D.w, which the LP kernel, the
+walk DP, the rounding of half-valued paths and the cover checks run on.
+`scale_weights` is the one place that turns exact weights into D and D.w,
+for `WeightedGraph.from_edges` and the instance parser; `WeightedGraph.edges`
+is the view with `Fraction` weights for the API. A cover y is its integers
+too: `FractionalVertexCover` stores its common denominator q and the
+integers q.y, so y_u + y_v >= w_uv is tested as (q.y_u + q.y_v).D >=
+D.w_uv.q, and y becomes `Fraction`s only in `FractionalVertexCover.values`.
+A fractional matching x is half counts 2x_i, ints 0, 1 or 2, everywhere:
+`decompose` validates them, `round_cycles` and `complement` rewrite them,
+and x becomes `Fraction`s only in `BasicFractionalMatching.values`, for the
+API and the JSON documents.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -84,8 +84,30 @@ def scale_weights(weights: Sequence[WeightLike]) -> tuple[int, tuple[int, ...]]:
     return d, tuple(w.numerator * (d // w.denominator) for w in exact)
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
+class _Value:
+    """`==`, `hash` and a `Name(field=value, ...)` repr over the fields that
+    `_fields` names, in order; views derived from them stay out. A subclass
+    sets its fields in `__init__`, and nothing assigns to them after."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class WeightedGraph(_Value):
     """Simple undirected graph with exact nonnegative edge weights, stored as
     integers.
 
@@ -98,18 +120,18 @@ class WeightedGraph:
     `Fraction` weights for the API.
     """
 
-    n: int
-    ends: tuple[tuple[int, int], ...]
-    int_weights: tuple[int, ...]
-    scale: int
-    labels: Optional[tuple[str, ...]] = None
-    _index_of: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    _fields = ("n", "ends", "int_weights", "scale", "labels")
 
-    def __post_init__(self) -> None:
-        n, ends, weights, d = self.n, self.ends, self.int_weights, self.scale
+    def __init__(
+        self, n: int, ends: tuple[tuple[int, int], ...], int_weights: tuple[int, ...],
+        scale: int, labels: Optional[tuple[str, ...]] = None,
+    ) -> None:
+        self.n, self.ends, self.int_weights = n, ends, int_weights
+        self.scale, self.labels = scale, labels
+        weights, d = int_weights, scale
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        if self.labels is not None and len(self.labels) != n:
+        if labels is not None and len(labels) != n:
             raise GraphError("label list length must equal vertex count")
         if type(d) is not int or d < 1:
             raise GraphError(f"scale D must be a positive int, got {d!r}")
@@ -135,7 +157,7 @@ class WeightedGraph:
         common = gcd(d, *weights)
         if common != 1:
             raise GraphError(f"scale D = {d} is not canonical: D and every D.w share {common}")
-        object.__setattr__(self, "_index_of", index)
+        self._index_of = index
 
     @staticmethod
     def from_edges(
@@ -226,15 +248,15 @@ class WeightedGraph:
         )
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(_Value):
     """A set of pairwise vertex-disjoint edges, stored as sorted vertex pairs."""
 
-    pairs: frozenset[tuple[int, int]]
+    _fields = ("pairs",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, pairs: frozenset[tuple[int, int]]) -> None:
+        self.pairs = pairs
         seen: set[int] = set()
-        for u, v in self.pairs:
+        for u, v in pairs:
             if u >= v:
                 raise GraphError("matching pairs must be stored sorted (u < v)")
             if u in seen or v in seen:
@@ -293,8 +315,7 @@ def canonical_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
     return forward if forward[1] <= backward[1] else backward
 
 
-@dataclass(frozen=True)
-class BasicFractionalMatching:
+class BasicFractionalMatching(_Value):
     """A half-integral vector split into matched edges and odd half-cycles.
 
     Built through :func:`decompose`, which is the only validated constructor.
@@ -304,11 +325,14 @@ class BasicFractionalMatching:
     the API and the JSON documents only.
     """
 
-    graph: WeightedGraph
-    halves: tuple[int, ...]
-    matched: Matching
-    odd_cycles: tuple[tuple[int, ...], ...]
-    vertex_halves: tuple[int, ...] = field(compare=False, repr=False)
+    _fields = ("graph", "halves", "matched", "odd_cycles")
+
+    def __init__(
+        self, graph: WeightedGraph, halves: tuple[int, ...], matched: Matching,
+        odd_cycles: tuple[tuple[int, ...], ...], vertex_halves: tuple[int, ...],
+    ) -> None:
+        self.graph, self.halves, self.matched = graph, halves, matched
+        self.odd_cycles, self.vertex_halves = odd_cycles, vertex_halves
 
     @cached_property
     def values(self) -> tuple[Fraction, ...]:
@@ -438,8 +462,7 @@ def complement(
     return decompose(bfm.graph, halves)
 
 
-@dataclass(frozen=True)
-class FractionalVertexCover:
+class FractionalVertexCover(_Value):
     """Vertex values y, stored as integers: `int_values[v]` is q.y_v over
     the common denominator `scale`, q.
 
@@ -449,14 +472,13 @@ class FractionalVertexCover:
     JSON documents only; `from_values` builds a cover from such values.
     """
 
-    int_values: tuple[int, ...]
-    scale: int
+    _fields = ("int_values", "scale")
 
-    def __post_init__(self) -> None:
-        g = gcd(self.scale, *self.int_values)
+    def __init__(self, int_values: tuple[int, ...], scale: int) -> None:
+        g = gcd(scale, *int_values)
         if g > 1:
-            object.__setattr__(self, "scale", self.scale // g)
-            object.__setattr__(self, "int_values", tuple(a_v // g for a_v in self.int_values))
+            scale, int_values = scale // g, tuple(a_v // g for a_v in int_values)
+        self.int_values, self.scale = int_values, scale
 
     @staticmethod
     def from_values(values: Iterable[Fraction]) -> "FractionalVertexCover":
@@ -509,15 +531,16 @@ def tight_edges(graph: WeightedGraph, cover: FractionalVertexCover) -> frozenset
     return frozenset(tight)
 
 
-@dataclass(frozen=True)
-class AlternatingWalk:
+class AlternatingWalk(_Value):
     """A walk with per-edge matched flags relative to some matching.
 
     Vertices may repeat; edges are implied by consecutive vertices.
     """
 
-    vertices: tuple[int, ...]
-    matched_flags: tuple[bool, ...]
+    _fields = ("vertices", "matched_flags")
+
+    def __init__(self, vertices: tuple[int, ...], matched_flags: tuple[bool, ...]) -> None:
+        self.vertices, self.matched_flags = vertices, matched_flags
 
     @staticmethod
     def from_vertices(

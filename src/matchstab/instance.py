@@ -14,16 +14,14 @@ weights are all integers is read with no `Fraction` at all.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 from .errors import GraphError, ParseError
 from .graph import Matching, WeightedGraph, as_fraction, scale_weights
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     graph: WeightedGraph
     matching: Optional[Matching]
 

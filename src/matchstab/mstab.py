@@ -43,9 +43,8 @@ as if its star were gone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .certify import verify_stable_subgraph
 from .errors import MNotAMatching
@@ -59,8 +58,7 @@ INFEASIBLE = "infeasible"
 Diagnostics = tuple[tuple[str, int, Optional[int]], ...]
 
 
-@dataclass(frozen=True)
-class MStabilizerResult:
+class MStabilizerResult(NamedTuple):
     """Outcome of the M-vertex-stabilizer search, in original vertex ids.
 
     On feasible instances, removing `removed` leaves the input matching
@@ -71,7 +69,7 @@ class MStabilizerResult:
     `diagnostics` are empty, `residual_cover` is None, `residual_nu_f` is
     nu_f(G - delta(X)) for X the M-exposed vertices, more than w(M), and `x`
     is a basic fractional matching of G - delta(X) of that weight, which
-    proves that no stabilizer exists. `repr` leaves `x` out.
+    proves that no stabilizer exists.
     """
 
     status: str
@@ -82,7 +80,7 @@ class MStabilizerResult:
     matching_weight: Fraction
     residual_nu_f: Fraction
     residual_cover: Optional[FractionalVertexCover]
-    x: Optional[BasicFractionalMatching] = field(default=None, repr=False)
+    x: Optional[BasicFractionalMatching] = None
 
 
 def m_vertex_stabilizer(graph: WeightedGraph, matching: Matching) -> MStabilizerResult:

@@ -12,16 +12,15 @@ certificate does not need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .certify import verify_stable_subgraph
 from .cycles import reduce_cycles
 from .graph import FractionalVertexCover, Matching, WeightedGraph, round_cycles
 
 
-@dataclass(frozen=True)
-class VertexStabilizerResult:
+class VertexStabilizerResult(NamedTuple):
     """Minimum vertex-stabilizer with its survival certificate.
 
     `surviving_matching` is a maximum-weight matching of the stabilized graph
@@ -62,8 +61,7 @@ def min_vertex_stabilizer(graph: WeightedGraph) -> VertexStabilizerResult:
     )
 
 
-@dataclass(frozen=True)
-class EdgeStabilizerResult:
+class EdgeStabilizerResult(NamedTuple):
     """O(Delta)-approximate edge-stabilizer derived from the vertex one.
 
     Deleting the removed edges isolates the chosen vertices, so the vertex

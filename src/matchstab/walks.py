@@ -32,9 +32,8 @@ as their verdict is fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Iterator, Optional
+from typing import AbstractSet, Iterator, NamedTuple, Optional
 
 from .errors import (
     EntryIsMinusInfinity,
@@ -55,8 +54,7 @@ Entry = Optional[Fraction]  # None is the -infinity sentinel
 _Commit = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class WalkTables:
+class WalkTables(NamedTuple):
     """DP state for one (source, k) run, including everything needed to
     rebuild optimal walks.
 

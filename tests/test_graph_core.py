@@ -32,6 +32,8 @@ from matchstab.errors import (
 from matchstab.graph import (
     MAX_EXPONENT,
     AlternatingWalk,
+    BasicFractionalMatching,
+    FractionalVertexCover,
     Matching,
     WeightedGraph,
     as_fraction,
@@ -323,3 +325,79 @@ def test_walk_value_matches_naive_resummation():
             )
             assert walk_value(walk, g, m) == value == naive
             assert is_valid_walk(walk, m)
+
+
+def _small_values() -> dict:
+    """One small object of each value class of `graph`, built afresh."""
+    g = WeightedGraph.from_edges(3, [(0, 1, "1/2"), (1, 2, 1), (0, 2, 1)], labels=["a", "b", "c"])
+    m = Matching.from_pairs([(1, 0)])
+    return {
+        "graph": g,
+        "matching": m,
+        "x": decompose(g, [1, 1, 1]),
+        "cover": FractionalVertexCover((2, 4, 0), 4),
+        "walk": AlternatingWalk.from_vertices(g, m, [2, 0, 1]),
+    }
+
+
+# each repr as the dataclass versions of these classes printed it
+_G = (
+    "WeightedGraph(n=3, ends=((0, 1), (1, 2), (0, 2)), int_weights=(1, 2, 2), scale=2, "
+    "labels=('a', 'b', 'c'))"
+)
+SMALL_REPRS = {
+    "graph": _G,
+    "matching": "Matching(pairs=frozenset({(0, 1)}))",
+    "x": f"BasicFractionalMatching(graph={_G}, halves=(1, 1, 1), "
+    "matched=Matching(pairs=frozenset()), odd_cycles=((0, 1, 2),))",
+    "cover": "FractionalVertexCover(int_values=(1, 2, 0), scale=2)",
+    "walk": "AlternatingWalk(vertices=(2, 0, 1), matched_flags=(False, True))",
+}
+
+
+def test_value_classes_keep_their_dataclass_repr():
+    assert {key: repr(value) for key, value in _small_values().items()} == SMALL_REPRS
+
+
+def test_value_classes_compare_and_hash_by_value():
+    first, second = _small_values(), _small_values()
+    # the cached views of one copy stay out of ==, hash and repr
+    assert first["graph"].adjacency and first["x"].values and first["cover"].values
+    for key, value in first.items():
+        assert value is not second[key] and value == second[key]
+        assert hash(value) == hash(second[key]) and repr(value) == repr(second[key])
+        assert value != value._key()  # a tuple of the same fields is not the value
+    g, x = first["graph"], first["x"]
+    assert g != WeightedGraph.from_edges(3, [(0, 1, "1/2"), (1, 2, 1), (0, 2, 1)])  # no labels
+    assert first["matching"] != Matching.from_pairs([(1, 2)])
+    assert x != decompose(g, [2, 0, 0])
+    assert first["walk"] != AlternatingWalk((2, 0), (False,))
+    # vertex_halves, derived from halves, stays out of == and hash
+    other = BasicFractionalMatching(g, x.halves, x.matched, x.odd_cycles, (0, 0, 0))
+    assert other == x and hash(other) == hash(x)
+    # the constructor reduces q and q.y by their gcd, so == compares y
+    cover = FractionalVertexCover((2, 4), 2)
+    assert (cover.int_values, cover.scale) == ((1, 2), 1)
+    reduced = FractionalVertexCover((1, 2), 1)
+    assert cover == reduced and hash(cover) == hash(reduced)
+    assert cover != FractionalVertexCover((1, 2), 2)
+
+
+def test_value_constructors_refuse_bad_input():
+    with pytest.raises(GraphError, match="nonnegative"):
+        WeightedGraph(-1, (), (), 1)
+    with pytest.raises(GraphError, match="label list length"):
+        WeightedGraph(2, (), (), 1, ("a",))
+    with pytest.raises(GraphError, match="out of range"):
+        WeightedGraph(2, ((0, 2),), (1,), 1)
+    with pytest.raises(GraphError, match="u < v"):
+        WeightedGraph(2, ((1, 0),), (1,), 1)
+    with pytest.raises(GraphError, match="sorted"):
+        Matching(frozenset({(1, 0)}))
+    with pytest.raises(GraphError, match="share a vertex"):
+        Matching.from_pairs([(0, 1), (1, 2)])
+    # `test_decompose_errors` covers decompose, the validated BasicFractionalMatching builder
+    with pytest.raises(GraphError, match="not an edge"):
+        AlternatingWalk.from_vertices(
+            WeightedGraph.from_edges(3, [(0, 1, 1)]), Matching.from_pairs([(0, 1)]), [0, 1, 2]
+        )

@@ -104,6 +104,21 @@ def _cli_in_subprocess(*args) -> subprocess.CompletedProcess:
     )
 
 
+def test_importing_the_cli_generates_no_dataclass():
+    # a run command pays for the import: the value classes and records are
+    # plain classes and NamedTuples, so `dataclasses` is never loaded
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import matchstab.cli, sys; print(sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(matchstab.__file__).parents[1])),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    loaded = ast.literal_eval(proc.stdout)
+    assert "matchstab.cli" in loaded and "dataclasses" not in loaded
+
+
 @pytest.mark.parametrize("weight", ["1e999999999", "1e-999999999", "1e5000"])
 def test_a_weight_whose_exponent_is_too_large_is_refused(tmp_path, weight):
     # `Fraction` alone would expand 10**999999999, and 10**5000 parses but
@@ -113,7 +128,9 @@ def test_a_weight_whose_exponent_is_too_large_is_refused(tmp_path, weight):
     instance.write_text(json.dumps({"vertices": ["a", "b"], "edges": edges}), encoding="utf-8")
     proc = _cli_in_subprocess("gamma", str(instance))
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == f"matchstab: error: edges[0]: cannot parse weight {weight!r}\n"
+    assert proc.stderr == (
+        f"matchstab: error: {instance}: edges[0]: cannot parse weight {weight!r}\n"
+    )
 
 
 def test_a_document_value_whose_exponent_is_too_large_is_malformed(tmp_path, capsys):
@@ -1125,5 +1142,28 @@ def test_a_json_error_reads_as_after_newline_translation(tmp_path, capsys, newli
     code, out, err = _run(capsys, "gamma", str(path))
     with pytest.raises(ParseError) as expected:
         parse_instance(path.read_text(encoding="utf-8"))
-    assert (code, out, err) == (1, "", f"matchstab: error: {expected.value}\n")
+    assert (code, out, err) == (1, "", f"matchstab: error: {path}: {expected.value}\n")
     assert "line 3" in err
+
+
+def _unknown_label_instance(tmp_path) -> Path:
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": ["a"], "edges": [{"u": "a", "v": "b", "w": 1}]}))
+    return path
+
+
+def test_a_batch_names_the_instance_file_that_fails_to_parse(tmp_path, capsys):
+    fig8, bad = str(FIXTURES / "fig8.json"), _unknown_label_instance(tmp_path)
+    code, out, _err = _run(capsys, "gamma", fig8)
+    assert code == 0
+    line = json.dumps(json.loads(out), separators=(",", ":")) + "\n"
+    error = f"matchstab: error: {bad}: edges[0]: unknown vertex label\n"
+    assert _run(capsys, "gamma", fig8, str(bad)) == (1, line, error)
+
+
+def test_verify_names_the_instance_file_that_fails_to_parse(tmp_path, capsys):
+    fig8, bad = str(FIXTURES / "fig8.json"), _unknown_label_instance(tmp_path)
+    result = tmp_path / "result.json"
+    result.write_text(_run(capsys, "gamma", fig8)[1])
+    error = f"matchstab: error: {bad}: edges[0]: unknown vertex label\n"
+    assert _run(capsys, "verify", str(bad), "--result", str(result)) == (1, "", error)

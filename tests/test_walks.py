@@ -519,7 +519,6 @@ def test_dp_that_skips_s_runs_as_the_full_sweep_on_g_minus_the_stars_of_s():
 
 
 FORGED_TABLES_SCRIPT = r"""
-import dataclasses
 import json
 import sys
 
@@ -540,9 +539,9 @@ def raised(tables):
 tables = optimal_walks(WeightedGraph.from_edges(2, [(0, 1, 3)]), Matching.from_pairs([]), 0, 1)
 out = {
     "optimize": sys.flags.optimize,
-    "source": raised(dataclasses.replace(tables, source=1)),
-    "value": raised(dataclasses.replace(tables, matching=Matching.from_pairs([(0, 1)]))),
-    "history": raised(dataclasses.replace(tables, history2=((1, None), (1, None)))),
+    "source": raised(tables._replace(source=1)),
+    "value": raised(tables._replace(matching=Matching.from_pairs([(0, 1)]))),
+    "history": raised(tables._replace(history2=((1, None), (1, None)))),
 }
 print(json.dumps(out))
 """
