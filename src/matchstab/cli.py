@@ -54,19 +54,14 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-# the int-to-str digit limit in force; 0, or a Python before 3.10.7, means none
-_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-
 def _exact_str(value) -> str:
     """str(value) for an exact value, or MatchstabError when its numerator
     or denominator has more digits than Python may convert to a string."""
-    limit = _max_str_digits()
-    for part in (value.numerator, value.denominator):
-        # 8**limit < 10**limit, so a shorter part has at most `limit` digits
-        if limit and part.bit_length() > 3 * limit and abs(part) >= 10**limit:
-            raise MatchstabError(f"an exact value has more than {limit} digits, too many to print")
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # only a Python with a digit limit raises it
+        limit = sys.get_int_max_str_digits()
+        raise MatchstabError(f"an exact value has more than {limit} digits, too many to print")
 
 
 def _edges_doc(graph: WeightedGraph, indices) -> list[list[str]]:

@@ -21,7 +21,6 @@ from .errors import EndpointNotRecognized, PathNotAugmenting
 from .graph import (
     BasicFractionalMatching,
     FractionalVertexCover,
-    Matching,
     WeightedGraph,
     complement,
     round_cycles,
@@ -33,34 +32,31 @@ from .lp import solve_fractional
 class AuxiliaryGraph(NamedTuple):
     """The unweighted search graph G' with its matching M' and back-maps.
 
-    Node ids: original vertices keep their ids, z is `n`, the shadow of v is
-    `n + 1 + v`, and the pseudonode of a cycle is `2n + 1` plus the cycle's
-    lowest vertex, so a node keeps its id when G' is rebuilt for a new x.
+    Node ids give the kind: original vertices keep their ids, z is `n`, the
+    shadow of v is `n + 1 + v`, and the pseudonode of a cycle is `2n + 1`
+    plus the cycle's lowest vertex, so a node keeps its id when G' is
+    rebuilt for a new x; an id that stands for no node has no edge. `mate`
+    is M' over all ids: the pairs of x, and v-v' for each shadow.
     `provenance` maps each search edge to the least original object it
     stands for (an edge endpoint pair, or a cycle vertex for a pseudonode-z
     edge); expansion uses that one.
     """
 
-    graph: WeightedGraph
+    n: int
     adjacency: tuple[tuple[int, ...], ...]
-    matching: Matching
-    z: int
+    mate: list[Optional[int]]
     cycle_of: dict[int, tuple[int, ...]]
-    pseudonode_of: dict[tuple[int, ...], int]
-    shadow_vertex: dict[int, int]  # shadow node id -> original vertex
     provenance: dict[tuple[int, int], object]
 
     def kind(self, node: int) -> str:
-        n = self.graph.n
+        n = self.n
         if node < n:
             return "vertex"
         if node == n:
             return "z"
-        if node in self.shadow_vertex:
+        if node <= 2 * n:
             return "shadow"
-        if node in self.cycle_of:
-            return "cycle"
-        return "unused"
+        return "cycle"
 
 
 def _build_auxiliary(
@@ -78,10 +74,9 @@ def _build_auxiliary(
     """
     n = graph.n
     z = n
-    pseudonode_of = {c: 2 * n + 1 + c[0] for c in bfm.odd_cycles}
-    cycle_of = {node: c for c, node in pseudonode_of.items()}
+    cycle_of = {2 * n + 1 + c[0]: c for c in bfm.odd_cycles}
     # a cycle vertex stands for its pseudonode, any other vertex for itself
-    node_of = {v: node for c, node in pseudonode_of.items() for v in c}
+    node_of = {v: node for node, c in cycle_of.items() for v in c}
 
     adjacency: list[set[int]] = [set() for _ in range(3 * n + 1)]
     provenance: dict[tuple[int, int], object] = {}
@@ -92,15 +87,16 @@ def _build_auxiliary(
         key = (min(a, b), max(a, b))
         provenance[key] = min(item, provenance.get(key, item))
 
-    for idx in sorted(tight):
+    for idx in tight:
         u, v = graph.ends[idx]
         a, b = node_of.get(u, u), node_of.get(v, v)
         if a == b:
             continue  # intra-cycle edge or chord of a shrunk cycle
         add_edge(a, b, (u, v))
 
-    matching_pairs = list(bfm.matched.pairs)
-    shadow_vertex: dict[int, int] = {}
+    mate: list[Optional[int]] = [None] * (3 * n + 1)
+    for u, v in bfm.matched.pairs:
+        mate[u], mate[v] = v, u
     for v in range(n):
         if cover.int_values[v] != 0:
             continue
@@ -109,19 +105,15 @@ def _build_auxiliary(
             add_edge(node_of.get(v, v), z, v)
         elif load == 0:
             shadow = n + 1 + v
-            shadow_vertex[shadow] = v
             add_edge(v, shadow, v)
             add_edge(shadow, z, v)
-            matching_pairs.append((v, shadow))
+            mate[v], mate[shadow] = shadow, v
 
     return AuxiliaryGraph(
-        graph=graph,
+        n=n,
         adjacency=tuple(tuple(sorted(a)) for a in adjacency),
-        matching=Matching.from_pairs(matching_pairs),
-        z=z,
+        mate=mate,
         cycle_of=cycle_of,
-        pseudonode_of=pseudonode_of,
-        shadow_vertex=shadow_vertex,
         provenance=provenance,
     )
 
@@ -154,13 +146,13 @@ def _entry_vertex(aux: AuxiliaryGraph, pseudonode: int, neighbor: int) -> int:
 def _validate_alternating(aux: AuxiliaryGraph, path: Sequence[int]) -> None:
     if len(path) < 2:
         raise PathNotAugmenting("path must have at least one edge")
-    if aux.matching.covers(path[0]) or aux.matching.covers(path[-1]):
+    if aux.mate[path[0]] is not None or aux.mate[path[-1]] is not None:
         raise PathNotAugmenting("endpoints must be exposed in the search graph")
     flags = []
     for a, b in zip(path, path[1:]):
         if b not in aux.adjacency[a]:
             raise PathNotAugmenting(f"({a},{b}) is not a search-graph edge")
-        flags.append(aux.matching.contains_edge(a, b))
+        flags.append(aux.mate[a] == b)
     if flags[0] or flags[-1]:
         raise PathNotAugmenting("path must start and end with unmatched edges")
     for f, g in zip(flags, flags[1:]):
@@ -266,8 +258,8 @@ def reduce_cycles(
     while cursor < len(bfm.odd_cycles):
         if aux is None:
             aux = _build_auxiliary(graph, bfm, cover, tight)
-            search = TreeSearch(aux.adjacency, aux.matching)
-        root = aux.pseudonode_of[bfm.odd_cycles[cursor]]
+            search = TreeSearch(aux.adjacency, aux.mate)
+        root = 2 * graph.n + 1 + bfm.odd_cycles[cursor][0]
         if root in dead:
             cursor += 1
             continue

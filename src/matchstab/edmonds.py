@@ -18,7 +18,6 @@ from collections import deque
 from typing import AbstractSet, NamedTuple, Optional, Sequence, Union
 
 from .errors import VertexNotExposed
-from .graph import Matching
 
 
 class AugmentingPath(NamedTuple):
@@ -55,19 +54,16 @@ class TreeSearch:
 
     `adjacency` is the unweighted graph as sorted neighbor lists (scan order
     is by lowest index, so results are deterministic) and `match` the
-    matching as a mate table. Between searches the other arrays hold their
-    initial state: `used` all False, `parent` all None, `base[v] = v` and
-    `mark` all False. A search writes them only at its own tree's nodes,
-    and `grow_tree` resets exactly those entries before it returns.
+    matching as a mate table, `match[v]` being v's mate or None; both are
+    kept as given and never written. Between searches the other arrays hold
+    their initial state: `used` all False, `parent` all None, `base[v] = v`
+    and `mark` all False. A search writes them only at its own tree's
+    nodes, and `grow_tree` resets exactly those entries before it returns.
     """
 
-    def __init__(self, adjacency: Sequence[Sequence[int]], matching: Matching) -> None:
+    def __init__(self, adjacency: Sequence[Sequence[int]], match: Sequence[Optional[int]]) -> None:
         n = len(adjacency)
-        self.adjacency = adjacency
-        self.match: list[Optional[int]] = [None] * n
-        for u, v in matching.pairs:
-            self.match[u] = v
-            self.match[v] = u
+        self.adjacency, self.match = adjacency, match
         self.used = [False] * n
         self.parent: list[Optional[int]] = [None] * n
         self.base = list(range(n))

@@ -306,7 +306,8 @@ def canonical_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
     """Canonical form of a cycle given in cyclic vertex order.
 
     Rotated to start at the minimum vertex and oriented toward its smaller
-    cyclic neighbor, so equal cycles compare equal.
+    cyclic neighbor, so equal cycles compare equal. It serves cycles that
+    callers give; `decompose` builds its cycles in this form already.
     """
     k = len(vertices)
     start = min(range(k), key=lambda i: vertices[i])
@@ -411,8 +412,9 @@ def decompose(graph: WeightedGraph, halves: Sequence[int]) -> BasicFractionalMat
             prev, cur = cur, nxt
         if len(order) % 2 == 0:
             raise NotBasic(f"half-edges around vertex {start} form an even cycle")
-        cycles.append(canonical_cycle(order))
-    cycles.sort()
+        # `start` is the cycle's lowest vertex and the walk leaves it toward
+        # its lower neighbor, so `order` is canonical and the list sorted
+        cycles.append(tuple(order))
     return BasicFractionalMatching(
         graph, tuple(counts), matched, tuple(cycles), tuple(vertex_halves)
     )

@@ -49,9 +49,9 @@ def test_build_auxiliary_stable_graph_is_bare():
     assert not bfm.odd_cycles
     aux = build_auxiliary(g, bfm, cover)
     assert aux.cycle_of == {}
-    assert aux.matching.pairs == bfm.matched.pairs
+    assert aux.mate == [1, 0] + [None] * 5
     # z has no incident edges: both endpoints carry positive cover values
-    assert aux.adjacency[aux.z] == ()
+    assert aux.adjacency[aux.n] == ()
 
 
 def test_build_auxiliary_fig9():
@@ -59,12 +59,13 @@ def test_build_auxiliary_fig9():
     bfm, cover = solve_fractional(g)
     aux = build_auxiliary(g, bfm, cover)
     shadow = g.n + 1 + 3
-    pseudo = aux.pseudonode_of[(0, 1, 2)]
-    # s is exposed with zero cover: shadow gadget s-s'-z
-    assert aux.shadow_vertex == {shadow: 3}
+    pseudo = 2 * g.n + 1 + 0
+    assert aux.cycle_of[pseudo] == (0, 1, 2)
+    # s is exposed with zero cover: shadow gadget s-s'-z, the only shadow
+    assert [v for v in range(g.n + 1, 2 * g.n + 1) if aux.adjacency[v]] == [shadow]
     assert aux.adjacency[3] == (shadow,)
-    assert set(aux.adjacency[shadow]) == {3, aux.z}
-    assert aux.matching.contains_edge(3, shadow)
+    assert set(aux.adjacency[shadow]) == {3, aux.n}
+    assert aux.mate[3] == shadow and aux.mate[shadow] == 3
     # ps is slack, so the pseudonode is isolated
     assert aux.adjacency[pseudo] == ()
 
@@ -79,11 +80,12 @@ def test_build_auxiliary_fig6_with_alternate_cover():
     cover = cover_of([1, 1, 1, H, 0, 1, 1, 1])
     aux = build_auxiliary(g, bfm, cover)
     # internal vertex 4 (label 5) is covered with zero cover value: edge to z
-    assert aux.z in aux.adjacency[4]
+    assert aux.n in aux.adjacency[4]
     assert len(aux.cycle_of) == 2
-    assert not aux.shadow_vertex
+    assert not any(aux.adjacency[v] for v in range(g.n + 1, 2 * g.n + 1))
     # the edge labelled 1-4 is slack, so the left pseudonode is isolated
-    left = aux.pseudonode_of[(0, 1, 2)]
+    left = 2 * g.n + 1 + 0
+    assert aux.cycle_of[left] == (0, 1, 2)
     assert aux.adjacency[left] == ()
 
 
@@ -103,9 +105,10 @@ def test_apply_augmentation_two_cycles():
     bfm = decompose(g, x)
     cover = cover_of([H] * 6)
     aux = build_auxiliary(g, bfm, cover)
-    root = aux.pseudonode_of[(0, 1, 2)]
-    other = aux.pseudonode_of[(3, 4, 5)]
-    outcome = grow_tree(TreeSearch(aux.adjacency, aux.matching), root, frozenset())
+    root = 2 * aux.n + 1 + 0
+    other = 2 * aux.n + 1 + 3
+    assert (aux.cycle_of[root], aux.cycle_of[other]) == ((0, 1, 2), (3, 4, 5))
+    outcome = grow_tree(TreeSearch(aux.adjacency, aux.mate), root, frozenset())
     assert isinstance(outcome, AugmentingPath)
     assert outcome.vertices == (root, other)
     new, event = apply_augmentation(bfm, aux, outcome.vertices)
@@ -154,11 +157,46 @@ def _forced_start(g, half_cycles, matched_pairs, cover_values):
     return decompose(g, x), cover_of(cover_values)
 
 
-def test_direct_rounding_at_zero_cover_cycle_vertex():
+def _zero_cover_cycle_vertex():
     # triangle with weights 1,1,2: the half triangle ties the matching {12},
     # and the cover zero at vertex 0 lets the cycle round away directly
     g = WeightedGraph.from_edges(3, [(0, 1, 1), (0, 2, 1), (1, 2, 2)])
-    start = _forced_start(g, [(0, 1, 2)], [], [0, 1, 1])
+    return g, _forced_start(g, [(0, 1, 2)], [], [0, 1, 1])
+
+
+def _covered_zero_cover_vertex():
+    # weight-2 triangle, tight stem 0-3 (w=2), matched tail 3-4 (w=1, cover 0)
+    g = WeightedGraph.from_edges(
+        5, [(0, 1, 2), (0, 2, 2), (1, 2, 2), (0, 3, 2), (3, 4, 1)]
+    )
+    return g, _forced_start(g, [(0, 1, 2)], [(3, 4)], [1, 1, 1, 1, 0])
+
+
+def _two_cycles_and_interior_matched_path():
+    # weight-2 triangles {0,1,2} and {5,6,7} joined by the tight path
+    # 2-3, 3-4 (matched), 4-5
+    g = WeightedGraph.from_edges(
+        8,
+        [
+            (0, 1, 2), (0, 2, 2), (1, 2, 2),
+            (2, 3, 2), (3, 4, 2), (4, 5, 2),
+            (5, 6, 2), (5, 7, 2), (6, 7, 2),
+        ],
+    )
+    return g, _forced_start(g, [(0, 1, 2), (5, 6, 7)], [(3, 4)], [1] * 8)
+
+
+def _exposed_zero_cover_vertex():
+    # unit triangle with a half-weight pendant: exposed pendant vertex has
+    # cover zero, reached through its shadow gadget
+    g = WeightedGraph.from_edges(
+        4, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (0, 3, H)]
+    )
+    return g, _forced_start(g, [(0, 1, 2)], [], [H, H, H, 0])
+
+
+def test_direct_rounding_at_zero_cover_cycle_vertex():
+    g, start = _zero_cover_cycle_vertex()
     result = reduce_cycles(g, start=start)
     assert result.gamma == 0 == oracle.brute_gamma(g)
     assert result.weight == 2
@@ -170,11 +208,7 @@ def test_direct_rounding_at_zero_cover_cycle_vertex():
 
 
 def test_path_to_covered_zero_cover_vertex():
-    # weight-2 triangle, tight stem 0-3 (w=2), matched tail 3-4 (w=1, cover 0)
-    g = WeightedGraph.from_edges(
-        5, [(0, 1, 2), (0, 2, 2), (1, 2, 2), (0, 3, 2), (3, 4, 1)]
-    )
-    start = _forced_start(g, [(0, 1, 2)], [(3, 4)], [1, 1, 1, 1, 0])
+    g, start = _covered_zero_cover_vertex()
     result = reduce_cycles(g, start=start)
     assert result.gamma == 0 == oracle.brute_gamma(g)
     assert result.weight == 4
@@ -186,18 +220,9 @@ def test_path_to_covered_zero_cover_vertex():
 
 
 def test_two_cycles_linked_through_interior_matched_path():
-    # weight-2 triangles {0,1,2} and {5,6,7} joined by the tight path
-    # 2-3, 3-4 (matched), 4-5: the augmenting move must expand through the
-    # interior vertices and complement three edges
-    g = WeightedGraph.from_edges(
-        8,
-        [
-            (0, 1, 2), (0, 2, 2), (1, 2, 2),
-            (2, 3, 2), (3, 4, 2), (4, 5, 2),
-            (5, 6, 2), (5, 7, 2), (6, 7, 2),
-        ],
-    )
-    start = _forced_start(g, [(0, 1, 2), (5, 6, 7)], [(3, 4)], [1] * 8)
+    # the augmenting move must expand through the interior vertices and
+    # complement three edges
+    g, start = _two_cycles_and_interior_matched_path()
     result = reduce_cycles(g, start=start)
     assert result.gamma == 0 == oracle.brute_gamma(g)
     assert result.weight == 8
@@ -213,12 +238,7 @@ def test_two_cycles_linked_through_interior_matched_path():
 
 
 def test_path_to_exposed_zero_cover_vertex():
-    # unit triangle with a half-weight pendant: exposed pendant vertex has
-    # cover zero, reached through its shadow gadget
-    g = WeightedGraph.from_edges(
-        4, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (0, 3, H)]
-    )
-    start = _forced_start(g, [(0, 1, 2)], [], [H, H, H, 0])
+    g, start = _exposed_zero_cover_vertex()
     result = reduce_cycles(g, start=start)
     assert result.gamma == 0 == oracle.brute_gamma(g)
     assert result.weight == Fraction(3, 2)
@@ -227,6 +247,67 @@ def test_path_to_exposed_zero_cover_vertex():
     )
     assert result.solution.values == (0, 0, 1, 1)
     assert result.solution.matched.pairs == frozenset({(1, 2), (0, 3)})
+
+
+# the kinds at the two ends of a G' edge: vertex-vertex, vertex-cycle,
+# cycle-cycle, vertex-z, cycle-z, vertex-shadow and shadow-z
+_EDGE_KINDS = {
+    frozenset(ends)
+    for ends in [
+        ("vertex",), ("vertex", "cycle"), ("cycle",), ("vertex", "z"),
+        ("cycle", "z"), ("vertex", "shadow"), ("shadow", "z"),
+    ]
+}
+
+
+def _edge_kinds_of_auxiliary(g, bfm, cover) -> set:
+    """Assert that G' names its nodes by id arithmetic alone; return the
+    kinds of its edges."""
+    aux = build_auxiliary(g, bfm, cover)
+    n = aux.n
+    assert n == g.n and len(aux.adjacency) == len(aux.mate) == 3 * n + 1
+    assert aux.cycle_of == {2 * n + 1 + c[0]: c for c in bfm.odd_cycles}
+    shadows = {
+        n + 1 + v for v in range(n)
+        if cover.int_values[v] == 0 and bfm.vertex_halves[v] == 0
+    }
+    # M' is an involution that leaves z exposed: the pairs of x, plus v-v'
+    # for each exposed zero-cover vertex v
+    assert aux.mate[n] is None
+    pairs = set()
+    for a, b in enumerate(aux.mate):
+        if b is not None:
+            assert aux.mate[b] == a
+            pairs.add((min(a, b), max(a, b)))
+    assert pairs == set(bfm.matched.pairs) | {(s - n - 1, s) for s in shadows}
+    seen = set()
+    for a, neighbors in enumerate(aux.adjacency):
+        for b in neighbors:
+            assert a in aux.adjacency[b]
+            ends = frozenset((aux.kind(a), aux.kind(b)))
+            assert ends in _EDGE_KINDS, (a, b)
+            seen.add(ends)
+            for node in (a, b):
+                assert aux.kind(node) != "cycle" or node in aux.cycle_of
+                assert aux.kind(node) != "shadow" or node in shadows
+    return seen
+
+
+def test_auxiliary_node_kinds_come_from_their_ids(property_suite):
+    seen = set()
+    for g in property_suite:
+        seen |= _edge_kinds_of_auxiliary(g, *solve_fractional(g))
+    for forced in (
+        _zero_cover_cycle_vertex, _covered_zero_cover_vertex,
+        _two_cycles_and_interior_matched_path, _exposed_zero_cover_vertex,
+    ):
+        g, start = forced()
+        seen |= _edge_kinds_of_auxiliary(g, *start)
+    # the one pair here whose G' has a cycle-cycle edge
+    g = _two_triangles_bridged()
+    start = _forced_start(g, [(0, 1, 2), (3, 4, 5)], [], [H] * 6)
+    seen |= _edge_kinds_of_auxiliary(g, *start)
+    assert seen == _EDGE_KINDS
 
 
 def test_events_account_for_every_cycle():

@@ -23,6 +23,14 @@ def _adjacency(n, pairs):
     return [sorted(a) for a in adj]
 
 
+def _mate(n, matching):
+    """The matching as the mate table `TreeSearch` takes."""
+    mate = [None] * n
+    for u, v in matching.pairs:
+        mate[u], mate[v] = v, u
+    return mate
+
+
 def _augment(matching, path):
     """Symmetric difference of a matching with an augmenting path."""
     pairs = set(matching.pairs)
@@ -40,7 +48,8 @@ def _maximum_cardinality_matching(adjacency):
         improved = False
         for r in range(len(adjacency)):
             if not matching.covers(r):
-                result = grow_tree(TreeSearch(adjacency, matching), r, frozenset())
+                search = TreeSearch(adjacency, _mate(len(adjacency), matching))
+                result = grow_tree(search, r, frozenset())
                 if isinstance(result, AugmentingPath):
                     matching = _augment(matching, result)
                     improved = True
@@ -48,14 +57,15 @@ def _maximum_cardinality_matching(adjacency):
 
 
 def test_isolated_root_is_frustrated():
-    result = grow_tree(TreeSearch(_adjacency(1, []), Matching.from_pairs([])), 0, frozenset())
+    search = TreeSearch(_adjacency(1, []), _mate(1, Matching.from_pairs([])))
+    result = grow_tree(search, 0, frozenset())
     assert isinstance(result, FrustratedTree)
     assert result.nodes == {0}
 
 
 def test_three_path_with_matched_far_edge_is_frustrated():
     adj = _adjacency(3, [(0, 1), (1, 2)])
-    result = grow_tree(TreeSearch(adj, Matching.from_pairs([(1, 2)])), 0, frozenset())
+    result = grow_tree(TreeSearch(adj, _mate(3, Matching.from_pairs([(1, 2)]))), 0, frozenset())
     assert isinstance(result, FrustratedTree)
     assert result.nodes == {0, 1, 2}
     assert result.even == {0, 2} and result.odd == {1}
@@ -64,7 +74,7 @@ def test_three_path_with_matched_far_edge_is_frustrated():
 def test_blossom_then_pendant_augments():
     # triangle {0,1,2} with 1-2 matched plus pendant 2-3; path must expand
     adj = _adjacency(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    result = grow_tree(TreeSearch(adj, Matching.from_pairs([(1, 2)])), 0, frozenset())
+    result = grow_tree(TreeSearch(adj, _mate(4, Matching.from_pairs([(1, 2)]))), 0, frozenset())
     assert isinstance(result, AugmentingPath)
     path = result.vertices
     assert path[0] == 0 and path[-1] == 3
@@ -76,7 +86,7 @@ def test_blossom_then_pendant_augments():
 def test_grow_tree_rejects_covered_root():
     m = Matching.from_pairs([(1, 2)])
     with pytest.raises(VertexNotExposed):
-        grow_tree(TreeSearch(_adjacency(3, [(0, 1), (1, 2)]), m), 1, frozenset())
+        grow_tree(TreeSearch(_adjacency(3, [(0, 1), (1, 2)]), _mate(3, m)), 1, frozenset())
 
 
 def _brute_max_matching_size(n, pairs):
@@ -126,10 +136,11 @@ def test_frustrated_tree_condition_and_path_shape():
         for u, v in pairs:
             if not matching.covers(u) and not matching.covers(v) and rng.random() < 0.6:
                 matching = Matching.from_pairs(list(matching.pairs) + [(u, v)])
+        mate = _mate(n, matching)
         for r in range(n):
             if matching.covers(r):
                 continue
-            result = grow_tree(TreeSearch(adj, matching), r, frozenset())
+            result = grow_tree(TreeSearch(adj, mate), r, frozenset())
             # a dead set of whole matched pairs and exposed vertices, never
             # the root, acts as if those nodes were cut out of the graph
             units = [
@@ -143,8 +154,8 @@ def test_frustrated_tree_condition_and_path_shape():
                 [] if u in dead else [v for v in a if v not in dead]
                 for u, a in enumerate(adj)
             ]
-            assert grow_tree(TreeSearch(adj, matching), r, dead) == grow_tree(
-                TreeSearch(cut, matching), r, frozenset()
+            assert grow_tree(TreeSearch(adj, mate), r, dead) == grow_tree(
+                TreeSearch(cut, mate), r, frozenset()
             )
             if isinstance(result, AugmentingPath):
                 verts = result.vertices
@@ -224,15 +235,11 @@ def _reference_find_alternating(adjacency, match, root, dead):
     return -1, parent, used, base
 
 
-def _reference_grow_tree(adjacency, matching, root, dead):
+def _reference_grow_tree(adjacency, match, root, dead):
     """`grow_tree` as it ran before `TreeSearch`, on the same arguments as
     the `TreeSearch` it is compared with. Returns the path, or the tree's
     nodes, even and odd sides and its base over all nodes."""
     n = len(adjacency)
-    match = [None] * n
-    for u, v in matching.pairs:
-        match[u] = v
-        match[v] = u
     endpoint, parent, used, base = _reference_find_alternating(adjacency, match, root, dead)
     if endpoint >= 0:
         path = [endpoint]
@@ -252,13 +259,9 @@ def _reference_grow_tree(adjacency, matching, root, dead):
 
 
 class _RecordedSearch(TreeSearch):
-    """A `TreeSearch` that keeps the matching it was built from, so the
-    reference can be run on the same arguments, and counts its searches."""
+    """A `TreeSearch` that counts its searches."""
 
-    def __init__(self, adjacency, matching):
-        super().__init__(adjacency, matching)
-        self.matching = matching
-        self.searches = 0
+    searches = 0
 
 
 def _checked_grow_tree(search: _RecordedSearch, root, dead, seen: Counter):
@@ -267,7 +270,7 @@ def _checked_grow_tree(search: _RecordedSearch, root, dead, seen: Counter):
     `TreeSearch` in its initial state."""
     n = len(search.adjacency)
     match = list(search.match)
-    expected = _reference_grow_tree(search.adjacency, search.matching, root, dead)
+    expected = _reference_grow_tree(search.adjacency, match, root, dead)
     result = grow_tree(search, root, dead)
     reused = search.searches > 0
     search.searches += 1
@@ -339,7 +342,7 @@ def test_tree_search_matches_the_reference_from_every_root():
             if u not in used and v not in used and rng.random() < 0.6:
                 matched.append((u, v))
                 used.update((u, v))
-        search = _RecordedSearch(_adjacency(n, pairs), Matching.from_pairs(matched))
+        search = _RecordedSearch(_adjacency(n, pairs), _mate(n, Matching.from_pairs(matched)))
         dead: set[int] = set()
         for r in range(n):
             if r not in used and r not in dead:
@@ -357,6 +360,6 @@ def test_blossom_queues_its_new_even_nodes_in_index_order():
         (2, 10), (1, 9), (4, 9), (5, 9), (1, 3), (1, 10), (4, 7), (1, 6),
     ]
     matching = Matching.from_pairs([(2, 3), (4, 6), (1, 8), (5, 9)])
-    search = _RecordedSearch(_adjacency(11, pairs), matching)
+    search = _RecordedSearch(_adjacency(11, pairs), _mate(11, matching))
     result = _checked_grow_tree(search, 7, frozenset(), Counter())
     assert isinstance(result, AugmentingPath)
