@@ -5,6 +5,12 @@ JSON result documents, and re-verify such documents with pure arithmetic
 Every numeric value in a result document is an exact fraction string; counts
 are plain integers. Identical inputs produce byte-identical output (timing is
 only emitted under --timing for that reason).
+
+The format is a contract. A single-file document, like every `verify`
+report, is exactly `json.dumps(doc, indent=2)` and one trailing newline: a
+two-space indent, ASCII only with `\\uXXXX` escapes, keys in the order
+written. Several instance files print one compact line each,
+`json.dumps(doc, separators=(",", ":"))`.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ import hashlib
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 from pathlib import Path
 from typing import Any, Optional
 
@@ -55,10 +63,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _exact_str(value) -> str:
-    """str(value) for an exact value, or MatchstabError when its numerator
-    or denominator has more digits than Python may convert to a string."""
+    """An exact value, a Fraction or an int, as the documents print it."""
+    return _ratio_str(value.numerator, value.denominator)
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """num/den, den > 0, in lowest terms as str(Fraction) prints it ("a" or
+    "a/b"), or MatchstabError when a part has more digits than Python may
+    convert to a string."""
+    g = gcd(num, den)
     try:
-        return str(value)
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
     except ValueError:  # only a Python with a digit limit raises it
         limit = sys.get_int_max_str_digits()
         raise MatchstabError(f"an exact value has more than {limit} digits, too many to print")
@@ -72,17 +87,22 @@ def _edges_doc(graph: WeightedGraph, indices) -> list[list[str]]:
 def _x_entries(bfm: BasicFractionalMatching) -> list[dict[str, str]]:
     """The nonzero entries of x, in the edge order of the graph x lives on."""
     graph = bfm.graph
-    ends, values = graph.ends, bfm.values
+    ends, halves = graph.ends, bfm.halves
     return [
-        {"u": graph.label_of(ends[i][0]), "v": graph.label_of(ends[i][1]), "x": str(values[i])}
+        {
+            "u": graph.label_of(ends[i][0]),
+            "v": graph.label_of(ends[i][1]),
+            "x": "1/2" if halves[i] == 1 else "1",
+        }
         for i in bfm.support
     ]
 
 
 def _cover_doc(graph: WeightedGraph, cover: FractionalVertexCover, removed=()) -> dict[str, str]:
-    """y on every vertex that is not in the stabilizer's S, `removed`."""
-    y, removed = cover.values, set(removed)
-    return {graph.label_of(v): _exact_str(y[v]) for v in range(graph.n) if v not in removed}
+    """y on every vertex that is not in the stabilizer's S, `removed`,
+    printed from q.y_v and q."""
+    a, q, removed = cover.int_values, cover.scale, set(removed)
+    return {graph.label_of(v): _ratio_str(a[v], q) for v in range(graph.n) if v not in removed}
 
 
 def _event_doc(graph: WeightedGraph, event) -> dict[str, Any]:
@@ -356,8 +376,9 @@ def _parse_args(args_list: list[str]) -> argparse.Namespace:
     """The Namespace of argv.
 
     The two plain forms build no parser: `<run command> PATH [PATH ...]`
-    and `verify PATH --result PATH`, where no PATH starts with `-`. Building the two argparse parsers costs about a third
-    of a whole desk-scale command, and these forms are nearly every call.
+    and `verify PATH --result PATH`, where no PATH starts with `-`.
+    Building the two argparse parsers costs about a third of a whole
+    desk-scale command, and these forms are nearly every call.
     Every other argv goes through `_parse_with_parsers`, so `--timing`,
     `--`, `-h` and every error keep argparse's own handling and messages;
     on the plain forms it returns the same Namespace."""
@@ -408,6 +429,38 @@ def _load_instance(path: str) -> tuple[Instance, str]:
     return instance, hashlib.sha256(data).hexdigest()
 
 
+def _indented(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2) for a document of dicts with str keys,
+    lists, strings, ints, bools, None and the --timing float. `indent` is
+    the newline and indentation of the line that holds `value`. Strings go
+    through json's C `encode_basestring_ascii` without a call of their own,
+    so a container of strings alone, such as a cover, an x entry or a label
+    list, is one `str.join`."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join([
+            _quote(k) + ": " + (_quote(v) if type(v) is str else _indented(v, inner))
+            for k, v in value.items()
+        ]) + indent + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([
+            _quote(v) if type(v) is str else _indented(v, inner) for v in value
+        ]) + indent + "]"
+    if kind is str:
+        return _quote(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    return json.dumps(value)  # an int or a float, as json writes it
+
+
 def _emit(doc: dict, timing: Optional[float], compact: bool) -> None:
     if timing is not None:
         doc = dict(doc)
@@ -415,7 +468,7 @@ def _emit(doc: dict, timing: Optional[float], compact: bool) -> None:
     if compact:
         sys.stdout.write(json.dumps(doc, separators=(",", ":")) + "\n")
     else:
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(_indented(doc) + "\n")
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -16,7 +16,7 @@ D.w_uv.q, and y becomes `Fraction`s only in `FractionalVertexCover.values`.
 A fractional matching x is half counts 2x_i, ints 0, 1 or 2, everywhere:
 `decompose` validates them, `round_cycles` and `complement` rewrite them,
 and x becomes `Fraction`s only in `BasicFractionalMatching.values`, for the
-API and the JSON documents.
+API; the JSON documents print x and y from these integers.
 """
 
 from __future__ import annotations
@@ -323,7 +323,7 @@ class BasicFractionalMatching(_Value):
     x is kept as half counts: `halves[i]` is 2x_i, an int 0, 1 or 2, for edge
     i of `graph`, and `vertex_halves[v]` is 2x(delta(v)); `==` and `repr`
     read `halves`. `values`, the x_i as `Fraction`s, is derived from them for
-    the API and the JSON documents only.
+    the API only; the JSON documents print x from `halves`.
     """
 
     _fields = ("graph", "halves", "matched", "odd_cycles")
@@ -470,8 +470,9 @@ class FractionalVertexCover(_Value):
 
     Like the graph's D, the pair is canonical: the constructor divides q, a
     positive int, and every q.y by their gcd, so `==` compares covers by
-    value. `values`, the y_v as `Fraction`s, is derived for the API and the
-    JSON documents only; `from_values` builds a cover from such values.
+    value. `values`, the y_v as `Fraction`s, is derived for the API only
+    (the JSON documents print y from q.y and q); `from_values` builds a
+    cover from such values.
     """
 
     _fields = ("int_values", "scale")
