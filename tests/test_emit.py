@@ -166,7 +166,7 @@ def test_a_timed_document_ends_with_its_timing(tmp_path, monkeypatch, command):
 # characters, U+2028, a space, a slash and the empty label
 ODD_LABELS = ['"q"', "\\", "é", "\U0001F600", "\n", "\t", "\u0001", "\u2028", " ", "a/b", ""]
 # a weight-4 triangle with a pendant edge (x = 1/2 on it, as on fig9), a
-# weight-2 triangle and a path; M leaves the emoji and the controls exposed
+# weight-2 triangle and a path; M leaves "q", the emoji and the controls exposed
 ODD_EDGES = [(0, 1, 4), (0, 2, 4), (1, 2, 4), (2, 3, 1), (3, 4, 1), (4, 5, 2), (5, 6, 2),
              (4, 6, 2), (6, 7, 1), (7, 8, 3), (8, 9, 1), (9, 10, 2)]
 ODD_INSTANCE = {
