@@ -309,11 +309,10 @@ def canonical_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
     cyclic neighbor, so equal cycles compare equal. It serves cycles that
     callers give; `decompose` builds its cycles in this form already.
     """
-    k = len(vertices)
-    start = min(range(k), key=lambda i: vertices[i])
-    forward = tuple(vertices[(start + i) % k] for i in range(k))
-    backward = tuple(vertices[(start - i) % k] for i in range(k))
-    return forward if forward[1] <= backward[1] else backward
+    cycle = tuple(vertices)
+    start = cycle.index(min(cycle))
+    forward = cycle[start:] + cycle[:start]
+    return forward if forward[1] <= forward[-1] else forward[:1] + forward[:0:-1]
 
 
 class BasicFractionalMatching(_Value):
@@ -337,7 +336,8 @@ class BasicFractionalMatching(_Value):
 
     @cached_property
     def values(self) -> tuple[Fraction, ...]:
-        """x_i = halves[i] / 2, by edge index."""
+        """x_i = halves[i] / 2, by edge index: the API view for library
+        callers and tests; no code in `matchstab` reads it."""
         return tuple((ZERO, HALF, ONE)[h] for h in self.halves)
 
     @cached_property
@@ -433,21 +433,20 @@ def round_cycles(
     them one after another.
     """
     halves = list(bfm.halves)
-    done: set[tuple[int, ...]] = set()
+    edge_index = bfm.graph.edge_index
+    unrounded = set(bfm.odd_cycles)  # a cycle leaves when it is picked
     for cycle, v in picks:
         canon = canonical_cycle(cycle)
-        if canon not in bfm.odd_cycles or canon in done:
+        if canon not in unrounded:
             raise CycleNotInSupport(f"cycle {canon} not in the support")
         if v not in canon:
             raise VertexNotOnCycle(f"vertex {v} not on cycle {canon}")
-        done.add(canon)
-        k = len(canon)
+        unrounded.remove(canon)
         pos = canon.index(v)
-        order = [canon[(pos + i) % k] for i in range(k)]
-        for i in range(k):
-            idx = bfm.graph.edge_index(order[i], order[(i + 1) % k])
+        walk = canon[pos:] + canon[: pos + 1]  # from v around to v
+        for i in range(len(canon)):
             # positions are 1-based from v; the first and last edges touch v
-            halves[idx] = 0 if i % 2 == 0 else 2
+            halves[edge_index(walk[i], walk[i + 1])] = 0 if i % 2 == 0 else 2
     return decompose(bfm.graph, halves)
 
 

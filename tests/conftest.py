@@ -90,6 +90,25 @@ def random_graph(
     return WeightedGraph.from_edges(n, edges)
 
 
+def weight_denominator_graphs(rng: random.Random) -> list[WeightedGraph]:
+    """`random_graph`s reweighted by k/d, k in 0..12: twelve for each
+    denominator d = 2..6, then 40 with d drawn per edge."""
+    graphs = []
+    for d in range(2, 7):
+        for _ in range(12):
+            base = random_graph(rng)
+            graphs.append(WeightedGraph.from_edges(
+                base.n, [(u, v, Fraction(rng.randint(0, 12), d)) for u, v, _w in base.edges]
+            ))
+    for _ in range(40):  # denominators mixed within one graph
+        base = random_graph(rng)
+        graphs.append(WeightedGraph.from_edges(
+            base.n,
+            [(u, v, Fraction(rng.randint(0, 12), rng.randint(2, 6))) for u, v, _w in base.edges],
+        ))
+    return graphs
+
+
 def delete_vertices(
     graph: WeightedGraph, vertices
 ) -> tuple[WeightedGraph, tuple[int, ...]]:

@@ -37,6 +37,7 @@ from matchstab.graph import (
     Matching,
     WeightedGraph,
     as_fraction,
+    canonical_cycle,
     complement,
     decompose,
     round_cycles,
@@ -260,6 +261,30 @@ def test_alternate_round_errors_and_locality():
     assert both.values == round_cycles(out, [((5, 6, 7), 6)]).values
     with pytest.raises(CycleNotInSupport):
         round_cycles(bfm, [((0, 1, 2), 1), ((2, 1, 0), 0)])
+
+
+def _rotating_canonical_cycle(vertices):
+    """`canonical_cycle` as it was written with modular index walks: the
+    reference its slicing form must match."""
+    k = len(vertices)
+    start = min(range(k), key=lambda i: vertices[i])
+    forward = tuple(vertices[(start + i) % k] for i in range(k))
+    backward = tuple(vertices[(start - i) % k] for i in range(k))
+    return forward if forward[1] <= backward[1] else backward
+
+
+def test_canonical_cycle_matches_the_rotating_reference():
+    rng = random.Random(3)
+    for k in range(2, 10):
+        for _ in range(20):
+            cycle = rng.sample(range(30), k)
+            forms = {canonical_cycle(cycle)}
+            for shift in range(k):
+                rotated = cycle[shift:] + cycle[:shift]
+                for walk in (rotated, rotated[::-1], tuple(rotated)):
+                    assert canonical_cycle(walk) == _rotating_canonical_cycle(walk)
+                    forms.add(canonical_cycle(walk))
+            assert len(forms) == 1  # every rotation and reflection agrees
 
 
 def test_complement():

@@ -15,7 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from conftest import bench_families, random_graph
+from conftest import bench_families, weight_denominator_graphs
 from matchstab.errors import DegreeConstraintViolated, NotBasic, NotHalfIntegral
 from matchstab.graph import Matching, WeightedGraph, canonical_cycle, decompose
 from matchstab.instance import parse_instance
@@ -254,21 +254,8 @@ def test_half_counts_match_the_reference_on_the_bench_families(monkeypatch):
 
 
 def test_half_counts_match_the_reference_on_weight_denominators_2_to_6():
-    rng = random.Random(16)
     seen: Counter = Counter()
-    for d in range(2, 7):
-        for _ in range(12):
-            base = random_graph(rng)
-            g = WeightedGraph.from_edges(
-                base.n, [(u, v, Fraction(rng.randint(0, 12), d)) for u, v, _w in base.edges]
-            )
-            _assert_agree(g, seen)
-    for _ in range(40):  # denominators mixed within one graph
-        base = random_graph(rng)
-        g = WeightedGraph.from_edges(
-            base.n,
-            [(u, v, Fraction(rng.randint(0, 12), rng.randint(2, 6))) for u, v, _w in base.edges],
-        )
+    for g in weight_denominator_graphs(random.Random(16)):
         _assert_agree(g, seen)
     _assert_every_kind(seen)
 

@@ -6,8 +6,11 @@ from typing import Optional
 
 import pytest
 
-from conftest import bench_families, fig6, fig8, fig9, random_graph
-from matchstab import oracle
+from conftest import (
+    bench_families, count_calls, fig6, fig8, fig9, random_graph, tri_chain,
+    weight_denominator_graphs,
+)
+from matchstab import lp, oracle
 from matchstab.errors import DegreeConstraintViolated, NotHalfIntegral, NotOptimalPair
 from matchstab.graph import (
     ZERO,
@@ -430,9 +433,66 @@ def test_kernel_reads_each_even_row_once_per_phase():
     rows = _CountingRows(g.adjacency)
     g.__dict__["adjacency"] = rows
     bipartite_max_weight_matching(g)
-    # 40 rows for the start potentials plus one per even row per phase (242
-    # in all); rescanning the even rows on every growth pass reads 2639
+    # one row per root for the direct match plus one per even row per phase
+    # (225 in all); rescanning the even rows on every growth pass reads 2639
     assert rows.reads <= 400
+
+
+def test_a_phase_starts_only_where_no_direct_match_exists(monkeypatch):
+    run_phase = lp._run_phase
+    phases = [0]
+
+    def checked(root, adjacency, weight, p_left, p_right, match_l, match_r):
+        assert match_l[root] is None and p_left[root] > 0
+        assert not any(
+            match_r[r] is None and p_left[root] + p_right[r] == weight[i]
+            for r, i in adjacency[root]
+        ), root
+        phases[0] += 1
+        run_phase(root, adjacency, weight, p_left, p_right, match_l, match_r)
+
+    monkeypatch.setattr(lp, "_run_phase", checked)
+    tri = tri_chain(random.Random(1), 40)
+    dense = _complete(random.Random(1), 40, lambda r: r.randint(1, 1000))
+    # each of the 120 and 40 roots starts a phase in the kernel without
+    # direct matches; 80 and 17 of them are matched directly here
+    for g, expected in ((tri, 40), (dense, 23)):
+        phases[0] = 0
+        assert bipartite_max_weight_matching(g) == _next_root_kernel(g)
+        assert phases[0] == expected
+
+
+def _always_rounded(g):
+    """x as `solve_fractional` found it before it tried `decompose` first:
+    `normalize_to_basic` on the kernel's half counts, also when they are
+    basic already. The reference its x must equal."""
+    return normalize_to_basic(g, _averaged(g))
+
+
+def test_rounding_only_a_non_basic_x_matches_always_rounding(monkeypatch, property_suite):
+    families = bench_families(monkeypatch)
+    graphs = list(property_suite)
+    graphs += [  # one round of every workload of the benchmark's instance generator
+        parse_instance(inst.to_json()).graph
+        for workload in families.LADDERS
+        for inst in families.Generator(workload, 7).round()
+    ]
+    graphs += weight_denominator_graphs(random.Random(16))
+    rounds = count_calls(monkeypatch, lp, "normalize_to_basic")
+    for g in graphs:
+        assert solve_fractional(g)[0] == _always_rounded(g), g
+    assert 0 < rounds[0] < len(graphs)  # both branches ran
+
+
+def test_a_basic_kernel_x_is_not_rounded(monkeypatch):
+    rounds = count_calls(monkeypatch, lp, "normalize_to_basic")
+    solve_fractional(tri_chain(random.Random(1), 40))
+    solve_fractional(_complete(random.Random(1), 40, lambda r: r.randint(1, 1000)))
+    assert rounds[0] == 0
+    path = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)], labels=["a", "b", "c"])
+    assert _averaged(path) == [1, 1]  # a half-valued path, not basic
+    bfm, _cover = solve_fractional(path)
+    assert rounds[0] == 1 and bfm.halves == (2, 0)
 
 
 def test_decompose_degree_message_names_the_load():
