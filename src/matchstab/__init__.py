@@ -13,9 +13,7 @@ from .graph import (
     FractionalVertexCover,
     Matching,
     WeightedGraph,
-    complement,
     decompose,
-    round_cycles,
     tight_edges,
     walk_value,
 )
@@ -30,7 +28,6 @@ __all__ = [
     "FractionalVertexCover",
     "Matching",
     "WeightedGraph",
-    "complement",
     "decompose",
     "edge_stabilizer_approx",
     "first_pass_scan",
@@ -39,7 +36,6 @@ __all__ = [
     "optimal_walks",
     "reconstruct_walk",
     "reduce_cycles",
-    "round_cycles",
     "second_pass_scan",
     "solve_fractional",
     "tight_edges",

@@ -4,10 +4,13 @@ The search graph has a helper vertex z, a shadow vertex v' for every exposed
 zero-cover vertex, and one pseudonode per half-valued odd cycle. An augmenting
 path from an exposed pseudonode maps back to a tight alternating path in the
 original graph, along which alternate rounding plus complementing removes one
-or two cycles without losing weight. The search graph is built once per x:
-at entry and after each augmentation. A frustrated tree's nodes are marked
-dead and stay dead, since node ids do not change between builds; when no live
-exposed pseudonode remains, the cycle count has reached its minimum.
+or two cycles without losing weight. The search graph G' is built once,
+from the entry pair, with a row only for each node that has an edge. After
+that, G' and x are kept in place: an augmentation changes x on its path and
+its one or two cycles only, and G' only around them. x is validated, and
+the pair proven optimal, once after the last move. A frustrated tree's
+nodes are marked dead and stay dead, since node ids never change; when no
+live exposed pseudonode remains, the cycle count has reached its minimum.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from .graph import (
     BasicFractionalMatching,
     FractionalVertexCover,
     WeightedGraph,
-    complement,
-    round_cycles,
+    decompose,
+    near_perfect_matching,
     tight_edges,
 )
 from .lp import solve_fractional
@@ -34,18 +37,22 @@ class AuxiliaryGraph(NamedTuple):
 
     Node ids give the kind: original vertices keep their ids, z is `n`, the
     shadow of v is `n + 1 + v`, and the pseudonode of a cycle is `2n + 1`
-    plus the cycle's lowest vertex, so a node keeps its id when G' is
-    rebuilt for a new x; an id that stands for no node has no edge. `mate`
-    is M' over all ids: the pairs of x, and v-v' for each shadow.
-    `provenance` maps each search edge to the least original object it
-    stands for (an edge endpoint pair, or a cycle vertex for a pseudonode-z
-    edge); expansion uses that one.
+    plus the cycle's lowest vertex, so a node keeps its id while G' changes
+    with x. `adjacency` holds a sorted row for each id; every id without an
+    edge shares the row `()`, and an id that stands for no node has no
+    edge. `mate` is M' over all ids: the pairs of x, and v-v' for each
+    shadow. `cycle_of` maps each pseudonode to its cycle and `node_of` each
+    cycle vertex to its pseudonode. `provenance` maps each search edge at a
+    pseudonode to the least original object it stands for (an edge endpoint
+    pair, or a cycle vertex for a pseudonode-z edge); expansion uses that
+    one.
     """
 
     n: int
-    adjacency: tuple[tuple[int, ...], ...]
+    adjacency: list[tuple[int, ...]]
     mate: list[Optional[int]]
     cycle_of: dict[int, tuple[int, ...]]
+    node_of: dict[int, int]
     provenance: dict[tuple[int, int], object]
 
     def kind(self, node: int) -> str:
@@ -59,6 +66,43 @@ class AuxiliaryGraph(NamedTuple):
         return "cycle"
 
 
+class _Rows(dict):
+    """The rows of G' that an edit touches, each as a set, loaded from
+    `adjacency` on first touch and written back sorted by `write`."""
+
+    def __init__(self, aux: AuxiliaryGraph) -> None:
+        self.aux = aux
+
+    def __missing__(self, node: int) -> set[int]:
+        row = self[node] = set(self.aux.adjacency[node])
+        return row
+
+    def add(self, a: int, b: int, item) -> None:
+        self[a].add(b)
+        self[b].add(a)
+        if a in self.aux.cycle_of or b in self.aux.cycle_of:
+            key = (min(a, b), max(a, b))
+            provenance = self.aux.provenance
+            provenance[key] = min(item, provenance.get(key, item))
+
+    def attach(self, v: int, load: int) -> None:
+        """The z edge of a covered zero-cover vertex v, or the shadow gadget
+        v-v'-z, with v' matched to v, of an exposed one."""
+        aux = self.aux
+        z = aux.n
+        if load == 2:
+            self.add(aux.node_of.get(v, v), z, v)
+        elif load == 0:
+            shadow = z + 1 + v
+            self.add(v, shadow, v)
+            self.add(shadow, z, v)
+            aux.mate[v], aux.mate[shadow] = shadow, v
+
+    def write(self) -> None:
+        for node, row in self.items():
+            self.aux.adjacency[node] = tuple(sorted(row))
+
+
 def _build_auxiliary(
     graph: WeightedGraph,
     bfm: BasicFractionalMatching,
@@ -70,52 +114,36 @@ def _build_auxiliary(
 
     Only tight edges survive; vz edges appear at covered zero-cover vertices,
     shadow gadgets at exposed zero-cover vertices, and every support cycle is
-    shrunk into a pseudonode.
+    shrunk into a pseudonode. Only the nodes with an edge get a row of
+    their own.
     """
     n = graph.n
-    z = n
     cycle_of = {2 * n + 1 + c[0]: c for c in bfm.odd_cycles}
     # a cycle vertex stands for its pseudonode, any other vertex for itself
     node_of = {v: node for node, c in cycle_of.items() for v in c}
-
-    adjacency: list[set[int]] = [set() for _ in range(3 * n + 1)]
-    provenance: dict[tuple[int, int], object] = {}
-
-    def add_edge(a: int, b: int, item) -> None:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-        key = (min(a, b), max(a, b))
-        provenance[key] = min(item, provenance.get(key, item))
-
+    aux = AuxiliaryGraph(n, [()] * (3 * n + 1), [None] * (3 * n + 1), cycle_of, node_of, {})
+    for u, v in bfm.matched.pairs:
+        aux.mate[u], aux.mate[v] = v, u
+    rows = _Rows(aux)
     for idx in tight:
         u, v = graph.ends[idx]
         a, b = node_of.get(u, u), node_of.get(v, v)
-        if a == b:
-            continue  # intra-cycle edge or chord of a shrunk cycle
-        add_edge(a, b, (u, v))
+        if a != b:  # else an intra-cycle edge or a chord of a shrunk cycle
+            rows.add(a, b, (u, v))
+    for v, a_v in enumerate(cover.int_values):
+        if a_v == 0:
+            rows.attach(v, bfm.vertex_halves[v])
+    rows.write()
+    return aux
 
-    mate: list[Optional[int]] = [None] * (3 * n + 1)
-    for u, v in bfm.matched.pairs:
-        mate[u], mate[v] = v, u
-    for v in range(n):
-        if cover.int_values[v] != 0:
-            continue
-        load = bfm.vertex_halves[v]  # 2 x(delta(v))
-        if load == 2:
-            add_edge(node_of.get(v, v), z, v)
-        elif load == 0:
-            shadow = n + 1 + v
-            add_edge(v, shadow, v)
-            add_edge(shadow, z, v)
-            mate[v], mate[shadow] = shadow, v
 
-    return AuxiliaryGraph(
-        n=n,
-        adjacency=tuple(tuple(sorted(a)) for a in adjacency),
-        mate=mate,
-        cycle_of=cycle_of,
-        provenance=provenance,
-    )
+class SearchX(NamedTuple):
+    """x while the search moves it, kept in place: the half counts 2x_i,
+    the loads 2x(delta(v)) and the sorted list of its support cycles."""
+
+    halves: list[int]
+    loads: list[int]
+    cycles: list[tuple[int, ...]]
 
 
 class AugmentationEvent(NamedTuple):
@@ -140,7 +168,7 @@ def _entry_vertex(aux: AuxiliaryGraph, pseudonode: int, neighbor: int) -> int:
     if isinstance(rep, int):
         return rep  # a pseudonode-z edge stands for a zero-cover cycle vertex
     u, v = rep
-    return u if u in aux.cycle_of[pseudonode] else v
+    return u if aux.node_of.get(u) == pseudonode else v
 
 
 def _validate_alternating(aux: AuxiliaryGraph, path: Sequence[int]) -> None:
@@ -160,21 +188,45 @@ def _validate_alternating(aux: AuxiliaryGraph, path: Sequence[int]) -> None:
             raise PathNotAugmenting("path does not alternate with M'")
 
 
+def _set_edge(aux: AuxiliaryGraph, x: SearchX, idx: int, a: int, b: int, new: int) -> None:
+    """Set 2x on the edge idx = ab to `new`, keeping the loads and M' in step."""
+    old, x.halves[idx] = x.halves[idx], new
+    x.loads[a] += new - old
+    x.loads[b] += new - old
+    mate = aux.mate
+    if old == 2:  # unless the move already matched a or b anew
+        if mate[a] == b:
+            mate[a] = None
+        if mate[b] == a:
+            mate[b] = None
+    if new == 2:
+        mate[a], mate[b] = b, a
+
+
 def apply_augmentation(
-    bfm: BasicFractionalMatching,
+    graph: WeightedGraph,
+    cover: FractionalVertexCover,
+    tight: frozenset[int],
     aux: AuxiliaryGraph,
+    x: SearchX,
     path: Sequence[int],
-) -> tuple[BasicFractionalMatching, AugmentationEvent]:
-    """Map a search-graph augmenting path back to G and perform the move.
+) -> AugmentationEvent:
+    """Map a search-graph augmenting path back to G and perform the move on
+    x, G' and M' in place.
 
     The path starts at a pseudonode and ends at a second pseudonode or at z.
     Each end cycle is rounded at the vertex its path edge enters (for a
     pseudonode-z edge, the zero-cover vertex that edge stands for), and the
     tight alternating path between them in G, which drops a trailing shadow
     node and z, is complemented. The endpoint shape only names the event.
-    The caller proves the resulting pair optimal.
+
+    x changes only on the end cycles and on the path, and G' only around
+    them: each end pseudonode is expanded into its cycle's vertices, which
+    take back their tight edges, and each zero-cover vertex whose load
+    changed (a vertex of an end cycle, or the path's last vertex before z)
+    gets its z edge or shadow gadget anew. Only the touched rows are sorted
+    again. The caller validates x and proves the pair after its last move.
     """
-    graph = bfm.graph
     _validate_alternating(aux, path)
     start, end = path[0], path[-1]
     if aux.kind(start) != "cycle":
@@ -188,22 +240,51 @@ def apply_augmentation(
     rounded_at = tuple(v for _c, v in picks)
     inner = tuple(node for node in path[1:-1] if aux.kind(node) == "vertex")
     g_path = rounded_at[:1] + inner + rounded_at[1:]
+    last = []  # the path's last vertex before z, whose load changes
     if len(ends) == 2:
         kind = "two_cycles"
     elif not inner:
         kind, g_path = "cycle_zero_cover", ()
-    elif aux.kind(path[-2]) == "shadow":
-        kind = "path_to_exposed"
     else:
-        kind = "path_to_covered"
+        kind = "path_to_exposed" if aux.kind(path[-2]) == "shadow" else "path_to_covered"
+        last = [g_path[-1]]
 
-    rounded = round_cycles(bfm, picks)
-    flips = [graph.edge_index(a, b) for a, b in zip(g_path, g_path[1:])]
-    new = complement(rounded, flips)
-    event = AugmentationEvent(kind, tuple(c for c, _v in picks), rounded_at, g_path)
-    assert set(bfm.odd_cycles) - set(new.odd_cycles) == set(event.cycles)
-    assert set(new.odd_cycles) <= set(bfm.odd_cycles)
-    return new, event
+    edge_index = graph.edge_index
+    for cycle, v in picks:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            _set_edge(aux, x, edge_index(a, b), a, b, 0)
+        for a, b in near_perfect_matching(cycle, v):
+            _set_edge(aux, x, edge_index(a, b), a, b, 2)
+        x.cycles.remove(cycle)
+    for a, b in zip(g_path, g_path[1:]):  # no path edge is on a cycle
+        idx = edge_index(a, b)
+        _set_edge(aux, x, idx, a, b, 2 - x.halves[idx])
+
+    rows = _Rows(aux)
+    joined: list[int] = []  # the vertices of the expanded pseudonodes
+    for node, _q in ends:
+        for b in rows[node]:
+            rows[b].discard(node)
+            del aux.provenance[(min(node, b), max(node, b))]
+        rows[node] = set()
+        for v in aux.cycle_of.pop(node):
+            del aux.node_of[v]
+            joined.append(v)
+    for v in last:  # its z edge or shadow gadget goes
+        shadow = aux.n + 1 + v
+        for a, b in ((v, aux.n), (v, shadow), (shadow, aux.n)):
+            rows[a].discard(b)
+            rows[b].discard(a)
+        aux.mate[shadow] = None
+    for v in joined:
+        for w, idx in graph.adjacency[v]:
+            if idx in tight:
+                rows.add(v, aux.node_of.get(w, w), graph.ends[idx])
+    for v in joined + last:
+        if cover.int_values[v] == 0:
+            rows.attach(v, x.loads[v])
+    rows.write()
+    return AugmentationEvent(kind, tuple(c for c, _v in picks), rounded_at, g_path)
 
 
 class ReduceCyclesResult(NamedTuple):
@@ -226,57 +307,55 @@ def reduce_cycles(
     """Optimal basic fractional matching with the fewest odd cycles.
 
     Solves the LP (unless a complementary-slack pair is supplied), then runs
-    the pseudonode search: augment and update, or mark a frustrated tree's
-    nodes dead, until no live exposed pseudonode is left. The cover is fixed
-    throughout, so its tight edges are computed once, and G' is built once
-    per x that has a cycle: at entry and after each augmentation. A
-    frustrated tree changes neither x nor the cover, and its nodes keep
-    their ids in every later G'. The trees of one G' share its
-    `TreeSearch`, so each costs time in its own size.
+    the pseudonode search: augment, or mark a frustrated tree's nodes dead,
+    until no live exposed pseudonode is left. The cover is fixed throughout,
+    so its tight edges are computed once, when x has a cycle, and G' is
+    built once, from the entry pair. An augmentation updates x, G' and M'
+    in place (`apply_augmentation`); a frustrated tree changes none of
+    them. Node ids never change, so a dead node stays dead, and every tree
+    shares one `TreeSearch`, so each costs time in its own size.
 
-    Each turn roots its tree at the first cycle of `bfm.odd_cycles` whose
-    pseudonode is live, found by a cursor into that list: while G' stands,
-    x and its cycles do not change and a dead node stays dead, so a cycle
-    the cursor has passed is never live again. The cursor goes back to the
-    first cycle only when an augmentation makes G' anew.
+    Each turn roots its tree at the first cycle of the cycle list whose
+    pseudonode is live, found by a cursor into that list. A frustrated tree
+    holds no pseudonode but its root, so the cursor steps past each
+    frustrated cycle and every cycle after it is live. A move removes the
+    root's cycle and at most one live cycle after it, so the cursor stays:
+    the roots come in the order a rescan from the first cycle after each
+    augmentation would give.
 
     The entry pair is proven optimal by `solve_fractional` (or here, when
-    `start` is given). The moves change x but not the cover, so the final
-    pair is proven once more after the search, when any move ran.
+    `start` is given). The moves change x but not the cover, so when any
+    move ran, x is validated by one `decompose` and the final pair proven
+    once more after the last move.
     """
     if start is None:
         bfm, cover = solve_fractional(graph)
     else:
         bfm, cover = start
         verify_optimal_pair(graph, bfm, cover)
-    tight = tight_edges(graph, cover)
-
-    aux: Optional[AuxiliaryGraph] = None
-    dead: set[int] = set()
     events: list = []
-    cursor = 0  # cycles before it are dead in the current G'
-    while cursor < len(bfm.odd_cycles):
-        if aux is None:
-            aux = _build_auxiliary(graph, bfm, cover, tight)
-            search = TreeSearch(aux.adjacency, aux.mate)
-        root = 2 * graph.n + 1 + bfm.odd_cycles[cursor][0]
-        if root in dead:
-            cursor += 1
-            continue
-        outcome = grow_tree(search, root, dead)
-        if isinstance(outcome, AugmentingPath):
-            bfm, event = apply_augmentation(bfm, aux, outcome.vertices)
-            events.append(event)
-            # x changed, so the next turn builds G' anew and scans its
-            # cycles from the first
-            aux, cursor = None, 0
-        else:
-            tree: FrustratedTree = outcome
-            deleted = sorted(v for v in tree.nodes if aux.kind(v) == "vertex")
-            # z and shadows cannot join a frustrated tree, nor a second cycle
-            assert tree.nodes - set(deleted) == {root}
-            dead.update(tree.nodes)
-            events.append(FrustrationEvent(aux.cycle_of[root], tuple(deleted)))
-    if any(isinstance(e, AugmentationEvent) for e in events):
-        verify_optimal_pair(graph, bfm, cover)
+    if bfm.odd_cycles:
+        tight = tight_edges(graph, cover)
+        aux = _build_auxiliary(graph, bfm, cover, tight)
+        x = SearchX(list(bfm.halves), list(bfm.vertex_halves), list(bfm.odd_cycles))
+        search = TreeSearch(aux.adjacency, aux.mate)
+        dead: set[int] = set()
+        cursor = 0  # the cycles before it are dead
+        while cursor < len(x.cycles):
+            root = 2 * graph.n + 1 + x.cycles[cursor][0]
+            outcome = grow_tree(search, root, dead)
+            if isinstance(outcome, AugmentingPath):
+                events.append(apply_augmentation(graph, cover, tight, aux, x, outcome.vertices))
+            else:
+                tree: FrustratedTree = outcome
+                deleted = sorted(v for v in tree.nodes if aux.kind(v) == "vertex")
+                # z and shadows cannot join a frustrated tree, nor a second cycle
+                assert tree.nodes - set(deleted) == {root}
+                dead.update(tree.nodes)
+                events.append(FrustrationEvent(aux.cycle_of[root], tuple(deleted)))
+                cursor += 1
+        if len(x.cycles) < len(bfm.odd_cycles):
+            bfm = decompose(graph, x.halves)
+            assert bfm.odd_cycles == tuple(x.cycles)
+            verify_optimal_pair(graph, bfm, cover)
     return ReduceCyclesResult(bfm, cover, len(bfm.odd_cycles), tuple(events))

@@ -23,18 +23,6 @@ class NotBasic(MatchstabError, ValueError):
     """Half-valued edges do not form vertex-disjoint odd cycles."""
 
 
-class CycleNotInSupport(MatchstabError, ValueError):
-    """Requested odd cycle is not part of the solution's support."""
-
-
-class VertexNotOnCycle(MatchstabError, ValueError):
-    """Rounding vertex does not lie on the requested cycle."""
-
-
-class HalfValueOnPath(MatchstabError, ValueError):
-    """Complementing is only defined on 0/1-valued edges."""
-
-
 class InfeasibleCover(MatchstabError, ValueError):
     """Vertex values violate a cover constraint y_u + y_v >= w_uv."""
 

@@ -1,4 +1,5 @@
-"""Exact-rational weighted graphs and the primitive fractional-matching moves.
+"""Exact-rational weighted graphs, matchings, basic fractional matchings and
+fractional vertex covers.
 
 Everything in this module is exact, and immutable by construction, with no
 runtime freeze: weights and cover values are `fractions.Fraction` at the
@@ -14,9 +15,10 @@ too: `FractionalVertexCover` stores its common denominator q and the
 integers q.y, so y_u + y_v >= w_uv is tested as (q.y_u + q.y_v).D >=
 D.w_uv.q, and y becomes `Fraction`s only in `FractionalVertexCover.values`.
 A fractional matching x is half counts 2x_i, ints 0, 1 or 2, everywhere:
-`decompose` validates them, `round_cycles` and `complement` rewrite them,
-and x becomes `Fraction`s only in `BasicFractionalMatching.values`, for the
-API; the JSON documents print x and y from these integers.
+`decompose` validates them (and rounds them, for `lp.normalize_to_basic`),
+`cycles.apply_augmentation` moves them in place, and x becomes `Fraction`s
+only in `BasicFractionalMatching.values`, for the API; the JSON documents
+print x and y from these integers.
 """
 
 from __future__ import annotations
@@ -25,18 +27,15 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
-    CycleNotInSupport,
     DegreeConstraintViolated,
     GraphError,
-    HalfValueOnPath,
     InfeasibleCover,
     NotAlternating,
     NotBasic,
     NotHalfIntegral,
-    VertexNotOnCycle,
 )
 
 WeightLike = Union[int, str, Fraction]
@@ -302,19 +301,6 @@ class Matching(_Value):
         return tuple(sorted(self.pairs))
 
 
-def canonical_cycle(vertices: Sequence[int]) -> tuple[int, ...]:
-    """Canonical form of a cycle given in cyclic vertex order.
-
-    Rotated to start at the minimum vertex and oriented toward its smaller
-    cyclic neighbor, so equal cycles compare equal. It serves cycles that
-    callers give; `decompose` builds its cycles in this form already.
-    """
-    cycle = tuple(vertices)
-    start = cycle.index(min(cycle))
-    forward = cycle[start:] + cycle[:start]
-    return forward if forward[1] <= forward[-1] else forward[:1] + forward[:0:-1]
-
-
 class BasicFractionalMatching(_Value):
     """A half-integral vector split into matched edges and odd half-cycles.
 
@@ -353,14 +339,39 @@ class BasicFractionalMatching(_Value):
         )
 
 
-def decompose(graph: WeightedGraph, halves: Sequence[int]) -> BasicFractionalMatching:
+def decompose(
+    graph: WeightedGraph,
+    halves: Sequence[int],
+    keep: Optional[Callable[[list[int]], Sequence[int]]] = None,
+) -> BasicFractionalMatching:
     """Validate x, given as half counts 2x_i, and split it into M(x) and C(x).
 
     This is the one validator of x. An entry other than 0, 1 or 2 (such as
     the 3/2 that stands for x_i = 3/4) raises NotHalfIntegral, a load
     x(delta(v)) above 1 raises DegreeConstraintViolated, and half-valued
-    edges that do not form vertex-disjoint odd cycles raise NotBasic.
+    edges that do not form vertex-disjoint odd cycles raise NotBasic, unless
+    `keep` is given. Then each half-valued path and even cycle is rounded in
+    the same walk: `keep` gets its edge indices in walking order and returns
+    the alternation that rises to 1, and the other one falls to 0. A vertex
+    with more than two half-valued edges then raises
+    DegreeConstraintViolated, and the loads are checked after the rounding.
+    The NotBasic carries the counting pass as `counted`, so that
+    `lp.normalize_to_basic` can round x without counting it again.
     """
+    counted = _count_halves(graph, halves)
+    if keep is None:
+        _check_loads(counted[1])
+    try:
+        return _split_halves(graph, counted, keep)
+    except NotBasic as exc:
+        exc.counted = counted
+        raise
+
+
+def _count_halves(graph: WeightedGraph, halves: Sequence[int]) -> tuple:
+    """The counting pass of `decompose`: each entry as the int 0, 1 or 2,
+    the loads 2x(delta(v)), unchecked, the matched pairs and the
+    half-valued neighbors of each vertex."""
     if len(halves) != graph.m:
         raise NotHalfIntegral("value vector length does not match edge count")
     counts = [0] * graph.m  # each accepted entry as the int 0, 1 or 2
@@ -384,83 +395,82 @@ def decompose(graph: WeightedGraph, halves: Sequence[int]) -> BasicFractionalMat
             )
         vertex_halves[u] += counts[idx]
         vertex_halves[v] += counts[idx]
+    return counts, vertex_halves, matched_pairs, half_adj
+
+
+def _check_loads(vertex_halves: list[int]) -> None:
     for v, h in enumerate(vertex_halves):
         if h > 2:
             raise DegreeConstraintViolated(
                 f"vertex {v} carries x(delta(v)) = {Fraction(h, 2)}"
             )
 
-    matched = Matching(frozenset(matched_pairs))  # each pair is an edge (u, v), u < v
 
-    # Half-valued edges must form vertex-disjoint odd cycles.
+def _split_halves(
+    graph: WeightedGraph, counted: tuple, keep: Optional[Callable[[list[int]], Sequence[int]]]
+) -> BasicFractionalMatching:
+    """The walk of `decompose` over the half-valued edges of a counting pass,
+    which it rounds in place when `keep` is given."""
+    counts, vertex_halves, matched_pairs, half_adj = counted
     cycles: list[tuple[int, ...]] = []
     visited: set[int] = set()
-    for start in sorted(half_adj):
+    starts = sorted(half_adj)
+    if keep is not None:
+        for v, nbrs in half_adj.items():
+            if len(nbrs) > 2:
+                raise DegreeConstraintViolated(f"vertex {v} has {len(nbrs)} half-valued edges")
+        # paths from an end first, so that each is walked whole
+        starts = [v for v in starts if len(half_adj[v]) == 1] + starts
+    for start in starts:
         if start in visited:
             continue
-        if len(half_adj[start]) != 2:
+        if keep is None and len(half_adj[start]) != 2:
             raise NotBasic(f"vertex {start} has {len(half_adj[start])} half-edges")
         order = [start]
         visited.add(start)
         prev, cur = start, min(half_adj[start])
         while cur != start:
-            if len(half_adj[cur]) != 2:
-                raise NotBasic(f"vertex {cur} has {len(half_adj[cur])} half-edges")
             visited.add(cur)
             order.append(cur)
+            if len(half_adj[cur]) != 2:
+                if keep is None:
+                    raise NotBasic(f"vertex {cur} has {len(half_adj[cur])} half-edges")
+                break  # the far end of a path
             nxt = half_adj[cur][0] if half_adj[cur][1] == prev else half_adj[cur][1]
             prev, cur = cur, nxt
-        if len(order) % 2 == 0:
+        if cur == start and len(order) % 2 == 1:
+            # `start` is the cycle's lowest vertex and the walk leaves it
+            # toward its lower neighbor, so `order` is canonical and the
+            # list sorted
+            cycles.append(tuple(order))
+            continue
+        if keep is None:
             raise NotBasic(f"half-edges around vertex {start} form an even cycle")
-        # `start` is the cycle's lowest vertex and the walk leaves it toward
-        # its lower neighbor, so `order` is canonical and the list sorted
-        cycles.append(tuple(order))
+        walk = order + [start] if cur == start else order
+        edges = [graph.edge_index(a, b) for a, b in zip(walk, walk[1:])]
+        kept = set(keep(edges))
+        for idx in edges:
+            u, v = graph.ends[idx]
+            counts[idx] = 2 if idx in kept else 0
+            vertex_halves[u] += counts[idx] - 1
+            vertex_halves[v] += counts[idx] - 1
+            if idx in kept:
+                matched_pairs.append((u, v))
+    if keep is not None:
+        _check_loads(vertex_halves)
+    matched = Matching(frozenset(matched_pairs))  # each pair is an edge (u, v), u < v
     return BasicFractionalMatching(
         graph, tuple(counts), matched, tuple(cycles), tuple(vertex_halves)
     )
 
 
-def round_cycles(
-    bfm: BasicFractionalMatching, picks: Sequence[tuple[Sequence[int], int]]
-) -> BasicFractionalMatching:
-    """Alternate rounding of distinct support cycles, each at its own vertex,
-    validated by one `decompose`.
-
-    Each half-valued odd cycle becomes the near-perfect matching of it that
-    exposes its vertex v: walking the cycle from v, odd-position edges drop
-    to 0 and even-position edges rise to 1; entries outside the cycles are
-    untouched. The cycles are vertex-disjoint, so the result equals rounding
-    them one after another.
-    """
-    halves = list(bfm.halves)
-    edge_index = bfm.graph.edge_index
-    unrounded = set(bfm.odd_cycles)  # a cycle leaves when it is picked
-    for cycle, v in picks:
-        canon = canonical_cycle(cycle)
-        if canon not in unrounded:
-            raise CycleNotInSupport(f"cycle {canon} not in the support")
-        if v not in canon:
-            raise VertexNotOnCycle(f"vertex {v} not on cycle {canon}")
-        unrounded.remove(canon)
-        pos = canon.index(v)
-        walk = canon[pos:] + canon[: pos + 1]  # from v around to v
-        for i in range(len(canon)):
-            # positions are 1-based from v; the first and last edges touch v
-            halves[edge_index(walk[i], walk[i + 1])] = 0 if i % 2 == 0 else 2
-    return decompose(bfm.graph, halves)
-
-
-def complement(
-    bfm: BasicFractionalMatching, edge_indices: Iterable[int]
-) -> BasicFractionalMatching:
-    """Flip x_e to 1 - x_e along a set of integral edges, validated by one
-    `decompose`."""
-    halves = list(bfm.halves)
-    for idx in edge_indices:
-        if halves[idx] == 1:
-            raise HalfValueOnPath(f"edge {idx} has value 1/2; complement needs 0/1")
-        halves[idx] = 2 - halves[idx]
-    return decompose(bfm.graph, halves)
+def near_perfect_matching(cycle: tuple[int, ...], v: int) -> list[tuple[int, int]]:
+    """The pairs of the near-perfect matching of an odd cycle, given in
+    cyclic order, that leaves its vertex v exposed: every second edge of
+    the cycle, walked from v."""
+    pos = cycle.index(v)
+    rest = cycle[pos + 1:] + cycle[:pos]
+    return list(zip(rest[0::2], rest[1::2]))
 
 
 class FractionalVertexCover(_Value):

@@ -13,7 +13,8 @@ that call, is sized by the tree and scans each even row once.
 `solve_fractional` counts the matched copies of each edge into the half
 counts 2x of a half-integral optimum x, which stay ints through
 `graph.decompose` (and `normalize_to_basic`, which rounds the half-valued
-paths and even cycles of x, when x is not basic), and adds the two
+paths and even cycles of x, when x is not basic, from the counting pass
+of the `decompose` that found it so), and adds the two
 potentials of each vertex into 2D.y_v: the integers, over q = 2D, of a
 minimum fractional w-vertex cover y, which `graph.FractionalVertexCover`
 stores as they are, reduced by their gcd.
@@ -27,8 +28,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .certify import verify_optimal_pair
-from .errors import DegreeConstraintViolated, NotBasic
-from .graph import BasicFractionalMatching, FractionalVertexCover, WeightedGraph, decompose
+from .errors import NotBasic
+from .graph import (
+    BasicFractionalMatching, FractionalVertexCover, WeightedGraph, _split_halves, decompose,
+)
 
 
 def bipartite_max_weight_matching(
@@ -177,59 +180,33 @@ def _run_phase(
 
 
 def normalize_to_basic(
-    graph: WeightedGraph, halves: Sequence[int]
+    graph: WeightedGraph, halves: Sequence[int], counted: Optional[tuple] = None
 ) -> BasicFractionalMatching:
     """Round half-valued paths and even cycles so only odd cycles stay at 1/2.
 
     x comes and goes as half counts 2x_i (see `graph.decompose`).
 
-    Each half-valued path, walked from one of its endpoints, and then each
-    half-valued cycle is split into its two 0/1 alternations and the heavier
-    one is kept; for an optimal input this never changes the weight. Ties go
-    to the alternation containing the lowest edge index. A vertex with more
-    than two half-valued edges raises DegreeConstraintViolated. The two
-    alternations are compared on the graph's integer weights; `decompose`
-    validates the result.
+    Each half-valued path and even cycle is split into its two 0/1
+    alternations and the heavier one is kept; for an optimal input this
+    never changes the weight. Ties go to the alternation containing the
+    lowest edge index. The two alternations are compared on the graph's
+    integer weights, in the walk of `decompose`, which validates the
+    result. `counted`, the counting pass that a NotBasic of `decompose` on
+    these half counts carries, saves counting them again.
     """
-    vec = list(halves)
     weight = graph.int_weights
-    half: dict[int, list[tuple[int, int]]] = {}
-    for idx, h in enumerate(vec):
-        if h == 1:
-            u, v = graph.ends[idx]
-            half.setdefault(u, []).append((v, idx))
-            half.setdefault(v, []).append((u, idx))
-    for v, nbrs in half.items():
-        if len(nbrs) > 2:
-            raise DegreeConstraintViolated(f"vertex {v} has {len(nbrs)} half-valued edges")
-    seen: set[int] = set()
-    # paths from their endpoints first; every vertex left then is on a cycle
-    for start in [v for v, nbrs in half.items() if len(nbrs) == 1] + list(half):
-        if start in seen:
-            continue
-        ordered: list[int] = []  # edge indices in walking order
-        prev, cur = -1, start
-        while True:
-            seen.add(cur)
-            step = [(nbr, i) for nbr, i in half[cur] if i != prev]
-            if not step:
-                break  # far end of a path
-            cur, prev = step[0]
-            ordered.append(prev)
-            if cur == start:
-                break  # back around a cycle
-        if cur == start and len(ordered) % 2 == 1:
-            continue  # odd cycle: already basic
-        keep, drop = ordered[0::2], ordered[1::2]
+
+    def heavier(edges: list[int]) -> list[int]:
+        keep, drop = edges[0::2], edges[1::2]
         w_keep = sum(weight[i] for i in keep)
         w_drop = sum(weight[i] for i in drop)
         if w_drop > w_keep or (w_drop == w_keep and drop and min(drop) < min(keep)):
-            keep, drop = drop, keep
-        for i in keep:
-            vec[i] = 2
-        for i in drop:
-            vec[i] = 0
-    return decompose(graph, vec)
+            return drop
+        return keep
+
+    if counted is None:
+        return decompose(graph, halves, heavier)
+    return _split_halves(graph, counted, heavier)
 
 
 def solve_fractional(
@@ -241,7 +218,8 @@ def solve_fractional(
     half count 2x_uv, and y_v is the mean of v's two potentials, kept as
     their integer sum over 2D. x is rounded by `normalize_to_basic`, the
     identity on a basic x, only if `decompose` raises NotBasic, its one
-    error here (each count is 0, 1 or 2, each load at most 2). The pair
+    error here (each count is 0, 1 or 2, each load at most 2), and from the
+    counting pass that NotBasic carries, so x is counted once. The pair
     satisfies w.x = sum(y) and complementary slackness with exact
     arithmetic; both facts are checked before returning.
     """
@@ -255,7 +233,7 @@ def solve_fractional(
     )
     try:
         bfm = decompose(graph, halves)
-    except NotBasic:
-        bfm = normalize_to_basic(graph, halves)
+    except NotBasic as exc:
+        bfm = normalize_to_basic(graph, halves, exc.counted)
     verify_optimal_pair(graph, bfm, cover)
     return bfm, cover

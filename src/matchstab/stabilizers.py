@@ -13,11 +13,12 @@ certificate does not need.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .certify import verify_stable_subgraph
 from .cycles import reduce_cycles
-from .graph import FractionalVertexCover, Matching, WeightedGraph, round_cycles
+from .graph import FractionalVertexCover, Matching, WeightedGraph, near_perfect_matching
 
 
 class VertexStabilizerResult(NamedTuple):
@@ -47,7 +48,11 @@ def min_vertex_stabilizer(graph: WeightedGraph) -> VertexStabilizerResult:
     bfm, cover = reduction.solution, reduction.cover
     a = list(cover.int_values)  # q.y orders the vertices as y does
     removed = [min(cycle, key=lambda v: (a[v], v)) for cycle in bfm.odd_cycles]
-    survivors = round_cycles(bfm, list(zip(bfm.odd_cycles, removed))).matched
+    # M(x) plus, on each cycle, the near-perfect matching that avoids its
+    # removed vertex; `verify_stable_subgraph` proves it below
+    survivors = Matching.from_pairs(chain(bfm.matched.pairs, *(
+        near_perfect_matching(cycle, v) for cycle, v in zip(bfm.odd_cycles, removed)
+    )))
     for v in removed:
         a[v] = 0
     surviving_cover = FractionalVertexCover(tuple(a), cover.scale)

@@ -10,8 +10,16 @@ from pathlib import Path
 import pytest
 
 from matchstab.certify import verify_stable_subgraph
-from matchstab.errors import MNotAMatching
-from matchstab.graph import AlternatingWalk, FractionalVertexCover, Matching, WeightedGraph
+from matchstab.errors import MatchstabError, MNotAMatching
+from matchstab.graph import (
+    AlternatingWalk,
+    BasicFractionalMatching,
+    FractionalVertexCover,
+    Matching,
+    WeightedGraph,
+    decompose,
+    near_perfect_matching,
+)
 from matchstab.lp import solve_fractional
 from matchstab.mstab import FEASIBLE, INFEASIBLE, MStabilizerResult
 from matchstab.walks import first_pass_scan, second_pass_scan
@@ -127,6 +135,74 @@ def delete_vertices(
     ]
     labels = [graph.label_of(v) for v in keep] if graph.labels is not None else None
     return WeightedGraph.from_edges(len(keep), edges, labels), tuple(keep)
+
+
+# ---------------------------------------------------------------------------
+# The moves on x as whole-vector rewrites, each validated by one `decompose`:
+# the reference the in-place moves of `cycles.apply_augmentation` and the
+# survivors of `min_vertex_stabilizer` must match.
+
+
+class CycleNotInSupport(MatchstabError, ValueError):
+    """Requested odd cycle is not part of the solution's support."""
+
+
+class VertexNotOnCycle(MatchstabError, ValueError):
+    """Rounding vertex does not lie on the requested cycle."""
+
+
+class HalfValueOnPath(MatchstabError, ValueError):
+    """Complementing is only defined on 0/1-valued edges."""
+
+
+def canonical_cycle(vertices) -> tuple[int, ...]:
+    """Canonical form of a cycle given in cyclic vertex order.
+
+    Rotated to start at the minimum vertex and oriented toward its smaller
+    cyclic neighbor, so equal cycles compare equal; `decompose` builds its
+    cycles in this form already.
+    """
+    cycle = tuple(vertices)
+    start = cycle.index(min(cycle))
+    forward = cycle[start:] + cycle[:start]
+    return forward if forward[1] <= forward[-1] else forward[:1] + forward[:0:-1]
+
+
+def round_cycles(bfm: BasicFractionalMatching, picks) -> BasicFractionalMatching:
+    """Alternate rounding of distinct support cycles, each at its own vertex,
+    validated by one `decompose`.
+
+    Each half-valued odd cycle becomes its `near_perfect_matching` that
+    exposes its vertex v: its other edges drop to 0. Entries outside the
+    cycles are untouched. The cycles are vertex-disjoint, so the result
+    equals rounding them one after another.
+    """
+    halves = list(bfm.halves)
+    edge_index = bfm.graph.edge_index
+    unrounded = set(bfm.odd_cycles)  # a cycle leaves when it is picked
+    for cycle, v in picks:
+        canon = canonical_cycle(cycle)
+        if canon not in unrounded:
+            raise CycleNotInSupport(f"cycle {canon} not in the support")
+        if v not in canon:
+            raise VertexNotOnCycle(f"vertex {v} not on cycle {canon}")
+        unrounded.remove(canon)
+        for a, b in zip(canon, canon[1:] + canon[:1]):
+            halves[edge_index(a, b)] = 0
+        for a, b in near_perfect_matching(canon, v):
+            halves[edge_index(a, b)] = 2
+    return decompose(bfm.graph, halves)
+
+
+def complement(bfm: BasicFractionalMatching, edge_indices) -> BasicFractionalMatching:
+    """Flip x_e to 1 - x_e along a set of integral edges, validated by one
+    `decompose`."""
+    halves = list(bfm.halves)
+    for idx in edge_indices:
+        if halves[idx] == 1:
+            raise HalfValueOnPath(f"edge {idx} has value 1/2; complement needs 0/1")
+        halves[idx] = 2 - halves[idx]
+    return decompose(bfm.graph, halves)
 
 
 def m_vertex_stabilizer_rebuilding(graph: WeightedGraph, matching: Matching) -> MStabilizerResult:

@@ -5,19 +5,25 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import count_calls, cover_of, fig6, fig9, random_graph, tri_chain
+from chord_path import chord_path
+from conftest import (
+    complement, count_calls, cover_of, fig6, fig9, random_graph, round_cycles, tri_chain,
+)
 import matchstab.cycles
 from matchstab import oracle
 from matchstab.certify import verify_optimal_pair
 from matchstab.cycles import (
     AugmentationEvent,
     FrustrationEvent,
+    SearchX,
     _build_auxiliary,
+    _entry_vertex,
+    _validate_alternating,
     apply_augmentation,
     reduce_cycles,
 )
-from matchstab.edmonds import AugmentingPath, TreeSearch, grow_tree
-from matchstab.errors import NotOptimalPair, PathNotAugmenting
+from matchstab.edmonds import AugmentingPath, FrustratedTree, TreeSearch, grow_tree
+from matchstab.errors import EndpointNotRecognized, NotOptimalPair, PathNotAugmenting
 from matchstab.graph import (
     WeightedGraph,
     decompose,
@@ -33,6 +39,10 @@ def build_auxiliary(g, bfm, cover):
     is optimal."""
     verify_optimal_pair(g, bfm, cover)
     return _build_auxiliary(g, bfm, cover, tight_edges(g, cover))
+
+
+def _search_x(bfm) -> SearchX:
+    return SearchX(list(bfm.halves), list(bfm.vertex_halves), list(bfm.odd_cycles))
 
 
 def _two_triangles_bridged() -> WeightedGraph:
@@ -111,7 +121,9 @@ def test_apply_augmentation_two_cycles():
     outcome = grow_tree(TreeSearch(aux.adjacency, aux.mate), root, frozenset())
     assert isinstance(outcome, AugmentingPath)
     assert outcome.vertices == (root, other)
-    new, event = apply_augmentation(bfm, aux, outcome.vertices)
+    x = _search_x(bfm)
+    event = apply_augmentation(g, cover, tight_edges(g, cover), aux, x, outcome.vertices)
+    new = decompose(g, x.halves)
     assert event.kind == "two_cycles"
     assert event.rounded_at == (2, 3)
     assert new.odd_cycles == ()
@@ -128,7 +140,7 @@ def test_apply_augmentation_rejects_garbage_path():
     cover = cover_of([H] * 6)
     aux = build_auxiliary(g, bfm, cover)
     with pytest.raises(PathNotAugmenting):
-        apply_augmentation(bfm, aux, (0, 1))
+        apply_augmentation(g, cover, tight_edges(g, cover), aux, _search_x(bfm), (0, 1))
 
 
 def test_reduce_cycles_fixtures():
@@ -375,3 +387,167 @@ def test_pair_checks_do_not_grow_with_gamma(monkeypatch):
         assert checks[0] <= 2 and tights[0] <= 2
         # a frustrated tree marks nodes dead; only an augmentation rebuilds G'
         assert builds[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# The search as it ran when x and G' were made anew after every
+# augmentation: the move rounds and complements whole vectors, each
+# validated by `decompose`, and G' is rebuilt from the new pair. The in-place
+# moves must give the same events and the same x.
+
+
+def _reference_move(bfm, aux, path):
+    """Map a search-graph augmenting path back to G and return the new x,
+    made by `round_cycles` and `complement`, with the move's event."""
+    graph = bfm.graph
+    _validate_alternating(aux, path)
+    start, end = path[0], path[-1]
+    if aux.kind(start) != "cycle":
+        raise PathNotAugmenting("path must start at a pseudonode")
+    ends = [(start, path[1])]
+    if aux.kind(end) == "cycle":
+        ends.append((end, path[-2]))
+    elif aux.kind(end) != "z":
+        raise EndpointNotRecognized(f"endpoint {end} is neither a pseudonode nor z")
+    picks = [(aux.cycle_of[p], _entry_vertex(aux, p, q)) for p, q in ends]
+    rounded_at = tuple(v for _c, v in picks)
+    inner = tuple(node for node in path[1:-1] if aux.kind(node) == "vertex")
+    g_path = rounded_at[:1] + inner + rounded_at[1:]
+    if len(ends) == 2:
+        kind = "two_cycles"
+    elif not inner:
+        kind, g_path = "cycle_zero_cover", ()
+    elif aux.kind(path[-2]) == "shadow":
+        kind = "path_to_exposed"
+    else:
+        kind = "path_to_covered"
+    rounded = round_cycles(bfm, picks)
+    new = complement(rounded, [graph.edge_index(a, b) for a, b in zip(g_path, g_path[1:])])
+    event = AugmentationEvent(kind, tuple(c for c, _v in picks), rounded_at, g_path)
+    assert set(bfm.odd_cycles) - set(new.odd_cycles) == set(event.cycles)
+    assert set(new.odd_cycles) <= set(bfm.odd_cycles)
+    return new, event
+
+
+def reduce_cycles_rebuilding(graph, start=None):
+    """The final x and the events of `reduce_cycles`, with G' built anew
+    from a decomposed x after each augmentation."""
+    bfm, cover = solve_fractional(graph) if start is None else start
+    tight = tight_edges(graph, cover)
+    aux = None
+    dead: set[int] = set()
+    events: list = []
+    cursor = 0
+    while cursor < len(bfm.odd_cycles):
+        if aux is None:
+            aux = _build_auxiliary(graph, bfm, cover, tight)
+            search = TreeSearch(aux.adjacency, aux.mate)
+        root = 2 * graph.n + 1 + bfm.odd_cycles[cursor][0]
+        if root in dead:
+            cursor += 1
+            continue
+        outcome = grow_tree(search, root, dead)
+        if isinstance(outcome, AugmentingPath):
+            bfm, event = _reference_move(bfm, aux, outcome.vertices)
+            events.append(event)
+            aux, cursor = None, 0
+        else:
+            assert isinstance(outcome, FrustratedTree)
+            deleted = sorted(v for v in outcome.nodes if aux.kind(v) == "vertex")
+            dead.update(outcome.nodes)
+            events.append(FrustrationEvent(aux.cycle_of[root], tuple(deleted)))
+    return bfm, tuple(events)
+
+
+_FORCED_STARTS = (
+    _zero_cover_cycle_vertex, _covered_zero_cover_vertex,
+    _two_cycles_and_interior_matched_path, _exposed_zero_cover_vertex,
+)
+
+
+def _chord_like(rng: random.Random, n: int, extra: int) -> WeightedGraph:
+    """A chord path with its own path weights and `extra` random edges of
+    weight 1..3 (fewer where n leaves no room): the family on which the
+    search augments most often."""
+    edges = {(i, i + 1): rng.randint(1, 3) for i in range(n - 1)}
+    edges.update({(i, i + 2): 2 for i in range(0, n - 2, 3)})
+    extra = min(extra, n * (n - 1) // 2 - len(edges))
+    while extra:
+        u, v = sorted(rng.sample(range(n), 2))
+        if (u, v) not in edges:
+            edges[(u, v)] = rng.randint(1, 3)
+            extra -= 1
+    return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+def _moving_graphs(property_suite):
+    """(graph, start) pairs whose searches augment, in all four kinds of
+    move: the property suite, the forced starts, random graphs, chord paths
+    and chord-like graphs."""
+    rng = random.Random(31)
+    cases = [(g, None) for g in property_suite]
+    cases += [forced() for forced in _FORCED_STARTS]
+    cases += [(random_graph(rng, n_max=12), None) for _ in range(150)]
+    cases += [(chord_path(n), None) for n in range(2, 60)]
+    cases += [(_chord_like(rng, 60, k % 11), None) for k in range(240)]
+    cases.append((chord_path(1500), None))
+    return cases
+
+
+def test_in_place_moves_match_the_rebuilding_reference(property_suite):
+    kinds: set[str] = set()
+    for g, start in _moving_graphs(property_suite):
+        result = reduce_cycles(g, start=start)
+        bfm, events = reduce_cycles_rebuilding(g, start)
+        assert result.events == events, g
+        assert result.solution == bfm and result.gamma == len(bfm.odd_cycles)
+        kinds |= {e.kind for e in events if isinstance(e, AugmentationEvent)}
+    assert kinds == {"cycle_zero_cover", "two_cycles", "path_to_covered", "path_to_exposed"}
+
+
+def test_each_move_leaves_what_a_rebuild_makes(monkeypatch, property_suite):
+    # after every augmentation, G', M' and x equal `_build_auxiliary` and
+    # `decompose` on the pair the reference move makes
+    move = matchstab.cycles.apply_augmentation
+    moves = [0]
+
+    def checked(graph, cover, tight, aux, x, path):
+        before = decompose(graph, x.halves)
+        assert (x.loads, x.cycles) == (list(before.vertex_halves), list(before.odd_cycles))
+        assert aux == _build_auxiliary(graph, before, cover, tight)
+        new, expected = _reference_move(before, aux, path)
+        event = move(graph, cover, tight, aux, x, path)
+        assert event == expected
+        assert x == (list(new.halves), list(new.vertex_halves), list(new.odd_cycles))
+        assert aux == _build_auxiliary(graph, new, cover, tight)
+        moves[0] += 1
+        return event
+
+    monkeypatch.setattr(matchstab.cycles, "apply_augmentation", checked)
+    for g, start in _moving_graphs(property_suite):
+        reduce_cycles(g, start=start)
+    assert moves[0] > 150
+
+
+def test_gamma_on_small_chord_paths_matches_the_oracle():
+    # every chord path up to 12 vertices is stable (gamma 0); the chord-like
+    # graphs of that size also have cycles left, and some searches augment
+    rng = random.Random(8)
+    graphs = [chord_path(n) for n in range(2, 13)]
+    graphs += [_chord_like(rng, rng.randint(4, 12), rng.randint(0, 4)) for _ in range(150)]
+    gammas, moves = [], 0
+    for g in graphs:
+        result = reduce_cycles(g)
+        assert result.gamma == oracle.brute_gamma(g), g
+        assert result.weight == oracle.exact_nu_f(g)
+        gammas.append(result.gamma)
+        moves += sum(isinstance(e, AugmentationEvent) for e in result.events)
+    assert max(gammas) > 0 and moves > 0
+
+
+def test_tight_edges_only_when_x_has_a_cycle(monkeypatch):
+    tights = count_calls(monkeypatch, matchstab.cycles, "tight_edges")
+    path = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 2)])
+    assert reduce_cycles(path).gamma == 0
+    assert reduce_cycles(fig9()).gamma == 1
+    assert tights[0] == 1

@@ -95,11 +95,10 @@ start = (decompose(bridged, halves), FractionalVertexCover.from_values((half,) *
 move = cycles.apply_augmentation
 
 
-def move_dropping_an_edge(bfm, aux, path):
-    new, event = move(bfm, aux, path)
-    halves = list(new.halves)
-    halves[bridged.edge_index(0, 1)] = 0
-    return decompose(bfm.graph, halves), event
+def move_dropping_an_edge(graph, cover, tight, aux, x, path):
+    event = move(graph, cover, tight, aux, x, path)
+    x.halves[bridged.edge_index(0, 1)] = 0
+    return event
 
 
 cycles.apply_augmentation = move_dropping_an_edge

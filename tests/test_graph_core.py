@@ -8,6 +8,11 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    CycleNotInSupport,
+    HalfValueOnPath,
+    VertexNotOnCycle,
+    canonical_cycle,
+    complement,
     count_calls,
     cover_of,
     delete_vertices,
@@ -17,17 +22,15 @@ from conftest import (
     is_valid_walk,
     random_graph,
     random_matching,
+    round_cycles,
 )
 from matchstab import graph as graph_module
 from matchstab.errors import (
-    CycleNotInSupport,
     DegreeConstraintViolated,
     GraphError,
-    HalfValueOnPath,
     InfeasibleCover,
     NotBasic,
     NotHalfIntegral,
-    VertexNotOnCycle,
 )
 from matchstab.graph import (
     MAX_EXPONENT,
@@ -37,10 +40,7 @@ from matchstab.graph import (
     Matching,
     WeightedGraph,
     as_fraction,
-    canonical_cycle,
-    complement,
     decompose,
-    round_cycles,
     tight_edges,
     walk_value,
 )

@@ -15,9 +15,9 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from conftest import bench_families, weight_denominator_graphs
+from conftest import bench_families, canonical_cycle, weight_denominator_graphs
 from matchstab.errors import DegreeConstraintViolated, NotBasic, NotHalfIntegral
-from matchstab.graph import Matching, WeightedGraph, canonical_cycle, decompose
+from matchstab.graph import Matching, WeightedGraph, decompose
 from matchstab.instance import parse_instance
 from matchstab.lp import bipartite_max_weight_matching, normalize_to_basic, solve_fractional
 

@@ -3,7 +3,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from conftest import count_calls, fig6, fig7, fig9, random_graph, tri_chain
+from chord_path import chord_path
+from conftest import count_calls, fig6, fig7, fig9, random_graph, round_cycles, tri_chain
 import matchstab.graph
 import matchstab.stabilizers
 from matchstab import oracle
@@ -94,13 +95,26 @@ def test_edge_result_sandwich_on_sub_suite():
         assert oracle.is_stable(rest)
 
 
-def test_rounding_decomposes_once(monkeypatch):
+def test_survivors_need_no_decompose(monkeypatch):
     g = tri_chain(random.Random(12), 12)
     reduction = reduce_cycles(g)
     assert reduction.gamma == 12
     monkeypatch.setattr(matchstab.stabilizers, "reduce_cycles", lambda _g: reduction)
     decomposes = count_calls(monkeypatch, matchstab.graph, "decompose")
     result = min_vertex_stabilizer(g)
-    assert decomposes[0] == 1
+    assert decomposes[0] == 0
     assert len(result.removed) == 12
     assert result.nu_after == 48
+
+
+def test_survivors_are_the_rounded_cycles_plus_the_matching(property_suite):
+    # the survivors are read off M(x) and the cycles; rounding x at the
+    # removed vertices, validated by `decompose`, gives the same matching
+    graphs = list(property_suite) + [tri_chain(random.Random(5), 20), chord_path(600)]
+    for g in graphs:
+        reduction = reduce_cycles(g)
+        result = min_vertex_stabilizer(g)
+        bfm = reduction.solution
+        picks = [(c, v) for c in bfm.odd_cycles for v in c if v in result.removed]
+        assert len(picks) == len(bfm.odd_cycles) == len(result.removed)
+        assert result.surviving_matching == round_cycles(bfm, picks).matched
