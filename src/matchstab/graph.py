@@ -15,7 +15,8 @@ too: `FractionalVertexCover` stores its common denominator q and the
 integers q.y, so y_u + y_v >= w_uv is tested as (q.y_u + q.y_v).D >=
 D.w_uv.q, and y becomes `Fraction`s only in `FractionalVertexCover.values`.
 A fractional matching x is half counts 2x_i, ints 0, 1 or 2, everywhere:
-`decompose` validates them (and rounds them, for `lp.normalize_to_basic`),
+`decompose` validates them, and for `lp.normalize_to_basic` rounds their
+half-valued paths and even cycles in the walk that finds the odd cycles,
 `cycles.apply_augmentation` moves them in place, and x becomes `Fraction`s
 only in `BasicFractionalMatching.values`, for the API; the JSON documents
 print x and y from these integers.
@@ -351,71 +352,20 @@ def decompose(
     x(delta(v)) above 1 raises DegreeConstraintViolated, and half-valued
     edges that do not form vertex-disjoint odd cycles raise NotBasic, unless
     `keep` is given. Then each half-valued path and even cycle is rounded in
-    the same walk: `keep` gets its edge indices in walking order and returns
-    the alternation that rises to 1, and the other one falls to 0. A vertex
-    with more than two half-valued edges then raises
-    DegreeConstraintViolated, and the loads are checked after the rounding.
-    The NotBasic carries the counting pass as `counted`, so that
-    `lp.normalize_to_basic` can round x without counting it again.
+    the walk that finds the odd cycles, after the one counting pass:
+    `keep` gets its edge indices in walking order and returns the
+    alternation that rises to 1, and the other one falls to 0, while a
+    basic x passes unchanged. A vertex with more than two half-valued edges
+    then raises DegreeConstraintViolated, and the loads are checked after
+    the rounding.
     """
-    counted = _count_halves(graph, halves)
-    if keep is None:
-        _check_loads(counted[1])
-    try:
-        return _split_halves(graph, counted, keep)
-    except NotBasic as exc:
-        exc.counted = counted
-        raise
-
-
-def _count_halves(graph: WeightedGraph, halves: Sequence[int]) -> tuple:
-    """The counting pass of `decompose`: each entry as the int 0, 1 or 2,
-    the loads 2x(delta(v)), unchecked, the matched pairs and the
-    half-valued neighbors of each vertex."""
-    if len(halves) != graph.m:
-        raise NotHalfIntegral("value vector length does not match edge count")
-    counts = [0] * graph.m  # each accepted entry as the int 0, 1 or 2
-    vertex_halves = [0] * graph.n  # 2 x(delta(v)), counted over the nonzero entries
-    matched_pairs: list[tuple[int, int]] = []
-    half_adj: dict[int, list[int]] = {}
-    for idx, h in enumerate(halves):
-        if h == 0:
-            continue
-        u, v = graph.ends[idx]
-        if h == 2:
-            counts[idx] = 2
-            matched_pairs.append((u, v))
-        elif h == 1:
-            counts[idx] = 1
-            half_adj.setdefault(u, []).append(v)
-            half_adj.setdefault(v, []).append(u)
-        else:
-            raise NotHalfIntegral(
-                f"edge {idx} has value {Fraction(h, 2)}, expected 0, 1/2 or 1"
-            )
-        vertex_halves[u] += counts[idx]
-        vertex_halves[v] += counts[idx]
-    return counts, vertex_halves, matched_pairs, half_adj
-
-
-def _check_loads(vertex_halves: list[int]) -> None:
-    for v, h in enumerate(vertex_halves):
-        if h > 2:
-            raise DegreeConstraintViolated(
-                f"vertex {v} carries x(delta(v)) = {Fraction(h, 2)}"
-            )
-
-
-def _split_halves(
-    graph: WeightedGraph, counted: tuple, keep: Optional[Callable[[list[int]], Sequence[int]]]
-) -> BasicFractionalMatching:
-    """The walk of `decompose` over the half-valued edges of a counting pass,
-    which it rounds in place when `keep` is given."""
-    counts, vertex_halves, matched_pairs, half_adj = counted
+    counts, vertex_halves, matched_pairs, half_adj = _count_halves(graph, halves)
     cycles: list[tuple[int, ...]] = []
     visited: set[int] = set()
     starts = sorted(half_adj)
-    if keep is not None:
+    if keep is None:
+        _check_loads(vertex_halves)
+    else:
         for v, nbrs in half_adj.items():
             if len(nbrs) > 2:
                 raise DegreeConstraintViolated(f"vertex {v} has {len(nbrs)} half-valued edges")
@@ -462,6 +412,44 @@ def _split_halves(
     return BasicFractionalMatching(
         graph, tuple(counts), matched, tuple(cycles), tuple(vertex_halves)
     )
+
+
+def _count_halves(graph: WeightedGraph, halves: Sequence[int]) -> tuple:
+    """The counting pass of `decompose`: each entry as the int 0, 1 or 2,
+    the loads 2x(delta(v)), unchecked, the matched pairs and the
+    half-valued neighbors of each vertex."""
+    if len(halves) != graph.m:
+        raise NotHalfIntegral("value vector length does not match edge count")
+    counts = [0] * graph.m  # each accepted entry as the int 0, 1 or 2
+    vertex_halves = [0] * graph.n  # 2 x(delta(v)), counted over the nonzero entries
+    matched_pairs: list[tuple[int, int]] = []
+    half_adj: dict[int, list[int]] = {}
+    for idx, h in enumerate(halves):
+        if h == 0:
+            continue
+        u, v = graph.ends[idx]
+        if h == 2:
+            counts[idx] = 2
+            matched_pairs.append((u, v))
+        elif h == 1:
+            counts[idx] = 1
+            half_adj.setdefault(u, []).append(v)
+            half_adj.setdefault(v, []).append(u)
+        else:
+            raise NotHalfIntegral(
+                f"edge {idx} has value {Fraction(h, 2)}, expected 0, 1/2 or 1"
+            )
+        vertex_halves[u] += counts[idx]
+        vertex_halves[v] += counts[idx]
+    return counts, vertex_halves, matched_pairs, half_adj
+
+
+def _check_loads(vertex_halves: list[int]) -> None:
+    for v, h in enumerate(vertex_halves):
+        if h > 2:
+            raise DegreeConstraintViolated(
+                f"vertex {v} carries x(delta(v)) = {Fraction(h, 2)}"
+            )
 
 
 def near_perfect_matching(cycle: tuple[int, ...], v: int) -> list[tuple[int, int]]:

@@ -12,12 +12,12 @@ matched directly; every other root runs one phase, whose state lives for
 that call, is sized by the tree and scans each even row once.
 `solve_fractional` counts the matched copies of each edge into the half
 counts 2x of a half-integral optimum x, which stay ints through
-`graph.decompose` (and `normalize_to_basic`, which rounds the half-valued
-paths and even cycles of x, when x is not basic, from the counting pass
-of the `decompose` that found it so), and adds the two
-potentials of each vertex into 2D.y_v: the integers, over q = 2D, of a
-minimum fractional w-vertex cover y, which `graph.FractionalVertexCover`
-stores as they are, reduced by their gcd.
+`normalize_to_basic`: one `graph.decompose` walk, after one counting pass,
+that keeps the odd cycles of x and rounds its half-valued paths and even
+cycles, so a basic x passes unchanged. It adds the two potentials of each
+vertex into 2D.y_v: the integers, over q = 2D, of a minimum fractional
+w-vertex cover y, which `graph.FractionalVertexCover` stores as they are,
+reduced by their gcd.
 
 The pair is proven optimal once per result, also under `python -O`, by
 `certify.verify_optimal_pair`, the checks `matchstab verify` reports on it.
@@ -28,10 +28,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .certify import verify_optimal_pair
-from .errors import NotBasic
-from .graph import (
-    BasicFractionalMatching, FractionalVertexCover, WeightedGraph, _split_halves, decompose,
-)
+from .graph import BasicFractionalMatching, FractionalVertexCover, WeightedGraph, decompose
 
 
 def bipartite_max_weight_matching(
@@ -179,20 +176,18 @@ def _run_phase(
             u = parent_right[r]
 
 
-def normalize_to_basic(
-    graph: WeightedGraph, halves: Sequence[int], counted: Optional[tuple] = None
-) -> BasicFractionalMatching:
+def normalize_to_basic(graph: WeightedGraph, halves: Sequence[int]) -> BasicFractionalMatching:
     """Round half-valued paths and even cycles so only odd cycles stay at 1/2.
 
-    x comes and goes as half counts 2x_i (see `graph.decompose`).
+    x comes and goes as half counts 2x_i (see `graph.decompose`); a basic x
+    comes back unchanged.
 
     Each half-valued path and even cycle is split into its two 0/1
     alternations and the heavier one is kept; for an optimal input this
     never changes the weight. Ties go to the alternation containing the
     lowest edge index. The two alternations are compared on the graph's
-    integer weights, in the walk of `decompose`, which validates the
-    result. `counted`, the counting pass that a NotBasic of `decompose` on
-    these half counts carries, saves counting them again.
+    integer weights, in the one walk of `decompose`, which also validates
+    the result.
     """
     weight = graph.int_weights
 
@@ -204,9 +199,7 @@ def normalize_to_basic(
             return drop
         return keep
 
-    if counted is None:
-        return decompose(graph, halves, heavier)
-    return _split_halves(graph, counted, heavier)
+    return decompose(graph, halves, heavier)
 
 
 def solve_fractional(
@@ -216,10 +209,9 @@ def solve_fractional(
 
     x_uv gets 1/2 per matched copy of uv in the duplicate, counted as the
     half count 2x_uv, and y_v is the mean of v's two potentials, kept as
-    their integer sum over 2D. x is rounded by `normalize_to_basic`, the
-    identity on a basic x, only if `decompose` raises NotBasic, its one
-    error here (each count is 0, 1 or 2, each load at most 2), and from the
-    counting pass that NotBasic carries, so x is counted once. The pair
+    their integer sum over 2D. x is validated and made basic by one call of
+    `normalize_to_basic`, which counts it once, keeps a basic x as it is and
+    rounds the half-valued paths and even cycles of any other. The pair
     satisfies w.x = sum(y) and complementary slackness with exact
     arithmetic; both facts are checked before returning.
     """
@@ -231,9 +223,6 @@ def solve_fractional(
     cover = FractionalVertexCover(
         tuple(p_left[v] + p_right[v] for v in range(graph.n)), 2 * graph.scale
     )
-    try:
-        bfm = decompose(graph, halves)
-    except NotBasic as exc:
-        bfm = normalize_to_basic(graph, halves, exc.counted)
+    bfm = normalize_to_basic(graph, halves)
     verify_optimal_pair(graph, bfm, cover)
     return bfm, cover

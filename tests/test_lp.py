@@ -10,7 +10,7 @@ from conftest import (
     bench_families, count_calls, fig6, fig8, fig9, random_graph, tri_chain,
     weight_denominator_graphs,
 )
-from matchstab import lp, oracle
+from matchstab import graph as graph_module, lp, oracle
 from matchstab.errors import DegreeConstraintViolated, NotHalfIntegral, NotOptimalPair
 from matchstab.graph import (
     ZERO,
@@ -463,9 +463,8 @@ def test_a_phase_starts_only_where_no_direct_match_exists(monkeypatch):
 
 
 def _always_rounded(g):
-    """x as `solve_fractional` found it before it tried `decompose` first:
-    `normalize_to_basic` on the kernel's half counts, also when they are
-    basic already. The reference its x must equal."""
+    """`normalize_to_basic` on the kernel's half counts, also when they are
+    basic already: the reference the x of `solve_fractional` must equal."""
     return normalize_to_basic(g, _averaged(g))
 
 
@@ -478,21 +477,26 @@ def test_rounding_only_a_non_basic_x_matches_always_rounding(monkeypatch, proper
         for inst in families.Generator(workload, 7).round()
     ]
     graphs += weight_denominator_graphs(random.Random(16))
-    rounds = count_calls(monkeypatch, lp, "normalize_to_basic")
     for g in graphs:
         assert solve_fractional(g)[0] == _always_rounded(g), g
-    assert 0 < rounds[0] < len(graphs)  # both branches ran
 
 
-def test_a_basic_kernel_x_is_not_rounded(monkeypatch):
+def test_one_solve_counts_x_once(monkeypatch):
+    """A basic x and a rounded one both take one `normalize_to_basic` walk
+    and one counting pass."""
+    passes = count_calls(monkeypatch, graph_module, "_count_halves")
     rounds = count_calls(monkeypatch, lp, "normalize_to_basic")
-    solve_fractional(tri_chain(random.Random(1), 40))
-    solve_fractional(_complete(random.Random(1), 40, lambda r: r.randint(1, 1000)))
-    assert rounds[0] == 0
     path = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)], labels=["a", "b", "c"])
     assert _averaged(path) == [1, 1]  # a half-valued path, not basic
-    bfm, _cover = solve_fractional(path)
-    assert rounds[0] == 1 and bfm.halves == (2, 0)
+    for g in (
+        tri_chain(random.Random(1), 40),
+        _complete(random.Random(1), 40, lambda r: r.randint(1, 1000)),
+        path,
+    ):
+        passes[0] = rounds[0] = 0
+        bfm, _cover = solve_fractional(g)
+        assert passes[0] == rounds[0] == 1, g
+    assert bfm.halves == (2, 0)
 
 
 def test_decompose_degree_message_names_the_load():
