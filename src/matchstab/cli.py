@@ -22,7 +22,6 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
-from pathlib import Path
 from typing import Any, Optional
 
 from . import oracle as oracle_mod
@@ -415,14 +414,19 @@ def _parse_with_parsers(args_list: list[str]) -> argparse.Namespace:
     return p.parse_args(args.rest, namespace=args)
 
 
+def _read(path: str) -> tuple[bytes, str]:
+    """A file's bytes, read once, and their UTF-8 text with the newline
+    translation of a text-mode read."""
+    with open(path, "rb") as f:
+        data = f.read()
+    return data, data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _load_instance(path: str) -> tuple[Instance, str]:
     """The parsed instance file and the sha256 of its bytes, read once. A
     file that cannot be read or parsed is a ParseError that names it."""
     try:
-        data = Path(path).read_bytes()
-        text = data.decode("utf-8")
-        if "\r" in text:  # the newline translation of a text-mode read
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        data, text = _read(path)
         instance = parse_instance(text)
     except (OSError, UnicodeDecodeError, ParseError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
@@ -480,7 +484,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "verify":
             started = time.monotonic()
             try:
-                result_doc = load_result(Path(args.result).read_text(encoding="utf-8"))
+                result_doc = load_result(_read(args.result)[1])
             except MatchstabError:
                 raise  # a repeated key: already a diagnostic of the document
             except (OSError, ValueError, RecursionError) as exc:

@@ -6,11 +6,14 @@ path from an exposed pseudonode maps back to a tight alternating path in the
 original graph, along which alternate rounding plus complementing removes one
 or two cycles without losing weight. The search graph G' is built once,
 from the entry pair, with a row only for each node that has an edge. After
-that, G' and x are kept in place: an augmentation changes x on its path and
-its one or two cycles only, and G' only around them. x is validated, and
-the pair proven optimal, once after the last move. A frustrated tree's
-nodes are marked dead and stay dead, since node ids never change; when no
-live exposed pseudonode remains, the cycle count has reached its minimum.
+that, x is kept in place as its half counts and G' as its rows, M' and
+the two maps between pseudonodes and cycle vertices: an augmentation
+changes x on its path and its one or two cycles only, and G' only around
+them. The live pseudonodes are x's cycles, so no other list of them is
+kept. x is validated, and the pair proven optimal, once after the last
+move. A frustrated tree's nodes are marked dead and stay dead, since node
+ids never change; when no live exposed pseudonode remains, the cycle count
+has reached its minimum.
 """
 
 from __future__ import annotations
@@ -41,11 +44,10 @@ class AuxiliaryGraph(NamedTuple):
     with x. `adjacency` holds a sorted row for each id; every id without an
     edge shares the row `()`, and an id that stands for no node has no
     edge. `mate` is M' over all ids: the pairs of x, and v-v' for each
-    shadow. `cycle_of` maps each pseudonode to its cycle and `node_of` each
-    cycle vertex to its pseudonode. `provenance` maps each search edge at a
-    pseudonode to the least original object it stands for (an edge endpoint
-    pair, or a cycle vertex for a pseudonode-z edge); expansion uses that
-    one.
+    shadow. `cycle_of` maps each pseudonode to its cycle, in the sorted
+    order of x's cycles, and `node_of` each cycle vertex to its pseudonode.
+    Which vertex of a cycle a search edge at its pseudonode stands for is
+    worked out where a move reads it (`_entry_vertex`).
     """
 
     n: int
@@ -53,7 +55,6 @@ class AuxiliaryGraph(NamedTuple):
     mate: list[Optional[int]]
     cycle_of: dict[int, tuple[int, ...]]
     node_of: dict[int, int]
-    provenance: dict[tuple[int, int], object]
 
     def kind(self, node: int) -> str:
         n = self.n
@@ -77,13 +78,9 @@ class _Rows(dict):
         row = self[node] = set(self.aux.adjacency[node])
         return row
 
-    def add(self, a: int, b: int, item) -> None:
+    def add(self, a: int, b: int) -> None:
         self[a].add(b)
         self[b].add(a)
-        if a in self.aux.cycle_of or b in self.aux.cycle_of:
-            key = (min(a, b), max(a, b))
-            provenance = self.aux.provenance
-            provenance[key] = min(item, provenance.get(key, item))
 
     def attach(self, v: int, load: int) -> None:
         """The z edge of a covered zero-cover vertex v, or the shadow gadget
@@ -91,11 +88,11 @@ class _Rows(dict):
         aux = self.aux
         z = aux.n
         if load == 2:
-            self.add(aux.node_of.get(v, v), z, v)
+            self.add(aux.node_of.get(v, v), z)
         elif load == 0:
             shadow = z + 1 + v
-            self.add(v, shadow, v)
-            self.add(shadow, z, v)
+            self.add(v, shadow)
+            self.add(shadow, z)
             aux.mate[v], aux.mate[shadow] = shadow, v
 
     def write(self) -> None:
@@ -121,7 +118,7 @@ def _build_auxiliary(
     cycle_of = {2 * n + 1 + c[0]: c for c in bfm.odd_cycles}
     # a cycle vertex stands for its pseudonode, any other vertex for itself
     node_of = {v: node for node, c in cycle_of.items() for v in c}
-    aux = AuxiliaryGraph(n, [()] * (3 * n + 1), [None] * (3 * n + 1), cycle_of, node_of, {})
+    aux = AuxiliaryGraph(n, [()] * (3 * n + 1), [None] * (3 * n + 1), cycle_of, node_of)
     for u, v in bfm.matched.pairs:
         aux.mate[u], aux.mate[v] = v, u
     rows = _Rows(aux)
@@ -129,21 +126,12 @@ def _build_auxiliary(
         u, v = graph.ends[idx]
         a, b = node_of.get(u, u), node_of.get(v, v)
         if a != b:  # else an intra-cycle edge or a chord of a shrunk cycle
-            rows.add(a, b, (u, v))
+            rows.add(a, b)
     for v, a_v in enumerate(cover.int_values):
         if a_v == 0:
             rows.attach(v, bfm.vertex_halves[v])
     rows.write()
     return aux
-
-
-class SearchX(NamedTuple):
-    """x while the search moves it, kept in place: the half counts 2x_i,
-    the loads 2x(delta(v)) and the sorted list of its support cycles."""
-
-    halves: list[int]
-    loads: list[int]
-    cycles: list[tuple[int, ...]]
 
 
 class AugmentationEvent(NamedTuple):
@@ -161,14 +149,24 @@ class FrustrationEvent(NamedTuple):
     deleted_vertices: tuple[int, ...]
 
 
-def _entry_vertex(aux: AuxiliaryGraph, pseudonode: int, neighbor: int) -> int:
+def _entry_vertex(
+    graph: WeightedGraph, cover: FractionalVertexCover, tight: frozenset[int],
+    aux: AuxiliaryGraph, pseudonode: int, neighbor: int,
+) -> int:
     """The vertex of the pseudonode's cycle that its search edge to
-    `neighbor` stands for."""
-    rep = aux.provenance[(min(pseudonode, neighbor), max(pseudonode, neighbor))]
-    if isinstance(rep, int):
-        return rep  # a pseudonode-z edge stands for a zero-cover cycle vertex
-    u, v = rep
-    return u if aux.node_of.get(u) == pseudonode else v
+    `neighbor` stands for: for z, the cycle's lowest zero-cover vertex;
+    for any other node, the cycle's end of the least edge (by its ends)
+    among the tight edges between the cycle and the vertices that node
+    stands for."""
+    cycle = aux.cycle_of[pseudonode]
+    if neighbor == aux.n:
+        return min(v for v in cycle if cover.int_values[v] == 0)
+    node_of = aux.node_of
+    u, v = min(
+        graph.ends[idx] for c in cycle for w, idx in graph.adjacency[c]
+        if idx in tight and node_of.get(w, w) == neighbor
+    )
+    return u if node_of.get(u) == pseudonode else v
 
 
 def _validate_alternating(aux: AuxiliaryGraph, path: Sequence[int]) -> None:
@@ -188,11 +186,9 @@ def _validate_alternating(aux: AuxiliaryGraph, path: Sequence[int]) -> None:
             raise PathNotAugmenting("path does not alternate with M'")
 
 
-def _set_edge(aux: AuxiliaryGraph, x: SearchX, idx: int, a: int, b: int, new: int) -> None:
-    """Set 2x on the edge idx = ab to `new`, keeping the loads and M' in step."""
-    old, x.halves[idx] = x.halves[idx], new
-    x.loads[a] += new - old
-    x.loads[b] += new - old
+def _set_edge(aux: AuxiliaryGraph, halves: list[int], idx: int, a: int, b: int, new: int) -> None:
+    """Set 2x on the edge idx = ab to `new`, keeping M' in step."""
+    old, halves[idx] = halves[idx], new
     mate = aux.mate
     if old == 2:  # unless the move already matched a or b anew
         if mate[a] == b:
@@ -208,24 +204,28 @@ def apply_augmentation(
     cover: FractionalVertexCover,
     tight: frozenset[int],
     aux: AuxiliaryGraph,
-    x: SearchX,
+    halves: list[int],
     path: Sequence[int],
 ) -> AugmentationEvent:
     """Map a search-graph augmenting path back to G and perform the move on
-    x, G' and M' in place.
+    x (its half counts `halves`), G' and M' in place.
 
     The path starts at a pseudonode and ends at a second pseudonode or at z.
     Each end cycle is rounded at the vertex its path edge enters (for a
     pseudonode-z edge, the zero-cover vertex that edge stands for), and the
     tight alternating path between them in G, which drops a trailing shadow
     node and z, is complemented. The endpoint shape only names the event.
+    The entry vertices are read off G and the cover (`_entry_vertex`)
+    before G' changes.
 
     x changes only on the end cycles and on the path, and G' only around
     them: each end pseudonode is expanded into its cycle's vertices, which
     take back their tight edges, and each zero-cover vertex whose load
     changed (a vertex of an end cycle, or the path's last vertex before z)
-    gets its z edge or shadow gadget anew. Only the touched rows are sorted
-    again. The caller validates x and proves the pair after its last move.
+    gets its z edge or shadow gadget anew, from its load summed over
+    `halves`. Only the touched rows are sorted again. An end cycle leaves
+    `aux.cycle_of` with its pseudonode. The caller validates x and proves
+    the pair after its last move.
     """
     _validate_alternating(aux, path)
     start, end = path[0], path[-1]
@@ -236,7 +236,7 @@ def apply_augmentation(
         ends.append((end, path[-2]))
     elif aux.kind(end) != "z":
         raise EndpointNotRecognized(f"endpoint {end} is neither a pseudonode nor z")
-    picks = [(aux.cycle_of[p], _entry_vertex(aux, p, q)) for p, q in ends]
+    picks = [(aux.cycle_of[p], _entry_vertex(graph, cover, tight, aux, p, q)) for p, q in ends]
     rounded_at = tuple(v for _c, v in picks)
     inner = tuple(node for node in path[1:-1] if aux.kind(node) == "vertex")
     g_path = rounded_at[:1] + inner + rounded_at[1:]
@@ -252,20 +252,18 @@ def apply_augmentation(
     edge_index = graph.edge_index
     for cycle, v in picks:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            _set_edge(aux, x, edge_index(a, b), a, b, 0)
+            _set_edge(aux, halves, edge_index(a, b), a, b, 0)
         for a, b in near_perfect_matching(cycle, v):
-            _set_edge(aux, x, edge_index(a, b), a, b, 2)
-        x.cycles.remove(cycle)
+            _set_edge(aux, halves, edge_index(a, b), a, b, 2)
     for a, b in zip(g_path, g_path[1:]):  # no path edge is on a cycle
         idx = edge_index(a, b)
-        _set_edge(aux, x, idx, a, b, 2 - x.halves[idx])
+        _set_edge(aux, halves, idx, a, b, 2 - halves[idx])
 
     rows = _Rows(aux)
     joined: list[int] = []  # the vertices of the expanded pseudonodes
     for node, _q in ends:
         for b in rows[node]:
             rows[b].discard(node)
-            del aux.provenance[(min(node, b), max(node, b))]
         rows[node] = set()
         for v in aux.cycle_of.pop(node):
             del aux.node_of[v]
@@ -279,10 +277,10 @@ def apply_augmentation(
     for v in joined:
         for w, idx in graph.adjacency[v]:
             if idx in tight:
-                rows.add(v, aux.node_of.get(w, w), graph.ends[idx])
+                rows.add(v, aux.node_of.get(w, w))
     for v in joined + last:
         if cover.int_values[v] == 0:
-            rows.attach(v, x.loads[v])
+            rows.attach(v, sum(halves[idx] for _w, idx in graph.adjacency[v]))
     rows.write()
     return AugmentationEvent(kind, tuple(c for c, _v in picks), rounded_at, g_path)
 
@@ -315,13 +313,12 @@ def reduce_cycles(
     them. Node ids never change, so a dead node stays dead, and every tree
     shares one `TreeSearch`, so each costs time in its own size.
 
-    Each turn roots its tree at the first cycle of the cycle list whose
-    pseudonode is live, found by a cursor into that list. A frustrated tree
-    holds no pseudonode but its root, so the cursor steps past each
-    frustrated cycle and every cycle after it is live. A move removes the
-    root's cycle and at most one live cycle after it, so the cursor stays:
-    the roots come in the order a rescan from the first cycle after each
-    augmentation would give.
+    The roots are x's cycles in their sorted order, taken from a copy of
+    `aux.cycle_of`'s keys; a root whose cycle a move already removed is
+    skipped. A frustrated tree holds no pseudonode but its root, and a move
+    removes the root's cycle and at most one live cycle after it, so each
+    tree is rooted at the first cycle whose pseudonode is live: the order a
+    rescan from the first cycle after each augmentation would give.
 
     The entry pair is proven optimal by `solve_fractional` (or here, when
     `start` is given). The moves change x but not the cover, so when any
@@ -337,15 +334,16 @@ def reduce_cycles(
     if bfm.odd_cycles:
         tight = tight_edges(graph, cover)
         aux = _build_auxiliary(graph, bfm, cover, tight)
-        x = SearchX(list(bfm.halves), list(bfm.vertex_halves), list(bfm.odd_cycles))
+        halves = list(bfm.halves)
         search = TreeSearch(aux.adjacency, aux.mate)
         dead: set[int] = set()
-        cursor = 0  # the cycles before it are dead
-        while cursor < len(x.cycles):
-            root = 2 * graph.n + 1 + x.cycles[cursor][0]
+        for root in list(aux.cycle_of):
+            if root not in aux.cycle_of:
+                continue  # an earlier move removed its cycle
             outcome = grow_tree(search, root, dead)
             if isinstance(outcome, AugmentingPath):
-                events.append(apply_augmentation(graph, cover, tight, aux, x, outcome.vertices))
+                path = outcome.vertices
+                events.append(apply_augmentation(graph, cover, tight, aux, halves, path))
             else:
                 tree: FrustratedTree = outcome
                 deleted = sorted(v for v in tree.nodes if aux.kind(v) == "vertex")
@@ -353,9 +351,8 @@ def reduce_cycles(
                 assert tree.nodes - set(deleted) == {root}
                 dead.update(tree.nodes)
                 events.append(FrustrationEvent(aux.cycle_of[root], tuple(deleted)))
-                cursor += 1
-        if len(x.cycles) < len(bfm.odd_cycles):
-            bfm = decompose(graph, x.halves)
-            assert bfm.odd_cycles == tuple(x.cycles)
+        if len(aux.cycle_of) < len(bfm.odd_cycles):
+            bfm = decompose(graph, halves)
+            assert bfm.odd_cycles == tuple(aux.cycle_of.values())
             verify_optimal_pair(graph, bfm, cover)
     return ReduceCyclesResult(bfm, cover, len(bfm.odd_cycles), tuple(events))

@@ -15,9 +15,7 @@ from matchstab.certify import verify_optimal_pair
 from matchstab.cycles import (
     AugmentationEvent,
     FrustrationEvent,
-    SearchX,
     _build_auxiliary,
-    _entry_vertex,
     _validate_alternating,
     apply_augmentation,
     reduce_cycles,
@@ -39,10 +37,6 @@ def build_auxiliary(g, bfm, cover):
     is optimal."""
     verify_optimal_pair(g, bfm, cover)
     return _build_auxiliary(g, bfm, cover, tight_edges(g, cover))
-
-
-def _search_x(bfm) -> SearchX:
-    return SearchX(list(bfm.halves), list(bfm.vertex_halves), list(bfm.odd_cycles))
 
 
 def _two_triangles_bridged() -> WeightedGraph:
@@ -121,9 +115,9 @@ def test_apply_augmentation_two_cycles():
     outcome = grow_tree(TreeSearch(aux.adjacency, aux.mate), root, frozenset())
     assert isinstance(outcome, AugmentingPath)
     assert outcome.vertices == (root, other)
-    x = _search_x(bfm)
-    event = apply_augmentation(g, cover, tight_edges(g, cover), aux, x, outcome.vertices)
-    new = decompose(g, x.halves)
+    halves = list(bfm.halves)
+    event = apply_augmentation(g, cover, tight_edges(g, cover), aux, halves, outcome.vertices)
+    new = decompose(g, halves)
     assert event.kind == "two_cycles"
     assert event.rounded_at == (2, 3)
     assert new.odd_cycles == ()
@@ -140,7 +134,7 @@ def test_apply_augmentation_rejects_garbage_path():
     cover = cover_of([H] * 6)
     aux = build_auxiliary(g, bfm, cover)
     with pytest.raises(PathNotAugmenting):
-        apply_augmentation(g, cover, tight_edges(g, cover), aux, _search_x(bfm), (0, 1))
+        apply_augmentation(g, cover, tight_edges(g, cover), aux, list(bfm.halves), (0, 1))
 
 
 def test_reduce_cycles_fixtures():
@@ -174,6 +168,13 @@ def _zero_cover_cycle_vertex():
     # and the cover zero at vertex 0 lets the cycle round away directly
     g = WeightedGraph.from_edges(3, [(0, 1, 1), (0, 2, 1), (1, 2, 2)])
     return g, _forced_start(g, [(0, 1, 2)], [], [0, 1, 1])
+
+
+def _two_zero_cover_cycle_vertices():
+    # a 5-cycle tight under the cover (0, 1, 1, 0, 1): its pseudonode-z edge
+    # stands for both zero-cover vertices 0 and 3, and the lower one is used
+    g = WeightedGraph.from_edges(5, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 4, 1), (0, 4, 1)])
+    return g, _forced_start(g, [(0, 1, 2, 3, 4)], [], [0, 1, 1, 0, 1])
 
 
 def _covered_zero_cover_vertex():
@@ -217,6 +218,17 @@ def test_direct_rounding_at_zero_cover_cycle_vertex():
     )
     assert result.solution.values == (0, 0, 1)
     assert result.solution.matched.pairs == frozenset({(1, 2)})
+
+
+def test_rounding_at_the_lowest_zero_cover_cycle_vertex():
+    g, start = _two_zero_cover_cycle_vertices()
+    result = reduce_cycles(g, start=start)
+    assert result.gamma == 0 == oracle.brute_gamma(g)
+    assert result.weight == 3
+    assert result.events == (
+        AugmentationEvent("cycle_zero_cover", ((0, 1, 2, 3, 4),), (0,), ()),
+    )
+    assert result.solution.matched.pairs == frozenset({(1, 2), (3, 4)})
 
 
 def test_path_to_covered_zero_cover_vertex():
@@ -392,14 +404,51 @@ def test_pair_checks_do_not_grow_with_gamma(monkeypatch):
 # ---------------------------------------------------------------------------
 # The search as it ran when x and G' were made anew after every
 # augmentation: the move rounds and complements whole vectors, each
-# validated by `decompose`, and G' is rebuilt from the new pair. The in-place
-# moves must give the same events and the same x.
+# validated by `decompose`, and G' is rebuilt from the new pair. The entry
+# vertices come from a provenance map built from the pair, the map G' kept
+# before `_entry_vertex` derived them from G and the cover.
+# The in-place moves must give the same events and the same x.
 
 
-def _reference_move(bfm, aux, path):
+def _reference_provenance(bfm, cover, tight) -> dict:
+    """Each search edge at a pseudonode, keyed by its ends, mapped to the
+    least original object it stands for: the least endpoint pair of its
+    tight edges, or for a pseudonode-z edge the least zero-cover vertex of
+    the cycle."""
+    graph, n = bfm.graph, bfm.graph.n
+    node_of = {v: 2 * n + 1 + c[0] for c in bfm.odd_cycles for v in c}
+    pseudonodes = set(node_of.values())
+    provenance: dict = {}
+
+    def add(a, b, item):
+        if a in pseudonodes or b in pseudonodes:
+            key = (min(a, b), max(a, b))
+            provenance[key] = min(item, provenance.get(key, item))
+
+    for idx in tight:
+        u, v = graph.ends[idx]
+        a, b = node_of.get(u, u), node_of.get(v, v)
+        if a != b:
+            add(a, b, (u, v))
+    for v, a_v in enumerate(cover.int_values):
+        if a_v == 0 and bfm.vertex_halves[v] == 2:
+            add(node_of.get(v, v), n, v)
+    return provenance
+
+
+def _reference_entry_vertex(provenance, aux, pseudonode, neighbor):
+    rep = provenance[(min(pseudonode, neighbor), max(pseudonode, neighbor))]
+    if isinstance(rep, int):
+        return rep  # a pseudonode-z edge stands for a zero-cover cycle vertex
+    u, v = rep
+    return u if aux.node_of.get(u) == pseudonode else v
+
+
+def _reference_move(bfm, cover, tight, aux, path):
     """Map a search-graph augmenting path back to G and return the new x,
     made by `round_cycles` and `complement`, with the move's event."""
     graph = bfm.graph
+    provenance = _reference_provenance(bfm, cover, tight)
     _validate_alternating(aux, path)
     start, end = path[0], path[-1]
     if aux.kind(start) != "cycle":
@@ -409,7 +458,9 @@ def _reference_move(bfm, aux, path):
         ends.append((end, path[-2]))
     elif aux.kind(end) != "z":
         raise EndpointNotRecognized(f"endpoint {end} is neither a pseudonode nor z")
-    picks = [(aux.cycle_of[p], _entry_vertex(aux, p, q)) for p, q in ends]
+    picks = [
+        (aux.cycle_of[p], _reference_entry_vertex(provenance, aux, p, q)) for p, q in ends
+    ]
     rounded_at = tuple(v for _c, v in picks)
     inner = tuple(node for node in path[1:-1] if aux.kind(node) == "vertex")
     g_path = rounded_at[:1] + inner + rounded_at[1:]
@@ -448,7 +499,7 @@ def reduce_cycles_rebuilding(graph, start=None):
             continue
         outcome = grow_tree(search, root, dead)
         if isinstance(outcome, AugmentingPath):
-            bfm, event = _reference_move(bfm, aux, outcome.vertices)
+            bfm, event = _reference_move(bfm, cover, tight, aux, outcome.vertices)
             events.append(event)
             aux, cursor = None, 0
         else:
@@ -460,7 +511,7 @@ def reduce_cycles_rebuilding(graph, start=None):
 
 
 _FORCED_STARTS = (
-    _zero_cover_cycle_vertex, _covered_zero_cover_vertex,
+    _zero_cover_cycle_vertex, _two_zero_cover_cycle_vertices, _covered_zero_cover_vertex,
     _two_cycles_and_interior_matched_path, _exposed_zero_cover_vertex,
 )
 
@@ -506,19 +557,21 @@ def test_in_place_moves_match_the_rebuilding_reference(property_suite):
 
 
 def test_each_move_leaves_what_a_rebuild_makes(monkeypatch, property_suite):
-    # after every augmentation, G', M' and x equal `_build_auxiliary` and
-    # `decompose` on the pair the reference move makes
+    # after every augmentation, G', M', the half counts and the live cycles,
+    # in their sorted order, equal `_build_auxiliary` and `decompose` on the
+    # pair the reference move makes
     move = matchstab.cycles.apply_augmentation
     moves = [0]
 
-    def checked(graph, cover, tight, aux, x, path):
-        before = decompose(graph, x.halves)
-        assert (x.loads, x.cycles) == (list(before.vertex_halves), list(before.odd_cycles))
+    def checked(graph, cover, tight, aux, halves, path):
+        before = decompose(graph, halves)
+        assert tuple(aux.cycle_of.values()) == before.odd_cycles
         assert aux == _build_auxiliary(graph, before, cover, tight)
-        new, expected = _reference_move(before, aux, path)
-        event = move(graph, cover, tight, aux, x, path)
+        new, expected = _reference_move(before, cover, tight, aux, path)
+        event = move(graph, cover, tight, aux, halves, path)
         assert event == expected
-        assert x == (list(new.halves), list(new.vertex_halves), list(new.odd_cycles))
+        assert halves == list(new.halves)
+        assert tuple(aux.cycle_of.values()) == new.odd_cycles
         assert aux == _build_auxiliary(graph, new, cover, tight)
         moves[0] += 1
         return event

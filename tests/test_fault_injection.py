@@ -95,9 +95,9 @@ start = (decompose(bridged, halves), FractionalVertexCover.from_values((half,) *
 move = cycles.apply_augmentation
 
 
-def move_dropping_an_edge(graph, cover, tight, aux, x, path):
-    event = move(graph, cover, tight, aux, x, path)
-    x.halves[bridged.edge_index(0, 1)] = 0
+def move_dropping_an_edge(graph, cover, tight, aux, halves, path):
+    event = move(graph, cover, tight, aux, halves, path)
+    halves[bridged.edge_index(0, 1)] = 0
     return event
 
 

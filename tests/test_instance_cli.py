@@ -119,6 +119,18 @@ def test_importing_the_cli_generates_no_dataclass():
     assert "matchstab.cli" in loaded and "dataclasses" not in loaded
 
 
+def test_importing_the_cli_loads_no_pathlib():
+    # the instance and --result files are read with `open`
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import matchstab.cli, sys; print('pathlib' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(matchstab.__file__).parents[1])),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 @pytest.mark.parametrize("weight", ["1e999999999", "1e-999999999", "1e5000"])
 def test_a_weight_whose_exponent_is_too_large_is_refused(tmp_path, weight):
     # `Fraction` alone would expand 10**999999999, and 10**5000 parses but
@@ -1102,16 +1114,33 @@ def test_verify_of_a_non_utf8_result_is_an_input_error(tmp_path, capsys):
     assert (code, out, err) == (1, "", f"matchstab: error: {path}: {_DECODE_ERROR}\n")
 
 
+# (argv, the path as given, its OS error): a file that cannot be read
+_MISSING = "fixtures/missing.json"
+_UNREADABLE = [
+    (["gamma", _MISSING], _MISSING, "[Errno 2] No such file or directory"),
+    (["verify", _F, "--result", _MISSING], _MISSING, "[Errno 2] No such file or directory"),
+    (["gamma", "fixtures"], "fixtures", "[Errno 21] Is a directory"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, path, error", _UNREADABLE, ids=[" ".join(row[0]) for row in _UNREADABLE]
+)
+def test_an_unreadable_file_is_an_input_error_that_names_it(capsys, monkeypatch, argv, path, error):
+    monkeypatch.chdir(FIXTURES.parent)
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"matchstab: error: {path}: {error}: {path!r}\n")
+
+
 def _count_reads(monkeypatch) -> list[str]:
+    """The name of each file the CLI opens, as the calls come."""
     reads = []
-    for name in ("read_bytes", "read_text"):
-        original = getattr(Path, name)
 
-        def counted(self, *args, _original=original, **kwargs):
-            reads.append(self.name)
-            return _original(self, *args, **kwargs)
+    def counted(path, *args, **kwargs):
+        reads.append(os.path.basename(path))
+        return open(path, *args, **kwargs)
 
-        monkeypatch.setattr(Path, name, counted)
+    monkeypatch.setattr(cli, "open", counted, raising=False)
     return reads
 
 

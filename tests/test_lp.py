@@ -22,6 +22,7 @@ from matchstab.graph import (
 from matchstab.certify import optimal_pair_checks, verify_optimal_pair
 from matchstab.instance import parse_instance
 from matchstab.lp import bipartite_max_weight_matching, normalize_to_basic, solve_fractional
+from test_half_counts import _reference_normalize_to_basic
 
 H = Fraction(1, 2)
 
@@ -462,13 +463,9 @@ def test_a_phase_starts_only_where_no_direct_match_exists(monkeypatch):
         assert phases[0] == expected
 
 
-def _always_rounded(g):
-    """`normalize_to_basic` on the kernel's half counts, also when they are
-    basic already: the reference the x of `solve_fractional` must equal."""
-    return normalize_to_basic(g, _averaged(g))
-
-
-def test_rounding_only_a_non_basic_x_matches_always_rounding(monkeypatch, property_suite):
+def test_solve_fractional_x_equals_the_fraction_reference_rounding(monkeypatch, property_suite):
+    # the reference rounds the kernel's averaged x with `Fraction` entries,
+    # as `normalize_to_basic` did before half counts
     families = bench_families(monkeypatch)
     graphs = list(property_suite)
     graphs += [  # one round of every workload of the benchmark's instance generator
@@ -478,7 +475,8 @@ def test_rounding_only_a_non_basic_x_matches_always_rounding(monkeypatch, proper
     ]
     graphs += weight_denominator_graphs(random.Random(16))
     for g in graphs:
-        assert solve_fractional(g)[0] == _always_rounded(g), g
+        expected = _reference_normalize_to_basic(g, [Fraction(h, 2) for h in _averaged(g)])
+        assert solve_fractional(g)[0].values == expected.values, g
 
 
 def test_one_solve_counts_x_once(monkeypatch):
