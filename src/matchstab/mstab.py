@@ -32,13 +32,13 @@ Both passes scan G itself, and G - delta(S) is built once, for the final
 check. The walk arcs of (G, M), with their integer weights, are built once
 per call (`walks.WalkArcs`, which also checks once that M is a matching of
 G), and every scan of both passes runs on them. Each scan is told the
-current S and writes no DP entry at a vertex of S. That is exact, because S
-holds only M-exposed vertices other than the root: each walk-DP entry is
-the same as on G - delta(S), iteration by iteration, and the scan stops at
-the same iteration. Proof: y2 is written only through a matched edge, so
-an exposed s != root never gets a y2 entry; with no y1 entry either, s
-carries no value along its unmatched edges and has no matched one, just
-as if its star were gone.
+current S, which `WalkArcs.run` takes as `deleted`, and writes no DP entry
+at a vertex of S. That is exact, because S holds only M-exposed vertices
+other than the root: each walk-DP entry is the same as on G - delta(S),
+iteration by iteration, and the scan stops at the same iteration. Proof:
+y2 is written only through a matched edge, so an exposed s != root never
+gets a y2 entry; with no y1 entry either, s carries no value along its
+unmatched edges and has no matched one, just as if its star were gone.
 """
 
 from __future__ import annotations

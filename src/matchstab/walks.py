@@ -9,13 +9,17 @@ sentinel when no such walk exists.
 
 Each iteration relaxes only the arcs out of the entries that changed in the
 iteration before: the queue (changed-vertex) form of Bellman-Ford (Moore,
-"The shortest path through a maze", 1959). Entries never decrease, and an
-entry that did not change offers the same candidate it offered one
-iteration earlier, which was then committed or beaten; so every strict
-improvement comes from a changed entry. A y1 entry is recomputed over all
-of its vertex's free arcs, in adjacency order, so it gets the full sweep's
-value and the full sweep's `pred1` tie-break. Each iteration therefore
-commits exactly what relaxing every arc would (see `_IntegerDP`).
+"The shortest path through a maze", 1959). It still reads only the entries
+of the iteration before, and it commits exactly what relaxing every arc
+would. Entries never decrease, and an entry that did not change offers the
+same candidate it offered one iteration earlier, which was then committed
+or beaten; so every strict improvement comes from a changed entry. y2(v)
+reads only y1 of v's partner, so the matched arc is relaxed only from a y1
+that changed. y1(v) is recomputed, as the first maximum over all of v's
+free arcs in adjacency order, only when some free neighbour's y2 changed:
+where it is recomputed it gets the full sweep's value and the full sweep's
+`pred1` tie-break, and where it is not the full sweep would not commit
+either.
 
 The DP runs on integers: it reads the weights D.w that the graph stores
 (`WeightedGraph.scale` is D, the lcm of the weight denominators, and
@@ -23,11 +27,11 @@ The DP runs on integers: it reads the weights D.w that the graph stores
 itself. That is exact and keeps every sign and every order, so
 an entry is converted back as Fraction(entry, D) only where a caller reads
 it. `WalkArcs` holds the matched and free arcs with these integer weights;
-one set of arcs serves every DP run on the same G and M. Only
-`optimal_walks` keeps the per-iteration snapshots and predecessor records
-that `reconstruct_walk` needs. The M-vertex-stabilizer's two scans,
-`first_pass_scan` and `second_pass_scan`, keep no history and stop as soon
-as their verdict is fixed.
+one set of arcs serves every DP run on the same G and M, and `WalkArcs.run`
+is the one driver of the DP. Only `optimal_walks` keeps the per-iteration
+snapshots and predecessor records that `reconstruct_walk` needs. The
+M-vertex-stabilizer's two scans, `first_pass_scan` and `second_pass_scan`,
+keep no history and stop as soon as their verdict is fixed.
 """
 
 from __future__ import annotations
@@ -52,6 +56,8 @@ Entry = Optional[Fraction]  # None is the -infinity sentinel
 
 # (vertex, predecessor, new value) for one strict improvement
 _Commit = tuple[int, int, int]
+# (i, y1, y2, commits1, commits2) after iteration i of one DP run
+_Step = tuple[int, list[Optional[int]], list[Optional[int]], list[_Commit], list[_Commit]]
 
 
 class WalkTables(NamedTuple):
@@ -110,94 +116,33 @@ class WalkArcs:
                 else:
                     self.free[v].append((u, scaled[idx]))
 
-    def first_pass_scan(
-        self, root: int, k: int, deleted: AbstractSet[int]
-    ) -> tuple[bool, Optional[int]]:
-        """`first_pass_scan` on these arcs, run on G - delta(S) for the set
-        S = `deleted` of exposed vertices other than the root."""
-        dp = self._exposed_root_dp(root, k, deleted)
-        for _iteration in dp.iterations(k):
-            if dp.y1[root] > 0:
-                return True, None
-        y2 = dp.y2
-        walk_to_covered = next(
-            (
-                v
-                for v in range(self.n)
-                if self.matched[v] is not None and y2[v] is not None and y2[v] > 0
-            ),
-            None,
-        )
-        return False, walk_to_covered
+    def run(self, source: int, k: int, deleted: AbstractSet[int] = frozenset()) -> Iterator[_Step]:
+        """Run the DP from the source for at most k iterations.
 
-    def second_pass_scan(self, root: int, k: int, deleted: AbstractSet[int]) -> Optional[int]:
-        """`second_pass_scan` on these arcs."""
-        dp = self._exposed_root_dp(root, k, deleted)
-        for _iteration in dp.iterations(k):
-            pass
-        y1 = dp.y1
-        return next(
-            (
-                v
-                for v in range(self.n)
-                if v != root and self.matched[v] is None and y1[v] is not None and y1[v] > 0
-            ),
-            None,
-        )
-
-    def _exposed_root_dp(self, root: int, k: int, deleted: AbstractSet[int]) -> _IntegerDP:
+        Yields (i, y1, y2, commits1, commits2) at the start (i = 0, with no
+        commits) and after each iteration i that commits; y1 and y2 are the
+        entries as ints (None is -infinity), one pair of lists updated in
+        place. An iteration reads only the entries of the one before, so
+        once one commits no strict improvement every later one would repeat
+        it: the run ends there, before k when it comes sooner. No entry is
+        written at a vertex of `deleted`, a set S of exposed vertices other
+        than the source, so the run is the one on G - delta(S) (see `mstab`).
+        The first step raises ValueError for k < 0 or a source that is not a
+        vertex of the graph.
+        """
         if k < 0:
             raise ValueError("length bound must be nonnegative")
-        if self.matched[root] is not None:
-            raise VertexNotExposed(f"vertex {root} is covered")
-        return _IntegerDP(self, root, deleted)
-
-
-class _IntegerDP:
-    """The DP on the graph's integer weights, started at the source.
-
-    `y1` and `y2` hold the current entries as ints (None is -infinity). The
-    DP writes no entry at a vertex of `deleted`, a set S of exposed
-    vertices other than the source, so it runs exactly as on G - delta(S):
-    an exposed vertex gets no y2 entry, so with no y1 entry either it
-    carries nothing along its arcs, as if it had none.
-
-    An iteration relaxes only the arcs out of entries that changed in the
-    iteration before (the queue form of Bellman-Ford), and it still reads
-    only the entries of the iteration before. It commits exactly what
-    relaxing every arc would commit. Entries never decrease. An entry that
-    did not change offers the same candidate as in the iteration before,
-    and that iteration committed it or already held a value at least as
-    large. So only a changed entry can give a strict improvement. y2(v)
-    reads only y1 of v's partner, so the matched arc is relaxed only from a
-    y1 that changed. y1(v) is recomputed, as the first maximum over all of
-    v's free arcs in adjacency order, only when some free neighbour's y2
-    changed. Where it is recomputed, it gets the full sweep's value and the
-    full sweep's `pred1` tie-break; where it is not, the full sweep would
-    not commit either.
-    """
-
-    def __init__(self, arcs: WalkArcs, source: int, deleted: AbstractSet[int] = frozenset()):
-        self.arcs = arcs
-        self.source = source
-        self.deleted = deleted
-        self.y1: list[Optional[int]] = [None] * arcs.n
-        self.y2: list[Optional[int]] = [None] * arcs.n
-        self.y1[source] = 0
-        if arcs.matched[source] is None:
-            self.y2[source] = 0
-
-    def iterations(self, k: int) -> Iterator[tuple[int, list[_Commit], list[_Commit]]]:
-        """Run iterations 1..k, yielding (i, commits1, commits2) after each.
-
-        An iteration reads only the previous entries, so once one commits no
-        strict improvement every later one would repeat it: the run ends
-        there, before k when it comes sooner.
-        """
-        y1, y2, deleted = self.y1, self.y2, self.deleted
-        matched, free = self.arcs.matched, self.arcs.free
-        changed1 = [self.source]
-        changed2 = [self.source] if y2[self.source] is not None else []
+        if not 0 <= source < self.n:
+            raise ValueError(f"vertex {source} is not in the graph")
+        matched, free = self.matched, self.free
+        y1: list[Optional[int]] = [None] * self.n
+        y2: list[Optional[int]] = [None] * self.n
+        y1[source] = 0
+        changed1, changed2 = [source], []
+        if matched[source] is None:
+            y2[source] = 0
+            changed2.append(source)
+        yield 0, y1, y2, [], []
         for i in range(1, k + 1):
             commits2 = []
             for u in changed1:
@@ -228,7 +173,32 @@ class _IntegerDP:
                 y2[v] = value
             changed1 = [v for v, _u, _value in commits1]
             changed2 = [v for v, _u, _value in commits2]
-            yield i, commits1, commits2
+            yield i, y1, y2, commits1, commits2
+
+    def first_pass_scan(
+        self, root: int, k: int, deleted: AbstractSet[int]
+    ) -> tuple[bool, Optional[int]]:
+        """`first_pass_scan` on these arcs, run on G - delta(S) for the set
+        S = `deleted` of exposed vertices other than the root."""
+        steps = self.run(root, k, deleted)
+        _i, y1, y2, _commits1, _commits2 = next(steps)
+        if self.matched[root] is not None:
+            raise VertexNotExposed(f"vertex {root} is covered")
+        if any(y1[root] > 0 for _step in steps):
+            return True, None
+        covered = (v for v in range(self.n) if self.matched[v] is not None)
+        return False, next((v for v in covered if y2[v] is not None and y2[v] > 0), None)
+
+    def second_pass_scan(self, root: int, k: int, deleted: AbstractSet[int]) -> Optional[int]:
+        """`second_pass_scan` on these arcs, with `deleted` unchecked."""
+        steps = self.run(root, k, deleted)
+        _i, y1, _y2, _commits1, _commits2 = next(steps)
+        if self.matched[root] is not None:
+            raise VertexNotExposed(f"vertex {root} is covered")
+        for _step in steps:
+            pass
+        exposed = (v for v in range(self.n) if v != root and self.matched[v] is None)
+        return next((v for v in exposed if y1[v] is not None and y1[v] > 0), None)
 
 
 def optimal_walks(
@@ -240,26 +210,17 @@ def optimal_walks(
     with that snapshot to k + 1 entries; the predecessor records are the
     ones a full k-iteration run would make.
     """
-    if k < 0:
-        raise ValueError("length bound must be nonnegative")
-    dp = _IntegerDP(WalkArcs(graph, matching), source)
-
-    def snapshot(y: list[Optional[int]]) -> tuple[Entry, ...]:
-        return tuple(None if e is None else Fraction(e, graph.scale) for e in y)
-
-    history1 = [snapshot(dp.y1)]
-    history2 = [snapshot(dp.y2)]
+    history1: list[tuple[Entry, ...]] = []
+    history2: list[tuple[Entry, ...]] = []
     pred1: dict[tuple[int, int], int] = {}
     pred2: dict[tuple[int, int], int] = {}
-    for i, commits1, commits2 in dp.iterations(k):
-        for v, u, _value in commits1:
-            pred1[(i, v)] = u
-        for v, u, _value in commits2:
-            pred2[(i, v)] = u
-        history1.append(snapshot(dp.y1))
-        history2.append(snapshot(dp.y2))
-    history1 += [history1[-1]] * (k + 1 - len(history1))
-    history2 += [history2[-1]] * (k + 1 - len(history2))
+    for i, y1, y2, commits1, commits2 in WalkArcs(graph, matching).run(source, k):
+        for pred, commits in ((pred1, commits1), (pred2, commits2)):
+            pred.update(((i, v), u) for v, u, _value in commits)
+        for history, y in ((history1, y1), (history2, y2)):
+            history.append(tuple(None if e is None else Fraction(e, graph.scale) for e in y))
+    for history in (history1, history2):
+        history += [history[-1]] * (k + 1 - len(history))
     return WalkTables(
         graph, matching, source, k,
         tuple(history1), tuple(history2), pred1, pred2,
@@ -276,6 +237,8 @@ def reconstruct_walk(tables: WalkTables, v: int, table: int) -> AlternatingWalk:
     """
     if table not in (1, 2):
         raise ValueError("table must be 1 or 2")
+    if not 0 <= v < tables.graph.n:
+        raise ValueError(f"vertex {v} is not in the graph")
     final = (tables.y1 if table == 1 else tables.y2)[v]
     if final is None:
         raise EntryIsMinusInfinity(f"y{table}({v}) is -infinity")
@@ -347,8 +310,11 @@ def second_pass_scan(
     the M-vertex-stabilizer passes k = n.
 
     `deleted` is a set S of exposed vertices other than the root, whose
-    stars count as deleted: the scan runs on the graph as given but writes
-    no DP entry at S, so it makes the iterations and returns the verdict of
-    the graph without the edges at S (see `mstab`).
+    stars count as deleted: the scan gives the verdict of G - delta(S)
+    without building it (see `mstab`). A root or a covered vertex in S
+    raises VertexNotExposed.
     """
+    for v in deleted:
+        if v == root or not 0 <= v < graph.n or matching.covers(v):
+            raise VertexNotExposed(f"deleted vertex {v} is the root or not an exposed vertex")
     return WalkArcs(graph, matching).second_pass_scan(root, k, deleted)

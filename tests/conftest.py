@@ -261,15 +261,21 @@ def m_vertex_stabilizer_rebuilding(graph: WeightedGraph, matching: Matching) -> 
     )
 
 
-def full_sweep_iterations(dp, k: int):
-    """The walk DP's iterations as they ran before each iteration relaxed
-    only the arcs out of changed entries: every iteration relaxes every arc
-    of `dp.arcs` from the entries of `dp`, which it updates in place, and
-    yields (i, commits1, commits2) like `_IntegerDP.iterations`."""
-    y1, y2 = dp.y1, dp.y2
+def full_sweep_iterations(arcs, source: int, k: int):
+    """The walk DP as it ran before each iteration relaxed only the arcs out
+    of changed entries: from the source, with entries of its own, every
+    iteration relaxes every arc of `arcs`; it yields (i, y1, y2, commits1,
+    commits2) at the start and after each iteration that commits, like
+    `WalkArcs.run`."""
+    y1 = [None] * arcs.n
+    y2 = [None] * arcs.n
+    y1[source] = 0
+    if arcs.matched[source] is None:
+        y2[source] = 0
+    yield 0, y1, y2, [], []
     for i in range(1, k + 1):
         commits2 = []
-        for v, arc in enumerate(dp.arcs.matched):
+        for v, arc in enumerate(arcs.matched):
             if arc is not None:
                 u, w = arc
                 if y1[u] is not None:
@@ -277,7 +283,7 @@ def full_sweep_iterations(dp, k: int):
                     if y2[v] is None or cand > y2[v]:
                         commits2.append((v, u, cand))
         commits1 = []
-        for v, edges in enumerate(dp.arcs.free):
+        for v, edges in enumerate(arcs.free):
             best = None
             for u, w in edges:
                 if y2[u] is not None:
@@ -292,7 +298,7 @@ def full_sweep_iterations(dp, k: int):
             y1[v] = value
         for v, _u, value in commits2:
             y2[v] = value
-        yield i, commits1, commits2
+        yield i, y1, y2, commits1, commits2
 
 
 def cover_of(values) -> FractionalVertexCover:

@@ -15,7 +15,8 @@ from conftest import (
     random_graph,
     random_matching,
 )
-from matchstab import cli, mstab, oracle, walks
+from feasible_sparse import feasible_sparse, instance_json
+from matchstab import cli, mstab, oracle
 from matchstab.certify import load_result, verify
 from matchstab.errors import MNotAMatching, NotOptimalPair
 from matchstab.graph import Matching, WeightedGraph
@@ -144,7 +145,7 @@ def test_walk_arcs_are_built_once(monkeypatch):
         7, [(1, 3, 6), (4, 6, 1), (3, 4, 1), (2, 3, 2), (3, 5, 1), (0, 2, 6), (0, 4, 4)]
     )
     calls = count_calls(monkeypatch, WalkArcs, "__init__")
-    scans = count_calls(monkeypatch, walks._IntegerDP, "__init__")
+    scans = count_calls(monkeypatch, WalkArcs, "run")
     _deletion_passes(g, Matching.from_pairs([(0, 4), (2, 3)]))
     assert calls == [1]
     assert scans == [3]
@@ -234,3 +235,28 @@ def test_a_final_check_that_contradicts_the_lemma_raises(monkeypatch):
     monkeypatch.setattr(mstab, "_deletion_passes", lambda graph, matching: ((), (), ()))
     with pytest.raises(NotOptimalPair, match="matching_weight_equals_cover"):
         m_vertex_stabilizer(g, m)
+
+
+def test_feasible_sparse_family_is_feasible_and_verifies(tmp_path, capsys):
+    # every edge added to the bipartite graph has an end outside M, so the
+    # LP finds each instance feasible and both deletion passes run on it;
+    # they delete what rebuilding G - delta(S) after every deletion does,
+    # and `verify` checks the document the CLI printed
+    second = 0
+    for n in (40, 200):
+        for seed in (1, 2, 3):
+            g, m = feasible_sparse(n, seed)
+            assert repr(m_vertex_stabilizer(g, m)) == repr(m_vertex_stabilizer_rebuilding(g, m))
+            instance = tmp_path / f"feasible-{n}-{seed}.json"
+            instance.write_text(instance_json(n, seed), encoding="utf-8")
+            assert cli.main(["m-stabilize", str(instance)]) == 0
+            doc = capsys.readouterr().out
+            outputs = json.loads(doc)["outputs"]
+            assert outputs["status"] == FEASIBLE
+            second += bool(outputs["S2"])
+            result = tmp_path / f"result-{n}-{seed}.json"
+            result.write_text(doc, encoding="utf-8")
+            assert cli.main(["verify", str(instance), "--result", str(result)]) == 0
+            assert json.loads(capsys.readouterr().out)["verified"] is True
+    # the second pass deletes on some of them
+    assert second >= 2

@@ -406,16 +406,17 @@ def test_first_pass_scan_stops_at_a_flower(monkeypatch):
     assert max(i for i, _v in full.pred1) > length
 
     counted = []
-    iterations = walks._IntegerDP.iterations
+    run = WalkArcs.run
 
-    def counting(self, k):
-        for step in iterations(self, k):
+    def counting(self, *args):
+        for step in run(self, *args):
             counted.append(step[0])
             yield step
 
-    monkeypatch.setattr(walks._IntegerDP, "iterations", counting)
+    monkeypatch.setattr(WalkArcs, "run", counting)
     assert first_pass_scan(g, m, 0, 3 * g.n) == (True, None)
-    assert counted == [1, 2, 3]
+    # the start, then iterations 1..3 only
+    assert counted == [0, 1, 2, 3]
 
 
 def test_scan_examples():
@@ -447,18 +448,56 @@ def test_scan_examples():
             scan(path, Matching.from_pairs([(1, 2)]), 0, -1, *extra)
 
 
-def _commits_per_iteration(iterations, scale=1):
-    """(i, commits1, commits2) of each iteration, each commit's value
-    divided by the scale and each list sorted."""
+def _short_path():
+    """The path 0-1-2-3 with weights 3, 1, 3 and M = {12}."""
+    g = WeightedGraph.from_edges(4, [(0, 1, 3), (1, 2, 1), (2, 3, 3)])
+    return g, Matching.from_pairs([(1, 2)])
+
+
+_VERTEX_CALLS = {
+    "run": lambda g, m, v: next(WalkArcs(g, m).run(v, 12)),
+    "optimal_walks": lambda g, m, v: optimal_walks(g, m, v, 4),
+    "first_pass_scan": lambda g, m, v: first_pass_scan(g, m, v, 12),
+    "second_pass_scan": lambda g, m, v: second_pass_scan(g, m, v, 4, set()),
+    "reconstruct_walk_y1": lambda g, m, v: reconstruct_walk(optimal_walks(g, m, 0, 12), v, 1),
+    "reconstruct_walk_y2": lambda g, m, v: reconstruct_walk(optimal_walks(g, m, 0, 12), v, 2),
+}
+
+
+@pytest.mark.parametrize("call", list(_VERTEX_CALLS))
+def test_walk_api_refuses_a_vertex_outside_the_graph(call):
+    # -1 must not stand for vertex 3, nor 7 or 9 fail with a bare IndexError
+    g, m = _short_path()
+    for vertex in (-1, -4, 4, 7, 9):
+        with pytest.raises(ValueError, match=f"vertex {vertex} is not in the graph"):
+            _VERTEX_CALLS[call](g, m, vertex)
+
+
+def test_second_pass_scan_refuses_a_deleted_set_it_cannot_answer_for():
+    g, m = _short_path()
+    assert second_pass_scan(g, m, 0, 4, set()) == 3
+    assert second_pass_scan(g, m, 0, 4, {3}) is None
+    assert second_pass_scan(g.delete_stars({3}), m, 0, 4, set()) is None
+    # the root itself, a covered vertex and a vertex outside the graph are
+    # not exposed vertices other than the root
+    for deleted in ({0}, {1}, {2, 3}, {-1}, {9}):
+        with pytest.raises(VertexNotExposed, match="deleted vertex"):
+            second_pass_scan(g, m, 0, 4, deleted)
+
+
+def _record(steps, scale=1):
+    """(i, commits1, commits2) of each step of a DP run, each commit's value
+    divided by the scale and each list sorted, and the run's final entries
+    divided by the scale."""
 
     def exact(commits):
         return sorted((v, u, Fraction(value, scale)) for v, u, value in commits)
 
-    return [(i, exact(commits1), exact(commits2)) for i, commits1, commits2 in iterations]
-
-
-def _exact_entries(dp, scale):
-    return [[None if e is None else Fraction(e, scale) for e in y] for y in (dp.y1, dp.y2)]
+    record = []
+    for i, y1, y2, commits1, commits2 in steps:
+        record.append((i, exact(commits1), exact(commits2)))
+    entries = [[None if e is None else Fraction(e, scale) for e in y] for y in (y1, y2)]
+    return record, entries
 
 
 def _random_instance(rng, n_max):
@@ -482,11 +521,8 @@ def test_changed_entry_dp_commits_what_the_full_sweep_commits():
         g, m = _random_instance(rng, 12)
         arcs = WalkArcs(g, m)
         for source in range(g.n):
-            dp = walks._IntegerDP(arcs, source)
-            reference = walks._IntegerDP(arcs, source)
-            run = _commits_per_iteration(dp.iterations(3 * g.n))
-            assert run == _commits_per_iteration(full_sweep_iterations(reference, 3 * g.n))
-            assert (dp.y1, dp.y2) == (reference.y1, reference.y2)
+            run = _record(arcs.run(source, 3 * g.n))
+            assert run == _record(full_sweep_iterations(arcs, source, 3 * g.n))
             covered += m.covers(source)
             exposed += not m.covers(source)
     assert min(covered, exposed) > 500
@@ -505,14 +541,11 @@ def test_dp_that_skips_s_runs_as_the_full_sweep_on_g_minus_the_stars_of_s():
             others = [v for v in exposed if v != root]
             deleted = set(rng.sample(others, rng.randint(0, len(others))))
             rest = g.delete_stars(deleted)
-            dp = walks._IntegerDP(arcs, root, deleted)
-            reference = walks._IntegerDP(WalkArcs(rest, m), root)
             # G - delta(S) may have a smaller weight scale than G
-            run = _commits_per_iteration(dp.iterations(3 * g.n), g.scale)
-            sweep = full_sweep_iterations(reference, 3 * g.n)
-            assert run == _commits_per_iteration(sweep, rest.scale)
-            assert _exact_entries(dp, g.scale) == _exact_entries(reference, rest.scale)
-            on_g = _commits_per_iteration(walks._IntegerDP(arcs, root).iterations(3 * g.n))
+            run, entries = _record(arcs.run(root, 3 * g.n, deleted), g.scale)
+            sweep = full_sweep_iterations(WalkArcs(rest, m), root, 3 * g.n)
+            assert (run, entries) == _record(sweep, rest.scale)
+            on_g, _entries = _record(arcs.run(root, 3 * g.n))
             skipped += len(on_g) > len(run)
     # on G itself the y1 entries at S often keep a run going for longer
     assert skipped > 100
