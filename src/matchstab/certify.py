@@ -1,4 +1,5 @@
-"""What proves a result: every certificate check, and `matchstab verify`.
+"""What proves a result: every certificate check, the result document's
+codec, and `matchstab verify`.
 
 Each claim matchstab prints rests on an LP-duality certificate: an optimal
 pair (x, y) of the fractional matching LP and its dual, or a matching and a
@@ -17,21 +18,32 @@ certificate holds, with exact arithmetic and nothing else:
 - `verify` re-checks a result document against its instance. It runs the
   same named checks on the document's own numbers, plus the checks of each
   command's other claims, and reports every one.
-- `labels_doc`, `pairs_doc` and `cycles_doc` render vertex sets, matchings
-  and cycles as a document prints them. The CLI prints with them, and
-  `verify` compares a document's `matched` and `odd_cycles` with them.
+- The codec: `document` builds the envelope of every run and oracle
+  document, `{command, instance_sha256, outputs, certificates}`, and each
+  field has its writer here, beside the reader `verify` decodes it with:
+  `exact_str` and `_exact` for exact values, `labels_doc` and
+  `_vertex_set` for vertex sets, `pairs_doc` and `_edge_pairs` for
+  matchings and edge sets, `x_entries` and `_halves_from_entries` for x,
+  `cover_doc` and `_cover_from_doc` for y. `cycles_doc` is compared as it
+  is printed, and `event_doc` and `diagnostics_doc` have no reader yet.
+  The CLI fills the envelope with these writers and renders no field
+  itself.
 
 Every check runs on scaled integers: the graph's D.w, the cover's common
 denominator q and integers q.y that `FractionalVertexCover` stores, and the
-half counts 2x that `graph.decompose` keeps. `verify` reads each cover a
-document prints into one such object, once.
+half counts 2x that `graph.decompose` keeps. A cover meets the weights in
+one place, `FractionalVertexCover.slack`, and a vertex set's edges in one,
+`WeightedGraph.stars`. `verify` reads each cover a document prints into one
+such object, once.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Any, Optional
 
 from .errors import (
@@ -43,17 +55,6 @@ from .graph import (
     decompose,
 )
 from .instance import Instance
-
-def labels_doc(graph: WeightedGraph, vertices) -> list[str]:
-    return [graph.label_of(v) for v in sorted(vertices)]
-
-
-def pairs_doc(graph: WeightedGraph, matching: Matching) -> list[list[str]]:
-    return [[graph.label_of(u), graph.label_of(v)] for u, v in matching.sorted_pairs()]
-
-
-def cycles_doc(graph: WeightedGraph, cycles) -> list[list[str]]:
-    return [[graph.label_of(v) for v in cycle] for cycle in cycles]
 
 
 # ---------------------------------------------------------------------------
@@ -71,20 +72,20 @@ def optimal_pair_checks(
     `strong_duality` (w.x = sum y) and `complementary_slackness` (every
     supported edge is tight, and x(delta(v)) = 1 wherever y_v > 0), each with
     its result. All three are decided on integers: the graph's D.w, the
-    cover's q.y and the half counts 2x of `decompose`.
+    cover's q.y and the half counts 2x of `decompose`. The first and the
+    last read one `cover.slack` list, so the edges are walked once.
     """
-    q, a = cover.scale, cover.int_values
+    a = cover.int_values
     if len(a) != graph.n:
         raise InfeasibleCover("cover length does not match vertex count")
-    d, weight, ends = graph.scale, graph.int_weights, graph.ends
-    loads = bfm.vertex_halves
-    slack_ok = all(
-        (a[ends[i][0]] + a[ends[i][1]]) * d == weight[i] * q for i in bfm.support
-    ) and all(a_v == 0 or loads[v] == 2 for v, a_v in enumerate(a))
+    slack, loads = cover.slack(graph), bfm.vertex_halves
+    support_tight = not any([slack[i] for i in bfm.support])
     return [
-        ("cover_is_feasible", cover.is_feasible_for(graph)),
+        ("cover_is_feasible", min(a, default=0) >= 0 and min(slack, default=0) >= 0),
         ("strong_duality", bfm.weight == cover.total),
-        ("complementary_slackness", slack_ok),
+        ("complementary_slackness", support_tight and all(
+            a_v == 0 or loads[v] == 2 for v, a_v in enumerate(a)
+        )),
     ]
 
 
@@ -140,7 +141,18 @@ def verify_stable_subgraph(
 
 
 # ---------------------------------------------------------------------------
-# verify: re-check a result document using only graph-core arithmetic
+# the codec: each field of a result document, its writer beside its reader
+
+
+def document(command: str, digest: str, outputs: dict, certificates: dict) -> dict[str, Any]:
+    """A run or oracle document: the command, the sha256 of the instance
+    file's bytes, what the command claims and what proves it."""
+    return {
+        "command": command,
+        "instance_sha256": digest,
+        "outputs": outputs,
+        "certificates": certificates,
+    }
 
 
 def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -148,7 +160,12 @@ def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     document malformed, where `json.loads` alone would keep the last value."""
     obj = dict(pairs)
     if len(obj) != len(pairs):
-        raise ParseError("malformed result document: an object names an entry twice")
+        seen: set[str] = set()
+        for key, _value in pairs:
+            if key in seen:
+                name = json.dumps(key)
+                raise ParseError(f"malformed result document: an object names the key {name} twice")
+            seen.add(key)
     return obj
 
 
@@ -157,34 +174,21 @@ def load_result(text: str) -> object:
     return json.loads(text, object_pairs_hook=_object)
 
 
-def _distinct(name: str, keys: list) -> list:
-    """`keys`, read off a list the document states as a set; an entry it
-    names twice makes the document malformed."""
-    if len(set(keys)) != len(keys):
-        raise ParseError(f"malformed result document: {name} names an entry twice")
-    return keys
+def exact_str(value) -> str:
+    """An exact value, a Fraction or an int, as the documents print it."""
+    return _ratio_str(value.numerator, value.denominator)
 
 
-def _typed(doc: dict, key: str, kind: type) -> Any:
-    """`doc[key]`, which the document states as a count (`int`) or a flag
-    (`bool`). JSON `true` is no count and `0` no flag, just as
-    `parse_instance` takes no JSON bool or float for a weight."""
-    value = doc[key]
-    if type(value) is not kind:
-        want = "an integer" if kind is int else "true or false"
-        got = json.dumps(value)
-        raise ParseError(f"malformed result document: {key} must be {want}, got {got}")
-    return value
-
-
-def _vertex_set(index, doc: dict, key: str) -> set[int]:
-    return set(_distinct(key, [index[label] for label in doc[key]]))
-
-
-def _edge_pairs(index, doc: dict, key: str) -> list[tuple[int, int]]:
-    """The vertex pairs of the list of edges `doc[key]`, each sorted, so
-    that an edge named twice in either order counts as named twice."""
-    return _distinct(key, [tuple(sorted((index[a], index[b]))) for a, b in doc[key]])
+def _ratio_str(num: int, den: int) -> str:
+    """num/den, den > 0, in lowest terms as str(Fraction) prints it ("a" or
+    "a/b"), or MatchstabError when a part has more digits than Python may
+    convert to a string."""
+    g = gcd(num, den)
+    try:
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
+    except ValueError:  # only a Python with a digit limit raises it
+        limit = sys.get_int_max_str_digits()
+        raise MatchstabError(f"an exact value has more than {limit} digits, too many to print")
 
 
 @lru_cache(maxsize=256)
@@ -204,6 +208,73 @@ def _exact(value: object) -> Fraction:
     return as_fraction(value)
 
 
+def _typed(doc: dict, key: str, kind: type) -> Any:
+    """`doc[key]`, which the document states as a count (`int`) or a flag
+    (`bool`). JSON `true` is no count and `0` no flag, just as
+    `parse_instance` takes no JSON bool or float for a weight."""
+    value = doc[key]
+    if type(value) is not kind:
+        want = "an integer" if kind is int else "true or false"
+        got = json.dumps(value)
+        raise ParseError(f"malformed result document: {key} must be {want}, got {got}")
+    return value
+
+
+def _names(graph: WeightedGraph, vertices) -> list[str]:
+    """The labels of `vertices`, in the order given."""
+    return [graph.label_of(v) for v in vertices]
+
+
+def labels_doc(graph: WeightedGraph, vertices) -> list[str]:
+    """A vertex set, by label in vertex order."""
+    return _names(graph, sorted(vertices))
+
+
+def _distinct(name: str, keys: list) -> list:
+    """`keys`, read off a list the document states as a set; an entry it
+    names twice makes the document malformed."""
+    if len(set(keys)) != len(keys):
+        raise ParseError(f"malformed result document: {name} names an entry twice")
+    return keys
+
+
+def _vertex_set(index, doc: dict, key: str) -> set[int]:
+    """The vertex set that `labels_doc` printed as `doc[key]`."""
+    return set(_distinct(key, [index[label] for label in doc[key]]))
+
+
+def pairs_doc(graph: WeightedGraph, pairs) -> list[list[str]]:
+    """Vertex pairs, such as a matching's sorted pairs or the ends of edges,
+    by label in the order given."""
+    return [_names(graph, pair) for pair in pairs]
+
+
+def _edge_pairs(index, doc: dict, key: str) -> list[tuple[int, int]]:
+    """The vertex pairs that `pairs_doc` printed as `doc[key]`, each sorted,
+    so that an edge named twice in either order counts as named twice."""
+    return _distinct(key, [tuple(sorted((index[a], index[b]))) for a, b in doc[key]])
+
+
+def cycles_doc(graph: WeightedGraph, cycles) -> list[list[str]]:
+    """Cycles, each by label in its order; `verify` compares a document's
+    `odd_cycles` with the ones of the checked x."""
+    return [_names(graph, cycle) for cycle in cycles]
+
+
+def x_entries(bfm: BasicFractionalMatching) -> list[dict[str, str]]:
+    """The nonzero entries of x, in the edge order of the graph x lives on."""
+    graph = bfm.graph
+    ends, halves = graph.ends, bfm.halves
+    return [
+        {
+            "u": graph.label_of(ends[i][0]),
+            "v": graph.label_of(ends[i][1]),
+            "x": "1/2" if halves[i] == 1 else "1",
+        }
+        for i in bfm.support
+    ]
+
+
 @lru_cache(maxsize=256)
 def _half_count(value: object):
     """2x for the exact value string x of an x entry: an int when 2x is
@@ -215,7 +286,8 @@ def _half_count(value: object):
 
 
 def _halves_from_entries(graph: WeightedGraph, index, entries) -> list:
-    """The document's x as the half counts 2x_i that `decompose` validates."""
+    """The half counts 2x_i of the x that `x_entries` printed as `entries`,
+    for `decompose` to validate."""
     edges = _distinct("x", [graph.edge_index(index[e["u"]], index[e["v"]]) for e in entries])
     halves: list = [0] * graph.m
     for i, entry in zip(edges, entries):
@@ -223,15 +295,56 @@ def _halves_from_entries(graph: WeightedGraph, index, entries) -> list:
     return halves
 
 
+def cover_doc(graph: WeightedGraph, cover: FractionalVertexCover, removed=()) -> dict[str, str]:
+    """y on every vertex that is not in the stabilizer's S, `removed`,
+    printed from q.y_v and q."""
+    a, q, removed = cover.int_values, cover.scale, set(removed)
+    return {graph.label_of(v): _ratio_str(a[v], q) for v in range(graph.n) if v not in removed}
+
+
 def _cover_from_doc(graph, index, doc, zero_elsewhere=False) -> FractionalVertexCover:
-    """The cover a document prints as {label: value}. An optimal pair's
-    cover names every vertex, and a vertex it leaves out makes the document
+    """The cover that `cover_doc` printed as `doc`. An optimal pair's cover
+    names every vertex, and a vertex it leaves out makes the document
     malformed; a stable subgraph's cover leaves out S, and is 0 on every
     vertex it does not name."""
     named = {index[label]: _exact(value) for label, value in doc.items()}
     return FractionalVertexCover.from_values(
         named.get(v, ZERO) if zero_elsewhere else named[v] for v in range(graph.n)
     )
+
+
+def event_doc(graph: WeightedGraph, event) -> dict[str, Any]:
+    """One move of `reduce_cycles`, as its `kind` names it: a frustrated
+    tree, or an augmentation of one of four kinds."""
+    if event.kind == "frustrated_tree":
+        return {
+            "event": event.kind,
+            "cycles": cycles_doc(graph, [event.root_cycle]),
+            "deleted_vertices": _names(graph, event.deleted_vertices),
+        }
+    return {
+        "event": event.kind,
+        "cycles": cycles_doc(graph, event.cycles),
+        "rounded_at": _names(graph, event.rounded_at),
+        "path": _names(graph, event.path),
+    }
+
+
+def diagnostics_doc(graph: WeightedGraph, diagnostics) -> list[dict[str, Any]]:
+    """The reason for each deletion of `m_vertex_stabilizer`, with the
+    deleted vertex and the other end of its walk, if any."""
+    return [
+        {
+            "reason": reason,
+            "vertex": graph.label_of(u),
+            "other": graph.label_of(v) if v is not None else None,
+        }
+        for reason, u, v in diagnostics
+    ]
+
+
+# ---------------------------------------------------------------------------
+# verify: re-check a result document using only graph-core arithmetic
 
 
 def _basic_x_doc(graph, index, x_entries, checks) -> Optional[BasicFractionalMatching]:
@@ -280,7 +393,7 @@ def _infeasibility_doc(
 def _support_check(graph, outputs, bfm: BasicFractionalMatching) -> tuple[str, bool]:
     """`matched_and_odd_cycles_equal_x`: the printed M(x) and C(x) are the
     ones of the checked x."""
-    matched_ok = outputs["matched"] == pairs_doc(graph, bfm.matched)
+    matched_ok = outputs["matched"] == pairs_doc(graph, bfm.matched.sorted_pairs())
     cycles_ok = outputs["odd_cycles"] == cycles_doc(graph, bfm.odd_cycles)
     return ("matched_and_odd_cycles_equal_x", matched_ok and cycles_ok)
 
@@ -370,10 +483,9 @@ def _verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, 
         removed = _vertex_set(index, certificates, "S")
         # deleting F isolates S, so certify on G minus F with the cover extended by 0
         _stable_subgraph_doc(index, certificates, graph.delete_edges(removed_edges), removed, checks)
-        stars = {i for v in removed for i in graph.incident_edges(v)}
         gamma, delta = _typed(outputs, "gamma", int), graph.max_degree
         checks += [
-            ("F_equals_stars_of_S", removed_edges == stars),
+            ("F_equals_stars_of_S", removed_edges == graph.stars(removed)),
             ("size_equals_F", _typed(outputs, "size", int) == len(removed_edges)),
             ("lower_bound_is_half_gamma", _typed(outputs, "lower_bound", int) == -(-gamma // 2)),
             ("upper_bound_is_gamma_times_delta",

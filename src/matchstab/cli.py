@@ -1,10 +1,12 @@
-"""Command-line interface: run the solvers on instance files, emit certified
-JSON result documents, and re-verify such documents with pure arithmetic
-(`certify.verify`).
+"""Command-line interface: argv, files and their bytes, and the dispatch of
+each command to its solver or oracle; `selftest` too.
 
-Every numeric value in a result document is an exact fraction string; counts
-are plain integers. Identical inputs produce byte-identical output (timing is
-only emitted under --timing for that reason).
+The CLI renders no document field: `certify` is the codec of the result
+document, with the envelope, each field's writer and `verify`, which reads
+the fields back with pure arithmetic. Every numeric value in a result
+document is an exact fraction string; counts are plain integers. Identical
+inputs produce byte-identical output (timing is only emitted under --timing
+for that reason).
 
 The format is a contract. A single-file document, like every `verify`
 report, is exactly `json.dumps(doc, indent=2)` and one trailing newline: a
@@ -21,14 +23,16 @@ import json
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _quote
-from math import gcd
 from typing import Any, Optional
 
 from . import oracle as oracle_mod
-from .certify import cycles_doc, labels_doc, load_result, pairs_doc, verify
-from .cycles import AugmentationEvent, FrustrationEvent, reduce_cycles
+from .certify import (
+    cover_doc, cycles_doc, diagnostics_doc, document, event_doc, exact_str, labels_doc,
+    load_result, pairs_doc, verify, x_entries,
+)
+from .cycles import reduce_cycles
 from .errors import BudgetExceeded, MatchingRequired, MatchstabError, ParseError, UnknownCommand
-from .graph import BasicFractionalMatching, FractionalVertexCover, Matching, WeightedGraph
+from .graph import Matching, WeightedGraph
 from .instance import Instance, parse_instance
 from .lp import solve_fractional
 from .mstab import INFEASIBLE, m_vertex_stabilizer
@@ -61,65 +65,6 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _exact_str(value) -> str:
-    """An exact value, a Fraction or an int, as the documents print it."""
-    return _ratio_str(value.numerator, value.denominator)
-
-
-def _ratio_str(num: int, den: int) -> str:
-    """num/den, den > 0, in lowest terms as str(Fraction) prints it ("a" or
-    "a/b"), or MatchstabError when a part has more digits than Python may
-    convert to a string."""
-    g = gcd(num, den)
-    try:
-        return str(num // g) if g == den else f"{num // g}/{den // g}"
-    except ValueError:  # only a Python with a digit limit raises it
-        limit = sys.get_int_max_str_digits()
-        raise MatchstabError(f"an exact value has more than {limit} digits, too many to print")
-
-
-def _edges_doc(graph: WeightedGraph, indices) -> list[list[str]]:
-    ends = graph.ends
-    return [[graph.label_of(ends[i][0]), graph.label_of(ends[i][1])] for i in indices]
-
-
-def _x_entries(bfm: BasicFractionalMatching) -> list[dict[str, str]]:
-    """The nonzero entries of x, in the edge order of the graph x lives on."""
-    graph = bfm.graph
-    ends, halves = graph.ends, bfm.halves
-    return [
-        {
-            "u": graph.label_of(ends[i][0]),
-            "v": graph.label_of(ends[i][1]),
-            "x": "1/2" if halves[i] == 1 else "1",
-        }
-        for i in bfm.support
-    ]
-
-
-def _cover_doc(graph: WeightedGraph, cover: FractionalVertexCover, removed=()) -> dict[str, str]:
-    """y on every vertex that is not in the stabilizer's S, `removed`,
-    printed from q.y_v and q."""
-    a, q, removed = cover.int_values, cover.scale, set(removed)
-    return {graph.label_of(v): _ratio_str(a[v], q) for v in range(graph.n) if v not in removed}
-
-
-def _event_doc(graph: WeightedGraph, event) -> dict[str, Any]:
-    if isinstance(event, AugmentationEvent):
-        return {
-            "event": event.kind,
-            "cycles": cycles_doc(graph, event.cycles),
-            "rounded_at": [graph.label_of(v) for v in event.rounded_at],
-            "path": [graph.label_of(v) for v in event.path],
-        }
-    assert isinstance(event, FrustrationEvent)
-    return {
-        "event": "frustrated_tree",
-        "cycles": cycles_doc(graph, [event.root_cycle]),
-        "deleted_vertices": [graph.label_of(v) for v in event.deleted_vertices],
-    }
-
-
 def _run_command(command: str, instance: Instance, path: str, digest: str) -> tuple[dict, int]:
     graph = instance.graph
     outputs: dict[str, Any] = {}
@@ -129,51 +74,49 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
     if command == "solve-fractional":
         bfm, cover = solve_fractional(graph)
         outputs = {
-            "nu_f": _exact_str(bfm.weight),
-            "x": _x_entries(bfm),
-            "matched": pairs_doc(graph, bfm.matched),
+            "nu_f": exact_str(bfm.weight),
+            "x": x_entries(bfm),
+            "matched": pairs_doc(graph, bfm.matched.sorted_pairs()),
             "odd_cycles": cycles_doc(graph, bfm.odd_cycles),
         }
-        certificates = {
-            "cover": _cover_doc(graph, cover),
-        }
+        certificates = {"cover": cover_doc(graph, cover)}
     elif command in ("min-cycles", "gamma"):
         result = reduce_cycles(graph)
-        x_entries = _x_entries(result.solution)
+        x_doc = x_entries(result.solution)
         if command == "gamma":
             # x is printed once: among the outputs of min-cycles, here in the certificate
             outputs = {"gamma": result.gamma}
-            certificates = {"x": x_entries}
+            certificates = {"x": x_doc}
         else:
             outputs = {
                 "gamma": result.gamma,
-                "nu_f": _exact_str(result.weight),
-                "x": x_entries,
-                "matched": pairs_doc(graph, result.solution.matched),
+                "nu_f": exact_str(result.weight),
+                "x": x_doc,
+                "matched": pairs_doc(graph, result.solution.matched.sorted_pairs()),
                 "odd_cycles": cycles_doc(graph, result.solution.odd_cycles),
             }
-        certificates["cover"] = _cover_doc(graph, result.cover)
-        certificates["events"] = [_event_doc(graph, e) for e in result.events]
+        certificates["cover"] = cover_doc(graph, result.cover)
+        certificates["events"] = [event_doc(graph, e) for e in result.events]
     elif command == "stabilize-vertices":
         result = min_vertex_stabilizer(graph)
         try:
-            nu_before: Optional[str] = _exact_str(oracle_mod.exact_nu(graph)[0])
+            nu_before: Optional[str] = exact_str(oracle_mod.exact_nu(graph)[0])
         except BudgetExceeded:
             nu_before = None  # the 2/3 guarantee holds but is not reported
         outputs = {
             "S": labels_doc(graph, result.removed),
             "gamma": result.gamma,
             "nu_before": nu_before,
-            "nu_after": _exact_str(result.nu_after),
+            "nu_after": exact_str(result.nu_after),
         }
         certificates = {
-            "surviving_matching": pairs_doc(graph, result.surviving_matching),
-            "surviving_cover": _cover_doc(graph, result.surviving_cover, result.removed),
+            "surviving_matching": pairs_doc(graph, result.surviving_matching.sorted_pairs()),
+            "surviving_cover": cover_doc(graph, result.surviving_cover, result.removed),
         }
     elif command == "stabilize-edges":
         result = edge_stabilizer_approx(graph)
         outputs = {
-            "F": _edges_doc(graph, result.removed_edges),
+            "F": pairs_doc(graph, [graph.ends[i] for i in result.removed_edges]),
             "size": len(result.removed_edges),
             "gamma": result.gamma,
             "lower_bound": result.lower_bound,
@@ -182,8 +125,8 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
         vertex_stab = result.vertex_result
         certificates = {
             "S": labels_doc(graph, vertex_stab.removed),
-            "surviving_matching": pairs_doc(graph, vertex_stab.surviving_matching),
-            "surviving_cover": _cover_doc(graph, vertex_stab.surviving_cover, vertex_stab.removed),
+            "surviving_matching": pairs_doc(graph, vertex_stab.surviving_matching.sorted_pairs()),
+            "surviving_cover": cover_doc(graph, vertex_stab.surviving_cover, vertex_stab.removed),
         }
     elif command == "m-stabilize":
         if instance.matching is None:
@@ -194,45 +137,29 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
             "S": labels_doc(graph, result.removed),
             "S1": labels_doc(graph, result.first_phase),
             "S2": labels_doc(graph, result.second_phase),
-            "w_M": _exact_str(result.matching_weight),
+            "w_M": exact_str(result.matching_weight),
         }
-        certificates = {
-            "diagnostics": [
-                {
-                    "reason": reason,
-                    "vertex": graph.label_of(u),
-                    "other": graph.label_of(v) if v is not None else None,
-                }
-                for reason, u, v in result.diagnostics
-            ],
-        }
+        certificates = {"diagnostics": diagnostics_doc(graph, result.diagnostics)}
         if result.status == INFEASIBLE:
             # x lives on G - delta(X), X the M-exposed vertices, and outweighs M
-            certificates["x"] = _x_entries(result.x)
+            certificates["x"] = x_entries(result.x)
             exit_code = 2
         else:
-            outputs["residual_nu_f"] = _exact_str(result.residual_nu_f)
-            certificates["residual_cover"] = _cover_doc(graph, result.residual_cover, result.removed)
+            outputs["residual_nu_f"] = exact_str(result.residual_nu_f)
+            certificates["residual_cover"] = cover_doc(graph, result.residual_cover, result.removed)
     elif command == "check-stability":
         nu, witness = oracle_mod.exact_nu(graph)
         bfm, cover = solve_fractional(graph)
         nu_f = bfm.weight  # the pair is proven optimal, so w(x) = nu_f
-        outputs = {"stable": nu == nu_f, "nu": _exact_str(nu), "nu_f": _exact_str(nu_f)}
+        outputs = {"stable": nu == nu_f, "nu": exact_str(nu), "nu_f": exact_str(nu_f)}
         certificates = {
-            "max_matching": pairs_doc(graph, witness),
-            "x": _x_entries(bfm),
-            "cover": _cover_doc(graph, cover),
+            "max_matching": pairs_doc(graph, witness.sorted_pairs()),
+            "x": x_entries(bfm),
+            "cover": cover_doc(graph, cover),
         }
     else:  # pragma: no cover - guarded by the parser
         raise UnknownCommand(command)
-
-    doc = {
-        "command": command,
-        "instance_sha256": digest,
-        "outputs": outputs,
-        "certificates": certificates,
-    }
-    return doc, exit_code
+    return document(command, digest, outputs, certificates), exit_code
 
 
 def _run_oracle(sub: str, instance: Instance, path: str, digest: str) -> tuple[dict, int]:
@@ -240,9 +167,9 @@ def _run_oracle(sub: str, instance: Instance, path: str, digest: str) -> tuple[d
     outputs: dict[str, Any] = {}
     if sub == "nu":
         value, witness = oracle_mod.exact_nu(graph)
-        outputs = {"nu": _exact_str(value), "matching": pairs_doc(graph, witness)}
+        outputs = {"nu": exact_str(value), "matching": pairs_doc(graph, witness.sorted_pairs())}
     elif sub == "nu-f":
-        outputs = {"nu_f": _exact_str(oracle_mod.exact_nu_f(graph))}
+        outputs = {"nu_f": exact_str(oracle_mod.exact_nu_f(graph))}
     elif sub == "gamma":
         outputs = {"gamma": oracle_mod.brute_gamma(graph)}
     elif sub == "stable":
@@ -252,10 +179,8 @@ def _run_oracle(sub: str, instance: Instance, path: str, digest: str) -> tuple[d
         outputs = {"S": labels_doc(graph, subset), "size": len(subset)}
     elif sub == "min-edge-stabilizer":
         subset = oracle_mod.brute_min_edge_stabilizer(graph)
-        outputs = {
-            "F": _edges_doc(graph, sorted(subset)),
-            "size": len(subset),
-        }
+        edges = [graph.ends[i] for i in sorted(subset)]
+        outputs = {"F": pairs_doc(graph, edges), "size": len(subset)}
     elif sub == "min-m-stabilizer":
         if instance.matching is None:
             raise MatchingRequired(f'{path}: min-m-stabilizer needs a "matching" field')
@@ -266,13 +191,7 @@ def _run_oracle(sub: str, instance: Instance, path: str, digest: str) -> tuple[d
             outputs = {"status": "feasible", "S": labels_doc(graph, result)}
     else:  # pragma: no cover - guarded by the parser
         raise UnknownCommand(sub)
-    doc = {
-        "command": f"oracle {sub}",
-        "instance_sha256": digest,
-        "outputs": outputs,
-        "certificates": {},
-    }
-    return doc, 0
+    return document(f"oracle {sub}", digest, outputs, {}), 0
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +404,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             started = time.monotonic()
             try:
                 result_doc = load_result(_read(args.result)[1])
-            except MatchstabError:
-                raise  # a repeated key: already a diagnostic of the document
             except (OSError, ValueError, RecursionError) as exc:
-                # ValueError covers undecodable bytes, malformed JSON and an
-                # integer literal past Python's int digit limit
+                # ValueError covers undecodable bytes, malformed JSON, a
+                # repeated key (a ParseError) and an integer literal past
+                # Python's int digit limit
                 raise ParseError(f"{args.result}: {exc}") from exc
             doc, code = verify(*_load_instance(args.instance), result_doc)
             _emit(doc, time.monotonic() - started if args.timing else None, compact=False)

@@ -145,6 +145,8 @@ class AugmentationEvent(NamedTuple):
 
 
 class FrustrationEvent(NamedTuple):
+    kind = "frustrated_tree"  # the event's name in a document: a class attribute, not a field
+
     root_cycle: tuple[int, ...]
     deleted_vertices: tuple[int, ...]
 

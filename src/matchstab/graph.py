@@ -111,13 +111,14 @@ class WeightedGraph(_Value):
     """Simple undirected graph with exact nonnegative edge weights, stored as
     integers.
 
-    Vertices are dense indices 0..n-1; optional string labels exist only for
-    the I/O boundary. Edge i joins `ends[i]` = (u, v), u < v, with weight
-    `int_weights[i]` / `scale`: `scale` is D and `int_weights` the integers
-    D.w. D is canonical, gcd(D, D.w_1, ..., D.w_m) = 1, so equal graphs have
-    equal fields, and `==` and `hash` compare graph values. The edge index is
-    the canonical identity used everywhere; `edges` is the view with
-    `Fraction` weights for the API.
+    Vertices are dense indices 0..n-1; optional labels, distinct strings,
+    exist only for the I/O boundary, where documents name vertices by them.
+    Edge i joins `ends[i]` = (u, v), u < v, with weight `int_weights[i]` /
+    `scale`: `scale` is D and `int_weights` the integers D.w. D is
+    canonical, gcd(D, D.w_1, ..., D.w_m) = 1, so equal graphs have equal
+    fields, and `==` and `hash` compare graph values. The edge index is the
+    canonical identity used everywhere; `edges` is the view with `Fraction`
+    weights for the API.
     """
 
     _fields = ("n", "ends", "int_weights", "scale", "labels")
@@ -131,8 +132,13 @@ class WeightedGraph(_Value):
         weights, d = int_weights, scale
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        if labels is not None and len(labels) != n:
-            raise GraphError("label list length must equal vertex count")
+        if labels is not None:
+            if len(labels) != n:
+                raise GraphError("label list length must equal vertex count")
+            if not all(isinstance(label, str) for label in labels):
+                raise GraphError("vertex labels must be strings")
+            if len(set(labels)) != n:
+                raise GraphError("vertex labels must be unique")
         if type(d) is not int or d < 1:
             raise GraphError(f"scale D must be a positive int, got {d!r}")
         if len(weights) != len(ends):
@@ -236,16 +242,18 @@ class WeightedGraph(_Value):
         drop = set(edge_indices)
         return self._keep([i for i in range(self.m) if i not in drop])
 
+    def stars(self, vertices: Iterable[int]) -> frozenset[int]:
+        """delta(S): the indices of the edges with an end in S."""
+        gone = set(vertices)
+        return frozenset([i for i, (u, v) in enumerate(self.ends) if u in gone or v in gone])
+
     def delete_stars(self, vertices: Iterable[int]) -> "WeightedGraph":
         """G - delta(S): the same vertex set, with every edge at a vertex of
         S removed, so the vertices of S stay as isolated ones.
 
         Vertex ids and the order of the kept edges do not change.
         """
-        gone = set(vertices)
-        return self._keep(
-            [i for i, (u, v) in enumerate(self.ends) if u not in gone and v not in gone]
-        )
+        return self.delete_edges(self.stars(vertices))
 
 
 class Matching(_Value):
@@ -497,38 +505,35 @@ class FractionalVertexCover(_Value):
     def total(self) -> Fraction:
         return Fraction(sum(self.int_values), self.scale)
 
+    def slack(self, graph: WeightedGraph) -> list[int]:
+        """(q.y_u + q.y_v).D - D.w_uv.q for each edge of `graph`, by edge
+        index: y_u + y_v - w_uv times qD, negative where y fails to cover
+        the edge and 0 where the edge is tight. The one per-edge comparison
+        of a cover with the weights; y must give a value to every vertex."""
+        a, d, q = self.int_values, graph.scale, self.scale
+        return [(a[u] + a[v]) * d - w * q for (u, v), w in zip(graph.ends, graph.int_weights)]
+
     def is_feasible_for(self, graph: WeightedGraph) -> bool:
         """y >= 0, and y_u + y_v >= w_uv on every edge of `graph`."""
         a = self.int_values
-        if len(a) != graph.n or any(a_v < 0 for a_v in a):
-            return False
-        d, q = graph.scale, self.scale
-        return all(
-            (a[u] + a[v]) * d >= w * q
-            for (u, v), w in zip(graph.ends, graph.int_weights)
+        return (
+            len(a) == graph.n and min(a, default=0) >= 0 and min(self.slack(graph), default=0) >= 0
         )
 
 
 def tight_edges(graph: WeightedGraph, cover: FractionalVertexCover) -> frozenset[int]:
-    """Edge indices where y_u + y_v equals w_uv exactly, found in one pass
-    that raises InfeasibleCover at the first edge with y_u + y_v < w_uv.
-
-    Compares (q.y_u + q.y_v).D with D.w_uv.q on integers."""
-    a, q = cover.int_values, cover.scale
-    if len(a) != graph.n:
+    """Edge indices where y_u + y_v equals w_uv exactly, or InfeasibleCover
+    at the first edge with y_u + y_v < w_uv, read off `cover.slack`."""
+    if len(cover.int_values) != graph.n:
         raise InfeasibleCover("cover length does not match vertex count")
-    d = graph.scale
-    tight = []
-    for i, ((u, v), w) in enumerate(zip(graph.ends, graph.int_weights)):
-        covered, needed = (a[u] + a[v]) * d, w * q
-        if covered < needed:
-            y = cover.values
-            raise InfeasibleCover(
-                f"edge ({u},{v}) violates the cover: {y[u]} + {y[v]} < {Fraction(w, d)}"
-            )
-        if covered == needed:
-            tight.append(i)
-    return frozenset(tight)
+    slack = cover.slack(graph)
+    if min(slack, default=0) < 0:
+        i = next(i for i, s in enumerate(slack) if s < 0)
+        (u, v), y = graph.ends[i], cover.values
+        raise InfeasibleCover(
+            f"edge ({u},{v}) violates the cover: {y[u]} + {y[v]} < {graph.weight(u, v)}"
+        )
+    return frozenset([i for i, s in enumerate(slack) if not s])
 
 
 class AlternatingWalk(_Value):

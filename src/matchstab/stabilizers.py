@@ -84,12 +84,9 @@ class EdgeStabilizerResult(NamedTuple):
 def edge_stabilizer_approx(graph: WeightedGraph) -> EdgeStabilizerResult:
     """Delete every edge incident to the minimum vertex-stabilizer."""
     vertex_result = min_vertex_stabilizer(graph)
-    removed_edges: set[int] = set()
-    for v in vertex_result.removed:
-        removed_edges.update(graph.incident_edges(v))
     gamma = vertex_result.gamma
     return EdgeStabilizerResult(
-        removed_edges=tuple(sorted(removed_edges)),
+        removed_edges=tuple(sorted(graph.stars(vertex_result.removed))),
         gamma=gamma,
         lower_bound=-(-gamma // 2),
         upper_bound=gamma * graph.max_degree,

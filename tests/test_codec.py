@@ -1,0 +1,148 @@
+"""`certify` is the one codec of the result document: each field's reader
+gives back what its writer encoded. `graph` computes a cover's per-edge
+slack and a vertex set's stars in one place each, and every `matchstab`
+module imports first in a fresh interpreter.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import matchstab
+from conftest import bench_families, count_calls
+from matchstab.certify import (
+    _cover_from_doc, _edge_pairs, _exact, _halves_from_entries, _vertex_set, cover_doc,
+    exact_str, labels_doc, optimal_pair_checks, pairs_doc, x_entries,
+)
+from matchstab.cycles import FrustrationEvent, reduce_cycles
+from matchstab.graph import FractionalVertexCover
+from matchstab.instance import parse_instance
+from matchstab.lp import solve_fractional
+from matchstab.mstab import FEASIBLE, m_vertex_stabilizer
+from matchstab.stabilizers import edge_stabilizer_approx, min_vertex_stabilizer
+from test_emit import ODD_INSTANCE
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(matchstab.__file__).parent
+
+
+def _x_by_ends(graph, halves) -> dict:
+    """x as {(u, v): 2x_uv} over its nonzero entries."""
+    return {graph.ends[i]: h for i, h in enumerate(halves) if h}
+
+
+def _assert_round_trips(instance) -> None:
+    graph, matching = instance
+    index = {graph.label_of(v): v for v in range(graph.n)}
+    bfm, cover = solve_fractional(graph)
+    reduction = reduce_cycles(graph)
+    vertex = min_vertex_stabilizer(graph)
+    edge = edge_stabilizer_approx(graph)
+    xs, covers = [bfm, reduction.solution], [cover, reduction.cover]
+    stable = [(vertex.surviving_cover, vertex.removed)]
+    sets = [vertex.removed]
+    values = [bfm.weight, cover.total, vertex.nu_after, *cover.values]
+    if matching is not None:
+        result = m_vertex_stabilizer(graph, matching)
+        sets += [result.removed, result.first_phase, result.second_phase]
+        values.append(result.matching_weight)
+        if result.status == FEASIBLE:
+            stable.append((result.residual_cover, result.removed))
+            values.append(result.residual_nu_f)
+        else:
+            xs.append(result.x)  # x of G - delta(X), read back on G
+    for x in xs:
+        halves = _halves_from_entries(graph, index, x_entries(x))
+        assert _x_by_ends(graph, halves) == _x_by_ends(x.graph, x.halves)
+    for y in covers:
+        assert _cover_from_doc(graph, index, cover_doc(graph, y)) == y
+    for y, removed in stable:
+        doc = cover_doc(graph, y, removed)
+        assert _cover_from_doc(graph, index, doc, zero_elsewhere=True) == y
+    for vertices in sets:
+        assert _vertex_set(index, {"S": labels_doc(graph, vertices)}, "S") == set(vertices)
+    pair_lists = [
+        vertex.surviving_matching.sorted_pairs(),
+        [graph.ends[i] for i in edge.removed_edges],
+    ]
+    if matching is not None:
+        pair_lists.append(matching.sorted_pairs())
+    for pairs in pair_lists:
+        assert _edge_pairs(index, {"F": pairs_doc(graph, pairs)}, "F") == list(pairs)
+    for value in values:
+        assert _exact(exact_str(value)) == value
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in (ROOT / "fixtures").glob("*.json")))
+def test_every_reader_gives_back_its_writers_fields_on_a_fixture(name):
+    _assert_round_trips(parse_instance((ROOT / "fixtures" / f"{name}.json").read_text()))
+
+
+@pytest.mark.parametrize("workload", ["tri-chain", "dense-lp", "mstab-sparse", "desk-batch"])
+def test_every_reader_gives_back_its_writers_fields_on_a_bench_round(monkeypatch, workload):
+    families = bench_families(monkeypatch)
+    for inst in families.Generator(workload, 1).round():
+        _assert_round_trips(parse_instance(inst.to_json()))
+
+
+def test_every_reader_gives_back_its_writers_fields_on_odd_labels():
+    _assert_round_trips(parse_instance(json.dumps(ODD_INSTANCE, ensure_ascii=False)))
+
+
+def test_a_frustration_event_names_its_kind_outside_its_fields():
+    # `event_doc` dispatches on `kind`; the record keeps its two fields
+    event = FrustrationEvent((0, 1, 2), (3,))
+    assert event.kind == "frustrated_tree" and FrustrationEvent._fields == (
+        "root_cycle", "deleted_vertices",
+    )
+    assert repr(event) == "FrustrationEvent(root_cycle=(0, 1, 2), deleted_vertices=(3,))"
+    assert event == ((0, 1, 2), (3,))
+
+
+def test_stars_are_the_incident_edges_and_delete_stars_deletes_them(property_suite):
+    rng = random.Random(3535)
+    for graph in property_suite:
+        for _ in range(3):
+            chosen = rng.sample(range(graph.n), rng.randint(0, graph.n))
+            stars = graph.stars(chosen)
+            assert stars == {i for v in chosen for i in graph.incident_edges(v)}
+            assert graph.delete_stars(chosen) == graph.delete_edges(stars)
+
+
+def test_the_pair_check_computes_the_slack_once(monkeypatch, property_suite):
+    rng = random.Random(3636)
+    slacks = count_calls(monkeypatch, FractionalVertexCover, "slack")
+    for graph in property_suite:
+        bfm, cover = solve_fractional(graph)
+        other = FractionalVertexCover.from_values(rng.randint(0, 3) for _ in range(graph.n))
+        for y in (cover, other):
+            before = slacks[0]
+            checks = optimal_pair_checks(graph, bfm, y)
+            assert slacks[0] == before + 1
+            assert dict(checks)["cover_is_feasible"] == y.is_feasible_for(graph)
+
+
+def test_each_module_imports_first_in_a_fresh_interpreter():
+    # an import cycle, say between `certify` and a solver, fails here, also
+    # once the package's `__init__` stops importing every module up front;
+    # `matchstab.__main__` runs the CLI, which prints its help text
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py"))
+    assert len(modules) == 14
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    for module in modules:
+        name = "matchstab" if module == "__init__" else f"matchstab.{module}"
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import {name}", "--help"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), (name, proc.stderr)

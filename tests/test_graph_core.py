@@ -31,6 +31,7 @@ from matchstab.errors import (
     InfeasibleCover,
     NotBasic,
     NotHalfIntegral,
+    ParseError,
 )
 from matchstab.graph import (
     MAX_EXPONENT,
@@ -44,6 +45,7 @@ from matchstab.graph import (
     tight_edges,
     walk_value,
 )
+from matchstab.instance import parse_instance
 from matchstab.oracle import enumerate_valid_walks
 
 H = Fraction(1, 2)
@@ -426,3 +428,24 @@ def test_value_constructors_refuse_bad_input():
         AlternatingWalk.from_vertices(
             WeightedGraph.from_edges(3, [(0, 1, 1)]), Matching.from_pairs([(0, 1)]), [0, 1, 2]
         )
+
+
+@pytest.mark.parametrize(
+    "labels,message",
+    [
+        (["a", "a", "b"], "vertex labels must be unique"),
+        (["a", 1, "b"], "vertex labels must be strings"),
+        (["a", None, "b"], "vertex labels must be strings"),
+    ],
+)
+def test_labels_are_distinct_strings(labels, message):
+    # documents and `verify` address vertices by label, so two vertices may
+    # not share one
+    with pytest.raises(GraphError, match=message):
+        WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)], labels=labels)
+
+
+def test_the_parser_checks_repeated_labels_before_the_graph():
+    with pytest.raises(ParseError, match="^vertex labels must be unique$") as caught:
+        parse_instance('{"vertices": ["a", "a", "b"], "edges": [{"u": "a", "v": "b", "w": 1}]}')
+    assert caught.value.__cause__ is None  # the parser's own check, not the graph's

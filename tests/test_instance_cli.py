@@ -802,8 +802,12 @@ def test_verify_refuses_a_repeated_key(tmp_path, capsys, command, key, repeated)
     result.write_text(text)
     assert _run(capsys, "verify", instance, "--result", str(result))[0] == 0
     result.write_text(text.replace(key, repeated, 1))
+    name = key.split('"')[1]
     assert _run(capsys, "verify", instance, "--result", str(result)) == (
-        1, "", "matchstab: error: malformed result document: an object names an entry twice\n"
+        1,
+        "",
+        f'matchstab: error: {result}: malformed result document: an object names the key "{name}"'
+        " twice\n",
     )
 
 
@@ -821,7 +825,7 @@ def test_verify_refuses_a_repeated_cover_key_under_dash_o(tmp_path, capsys):
     )
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == (
-        "matchstab: error: malformed result document: an object names an entry twice\n"
+        f'matchstab: error: {result}: malformed result document: an object names the key "p" twice\n'
     )
 
 
