@@ -9,20 +9,24 @@ from the entry pair, with a row only for each node that has an edge. After
 that, x is kept in place as its half counts and G' as its rows, M' and
 the two maps between pseudonodes and cycle vertices: an augmentation
 changes x on its path and its one or two cycles only, and G' only around
-them. The live pseudonodes are x's cycles, so no other list of them is
-kept. x is validated, and the pair proven optimal, once after the last
-move. A frustrated tree's nodes are marked dead and stay dead, since node
-ids never change; when no live exposed pseudonode remains, the cycle count
-has reached its minimum.
+them. Each touched row is copied and sorted again, except z's, which
+can hold a node per zero-cover vertex and is edited in place. The live
+pseudonodes are x's cycles, so no other list of them is kept. x is
+validated, and the pair proven optimal, once after the last move. A
+frustrated tree's nodes are marked dead and stay dead, since node ids
+never change; a pseudonode with no live neighbour is its own frustrated
+tree, found without a search. When no live exposed pseudonode remains,
+the cycle count has reached its minimum.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .certify import verify_optimal_pair
-from .edmonds import AugmentingPath, FrustratedTree, TreeSearch, grow_tree
+from .edmonds import AugmentingPath, TreeSearch, grow_tree
 from .errors import EndpointNotRecognized, PathNotAugmenting
 from .graph import (
     BasicFractionalMatching,
@@ -41,7 +45,8 @@ class AuxiliaryGraph(NamedTuple):
     Node ids give the kind: original vertices keep their ids, z is `n`, the
     shadow of v is `n + 1 + v`, and the pseudonode of a cycle is `2n + 1`
     plus the cycle's lowest vertex, so a node keeps its id while G' changes
-    with x. `adjacency` holds a sorted row for each id; every id without an
+    with x. `adjacency` holds a sorted row for each id: z's is a list that
+    the moves edit in place, any other a tuple. Every other id without an
     edge shares the row `()`, and an id that stands for no node has no
     edge. `mate` is M' over all ids: the pairs of x, and v-v' for each
     shadow. `cycle_of` maps each pseudonode to its cycle, in the sorted
@@ -51,7 +56,7 @@ class AuxiliaryGraph(NamedTuple):
     """
 
     n: int
-    adjacency: list[tuple[int, ...]]
+    adjacency: list[Sequence[int]]
     mate: list[Optional[int]]
     cycle_of: dict[int, tuple[int, ...]]
     node_of: dict[int, int]
@@ -67,12 +72,28 @@ class AuxiliaryGraph(NamedTuple):
         return "cycle"
 
 
+class _ZRow(list):
+    """z's row of G', a sorted list edited in place: it can hold a node for
+    every zero-cover vertex, too many to copy and sort again per move."""
+
+    def add(self, node: int) -> None:
+        self.discard(node)
+        insort(self, node)
+
+    def discard(self, node: int) -> None:
+        i = bisect_left(self, node)
+        if i < len(self) and self[i] == node:
+            del self[i]
+
+
 class _Rows(dict):
-    """The rows of G' that an edit touches, each as a set, loaded from
-    `adjacency` on first touch and written back sorted by `write`."""
+    """The rows of G' that an edit touches. z's row is edited in place;
+    any other row is loaded from `adjacency` as a set on first touch and
+    written back sorted by `write`."""
 
     def __init__(self, aux: AuxiliaryGraph) -> None:
         self.aux = aux
+        self[aux.n] = aux.adjacency[aux.n]
 
     def __missing__(self, node: int) -> set[int]:
         row = self[node] = set(self.aux.adjacency[node])
@@ -85,8 +106,7 @@ class _Rows(dict):
     def attach(self, v: int, load: int) -> None:
         """The z edge of a covered zero-cover vertex v, or the shadow gadget
         v-v'-z, with v' matched to v, of an exposed one."""
-        aux = self.aux
-        z = aux.n
+        aux, z = self.aux, self.aux.n
         if load == 2:
             self.add(aux.node_of.get(v, v), z)
         elif load == 0:
@@ -97,7 +117,7 @@ class _Rows(dict):
 
     def write(self) -> None:
         for node, row in self.items():
-            self.aux.adjacency[node] = tuple(sorted(row))
+            self.aux.adjacency[node] = row if node == self.aux.n else tuple(sorted(row))
 
 
 def _build_auxiliary(
@@ -119,6 +139,7 @@ def _build_auxiliary(
     # a cycle vertex stands for its pseudonode, any other vertex for itself
     node_of = {v: node for node, c in cycle_of.items() for v in c}
     aux = AuxiliaryGraph(n, [()] * (3 * n + 1), [None] * (3 * n + 1), cycle_of, node_of)
+    aux.adjacency[n] = _ZRow()
     for u, v in bfm.matched.pairs:
         aux.mate[u], aux.mate[v] = v, u
     rows = _Rows(aux)
@@ -225,9 +246,10 @@ def apply_augmentation(
     take back their tight edges, and each zero-cover vertex whose load
     changed (a vertex of an end cycle, or the path's last vertex before z)
     gets its z edge or shadow gadget anew, from its load summed over
-    `halves`. Only the touched rows are sorted again. An end cycle leaves
-    `aux.cycle_of` with its pseudonode. The caller validates x and proves
-    the pair after its last move.
+    `halves`. Only the touched rows are sorted again, and z's row is
+    edited in place. An end cycle leaves `aux.cycle_of` with its
+    pseudonode. The caller validates x and proves the pair after its last
+    move.
     """
     _validate_alternating(aux, path)
     start, end = path[0], path[-1]
@@ -313,7 +335,10 @@ def reduce_cycles(
     built once, from the entry pair. An augmentation updates x, G' and M'
     in place (`apply_augmentation`); a frustrated tree changes none of
     them. Node ids never change, so a dead node stays dead, and every tree
-    shares one `TreeSearch`, so each costs time in its own size.
+    shares one `TreeSearch`, so each costs time in its own size. A root
+    whose row holds no live node is its own frustrated tree, as a search
+    would find, since a tree grows only through a live neighbour of its
+    root; it is recorded, with no vertex deleted, without a search.
 
     The roots are x's cycles in their sorted order, taken from a copy of
     `aux.cycle_of`'s keys; a root whose cycle a move already removed is
@@ -342,16 +367,19 @@ def reduce_cycles(
         for root in list(aux.cycle_of):
             if root not in aux.cycle_of:
                 continue  # an earlier move removed its cycle
-            outcome = grow_tree(search, root, dead)
-            if isinstance(outcome, AugmentingPath):
+            if dead.issuperset(aux.adjacency[root]):
+                # a tree grows only through a live neighbour of its root, so
+                # the root alone is the frustrated tree a search would find
+                dead.add(root)
+                events.append(FrustrationEvent(aux.cycle_of[root], ()))
+            elif isinstance(outcome := grow_tree(search, root, dead), AugmentingPath):
                 path = outcome.vertices
                 events.append(apply_augmentation(graph, cover, tight, aux, halves, path))
             else:
-                tree: FrustratedTree = outcome
-                deleted = sorted(v for v in tree.nodes if aux.kind(v) == "vertex")
+                deleted = sorted(v for v in outcome.nodes if aux.kind(v) == "vertex")
                 # z and shadows cannot join a frustrated tree, nor a second cycle
-                assert tree.nodes - set(deleted) == {root}
-                dead.update(tree.nodes)
+                assert outcome.nodes - set(deleted) == {root}
+                dead.update(outcome.nodes)
                 events.append(FrustrationEvent(aux.cycle_of[root], tuple(deleted)))
         if len(aux.cycle_of) < len(bfm.odd_cycles):
             bfm = decompose(graph, halves)

@@ -213,7 +213,11 @@ class WeightedGraph(_Value):
 
     @property
     def max_degree(self) -> int:
-        return max((self.degree(v) for v in range(self.n)), default=0)
+        """Counted from `ends`, without building `adjacency`."""
+        degree = [0] * self.n
+        for u, v in self.ends:
+            degree[u], degree[v] = degree[u] + 1, degree[v] + 1
+        return max(degree, default=0)
 
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -253,7 +257,8 @@ class WeightedGraph(_Value):
 
         Vertex ids and the order of the kept edges do not change.
         """
-        return self.delete_edges(self.stars(vertices))
+        gone, ends = set(vertices), self.ends
+        return self._keep([i for i, (u, v) in enumerate(ends) if u not in gone and v not in gone])
 
 
 class Matching(_Value):

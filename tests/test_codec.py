@@ -22,7 +22,7 @@ from matchstab.certify import (
     exact_str, labels_doc, optimal_pair_checks, pairs_doc, x_entries,
 )
 from matchstab.cycles import FrustrationEvent, reduce_cycles
-from matchstab.graph import FractionalVertexCover
+from matchstab.graph import FractionalVertexCover, WeightedGraph
 from matchstab.instance import parse_instance
 from matchstab.lp import solve_fractional
 from matchstab.mstab import FEASIBLE, m_vertex_stabilizer
@@ -107,13 +107,21 @@ def test_a_frustration_event_names_its_kind_outside_its_fields():
 
 
 def test_stars_are_the_incident_edges_and_delete_stars_deletes_them(property_suite):
+    # also with each weight divided by 1, 2 or 3, so that D is often > 1
+    # and deleting a star can lower it
     rng = random.Random(3535)
-    for graph in property_suite:
-        for _ in range(3):
-            chosen = rng.sample(range(graph.n), rng.randint(0, graph.n))
-            stars = graph.stars(chosen)
-            assert stars == {i for v in chosen for i in graph.incident_edges(v)}
-            assert graph.delete_stars(chosen) == graph.delete_edges(stars)
+    lowered = 0
+    for g in property_suite:
+        divided = [(u, v, w / rng.choice((1, 2, 3))) for u, v, w in g.edges]
+        for graph in (g, WeightedGraph.from_edges(g.n, divided)):
+            for _ in range(3):
+                chosen = rng.sample(range(graph.n), rng.randint(0, graph.n))
+                stars = graph.stars(chosen)
+                assert stars == {i for v in chosen for i in graph.incident_edges(v)}
+                rest = graph.delete_stars(chosen)
+                assert rest == graph.delete_edges(stars)
+                lowered += rest.scale < graph.scale
+    assert lowered > 0
 
 
 def test_the_pair_check_computes_the_slack_once(monkeypatch, property_suite):

@@ -7,7 +7,8 @@ import pytest
 
 from chord_path import chord_path
 from conftest import (
-    complement, count_calls, cover_of, fig6, fig9, random_graph, round_cycles, tri_chain,
+    bench_families, complement, count_calls, cover_of, fig6, fig9, random_graph, round_cycles,
+    tri_chain,
 )
 import matchstab.cycles
 from matchstab import oracle
@@ -27,6 +28,7 @@ from matchstab.graph import (
     decompose,
     tight_edges,
 )
+from matchstab.instance import parse_instance
 from matchstab.lp import solve_fractional
 
 H = Fraction(1, 2)
@@ -55,7 +57,7 @@ def test_build_auxiliary_stable_graph_is_bare():
     assert aux.cycle_of == {}
     assert aux.mate == [1, 0] + [None] * 5
     # z has no incident edges: both endpoints carry positive cover values
-    assert aux.adjacency[aux.n] == ()
+    assert aux.adjacency[aux.n] == []
 
 
 def test_build_auxiliary_fig9():
@@ -580,6 +582,61 @@ def test_each_move_leaves_what_a_rebuild_makes(monkeypatch, property_suite):
     for g, start in _moving_graphs(property_suite):
         reduce_cycles(g, start=start)
     assert moves[0] > 150
+
+
+def test_lone_roots_match_the_rebuilding_reference_on_the_bench_families(monkeypatch):
+    # one round of every workload of the benchmark's instance generator; a
+    # root with no live neighbour in G' is its own frustrated tree, recorded
+    # without a search, and on tri-chain every root is one
+    families = bench_families(monkeypatch)
+    searches = count_calls(monkeypatch, matchstab.cycles, "grow_tree")
+    for workload in families.LADDERS:
+        searches[0] = trees = 0
+        for inst in families.Generator(workload, 7).round():
+            g = parse_instance(inst.to_json()).graph
+            result = reduce_cycles(g)
+            bfm, events = reduce_cycles_rebuilding(g)
+            assert result.events == events and result.solution == bfm, g
+            trees += sum(isinstance(e, FrustrationEvent) for e in events)
+        if workload == "tri-chain":
+            assert searches[0] == 0 and trees > 0
+
+
+def test_a_lone_root_costs_no_search(monkeypatch):
+    g = tri_chain(random.Random(40), 40)
+    searches = count_calls(monkeypatch, matchstab.cycles, "grow_tree")
+    result = reduce_cycles(g)
+    assert result.events == tuple(FrustrationEvent(c, ()) for c in result.solution.odd_cycles)
+    assert result.gamma == 40 and searches[0] == 0
+
+
+def test_row_work_grows_linearly_on_the_chord_path(monkeypatch):
+    # the row entries loaded into a `_Rows` set plus the entries sorted,
+    # summed over a run with the pair given; z's row holds about n/16
+    # nodes and is edited in place, so it adds to neither
+    work = [0]
+    load = matchstab.cycles._Rows.__missing__
+
+    def counted_load(rows, node):
+        row = load(rows, node)
+        work[0] += len(row)
+        return row
+
+    def counted_sorted(items):
+        out = sorted(items)
+        work[0] += len(out)
+        return out
+
+    monkeypatch.setattr(matchstab.cycles._Rows, "__missing__", counted_load)
+    monkeypatch.setattr(matchstab.cycles, "sorted", counted_sorted, raising=False)
+    totals = []
+    for n in (6000, 12000, 24000, 48000):
+        g = chord_path(n)
+        start = solve_fractional(g)
+        work[0] = 0
+        reduce_cycles(g, start=start)
+        totals.append(work[0])
+    assert all(b <= 2.2 * a for a, b in zip(totals, totals[1:])), totals
 
 
 def test_gamma_on_small_chord_paths_matches_the_oracle():

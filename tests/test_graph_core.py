@@ -156,6 +156,15 @@ def test_delete_stars_isolates_the_vertices():
         assert list(g.delete_stars(gone).edges) == relabelled
 
 
+def test_max_degree_is_counted_without_the_adjacency(property_suite):
+    for graph in property_suite + [WeightedGraph.from_edges(0, [])]:
+        # a fresh copy: the suite's graphs are shared with earlier tests
+        g = WeightedGraph(graph.n, graph.ends, graph.int_weights, graph.scale, graph.labels)
+        degree = g.max_degree
+        assert "adjacency" not in g.__dict__
+        assert degree == max((len(row) for row in g.adjacency), default=0)
+
+
 def test_decompose_zero_vector():
     g = fig9()
     bfm = decompose(g, [0] * g.m)
