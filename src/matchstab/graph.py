@@ -48,7 +48,7 @@ ONE = Fraction(1)
 
 # the largest exponent an exact string may give: the int-to-str digit limit
 MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*\Z")
 
 
 def as_fraction(value: WeightLike) -> Fraction:
@@ -58,11 +58,16 @@ def as_fraction(value: WeightLike) -> Fraction:
     returned as it is. A string such as "1e999999999" raises ValueError, as
     an unreadable one does, when its exponent's magnitude exceeds
     MAX_EXPONENT: `Fraction` would expand 10**exponent before anything
-    could check its size, which takes seconds to hours.
+    could check its size, which takes seconds to hours. So does a string
+    with an underscore, such as "1_000": `Fraction` reads digit groups only
+    from Python 3.11, and an exact string must mean the same on every
+    Python this package supports.
     """
     if isinstance(value, bool) or isinstance(value, float):
         raise GraphError(f"weights must be exact (int, str or Fraction), got {value!r}")
     if isinstance(value, str):
+        if "_" in value:
+            raise ValueError(f"{value!r} has an underscore, which no exact string may contain")
         exponent = _EXPONENT.search(value)
         if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
             raise ValueError(f"exponent of {value!r} exceeds {MAX_EXPONENT}")

@@ -6,7 +6,7 @@ an optional fixed matching. Floats are rejected so weights stay exact.
 
 The parser hands the graph its integers: a weight string of ASCII digits is
 read by `int`, any other through `graph.as_fraction`, which refuses an
-exponent too large to expand, each distinct string once, and
+underscore and an exponent too large to expand, each distinct string once, and
 `graph.scale_weights` turns the weights into D and D.w. An instance whose
 weights are all integers is read with no `Fraction` at all.
 """

@@ -8,8 +8,10 @@ duplicate. Its kernel runs on the integer weights D.w that the graph
 stores (`WeightedGraph.scale` is D, the lcm of the weight denominators,
 and `WeightedGraph.int_weights` the D.w), and returns its potentials as
 those integers too. A root with a tight edge to an exposed right copy is
-matched directly; every other root runs one phase, whose state lives for
-that call, is sized by the tree and scans each even row once.
+matched directly; every other root runs one phase, which scans each even
+row once. A phase keeps its state per right copy in flat arrays indexed by
+the copy, allocated once per call of the kernel, and resets exactly the
+entries it touched when it ends, so it costs time in its tree, not in n.
 `solve_fractional` counts the matched copies of each edge into the half
 counts 2x of a half-integral optimum x, which stay ints through
 `normalize_to_basic`: one `graph.decompose` walk, after one counting pass,
@@ -53,7 +55,8 @@ def bipartite_max_weight_matching(
     zero, and a root leaves its phase matched or retired. A root with a
     tight edge to an exposed right copy is matched to the first one in its
     row with no phase, as its phase would do first; the others run
-    `_run_phase`.
+    `_run_phase`, on three arrays of n entries allocated here once and
+    handed back empty by every phase.
 
     The kernel runs on the graph's integers D.w, D the lcm of the weight
     denominators; the potentials start at such integers and move by integer
@@ -72,6 +75,10 @@ def bipartite_max_weight_matching(
     p_right = [0] * n
     match_l: list[Optional[int]] = [None] * n
     match_r: list[Optional[int]] = [None] * n
+    # the phases' state per right copy, all None between phases
+    parent: list[Optional[int]] = [None] * n
+    slack: list[Optional[int]] = [None] * n
+    arg: list[Optional[int]] = [None] * n
     for root in range(n):
         pu = p_left[root]
         if match_l[root] is None and pu > 0:
@@ -80,7 +87,9 @@ def bipartite_max_weight_matching(
                     match_l[root], match_r[r] = r, root  # the direct match
                     break
             else:
-                _run_phase(root, adjacency, weight, p_left, p_right, match_l, match_r)
+                _run_phase(
+                    root, adjacency, weight, p_left, p_right, match_l, match_r, parent, slack, arg
+                )
     return match_l, p_left, p_right
 
 
@@ -88,72 +97,93 @@ def _run_phase(
     root: int, adjacency: Sequence[Sequence[tuple[int, int]]], weight: Sequence[int],
     p_left: list[int], p_right: list[int],
     match_l: list[Optional[int]], match_r: list[Optional[int]],
+    parent: list[Optional[int]], slack: list[Optional[int]], arg: list[Optional[int]],
 ) -> None:
     """One primal-dual phase from the exposed left copy `root`, updating the
-    potentials and the matching in place. Its state lives for this call and
-    is sized by the tree. It scans each even row once, in the order the rows
-    joined, and keeps per right copy the least slack from an even row and
-    the first row that attains it, so a dual adjustment needs no rescan.
+    potentials and the matching in place.
+
+    It scans each even row once, in the order the rows joined, and keeps
+    per right copy r, in the caller's arrays indexed by r: `parent[r]`, the
+    even row that reached r once r is odd; and while r is reached but not
+    odd, `slack[r]`, its least slack from an even row, and `arg[r]`, the
+    place in `even` of the first row that attains it, so a dual adjustment
+    needs no rescan. Every entry is None outside a phase: the phase lists
+    the right copies it touches and resets exactly those when it ends, so
+    it costs time in its tree, not in n.
     """
     even = [root]
-    position = {root: 0}  # even left copy -> its place in `even`
-    parent_right: dict[int, int] = {}  # odd right copy -> the even row that reached it
-    # every right copy reached from an even row but not odd: its least
-    # slack, and the first even row in `even` order that attains it
-    slack: dict[int, int] = {}
-    arg: dict[int, int] = {}
+    odd: list[int] = []  # the odd right copies
+    reached: list[int] = []  # every right copy given a slack, odd since or not
     scanned = 0
     while True:
         # grow the tree along tight edges until one reaches an exposed copy
         while scanned < len(even):
-            u = even[scanned]
+            row = scanned
+            u = even[row]
             scanned += 1
             pu = p_left[u]
             for r, i in adjacency[u]:
-                if r in parent_right:
+                if parent[r] is not None:
                     continue
                 s = pu + p_right[r] - weight[i]
                 if s == 0:
                     mate = match_r[r]
                     if mate is None:
                         break
-                    parent_right[r] = u
-                    slack.pop(r, None)
-                    assert mate not in position
-                    position[mate] = len(even)
+                    assert match_l[mate] == r  # so mate is not in the tree yet
+                    parent[r] = u
+                    odd.append(r)
+                    slack[r] = None
                     even.append(mate)
-                elif r not in slack or s < slack[r]:
+                else:
+                    least = slack[r]
+                    if least is None:
+                        reached.append(r)
+                    elif s >= least:
+                        continue
                     slack[r] = s
-                    arg[r] = u
+                    arg[r] = row
             else:
                 continue
             break  # the tight edge (u, r) augments
         else:
-            # stuck on tight edges: adjust the duals
-            floor = min(map(p_left.__getitem__, even))
-            delta = min(floor, min(slack.values(), default=floor))
+            # stuck on tight edges: adjust the duals by the least even
+            # potential or the least slack of a copy reached and not odd
+            # (plain loops: from CPython 3.11 on they beat `min` over a `map`)
+            floor = p_left[root]
+            for u in even:
+                if p_left[u] < floor:
+                    floor = p_left[u]
+            delta = floor
+            for r in reached:
+                s = slack[r]
+                if s is not None and s < delta:
+                    delta = s
             for u in even:
                 p_left[u] -= delta
-            for r in parent_right:
+            for r in odd:
                 p_right[r] += delta
             if delta < floor:
                 # new tight edges, taken in the order a rescan of the even
                 # rows would meet them: by row position, then by right copy
                 tight = []
-                for r, s in slack.items():
-                    slack[r] = s - delta
-                    if s == delta:
-                        tight.append((position[arg[r]], r))
+                for r in reached:
+                    s = slack[r]
+                    if s is not None:
+                        s -= delta
+                        slack[r] = s
+                        if s == 0:
+                            tight.append((arg[r], r))
                 tight.sort()
-                for _pos, r in tight:
-                    u = arg[r]
+                for row, r in tight:
+                    u = even[row]
                     mate = match_r[r]
                     if mate is None:
                         break
-                    parent_right[r] = u
-                    del slack[r]
-                    assert mate not in position
-                    position[mate] = len(even)
+                    assert match_l[mate] == r  # so mate is not in the tree yet
+                    parent[r] = u
+                    odd.append(r)
+                    slack[r] = None
                     even.append(mate)
                 else:
                     continue
@@ -161,19 +191,25 @@ def _run_phase(
                 # the lowest even node at potential zero retires exposed
                 u = min(u for u in even if p_left[u] == 0)
                 if u == root:
-                    return
+                    break
                 # flip the matching along the tree from u's parent
                 r = match_l[u]
                 assert r is not None
                 match_l[u] = None
-                u = parent_right[r]
+                u = parent[r]
         # give right r to even node u, cascading along the tree to the root
         while True:
             match_r[r] = u
             match_l[u], r = r, match_l[u]  # u's old partner, None exactly at the root
             if r is None:
-                return
-            u = parent_right[r]
+                break
+            u = parent[r]
+        break
+    # hand the arrays back empty
+    for r in odd:
+        parent[r] = None
+    for r in reached:
+        slack[r] = arg[r] = None
 
 
 def normalize_to_basic(graph: WeightedGraph, halves: Sequence[int]) -> BasicFractionalMatching:

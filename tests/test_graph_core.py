@@ -73,11 +73,21 @@ def test_as_fraction_refuses_an_exponent_above_the_bound():
     assert as_fraction("1e3") == 1000 and as_fraction("25e-2") == Fraction(1, 4)
     assert as_fraction(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
     assert as_fraction(f"1E-{MAX_EXPONENT}") == Fraction(1, 10**MAX_EXPONENT)
-    for raw in (f"1e{MAX_EXPONENT + 1}", f"2.5E-{MAX_EXPONENT + 1} ", "1e999_999_999"):
+    for raw in (f"1e{MAX_EXPONENT + 1}", f"2.5E-{MAX_EXPONENT + 1} ", "1e999999999"):
         with pytest.raises(ValueError, match="exceeds 4300"):
             as_fraction(raw)
     with pytest.raises(ValueError):
         WeightedGraph.from_edges(2, [(0, 1, "1e999999999")])
+
+
+def test_as_fraction_refuses_an_underscore():
+    # `Fraction` reads "1_000" as 1000 from Python 3.11 on and refuses it
+    # before: an exact string means the same on every supported Python
+    for raw in ("1_000", "1e999_999_999", "1_0/3", "0.2_5", "_1"):
+        with pytest.raises(ValueError, match="underscore"):
+            as_fraction(raw)
+    with pytest.raises(ValueError, match="underscore"):
+        WeightedGraph.from_edges(2, [(0, 1, "1_000")])
 
 
 def test_scale_and_int_weights_are_computed_once_per_graph(monkeypatch):

@@ -21,7 +21,7 @@ from matchstab import cli, oracle
 from matchstab.cli import main
 from matchstab.errors import MatchstabError, ParseError
 from matchstab.graph import Matching
-from matchstab.instance import _parse_weight, parse_instance
+from matchstab.instance import parse_instance
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -63,9 +63,11 @@ def test_parse_rejects_bad_documents():
 
 
 def _parse_weight_by_fraction(raw: str, where: str) -> Fraction:
-    """A weight string parsed as `_parse_weight` parses every string that
-    is not all ASCII digits: through `Fraction(raw)`."""
+    """A weight string parsed through `Fraction(raw)`, which must not see
+    an underscore, since it reads digit groups only from Python 3.11."""
     try:
+        if "_" in raw:
+            raise ValueError(f"{raw!r} has an underscore")
         value = Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{where}: cannot parse weight {raw!r}") from exc
@@ -80,16 +82,20 @@ def _parse_weight_by_fraction(raw: str, where: str) -> Fraction:
      pytest.param("9" * 5000, id="5000 digits")],
 )
 def test_weight_strings_parse_as_fraction_parses_them(raw):
-    # `_parse_weight` reads ASCII digits as an int: the value, not its type,
-    # must be the one `Fraction(raw)` gives
-    def outcome(parse, where):
+    # `parse_instance` reads ASCII digits with `int`: the value, not its
+    # type, must be the one `Fraction(raw)` gives
+    doc = json.dumps({"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "w": raw}]})
+
+    def outcome(parse):
         try:
-            value = parse(raw, where)
+            value = parse()
         except ParseError as exc:
             return "ParseError", str(exc)
         return "value", value
 
-    assert outcome(_parse_weight, 0) == outcome(_parse_weight_by_fraction, "edges[0]")
+    assert outcome(lambda: parse_instance(doc).graph.edges[0][2]) == outcome(
+        lambda: _parse_weight_by_fraction(raw, "edges[0]")
+    )
 
 
 def _cli_in_subprocess(*args) -> subprocess.CompletedProcess:

@@ -6,6 +6,7 @@ from typing import Optional
 
 import pytest
 
+from complete_graph import complete_graph
 from conftest import (
     bench_families, count_calls, fig6, fig8, fig9, random_graph, tri_chain,
     weight_denominator_graphs,
@@ -28,10 +29,13 @@ H = Fraction(1, 2)
 
 
 def _reference_hungarian(
-    graph: WeightedGraph,
+    graph: WeightedGraph, on_integers: bool = False,
 ) -> tuple[list[Optional[int]], list[Fraction], list[Fraction]]:
     """The Hungarian method on Fraction potentials that rescans every even
     row on each growth pass: the reference the integer kernel must match.
+    With `on_integers` it runs the same method on the graph's integers D.w
+    and int potentials, which it returns scaled by D, as the kernel does:
+    fast enough for K_120.
 
     Maximum-weight matching on the duplicate with an exact dual certificate.
 
@@ -46,12 +50,15 @@ def _reference_hungarian(
     """
     n = graph.n
     adjacency = graph.adjacency
-    weight = [w for _u, _v, w in graph.edges]
+    if on_integers:
+        weight, zero = list(graph.int_weights), 0
+    else:
+        weight, zero = [w for _u, _v, w in graph.edges], ZERO
     p_left: list[Fraction] = [
-        max((weight[i] for _r, i in adjacency[u] if weight[i] > 0), default=ZERO)
+        max((weight[i] for _r, i in adjacency[u] if weight[i] > 0), default=zero)
         for u in range(n)
     ]
-    p_right: list[Fraction] = [ZERO] * n
+    p_right: list[Fraction] = [zero] * n
     match_l: list[Optional[int]] = [None] * n
     match_r: list[Optional[int]] = [None] * n
 
@@ -373,13 +380,6 @@ def test_pair_checks_reject_a_negative_cover():
         verify_optimal_pair(g, bfm, cover)
 
 
-def _complete(rng, n, draw):
-    """K_n with the weight of each edge u < v drawn in order."""
-    return WeightedGraph.from_edges(
-        n, [(u, v, draw(rng)) for u in range(n) for v in range(u + 1, n)]
-    )
-
-
 def _sparse(rng, draw):
     n = rng.randint(2, 10)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -405,7 +405,7 @@ def test_root_pass_matches_the_next_root_kernel(monkeypatch, property_suite):
 def test_kernel_matches_the_fraction_reference(property_suite):
     rng = random.Random(10)
     graphs = list(property_suite)
-    graphs += [_complete(rng, n, lambda r: r.randint(1, 1000)) for n in range(4, 41, 4)]
+    graphs += [complete_graph(rng, n, 1000) for n in range(4, 41, 4)]
     graphs += [_sparse(rng, lambda r: r.choice((0, 0, 1, 2, 3))) for _ in range(60)]
     graphs += [
         _sparse(rng, lambda r: Fraction(r.randint(0, 12), r.randint(2, 6))) for _ in range(60)
@@ -419,6 +419,44 @@ def test_kernel_matches_the_fraction_reference(property_suite):
         ), g
 
 
+def test_kernel_matches_both_references_on_larger_complete_graphs():
+    # the bench times K_36..K_44 with weights 1-1000; weights 1-20 give
+    # many ties between slacks and between potentials
+    for n in (60, 90, 120):
+        for high in (1000, 20):
+            g = complete_graph(random.Random(n), n, high)
+            got = bipartite_max_weight_matching(g)
+            assert got == _next_root_kernel(g) == _reference_hungarian(g, on_integers=True)
+            if high == 20:  # the Fraction reference, fast enough where ties abound
+                match_left, p_left, p_right = _reference_hungarian(g)
+                assert got == (match_left, p_left, p_right) and g.scale == 1
+
+
+def test_a_phase_leaves_the_per_call_arrays_empty(monkeypatch, property_suite):
+    families = bench_families(monkeypatch)
+    run_phase = lp._run_phase
+    arrays: set[int] = set()
+
+    def checked(*args):
+        run_phase(*args)
+        state = args[-3:]  # parent, slack and arg, indexed by right copy
+        arrays.update(map(id, state))
+        for entries in state:
+            assert entries == [None] * len(entries)
+
+    monkeypatch.setattr(lp, "_run_phase", checked)
+    graphs = list(property_suite)
+    graphs += [  # one round of every workload of the benchmark's instance generator
+        parse_instance(inst.to_json()).graph
+        for workload in families.LADDERS
+        for inst in families.Generator(workload, 7).round()
+    ]
+    for g in graphs:
+        arrays.clear()
+        assert bipartite_max_weight_matching(g) == _next_root_kernel(g), g
+        assert len(arrays) in (0, 3)  # allocated once per call, not per phase
+
+
 class _CountingRows(tuple):
     """An adjacency tuple that counts the rows read from it."""
 
@@ -430,7 +468,7 @@ class _CountingRows(tuple):
 
 
 def test_kernel_reads_each_even_row_once_per_phase():
-    g = _complete(random.Random(1), 40, lambda r: r.randint(1, 1000))
+    g = complete_graph(random.Random(1), 40, 1000)
     rows = _CountingRows(g.adjacency)
     g.__dict__["adjacency"] = rows
     bipartite_max_weight_matching(g)
@@ -443,18 +481,18 @@ def test_a_phase_starts_only_where_no_direct_match_exists(monkeypatch):
     run_phase = lp._run_phase
     phases = [0]
 
-    def checked(root, adjacency, weight, p_left, p_right, match_l, match_r):
+    def checked(root, adjacency, weight, p_left, p_right, match_l, match_r, *state):
         assert match_l[root] is None and p_left[root] > 0
         assert not any(
             match_r[r] is None and p_left[root] + p_right[r] == weight[i]
             for r, i in adjacency[root]
         ), root
         phases[0] += 1
-        run_phase(root, adjacency, weight, p_left, p_right, match_l, match_r)
+        run_phase(root, adjacency, weight, p_left, p_right, match_l, match_r, *state)
 
     monkeypatch.setattr(lp, "_run_phase", checked)
     tri = tri_chain(random.Random(1), 40)
-    dense = _complete(random.Random(1), 40, lambda r: r.randint(1, 1000))
+    dense = complete_graph(random.Random(1), 40, 1000)
     # each of the 120 and 40 roots starts a phase in the kernel without
     # direct matches; 80 and 17 of them are matched directly here
     for g, expected in ((tri, 40), (dense, 23)):
@@ -488,7 +526,7 @@ def test_one_solve_counts_x_once(monkeypatch):
     assert _averaged(path) == [1, 1]  # a half-valued path, not basic
     for g in (
         tri_chain(random.Random(1), 40),
-        _complete(random.Random(1), 40, lambda r: r.randint(1, 1000)),
+        complete_graph(random.Random(1), 40, 1000),
         path,
     ):
         passes[0] = rounds[0] = 0
