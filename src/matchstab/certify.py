@@ -73,8 +73,11 @@ def optimal_pair_checks(
     supported edge is tight, and x(delta(v)) = 1 wherever y_v > 0), each with
     its result. All three are decided on integers: the graph's D.w, the
     cover's q.y and the half counts 2x of `decompose`. The first and the
-    last read one `cover.slack` list, so the edges are walked once.
+    last read one `cover.slack` list, so the edges are walked once. An x
+    that lives on another graph than `graph` raises NotOptimalPair.
     """
+    if bfm.graph is not graph and bfm.graph != graph:
+        raise NotOptimalPair("x lives on another graph")
     a = cover.int_values
     if len(a) != graph.n:
         raise InfeasibleCover("cover length does not match vertex count")

@@ -4,14 +4,13 @@ The search graph has a helper vertex z, a shadow vertex v' for every exposed
 zero-cover vertex, and one pseudonode per half-valued odd cycle. An augmenting
 path from an exposed pseudonode maps back to a tight alternating path in the
 original graph, along which alternate rounding plus complementing removes one
-or two cycles without losing weight. The search graph G' is built once,
-from the entry pair, with a row only for each node that has an edge. After
-that, x is kept in place as its half counts and G' as its rows, M' and
-the two maps between pseudonodes and cycle vertices: an augmentation
-changes x on its path and its one or two cycles only, and G' only around
-them. Each touched row is copied and sorted again, except z's, which
-can hold a node per zero-cover vertex and is edited in place. The live
-pseudonodes are x's cycles, so no other list of them is kept. x is
+or two cycles without losing weight. The search graph G' and its edits
+live in `edmonds`, beside the search that reads it; this module makes the
+moves on x. G' is built once, from the entry pair. After that, x is kept
+in place as its half counts and G' as its rows, M' and the two maps
+between pseudonodes and cycle vertices: an augmentation changes x on its
+path and its one or two cycles only, and edits G' only around them. The
+live pseudonodes are x's cycles, so no other list of them is kept. x is
 validated, and the pair proven optimal, once after the last move. A
 frustrated tree's nodes are marked dead and stay dead, since node ids
 never change; a pseudonode with no live neighbour is its own frustrated
@@ -21,12 +20,11 @@ the cycle count has reached its minimum.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .certify import verify_optimal_pair
-from .edmonds import AugmentingPath, TreeSearch, grow_tree
+from .edmonds import AugmentingPath, AuxiliaryGraph, TreeSearch, build_auxiliary, grow_tree
 from .errors import EndpointNotRecognized, PathNotAugmenting
 from .graph import (
     BasicFractionalMatching,
@@ -37,122 +35,6 @@ from .graph import (
     tight_edges,
 )
 from .lp import solve_fractional
-
-
-class AuxiliaryGraph(NamedTuple):
-    """The unweighted search graph G' with its matching M' and back-maps.
-
-    Node ids give the kind: original vertices keep their ids, z is `n`, the
-    shadow of v is `n + 1 + v`, and the pseudonode of a cycle is `2n + 1`
-    plus the cycle's lowest vertex, so a node keeps its id while G' changes
-    with x. `adjacency` holds a sorted row for each id: z's is a list that
-    the moves edit in place, any other a tuple. Every other id without an
-    edge shares the row `()`, and an id that stands for no node has no
-    edge. `mate` is M' over all ids: the pairs of x, and v-v' for each
-    shadow. `cycle_of` maps each pseudonode to its cycle, in the sorted
-    order of x's cycles, and `node_of` each cycle vertex to its pseudonode.
-    Which vertex of a cycle a search edge at its pseudonode stands for is
-    worked out where a move reads it (`_entry_vertex`).
-    """
-
-    n: int
-    adjacency: list[Sequence[int]]
-    mate: list[Optional[int]]
-    cycle_of: dict[int, tuple[int, ...]]
-    node_of: dict[int, int]
-
-    def kind(self, node: int) -> str:
-        n = self.n
-        if node < n:
-            return "vertex"
-        if node == n:
-            return "z"
-        if node <= 2 * n:
-            return "shadow"
-        return "cycle"
-
-
-class _ZRow(list):
-    """z's row of G', a sorted list edited in place: it can hold a node for
-    every zero-cover vertex, too many to copy and sort again per move."""
-
-    def add(self, node: int) -> None:
-        self.discard(node)
-        insort(self, node)
-
-    def discard(self, node: int) -> None:
-        i = bisect_left(self, node)
-        if i < len(self) and self[i] == node:
-            del self[i]
-
-
-class _Rows(dict):
-    """The rows of G' that an edit touches. z's row is edited in place;
-    any other row is loaded from `adjacency` as a set on first touch and
-    written back sorted by `write`."""
-
-    def __init__(self, aux: AuxiliaryGraph) -> None:
-        self.aux = aux
-        self[aux.n] = aux.adjacency[aux.n]
-
-    def __missing__(self, node: int) -> set[int]:
-        row = self[node] = set(self.aux.adjacency[node])
-        return row
-
-    def add(self, a: int, b: int) -> None:
-        self[a].add(b)
-        self[b].add(a)
-
-    def attach(self, v: int, load: int) -> None:
-        """The z edge of a covered zero-cover vertex v, or the shadow gadget
-        v-v'-z, with v' matched to v, of an exposed one."""
-        aux, z = self.aux, self.aux.n
-        if load == 2:
-            self.add(aux.node_of.get(v, v), z)
-        elif load == 0:
-            shadow = z + 1 + v
-            self.add(v, shadow)
-            self.add(shadow, z)
-            aux.mate[v], aux.mate[shadow] = shadow, v
-
-    def write(self) -> None:
-        for node, row in self.items():
-            self.aux.adjacency[node] = row if node == self.aux.n else tuple(sorted(row))
-
-
-def _build_auxiliary(
-    graph: WeightedGraph,
-    bfm: BasicFractionalMatching,
-    cover: FractionalVertexCover,
-    tight: frozenset[int],
-) -> AuxiliaryGraph:
-    """Construct G' and M' from a pair already proven optimal under `cover`,
-    whose tight edge set is `tight`.
-
-    Only tight edges survive; vz edges appear at covered zero-cover vertices,
-    shadow gadgets at exposed zero-cover vertices, and every support cycle is
-    shrunk into a pseudonode. Only the nodes with an edge get a row of
-    their own.
-    """
-    n = graph.n
-    cycle_of = {2 * n + 1 + c[0]: c for c in bfm.odd_cycles}
-    # a cycle vertex stands for its pseudonode, any other vertex for itself
-    node_of = {v: node for node, c in cycle_of.items() for v in c}
-    aux = AuxiliaryGraph(n, [()] * (3 * n + 1), [None] * (3 * n + 1), cycle_of, node_of)
-    aux.adjacency[n] = _ZRow()
-    for u, v in bfm.matched.pairs:
-        aux.mate[u], aux.mate[v] = v, u
-    rows = _Rows(aux)
-    for idx in tight:
-        u, v = graph.ends[idx]
-        a, b = node_of.get(u, u), node_of.get(v, v)
-        if a != b:  # else an intra-cycle edge or a chord of a shrunk cycle
-            rows.add(a, b)
-    for v, a_v in enumerate(cover.int_values):
-        if a_v == 0:
-            rows.attach(v, bfm.vertex_halves[v])
-    rows.write()
-    return aux
 
 
 class AugmentationEvent(NamedTuple):
@@ -246,10 +128,9 @@ def apply_augmentation(
     take back their tight edges, and each zero-cover vertex whose load
     changed (a vertex of an end cycle, or the path's last vertex before z)
     gets its z edge or shadow gadget anew, from its load summed over
-    `halves`. Only the touched rows are sorted again, and z's row is
-    edited in place. An end cycle leaves `aux.cycle_of` with its
-    pseudonode. The caller validates x and proves the pair after its last
-    move.
+    `halves`, through the edits of `AuxiliaryGraph`. An end cycle leaves
+    `aux.cycle_of` with its pseudonode. The caller validates x and proves
+    the pair after its last move.
     """
     _validate_alternating(aux, path)
     start, end = path[0], path[-1]
@@ -283,29 +164,16 @@ def apply_augmentation(
         idx = edge_index(a, b)
         _set_edge(aux, halves, idx, a, b, 2 - halves[idx])
 
-    rows = _Rows(aux)
-    joined: list[int] = []  # the vertices of the expanded pseudonodes
-    for node, _q in ends:
-        for b in rows[node]:
-            rows[b].discard(node)
-        rows[node] = set()
-        for v in aux.cycle_of.pop(node):
-            del aux.node_of[v]
-            joined.append(v)
+    joined = [v for node, _q in ends for v in aux.expand(node)]  # the end cycles' vertices
     for v in last:  # its z edge or shadow gadget goes
-        shadow = aux.n + 1 + v
-        for a, b in ((v, aux.n), (v, shadow), (shadow, aux.n)):
-            rows[a].discard(b)
-            rows[b].discard(a)
-        aux.mate[shadow] = None
+        aux.detach(v)
     for v in joined:
         for w, idx in graph.adjacency[v]:
             if idx in tight:
-                rows.add(v, aux.node_of.get(w, w))
+                aux.link(v, aux.node_of.get(w, w))
     for v in joined + last:
         if cover.int_values[v] == 0:
-            rows.attach(v, sum(halves[idx] for _w, idx in graph.adjacency[v]))
-    rows.write()
+            aux.attach(v, sum(halves[idx] for _w, idx in graph.adjacency[v]))
     return AugmentationEvent(kind, tuple(c for c, _v in picks), rounded_at, g_path)
 
 
@@ -360,7 +228,7 @@ def reduce_cycles(
     events: list = []
     if bfm.odd_cycles:
         tight = tight_edges(graph, cover)
-        aux = _build_auxiliary(graph, bfm, cover, tight)
+        aux = build_auxiliary(graph, bfm, cover, tight)
         halves = list(bfm.halves)
         search = TreeSearch(aux.adjacency, aux.mate)
         dead: set[int] = set()

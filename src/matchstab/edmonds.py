@@ -1,23 +1,35 @@
-"""Edmonds' alternating-tree search with blossom shrinking, tree-local.
+"""Edmonds' alternating-tree search with blossom shrinking, tree-local, and
+the auxiliary graph G' that the cycle minimizer runs it on.
 
-Used by the cycle minimizer to search the unweighted auxiliary graph. The
-search is rooted: it either returns an augmenting path from the root (fully
-expanded through all shrunken blossoms, simple in the input graph) or a
-frustrated-tree certificate whose nodes the caller marks dead. A later search
-never enters a dead node, as if it were deleted from the graph.
+The search is rooted: it either returns an augmenting path from the root
+(fully expanded through all shrunken blossoms, simple in the input graph)
+or a frustrated-tree certificate whose nodes the caller marks dead. A later
+search never enters a dead node, as if it were deleted from the graph.
 
 The arrays of a search (`TreeSearch`) are allocated once per graph and
 matching and shared by every tree grown there. A search reads and writes
 only the entries of its own tree's nodes and puts them back when it ends,
 so it costs time in the size of its tree, not of the graph.
+
+G' (`AuxiliaryGraph`) is built from an optimal pair alone
+(`build_auxiliary`), so a checker can rebuild it without the solver: this
+module reads only `graph` and `errors` of the package. Each row of G' has
+one form, a sorted list, or the shared `()` while its node has no edge.
+The build collects each row and sorts it once; after that, the edits a
+move makes (link, unlink, expanding a pseudonode, attaching or detaching a
+zero-cover vertex's z edge or shadow gadget) insert and delete in place
+with `bisect`, so a move costs time in the rows it touches, and a G' after
+a move equals the one rebuilt from the new pair.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
+from collections import defaultdict, deque
 from typing import AbstractSet, NamedTuple, Optional, Sequence, Union
 
 from .errors import VertexNotExposed
+from .graph import BasicFractionalMatching, FractionalVertexCover, WeightedGraph
 
 
 class AugmentingPath(NamedTuple):
@@ -193,3 +205,129 @@ def grow_tree(search: TreeSearch, root: int, dead: AbstractSet[int]) -> GrowResu
         parent[i] = None
         base[i] = i
     return result
+
+
+# ---------------------------------------------------------------------------
+# the auxiliary graph G' of the cycle minimizer
+
+
+class AuxiliaryGraph(NamedTuple):
+    """The unweighted search graph G' with its matching M' and back-maps.
+
+    Node ids give the kind: original vertices keep their ids, z is `n`, the
+    shadow of v is `n + 1 + v`, and the pseudonode of a cycle is `2n + 1`
+    plus the cycle's lowest vertex, so a node keeps its id while G' changes
+    with x. `adjacency` holds a row for each id: a sorted list that the
+    edits below change in place, or the shared `()` for an id without an
+    edge, as every id that stands for no node is. `mate` is M' over all
+    ids: the pairs of x, and v-v' for each shadow. `cycle_of` maps each
+    pseudonode to its cycle, in the sorted order of x's cycles, and
+    `node_of` each cycle vertex to its pseudonode. Which vertex of a cycle
+    a search edge at its pseudonode stands for is not kept: a move works
+    it out where it reads it (`cycles._entry_vertex`).
+    """
+
+    n: int
+    adjacency: list[Sequence[int]]
+    mate: list[Optional[int]]
+    cycle_of: dict[int, tuple[int, ...]]
+    node_of: dict[int, int]
+
+    def kind(self, node: int) -> str:
+        n = self.n
+        if node < n:
+            return "vertex"
+        if node == n:
+            return "z"
+        if node <= 2 * n:
+            return "shadow"
+        return "cycle"
+
+    def link(self, a: int, b: int) -> None:
+        """Add the edge ab, unless G' has it."""
+        for p, q in ((a, b), (b, a)):
+            row = self.adjacency[p] or []
+            i = bisect_left(row, q)
+            if i == len(row) or row[i] != q:
+                row.insert(i, q)
+                self.adjacency[p] = row
+
+    def unlink(self, a: int, b: int) -> None:
+        """Remove the edge ab, if G' has it; a row left empty becomes `()`."""
+        for p, q in ((a, b), (b, a)):
+            row = self.adjacency[p]
+            i = bisect_left(row, q)
+            if i < len(row) and row[i] == q:
+                del row[i]
+                self.adjacency[p] = row or ()
+
+    def expand(self, node: int) -> tuple[int, ...]:
+        """Remove the pseudonode `node` with its edges and return its cycle,
+        whose vertices stand for themselves again, with no edge yet."""
+        row, self.adjacency[node] = self.adjacency[node], ()
+        for b in row:
+            self.unlink(b, node)
+        cycle = self.cycle_of.pop(node)
+        for v in cycle:
+            del self.node_of[v]
+        return cycle
+
+    def _gadget(self, v: int, load: int) -> tuple[tuple[int, int], ...]:
+        """The edges of the zero-cover vertex v, whose load 2x(delta(v)) is
+        `load`: the z edge of the node v stands for when v is covered, or
+        the gadget v-v'-z of an exposed v, whose v-v' this puts in M'."""
+        z = self.n
+        if load:
+            return ((self.node_of.get(v, v), z),)
+        shadow = z + 1 + v
+        self.mate[v], self.mate[shadow] = shadow, v
+        return ((v, shadow), (shadow, z))
+
+    def attach(self, v: int, load: int) -> None:
+        """Give the zero-cover vertex v of load `load` its z edge or shadow
+        gadget."""
+        for a, b in self._gadget(v, load):
+            self.link(a, b)
+
+    def detach(self, v: int) -> None:
+        """Take the vertex v's z edge or shadow gadget, whichever it has, out
+        of G', and its shadow out of M'."""
+        z, shadow = self.n, self.n + 1 + v
+        for a, b in ((v, z), (v, shadow), (shadow, z)):
+            self.unlink(a, b)
+        self.mate[shadow] = None
+
+
+def build_auxiliary(
+    graph: WeightedGraph,
+    bfm: BasicFractionalMatching,
+    cover: FractionalVertexCover,
+    tight: frozenset[int],
+) -> AuxiliaryGraph:
+    """Construct G' and M' from a pair already proven optimal under `cover`,
+    whose tight edge set is `tight`.
+
+    Only tight edges survive; vz edges appear at covered zero-cover vertices,
+    shadow gadgets at exposed zero-cover vertices, and every support cycle is
+    shrunk into a pseudonode. Each row is collected and sorted once, and
+    only the nodes with an edge get a row of their own.
+    """
+    n = graph.n
+    cycle_of = {2 * n + 1 + c[0]: c for c in bfm.odd_cycles}
+    # a cycle vertex stands for its pseudonode, any other vertex for itself
+    node_of = {v: node for node, c in cycle_of.items() for v in c}
+    aux = AuxiliaryGraph(n, [()] * (3 * n + 1), [None] * (3 * n + 1), cycle_of, node_of)
+    for u, v in bfm.matched.pairs:
+        aux.mate[u], aux.mate[v] = v, u
+    edges = [(node_of.get(u, u), node_of.get(v, v)) for u, v in map(graph.ends.__getitem__, tight)]
+    for v, a_v in enumerate(cover.int_values):
+        if a_v == 0:
+            edges += aux._gadget(v, bfm.vertex_halves[v])
+    rows: defaultdict[int, set[int]] = defaultdict(set)
+    for a, b in edges:
+        if a != b:  # else an intra-cycle edge or a chord of a shrunk cycle
+            rows[a].add(b)
+            rows[b].add(a)
+    for a, row in rows.items():
+        aux.adjacency[a] = sorted(row)
+    return aux

@@ -284,7 +284,12 @@ class Matching(_Value):
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, int]]) -> "Matching":
-        return Matching(frozenset((min(u, v), max(u, v)) for u, v in pairs))
+        """The matching of `pairs`, each in either order; a pair named twice
+        raises GraphError, as two pairs that share a vertex do."""
+        listed = [(min(u, v), max(u, v)) for u, v in pairs]
+        if len(set(listed)) < len(listed):
+            raise GraphError("edges of a matching may not repeat")
+        return Matching(frozenset(listed))
 
     @cached_property
     def _partner(self) -> dict[int, int]:

@@ -1,11 +1,13 @@
 """`certify` is the one codec of the result document: each field's reader
 gives back what its writer encoded. `graph` computes a cover's per-edge
 slack and a vertex set's stars in one place each, and every `matchstab`
-module imports first in a fresh interpreter.
+module imports first in a fresh interpreter, along a package import graph
+without a cycle.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import random
@@ -154,3 +156,41 @@ def test_each_module_imports_first_in_a_fresh_interpreter():
             timeout=120,
         )
         assert (proc.returncode, proc.stderr) == (0, ""), (name, proc.stderr)
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """Each `matchstab` module, `__init__` and `__main__` left out, mapped
+    to the modules its `from .x import` and `from . import x` statements
+    name, those inside functions included."""
+    graph = {}
+    for path in PACKAGE.glob("*.py"):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        names: set[str] = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names.update([node.module] if node.module else (a.name for a in node.names))
+        graph[path.stem] = names
+    return graph
+
+
+def _import_closure(graph: dict[str, set[str]], module: str) -> set[str]:
+    seen: set[str] = set()
+    todo = [module]
+    while todo:
+        for name in graph[todo.pop()] - seen:
+            seen.add(name)
+            todo.append(name)
+    return seen
+
+
+def test_the_package_import_graph_has_no_cycle():
+    # read from the source, so that it holds whatever `__init__` imports
+    # first; `verify` can import G' and its search from `edmonds` without
+    # an import cycle and without `lp` or `cycles`
+    graph = _package_imports()
+    assert len(graph) == 12 and "walks" in graph["cli"]  # a function-level import
+    for module in graph:
+        assert module not in _import_closure(graph, module), module
+    assert _import_closure(graph, "edmonds") == {"errors", "graph"}
+    assert _import_closure(graph, "certify") == {"errors", "graph", "instance"}

@@ -11,17 +11,19 @@ from conftest import (
     tri_chain,
 )
 import matchstab.cycles
+import matchstab.edmonds
 from matchstab import oracle
 from matchstab.certify import verify_optimal_pair
 from matchstab.cycles import (
     AugmentationEvent,
     FrustrationEvent,
-    _build_auxiliary,
     _validate_alternating,
     apply_augmentation,
     reduce_cycles,
 )
-from matchstab.edmonds import AugmentingPath, FrustratedTree, TreeSearch, grow_tree
+from matchstab.edmonds import (
+    AugmentingPath, AuxiliaryGraph, FrustratedTree, TreeSearch, build_auxiliary, grow_tree,
+)
 from matchstab.errors import EndpointNotRecognized, NotOptimalPair, PathNotAugmenting
 from matchstab.graph import (
     WeightedGraph,
@@ -34,11 +36,11 @@ from matchstab.lp import solve_fractional
 H = Fraction(1, 2)
 
 
-def build_auxiliary(g, bfm, cover):
+def verified_auxiliary(g, bfm, cover):
     """The search graph G' of a pair, after checking in full that the pair
     is optimal."""
     verify_optimal_pair(g, bfm, cover)
-    return _build_auxiliary(g, bfm, cover, tight_edges(g, cover))
+    return build_auxiliary(g, bfm, cover, tight_edges(g, cover))
 
 
 def _two_triangles_bridged() -> WeightedGraph:
@@ -53,24 +55,24 @@ def test_build_auxiliary_stable_graph_is_bare():
     g = WeightedGraph.from_edges(2, [(0, 1, 3)])
     bfm, cover = solve_fractional(g)
     assert not bfm.odd_cycles
-    aux = build_auxiliary(g, bfm, cover)
+    aux = verified_auxiliary(g, bfm, cover)
     assert aux.cycle_of == {}
     assert aux.mate == [1, 0] + [None] * 5
     # z has no incident edges: both endpoints carry positive cover values
-    assert aux.adjacency[aux.n] == []
+    assert aux.adjacency[aux.n] == ()
 
 
 def test_build_auxiliary_fig9():
     g = fig9()
     bfm, cover = solve_fractional(g)
-    aux = build_auxiliary(g, bfm, cover)
+    aux = verified_auxiliary(g, bfm, cover)
     shadow = g.n + 1 + 3
     pseudo = 2 * g.n + 1 + 0
     assert aux.cycle_of[pseudo] == (0, 1, 2)
     # s is exposed with zero cover: shadow gadget s-s'-z, the only shadow
     assert [v for v in range(g.n + 1, 2 * g.n + 1) if aux.adjacency[v]] == [shadow]
-    assert aux.adjacency[3] == (shadow,)
-    assert set(aux.adjacency[shadow]) == {3, aux.n}
+    assert aux.adjacency[3] == [shadow]
+    assert aux.adjacency[shadow] == [3, aux.n]
     assert aux.mate[3] == shadow and aux.mate[shadow] == 3
     # ps is slack, so the pseudonode is isolated
     assert aux.adjacency[pseudo] == ()
@@ -84,7 +86,7 @@ def test_build_auxiliary_fig6_with_alternate_cover():
     x[g.edge_index(3, 4)] = 2
     bfm = decompose(g, x)
     cover = cover_of([1, 1, 1, H, 0, 1, 1, 1])
-    aux = build_auxiliary(g, bfm, cover)
+    aux = verified_auxiliary(g, bfm, cover)
     # internal vertex 4 (label 5) is covered with zero cover value: edge to z
     assert aux.n in aux.adjacency[4]
     assert len(aux.cycle_of) == 2
@@ -100,7 +102,7 @@ def test_build_auxiliary_rejects_non_optimal_pair():
     bfm, _cover = solve_fractional(g)
     bad = cover_of([4, 4, 4, 1])
     with pytest.raises(NotOptimalPair):
-        build_auxiliary(g, bfm, bad)
+        verified_auxiliary(g, bfm, bad)
 
 
 def test_apply_augmentation_two_cycles():
@@ -110,7 +112,7 @@ def test_apply_augmentation_two_cycles():
         x[g.edge_index(*pair)] = 1
     bfm = decompose(g, x)
     cover = cover_of([H] * 6)
-    aux = build_auxiliary(g, bfm, cover)
+    aux = verified_auxiliary(g, bfm, cover)
     root = 2 * aux.n + 1 + 0
     other = 2 * aux.n + 1 + 3
     assert (aux.cycle_of[root], aux.cycle_of[other]) == ((0, 1, 2), (3, 4, 5))
@@ -134,7 +136,7 @@ def test_apply_augmentation_rejects_garbage_path():
         x[g.edge_index(*pair)] = 1
     bfm = decompose(g, x)
     cover = cover_of([H] * 6)
-    aux = build_auxiliary(g, bfm, cover)
+    aux = verified_auxiliary(g, bfm, cover)
     with pytest.raises(PathNotAugmenting):
         apply_augmentation(g, cover, tight_edges(g, cover), aux, list(bfm.halves), (0, 1))
 
@@ -289,7 +291,7 @@ _EDGE_KINDS = {
 def _edge_kinds_of_auxiliary(g, bfm, cover) -> set:
     """Assert that G' names its nodes by id arithmetic alone; return the
     kinds of its edges."""
-    aux = build_auxiliary(g, bfm, cover)
+    aux = verified_auxiliary(g, bfm, cover)
     n = aux.n
     assert n == g.n and len(aux.adjacency) == len(aux.mate) == 3 * n + 1
     assert aux.cycle_of == {2 * n + 1 + c[0]: c for c in bfm.odd_cycles}
@@ -391,7 +393,7 @@ def test_pair_checks_do_not_grow_with_gamma(monkeypatch):
     start = solve_fractional(g)
     checks = count_calls(monkeypatch, matchstab.cycles, "verify_optimal_pair")
     tights = count_calls(monkeypatch, matchstab.cycles, "tight_edges")
-    builds = count_calls(monkeypatch, matchstab.cycles, "_build_auxiliary")
+    builds = count_calls(monkeypatch, matchstab.cycles, "build_auxiliary")
     for given in (None, start):
         checks[0] = tights[0] = builds[0] = 0
         result = reduce_cycles(g, start=given)
@@ -493,7 +495,7 @@ def reduce_cycles_rebuilding(graph, start=None):
     cursor = 0
     while cursor < len(bfm.odd_cycles):
         if aux is None:
-            aux = _build_auxiliary(graph, bfm, cover, tight)
+            aux = build_auxiliary(graph, bfm, cover, tight)
             search = TreeSearch(aux.adjacency, aux.mate)
         root = 2 * graph.n + 1 + bfm.odd_cycles[cursor][0]
         if root in dead:
@@ -558,30 +560,53 @@ def test_in_place_moves_match_the_rebuilding_reference(property_suite):
     assert kinds == {"cycle_zero_cover", "two_cycles", "path_to_covered", "path_to_exposed"}
 
 
+def _assert_well_formed(aux) -> None:
+    """Every row of G' is `()` or a nonempty, strictly increasing list, b is
+    in a's row exactly when a is in b's, and M' is symmetric."""
+    rows = aux.adjacency
+    for a, row in enumerate(rows):
+        if type(row) is tuple:
+            assert row == (), a
+        else:
+            assert type(row) is list and row, a
+            assert all(p < q for p, q in zip(row, row[1:])), (a, row)
+        assert all(a in rows[b] for b in row), a
+    assert all(b is None or aux.mate[b] == a for a, b in enumerate(aux.mate))
+
+
 def test_each_move_leaves_what_a_rebuild_makes(monkeypatch, property_suite):
-    # after every augmentation, G', M', the half counts and the live cycles,
-    # in their sorted order, equal `_build_auxiliary` and `decompose` on the
-    # pair the reference move makes
-    move = matchstab.cycles.apply_augmentation
-    moves = [0]
+    # G' is well formed after the build and after every augmentation; and
+    # then G', M', the half counts and the live cycles, in their sorted
+    # order, equal `build_auxiliary` and `decompose` on the pair the
+    # reference move makes
+    build, move = matchstab.cycles.build_auxiliary, matchstab.cycles.apply_augmentation
+    builds, moves = [0], [0]
+
+    def checked_build(graph, bfm, cover, tight):
+        aux = build(graph, bfm, cover, tight)
+        _assert_well_formed(aux)
+        builds[0] += 1
+        return aux
 
     def checked(graph, cover, tight, aux, halves, path):
         before = decompose(graph, halves)
         assert tuple(aux.cycle_of.values()) == before.odd_cycles
-        assert aux == _build_auxiliary(graph, before, cover, tight)
+        assert aux == build(graph, before, cover, tight)
         new, expected = _reference_move(before, cover, tight, aux, path)
         event = move(graph, cover, tight, aux, halves, path)
         assert event == expected
         assert halves == list(new.halves)
         assert tuple(aux.cycle_of.values()) == new.odd_cycles
-        assert aux == _build_auxiliary(graph, new, cover, tight)
+        _assert_well_formed(aux)
+        assert aux == build(graph, new, cover, tight)
         moves[0] += 1
         return event
 
+    monkeypatch.setattr(matchstab.cycles, "build_auxiliary", checked_build)
     monkeypatch.setattr(matchstab.cycles, "apply_augmentation", checked)
     for g, start in _moving_graphs(property_suite):
         reduce_cycles(g, start=start)
-    assert moves[0] > 150
+    assert moves[0] > 150 and builds[0] > 150
 
 
 def test_lone_roots_match_the_rebuilding_reference_on_the_bench_families(monkeypatch):
@@ -611,24 +636,26 @@ def test_a_lone_root_costs_no_search(monkeypatch):
 
 
 def test_row_work_grows_linearly_on_the_chord_path(monkeypatch):
-    # the row entries loaded into a `_Rows` set plus the entries sorted,
-    # summed over a run with the pair given; z's row holds about n/16
-    # nodes and is edited in place, so it adds to neither
+    # the row edits (two rows per `link` or `unlink`, each a bisect and at
+    # most one insert or delete in place) plus the entries sorted, summed
+    # over a run with the pair given: the build sorts each row once, and no
+    # move copies a row, z's included, which holds about n/16 nodes
     work = [0]
-    load = matchstab.cycles._Rows.__missing__
 
-    def counted_load(rows, node):
-        row = load(rows, node)
-        work[0] += len(row)
-        return row
+    def counted(edit):
+        def edit_rows(aux, a, b):
+            work[0] += 2
+            edit(aux, a, b)
+        return edit_rows
 
     def counted_sorted(items):
         out = sorted(items)
         work[0] += len(out)
         return out
 
-    monkeypatch.setattr(matchstab.cycles._Rows, "__missing__", counted_load)
-    monkeypatch.setattr(matchstab.cycles, "sorted", counted_sorted, raising=False)
+    for name in ("link", "unlink"):
+        monkeypatch.setattr(AuxiliaryGraph, name, counted(getattr(AuxiliaryGraph, name)))
+    monkeypatch.setattr(matchstab.edmonds, "sorted", counted_sorted, raising=False)
     totals = []
     for n in (6000, 12000, 24000, 48000):
         g = chord_path(n)

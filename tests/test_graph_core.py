@@ -442,6 +442,9 @@ def test_value_constructors_refuse_bad_input():
         Matching(frozenset({(1, 0)}))
     with pytest.raises(GraphError, match="share a vertex"):
         Matching.from_pairs([(0, 1), (1, 2)])
+    for twice in ([(0, 1), (0, 1)], [(0, 1), (1, 0)]):
+        with pytest.raises(GraphError, match="may not repeat"):
+            Matching.from_pairs(twice)
     # `test_decompose_errors` covers decompose, the validated BasicFractionalMatching builder
     with pytest.raises(GraphError, match="not an edge"):
         AlternatingWalk.from_vertices(

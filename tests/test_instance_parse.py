@@ -187,6 +187,10 @@ MALFORMED = {
     "matching pairs share a vertex": _doc(
         _e("a", "b", "2"), _e("b", "c", "1"), matching=[["a", "b"], ["c", "b"]]
     ),
+    "matching names a pair twice": _doc(_e("a", "b", "2"), matching=[["a", "b"], ["a", "b"]]),
+    "matching names a pair twice both ways": _doc(
+        _e("a", "b", "2"), matching=[["a", "b"], ["b", "a"]]
+    ),
     "edges not a list": json.dumps({"vertices": ["a"], "edges": {"u": "a"}}),
     "duplicate labels": json.dumps({"vertices": ["a", "a"], "edges": []}),
     "not an object": "[]",
@@ -197,6 +201,15 @@ MALFORMED = {
 @pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_documents_fail_as_the_reference_fails_them(text):
     _assert_same(text)
+
+
+def test_a_matching_that_names_a_pair_twice_is_refused():
+    # the reference parser shares `Matching.from_pairs`, so agreeing with it
+    # does not show by itself that the repeated pair is refused
+    for name in ("matching names a pair twice", "matching names a pair twice both ways"):
+        assert _outcome(parse_instance, MALFORMED[name]) == (
+            "ParseError", '"matching" is not a matching: edges of a matching may not repeat'
+        )
 
 
 def test_malformed_set_covers_both_outcomes():

@@ -380,6 +380,23 @@ def test_pair_checks_reject_a_negative_cover():
         verify_optimal_pair(g, bfm, cover)
 
 
+def test_pair_checks_refuse_an_x_on_another_graph():
+    # x and y are optimal on g1, and every check would pass on g2, whose
+    # edges are others: the pair would prove a matching g2 does not have
+    g1 = WeightedGraph.from_edges(4, [(0, 1, 1), (2, 3, 1)])
+    g2 = WeightedGraph.from_edges(4, [(0, 2, 1), (1, 3, 1)])
+    bfm, cover = solve_fractional(g1)
+    with pytest.raises(NotOptimalPair, match="another graph"):
+        optimal_pair_checks(g2, bfm, cover)
+    from matchstab.cycles import reduce_cycles
+
+    with pytest.raises(NotOptimalPair, match="another graph"):
+        reduce_cycles(g2, start=(bfm, cover))
+    # an equal graph built anew is the same graph
+    same = WeightedGraph.from_edges(4, [(0, 1, 1), (2, 3, 1)])
+    assert all(ok for _name, ok in optimal_pair_checks(same, bfm, cover))
+
+
 def _sparse(rng, draw):
     n = rng.randint(2, 10)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
