@@ -194,21 +194,28 @@ def _ratio_str(num: int, den: int) -> str:
         raise MatchstabError(f"an exact value has more than {limit} digits, too many to print")
 
 
-@lru_cache(maxsize=256)
-def _exact(value: object) -> Fraction:
-    """An exact value of the document, which prints each one as a string
-    such as "3/4", read by `as_fraction`. `Fraction` alone would also take
-    the JSON number 6.0 or 0.5, which no document prints, so a value that
-    is not a string makes the document malformed.
-
-    A document repeats a few values, such as "1/2" and "0", many times: each
-    distinct one is parsed once. Only strings are cached, and no string
-    equals a number, so the cache never answers for a number."""
+def _string(value: object) -> str:
+    """The value, when it is a string, as the document prints every exact
+    value, such as "3/4". `Fraction` alone would also take the JSON number
+    6.0 or 0.5, which no document prints, so a value that is not a string
+    makes the document malformed. The type is checked before any cache
+    hashes the value, which a JSON array or object could not be."""
     if type(value) is not str:
         raise ParseError(
             f"malformed result document: an exact value must be a string, got {json.dumps(value)}"
         )
-    return as_fraction(value)
+    return value
+
+
+def _exact(value: object) -> Fraction:
+    """An exact value of the document, read by `as_fraction` from its
+    string. A document repeats a few values, such as "1/2" and "0", many
+    times: each distinct string is parsed once, and only strings are
+    cached."""
+    return _fraction(_string(value))
+
+
+_fraction = lru_cache(maxsize=256)(as_fraction)
 
 
 def _typed(doc: dict, key: str, kind: type) -> Any:
@@ -279,12 +286,12 @@ def x_entries(bfm: BasicFractionalMatching) -> list[dict[str, str]]:
 
 
 @lru_cache(maxsize=256)
-def _half_count(value: object):
+def _half_count(value: str):
     """2x for the exact value string x of an x entry: an int when 2x is
     one, as for every entry of a basic x, else the `Fraction`, such as 3/2,
-    which `decompose` refuses. Each distinct string is read once, and, as
-    in `_exact`, a value that is not a string raises and is not cached."""
-    count = 2 * _exact(value)
+    which `decompose` refuses. As for `_exact`, each distinct string is
+    read once, and the caller checks that it is a string first."""
+    count = 2 * _fraction(value)
     return count.numerator if count.denominator == 1 else count
 
 
@@ -294,7 +301,7 @@ def _halves_from_entries(graph: WeightedGraph, index, entries) -> list:
     edges = _distinct("x", [graph.edge_index(index[e["u"]], index[e["v"]]) for e in entries])
     halves: list = [0] * graph.m
     for i, entry in zip(edges, entries):
-        halves[i] = _half_count(entry["x"])
+        halves[i] = _half_count(_string(entry["x"]))
     return halves
 
 

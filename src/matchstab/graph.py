@@ -155,10 +155,10 @@ class WeightedGraph(_Value):
                 if not (0 <= u < n and 0 <= v < n):
                     raise GraphError(f"edge ({u},{v}) out of range")
                 if u == v:
-                    raise GraphError(f"loop at vertex {u} not allowed")
+                    raise GraphError(f"loop at vertex {self.label_of(u)} not allowed")
                 raise GraphError(f"edge ({u},{v}) must be stored with u < v")
             if e in index:
-                raise GraphError(f"parallel edge ({u},{v})")
+                raise GraphError(f"parallel edge ({self.label_of(u)},{self.label_of(v)})")
             index[e] = i
             w = weights[i]
             if type(w) is not int:
@@ -213,9 +213,6 @@ class WeightedGraph(_Value):
     def weight(self, u: int, v: int) -> Fraction:
         return Fraction(self.int_weights[self.edge_index(u, v)], self.scale)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     @property
     def max_degree(self) -> int:
         """Counted from `ends`, without building `adjacency`."""
@@ -226,9 +223,6 @@ class WeightedGraph(_Value):
 
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
-
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        return tuple(idx for _nbr, idx in self.adjacency[v])
 
     def _keep(self, kept: Sequence[int]) -> "WeightedGraph":
         """The graph on the same vertex set with the edges `kept`, in order.

@@ -31,14 +31,19 @@ it.
 Both passes scan G itself, and G - delta(S) is built once, for the final
 check. The walk arcs of (G, M), with their integer weights, are built once
 per call (`walks.WalkArcs`, which also checks once that M is a matching of
-G), and every scan of both passes runs on them. Each scan is told the
-current S, which `WalkArcs.run` takes as `deleted`, and writes no DP entry
-at a vertex of S. That is exact, because S holds only M-exposed vertices
-other than the root: each walk-DP entry is the same as on G - delta(S),
-iteration by iteration, and the scan stops at the same iteration. Proof:
-y2 is written only through a matched edge, so an exposed s != root never
-gets a y2 entry; with no y1 entry either, s carries no value along its
-unmatched edges and has no matched one, just as if its star were gone.
+G), and every scan of both passes runs on them. The scans block no vertex:
+S holds only M-exposed vertices, and an exposed vertex is a dead end.
+
+Lemma. For S a set of M-exposed vertices other than the root, a scan of G
+reads what the same scan of G - delta(S) reads, at every iteration.
+Proof. A y2 entry is written only through a matched edge, so an exposed
+s != root never gets one, and the y1 entry of s feeds no relaxation: free
+arcs read y2, and a matched arc reads y1 only at a covered vertex. So every
+entry off S is the same at every iteration on G and on G - delta(S); a run
+on G may commit at S in its last iteration and end one iteration later,
+in which no entry off S changes. The first pass reads only y1(root) and y2
+at covered vertices; the second reads y1 at exposed targets, and skips the
+targets in S.
 """
 
 from __future__ import annotations
@@ -122,8 +127,29 @@ def _deletion_passes(
 ) -> tuple[tuple[int, ...], tuple[int, ...], Diagnostics]:
     """S1 and S2, each sorted, and the diagnostics of both passes.
 
-    Exposed vertices are processed in ascending index order; the first pass
-    deletes the same set in any order.
+    Exposed vertices are processed in ascending index order. S, the set
+    deleted so far, is read for its size, which sets the bounds 3n and n
+    with n = |V| - |S|, and by the second pass to skip targets in S.
+
+    On feasible input the first pass deletes the same set in any order.
+    Proof. Let X be the M-exposed vertices and y a cover of G - delta(X)
+    with total w(M), which exists since the LP found nu_f(G - delta(X)) =
+    w(M). y is feasible on every edge between covered vertices and, by
+    complementary slackness, tight on M. A walk's value is the weight of
+    its free edges minus that of its matched ones, and its DP state after
+    an arc is the arc's end and table (1 after a free arc, 2 after a
+    matched one). If a walk from the root is twice in one state, the part
+    between is a closed walk that alternates all the way round, through
+    covered vertices only, since a walk passes through no exposed vertex;
+    each pass through a vertex uses one free and one matched edge, so by y
+    its value is at most 0. Cutting it out leaves a shorter walk to the
+    same state that is worth no less. So a best walk repeats no state: it
+    has at most 2c + 1 arcs, c the number of covered vertices. No covered
+    vertex and not the root is in S, so n >= c + 1 and 2c + 1 < 3n: the
+    first pass's bound never binds, and each entry it reads is the best
+    over walks of any length. With the lemma above, each root's verdict is
+    the one with S empty and k = 3|V|, whichever roots were deleted before
+    it. On infeasible input the bound can bind.
     """
     arcs = WalkArcs(graph, matching)
     diagnostics: list[tuple[str, int, Optional[int]]] = []
@@ -134,7 +160,7 @@ def _deletion_passes(
 
     for u in exposed:
         n = graph.n - len(deleted)
-        flower, walk_to_covered = arcs.first_pass_scan(u, 3 * n, deleted)
+        flower, walk_to_covered = arcs.first_pass_scan(u, 3 * n)
         if flower:
             diagnostics.append(("flower", u, None))
         elif walk_to_covered is not None:

@@ -116,7 +116,7 @@ class WalkArcs:
                 else:
                     self.free[v].append((u, scaled[idx]))
 
-    def run(self, source: int, k: int, deleted: AbstractSet[int] = frozenset()) -> Iterator[_Step]:
+    def run(self, source: int, k: int) -> Iterator[_Step]:
         """Run the DP from the source for at most k iterations.
 
         Yields (i, y1, y2, commits1, commits2) at the start (i = 0, with no
@@ -124,11 +124,11 @@ class WalkArcs:
         entries as ints (None is -infinity), one pair of lists updated in
         place. An iteration reads only the entries of the one before, so
         once one commits no strict improvement every later one would repeat
-        it: the run ends there, before k when it comes sooner. No entry is
-        written at a vertex of `deleted`, a set S of exposed vertices other
-        than the source, so the run is the one on G - delta(S) (see `mstab`).
-        The first step raises ValueError for k < 0 or a source that is not a
-        vertex of the graph.
+        it: the run ends there, before k when it comes sooner. Every vertex
+        is relaxed: an exposed vertex other than the source is a dead end,
+        so no deleted set needs blocking (see `mstab`). The first step
+        raises ValueError for k < 0 or a source that is not a vertex of the
+        graph.
         """
         if k < 0:
             raise ValueError("length bound must be nonnegative")
@@ -153,10 +153,7 @@ class WalkArcs:
                     if y2[v] is None or cand > y2[v]:
                         commits2.append((v, u, cand))
             commits1 = []
-            targets = {v for u in changed2 for v, _w in free[u]}
-            if deleted:
-                targets.difference_update(deleted)
-            for v in targets:
+            for v in {v for u in changed2 for v, _w in free[u]}:
                 best = None
                 for u, w in free[v]:
                     if y2[u] is not None:
@@ -175,12 +172,9 @@ class WalkArcs:
             changed2 = [v for v, _u, _value in commits2]
             yield i, y1, y2, commits1, commits2
 
-    def first_pass_scan(
-        self, root: int, k: int, deleted: AbstractSet[int]
-    ) -> tuple[bool, Optional[int]]:
-        """`first_pass_scan` on these arcs, run on G - delta(S) for the set
-        S = `deleted` of exposed vertices other than the root."""
-        steps = self.run(root, k, deleted)
+    def first_pass_scan(self, root: int, k: int) -> tuple[bool, Optional[int]]:
+        """`first_pass_scan` on these arcs."""
+        steps = self.run(root, k)
         _i, y1, y2, _commits1, _commits2 = next(steps)
         if self.matched[root] is not None:
             raise VertexNotExposed(f"vertex {root} is covered")
@@ -190,15 +184,16 @@ class WalkArcs:
         return False, next((v for v in covered if y2[v] is not None and y2[v] > 0), None)
 
     def second_pass_scan(self, root: int, k: int, deleted: AbstractSet[int]) -> Optional[int]:
-        """`second_pass_scan` on these arcs, with `deleted` unchecked."""
-        steps = self.run(root, k, deleted)
+        """`second_pass_scan` on these arcs, with `deleted` unchecked: S
+        only filters the targets."""
+        steps = self.run(root, k)
         _i, y1, _y2, _commits1, _commits2 = next(steps)
         if self.matched[root] is not None:
             raise VertexNotExposed(f"vertex {root} is covered")
         for _step in steps:
             pass
-        exposed = (v for v in range(self.n) if v != root and self.matched[v] is None)
-        return next((v for v in exposed if y1[v] is not None and y1[v] > 0), None)
+        exposed = (v for v in range(self.n) if self.matched[v] is None and v not in deleted)
+        return next((v for v in exposed if v != root and y1[v] is not None and y1[v] > 0), None)
 
 
 def optimal_walks(
@@ -299,7 +294,7 @@ def first_pass_scan(
     which is reported as None. A walk to a covered vertex does not stop the
     scan, because a later flower still outranks it.
     """
-    return WalkArcs(graph, matching).first_pass_scan(root, k, frozenset())
+    return WalkArcs(graph, matching).first_pass_scan(root, k)
 
 
 def second_pass_scan(
@@ -311,8 +306,10 @@ def second_pass_scan(
 
     `deleted` is a set S of exposed vertices other than the root, whose
     stars count as deleted: the scan gives the verdict of G - delta(S)
-    without building it (see `mstab`). A root or a covered vertex in S
-    raises VertexNotExposed.
+    without building it, since an exposed vertex is a dead end of every
+    walk and S only filters the targets (see `mstab`). A root or a covered
+    vertex in S raises VertexNotExposed, because a covered vertex in S
+    would change the interior of walks.
     """
     for v in deleted:
         if v == root or not 0 <= v < graph.n or matching.covers(v):

@@ -119,7 +119,7 @@ def test_stars_are_the_incident_edges_and_delete_stars_deletes_them(property_sui
             for _ in range(3):
                 chosen = rng.sample(range(graph.n), rng.randint(0, graph.n))
                 stars = graph.stars(chosen)
-                assert stars == {i for v in chosen for i in graph.incident_edges(v)}
+                assert stars == {i for v in chosen for _u, i in graph.adjacency[v]}
                 rest = graph.delete_stars(chosen)
                 assert rest == graph.delete_edges(stars)
                 lowered += rest.scale < graph.scale
@@ -194,3 +194,7 @@ def test_the_package_import_graph_has_no_cycle():
         assert module not in _import_closure(graph, module), module
     assert _import_closure(graph, "edmonds") == {"errors", "graph"}
     assert _import_closure(graph, "certify") == {"errors", "graph", "instance"}
+    # the oracle, the tests' independent ground truth, and the walk DP
+    # import no solver
+    assert _import_closure(graph, "oracle") == {"errors", "graph"}
+    assert _import_closure(graph, "walks") == {"errors", "graph"}

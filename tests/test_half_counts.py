@@ -200,7 +200,7 @@ def _vectors(graph: WeightedGraph) -> list[list[Fraction]]:
         vectors.append([Fraction(3, 4)] + basic[1:])
         vectors.append([HALF] + zero[1:])
     for v in range(graph.n):
-        star = graph.incident_edges(v)
+        star = [idx for _u, idx in graph.adjacency[v]]
         if len(star) >= 2:
             for a, b in ((ONE, ONE), (ONE, HALF), (HALF, HALF)):
                 x = list(zero)

@@ -151,6 +151,21 @@ def test_a_weight_whose_exponent_is_too_large_is_refused(tmp_path, weight):
     )
 
 
+def test_a_loop_or_a_parallel_edge_is_named_by_its_labels(tmp_path, capsys):
+    # the instance file names its vertices only by label: c-c is no "loop at
+    # vertex 2", and b-c beside c-b no "parallel edge (1,2)"
+    instance = tmp_path / "bad.json"
+    for ends, message in (
+        ([("c", "c")], "loop at vertex c not allowed"),
+        ([("b", "c"), ("c", "b")], "parallel edge (b,c)"),
+    ):
+        edges = [{"u": u, "v": v, "w": "1"} for u, v in ends]
+        instance.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": edges}))
+        assert _run(capsys, "gamma", str(instance)) == (
+            1, "", f"matchstab: error: {instance}: {message}\n"
+        )
+
+
 def test_a_document_value_whose_exponent_is_too_large_is_malformed(tmp_path, capsys):
     instance = str(FIXTURES / "fig9.json")
     doc = json.loads(_run(capsys, "solve-fractional", instance)[1])
@@ -526,7 +541,7 @@ class Malformed(NamedTuple):
 
 def _not_a_string(got: str) -> Malformed:
     """A document that gives an exact value as a JSON number, which
-    `Fraction` alone would take."""
+    `Fraction` alone would take, or as any other JSON value but a string."""
     return Malformed(f"malformed result document: an exact value must be a string, got {got}")
 
 
@@ -634,6 +649,19 @@ FORGED_CLAIMS = [
         ("m-stabilize", None, _set("outputs", "residual_nu_f", 2.0), _not_a_string("2.0")),
         ("m-stabilize", None, lambda d: d["certificates"]["residual_cover"].update(b=1.5),
          _not_a_string("1.5")),
+        # an exact value given as a JSON array or object, which the caches of
+        # the exact values cannot hash
+        ("solve-fractional", "fig9", _set("outputs", "nu_f", ["1"]), _not_a_string('["1"]')),
+        ("solve-fractional", "fig9", _set("outputs", "nu_f", {"a": 1}),
+         _not_a_string('{"a": 1}')),
+        ("solve-fractional", "fig9", lambda d: d["outputs"]["x"][0].update(x=["1"]),
+         _not_a_string('["1"]')),
+        ("solve-fractional", "fig9", lambda d: d["outputs"]["x"][0].update(x={"a": 1}),
+         _not_a_string('{"a": 1}')),
+        ("solve-fractional", "fig9", lambda d: d["certificates"]["cover"].update(p=["1"]),
+         _not_a_string('["1"]')),
+        ("solve-fractional", "fig9", lambda d: d["certificates"]["cover"].update(p={"a": 1}),
+         _not_a_string('{"a": 1}')),
 ]
 
 

@@ -178,6 +178,7 @@ MALFORMED = {
     "reversed edge": _doc(_e("b", "a", "2"), _e("c", "b", "1")),
     "duplicate edge": _doc(_e("a", "b", "1"), _e("a", "b", "2")),
     "duplicate edge both ways": _doc(_e("a", "b", "1"), _e("b", "a", "1")),
+    "parallel edge both ways": _doc(_e("b", "c", "1"), _e("c", "b", "1")),
     "loop": _doc(_e("a", "a", "1")),
     "0.5 next to 1/2": _doc(_e("a", "b", "0.5"), _e("b", "c", "1/2")),
     "one weight string on every edge": _doc(_e("a", "b", "3"), _e("b", "c", "3"), _e("c", "a", "3")),

@@ -199,6 +199,47 @@ def test_same_result_as_rebuilding_the_residual_after_every_deletion():
     assert second >= 400
 
 
+def _first_pass(graph, matching, roots):
+    """The first pass over `roots` in the order given, with G - delta(S)
+    rebuilt after each deletion and the bound 3(|V| - |S|): the verdict of
+    each root it deletes."""
+    residual, verdicts = graph, {}
+    for u in roots:
+        verdict = first_pass_scan(residual, matching, u, 3 * (graph.n - len(verdicts)))
+        if verdict != (False, None):
+            verdicts[u] = verdict
+            residual = residual.delete_stars([u])
+    return verdicts
+
+
+def test_first_pass_verdicts_depend_on_neither_s_nor_the_order_on_feasible_input():
+    # the bound 3n never binds on feasible input, so every root's verdict on
+    # G with S empty and k = 3|V| is the one the first pass gives it, with
+    # the roots taken ascending, as the passes take them, or descending
+    instances = [feasible_sparse(n, seed) for n in (40, 200) for seed in (1, 2, 3)]
+    rng = random.Random(1616)
+    while len(instances) < 6 + 600:
+        g, m = _random_instance(rng)
+        if m_vertex_stabilizer(g, m).status == FEASIBLE:
+            instances.append((g, m))
+    several = 0
+    for g, m in instances:
+        arcs = WalkArcs(g, m)
+        exposed = [v for v in range(g.n) if not m.covers(v)]
+        alone = {u: arcs.first_pass_scan(u, 3 * g.n) for u in exposed}
+        deleted = {u: verdict for u, verdict in alone.items() if verdict != (False, None)}
+        _first, _second, diagnostics = _deletion_passes(g, m)
+        passes = {u: (kind == "flower", other) for kind, u, other in diagnostics
+                  if kind != "walk_between_exposed"}
+        assert passes == deleted
+        assert _first_pass(g, m, exposed) == deleted
+        assert _first_pass(g, m, exposed[::-1]) == deleted
+        several += len(deleted) >= 2
+    # on many of them the first pass deletes more than one root, so the
+    # roots before one of them change S
+    assert several >= 100
+
+
 def test_one_lp_gives_the_verdict_of_the_passes_and_of_the_oracle(property_suite):
     # the lemma of `mstab`: a stabilizer exists iff nu_f(G - delta(X)) = w(M)
     rng = random.Random(1313)

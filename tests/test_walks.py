@@ -485,19 +485,24 @@ def test_second_pass_scan_refuses_a_deleted_set_it_cannot_answer_for():
             second_pass_scan(g, m, 0, 4, deleted)
 
 
-def _record(steps, scale=1):
-    """(i, commits1, commits2) of each step of a DP run, each commit's value
-    divided by the scale and each list sorted, and the run's final entries
-    divided by the scale."""
+def _record(steps, deleted=frozenset(), scale=1):
+    """(i, y1, y2, commits1, commits2) of each step of a DP run, each list
+    copied and the commits sorted, with the entries and commits at
+    `deleted` dropped and the values divided by the scale."""
 
-    def exact(commits):
-        return sorted((v, u, Fraction(value, scale)) for v, u, value in commits)
+    def exact(value):
+        return None if value is None else Fraction(value, scale)
 
-    record = []
-    for i, y1, y2, commits1, commits2 in steps:
-        record.append((i, exact(commits1), exact(commits2)))
-    entries = [[None if e is None else Fraction(e, scale) for e in y] for y in (y1, y2)]
-    return record, entries
+    return [
+        (
+            i,
+            [exact(e) for v, e in enumerate(y1) if v not in deleted],
+            [exact(e) for v, e in enumerate(y2) if v not in deleted],
+            sorted((v, u, exact(value)) for v, u, value in commits1 if v not in deleted),
+            sorted((v, u, exact(value)) for v, u, value in commits2 if v not in deleted),
+        )
+        for i, y1, y2, commits1, commits2 in steps
+    ]
 
 
 def _random_instance(rng, n_max):
@@ -528,11 +533,13 @@ def test_changed_entry_dp_commits_what_the_full_sweep_commits():
     assert min(covered, exposed) > 500
 
 
-def test_dp_that_skips_s_runs_as_the_full_sweep_on_g_minus_the_stars_of_s():
-    # no entry is written at S, so the run on G makes exactly the iterations
-    # and commits of the full sweep on G - delta(S)
+def test_exposed_vertices_are_dead_ends_of_the_dp():
+    # an exposed vertex other than the root gets no y2 entry, and its y1
+    # entry feeds no relaxation: off S, the run on G makes the entries and
+    # commits of the full sweep on G - delta(S) at every iteration the sweep
+    # makes, and at most one iteration more, which changes nothing off S
     rng = random.Random(1515)
-    skipped = 0
+    longer = 0
     for _ in range(300):
         g, m = _random_instance(rng, 12)
         arcs = WalkArcs(g, m)
@@ -542,13 +549,16 @@ def test_dp_that_skips_s_runs_as_the_full_sweep_on_g_minus_the_stars_of_s():
             deleted = set(rng.sample(others, rng.randint(0, len(others))))
             rest = g.delete_stars(deleted)
             # G - delta(S) may have a smaller weight scale than G
-            run, entries = _record(arcs.run(root, 3 * g.n, deleted), g.scale)
+            on_g = _record(arcs.run(root, 3 * g.n), deleted, g.scale)
             sweep = full_sweep_iterations(WalkArcs(rest, m), root, 3 * g.n)
-            assert (run, entries) == _record(sweep, rest.scale)
-            on_g, _entries = _record(arcs.run(root, 3 * g.n))
-            skipped += len(on_g) > len(run)
-    # on G itself the y1 entries at S often keep a run going for longer
-    assert skipped > 100
+            sweep = _record(sweep, deleted, rest.scale)
+            assert on_g[: len(sweep)] == sweep
+            assert len(on_g) - len(sweep) in (0, 1)
+            if len(on_g) > len(sweep):
+                assert on_g[-1] == (len(sweep), *sweep[-1][1:3], [], [])
+                longer += 1
+    # the y1 entries at S often keep the run on G going one iteration longer
+    assert longer > 100
 
 
 FORGED_TABLES_SCRIPT = r"""
