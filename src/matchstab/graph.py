@@ -205,10 +205,10 @@ class WeightedGraph(_Value):
 
     def edge_index(self, u: int, v: int) -> int:
         """Index of edge {u, v}; raises KeyError if absent."""
-        return self._index_of[(min(u, v), max(u, v))]
+        return self._index_of[(u, v) if u < v else (v, u)]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._index_of
+        return ((u, v) if u < v else (v, u)) in self._index_of
 
     def weight(self, u: int, v: int) -> Fraction:
         return Fraction(self.int_weights[self.edge_index(u, v)], self.scale)

@@ -1,19 +1,24 @@
 """Exact combinatorial solver for the fractional matching LP and its dual.
 
-One path, on the graph's own incidence lists: `bipartite_max_weight_matching`
-runs a Hungarian-style primal-dual method on the bipartite duplicate of the
-graph (a left and a right copy of every vertex, and for every edge uv the
-two edges (u, v') and (v, u') of weight w_uv), without building the
-duplicate. Its kernel runs on the integer weights D.w that the graph
-stores (`WeightedGraph.scale` is D, the lcm of the weight denominators,
-and `WeightedGraph.int_weights` the D.w), and returns its potentials as
-those integers too. A root with a tight edge to an exposed right copy is
-matched directly; every other root runs one phase, which scans each even
-row once. A phase keeps its state per right copy in flat arrays indexed by
-the copy, allocated once per call of the kernel, and resets exactly the
-entries it touched when it ends, so it costs time in its tree, not in n.
-`solve_fractional` counts the matched copies of each edge into the half
-counts 2x of a half-integral optimum x, which stay ints through
+One path: `bipartite_max_weight_matching` runs a Hungarian-style
+primal-dual method on the bipartite duplicate of the graph (a left and a
+right copy of every vertex, and for every edge uv the two edges (u, v') and
+(v, u') of weight w_uv), without building the duplicate. Its kernel runs on
+the integer weights D.w that the graph stores (`WeightedGraph.scale` is D,
+the lcm of the weight denominators, and `WeightedGraph.int_weights` the
+D.w), and returns its potentials as those integers too. It scans rows it
+builds once per call from the graph's edge list: the row of a left copy
+holds (right copy, D.w) for each of its edges, in the order of
+`WeightedGraph.adjacency`, which it neither reads nor builds. A root with a
+tight edge to an exposed right copy is matched directly; every other root
+runs one phase, which scans each even row once. A phase keeps its state per
+right copy in flat arrays indexed by the copy, allocated once per call of
+the kernel, and resets exactly the entries it touched when it ends, so it
+costs time in its tree, not in n. It keys each reached copy's least slack
+against the sum of its dual steps so far, so a step changes no key, and one
+pass over the reached copies finds the next step and the copies it makes
+tight. `solve_fractional` counts the matched copies of each edge into the
+half counts 2x of a half-integral optimum x, which stay ints through
 `normalize_to_basic`: one `graph.decompose` walk, after one counting pass,
 that keeps the odd cycles of x and rounds its half-valued paths and even
 cycles, so a basic x passes unchanged. It adds the two potentials of each
@@ -64,40 +69,50 @@ def bipartite_max_weight_matching(
     potentials of the duplicate's dual.
     """
     n = graph.n
-    adjacency = graph.adjacency
-    weight = graph.int_weights
-    p_left = [0] * n  # the heaviest edge at each vertex, or 0
-    for (u, v), w in zip(graph.ends, weight):
-        if w > p_left[u]:
-            p_left[u] = w
-        if w > p_left[v]:
-            p_left[v] = w
+    rows, p_left = _start(graph)
     p_right = [0] * n
     match_l: list[Optional[int]] = [None] * n
     match_r: list[Optional[int]] = [None] * n
     # the phases' state per right copy, all None between phases
     parent: list[Optional[int]] = [None] * n
-    slack: list[Optional[int]] = [None] * n
+    key: list[Optional[int]] = [None] * n
     arg: list[Optional[int]] = [None] * n
     for root in range(n):
         pu = p_left[root]
         if match_l[root] is None and pu > 0:
-            for r, i in adjacency[root]:
-                if match_r[r] is None and pu + p_right[r] == weight[i]:
+            for r, w in rows[root]:
+                if match_r[r] is None and pu + p_right[r] == w:
                     match_l[root], match_r[r] = r, root  # the direct match
                     break
             else:
-                _run_phase(
-                    root, adjacency, weight, p_left, p_right, match_l, match_r, parent, slack, arg
-                )
+                _run_phase(root, rows, p_left, p_right, match_l, match_r, parent, key, arg)
     return match_l, p_left, p_right
 
 
+def _start(graph: WeightedGraph) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """The kernel's rows and its starting left potentials, in one pass over
+    the edges: the row of left copy u holds (v, D.w_uv) for every edge uv,
+    sorted by v, which is the order of `graph.adjacency`; u's potential is
+    the heaviest D.w at u, or 0."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
+    p_left = [0] * graph.n
+    for (u, v), w in zip(graph.ends, graph.int_weights):
+        rows[u].append((v, w))
+        rows[v].append((u, w))
+        if w > p_left[u]:
+            p_left[u] = w
+        if w > p_left[v]:
+            p_left[v] = w
+    for row in rows:
+        row.sort()
+    return rows, p_left
+
+
 def _run_phase(
-    root: int, adjacency: Sequence[Sequence[tuple[int, int]]], weight: Sequence[int],
+    root: int, rows: Sequence[Sequence[tuple[int, int]]],
     p_left: list[int], p_right: list[int],
     match_l: list[Optional[int]], match_r: list[Optional[int]],
-    parent: list[Optional[int]], slack: list[Optional[int]], arg: list[Optional[int]],
+    parent: list[Optional[int]], key: list[Optional[int]], arg: list[Optional[int]],
 ) -> None:
     """One primal-dual phase from the exposed left copy `root`, updating the
     potentials and the matching in place.
@@ -105,45 +120,48 @@ def _run_phase(
     It scans each even row once, in the order the rows joined, and keeps
     per right copy r, in the caller's arrays indexed by r: `parent[r]`, the
     even row that reached r once r is odd; and while r is reached but not
-    odd, `slack[r]`, its least slack from an even row, and `arg[r]`, the
-    place in `even` of the first row that attains it, so a dual adjustment
-    needs no rescan. Every entry is None outside a phase: the phase lists
-    the right copies it touches and resets exactly those when it ends, so
-    it costs time in its tree, not in n.
+    odd, `key[r]`, its least slack from an even row plus `shift`, and
+    `arg[r]`, the place in `even` of the first row that attains it.
+    `shift` is the sum of the phase's dual steps so far. A step of delta
+    lowers every even potential, and so every slack of a copy reached and
+    not odd, by delta, and raises `shift` by delta: no key changes, and one
+    pass over the keys finds the step and the copies it makes tight. Every
+    entry is None outside a phase: the phase lists the right copies it
+    touches and resets exactly those when it ends, so it costs time in its
+    tree, not in n.
     """
     even = [root]
     odd: list[int] = []  # the odd right copies
-    reached: list[int] = []  # every right copy given a slack, odd since or not
-    scanned = 0
+    reached: list[int] = []  # every right copy given a key, odd since or not
+    scanned = shift = 0
     while True:
         # grow the tree along tight edges until one reaches an exposed copy
         while scanned < len(even):
-            row = scanned
-            u = even[row]
-            scanned += 1
-            pu = p_left[u]
-            for r, i in adjacency[u]:
+            u = even[scanned]
+            pu = p_left[u] + shift
+            for r, w in rows[u]:
                 if parent[r] is not None:
                     continue
-                s = pu + p_right[r] - weight[i]
-                if s == 0:
+                k = pu + p_right[r] - w  # the slack of (u, r), plus shift
+                if k == shift:
                     mate = match_r[r]
                     if mate is None:
                         break
                     assert match_l[mate] == r  # so mate is not in the tree yet
                     parent[r] = u
                     odd.append(r)
-                    slack[r] = None
+                    key[r] = None
                     even.append(mate)
                 else:
-                    least = slack[r]
+                    least = key[r]
                     if least is None:
                         reached.append(r)
-                    elif s >= least:
+                    elif k >= least:
                         continue
-                    slack[r] = s
-                    arg[r] = row
+                    key[r] = k
+                    arg[r] = scanned
             else:
+                scanned += 1
                 continue
             break  # the tight edge (u, r) augments
         else:
@@ -154,28 +172,25 @@ def _run_phase(
             for u in even:
                 if p_left[u] < floor:
                     floor = p_left[u]
-            delta = floor
+            least = floor + shift
+            tight: list[int] = []  # the copies whose key is `least`
             for r in reached:
-                s = slack[r]
-                if s is not None and s < delta:
-                    delta = s
+                k = key[r]
+                if k is not None and k <= least:
+                    if k < least:
+                        least, tight = k, [r]
+                    else:
+                        tight.append(r)
+            delta = least - shift
             for u in even:
                 p_left[u] -= delta
             for r in odd:
                 p_right[r] += delta
             if delta < floor:
-                # new tight edges, taken in the order a rescan of the even
-                # rows would meet them: by row position, then by right copy
-                tight = []
-                for r in reached:
-                    s = slack[r]
-                    if s is not None:
-                        s -= delta
-                        slack[r] = s
-                        if s == 0:
-                            tight.append((arg[r], r))
-                tight.sort()
-                for row, r in tight:
+                shift = least
+                # the new tight edges, taken in the order a rescan of the
+                # even rows would meet them: by row position, then by copy
+                for row, r in sorted([(arg[r], r) for r in tight]):
                     u = even[row]
                     mate = match_r[r]
                     if mate is None:
@@ -183,7 +198,7 @@ def _run_phase(
                     assert match_l[mate] == r  # so mate is not in the tree yet
                     parent[r] = u
                     odd.append(r)
-                    slack[r] = None
+                    key[r] = None
                     even.append(mate)
                 else:
                     continue
@@ -209,7 +224,7 @@ def _run_phase(
     for r in odd:
         parent[r] = None
     for r in reached:
-        slack[r] = arg[r] = None
+        key[r] = arg[r] = None
 
 
 def normalize_to_basic(graph: WeightedGraph, halves: Sequence[int]) -> BasicFractionalMatching:

@@ -438,15 +438,44 @@ def test_kernel_matches_the_fraction_reference(property_suite):
 
 def test_kernel_matches_both_references_on_larger_complete_graphs():
     # the bench times K_36..K_44 with weights 1-1000; weights 1-20 give
-    # many ties between slacks and between potentials
-    for n in (60, 90, 120):
-        for high in (1000, 20):
-            g = complete_graph(random.Random(n), n, high)
-            got = bipartite_max_weight_matching(g)
-            assert got == _next_root_kernel(g) == _reference_hungarian(g, on_integers=True)
-            if high == 20:  # the Fraction reference, fast enough where ties abound
-                match_left, p_left, p_right = _reference_hungarian(g)
-                assert got == (match_left, p_left, p_right) and g.scale == 1
+    # many ties between slacks and between potentials, and weights 1-2 and
+    # 1-3 leave almost every root a direct match
+    cases = [(n, high) for n in (60, 90, 120) for high in (1000, 20)]
+    cases += [(n, high) for n in (40, 80) for high in (2, 3)]
+    for n, high in cases:
+        g = complete_graph(random.Random(n), n, high)
+        got = bipartite_max_weight_matching(g)
+        assert got == _next_root_kernel(g) == _reference_hungarian(g, on_integers=True)
+        if high <= 20:  # the Fraction reference, fast enough where ties abound
+            match_left, p_left, p_right = _reference_hungarian(g)
+            assert got == (match_left, p_left, p_right) and g.scale == 1
+
+
+def _degree_six(rng: random.Random, n: int, high: int) -> WeightedGraph:
+    pairs: set[tuple[int, int]] = set()
+    while len(pairs) < 3 * n:
+        u, v = sorted(rng.sample(range(n), 2))
+        pairs.add((u, v))
+    return WeightedGraph.from_edges(n, [(u, v, rng.randint(1, high)) for u, v in sorted(pairs)])
+
+
+def test_kernel_takes_tied_tight_copies_as_the_references_do(monkeypatch):
+    # on sparse graphs with small weights most dual steps make several
+    # edges tight at once; they must be taken by row position, then by
+    # copy, which is the order a rescan of the even rows would meet them
+    families = bench_families(monkeypatch)
+    rng = random.Random(6)
+    graphs = [
+        _degree_six(rng, n, high) for n in (40, 80) for high in (2, 3, 5) for _ in range(30)
+    ]
+    graphs += [  # one round of the benchmark's sparse workloads
+        parse_instance(inst.to_json()).graph
+        for workload in ("tri-chain", "mstab-sparse")
+        for inst in families.Generator(workload, 7).round()
+    ]
+    for g in graphs:
+        got = bipartite_max_weight_matching(g)
+        assert got == _next_root_kernel(g) == _reference_hungarian(g, on_integers=True), g
 
 
 def test_a_phase_leaves_the_per_call_arrays_empty(monkeypatch, property_suite):
@@ -454,9 +483,9 @@ def test_a_phase_leaves_the_per_call_arrays_empty(monkeypatch, property_suite):
     run_phase = lp._run_phase
     arrays: set[int] = set()
 
-    def checked(*args):
-        run_phase(*args)
-        state = args[-3:]  # parent, slack and arg, indexed by right copy
+    def checked(root, rows, p_left, p_right, match_l, match_r, parent, key, arg):
+        run_phase(root, rows, p_left, p_right, match_l, match_r, parent, key, arg)
+        state = (parent, key, arg)  # indexed by right copy
         arrays.update(map(id, state))
         for entries in state:
             assert entries == [None] * len(entries)
@@ -475,7 +504,7 @@ def test_a_phase_leaves_the_per_call_arrays_empty(monkeypatch, property_suite):
 
 
 class _CountingRows(tuple):
-    """An adjacency tuple that counts the rows read from it."""
+    """A tuple of rows that counts the rows read from it."""
 
     reads = 0
 
@@ -484,28 +513,38 @@ class _CountingRows(tuple):
         return super().__getitem__(key)
 
 
-def test_kernel_reads_each_even_row_once_per_phase():
+def test_kernel_reads_each_even_row_once_per_phase(monkeypatch):
     g = complete_graph(random.Random(1), 40, 1000)
-    rows = _CountingRows(g.adjacency)
-    g.__dict__["adjacency"] = rows
-    bipartite_max_weight_matching(g)
-    # one row per root for the direct match plus one per even row per phase
-    # (225 in all); rescanning the even rows on every growth pass reads 2639
-    assert rows.reads <= 400
+    build = lp._start
+    made: list[_CountingRows] = []
+
+    def counted(graph):
+        rows, p_left = build(graph)
+        made.append(_CountingRows(rows))
+        return made[-1], p_left
+
+    monkeypatch.setattr(lp, "_start", counted)
+    got = bipartite_max_weight_matching(g)
+    # the kernel's rows are built once per call and are the only rows it
+    # reads: one per root for the direct match plus one per even row per
+    # phase (225 in all); rescanning the even rows on every growth pass
+    # reads 2639
+    assert len(made) == 1 and "adjacency" not in g.__dict__
+    assert made[0].reads <= 400
+    assert got == _next_root_kernel(g)
 
 
 def test_a_phase_starts_only_where_no_direct_match_exists(monkeypatch):
     run_phase = lp._run_phase
     phases = [0]
 
-    def checked(root, adjacency, weight, p_left, p_right, match_l, match_r, *state):
+    def checked(root, rows, p_left, p_right, match_l, match_r, *state):
         assert match_l[root] is None and p_left[root] > 0
         assert not any(
-            match_r[r] is None and p_left[root] + p_right[r] == weight[i]
-            for r, i in adjacency[root]
+            match_r[r] is None and p_left[root] + p_right[r] == w for r, w in rows[root]
         ), root
         phases[0] += 1
-        run_phase(root, adjacency, weight, p_left, p_right, match_l, match_r, *state)
+        run_phase(root, rows, p_left, p_right, match_l, match_r, *state)
 
     monkeypatch.setattr(lp, "_run_phase", checked)
     tri = tri_chain(random.Random(1), 40)
