@@ -8,22 +8,19 @@ matching-value guarantee, O(Delta)-approximate edge-stabilizers,
 
 from .cycles import reduce_cycles
 from .graph import (
-    AlternatingWalk,
     BasicFractionalMatching,
     FractionalVertexCover,
     Matching,
     WeightedGraph,
     decompose,
     tight_edges,
-    walk_value,
 )
 from .lp import solve_fractional
 from .mstab import m_vertex_stabilizer
 from .stabilizers import edge_stabilizer_approx, min_vertex_stabilizer
-from .walks import first_pass_scan, optimal_walks, reconstruct_walk, second_pass_scan
+from .walks import first_pass_scan, optimal_walks, second_pass_scan
 
 __all__ = [
-    "AlternatingWalk",
     "BasicFractionalMatching",
     "FractionalVertexCover",
     "Matching",
@@ -34,12 +31,10 @@ __all__ = [
     "m_vertex_stabilizer",
     "min_vertex_stabilizer",
     "optimal_walks",
-    "reconstruct_walk",
     "reduce_cycles",
     "second_pass_scan",
     "solve_fractional",
     "tight_edges",
-    "walk_value",
 ]
 
 __version__ = "0.1.0"

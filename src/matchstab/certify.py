@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 from typing import Any, Optional
 
@@ -54,7 +54,7 @@ from .graph import (
     ZERO, BasicFractionalMatching, FractionalVertexCover, Matching, WeightedGraph, as_fraction,
     decompose,
 )
-from .instance import Instance
+from .instance import Instance, strict_object
 
 
 # ---------------------------------------------------------------------------
@@ -158,23 +158,10 @@ def document(command: str, digest: str, outputs: dict, certificates: dict) -> di
     }
 
 
-def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    """One JSON object of a result document; a key it names twice makes the
-    document malformed, where `json.loads` alone would keep the last value."""
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        seen: set[str] = set()
-        for key, _value in pairs:
-            if key in seen:
-                name = json.dumps(key)
-                raise ParseError(f"malformed result document: an object names the key {name} twice")
-            seen.add(key)
-    return obj
-
-
 def load_result(text: str) -> object:
-    """The JSON value of a result document's text."""
-    return json.loads(text, object_pairs_hook=_object)
+    """The JSON value of a result document's text; an object that names a
+    key twice makes the document malformed."""
+    return json.loads(text, object_pairs_hook=partial(strict_object, "result document"))
 
 
 def exact_str(value) -> str:

@@ -31,7 +31,9 @@ from .certify import (
     load_result, pairs_doc, verify, x_entries,
 )
 from .cycles import reduce_cycles
-from .errors import BudgetExceeded, MatchingRequired, MatchstabError, ParseError, UnknownCommand
+from .errors import (
+    BudgetExceeded, MatchingRequired, MatchstabError, NotOptimalPair, ParseError, UnknownCommand,
+)
 from .graph import Matching, WeightedGraph
 from .instance import Instance, parse_instance
 from .lp import solve_fractional
@@ -394,6 +396,17 @@ def _emit(doc: dict, timing: Optional[float], compact: bool) -> None:
         sys.stdout.write(_indented(doc) + "\n")
 
 
+def _internal_error(exc: Exception) -> str:
+    """What failed inside a solver: a NotOptimalPair's failed checks, or
+    the module:line of a failed assert."""
+    if isinstance(exc, NotOptimalPair):
+        return str(exc)
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return f"assertion failed at {tb.tb_frame.f_globals['__name__']}:{tb.tb_lineno}"
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args_list = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -417,10 +430,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         for path in args.instances:  # one document per line when there are several
             started = time.monotonic()
             instance, digest = _load_instance(path)
-            if args.command == "oracle":
-                doc, code = _run_oracle(args.oracle_command, instance, path, digest)
-            else:
-                doc, code = _run_command(args.command, instance, path, digest)
+            try:
+                if args.command == "oracle":
+                    doc, code = _run_oracle(args.oracle_command, instance, path, digest)
+                else:
+                    doc, code = _run_command(args.command, instance, path, digest)
+            except (NotOptimalPair, AssertionError) as exc:
+                # a solver failed its own certificate or invariant: not an input error
+                failed = _internal_error(exc)
+                print(f"matchstab: internal error: {path}: {failed} (instance sha256 {digest})",
+                      file=sys.stderr)
+                return 3
             elapsed = time.monotonic() - started
             _emit(doc, elapsed if args.timing else None, compact=len(args.instances) > 1)
             final = max(final, code)

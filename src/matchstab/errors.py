@@ -27,10 +27,6 @@ class InfeasibleCover(MatchstabError, ValueError):
     """Vertex values violate a cover constraint y_u + y_v >= w_uv."""
 
 
-class NotAlternating(MatchstabError, ValueError):
-    """Walk edges do not alternate between matched and unmatched."""
-
-
 class NotOptimalPair(MatchstabError, ValueError):
     """Primal/dual pair fails cover feasibility, strong duality or slackness."""
 
@@ -49,15 +45,6 @@ class MNotAMatching(MatchstabError, ValueError):
 
 class VertexNotExposed(MatchstabError, ValueError):
     """Operation requires an exposed vertex."""
-
-
-class EntryIsMinusInfinity(MatchstabError, ValueError):
-    """Requested walk-table entry is the -infinity sentinel."""
-
-
-class InconsistentWalkTables(MatchstabError, ValueError):
-    """Walk tables do not rebuild a walk from the source with the entry's
-    value and a length within the bound."""
 
 
 class BudgetExceeded(MatchstabError, ValueError):

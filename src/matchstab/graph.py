@@ -34,7 +34,6 @@ from .errors import (
     DegreeConstraintViolated,
     GraphError,
     InfeasibleCover,
-    NotAlternating,
     NotBasic,
     NotHalfIntegral,
 )
@@ -543,49 +542,3 @@ def tight_edges(graph: WeightedGraph, cover: FractionalVertexCover) -> frozenset
             f"edge ({u},{v}) violates the cover: {y[u]} + {y[v]} < {graph.weight(u, v)}"
         )
     return frozenset([i for i, s in enumerate(slack) if not s])
-
-
-class AlternatingWalk(_Value):
-    """A walk with per-edge matched flags relative to some matching.
-
-    Vertices may repeat; edges are implied by consecutive vertices.
-    """
-
-    _fields = ("vertices", "matched_flags")
-
-    def __init__(self, vertices: tuple[int, ...], matched_flags: tuple[bool, ...]) -> None:
-        self.vertices, self.matched_flags = vertices, matched_flags
-
-    @staticmethod
-    def from_vertices(
-        graph: WeightedGraph, matching: Matching, vertices: Sequence[int]
-    ) -> "AlternatingWalk":
-        verts = tuple(vertices)
-        flags = []
-        for a, b in zip(verts, verts[1:]):
-            if not graph.has_edge(a, b):
-                raise GraphError(f"walk step ({a},{b}) is not an edge")
-            flags.append(matching.contains_edge(a, b))
-        return AlternatingWalk(verts, tuple(flags))
-
-    def __len__(self) -> int:
-        return len(self.matched_flags)
-
-    @property
-    def is_alternating(self) -> bool:
-        return all(a != b for a, b in zip(self.matched_flags, self.matched_flags[1:]))
-
-
-def walk_value(
-    walk: AlternatingWalk, graph: WeightedGraph, matching: Matching
-) -> Fraction:
-    """w(walk \\ M) - w(walk ∩ M), counting repeated edges with multiplicity."""
-    if not walk.is_alternating:
-        raise NotAlternating("walk edges do not alternate with the matching")
-    total = ZERO
-    for (a, b), flag in zip(zip(walk.vertices, walk.vertices[1:]), walk.matched_flags):
-        if flag != matching.contains_edge(a, b):
-            raise NotAlternating("walk flags disagree with the matching")
-        w = graph.weight(a, b)
-        total += -w if flag else w
-    return total

@@ -9,12 +9,24 @@ read by `int`, any other through `graph.as_fraction`, which refuses an
 underscore and an exponent too large to expand, each distinct string once, and
 `graph.scale_weights` turns the weights into D and D.w. An instance whose
 weights are all integers is read with no `Fraction` at all.
+
+A JSON object that names a key twice is refused: `json.loads` alone would
+keep the last value, where a person reading the file may see the first. The
+check is one count. Outside strings, JSON has a `:` only between a key
+and its value, so the text holds at least one `:` per member of its
+objects; and every edge the parser accepts names u, v and w. So when the
+text holds no more `:` than the top level has distinct keys plus three per
+edge, no object repeats a key. Only when it holds more (a label with a
+`:`, or an edge with a fourth key, say), or when the document is refused
+anyway, is the text read again with `strict_object`, the hook that names
+the repeated key; the result reader uses the same hook.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 from typing import Any, NamedTuple, Optional, Union
 
 from .errors import GraphError, ParseError
@@ -47,14 +59,45 @@ def _parse_weight(raw: Any, pos: int) -> Union[int, Fraction]:
     return value
 
 
+def strict_object(what: str, pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """One JSON object of a `what` document, as `json.loads` hands its
+    members to an `object_pairs_hook`; a key it names twice makes the
+    document malformed."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _value in pairs:
+            if key in seen:
+                name = json.dumps(key)
+                raise ParseError(f"malformed {what}: an object names the key {name} twice")
+            seen.add(key)
+    return obj
+
+
+_strict = partial(strict_object, "instance")
+
+
 def parse_instance(text: str) -> Instance:
-    """Parse an instance document; raises ParseError on any schema violation."""
+    """Parse an instance document; raises ParseError on any schema violation
+    and on an object that names a key twice."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         # besides malformed JSON: an integer literal past Python's int digit
         # limit, or nesting past its recursion limit
         raise ParseError(f"invalid JSON: {exc}") from exc
+    try:
+        instance = _instance(doc)
+    except ParseError:
+        json.loads(text, object_pairs_hook=_strict)  # a repeated key comes first
+        raise
+    if text.count(":") != len(doc) + 3 * len(doc["edges"]):
+        json.loads(text, object_pairs_hook=_strict)
+    return instance
+
+
+def _instance(doc: Any) -> Instance:
+    """The instance of a parsed document."""
     if not isinstance(doc, dict):
         raise ParseError("instance must be a JSON object")
     vertices = doc.get("vertices")

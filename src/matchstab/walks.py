@@ -15,11 +15,10 @@ would. Entries never decrease, and an entry that did not change offers the
 same candidate it offered one iteration earlier, which was then committed
 or beaten; so every strict improvement comes from a changed entry. y2(v)
 reads only y1 of v's partner, so the matched arc is relaxed only from a y1
-that changed. y1(v) is recomputed, as the first maximum over all of v's
-free arcs in adjacency order, only when some free neighbour's y2 changed:
-where it is recomputed it gets the full sweep's value and the full sweep's
-`pred1` tie-break, and where it is not the full sweep would not commit
-either.
+that changed. y1(v) is recomputed, as the maximum over all of v's free
+arcs, only when some free neighbour's y2 changed: where it is recomputed
+it gets the full sweep's value, and where it is not the full sweep would
+not commit either.
 
 The DP runs on integers: it reads the weights D.w that the graph stores
 (`WeightedGraph.scale` is D, the lcm of the weight denominators, and
@@ -29,7 +28,9 @@ an entry is converted back as Fraction(entry, D) only where a caller reads
 it. `WalkArcs` holds the matched and free arcs with these integer weights;
 one set of arcs serves every DP run on the same G and M, and `WalkArcs.run`
 is the one driver of the DP. Only `optimal_walks` keeps the per-iteration
-snapshots and predecessor records that `reconstruct_walk` needs. The
+snapshots. The DP records no walk and no predecessor, since the
+M-vertex-stabilizer decides by the values alone; a walk follows from the
+snapshots, as the tests' trace-back `tests/walk_traceback.py` shows. The
 M-vertex-stabilizer's two scans, `first_pass_scan` and `second_pass_scan`,
 keep no history and stop as soon as their verdict is fixed.
 """
@@ -39,34 +40,21 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import AbstractSet, Iterator, NamedTuple, Optional
 
-from .errors import (
-    EntryIsMinusInfinity,
-    InconsistentWalkTables,
-    MNotAMatching,
-    VertexNotExposed,
-)
-from .graph import (
-    AlternatingWalk,
-    Matching,
-    WeightedGraph,
-    walk_value,
-)
+from .errors import MNotAMatching, VertexNotExposed
+from .graph import Matching, WeightedGraph
 
 Entry = Optional[Fraction]  # None is the -infinity sentinel
 
-# (vertex, predecessor, new value) for one strict improvement
-_Commit = tuple[int, int, int]
+# (vertex, new value) for one strict improvement
+_Commit = tuple[int, int]
 # (i, y1, y2, commits1, commits2) after iteration i of one DP run
 _Step = tuple[int, list[Optional[int]], list[Optional[int]], list[_Commit], list[_Commit]]
 
 
 class WalkTables(NamedTuple):
-    """DP state for one (source, k) run, including everything needed to
-    rebuild optimal walks.
+    """DP state for one (source, k) run: every iteration's entries.
 
-    `history1[i][v]` is y1(v) after i iterations (same for history2); `pred1`
-    holds, for each committed strict improvement of y1(v) at iteration i, the
-    neighbor u whose y2 value triggered it (and symmetrically for pred2).
+    `history1[i][v]` is y1(v) after i iterations (same for history2).
     y1 values at covered vertices other than the source are intermediate DP
     state, not walk values; only y1 at exposed vertices and y2 at covered
     vertices carry the optimal-walk meaning.
@@ -78,8 +66,6 @@ class WalkTables(NamedTuple):
     k: int
     history1: tuple[tuple[Entry, ...], ...]
     history2: tuple[tuple[Entry, ...], ...]
-    pred1: dict[tuple[int, int], int]
-    pred2: dict[tuple[int, int], int]
 
     @property
     def y1(self) -> tuple[Entry, ...]:
@@ -95,10 +81,9 @@ class WalkArcs:
 
     `matched[v]` is (partner, D.w) for a covered v and None for an exposed
     one; `free[v]` lists (u, D.w) for each unmatched edge uv in v's
-    adjacency order, which is the order `pred1` ties break in. Building the
-    arcs checks once that M is a matching of G; every DP run on them relies
-    on it. The M-vertex-stabilizer builds them once per call and runs all of
-    its scans on them.
+    adjacency order. Building the arcs checks once that M is a matching of
+    G; every DP run on them relies on it. The M-vertex-stabilizer builds
+    them once per call and runs all of its scans on them.
     """
 
     def __init__(self, graph: WeightedGraph, matching: Matching):
@@ -151,7 +136,7 @@ class WalkArcs:
                     v, w = arc
                     cand = y1[u] - w
                     if y2[v] is None or cand > y2[v]:
-                        commits2.append((v, u, cand))
+                        commits2.append((v, cand))
             commits1 = []
             for v in {v for u in changed2 for v, _w in free[u]}:
                 best = None
@@ -159,17 +144,17 @@ class WalkArcs:
                     if y2[u] is not None:
                         cand = y2[u] + w
                         if best is None or cand > best:
-                            best, arg = cand, u
+                            best = cand
                 if best is not None and (y1[v] is None or best > y1[v]):
-                    commits1.append((v, arg, best))
+                    commits1.append((v, best))
             if not commits1 and not commits2:
                 return
-            for v, _u, value in commits1:
+            for v, value in commits1:
                 y1[v] = value
-            for v, _u, value in commits2:
+            for v, value in commits2:
                 y2[v] = value
-            changed1 = [v for v, _u, _value in commits1]
-            changed2 = [v for v, _u, _value in commits2]
+            changed1 = [v for v, _value in commits1]
+            changed2 = [v for v, _value in commits2]
             yield i, y1, y2, commits1, commits2
 
     def first_pass_scan(self, root: int, k: int) -> tuple[bool, Optional[int]]:
@@ -202,81 +187,17 @@ def optimal_walks(
     """Run the synchronous DP for k iterations from the source.
 
     When the DP reaches its fixpoint before k, both histories are padded
-    with that snapshot to k + 1 entries; the predecessor records are the
-    ones a full k-iteration run would make.
+    with that snapshot to k + 1 entries, as a full k-iteration run would
+    leave them.
     """
     history1: list[tuple[Entry, ...]] = []
     history2: list[tuple[Entry, ...]] = []
-    pred1: dict[tuple[int, int], int] = {}
-    pred2: dict[tuple[int, int], int] = {}
-    for i, y1, y2, commits1, commits2 in WalkArcs(graph, matching).run(source, k):
-        for pred, commits in ((pred1, commits1), (pred2, commits2)):
-            pred.update(((i, v), u) for v, u, _value in commits)
+    for _i, y1, y2, _commits1, _commits2 in WalkArcs(graph, matching).run(source, k):
         for history, y in ((history1, y1), (history2, y2)):
             history.append(tuple(None if e is None else Fraction(e, graph.scale) for e in y))
     for history in (history1, history2):
         history += [history[-1]] * (k + 1 - len(history))
-    return WalkTables(
-        graph, matching, source, k,
-        tuple(history1), tuple(history2), pred1, pred2,
-    )
-
-
-def reconstruct_walk(tables: WalkTables, v: int, table: int) -> AlternatingWalk:
-    """An sv-walk whose value equals the requested table entry.
-
-    Follows predecessor records backward through iteration snapshots; the
-    result re-evaluates to the entry and has length at most k. Validity is
-    guaranteed for the characterized entries (table 1 at exposed vertices,
-    table 2 at covered ones).
-    """
-    if table not in (1, 2):
-        raise ValueError("table must be 1 or 2")
-    if not 0 <= v < tables.graph.n:
-        raise ValueError(f"vertex {v} is not in the graph")
-    final = (tables.y1 if table == 1 else tables.y2)[v]
-    if final is None:
-        raise EntryIsMinusInfinity(f"y{table}({v}) is -infinity")
-
-    vertices = [v]
-    vertex, tab, bound, target = v, table, tables.k, final
-    while True:
-        history = tables.history1 if tab == 1 else tables.history2
-        first = next(
-            (i for i in range(bound + 1) if history[i][vertex] == target), None
-        )
-        if first is None:
-            raise InconsistentWalkTables(
-                f"y{tab}({vertex}) is never {target} within {bound} iterations"
-            )
-        if first == 0:
-            if vertex != tables.source:
-                raise InconsistentWalkTables(
-                    f"the walk to {v} starts at {vertex}, not at the source {tables.source}"
-                )
-            break
-        pred = (tables.pred1 if tab == 1 else tables.pred2)[(first, vertex)]
-        w = tables.graph.weight(pred, vertex)
-        if tab == 1:
-            tab, target = 2, target - w
-        else:
-            tab, target = 1, target + w
-        vertex, bound = pred, first - 1
-        vertices.append(vertex)
-    vertices.reverse()
-    walk = AlternatingWalk.from_vertices(tables.graph, tables.matching, vertices)
-    value = walk_value(walk, tables.graph, tables.matching)
-    if value != final:
-        raise InconsistentWalkTables(
-            f"the walk to {v} has value {value}, not y{table}({v}) = {final}"
-        )
-    # each step back takes a smaller iteration, so the trace above cannot
-    # exceed the bound; this guards the trace itself
-    if len(walk) > tables.k:
-        raise InconsistentWalkTables(
-            f"the walk to {v} has length {len(walk)} > k = {tables.k}"
-        )
-    return walk
+    return WalkTables(graph, matching, source, k, tuple(history1), tuple(history2))
 
 
 def first_pass_scan(

@@ -12,7 +12,6 @@ import pytest
 from matchstab.certify import verify_stable_subgraph
 from matchstab.errors import MatchstabError, MNotAMatching
 from matchstab.graph import (
-    AlternatingWalk,
     BasicFractionalMatching,
     FractionalVertexCover,
     Matching,
@@ -23,6 +22,7 @@ from matchstab.graph import (
 from matchstab.lp import solve_fractional
 from matchstab.mstab import FEASIBLE, INFEASIBLE, MStabilizerResult
 from matchstab.walks import first_pass_scan, second_pass_scan
+from walk_traceback import AlternatingWalk
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -266,7 +266,9 @@ def full_sweep_iterations(arcs, source: int, k: int):
     of changed entries: from the source, with entries of its own, every
     iteration relaxes every arc of `arcs`; it yields (i, y1, y2, commits1,
     commits2) at the start and after each iteration that commits, like
-    `WalkArcs.run`."""
+    `WalkArcs.run`. Each commit is (v, u, value), with the predecessor u
+    that the DP recorded then: v's partner for y2, and for y1 the first
+    free neighbour, in adjacency order, whose candidate is the maximum."""
     y1 = [None] * arcs.n
     y2 = [None] * arcs.n
     y1[source] = 0

@@ -2,7 +2,7 @@
 gives back what its writer encoded. `graph` computes a cover's per-edge
 slack and a vertex set's stars in one place each, and every `matchstab`
 module imports first in a fresh interpreter, along a package import graph
-without a cycle.
+without a cycle. Every error type has a raiser.
 """
 
 from __future__ import annotations
@@ -198,3 +198,20 @@ def test_the_package_import_graph_has_no_cycle():
     # import no solver
     assert _import_closure(graph, "oracle") == {"errors", "graph"}
     assert _import_closure(graph, "walks") == {"errors", "graph"}
+
+
+def test_every_error_type_is_raised_in_the_package():
+    # an error that loses its last raiser is dead API, and leaves with it
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert len(defined) == 15 and "ParseError" in defined
+    assert sorted(defined - {"MatchstabError"} - raised) == []

@@ -5,17 +5,23 @@ final certificate check to raise NotOptimalPair: the LP pair, the pair
 `reduce_cycles` ends with after its moves, and the stabilizers' results.
 The cases run in a ``python -O`` subprocess, where every ``assert`` is
 stripped, so they pass only if those checks are explicit raises.
+
+Through the CLI, such a fault is an internal error, not an input error: a
+planted certificate failure under ``-O``, and a planted failed ``assert``
+without it, each exit 3 and name the check and the instance's sha256.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 SCRIPT = r"""
 import json
@@ -123,3 +129,87 @@ def test_certificate_checks_catch_planted_faults_under_dash_o():
     assert "matching_weight_equals_cover" in out["min_vertex_stabilizer"]
     assert "matching_weight_equals_cover" in out["m_vertex_stabilizer"]
     assert "strong_duality" in out["reduce_cycles"]
+
+
+CLI_SCRIPT = r"""
+import sys
+
+import matchstab.cycles as cycles
+import matchstab.lp as lp
+from matchstab.cli import main
+from matchstab.edmonds import FrustratedTree
+
+fault, n, *argv = sys.argv[1:]
+if fault == "certificate":
+    hungarian = lp.bipartite_max_weight_matching
+
+    def right_potential_raised(graph):
+        match_left, p_left, p_right = hungarian(graph)
+        p_right[0] += 1
+        return match_left, p_left, p_right
+
+    lp.bipartite_max_weight_matching = right_potential_raised
+elif fault == "tree":
+    grow = cycles.grow_tree
+
+    def tree_holding_z(search, root, dead):
+        # G' node n is z, which no frustrated tree can hold
+        outcome = grow(search, root, dead)
+        if isinstance(outcome, FrustratedTree):
+            outcome = outcome._replace(nodes=outcome.nodes | {int(n)})
+        return outcome
+
+    cycles.grow_tree = tree_holding_z
+sys.exit(main(argv))
+"""
+
+# the triangle 0-2-4 and the path 2-1-3: its one search grows a frustrated tree
+FRUSTRATED = {
+    "vertices": ["0", "1", "2", "3", "4"],
+    "edges": [
+        {"u": "1", "v": "3", "w": "4"},
+        {"u": "0", "v": "2", "w": "3"},
+        {"u": "2", "v": "4", "w": "3"},
+        {"u": "0", "v": "4", "w": "4"},
+        {"u": "1", "v": "2", "w": "4"},
+    ],
+}
+
+
+def _cli_with_fault(fault: str, optimize: bool, command: str, path: Path):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONOPTIMIZE"}
+    n = len(json.loads(path.read_text())["vertices"])
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-c", CLI_SCRIPT, fault, str(n), command, str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(env, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+
+
+def test_a_certificate_failure_exits_3_under_dash_o():
+    path = ROOT / "fixtures" / "fig9.json"
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    proc = _cli_with_fault("certificate", True, "solve-fractional", path)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        f"matchstab: internal error: {path}: not an optimal pair: strong_duality, "
+        f"complementary_slackness failed (instance sha256 {digest})\n"
+    )
+
+
+def test_a_failed_assert_exits_3_with_its_module_and_line(tmp_path):
+    path = tmp_path / "frustrated.json"
+    path.write_text(json.dumps(FRUSTRATED))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    source = (SRC / "matchstab" / "cycles.py").read_text().splitlines()
+    line = source.index("                assert outcome.nodes - set(deleted) == {root}") + 1
+    assert _cli_with_fault("none", False, "min-cycles", path).returncode == 0  # the control
+    proc = _cli_with_fault("tree", False, "min-cycles", path)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        f"matchstab: internal error: {path}: assertion failed at matchstab.cycles:{line} "
+        f"(instance sha256 {digest})\n"
+    )

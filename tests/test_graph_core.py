@@ -35,7 +35,6 @@ from matchstab.errors import (
 )
 from matchstab.graph import (
     MAX_EXPONENT,
-    AlternatingWalk,
     BasicFractionalMatching,
     FractionalVertexCover,
     Matching,
@@ -43,10 +42,10 @@ from matchstab.graph import (
     as_fraction,
     decompose,
     tight_edges,
-    walk_value,
 )
 from matchstab.instance import parse_instance
 from matchstab.oracle import enumerate_valid_walks
+from walk_traceback import AlternatingWalk, walk_value
 
 H = Fraction(1, 2)
 
@@ -374,7 +373,8 @@ def test_walk_value_matches_naive_resummation():
 
 
 def _small_values() -> dict:
-    """One small object of each value class of `graph`, built afresh."""
+    """One small object of each class built on `graph._Value`, built afresh:
+    the value classes of `graph`, and the tests' `AlternatingWalk`."""
     g = WeightedGraph.from_edges(3, [(0, 1, "1/2"), (1, 2, 1), (0, 2, 1)], labels=["a", "b", "c"])
     m = Matching.from_pairs([(1, 0)])
     return {

@@ -863,6 +863,48 @@ def test_verify_refuses_a_repeated_cover_key_under_dash_o(tmp_path, capsys):
     )
 
 
+_EDGE = '{"u": "a", "v": "b", "w": "1"}'
+INSTANCE_REPEATED_KEYS = [
+    # json.loads alone keeps the last value: the edge solves with weight 5,
+    # the instance has two vertices and no matching
+    ("w", '{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "w": "1", "w": "5"}]}'),
+    ("vertices", f'{{"vertices": ["a", "b", "c"], "vertices": ["a", "b"], "edges": [{_EDGE}]}}'),
+    ("matching", f'{{"vertices": ["a", "b"], "edges": [{_EDGE}], "matching": [["a", "b"]], '
+     '"matching": []}'),
+    # the last "vertices" lacks b, so the edge is refused too: the key comes first
+    ("vertices", f'{{"vertices": ["a", "b"], "edges": [{_EDGE}], "vertices": ["a"]}}'),
+]
+
+
+@pytest.mark.parametrize("key,text", INSTANCE_REPEATED_KEYS)
+def test_an_instance_that_repeats_a_key_is_refused(tmp_path, capsys, key, text):
+    path = tmp_path / "instance.json"
+    path.write_text(text)
+    message = f'malformed instance: an object names the key "{key}" twice'
+    for command in ("solve-fractional", "m-stabilize"):
+        assert _run(capsys, command, str(path)) == (1, "", f"matchstab: error: {path}: {message}\n")
+
+
+def test_an_instance_that_repeats_a_key_is_refused_under_pythonoptimize(tmp_path):
+    env = dict(
+        os.environ, PYTHONOPTIMIZE="1", PYTHONPATH=str(Path(matchstab.__file__).parents[1])
+    )
+    for pos, (key, text) in enumerate(INSTANCE_REPEATED_KEYS):
+        path = tmp_path / f"instance{pos}.json"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "matchstab", "solve-fractional", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            f'matchstab: error: {path}: malformed instance: an object names the key "{key}" twice\n'
+        )
+
+
 @pytest.mark.parametrize(
     "command,fixture,key,value,want",
     [

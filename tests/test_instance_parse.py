@@ -19,6 +19,7 @@ import pytest
 
 from conftest import bench_families, count_calls, count_fractions
 from matchstab import graph as graph_module
+from matchstab import instance as instance_module
 from matchstab.errors import GraphError, ParseError
 from matchstab.graph import Matching, WeightedGraph
 from matchstab.instance import Instance, parse_instance
@@ -276,3 +277,26 @@ def test_an_integer_k40_is_parsed_with_no_fraction(monkeypatch):
     # the same counters see the Fraction and the lcm of a "3/4"
     parse_instance(json.dumps({"vertices": ["a", "b"], "edges": [_e("a", "b", "3/4")]}))
     assert fractions[0] == 1 and lcms[0] == 1
+
+
+def test_the_text_is_read_again_only_when_its_colons_outnumber_its_keys(monkeypatch):
+    # the repeated-key check costs a count of ":" on every fixture and bench
+    # document, with no second read: the strict hook sees no object
+    hooked = count_calls(monkeypatch, instance_module, "_strict")
+    families = bench_families(monkeypatch)
+    texts = [(ROOT / "fixtures" / f"{name}.json").read_text() for name in ("fig6", "fig9m")]
+    for workload in families.LADDERS:
+        texts += [inst.to_json() for inst in families.Generator(workload, 7).round()]
+    for text in texts:
+        parse_instance(text)
+    assert hooked == [0]
+    # a label with a ":" makes the count differ: the second read, which sees
+    # the edge and the top level, finds no repeated key, and the document
+    # parses as the reference parses it
+    kind, _instance = _assert_same(_doc(_e("a", "b", "1")).replace('"a"', '"a:1"'))
+    assert kind == "ok" and hooked == [2]
+    # so does an edge with a fourth key, which the parser ignores
+    fourth = _doc({"u": "a", "v": "b", "w": "1", "note": "x"})
+    assert _assert_same(fourth)[0] == "ok" and hooked == [4]
+    # a document refused anyway is read again, to name a repeated key first
+    assert _assert_same(MALFORMED["unknown u"])[0] == "ParseError" and hooked == [6]

@@ -1,0 +1,142 @@
+"""`verify`'s trusted base, pinned.
+
+A checker is only as trustworthy as the code it runs. `certify.verify` is
+traced with `sys.setprofile` over the document of every run command on
+every instance in `fixtures/`, and the set of package functions it reaches,
+by module and qualified name, must equal TRUSTED_BASE below. A function
+that joins or leaves the base is then a reviewed diff. The solvers run
+several of these functions too (`decompose` and `slack`, say), so a fault
+in one of them is common-mode: the solver's own check and `verify` would
+agree on it.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+import matchstab
+from matchstab import certify, cli
+from matchstab.instance import parse_instance
+
+PACKAGE = Path(matchstab.__file__).resolve().parent
+FIXTURES = PACKAGE.parents[1] / "fixtures"
+
+TRUSTED_BASE = {
+    "matchstab.certify._basic_x_doc",
+    "matchstab.certify._check_optimal_pair_doc",
+    "matchstab.certify._cover_from_doc",
+    "matchstab.certify._distinct",
+    "matchstab.certify._edge_pairs",
+    "matchstab.certify._exact",
+    "matchstab.certify._half_count",
+    "matchstab.certify._halves_from_entries",
+    "matchstab.certify._infeasibility_doc",
+    "matchstab.certify._matching_from_doc",
+    "matchstab.certify._names",
+    "matchstab.certify._stable_subgraph_doc",
+    "matchstab.certify._string",
+    "matchstab.certify._support_check",
+    "matchstab.certify._typed",
+    "matchstab.certify._verify",
+    "matchstab.certify._verify_report",
+    "matchstab.certify._vertex_set",
+    "matchstab.certify.cycles_doc",
+    "matchstab.certify.optimal_pair_checks",
+    "matchstab.certify.pairs_doc",
+    "matchstab.certify.stable_subgraph_checks",
+    "matchstab.certify.verify",
+    "matchstab.graph.BasicFractionalMatching.__init__",
+    "matchstab.graph.BasicFractionalMatching.support",
+    "matchstab.graph.BasicFractionalMatching.weight",
+    "matchstab.graph.FractionalVertexCover.__init__",
+    "matchstab.graph.FractionalVertexCover.from_values",
+    "matchstab.graph.FractionalVertexCover.is_feasible_for",
+    "matchstab.graph.FractionalVertexCover.slack",
+    "matchstab.graph.FractionalVertexCover.total",
+    "matchstab.graph.Matching.__init__",
+    "matchstab.graph.Matching._partner",
+    "matchstab.graph.Matching.covers",
+    "matchstab.graph.Matching.from_pairs",
+    "matchstab.graph.Matching.is_matching_in",
+    "matchstab.graph.Matching.sorted_pairs",
+    "matchstab.graph.Matching.weight",
+    "matchstab.graph.WeightedGraph.__init__",
+    "matchstab.graph.WeightedGraph._keep",
+    "matchstab.graph.WeightedGraph.delete_edges",
+    "matchstab.graph.WeightedGraph.delete_stars",
+    "matchstab.graph.WeightedGraph.edge_index",
+    "matchstab.graph.WeightedGraph.has_edge",
+    "matchstab.graph.WeightedGraph.label_of",
+    "matchstab.graph.WeightedGraph.m",
+    "matchstab.graph.WeightedGraph.max_degree",
+    "matchstab.graph.WeightedGraph.stars",
+    "matchstab.graph._check_loads",
+    "matchstab.graph._count_halves",
+    "matchstab.graph.as_fraction",
+    "matchstab.graph.decompose",
+}
+
+
+def _qualified_names() -> dict[tuple[str, int], str]:
+    """"module.qualname" of every function the package defines, by its
+    module and the first line of its code object (its first decorator's,
+    if it has one). Read from the source, since `co_qualname` is new in
+    Python 3.11; comprehensions and lambdas are left out."""
+    names = {}
+    for path in PACKAGE.glob("*.py"):
+        module = f"matchstab.{path.stem}"
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.FunctionDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    names[(module, first)] = f"{module}.{prefix}{child.name}"
+                    visit(child, f"{prefix}{child.name}.<locals>.")
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.")
+                else:
+                    visit(child, prefix)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return names
+
+
+def test_verify_reaches_exactly_its_pinned_trusted_base():
+    names = _qualified_names()
+    reached = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            key = (frame.f_globals.get("__name__", ""), frame.f_code.co_firstlineno)
+            if key in names:
+                reached.add(names[key])
+
+    # the caches of exact values would hide `as_fraction` behind earlier tests
+    certify._fraction.cache_clear()
+    certify._half_count.cache_clear()
+    documents = 0
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        data = fixture.read_bytes()
+        for command in cli.RUN_COMMANDS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([command, str(fixture)])
+            if code == 1:  # m-stabilize on a fixture with no matching
+                assert command == "m-stabilize"
+                continue
+            instance = parse_instance(data.decode("utf-8"))
+            doc = certify.load_result(out.getvalue())
+            sys.setprofile(profile)
+            try:
+                report, code = certify.verify(instance, hashlib.sha256(data).hexdigest(), doc)
+            finally:
+                sys.setprofile(None)
+            assert (code, report["verified"]) == (0, True), (command, fixture.name)
+            documents += 1
+    assert documents == 6 * 5 + 1  # m-stabilize runs on fig9m alone
+    assert reached == TRUSTED_BASE

@@ -15,15 +15,16 @@ import pytest
 
 from conftest import full_sweep_iterations, is_valid_walk, random_graph, random_matching
 from matchstab import oracle, walks
-from matchstab.errors import EntryIsMinusInfinity, VertexNotExposed
-from matchstab.graph import AlternatingWalk, Matching, WeightedGraph, walk_value
-from matchstab.walks import (
-    WalkArcs,
-    WalkTables,
-    first_pass_scan,
-    optimal_walks,
+from matchstab.errors import VertexNotExposed
+from matchstab.graph import Matching, WeightedGraph
+from matchstab.walks import WalkArcs, WalkTables, first_pass_scan, optimal_walks, second_pass_scan
+from walk_traceback import (
+    AlternatingWalk,
+    EntryIsMinusInfinity,
+    first_predecessor,
+    predecessors,
     reconstruct_walk,
-    second_pass_scan,
+    walk_value,
 )
 
 
@@ -284,7 +285,8 @@ def test_extract_structure_from_long_walk_without_recursion():
 
 def test_short_tables_are_the_prefix_of_the_long_run(property_suite):
     # the DP's iterations do not depend on its bound: the first n + 1
-    # snapshots of a 3n run, with its records up to iteration n, are a run to n
+    # snapshots of a 3n run, and so its commits up to iteration n with
+    # their predecessors, are a run to n
     rng = random.Random(515)
     for g in property_suite:
         m = random_matching(rng, g)
@@ -296,15 +298,16 @@ def test_short_tables_are_the_prefix_of_the_long_run(property_suite):
                 g, m, root, g.n,
                 long.history1[: g.n + 1],
                 long.history2[: g.n + 1],
-                {key: u for key, u in long.pred1.items() if key[0] <= g.n},
-                {key: u for key, u in long.pred2.items() if key[0] <= g.n},
             )
             alone = optimal_walks(g, m, root, g.n)
             assert (short.source, short.k) == (alone.source, alone.k)
             assert short.history1 == alone.history1
             assert short.history2 == alone.history2
-            assert short.pred1 == alone.pred1
-            assert short.pred2 == alone.pred2
+            long_pred1, long_pred2 = predecessors(long)
+            assert predecessors(alone) == (
+                {key: u for key, u in long_pred1.items() if key[0] <= g.n},
+                {key: u for key, u in long_pred2.items() if key[0] <= g.n},
+            )
 
 
 def test_run_stopped_at_fixpoint_keeps_k_plus_one_snapshots():
@@ -315,7 +318,8 @@ def test_run_stopped_at_fixpoint_keeps_k_plus_one_snapshots():
     # nothing improves after the flower closes at iteration 3
     assert all(h == t.history1[3] for h in t.history1[3:])
     assert all(h == t.history2[3] for h in t.history2[3:])
-    assert max(i for i, _v in (*t.pred1, *t.pred2)) <= 3
+    pred1, pred2 = predecessors(t)
+    assert max(i for i, _v in (*pred1, *pred2)) <= 3
     assert t.y1[0] == 2
     assert oracle.optimal_walk_values(g, m, 0, 8)[8][0] == t.y1[0]
 
@@ -403,7 +407,7 @@ def test_first_pass_scan_stops_at_a_flower(monkeypatch):
     m = Matching.from_pairs([(1, 2)] + [(v, v + 1) for v in range(3, 3 + length, 2)])
     full = optimal_walks(g, m, 0, 3 * g.n)
     assert full.y1[0] > 0
-    assert max(i for i, _v in full.pred1) > length
+    assert max(i for i, _v in predecessors(full)[0]) > length
 
     counted = []
     run = WalkArcs.run
@@ -505,6 +509,21 @@ def _record(steps, deleted=frozenset(), scale=1):
     ]
 
 
+def _traced(arcs, steps):
+    """The steps of `WalkArcs.run` on `arcs`, each (v, value) commit given
+    the predecessor u that the trace-back reads off the entries of the step
+    before, as (v, u, value): the first free neighbour that gives a y1
+    value, and the partner for a y2 value."""
+    before = None
+    for i, y1, y2, commits1, commits2 in steps:
+        yield (
+            i, y1, y2,
+            [(v, first_predecessor(arcs.free[v], before, value), value) for v, value in commits1],
+            [(v, arcs.matched[v][0], value) for v, value in commits2],
+        )
+        before = list(y2)
+
+
 def _random_instance(rng, n_max):
     """A graph with integer weights, or half the time the same edges with
     fractional weights, and a random matching of it."""
@@ -518,15 +537,16 @@ def _random_instance(rng, n_max):
 
 
 def test_changed_entry_dp_commits_what_the_full_sweep_commits():
-    # the same commits, with the same predecessors, at every iteration, from
-    # every source, covered and exposed, until both runs stop
+    # the same commits at every iteration, from every source, covered and
+    # exposed, until both runs stop; the predecessor that the trace-back
+    # reads off the entries is the one the full sweep's first maximum picks
     rng = random.Random(1414)
     covered = exposed = 0
     for _ in range(300):
         g, m = _random_instance(rng, 12)
         arcs = WalkArcs(g, m)
         for source in range(g.n):
-            run = _record(arcs.run(source, 3 * g.n))
+            run = _record(_traced(arcs, arcs.run(source, 3 * g.n)))
             assert run == _record(full_sweep_iterations(arcs, source, 3 * g.n))
             covered += m.covers(source)
             exposed += not m.covers(source)
@@ -549,7 +569,7 @@ def test_exposed_vertices_are_dead_ends_of_the_dp():
             deleted = set(rng.sample(others, rng.randint(0, len(others))))
             rest = g.delete_stars(deleted)
             # G - delta(S) may have a smaller weight scale than G
-            on_g = _record(arcs.run(root, 3 * g.n), deleted, g.scale)
+            on_g = _record(_traced(arcs, arcs.run(root, 3 * g.n)), deleted, g.scale)
             sweep = full_sweep_iterations(WalkArcs(rest, m), root, 3 * g.n)
             sweep = _record(sweep, deleted, rest.scale)
             assert on_g[: len(sweep)] == sweep
@@ -565,9 +585,9 @@ FORGED_TABLES_SCRIPT = r"""
 import json
 import sys
 
-from matchstab.errors import InconsistentWalkTables
 from matchstab.graph import Matching, WeightedGraph
-from matchstab.walks import optimal_walks, reconstruct_walk
+from matchstab.walks import optimal_walks
+from walk_traceback import InconsistentWalkTables, reconstruct_walk
 
 
 def raised(tables):
@@ -594,11 +614,12 @@ def test_reconstruct_walk_rejects_forged_tables_under_dash_o():
     # the walk's source and value checks are explicit raises, so they also
     # run in a python -O subprocess, where every assert is stripped
     src = Path(walks.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), str(Path(__file__).resolve().parent)])
     proc = subprocess.run(
         [sys.executable, "-O", "-c", FORGED_TABLES_SCRIPT],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=str(src)),
+        env=dict(os.environ, PYTHONPATH=path),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -607,7 +628,7 @@ def test_reconstruct_walk_rejects_forged_tables_under_dash_o():
         "optimize": 1,
         "source": "the walk to 1 starts at 0, not at the source 1",
         "value": "the walk to 1 has value -3, not y1(1) = 3",
-        "history": "y2(0) is never 0 within 0 iterations",
+        "history": "y1(1) = 3 at iteration 1 comes from no neighbour",
     }
 
 
