@@ -10,10 +10,17 @@ denominators, and `int_weights`, the integers D.w, which the LP kernel, the
 walk DP, the rounding of half-valued paths and the cover checks run on.
 `scale_weights` is the one place that turns exact weights into D and D.w,
 for `WeightedGraph.from_edges` and the instance parser; `WeightedGraph.edges`
-is the view with `Fraction` weights for the API. A cover y is its integers
-too: `FractionalVertexCover` stores its common denominator q and the
-integers q.y, so y_u + y_v >= w_uv is tested as (q.y_u + q.y_v).D >=
-D.w_uv.q, and y becomes `Fraction`s only in `FractionalVertexCover.values`.
+is the view with `Fraction` weights for the API. A graph is checked once:
+`WeightedGraph.__init__` checks every field, for `from_edges` and every
+caller outside this module and the parser. `WeightedGraph._unchecked`
+builds a graph with no check, for its two callers, which guarantee its
+fields themselves: the instance parser, which checks each edge as it reads
+it, and `_keep`, behind `delete_stars` and `delete_edges`, which takes a
+subset of a checked graph's edges, valid by the lemma in its docstring.
+A cover y is its integers too: `FractionalVertexCover` stores its common
+denominator q and the integers q.y, so y_u + y_v >= w_uv is tested as
+(q.y_u + q.y_v).D >= D.w_uv.q, and y becomes `Fraction`s only in
+`FractionalVertexCover.values`.
 A fractional matching x is half counts 2x_i, ints 0, 1 or 2, everywhere:
 `decompose` validates them, and for `lp.normalize_to_basic` rounds their
 half-valued paths and even cycles in the walk that finds the odd cycles,
@@ -169,6 +176,24 @@ class WeightedGraph(_Value):
             raise GraphError(f"scale D = {d} is not canonical: D and every D.w share {common}")
         self._index_of = index
 
+    @classmethod
+    def _unchecked(
+        cls, n: int, ends: tuple[tuple[int, int], ...], int_weights: tuple[int, ...],
+        scale: int, labels: Optional[tuple[str, ...]], index_of: dict[tuple[int, int], int],
+    ) -> "WeightedGraph":
+        """The graph of these fields, built with no check. Its two callers
+        guarantee everything `__init__` checks: `labels` is None or n
+        distinct strings; every (u, v) in `ends` has 0 <= u < v < n and no
+        two are equal; `int_weights` holds one nonnegative int per edge;
+        `scale` is a positive int with gcd(scale, *int_weights) = 1; and
+        `index_of` maps each (u, v) of `ends` to its index. The instance
+        parser checks each edge once, as it reads it, and `_keep` takes a
+        subset of a checked graph's edges."""
+        graph = object.__new__(cls)
+        graph.n, graph.ends, graph.int_weights = n, ends, int_weights
+        graph.scale, graph.labels, graph._index_of = scale, labels, index_of
+        return graph
+
     @staticmethod
     def from_edges(
         n: int,
@@ -224,17 +249,23 @@ class WeightedGraph(_Value):
         return self.labels[v] if self.labels is not None else str(v)
 
     def _keep(self, kept: Sequence[int]) -> "WeightedGraph":
-        """The graph on the same vertex set with the edges `kept`, in order.
-        Only a D > 1 can lose its canonical form, so only that one is
-        reduced again."""
+        """The graph on the same vertex set with the edges `kept`, distinct
+        indices in increasing order, built by `_unchecked`.
+
+        A subset of a valid graph's edges is valid: the labels and n do not
+        change, each kept (u, v) is still in range with u < v and no two are
+        equal, and each D.w is still a nonnegative int. Only the canonical D
+        can be lost, and only when D > 1 (with D = 1 the gcd is 1): g =
+        gcd(D, kept D.w) may exceed 1, and D / g with the D.w / g is the
+        same graph with gcd 1, so that one reduction is all that runs."""
         ends, weights, d = self.ends, self.int_weights, self.scale
-        kept_weights = tuple(weights[i] for i in kept)
-        if d > 1:
-            g = gcd(d, *kept_weights)
-            if g > 1:
-                d //= g
-                kept_weights = tuple(w // g for w in kept_weights)
-        return WeightedGraph(self.n, tuple(ends[i] for i in kept), kept_weights, d, self.labels)
+        kept_ends = tuple([ends[i] for i in kept])
+        kept_weights = tuple([weights[i] for i in kept])
+        if d > 1 and (g := gcd(d, *kept_weights)) > 1:
+            d //= g
+            kept_weights = tuple([w // g for w in kept_weights])
+        index_of = dict(zip(kept_ends, range(len(kept_ends))))
+        return WeightedGraph._unchecked(self.n, kept_ends, kept_weights, d, self.labels, index_of)
 
     def delete_edges(self, edge_indices: Iterable[int]) -> "WeightedGraph":
         """Graph on the same vertex set with the given edges removed.

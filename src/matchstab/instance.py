@@ -4,11 +4,29 @@ Instances are JSON documents with string vertex labels, exact weight strings
 (decimal like "0.5" or fraction like "3/4"; plain integers also allowed) and
 an optional fixed matching. Floats are rejected so weights stay exact.
 
-The parser hands the graph its integers: a weight string of ASCII digits is
-read by `int`, any other through `graph.as_fraction`, which refuses an
-underscore and an exponent too large to expand, each distinct string once, and
-`graph.scale_weights` turns the weights into D and D.w. An instance whose
-weights are all integers is read with no `Fraction` at all.
+Each edge is checked once, by the one loop that reads the edges: it maps
+the labels to vertex ids, orients the pair as (u, v) with u < v and fills
+the graph's edge index as it goes. A parallel edge then leaves fewer keys
+in the index than edges, and a loop is a key (v, v), so after the loop n
+lookups find either; only then does the checked constructor
+`WeightedGraph(...)` run, to name the first one with its own message.
+Otherwise `WeightedGraph._unchecked` builds the graph with no second pass:
+the loop gave ends in range, oriented and distinct, the labels were checked
+to be distinct strings, and the weights are nonnegative ints over a
+canonical D.
+
+The weight column is read after the loop, and hands the graph its
+integers. A column of non-empty ASCII digit strings, the common form of
+integer weights, is read by one `map(int, ...)` with D = 1. Any other
+column is read one distinct string at a time: a string of ASCII digits by
+`int`, any other through `graph.as_fraction`, which refuses an underscore
+and an exponent too large to expand, and `graph.scale_weights` turns the
+weights into D and D.w. An instance whose weights are all integers is read
+with no `Fraction` at all. The errors keep the order of a parser that reads
+each edge whole: at a bad label the loop first reads the weights before
+it, so a bad weight is named before a bad label at a later edge, and a
+loop or a parallel edge is named only once every label and weight has
+been read.
 
 A JSON object that names a key twice is refused: `json.loads` alone would
 keep the last value, where a person reading the file may see the first. The
@@ -25,6 +43,7 @@ the repeated key; the result reader uses the same hook.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from fractions import Fraction
 from functools import partial
 from typing import Any, NamedTuple, Optional, Union
@@ -57,6 +76,26 @@ def _parse_weight(raw: Any, pos: int) -> Union[int, Fraction]:
     if value < 0:
         raise ParseError(f"edges[{pos}]: weight {raw!r} is negative")
     return value
+
+
+def _weights(raws: list[Any]) -> tuple[int, tuple[int, ...]]:
+    """(D, D.w) of the weight column, or ParseError at its first bad
+    weight. A column of non-empty ASCII digit strings is read by one
+    `map(int, ...)`; any other one by `_parse_weight`, each distinct string
+    once, and `scale_weights`."""
+    # `join` refuses a weight that is no string, `int` a "" or one past its
+    # digit limit; each goes to the careful path
+    with suppress(TypeError, ValueError):
+        digits = "".join(raws)
+        if digits.isascii() and digits.isdigit():
+            return 1, tuple(map(int, raws))
+    parsed: dict[str, Union[int, Fraction]] = {}
+    for pos, raw in enumerate(raws):
+        if type(raw) is not str:
+            _parse_weight(raw, pos)  # an int is its own weight
+        elif raw not in parsed:
+            parsed[raw] = _parse_weight(raw, pos)
+    return scale_weights([parsed.get(raw, raw) for raw in raws])
 
 
 def strict_object(what: str, pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -109,28 +148,29 @@ def _instance(doc: Any) -> Instance:
     edges_doc = doc.get("edges")
     if not isinstance(edges_doc, list):
         raise ParseError('"edges" must be a list')
-    parsed: dict[str, Union[int, Fraction]] = {}  # each distinct weight string, parsed once
-    ends, weights = [], []
+    ends, raws = [], []
+    index_of: dict[tuple[int, int], int] = {}
     for pos, entry in enumerate(edges_doc):
         try:
             u, v, raw = index[entry["u"]], index[entry["v"]], entry["w"]
         except (KeyError, TypeError) as exc:
+            _weights(raws)  # a bad weight at an earlier edge is named first
             if not isinstance(entry, dict) or not {"u", "v", "w"} <= set(entry):
                 raise ParseError(f"edges[{pos}]: each edge needs u, v and w") from exc
             raise ParseError(f"edges[{pos}]: unknown vertex label") from exc
-        if type(raw) is str:
-            w = parsed.get(raw)
-            if w is None:
-                w = parsed[raw] = _parse_weight(raw, pos)
-        else:
-            w = _parse_weight(raw, pos)
-        ends.append((u, v) if u < v else (v, u))
-        weights.append(w)
-    scale, int_weights = scale_weights(weights)
-    try:
-        graph = WeightedGraph(len(vertices), tuple(ends), int_weights, scale, tuple(vertices))
-    except GraphError as exc:
-        raise ParseError(str(exc)) from exc
+        e = (u, v) if u < v else (v, u)
+        index_of[e] = pos
+        ends.append(e)
+        raws.append(raw)
+    scale, int_weights = _weights(raws)
+    n, ends, labels = len(vertices), tuple(ends), tuple(vertices)
+    # a parallel edge leaves fewer keys than edges, and a loop is a key (v, v)
+    if len(index_of) < len(ends) or any((v, v) in index_of for v in range(n)):
+        try:  # the checked constructor names the first one
+            WeightedGraph(n, ends, int_weights, scale, labels)
+        except GraphError as exc:
+            raise ParseError(str(exc)) from exc
+    graph = WeightedGraph._unchecked(n, ends, int_weights, scale, labels, index_of)
 
     matching = None
     if "matching" in doc:

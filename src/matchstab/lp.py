@@ -14,11 +14,12 @@ tight edge to an exposed right copy is matched directly; every other root
 runs one phase, which scans each even row once. A phase keeps its state per
 right copy in flat arrays indexed by the copy, allocated once per call of
 the kernel, and resets exactly the entries it touched when it ends, so it
-costs time in its tree, not in n. It keys each reached copy's least slack
-against the sum of its dual steps so far, so a step changes no key, and one
-pass over the reached copies finds the next step and the copies it makes
-tight. `solve_fractional` counts the matched copies of each edge into the
-half counts 2x of a half-integral optimum x, which stay ints through
+costs time in its tree, not in n. It keys each reached copy's least slack,
+and the potentials of its tree, against the sum of its dual steps so far,
+so a step changes no key and visits no tree node, and one pass over the
+reached copies finds the next step and the copies it makes tight.
+`solve_fractional` counts the matched copies of each edge into the half
+counts 2x of a half-integral optimum x, which stay ints through
 `normalize_to_basic`: one `graph.decompose` walk, after one counting pass,
 that keeps the odd cycles of x and rounds its half-valued paths and even
 cycles, so a basic x passes unchanged. It adds the two potentials of each
@@ -124,21 +125,27 @@ def _run_phase(
     `arg[r]`, the place in `even` of the first row that attains it.
     `shift` is the sum of the phase's dual steps so far. A step of delta
     lowers every even potential, and so every slack of a copy reached and
-    not odd, by delta, and raises `shift` by delta: no key changes, and one
-    pass over the keys finds the step and the copies it makes tight. Every
-    entry is None outside a phase: the phase lists the right copies it
-    touches and resets exactly those when it ends, so it costs time in its
-    tree, not in n.
+    not odd, by delta, raises every odd potential by delta, and raises
+    `shift` by delta. So the phase keys the tree's potentials against
+    `shift` too: while u is even, `p_left[u]` holds its potential plus
+    `shift`, and while r is odd, `p_right[r]` its potential minus `shift`.
+    A step then changes no key and no keyed potential, one pass over the
+    keys finds the step and the copies it makes tight, the least even
+    potential plus `shift` is a running minimum, and the true potentials
+    are written back when the phase ends. Every entry of the arrays is
+    None outside a phase: the phase lists the right copies it touches and
+    resets exactly those when it ends, so it costs time in its tree, not
+    in n.
     """
     even = [root]
     odd: list[int] = []  # the odd right copies
     reached: list[int] = []  # every right copy given a key, odd since or not
-    scanned = shift = 0
+    scanned, shift, floor = 0, 0, p_left[root]  # floor: the least keyed even potential
     while True:
         # grow the tree along tight edges until one reaches an exposed copy
         while scanned < len(even):
             u = even[scanned]
-            pu = p_left[u] + shift
+            pu = p_left[u]
             for r, w in rows[u]:
                 if parent[r] is not None:
                     continue
@@ -150,8 +157,12 @@ def _run_phase(
                     assert match_l[mate] == r  # so mate is not in the tree yet
                     parent[r] = u
                     odd.append(r)
+                    p_right[r] -= shift
                     key[r] = None
                     even.append(mate)
+                    p_left[mate] += shift
+                    if p_left[mate] < floor:
+                        floor = p_left[mate]
                 else:
                     least = key[r]
                     if least is None:
@@ -167,12 +178,8 @@ def _run_phase(
         else:
             # stuck on tight edges: adjust the duals by the least even
             # potential or the least slack of a copy reached and not odd
-            # (plain loops: from CPython 3.11 on they beat `min` over a `map`)
-            floor = p_left[root]
-            for u in even:
-                if p_left[u] < floor:
-                    floor = p_left[u]
-            least = floor + shift
+            # (a plain loop: from CPython 3.11 on it beats `min` over a `map`)
+            least = floor
             tight: list[int] = []  # the copies whose key is `least`
             for r in reached:
                 k = key[r]
@@ -181,13 +188,8 @@ def _run_phase(
                         least, tight = k, [r]
                     else:
                         tight.append(r)
-            delta = least - shift
-            for u in even:
-                p_left[u] -= delta
-            for r in odd:
-                p_right[r] += delta
-            if delta < floor:
-                shift = least
+            shift = least
+            if least < floor:
                 # the new tight edges, taken in the order a rescan of the
                 # even rows would meet them: by row position, then by copy
                 for row, r in sorted([(arg[r], r) for r in tight]):
@@ -198,13 +200,18 @@ def _run_phase(
                     assert match_l[mate] == r  # so mate is not in the tree yet
                     parent[r] = u
                     odd.append(r)
+                    p_right[r] -= shift
                     key[r] = None
                     even.append(mate)
+                    p_left[mate] += shift
+                    if p_left[mate] < floor:
+                        floor = p_left[mate]
                 else:
                     continue
             else:
-                # the lowest even node at potential zero retires exposed
-                u = min(u for u in even if p_left[u] == 0)
+                # the lowest even node at potential zero (keyed `floor`, now
+                # `shift`) retires exposed
+                u = min(u for u in even if p_left[u] == floor)
                 if u == root:
                     break
                 # flip the matching along the tree from u's parent
@@ -220,8 +227,11 @@ def _run_phase(
                 break
             u = parent[r]
         break
-    # hand the arrays back empty
+    # write the true potentials back and hand the arrays back empty
+    for u in even:
+        p_left[u] -= shift
     for r in odd:
+        p_right[r] += shift
         parent[r] = None
     for r in reached:
         key[r] = arg[r] = None

@@ -23,6 +23,7 @@ from conftest import (
     random_graph,
     random_matching,
     round_cycles,
+    weight_denominator_graphs,
 )
 from matchstab import graph as graph_module
 from matchstab.errors import (
@@ -112,6 +113,40 @@ def test_deleting_the_only_fractional_edge_brings_d_back_to_1():
     assert halves.delete_edges([1]) == WeightedGraph.from_edges(3, [(0, 1, "1/2"), (0, 2, "5/4")])
     assert halves.delete_edges([1]).scale == 4
     assert halves.delete_edges([0, 1, 2]).scale == 1
+
+
+def test_a_subgraph_is_the_graph_the_checked_constructor_builds(property_suite):
+    # `_keep` builds the graphs of `delete_stars` and `delete_edges` with no
+    # check; each must equal, field by field, edge index and hash, the graph
+    # that `from_edges` builds through `__init__` from the kept edges'
+    # `Fraction` weights: on the property suite, on graphs with weights k/d,
+    # and on both with labels, where dropping edges often lowers D
+    rng = random.Random(4141)
+    graphs = []
+    for g in property_suite + weight_denominator_graphs(rng):
+        graphs.append(g)
+        divided = [(u, v, w / rng.choice((2, 3, 4))) for u, v, w in g.edges]
+        graphs.append(WeightedGraph.from_edges(g.n, divided, [f"x{v}" for v in range(g.n)]))
+    lowered = emptied = 0
+    for graph in graphs:
+        for _ in range(3):
+            chosen = rng.sample(range(graph.n), rng.randint(0, graph.n))
+            dropped = rng.sample(range(graph.m), rng.randint(0, graph.m))
+            for rest, gone in (
+                (graph.delete_stars(chosen), graph.stars(chosen)),
+                (graph.delete_edges(dropped), dropped),
+            ):
+                kept = [i for i in range(graph.m) if i not in gone]
+                checked = WeightedGraph.from_edges(
+                    graph.n, [graph.edges[i] for i in kept], graph.labels
+                )
+                assert vars(rest) == vars(checked)  # n, ends, int_weights, scale, labels, _index_of
+                assert list(rest._index_of.items()) == list(checked._index_of.items())
+                assert type(rest.ends) is type(rest.int_weights) is tuple
+                assert rest == checked and hash(rest) == hash(checked)
+                lowered += rest.scale < graph.scale
+                emptied += rest.m == 0 and graph.scale > 1
+    assert lowered > 100 and emptied > 0
 
 
 @pytest.mark.parametrize(

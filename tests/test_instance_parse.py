@@ -1,9 +1,15 @@
 """`parse_instance` against the two-pass parser it replaced.
 
-The one-pass parser looks up u, v and w in one `try`, parses each distinct
-weight string once and orients each edge as it reads it. The parser as it
-was is kept below as the reference: on every document here both must give
-equal `Instance`s or raise the same `ParseError` text.
+The parser reads the edges in one loop: it looks up u, v and w in one
+`try`, orients each edge and fills the graph's edge index as it goes, where
+a loop or a parallel edge is then found. It reads the weight column, a
+column of non-empty ASCII digit strings with one `map(int, ...)` and any
+other one distinct string at a time, and builds the graph with no second
+check; on a loop or a parallel edge the checked constructor names it. The parser as it
+was, which checks every edge with `set(entry)`, parses every weight by
+itself and builds the graph by `WeightedGraph.from_edges`, is kept below as
+the reference: on every document here both must give equal `Instance`s or
+raise the same `ParseError` text, so the errors keep their order too.
 """
 
 from __future__ import annotations
@@ -176,6 +182,34 @@ MALFORMED = {
     "unparsable weight": _doc(_e("a", "b", "one")),
     "repeated unparsable weight": _doc(_e("a", "b", "x"), _e("b", "c", "x")),
     "bad weight before unknown label": _doc(_e("a", "b", "x"), _e("a", "z", "1")),
+    # what the one `map(int, ...)` of a digit column must leave to the
+    # careful path: `int` reads " 7", "+7" and "١٢" and refuses "" and "²",
+    # and refuses a digit string past its digit limit on Python 3.11+; a
+    # column with "007" in it is all ASCII digits and takes the `int` path
+    "empty weight in a digit column": _doc(_e("a", "b", "3"), _e("b", "c", "")),
+    "spaced weight in a digit column": _doc(_e("a", "b", "3"), _e("b", "c", " 7")),
+    "signed weight in a digit column": _doc(_e("a", "b", "3"), _e("b", "c", "+7")),
+    "leading zeros in a digit column": _doc(_e("a", "b", "3"), _e("b", "c", "007")),
+    "arabic-indic digits in a digit column": _doc(_e("a", "b", "3"), _e("b", "c", "١٢")),
+    "superscript digit in a digit column": _doc(_e("a", "b", "3"), _e("b", "c", "²")),
+    "5000-digit weight at edge 2 of 3": _doc(
+        _e("a", "b", "3"), _e("b", "c", "5" * 5000), _e("a", "c", "4")
+    ),
+    "5000-digit weight before unknown label": _doc(
+        _e("a", "b", "3"), _e("b", "c", "5" * 5000), _e("a", "z", "4")
+    ),
+    "digit column that ends in 3/4": _doc(
+        _e("a", "b", "3"), _e("b", "c", "2"), _e("a", "c", "3/4")
+    ),
+    "int weight in a digit column": _doc(_e("a", "b", "3"), _e("b", "c", 2)),
+    "unknown label after a loop": _doc(_e("a", "a", "1"), _e("a", "z", "1")),
+    "missing w after a loop": _doc(_e("b", "b", "1"), {"u": "a", "v": "b"}),
+    "loop after a parallel edge": _doc(_e("a", "b", "1"), _e("b", "a", "1"), _e("c", "c", "1")),
+    "parallel edge after a loop": _doc(_e("c", "c", "1"), _e("a", "b", "1"), _e("b", "a", "1")),
+    "parallel edge after a bad weight": _doc(
+        _e("a", "b", "x"), _e("b", "c", "1"), _e("b", "a", "1")
+    ),
+    "loop after a negative weight": _doc(_e("a", "b", "-1"), _e("c", "c", "1")),
     "reversed edge": _doc(_e("b", "a", "2"), _e("c", "b", "1")),
     "duplicate edge": _doc(_e("a", "b", "1"), _e("a", "b", "2")),
     "duplicate edge both ways": _doc(_e("a", "b", "1"), _e("b", "a", "1")),
@@ -217,6 +251,14 @@ def test_a_matching_that_names_a_pair_twice_is_refused():
 def test_malformed_set_covers_both_outcomes():
     kinds = [_outcome(parse_instance, text)[0] for text in MALFORMED.values()]
     assert kinds.count("ok") >= 5 and kinds.count("ParseError") >= 30
+    # three of the digit-column and ordering cases, pinned by their outcome
+    assert _outcome(parse_instance, MALFORMED["leading zeros in a digit column"])[0] == "ok"
+    assert _outcome(parse_instance, MALFORMED["unknown label after a loop"]) == (
+        "ParseError", "edges[1]: unknown vertex label"
+    )
+    assert _outcome(parse_instance, MALFORMED["parallel edge after a bad weight"]) == (
+        "ParseError", "edges[0]: cannot parse weight 'x'"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +283,11 @@ GRAPH_DOCUMENTS = {
     **{name: (ROOT / "fixtures" / f"{name}.json").read_text()
        for name in ("fig6", "fig7", "fig8", "fig9", "fig9m")},
     **{f"mixed seed {seed}": _mixed_weight_document(seed) for seed in range(8)},
+    **{name: MALFORMED[name] for name in (
+        "digit column that ends in 3/4", "leading zeros in a digit column",
+        "spaced weight in a digit column", "signed weight in a digit column",
+        "arabic-indic digits in a digit column", "int weight in a digit column",
+    )},
 }
 
 
@@ -260,14 +307,18 @@ def test_mixed_documents_take_the_fraction_path():
     assert 1 in scales and 12 in scales  # lcm(4, 2, 6)
 
 
-def test_an_integer_k40_is_parsed_with_no_fraction(monkeypatch):
+def _integer_k40() -> tuple[str, list[dict]]:
     vertices = [f"v{i}" for i in range(40)]
     rng = random.Random(40)
     edges = [
         _e(vertices[a], vertices[b], str(rng.randint(1, 1000)))
         for a, b in itertools.combinations(range(40), 2)
     ]
-    text = json.dumps({"vertices": vertices, "edges": edges})
+    return json.dumps({"vertices": vertices, "edges": edges}), edges
+
+
+def test_an_integer_k40_is_parsed_with_no_fraction(monkeypatch):
+    text, edges = _integer_k40()
     fractions = count_fractions(monkeypatch)
     lcms = count_calls(monkeypatch, graph_module, "lcm")
     graph = parse_instance(text).graph
@@ -277,6 +328,30 @@ def test_an_integer_k40_is_parsed_with_no_fraction(monkeypatch):
     # the same counters see the Fraction and the lcm of a "3/4"
     parse_instance(json.dumps({"vertices": ["a", "b"], "edges": [_e("a", "b", "3/4")]}))
     assert fractions[0] == 1 and lcms[0] == 1
+
+
+def test_an_integer_k40_is_built_with_no_second_check(monkeypatch):
+    # the parser checks each edge as it reads it and builds the graph with
+    # no check; its digit column is one `map(int, ...)`; and a subgraph of
+    # the graph is built with no check either
+    text, _edges = _integer_k40()
+    inits = count_calls(monkeypatch, WeightedGraph, "__init__")
+    weights = count_calls(monkeypatch, instance_module, "_parse_weight")
+    graph = parse_instance(text).graph
+    assert graph.m == 780 and graph._index_of == {e: i for i, e in enumerate(graph.ends)}
+    assert inits == [0] and weights == [0]
+    rest = graph.delete_stars([0, 7])
+    assert rest.m == 780 - 2 * 39 + 1 and inits == [0]
+    # a loop is still named by the checked constructor, with its message
+    assert _outcome(parse_instance, MALFORMED["loop"]) == (
+        "ParseError", "loop at vertex a not allowed"
+    )
+    assert inits == [1]
+    # a column with one weight that is not ASCII digits parses each distinct
+    # string once, as before
+    spaced = text.replace('"w": "', '"w": " ', 1)
+    assert parse_instance(spaced).graph == graph
+    assert weights == [len({e["w"] for e in json.loads(spaced)["edges"]})]
 
 
 def test_the_text_is_read_again_only_when_its_colons_outnumber_its_keys(monkeypatch):

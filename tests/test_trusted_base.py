@@ -65,8 +65,8 @@ TRUSTED_BASE = {
     "matchstab.graph.Matching.is_matching_in",
     "matchstab.graph.Matching.sorted_pairs",
     "matchstab.graph.Matching.weight",
-    "matchstab.graph.WeightedGraph.__init__",
     "matchstab.graph.WeightedGraph._keep",
+    "matchstab.graph.WeightedGraph._unchecked",
     "matchstab.graph.WeightedGraph.delete_edges",
     "matchstab.graph.WeightedGraph.delete_stars",
     "matchstab.graph.WeightedGraph.edge_index",
