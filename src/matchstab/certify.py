@@ -24,8 +24,9 @@ certificate holds, with exact arithmetic and nothing else:
   `exact_str` and `_exact` for exact values, `labels_doc` and
   `_vertex_set` for vertex sets, `pairs_doc` and `_edge_pairs` for
   matchings and edge sets, `x_entries` and `_halves_from_entries` for x,
-  `cover_doc` and `_cover_from_doc` for y. `cycles_doc` is compared as it
-  is printed, and `event_doc` and `diagnostics_doc` have no reader yet.
+  `cover_doc` and `_cover_from_doc` for y. Odd cycles, which `pairs_doc`
+  also writes, are compared as they are printed, and `event_doc` and
+  `diagnostics_doc` have no reader yet.
   The CLI fills the envelope with these writers and renders no field
   itself.
 
@@ -241,8 +242,10 @@ def _vertex_set(index, doc: dict, key: str) -> set[int]:
 
 
 def pairs_doc(graph: WeightedGraph, pairs) -> list[list[str]]:
-    """Vertex pairs, such as a matching's sorted pairs or the ends of edges,
-    by label in the order given."""
+    """Vertex tuples by label, each in its order and all in the order
+    given: a matching's sorted pairs or the ends of edges, which
+    `_edge_pairs` reads back, and odd cycles, which `verify` compares with
+    the ones of the checked x as they are printed."""
     return [_names(graph, pair) for pair in pairs]
 
 
@@ -250,12 +253,6 @@ def _edge_pairs(index, doc: dict, key: str) -> list[tuple[int, int]]:
     """The vertex pairs that `pairs_doc` printed as `doc[key]`, each sorted,
     so that an edge named twice in either order counts as named twice."""
     return _distinct(key, [tuple(sorted((index[a], index[b]))) for a, b in doc[key]])
-
-
-def cycles_doc(graph: WeightedGraph, cycles) -> list[list[str]]:
-    """Cycles, each by label in its order; `verify` compares a document's
-    `odd_cycles` with the ones of the checked x."""
-    return [_names(graph, cycle) for cycle in cycles]
 
 
 def x_entries(bfm: BasicFractionalMatching) -> list[dict[str, str]]:
@@ -316,12 +313,12 @@ def event_doc(graph: WeightedGraph, event) -> dict[str, Any]:
     if event.kind == "frustrated_tree":
         return {
             "event": event.kind,
-            "cycles": cycles_doc(graph, [event.root_cycle]),
+            "cycles": pairs_doc(graph, [event.root_cycle]),
             "deleted_vertices": _names(graph, event.deleted_vertices),
         }
     return {
         "event": event.kind,
-        "cycles": cycles_doc(graph, event.cycles),
+        "cycles": pairs_doc(graph, event.cycles),
         "rounded_at": _names(graph, event.rounded_at),
         "path": _names(graph, event.path),
     }
@@ -391,7 +388,7 @@ def _support_check(graph, outputs, bfm: BasicFractionalMatching) -> tuple[str, b
     """`matched_and_odd_cycles_equal_x`: the printed M(x) and C(x) are the
     ones of the checked x."""
     matched_ok = outputs["matched"] == pairs_doc(graph, bfm.matched.sorted_pairs())
-    cycles_ok = outputs["odd_cycles"] == cycles_doc(graph, bfm.odd_cycles)
+    cycles_ok = outputs["odd_cycles"] == pairs_doc(graph, bfm.odd_cycles)
     return ("matched_and_odd_cycles_equal_x", matched_ok and cycles_ok)
 
 

@@ -55,9 +55,5 @@ class ParseError(MatchstabError, ValueError):
     """Instance or result document does not match the file schema."""
 
 
-class UnknownCommand(MatchstabError, ValueError):
-    """CLI invoked with an unknown command."""
-
-
 class MatchingRequired(MatchstabError, ValueError):
     """Command needs a \"matching\" field in the instance file."""

@@ -21,7 +21,8 @@ augmenting flowers or endpoints of augmenting walks to covered vertices
 first, then endpoint pairs of exposed-to-exposed augmenting walks),
 followed by an exact check of the residual graph. The final check runs on
 G - delta(S), for S the vertices the passes deleted, in the original
-vertex ids; the walk length bounds are 3n for the first pass and n for the
+vertex ids; the walk length bounds are 3|V| for the first pass, which
+never binds on feasible input (see `_deletion_passes`), and n for the
 second, with n = |V| - |S| the number of vertices not deleted so far.
 2-approximate and exact whenever the second pass stays empty. A feasible
 result's certificate, M and a residual cover of total w(M), is checked once
@@ -105,7 +106,7 @@ def m_vertex_stabilizer(graph: WeightedGraph, matching: Matching) -> MStabilizer
     if x.weight > weight:
         return MStabilizerResult(INFEASIBLE, (), (), (), (), weight, x.weight, None, x)
 
-    first_phase, second_phase, diagnostics = _deletion_passes(graph, matching)
+    first_phase, second_phase, diagnostics = _deletion_passes(graph, matching, exposed)
     removed = tuple(sorted(first_phase + second_phase))
     residual = graph.delete_stars(removed)
     residual_bfm, residual_cover = solve_fractional(residual)
@@ -123,15 +124,19 @@ def m_vertex_stabilizer(graph: WeightedGraph, matching: Matching) -> MStabilizer
 
 
 def _deletion_passes(
-    graph: WeightedGraph, matching: Matching
+    graph: WeightedGraph, matching: Matching, exposed: list[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...], Diagnostics]:
-    """S1 and S2, each sorted, and the diagnostics of both passes.
+    """S1 and S2, each sorted, and the diagnostics of both passes, on
+    feasible input; `exposed` lists the M-exposed vertices ascending.
 
-    Exposed vertices are processed in ascending index order. S, the set
-    deleted so far, is read for its size, which sets the bounds 3n and n
-    with n = |V| - |S|, and by the second pass to skip targets in S.
+    Exposed vertices are processed in ascending index order. The first pass
+    scans each root with the bound 3|V|. The second pass reads S, the set
+    deleted so far, for its size, which sets the bound n = |V| - |S|, and
+    to skip targets in S.
 
-    On feasible input the first pass deletes the same set in any order.
+    On feasible input each first-pass verdict is the one with S empty and
+    k = 3|V|, so the first pass deletes the same set in any order, and its
+    bound 3(|V| - |S|) in the paper's statement may be read as 3|V|.
     Proof. Let X be the M-exposed vertices and y a cover of G - delta(X)
     with total w(M), which exists since the LP found nu_f(G - delta(X)) =
     w(M). y is feasible on every edge between covered vertices and, by
@@ -146,21 +151,18 @@ def _deletion_passes(
     same state that is worth no less. So a best walk repeats no state: it
     has at most 2c + 1 arcs, c the number of covered vertices. No covered
     vertex and not the root is in S, so n >= c + 1 and 2c + 1 < 3n: the
-    first pass's bound never binds, and each entry it reads is the best
-    over walks of any length. With the lemma above, each root's verdict is
-    the one with S empty and k = 3|V|, whichever roots were deleted before
-    it. On infeasible input the bound can bind.
+    bound 3n never binds, and each entry it reads is the best over walks
+    of any length. With the lemma above, each root's verdict is the one
+    with S empty and k = 3|V|, whichever roots were deleted before it. On
+    infeasible input the bound can bind, which is why the passes run on
+    feasible input only.
     """
     arcs = WalkArcs(graph, matching)
     diagnostics: list[tuple[str, int, Optional[int]]] = []
     first_phase: list[int] = []
-    deleted: set[int] = set()
-
-    exposed = [v for v in range(graph.n) if not matching.covers(v)]
 
     for u in exposed:
-        n = graph.n - len(deleted)
-        flower, walk_to_covered = arcs.first_pass_scan(u, 3 * n)
+        flower, walk_to_covered = arcs.first_pass_scan(u, 3 * graph.n)
         if flower:
             diagnostics.append(("flower", u, None))
         elif walk_to_covered is not None:
@@ -168,8 +170,8 @@ def _deletion_passes(
         else:
             continue
         first_phase.append(u)
-        deleted.add(u)
 
+    deleted = set(first_phase)
     for u in exposed:
         if u in deleted:
             continue
@@ -180,7 +182,7 @@ def _deletion_passes(
         deleted.update((u, v))
 
     return (
-        tuple(sorted(first_phase)),
+        tuple(first_phase),
         tuple(sorted(deleted.difference(first_phase))),
         tuple(diagnostics),
     )

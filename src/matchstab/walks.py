@@ -204,7 +204,7 @@ def first_pass_scan(
     graph: WeightedGraph, matching: Matching, root: int, k: int
 ) -> tuple[bool, Optional[int]]:
     """(flower_at_root, walk_to_covered) for an exposed root and walk length
-    bound k; the M-vertex-stabilizer passes k = 3n.
+    bound k; the M-vertex-stabilizer passes k = 3|V|.
 
     flower_at_root: an augmenting root-root walk of length <= k exists.
     walk_to_covered: when there is no such flower, the lowest covered v

@@ -3,19 +3,14 @@
 A path on n vertices with weights 1..3 drawn from `random.Random(3)`, plus a
 weight-2 chord (i, i + 2) for i = 0, 3, 6, .... Its LP optimum has many
 half-valued triangles, and the number of augmentations the cycle minimizer
-makes grows with n.
-
-Run as a script, it writes the instance file of the chord path on n
-vertices:
-
-    python tests/chord_path.py 12000 chord.json
+makes grows with n. `instance_json` writes it as an instance file, which
+`tests/golden/scale.json` pins at n = 12000 and 48000.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import sys
 
 
 def chord_path_edges(n: int) -> list[tuple[int, int, int]]:
@@ -40,9 +35,3 @@ def instance_json(n: int) -> str:
     }
     return json.dumps(doc, indent=1) + "\n"
 
-
-if __name__ == "__main__":
-    if len(sys.argv) != 3:
-        sys.exit("usage: python tests/chord_path.py N OUT.json")
-    with open(sys.argv[2], "w", encoding="utf-8") as out:
-        out.write(instance_json(int(sys.argv[1])))

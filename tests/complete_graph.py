@@ -1,25 +1,23 @@
 """The complete graph K_n with seeded random weights.
 
 The weight of each edge u < v is drawn in order from 1..high by the given
-generator; the script draws from `random.Random(1)`. At n = 200 the graph has more than four times the vertices of the
-largest dense instance the benchmark times, so its Hungarian trees are
-larger, and with weights 1..20 its slacks tie often: a kernel that breaks
-a tie differently changes its documents.
+generator; `instance_json` draws from `random.Random(1)`. At n = 200 the
+graph has more than four times the vertices of the largest dense instance
+the benchmark times, so its Hungarian trees are larger, and with weights
+1..20 its slacks tie often: a kernel that breaks a tie differently changes
+its documents.
 
-Run as a script, it writes the instance file of K_n, vertices v0..v{n-1}.
-An optional denominator d writes each drawn k as the weight "k/d", so the
+`instance_json` writes the instance file of K_n, vertices v0..v{n-1}. An
+optional denominator d writes each drawn k as the weight "k/d", so the
 graph's D is d (for d = 6 and enough edges), where every benchmark
-instance has D = 1:
-
-    python tests/complete_graph.py 200 1000 k200.json
-    python tests/complete_graph.py 60 1000 k60-sixths.json 6
+instance has D = 1. `tests/golden/scale.json` pins K_200 with weights
+1..1000, 1..20 and 1..2, and K_60 with weights k/6 for k in 1..1000.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import sys
 
 
 def complete_graph_edges(rng: random.Random, n: int, high: int) -> list[tuple[int, int, int]]:
@@ -45,10 +43,3 @@ def instance_json(n: int, high: int, denominator: int = 1) -> str:
     }
     return json.dumps(doc, indent=1) + "\n"
 
-
-if __name__ == "__main__":
-    if len(sys.argv) not in (4, 5):
-        sys.exit("usage: python tests/complete_graph.py N HIGH OUT.json [DENOMINATOR]")
-    denominator = int(sys.argv[4]) if len(sys.argv) == 5 else 1
-    with open(sys.argv[3], "w", encoding="utf-8") as out:
-        out.write(instance_json(int(sys.argv[1]), int(sys.argv[2]), denominator))

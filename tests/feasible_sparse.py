@@ -10,17 +10,15 @@ outside M, so G - delta(X), X the M-exposed vertices, is a subgraph of the
 bipartite graph in which M is a maximum-weight matching: nu_f(G - delta(X))
 = w(M), which is feasibility.
 
-Run as a script, it writes the instance file, with its matching, of the
-family on n vertices for a seed (matchstab must be importable):
-
-    PYTHONPATH=src python tests/feasible_sparse.py 800 1 feasible.json
+`instance_json` writes the instance file, with its matching, of the family
+on n vertices for a seed; `tests/golden/scale.json` pins the one at
+n = 800, seed 1.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import sys
 
 
 def feasible_sparse_edges(
@@ -74,9 +72,3 @@ def instance_json(n: int, seed: int) -> str:
     }
     return json.dumps(doc, indent=1) + "\n"
 
-
-if __name__ == "__main__":
-    if len(sys.argv) != 4:
-        sys.exit("usage: PYTHONPATH=src python tests/feasible_sparse.py N SEED OUT.json")
-    with open(sys.argv[3], "w", encoding="utf-8") as out:
-        out.write(instance_json(int(sys.argv[1]), int(sys.argv[2])))

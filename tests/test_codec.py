@@ -213,5 +213,5 @@ def test_every_error_type_is_raised_in_the_package():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
-    assert len(defined) == 15 and "ParseError" in defined
+    assert len(defined) == 14 and "ParseError" in defined
     assert sorted(defined - {"MatchstabError"} - raised) == []

@@ -23,7 +23,7 @@ import matchstab
 from conftest import bench_families
 from matchstab import cli
 from matchstab.cli import ORACLE_SUBCOMMANDS, RUN_COMMANDS
-from test_golden_lp import GRAPHS, _instance_text
+from test_golden import _instance_path
 from test_instance_cli import FORGED_CLAIMS, _instance
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,14 +73,6 @@ def _verify_written_as_json_writes(monkeypatch, tmp_path, instance, text: str) -
     _assert_written_as_json_writes(monkeypatch, ["verify", str(instance), "--result", str(result)])
 
 
-def _golden_instance(tmp_path, golden: str, name: str) -> Path:
-    if golden == "fixtures":
-        return ROOT / "fixtures" / name
-    path = tmp_path / f"{name}.json"
-    path.write_text(_instance_text(GRAPHS[name]), encoding="utf-8")
-    return path
-
-
 @pytest.mark.parametrize("golden", ["fixtures", "lp_suite"])
 def test_the_writer_prints_every_golden_document_and_its_report(tmp_path, monkeypatch, golden):
     table = json.loads((ROOT / "tests" / "golden" / f"{golden}.json").read_text(encoding="utf-8"))
@@ -90,7 +82,7 @@ def test_the_writer_prints_every_golden_document_and_its_report(tmp_path, monkey
             continue
         doc = json.loads(row["stdout"])
         assert cli._indented(doc) + "\n" == _dumps(doc) == row["stdout"]
-        instance = _golden_instance(tmp_path, golden, case.split(" ", 1)[1])
+        instance = _instance_path(f"{golden}.json", case.split(" ", 1)[1], tmp_path)
         _verify_written_as_json_writes(monkeypatch, tmp_path, instance, row["stdout"])
         printed += 1
     assert printed > 30

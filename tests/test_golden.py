@@ -1,10 +1,22 @@
-"""Replay every run command on every fixture against stored documents.
+"""The golden harness: every pinned result document, replayed in process.
 
-`tests/golden/fixtures.json` holds, for each command in `RUN_COMMANDS` and
-each `fixtures/*.json`, the exit code and the exact stdout of
-`matchstab <command> fixtures/<name>.json`. A change that alters any result
-document byte for byte fails here. To regenerate after an intended output
-change, run from the repository root:
+`tests/golden/` holds three tables. Each maps `"<command> <instance>"` to
+the exit code of `matchstab <command> <instance file>` and to its stdout,
+exactly or by sha256:
+
+* `fixtures.json`: every command in `RUN_COMMANDS` on each
+  `fixtures/*.json`, with the exact stdout;
+* `lp_suite.json`: `solve-fractional` and `min-cycles` on seeded graphs with
+  up to 30 vertices from four families (see `_lp_graphs`), with the exact
+  stdout;
+* `scale.json`: documents at sizes that neither the fixtures, the LP suite
+  nor the benchmark reach (see `SCALE`), by the sha256 of the stdout. Each
+  of them must also pass `matchstab verify`, and each call must finish
+  within `TIME_GUARD_S`.
+
+A change that alters any document byte for byte fails here, plain and
+under `python -O`. To regenerate all three tables after an intended output
+change, say why in the change, and run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -12,51 +24,207 @@ change, run from the repository root:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
+import itertools
 import json
+import random
 import sys
+import tempfile
+import time
+from functools import cache, partial
 from pathlib import Path
 
 import pytest
 
+import chord_path
+import complete_graph
+import feasible_sparse
 from matchstab.cli import RUN_COMMANDS, main
+from matchstab.graph import WeightedGraph
 
 ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = ROOT / "tests" / "golden" / "fixtures.json"
+GOLDEN = ROOT / "tests" / "golden"
+SCALE_TABLE = "scale.json"
+TIME_GUARD_S = 120
 
 
-def _fixture_names() -> list[str]:
-    return sorted(p.name for p in (ROOT / "fixtures").glob("*.json"))
+def _sparse(rng: random.Random, n: int, m: int, w_max: int) -> list:
+    possible = list(itertools.combinations(range(n), 2))
+    return [(u, v, rng.randint(1, w_max)) for u, v in rng.sample(possible, m)]
 
 
-def _run(command: str, name: str) -> dict:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, f"fixtures/{name}"])
-    return {"exit_code": code, "stdout": out.getvalue()}
+def _dense(rng: random.Random, n: int) -> list:
+    return [(u, v, rng.randint(1, 1000)) for u, v in itertools.combinations(range(n), 2)]
 
 
-def _cases() -> list[tuple[str, str]]:
-    return [(c, name) for c in RUN_COMMANDS for name in _fixture_names()]
+def _grid(rng: random.Random, n: int) -> list:
+    order = list(range(n))
+    rng.shuffle(order)
+    cell = {(i // 3, i % 3): v for i, v in enumerate(order)}
+    return [
+        (v, cell[(r + dr, c + dc)], 1)
+        for (r, c), v in cell.items()
+        for dr, dc in ((0, 1), (1, 0))
+        if (r + dr, c + dc) in cell
+    ]
+
+
+def _lp_graphs() -> dict[str, WeightedGraph]:
+    """The LP suite's graphs, n = 10, 14, ..., 30 in each family:
+
+    * ``unit``: sparse random graphs, n edges of weight 1;
+    * ``w12``: sparse random graphs, 2n edges of weight 1-2;
+    * ``dense``: K_n with weights 1-1000;
+    * ``grid``: 3-column grids with weight 1 on a shuffled vertex order.
+
+    Unit and 1-2 weights leave the bipartite duplicate many optimal
+    matchings, so on the ``unit``, ``w12`` and ``grid`` cases the averaged
+    vector carries half-valued paths and even cycles that
+    ``normalize_to_basic`` must round."""
+    out: dict[str, WeightedGraph] = {}
+    for family in ("unit", "w12", "dense", "grid"):
+        for n in (10, 14, 18, 22, 26, 30):
+            rng = random.Random(f"{family}-{n}")
+            if family == "unit":
+                edges = _sparse(rng, n, n, 1)
+            elif family == "w12":
+                edges = _sparse(rng, n, 2 * n, 2)
+            elif family == "dense":
+                edges = _dense(rng, n)
+            else:
+                edges = _grid(rng, n)
+            out[f"{family}-n{n}"] = WeightedGraph.from_edges(n, edges)
+    return out
+
+
+def _instance_text(graph: WeightedGraph) -> str:
+    # vertex labels are the indices; the golden documents pin this text's hash
+    doc = {
+        "vertices": [str(v) for v in range(graph.n)],
+        "edges": [{"u": str(u), "v": str(v), "w": str(w)} for u, v, w in graph.edges],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# scale.json's instances: by name, the commands pinned on it and its file text
+SCALE = {
+    # the chord path augments about 150 times at this size, which the bench
+    # workloads almost never do, so these documents pin the search's moves
+    "chord-12000": (("min-cycles", "stabilize-vertices"), partial(chord_path.instance_json, 12000)),
+    # at n = 48000, z's row in the search graph holds about 3000 nodes and
+    # is edited in place by about 540 augmentations
+    "chord-48000": (("min-cycles",), partial(chord_path.instance_json, 48000)),
+    # the bench's dense instances stop at K_44; at n = 200 the Hungarian
+    # kernel's trees and its slack ties are larger than any the bench
+    # meets, and with weights 1-2 almost every root is matched directly,
+    # so these documents pin its matching and potentials
+    **{
+        f"k200-{high}": (
+            ("solve-fractional", "min-cycles"), partial(complete_graph.instance_json, 200, high)
+        )
+        for high in (1000, 20, 2)
+    },
+    # every other pinned instance has integer weights, so D = 1; D = 6 pins
+    # the parser's fraction path, the kernel on scaled weights and the
+    # subgraphs that stabilize-vertices deletes stars from
+    "k60-sixths": (
+        ("solve-fractional", "stabilize-vertices"),
+        partial(complete_graph.instance_json, 60, 1000, 6),
+    ),
+    # every bench m-stabilize instance is infeasible and stops at the LP, so
+    # this document pins both deletion passes and their walk scans
+    "feasible-800": (("m-stabilize",), partial(feasible_sparse.instance_json, 800, 1)),
+}
+
+# by table, its instances: by name, the commands pinned on it and its file,
+# as a path or as a function that returns its text
+TABLES = {
+    "fixtures.json": {
+        path.name: (RUN_COMMANDS, path) for path in sorted((ROOT / "fixtures").glob("*.json"))
+    },
+    "lp_suite.json": {
+        name: (("solve-fractional", "min-cycles"), partial(_instance_text, graph))
+        for name, graph in _lp_graphs().items()
+    },
+    SCALE_TABLE: SCALE,
+}
+
+
+def _cases() -> list[tuple[str, str, str]]:
+    return [
+        (table, command, name)
+        for table, instances in TABLES.items()
+        for name, (commands, _source) in instances.items()
+        for command in commands
+    ]
+
+
+def _instance_path(table: str, name: str, workdir: Path) -> Path:
+    """The instance file of `name`, written to `workdir` once if it is
+    generated."""
+    source = TABLES[table][name][1]
+    if isinstance(source, Path):
+        return source
+    path = workdir / f"{name}.json"
+    if not path.exists():
+        path.write_text(source(), encoding="utf-8")
+    return path
+
+
+def _main(argv: list[str]) -> tuple[int, str, float]:
+    """`main(argv)`'s exit code, its stdout and its wall time in seconds."""
+    out = io.StringIO()
+    started = time.monotonic()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue(), time.monotonic() - started
+
+
+def _row(table: str, code: int, stdout: str) -> dict:
+    if table == SCALE_TABLE:
+        return {"exit_code": code, "sha256": hashlib.sha256(stdout.encode("utf-8")).hexdigest()}
+    return {"exit_code": code, "stdout": stdout}
+
+
+@cache
+def _golden(table: str) -> dict:
+    return json.loads((GOLDEN / table).read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("golden")
 
 
 def test_golden_covers_every_case():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert sorted(golden) == sorted(f"{c} {name}" for c, name in _cases())
+    for table in TABLES:
+        cases = [f"{command} {name}" for t, command, name in _cases() if t == table]
+        assert sorted(_golden(table)) == sorted(cases), table
 
 
-@pytest.mark.parametrize("command,name", _cases())
-def test_fixture_document_is_unchanged(command, name, monkeypatch):
-    monkeypatch.chdir(ROOT)
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert _run(command, name) == golden[f"{command} {name}"]
+@pytest.mark.parametrize("table,command,name", _cases())
+def test_document_is_unchanged(table, command, name, workdir):
+    instance = _instance_path(table, name, workdir)
+    code, stdout, seconds = _main([command, str(instance)])
+    assert _row(table, code, stdout) == _golden(table)[f"{command} {name}"]
+    if table != SCALE_TABLE:
+        return
+    assert seconds < TIME_GUARD_S
+    result = workdir / f"{command}-{name}.result.json"
+    result.write_text(stdout, encoding="utf-8")
+    code, report, seconds = _main(["verify", str(instance), "--result", str(result)])
+    assert code == 0, report
+    assert seconds < TIME_GUARD_S
 
 
 if __name__ == "__main__":
-    import os
-
-    os.chdir(ROOT)
-    table = {f"{c} {name}": _run(c, name) for c, name in _cases()}
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(table)} cases to {GOLDEN.relative_to(ROOT)}", file=sys.stderr)
+    tables: dict[str, dict] = {table: {} for table in TABLES}
+    with tempfile.TemporaryDirectory() as tmp:
+        for table, command, name in _cases():
+            code, stdout, _seconds = _main([command, str(_instance_path(table, name, Path(tmp)))])
+            tables[table][f"{command} {name}"] = _row(table, code, stdout)
+    for table, rows in tables.items():
+        text = json.dumps(rows, indent=1, sort_keys=True) + "\n"
+        (GOLDEN / table).write_text(text, encoding="utf-8")
+        print(f"wrote {len(rows)} cases to tests/golden/{table}", file=sys.stderr)

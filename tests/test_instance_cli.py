@@ -1021,9 +1021,10 @@ def test_commands_past_the_oracle_budget(tmp_path, capsys):
 
 
 def test_selftest_smoke(capsys):
-    code, out, _err = _run(capsys, "selftest", "--seed", "3")
-    assert code == 0
-    assert "selftest: PASS" in out
+    for seed in ("0", "3"):
+        code, out, _err = _run(capsys, "selftest", "--seed", seed)
+        assert code == 0
+        assert "selftest: PASS" in out
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,12 @@ from matchstab.mstab import FEASIBLE, INFEASIBLE, _deletion_passes, m_vertex_sta
 from matchstab.walks import WalkArcs, first_pass_scan, second_pass_scan
 
 
+def _passes(graph, matching):
+    """`_deletion_passes` with the M-exposed vertices, ascending, that
+    `m_vertex_stabilizer` hands it."""
+    return _deletion_passes(graph, matching, [v for v in range(graph.n) if not matching.covers(v)])
+
+
 def test_fig9_with_maximum_matching_is_infeasible():
     result = m_vertex_stabilizer(fig9(), Matching.from_pairs([(1, 2), (0, 3)]))
     assert result.status == INFEASIBLE
@@ -103,21 +109,29 @@ def test_feasible_results_verified_by_oracle():
     assert feasible > 20 and infeasible > 5
 
 
-def test_walk_bounds_count_only_the_vertices_left():
-    # after 1 and 5 are deleted, n = 5 and the first-pass bound is 15: the
-    # augmenting walk from 6 to the covered 3 is then found (3 * 7 = 21
-    # would find one to 0 instead)
-    # (the instance is infeasible, so the passes are run directly)
+def test_the_first_pass_bound_can_bind_on_infeasible_input():
+    # on this infeasible instance the paper's first pass, with the bound
+    # 3n and n = |V| - |S|, finds after deleting 1 and 5 (n = 5, bound 15)
+    # the augmenting walk from 6 to the covered 3; the bound 3 * 7 = 21
+    # finds one to 0 instead, and the passes, which scan with 3|V|, give
+    # that: so they run on feasible input only, where the bound never binds
     g = WeightedGraph.from_edges(
         7, [(1, 3, 6), (4, 6, 1), (3, 4, 1), (2, 3, 2), (3, 5, 1), (0, 2, 6), (0, 4, 4)]
     )
     m = Matching.from_pairs([(0, 4), (2, 3)])
     assert m_vertex_stabilizer(g, m).status == INFEASIBLE
-    _first, _second, diagnostics = _deletion_passes(g, m)
-    assert diagnostics == (
+    assert m_vertex_stabilizer_rebuilding(g, m).diagnostics == (
         ("walk_to_covered", 1, 2),
         ("walk_to_covered", 5, 2),
         ("walk_to_covered", 6, 3),
+    )
+    assert first_pass_scan(g.delete_stars([1, 5]), m, 6, 15) == (False, 3)
+    assert first_pass_scan(g, m, 6, 21) == (False, 0)
+    _first, _second, diagnostics = _passes(g, m)
+    assert diagnostics[:3] == (
+        ("walk_to_covered", 1, 2),
+        ("walk_to_covered", 5, 2),
+        ("walk_to_covered", 6, 0),
     )
 
 
@@ -146,7 +160,7 @@ def test_walk_arcs_are_built_once(monkeypatch):
     )
     calls = count_calls(monkeypatch, WalkArcs, "__init__")
     scans = count_calls(monkeypatch, WalkArcs, "run")
-    _deletion_passes(g, Matching.from_pairs([(0, 4), (2, 3)]))
+    _passes(g, Matching.from_pairs([(0, 4), (2, 3)]))
     assert calls == [1]
     assert scans == [3]
 
@@ -191,7 +205,7 @@ def test_same_result_as_rebuilding_the_residual_after_every_deletion():
     for _ in range(2000):
         g, m = _random_instance(rng)
         reference = m_vertex_stabilizer_rebuilding(g, m)
-        passes = _deletion_passes(g, m)
+        passes = _passes(g, m)
         assert passes == (reference.first_phase, reference.second_phase, reference.diagnostics)
         if reference.status == FEASIBLE:
             assert repr(m_vertex_stabilizer(g, m)) == repr(reference)
@@ -228,7 +242,7 @@ def test_first_pass_verdicts_depend_on_neither_s_nor_the_order_on_feasible_input
         exposed = [v for v in range(g.n) if not m.covers(v)]
         alone = {u: arcs.first_pass_scan(u, 3 * g.n) for u in exposed}
         deleted = {u: verdict for u, verdict in alone.items() if verdict != (False, None)}
-        _first, _second, diagnostics = _deletion_passes(g, m)
+        _first, _second, diagnostics = _passes(g, m)
         passes = {u: (kind == "flower", other) for kind, u, other in diagnostics
                   if kind != "walk_between_exposed"}
         assert passes == deleted
@@ -273,7 +287,7 @@ def test_a_final_check_that_contradicts_the_lemma_raises(monkeypatch):
     g = WeightedGraph.from_edges(3, [(0, 1, 2), (0, 2, 2), (1, 2, 2)])
     m = Matching.from_pairs([(1, 2)])
     assert m_vertex_stabilizer(g, m).removed == (0,)
-    monkeypatch.setattr(mstab, "_deletion_passes", lambda graph, matching: ((), (), ()))
+    monkeypatch.setattr(mstab, "_deletion_passes", lambda graph, matching, exposed: ((), (), ()))
     with pytest.raises(NotOptimalPair, match="matching_weight_equals_cover"):
         m_vertex_stabilizer(g, m)
 

@@ -45,7 +45,6 @@ TRUSTED_BASE = {
     "matchstab.certify._verify",
     "matchstab.certify._verify_report",
     "matchstab.certify._vertex_set",
-    "matchstab.certify.cycles_doc",
     "matchstab.certify.optimal_pair_checks",
     "matchstab.certify.pairs_doc",
     "matchstab.certify.stable_subgraph_checks",

@@ -27,7 +27,7 @@ from matchstab.certify import verify
 from matchstab.cli import main
 from matchstab.errors import MatchstabError
 from matchstab.instance import parse_instance
-from test_golden_lp import GRAPHS, _instance_text
+from test_golden import TABLES
 from test_instance_cli import FEASIBLE_M
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,7 +67,8 @@ def _golden_documents() -> dict[str, tuple[str, str]]:
             name = key.split(" ", 1)[1]
             out[key] = ((ROOT / "fixtures" / name).read_text(encoding="utf-8"), entry["stdout"])
     for key, entry in json.loads((GOLDEN / "lp_suite.json").read_text(encoding="utf-8")).items():
-        out[key] = (_instance_text(GRAPHS[key.split(" ", 1)[1]]), entry["stdout"])
+        _commands, text = TABLES["lp_suite.json"][key.split(" ", 1)[1]]
+        out[key] = (text(), entry["stdout"])
     return out
 
 
