@@ -14,7 +14,10 @@ certificate holds, with exact arithmetic and nothing else:
   holds; the solvers call them once per result, also under `python -O`:
   `solve_fractional` and `reduce_cycles` on their pairs, and
   `min_vertex_stabilizer` and `m_vertex_stabilizer` on their stable
-  subgraphs.
+  subgraphs. A stable subgraph is never built for its check: the check
+  reads the instance graph G and `gone`, the indices of the edges the
+  stabilizer deletes (delta(S), or F for `stabilize-edges`), and runs
+  over G's other edges.
 - `verify` re-checks a result document against its instance. It runs the
   same named checks on the document's own numbers, plus the checks of each
   command's other claims, and reports every one.
@@ -35,7 +38,8 @@ denominator q and integers q.y that `FractionalVertexCover` stores, and the
 half counts 2x that `graph.decompose` keeps. A cover meets the weights in
 one place, `FractionalVertexCover.slack`, and a vertex set's edges in one,
 `WeightedGraph.stars`. `verify` reads each cover a document prints into one
-such object, once.
+such object, once. `verify` builds no graph: every check of a document
+reads the instance graph itself.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd
-from typing import Any, Optional
+from typing import AbstractSet, Any, Optional
 
 from .errors import (
     DegreeConstraintViolated, GraphError, InfeasibleCover, MatchingRequired, MatchstabError,
@@ -94,30 +98,40 @@ def optimal_pair_checks(
 
 
 def stable_subgraph_checks(
-    residual: WeightedGraph, matching: Matching, cover: FractionalVertexCover
+    graph: WeightedGraph, gone: AbstractSet[int], matching: Matching,
+    cover: FractionalVertexCover,
 ) -> list[tuple[str, bool]]:
     """The exact conditions under which a matching and a fractional w-vertex
-    cover of equal totals prove nu = nu_f on `residual`, by weak duality.
+    cover of equal totals prove nu = nu_f on the residual graph H, by weak
+    duality.
 
-    `residual` keeps the original vertex ids and loses the stabilizer's edges
-    (delta(S) for a vertex set S, F for an edge set), and `cover` gives a
-    value to every vertex. Returns `matching_lives_in_residual`,
-    `cover_feasible_on_residual` and `matching_weight_equals_cover`, each
-    with its result.
+    H is `graph` without the edges the stabilizer deletes, and `gone` holds
+    their indices in `graph`: delta(S) for a vertex set S, F for an edge
+    set. No subgraph is built: each check reads the edges of `graph`
+    outside `gone`, and `cover` gives a value to every vertex. Returns
+    `matching_lives_in_residual`, `cover_feasible_on_residual` and
+    `matching_weight_equals_cover`, each with its result; the second reads
+    `cover.slack(graph)` and asks that every edge it finds uncovered be in
+    `gone`.
 
-    These three imply that y is 0 on S, where S is isolated in `residual`.
-    Let y >= 0 be feasible on `residual`, H, and let M be a matching of H
-    with w(M) = sum y. Then y restricted to V - S still covers H, so
-    nu_f(H) <= w(M) - y(S) <= nu(H) - y(S) <= nu_f(H) - y(S), hence
-    y(S) = 0. So the solvers need no fourth check; `verify` adds
-    `cover_only_on_residual` to check which vertices a document's cover
-    names.
+    These three imply that y is 0 on S, where S is isolated in H. Let
+    y >= 0 be feasible on H, and let M be a matching of H with w(M) =
+    sum y. Then y restricted to V - S still covers H, so nu_f(H) <= w(M) -
+    y(S) <= nu(H) - y(S) <= nu_f(H) - y(S), hence y(S) = 0. So the solvers
+    need no fourth check; `verify` adds `cover_only_on_residual` to check
+    which vertices a document's cover names.
     """
-    lives = matching.is_matching_in(residual)
+    a = cover.int_values
+    lives = matching.is_matching_in(graph) and gone.isdisjoint(
+        [graph.edge_index(u, v) for u, v in matching.pairs]
+    )
+    feasible = len(a) == graph.n and min(a, default=0) >= 0 and gone.issuperset(
+        [i for i, s in enumerate(cover.slack(graph)) if s < 0]
+    )
     return [
         ("matching_lives_in_residual", lives),
-        ("cover_feasible_on_residual", cover.is_feasible_for(residual)),
-        ("matching_weight_equals_cover", lives and matching.weight(residual) == cover.total),
+        ("cover_feasible_on_residual", feasible),
+        ("matching_weight_equals_cover", lives and matching.weight(graph) == cover.total),
     ]
 
 
@@ -136,11 +150,12 @@ def verify_optimal_pair(
 
 
 def verify_stable_subgraph(
-    residual: WeightedGraph, matching: Matching, cover: FractionalVertexCover
+    graph: WeightedGraph, gone: AbstractSet[int], matching: Matching,
+    cover: FractionalVertexCover,
 ) -> None:
     """Raise NotOptimalPair, naming the failed checks, unless the result
     passes every one of `stable_subgraph_checks`."""
-    checks = stable_subgraph_checks(residual, matching, cover)
+    checks = stable_subgraph_checks(graph, gone, matching, cover)
     _raise_unless_all("a stable subgraph", checks)
 
 
@@ -405,21 +420,22 @@ def _matching_from_doc(index, doc: dict, key: str, checks) -> Optional[Matching]
 
 
 def _stable_subgraph_doc(
-    index, certificates: dict, residual: WeightedGraph, removed, checks,
+    graph, index, certificates: dict, gone, removed, checks,
     matching: Optional[Matching] = None,
 ) -> FractionalVertexCover:
-    """Append the stable-subgraph checks on `residual`, then
-    `cover_only_on_residual` (the cover names no vertex of the stabilizer's
-    S, `removed`), and return the cover they read. The certificate is
-    `surviving_matching`, which must pass `matching_pairs_disjoint` first,
-    with `surviving_cover`; or, given the instance `matching` of an
-    `m-stabilize` document, that with `residual_cover`."""
+    """Append the stable-subgraph checks on `graph` without the edges
+    `gone`, then `cover_only_on_residual` (the cover names no vertex of the
+    stabilizer's S, `removed`), and return the cover they read. The
+    certificate is `surviving_matching`, which must pass
+    `matching_pairs_disjoint` first, with `surviving_cover`; or, given the
+    instance `matching` of an `m-stabilize` document, that with
+    `residual_cover`."""
     named = certificates["surviving_cover" if matching is None else "residual_cover"]
-    cover = _cover_from_doc(residual, index, named, zero_elsewhere=True)
+    cover = _cover_from_doc(graph, index, named, zero_elsewhere=True)
     if matching is None:
         matching = _matching_from_doc(index, certificates, "surviving_matching", checks)
     if matching is not None:
-        checks.extend(stable_subgraph_checks(residual, matching, cover))
+        checks.extend(stable_subgraph_checks(graph, gone, matching, cover))
         checks.append(("cover_only_on_residual", not any(index[lb] in removed for lb in named)))
     return cover
 
@@ -464,8 +480,8 @@ def _verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, 
             checks.append(("nu_f_equals_cover_total", nu_f == cover.total))
     elif command == "stabilize-vertices":
         removed = _vertex_set(index, outputs, "S")
-        residual = graph.delete_stars(removed)
-        cover = _stable_subgraph_doc(index, certificates, residual, removed, checks)
+        gone = graph.stars(removed)
+        cover = _stable_subgraph_doc(graph, index, certificates, gone, removed, checks)
         checks += [
             ("nu_after_equals_cover_total", _exact(outputs["nu_after"]) == cover.total),
             ("S_size_equals_gamma", len(removed) == _typed(outputs, "gamma", int)),
@@ -476,7 +492,7 @@ def _verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, 
         removed_edges = {graph.edge_index(u, v) for u, v in pairs if graph.has_edge(u, v)}
         removed = _vertex_set(index, certificates, "S")
         # deleting F isolates S, so certify on G minus F with the cover extended by 0
-        _stable_subgraph_doc(index, certificates, graph.delete_edges(removed_edges), removed, checks)
+        _stable_subgraph_doc(graph, index, certificates, removed_edges, removed, checks)
         gamma, delta = _typed(outputs, "gamma", int), graph.max_degree
         checks += [
             ("F_equals_stars_of_S", removed_edges == graph.stars(removed)),
@@ -498,8 +514,9 @@ def _verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, 
         w_m = matching.weight(graph)
         status = outputs["status"]
         if status == "feasible":
-            residual = graph.delete_stars(removed)
-            cover = _stable_subgraph_doc(index, certificates, residual, removed, checks, matching)
+            cover = _stable_subgraph_doc(
+                graph, index, certificates, graph.stars(removed), removed, checks, matching
+            )
             nu_f = _exact(outputs["residual_nu_f"])
             checks.append(("residual_nu_f_equals_cover_total", nu_f == cover.total))
         else:

@@ -220,63 +220,51 @@ def _run_selftest(seed: int) -> int:
     from .walks import optimal_walks
 
     rng = random.Random(seed)
-    failures = 0
 
-    def report(name: str, ok: bool, detail: str) -> None:
-        nonlocal failures
-        print(f"selftest {name}: {'ok' if ok else 'FAIL'} ({detail})")
-        if not ok:
-            failures += 1
-
-    ok = True
-    for _ in range(20):
+    def min_cycles() -> bool:
         g = _random_graph(rng)
         result = reduce_cycles(g)
-        if result.gamma != oracle_mod.brute_gamma(g):
-            ok = False
-        if result.weight != oracle_mod.exact_nu_f(g):
-            ok = False
-    report("min-cycles-vs-oracle", ok, "20 random graphs")
+        gamma, nu_f = oracle_mod.brute_gamma(g), oracle_mod.exact_nu_f(g)
+        return result.gamma == gamma and result.weight == nu_f
 
-    ok = True
-    for _ in range(12):
+    def vertex_stabilizer() -> bool:
         g = _random_graph(rng)
         res = min_vertex_stabilizer(g)
-        if len(res.removed) != len(oracle_mod.brute_min_vertex_stabilizer(g)):
-            ok = False
-        if not oracle_mod.is_stable(g.delete_stars(res.removed)):
-            ok = False
-    report("vertex-stabilizer-vs-oracle", ok, "12 random graphs")
+        brute = oracle_mod.brute_min_vertex_stabilizer(g)
+        return len(res.removed) == len(brute) and oracle_mod.is_stable(g.delete_stars(res.removed))
 
-    ok = True
-    for _ in range(12):
+    def walk_dp() -> bool:
         g = _random_graph(rng, n_max=6)
         matching = _random_matching(rng, g)
-        s = rng.randrange(g.n)
-        k = rng.randint(0, 6)
+        s, k = rng.randrange(g.n), rng.randint(0, 6)
         tables = optimal_walks(g, matching, s, k)
-        brute = oracle_mod.optimal_walk_values(g, matching, s, k)
-        for v in range(g.n):
-            expected = brute[k][v]
-            got = tables.y2[v] if matching.covers(v) else tables.y1[v]
-            if expected != got:
-                ok = False
-    report("walk-dp-vs-enumeration", ok, "12 random runs")
+        brute = oracle_mod.optimal_walk_values(g, matching, s, k)[k]
+        return all(
+            brute[v] == (tables.y2[v] if matching.covers(v) else tables.y1[v]) for v in range(g.n)
+        )
 
-    ok = True
-    for _ in range(8):
+    def m_stabilizer() -> bool:
         g = _random_graph(rng)
         matching = _random_matching(rng, g)
         res = m_vertex_stabilizer(g, matching)
         brute = oracle_mod.brute_min_m_stabilizer(g, matching)
         if brute == oracle_mod.INFEASIBLE:
-            if res.status != INFEASIBLE:
-                ok = False
-        else:
-            if res.status != "feasible" or len(res.removed) > 2 * len(brute):
-                ok = False
-    report("m-stabilizer-vs-oracle", ok, "8 random runs")
+            return res.status == INFEASIBLE
+        return res.status == "feasible" and len(res.removed) <= 2 * len(brute)
 
+    # every run of every check runs, in this order, so that a seed always
+    # draws the same instances and prints the same lines
+    checks = (
+        ("min-cycles-vs-oracle", min_cycles, 20, "random graphs"),
+        ("vertex-stabilizer-vs-oracle", vertex_stabilizer, 12, "random graphs"),
+        ("walk-dp-vs-enumeration", walk_dp, 12, "random runs"),
+        ("m-stabilizer-vs-oracle", m_stabilizer, 8, "random runs"),
+    )
+    failures = 0
+    for name, trial, runs, what in checks:
+        ok = all([trial() for _ in range(runs)])
+        print(f"selftest {name}: {'ok' if ok else 'FAIL'} ({runs} {what})")
+        failures += not ok
     print(f"selftest: {'PASS' if failures == 0 else 'FAIL'}")
     return 0 if failures == 0 else 1
 

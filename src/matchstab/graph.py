@@ -552,13 +552,6 @@ class FractionalVertexCover(_Value):
         a, d, q = self.int_values, graph.scale, self.scale
         return [(a[u] + a[v]) * d - w * q for (u, v), w in zip(graph.ends, graph.int_weights)]
 
-    def is_feasible_for(self, graph: WeightedGraph) -> bool:
-        """y >= 0, and y_u + y_v >= w_uv on every edge of `graph`."""
-        a = self.int_values
-        return (
-            len(a) == graph.n and min(a, default=0) >= 0 and min(self.slack(graph), default=0) >= 0
-        )
-
 
 def tight_edges(graph: WeightedGraph, cover: FractionalVertexCover) -> frozenset[int]:
     """Edge indices where y_u + y_v equals w_uv exactly, or InfeasibleCover

@@ -27,13 +27,14 @@ second, with n = |V| - |S| the number of vertices not deleted so far.
 2-approximate and exact whenever the second pass stays empty. A feasible
 result's certificate, M and a residual cover of total w(M), is checked once
 by `certify.verify_stable_subgraph`, the checks `matchstab verify` runs on
-it.
+it, on G and the edges delta(S).
 
-Both passes scan G itself, and G - delta(S) is built once, for the final
-check. The walk arcs of (G, M), with their integer weights, are built once
-per call (`walks.WalkArcs`, which also checks once that M is a matching of
-G), and every scan of both passes runs on them. The scans block no vertex:
-S holds only M-exposed vertices, and an exposed vertex is a dead end.
+Both passes scan G itself, and G - delta(S) is built once, for the LP of
+the final check. The walk arcs of (G, M), with their integer weights, are
+built once per call (`walks.WalkArcs`, which also checks once that M is a
+matching of G), and every scan of both passes runs on them. The scans
+block no vertex: S holds only M-exposed vertices, and an exposed vertex is
+a dead end.
 
 Lemma. For S a set of M-exposed vertices other than the root, a scan of G
 reads what the same scan of G - delta(S) reads, at every iteration.
@@ -108,9 +109,8 @@ def m_vertex_stabilizer(graph: WeightedGraph, matching: Matching) -> MStabilizer
 
     first_phase, second_phase, diagnostics = _deletion_passes(graph, matching, exposed)
     removed = tuple(sorted(first_phase + second_phase))
-    residual = graph.delete_stars(removed)
-    residual_bfm, residual_cover = solve_fractional(residual)
-    verify_stable_subgraph(residual, matching, residual_cover)
+    residual_bfm, residual_cover = solve_fractional(graph.delete_stars(removed))
+    verify_stable_subgraph(graph, graph.stars(removed), matching, residual_cover)
     return MStabilizerResult(
         status=FEASIBLE,
         removed=removed,

@@ -179,33 +179,41 @@ def _mask_stable(graph: WeightedGraph, memo: dict[int, int], table: list, mask: 
     return 2 * _nu_at(graph, memo, mask) == table[mask][0]
 
 
+def _smallest_subset(items, stabilizes) -> Optional[frozenset[int]]:
+    """The first subset of `items` that `stabilizes`, by size and then
+    lexicographically, or None when none does."""
+    for k in range(len(items) + 1):
+        for subset in combinations(items, k):
+            if stabilizes(subset):
+                return frozenset(subset)
+    return None
+
+
+def _mask_without(graph: WeightedGraph, subset) -> int:
+    return _full_mask(graph.n) & ~sum(1 << v for v in subset)
+
+
 def brute_min_vertex_stabilizer(graph: WeightedGraph) -> frozenset[int]:
-    """Smallest vertex set whose removal is stabilizing; lexicographic ties."""
+    """Smallest vertex set whose removal is stabilizing; lexicographic ties.
+    The empty graph is stable, so there is one."""
     _require(
         graph.n <= MAX_SUBSET_VERTICES,
         f"vertex-stabilizer oracle limited to {MAX_SUBSET_VERTICES} vertices",
     )
-    full = _full_mask(graph.n)
     memo, table = {0: 0}, _basic_table(graph)
-    for k in range(graph.n + 1):
-        for subset in combinations(range(graph.n), k):
-            mask = full & ~sum(1 << v for v in subset)
-            if _mask_stable(graph, memo, table, mask):
-                return frozenset(subset)
-    raise AssertionError("empty graph is stable")  # pragma: no cover
+    return _smallest_subset(
+        range(graph.n), lambda s: _mask_stable(graph, memo, table, _mask_without(graph, s))
+    )
 
 
 def brute_min_edge_stabilizer(graph: WeightedGraph) -> frozenset[int]:
-    """Smallest edge-index set whose removal is stabilizing; lexicographic ties."""
+    """Smallest edge-index set whose removal is stabilizing; lexicographic
+    ties. The edgeless graph is stable, so there is one."""
     _require(
         graph.n <= MAX_SUBSET_VERTICES,
         f"edge-stabilizer oracle limited to {MAX_SUBSET_VERTICES} vertices",
     )
-    for k in range(graph.m + 1):
-        for subset in combinations(range(graph.m), k):
-            if is_stable(graph.delete_edges(subset)):
-                return frozenset(subset)
-    raise AssertionError("edgeless graph is stable")  # pragma: no cover
+    return _smallest_subset(range(graph.m), lambda s: is_stable(graph.delete_edges(s)))
 
 
 INFEASIBLE = "infeasible"
@@ -224,14 +232,14 @@ def brute_min_m_stabilizer(
     )
     exposed = [v for v in range(graph.n) if not matching.covers(v)]
     target = matching.weight(graph) * graph.scale
-    full = _full_mask(graph.n)
     memo, table = {0: 0}, _basic_table(graph)
-    for k in range(len(exposed) + 1):
-        for subset in combinations(exposed, k):
-            mask = full & ~sum(1 << v for v in subset)
-            if _nu_at(graph, memo, mask) == target and _mask_stable(graph, memo, table, mask):
-                return frozenset(subset)
-    return INFEASIBLE
+
+    def stabilizes(subset) -> bool:
+        mask = _mask_without(graph, subset)
+        return _nu_at(graph, memo, mask) == target and _mask_stable(graph, memo, table, mask)
+
+    found = _smallest_subset(exposed, stabilizes)
+    return INFEASIBLE if found is None else found
 
 
 def enumerate_valid_walks(
@@ -258,11 +266,10 @@ def enumerate_valid_walks(
         for nbr, idx in graph.adjacency[cur]:
             edge_matched = matching.contains_edge(cur, nbr)
             if last_matched is None:
-                # first step: a valid walk starts exposed or with a matched edge
+                # first step: a walk from a covered source starts with its
+                # matched edge; an exposed source has none
                 if not source_exposed and not edge_matched:
                     continue
-                if source_exposed and edge_matched:
-                    continue  # exposed vertices have no matched edge anyway
             elif edge_matched == last_matched:
                 continue
             w = graph.edges[idx][2]

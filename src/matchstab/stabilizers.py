@@ -56,7 +56,7 @@ def min_vertex_stabilizer(graph: WeightedGraph) -> VertexStabilizerResult:
     for v in removed:
         a[v] = 0
     surviving_cover = FractionalVertexCover(tuple(a), cover.scale)
-    verify_stable_subgraph(graph.delete_stars(removed), survivors, surviving_cover)
+    verify_stable_subgraph(graph, graph.stars(removed), survivors, surviving_cover)
     return VertexStabilizerResult(
         removed=tuple(sorted(removed)),
         gamma=reduction.gamma,

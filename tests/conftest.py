@@ -209,7 +209,9 @@ def m_vertex_stabilizer_rebuilding(graph: WeightedGraph, matching: Matching) -> 
     """The M-vertex-stabilizer with the residual graph G - delta(S) rebuilt
     after every deletion and each scan run on it, as the code ran before
     both passes scanned G itself; `m_vertex_stabilizer` must give the same
-    result."""
+    result. Its certificate is checked on the residual graph it rebuilt,
+    with no edge gone, an independent path from the check on G and
+    delta(S)."""
     if not matching.is_matching_in(graph):
         raise MNotAMatching("matching uses edges outside the graph")
     residual = graph
@@ -248,7 +250,7 @@ def m_vertex_stabilizer_rebuilding(graph: WeightedGraph, matching: Matching) -> 
     cover = None
     if weight >= residual_bfm.weight:
         cover = residual_cover
-        verify_stable_subgraph(residual, matching, cover)
+        verify_stable_subgraph(residual, frozenset(), matching, cover)
     return MStabilizerResult(
         status=INFEASIBLE if cover is None else FEASIBLE,
         removed=removed,

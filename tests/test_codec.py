@@ -29,6 +29,7 @@ from matchstab.instance import parse_instance
 from matchstab.lp import solve_fractional
 from matchstab.mstab import FEASIBLE, m_vertex_stabilizer
 from matchstab.stabilizers import edge_stabilizer_approx, min_vertex_stabilizer
+from test_cover_checks import _feasible_on_residual, _reference_is_feasible_for
 from test_emit import ODD_INSTANCE
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -127,16 +128,25 @@ def test_stars_are_the_incident_edges_and_delete_stars_deletes_them(property_sui
 
 
 def test_the_pair_check_computes_the_slack_once(monkeypatch, property_suite):
-    rng = random.Random(3636)
+    rng, pick = random.Random(3636), random.Random(3737)
     slacks = count_calls(monkeypatch, FractionalVertexCover, "slack")
     for graph in property_suite:
         bfm, cover = solve_fractional(graph)
         other = FractionalVertexCover.from_values(rng.randint(0, 3) for _ in range(graph.n))
+        removed = pick.sample(range(graph.n), pick.randint(0, graph.n))
         for y in (cover, other):
             before = slacks[0]
             checks = optimal_pair_checks(graph, bfm, y)
             assert slacks[0] == before + 1
-            assert dict(checks)["cover_is_feasible"] == y.is_feasible_for(graph)
+            assert dict(checks)["cover_is_feasible"] == _reference_is_feasible_for(y.values, graph)
+            # the stable-subgraph check reads one slack list too, on G and delta(S)
+            for chosen in ((), removed):
+                before = slacks[0]
+                feasible = _feasible_on_residual(graph, graph.stars(chosen), y)
+                assert slacks[0] == before + 1
+                assert feasible == _reference_is_feasible_for(
+                    y.values, graph.delete_stars(chosen)
+                )
 
 
 def test_each_module_imports_first_in_a_fresh_interpreter():

@@ -1,11 +1,13 @@
 """The cover and optimal-pair checks on scaled integers against their
 `Fraction` versions, and the integer cover against the `Fraction` one.
 
-`FractionalVertexCover.is_feasible_for`, `tight_edges` and
+`cover_feasible_on_residual` of `stable_subgraph_checks`, `tight_edges` and
 `optimal_pair_checks` compare (q.y_u + q.y_v).D with D.w_uv.q, for q the
 cover's common denominator and D the graph's. The `Fraction` code they
 replaced is kept below as the reference: on every input here both must give
-the same verdicts and raise the same `InfeasibleCover` text.
+the same verdicts and raise the same `InfeasibleCover` text. The first
+reads G and the edges delta(S) it skips; its reference runs on the graph
+G - delta(S) that `delete_stars` builds, for S empty and for a random S.
 
 `FractionalVertexCover` stores q and the integers q.y, which
 `solve_fractional` builds from the LP's potentials with no per-vertex
@@ -25,11 +27,12 @@ from conftest import (
     bench_families, count_calls, count_fractions, fig8, random_graph, random_matching,
 )
 import matchstab.graph as graph_module
-from matchstab.certify import optimal_pair_checks
+from matchstab.certify import optimal_pair_checks, stable_subgraph_checks
 from matchstab.errors import InfeasibleCover
 from matchstab.graph import (
     ZERO,
     FractionalVertexCover,
+    Matching,
     WeightedGraph,
     decompose,
     tight_edges,
@@ -124,20 +127,35 @@ def _covers_near(graph, y):
     return covers
 
 
-def _assert_checks_agree(graph, seen: Counter) -> None:
+def _feasible_on_residual(graph, gone, cover) -> bool:
+    """`cover_feasible_on_residual` of `stable_subgraph_checks` on `graph`
+    without the edges `gone`, read with the empty matching."""
+    checks = stable_subgraph_checks(graph, gone, Matching(frozenset()), cover)
+    return dict(checks)["cover_feasible_on_residual"]
+
+
+def _assert_checks_agree(graph, seen: Counter, rng: random.Random) -> None:
     """Compare the integer checks with the reference on the solver's pair,
     on x = 0 and on x with its odd cycles dropped, each under every cover
-    of `_covers_near` the solver's y."""
+    of `_covers_near` the solver's y; the cover check of a stable subgraph
+    also on G - delta(S), for S empty and for a random S drawn from
+    `rng`."""
     bfm, cover = solve_fractional(graph)
     xs = [
         bfm,
         decompose(graph, [0] * graph.m),
         decompose(graph, [0 if h == 1 else h for h in bfm.halves]),
     ]
+    removed = rng.sample(range(graph.n), rng.randint(0, graph.n))
     for y in _covers_near(graph, cover.values):
         candidate = FractionalVertexCover.from_values(y)
-        feasible = candidate.is_feasible_for(graph)
-        assert feasible == _reference_is_feasible_for(y, graph), (graph, y)
+        feasible = _feasible_on_residual(graph, graph.stars(()), candidate)
+        assert feasible == _reference_is_feasible_for(y, graph.delete_stars(())), (graph, y)
+        on_rest = _feasible_on_residual(graph, graph.stars(removed), candidate)
+        expected = _reference_is_feasible_for(y, graph.delete_stars(removed))
+        assert on_rest == expected, (graph, removed, y)
+        seen["feasible on G - S", on_rest] += 1
+        seen["S hides an uncovered edge", on_rest and not feasible] += 1
         tight = _outcome(lambda: tight_edges(graph, candidate))
         assert tight == _outcome(lambda: _reference_tight_edges(graph, y)), (graph, y)
         if len(y) == graph.n:
@@ -155,15 +173,17 @@ def _assert_checks_agree(graph, seen: Counter) -> None:
 def _assert_both_verdicts(seen: Counter) -> None:
     """Every verdict of every check was met both ways, so the comparison
     was not vacuous."""
-    for name in ("feasible", "tight_edges raises", "cover_is_feasible",
-                 "strong_duality", "complementary_slackness"):
+    for name in ("feasible", "feasible on G - S", "S hides an uncovered edge",
+                 "tight_edges raises", "cover_is_feasible", "strong_duality",
+                 "complementary_slackness"):
         assert seen[name, True] and seen[name, False], (name, seen)
 
 
 def test_integer_checks_match_the_reference_on_the_property_suite(property_suite):
+    rng = random.Random(15)
     seen: Counter = Counter()
     for g in property_suite:
-        _assert_checks_agree(g, seen)
+        _assert_checks_agree(g, seen, rng)
     _assert_both_verdicts(seen)
 
 
@@ -185,9 +205,10 @@ def _denominator_graphs(rng: random.Random):
 
 
 def test_integer_checks_match_the_reference_on_weight_denominators_2_to_6():
+    rng = random.Random(15)
     seen: Counter = Counter()
     for g in _denominator_graphs(random.Random(14)):
-        _assert_checks_agree(g, seen)
+        _assert_checks_agree(g, seen, rng)
     _assert_both_verdicts(seen)
 
 
@@ -198,13 +219,13 @@ def test_cover_checks_on_fig8_edge_cases():
     # y = (1, 2, 2, 3/2, 5/2) has q = 2; y_p - 1/7 makes it 14
     lowered = FractionalVertexCover.from_values((y[0] - Fraction(1, 7),) + y[1:])
     assert (lowered.scale, lowered.int_values) == (14, (12, 28, 28, 21, 35))
-    assert not lowered.is_feasible_for(g)
+    assert not _feasible_on_residual(g, frozenset(), lowered)
     assert [ok for _name, ok in optimal_pair_checks(g, bfm, lowered)] == [False, False, False]
     negative = FractionalVertexCover.from_values((Fraction(-1, 2),) + y[1:])
-    assert not negative.is_feasible_for(g)
+    assert not _feasible_on_residual(g, frozenset(), negative)
     for wrong in (y[:-1], y + (ZERO,)):
         short_or_long = FractionalVertexCover.from_values(wrong)
-        assert not short_or_long.is_feasible_for(g)
+        assert not _feasible_on_residual(g, frozenset(), short_or_long)
         for check in (tight_edges, lambda g, c: optimal_pair_checks(g, bfm, c)):
             assert _outcome(lambda: check(g, short_or_long)) == (
                 "InfeasibleCover", "cover length does not match vertex count"

@@ -9,16 +9,29 @@ stripped, so they pass only if those checks are explicit raises.
 Through the CLI, such a fault is an internal error, not an input error: a
 planted certificate failure under ``-O``, and a planted failed ``assert``
 without it, each exit 3 and name the check and the instance's sha256.
+
+A fault in code that the solvers and `verify` share would be common-mode:
+both checks would agree on it. `verify` builds no subgraph, so a fault
+planted where the solvers build one, `WeightedGraph._keep`, is caught by
+the solver's own check on G, or else leaves a document that is right.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import feasible_sparse
+from matchstab import cli
+from matchstab.graph import WeightedGraph
+from matchstab.instance import parse_instance
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -213,3 +226,53 @@ def test_a_failed_assert_exits_3_with_its_module_and_line(tmp_path):
         f"matchstab: internal error: {path}: assertion failed at matchstab.cycles:{line} "
         f"(instance sha256 {digest})\n"
     )
+
+
+def _cli(*argv: str) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def _covers_g_outside_s(path: Path, doc: dict) -> bool:
+    """The document's residual cover, 0 where it names no vertex, covers
+    every edge of G with no end in S, checked with `Fraction`s."""
+    graph = parse_instance(path.read_text(encoding="utf-8")).graph
+    named = doc["certificates"]["residual_cover"]
+    y = [Fraction(named.get(graph.label_of(v), "0")) for v in range(graph.n)]
+    removed = set(doc["outputs"]["S"])
+    return all(
+        y[u] + y[v] >= w
+        for u, v, w in graph.edges
+        if graph.label_of(u) not in removed and graph.label_of(v) not in removed
+    )
+
+
+def test_a_planted_fault_in_keep_is_not_common_mode(monkeypatch, tmp_path):
+    # every proper subgraph `_keep` builds loses its last kept edge;
+    # `verify` must accept no m-stabilize document whose residual cover
+    # leaves an edge of G - delta(S) uncovered
+    paths = []
+    for n in (40, 60, 80):
+        for seed in range(1, 9):
+            path = tmp_path / f"sparse-{n}-{seed}.json"
+            path.write_text(feasible_sparse.instance_json(n, seed), encoding="utf-8")
+            paths.append(path)
+    keep = WeightedGraph._keep
+
+    def keep_losing_the_last_edge(self, kept):
+        return keep(self, kept[:-1] if 0 < len(kept) < self.m else kept)
+
+    monkeypatch.setattr(WeightedGraph, "_keep", keep_losing_the_last_edge)
+    codes = []
+    for path in paths:
+        code, out = _cli("m-stabilize", str(path))
+        codes.append(code)
+        if code == 3:  # the solver's own check caught the fault
+            continue
+        result = path.with_suffix(".result.json")
+        result.write_text(out, encoding="utf-8")
+        if _cli("verify", str(path), "--result", str(result))[0] == 0:
+            assert _covers_g_outside_s(path, json.loads(out)), path.name
+    assert 3 in codes, codes

@@ -1020,11 +1020,21 @@ def test_commands_past_the_oracle_budget(tmp_path, capsys):
     assert err == "matchstab: error: nu oracle limited to 12 vertices\n"
 
 
+SELFTEST_PASS = (
+    "selftest min-cycles-vs-oracle: ok (20 random graphs)\n"
+    "selftest vertex-stabilizer-vs-oracle: ok (12 random graphs)\n"
+    "selftest walk-dp-vs-enumeration: ok (12 random runs)\n"
+    "selftest m-stabilizer-vs-oracle: ok (8 random runs)\n"
+    "selftest: PASS\n"
+)
+
+
 def test_selftest_smoke(capsys):
     for seed in ("0", "3"):
         code, out, _err = _run(capsys, "selftest", "--seed", seed)
         assert code == 0
         assert "selftest: PASS" in out
+        assert out == SELFTEST_PASS
 
 
 # ---------------------------------------------------------------------------

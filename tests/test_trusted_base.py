@@ -2,12 +2,14 @@
 
 A checker is only as trustworthy as the code it runs. `certify.verify` is
 traced with `sys.setprofile` over the document of every run command on
-every instance in `fixtures/`, and the set of package functions it reaches,
-by module and qualified name, must equal TRUSTED_BASE below. A function
-that joins or leaves the base is then a reviewed diff. The solvers run
-several of these functions too (`decompose` and `slack`, say), so a fault
-in one of them is common-mode: the solver's own check and `verify` would
-agree on it.
+every instance in `fixtures/`, and over the documents of one seed-1 round
+of every benchmark workload, infeasible `m-stabilize` ones included; the
+set of package functions it reaches, by module and qualified name, must
+equal TRUSTED_BASE below. A function that joins or leaves the base is
+then a reviewed diff. The solvers run several of these functions too
+(`decompose` and `slack`, say), so a fault in one of them is common-mode:
+the solver's own check and `verify` would agree on it. `verify` builds no
+graph, so nothing that builds a subgraph is in the base.
 """
 
 from __future__ import annotations
@@ -17,9 +19,12 @@ import contextlib
 import hashlib
 import io
 import sys
+from collections import Counter
 from pathlib import Path
+from typing import Optional
 
 import matchstab
+from conftest import bench_families
 from matchstab import certify, cli
 from matchstab.instance import parse_instance
 
@@ -54,7 +59,6 @@ TRUSTED_BASE = {
     "matchstab.graph.BasicFractionalMatching.weight",
     "matchstab.graph.FractionalVertexCover.__init__",
     "matchstab.graph.FractionalVertexCover.from_values",
-    "matchstab.graph.FractionalVertexCover.is_feasible_for",
     "matchstab.graph.FractionalVertexCover.slack",
     "matchstab.graph.FractionalVertexCover.total",
     "matchstab.graph.Matching.__init__",
@@ -64,10 +68,6 @@ TRUSTED_BASE = {
     "matchstab.graph.Matching.is_matching_in",
     "matchstab.graph.Matching.sorted_pairs",
     "matchstab.graph.Matching.weight",
-    "matchstab.graph.WeightedGraph._keep",
-    "matchstab.graph.WeightedGraph._unchecked",
-    "matchstab.graph.WeightedGraph.delete_edges",
-    "matchstab.graph.WeightedGraph.delete_stars",
     "matchstab.graph.WeightedGraph.edge_index",
     "matchstab.graph.WeightedGraph.has_edge",
     "matchstab.graph.WeightedGraph.label_of",
@@ -105,7 +105,28 @@ def _qualified_names() -> dict[tuple[str, int], str]:
     return names
 
 
-def test_verify_reaches_exactly_its_pinned_trusted_base():
+def _run_and_verify(path: Path, command: str, profile) -> Optional[dict]:
+    """The document `command` prints on the instance file `path`, after
+    `verify` accepted it under `profile`; None when the command prints
+    none, as `m-stabilize` on an instance with no matching."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([command, str(path)])
+    if code == 1:
+        return None
+    data = path.read_bytes()
+    instance = parse_instance(data.decode("utf-8"))
+    doc = certify.load_result(out.getvalue())
+    sys.setprofile(profile)
+    try:
+        report, code = certify.verify(instance, hashlib.sha256(data).hexdigest(), doc)
+    finally:
+        sys.setprofile(None)
+    assert (code, report["verified"]) == (0, True), (command, path.name)
+    return doc
+
+
+def test_verify_reaches_exactly_its_pinned_trusted_base(monkeypatch, tmp_path):
     names = _qualified_names()
     reached = set()
 
@@ -120,22 +141,23 @@ def test_verify_reaches_exactly_its_pinned_trusted_base():
     certify._half_count.cache_clear()
     documents = 0
     for fixture in sorted(FIXTURES.glob("*.json")):
-        data = fixture.read_bytes()
         for command in cli.RUN_COMMANDS:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main([command, str(fixture)])
-            if code == 1:  # m-stabilize on a fixture with no matching
-                assert command == "m-stabilize"
-                continue
-            instance = parse_instance(data.decode("utf-8"))
-            doc = certify.load_result(out.getvalue())
-            sys.setprofile(profile)
-            try:
-                report, code = certify.verify(instance, hashlib.sha256(data).hexdigest(), doc)
-            finally:
-                sys.setprofile(None)
-            assert (code, report["verified"]) == (0, True), (command, fixture.name)
-            documents += 1
+            if _run_and_verify(fixture, command, profile) is None:
+                assert command == "m-stabilize"  # a fixture with no matching
+            else:
+                documents += 1
     assert documents == 6 * 5 + 1  # m-stabilize runs on fig9m alone
+    # the documents whose `verify` the benchmark times: one seed-1 round of
+    # each workload, every one with the commands that workload runs
+    families = bench_families(monkeypatch)
+    statuses = Counter()
+    for workload, commands in families.COMMANDS.items():
+        for i, inst in enumerate(families.Generator(workload, 1).round()):
+            path = tmp_path / f"{workload}-{i}.json"
+            path.write_text(inst.to_json(), encoding="utf-8")
+            for command in commands:
+                doc = _run_and_verify(path, command, profile)
+                statuses[command, doc["outputs"].get("status")] += 1
+    assert sum(statuses.values()) == 9 * 2 + 9 * 2 + 8 + 17 * 7
+    assert statuses["m-stabilize", "feasible"] and statuses["m-stabilize", "infeasible"]
     assert reached == TRUSTED_BASE
