@@ -357,13 +357,11 @@ def _indented(value, indent: str = "\n") -> str:
         return "[" + inner + ("," + inner).join([
             _quote(v) if type(v) is str else _indented(v, inner) for v in value
         ]) + indent + "]"
-    if kind is str:
-        return _quote(value)
     if value is None:
         return "null"
     if kind is bool:
         return "true" if value else "false"
-    return json.dumps(value)  # an int or a float, as json writes it
+    return json.dumps(value)  # an int or a float (or a bare str), as json writes it
 
 
 def _emit(doc: dict, timing: Optional[float], compact: bool) -> None:

@@ -129,16 +129,36 @@ def test_apply_augmentation_two_cycles():
     assert new.weight == 3
 
 
-def test_apply_augmentation_rejects_garbage_path():
-    g = _two_triangles_bridged()
-    x = [0] * g.m
-    for pair in [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]:
-        x[g.edge_index(*pair)] = 1
-    bfm = decompose(g, x)
-    cover = cover_of([H] * 6)
+# paths in the search graph of `_covered_zero_cover_vertex`: the pseudonode
+# 11 of the triangle, its edge 11-3, the M' edge 3-4 and the edge 4-z, z = 5,
+# whose one augmenting path is (11, 3, 4, 5). Each row is (path, the nodes
+# whose M' partner is dropped first, the refusal). In an M' that pairs both
+# ends, an exposed end lies on no M' edge and no exposed node is a vertex,
+# so the last two rows drop one or both ends of 3-4 to reach their branch.
+GARBAGE_PATHS = {
+    "one node": ((11,), (), PathNotAugmenting, "at least one edge"),
+    "matched end": ((11, 3), (), PathNotAugmenting, "endpoints must be exposed"),
+    "cycle vertices": ((0, 1), (), PathNotAugmenting, r"\(0,1\) is not a search-graph edge"),
+    "two unmatched edges in a row": ((11, 3, 11), (), PathNotAugmenting, "does not alternate"),
+    "start at z": ((5, 4, 3, 11), (), PathNotAugmenting, "must start at a pseudonode"),
+    "end on an M' edge": (
+        (5, 4, 3), (3,), PathNotAugmenting, "must start and end with unmatched edges"
+    ),
+    "end at a vertex": (
+        (11, 3), (3, 4), EndpointNotRecognized, "endpoint 3 is neither a pseudonode nor z"
+    ),
+}
+
+
+@pytest.mark.parametrize("path,unmatched,error,message", GARBAGE_PATHS.values(),
+                         ids=GARBAGE_PATHS.keys())
+def test_apply_augmentation_rejects_garbage_path(path, unmatched, error, message):
+    g, (bfm, cover) = _covered_zero_cover_vertex()
     aux = verified_auxiliary(g, bfm, cover)
-    with pytest.raises(PathNotAugmenting):
-        apply_augmentation(g, cover, tight_edges(g, cover), aux, list(bfm.halves), (0, 1))
+    for node in unmatched:
+        aux.mate[node] = None
+    with pytest.raises(error, match=message):
+        apply_augmentation(g, cover, tight_edges(g, cover), aux, list(bfm.halves), path)
 
 
 def test_reduce_cycles_fixtures():

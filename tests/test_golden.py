@@ -1,8 +1,8 @@
-"""The golden harness: every pinned result document, replayed in process.
+"""The golden harness: every pinned result document, replayed.
 
-`tests/golden/` holds three tables. Each maps `"<command> <instance>"` to
-the exit code of `matchstab <command> <instance file>` and to its stdout,
-exactly or by sha256:
+`tests/golden/` holds four tables. Three map `"<command> <instance>"` to
+the exit code of `matchstab <command> <instance file>`, run in process, and
+to its stdout, exactly or by sha256:
 
 * `fixtures.json`: every command in `RUN_COMMANDS` on each
   `fixtures/*.json`, with the exact stdout;
@@ -14,8 +14,17 @@ exactly or by sha256:
   of them must also pass `matchstab verify`, and each call must finish
   within `TIME_GUARD_S`.
 
+The fourth, `bench.json`, maps each workload of `BENCHMARK.json` to the
+arguments of a short `bench/run.py` run, seed 1 (see `_bench_argv`), and
+to the run's `digest_sha256`, the sha256 of every result document it
+produced. The run is a subprocess of a copy of `src/matchstab` and `bench/`
+in a temporary directory, so it neither clears nor leaves a `.bench_work/`
+in the checkout. It must exit 0, report `correct` and no failed operation,
+and finish within `TIME_GUARD_S`. desk-batch runs with the tracer
+installed, which must leave every document as it is.
+
 A change that alters any document byte for byte fails here, plain and
-under `python -O`. To regenerate all three tables after an intended output
+under `python -O`. To regenerate all four tables after an intended output
 change, say why in the change, and run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -28,7 +37,10 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import random
+import shutil
+import subprocess
 import sys
 import tempfile
 import time
@@ -46,6 +58,7 @@ from matchstab.graph import WeightedGraph
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 SCALE_TABLE = "scale.json"
+BENCH_TABLE = "bench.json"
 TIME_GUARD_S = 120
 
 
@@ -151,6 +164,18 @@ TABLES = {
 }
 
 
+def _bench_argv(workload: str) -> list[str]:
+    """`bench/run.py`'s arguments for the bench.json row of `workload`:
+    seed 1 and 2 s of rounds, or for desk-batch 1 s under the tracer."""
+    seconds, trace = ("1", "1") if workload == "desk-batch" else ("2", "0")
+    return ["--workload", workload, "--seed", "1", "--seconds", seconds, "--trace", trace]
+
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+# bench.json's rows: by workload, the arguments of its bench/run.py run
+BENCH = {w["name"]: _bench_argv(w["name"]) for w in BENCHMARK["workloads"]}
+
+
 def _cases() -> list[tuple[str, str, str]]:
     return [
         (table, command, name)
@@ -187,6 +212,24 @@ def _row(table: str, code: int, stdout: str) -> dict:
     return {"exit_code": code, "stdout": stdout}
 
 
+def _bench(workload: str, workdir: Path) -> tuple[subprocess.CompletedProcess, dict]:
+    """The `bench/run.py` run of `workload` on a copy of the package and the
+    bench in `workdir`, with no inherited PYTHONPATH, and its bench.json row."""
+    ignore = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(ROOT / "src" / "matchstab", workdir / "src" / "matchstab", ignore=ignore)
+    shutil.copytree(ROOT / "bench", workdir / "bench", ignore=ignore)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    argv = BENCH[workload]
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", *argv], cwd=workdir, env=env,
+        capture_output=True, text=True, timeout=TIME_GUARD_S,
+    )
+    # the line "digest_sha256 <hex> (all result documents of the run)"
+    digest = next((w[1] for w in map(str.split, proc.stdout.splitlines())
+                   if w[:1] == ["digest_sha256"]), None)
+    return proc, {"argv": argv, "digest_sha256": digest}
+
+
 @cache
 def _golden(table: str) -> dict:
     return json.loads((GOLDEN / table).read_text(encoding="utf-8"))
@@ -201,6 +244,7 @@ def test_golden_covers_every_case():
     for table in TABLES:
         cases = [f"{command} {name}" for t, command, name in _cases() if t == table]
         assert sorted(_golden(table)) == sorted(cases), table
+    assert sorted(_golden(BENCH_TABLE)) == sorted(w["name"] for w in BENCHMARK["workloads"])
 
 
 @pytest.mark.parametrize("table,command,name", _cases())
@@ -218,12 +262,26 @@ def test_document_is_unchanged(table, command, name, workdir):
     assert seconds < TIME_GUARD_S
 
 
+@pytest.mark.parametrize("workload", BENCH)
+def test_bench_run_is_unchanged(workload, tmp_path):
+    proc, row = _bench(workload, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert last["correct"] and last["failed"] == 0, proc.stdout
+    assert row == _golden(BENCH_TABLE)[workload]
+
+
 if __name__ == "__main__":
-    tables: dict[str, dict] = {table: {} for table in TABLES}
+    tables: dict[str, dict] = {table: {} for table in (*TABLES, BENCH_TABLE)}
     with tempfile.TemporaryDirectory() as tmp:
         for table, command, name in _cases():
             code, stdout, _seconds = _main([command, str(_instance_path(table, name, Path(tmp)))])
             tables[table][f"{command} {name}"] = _row(table, code, stdout)
+        for workload in BENCH:
+            proc, row = _bench(workload, Path(tmp) / workload)
+            if proc.returncode != 0:
+                sys.exit(f"bench/run.py {' '.join(row['argv'])} failed:\n{proc.stderr}")
+            tables[BENCH_TABLE][workload] = row
     for table, rows in tables.items():
         text = json.dumps(rows, indent=1, sort_keys=True) + "\n"
         (GOLDEN / table).write_text(text, encoding="utf-8")

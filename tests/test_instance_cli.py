@@ -279,7 +279,7 @@ def test_verify_appends_its_timing_under_timing(tmp_path, capsys):
     assert type(seconds) is float and seconds >= 0
 
 
-def test_oracle_subcommands(capsys):
+def test_oracle_subcommands(tmp_path, capsys):
     code, out, _err = _run(capsys, "oracle", "nu", str(FIXTURES / "fig8.json"))
     assert code == 0 and json.loads(out)["outputs"]["nu"] == "8"
     code, out, _err = _run(capsys, "oracle", "min-edge-stabilizer", str(FIXTURES / "fig8.json"))
@@ -288,6 +288,16 @@ def test_oracle_subcommands(capsys):
     assert doc["outputs"]["size"] == 1 and doc["outputs"]["F"] == [["q", "r"]]
     code, out, _err = _run(capsys, "oracle", "min-m-stabilizer", str(FIXTURES / "fig9m.json"))
     assert json.loads(out)["outputs"]["status"] == "infeasible"
+    # the unit path a-b-c-d with M = {bc}: deleting either end leaves M maximum
+    # on a path, and "a" is the lower of the two
+    path = tmp_path / "p4.json"
+    path.write_text(json.dumps({
+        "vertices": ["a", "b", "c", "d"],
+        "edges": [{"u": u, "v": v, "w": "1"} for u, v in ("ab", "bc", "cd")],
+        "matching": [["b", "c"]],
+    }))
+    code, out, _err = _run(capsys, "oracle", "min-m-stabilizer", str(path))
+    assert code == 0 and json.loads(out)["outputs"] == {"status": "feasible", "S": ["a"]}
 
 
 def test_verify_roundtrip(tmp_path, capsys):
@@ -688,6 +698,16 @@ def test_verify_rejects_each_forged_claim(tmp_path, capsys, command, fixture, ed
     report = json.loads(out)
     assert report["verified"] is False
     assert {c["name"] for c in report["checks"] if not c["ok"]} == failing
+
+
+def test_verify_of_m_stabilize_needs_the_instance_matching(tmp_path, capsys):
+    instance = _instance(tmp_path, None)
+    result = _write(tmp_path, json.loads(_run(capsys, "m-stabilize", str(instance))[1]))
+    unmatched = tmp_path / "unmatched.json"
+    unmatched.write_text(json.dumps({k: v for k, v in FEASIBLE_M.items() if k != "matching"}))
+    code, out, err = _run(capsys, "verify", str(unmatched), "--result", str(result))
+    assert (code, out) == (1, "")
+    assert err == "matchstab: error: verifying m-stabilize needs the instance matching\n"
 
 
 _VERIFY_EACH = r"""

@@ -227,6 +227,13 @@ MALFORMED = {
     "matching names a pair twice both ways": _doc(
         _e("a", "b", "2"), matching=[["a", "b"], ["b", "a"]]
     ),
+    "matching not a list": _doc(_e("a", "b", "2"), matching={"a": "b"}),
+    "matching entry not a pair": _doc(_e("a", "b", "2"), matching=[["a", "b", "c"]]),
+    "matching entry a string": _doc(_e("a", "b", "2"), matching=["ab"]),
+    "matching label names no vertex": _doc(_e("a", "b", "2"), matching=[["a", "z"]]),
+    "matching label not a string": _doc(_e("a", "b", "2"), matching=[["a", ["b"]]]),
+    "vertices not a list": json.dumps({"vertices": "abc", "edges": []}),
+    "vertex label not a string": json.dumps({"vertices": ["a", 1], "edges": []}),
     "edges not a list": json.dumps({"vertices": ["a"], "edges": {"u": "a"}}),
     "duplicate labels": json.dumps({"vertices": ["a", "a"], "edges": []}),
     "not an object": "[]",

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import full_sweep_iterations, is_valid_walk, random_graph, random_matching
 from matchstab import oracle, walks
-from matchstab.errors import VertexNotExposed
+from matchstab.errors import MNotAMatching, VertexNotExposed
 from matchstab.graph import Matching, WeightedGraph
 from matchstab.walks import WalkArcs, WalkTables, first_pass_scan, optimal_walks, second_pass_scan
 from walk_traceback import (
@@ -475,6 +475,14 @@ def test_walk_api_refuses_a_vertex_outside_the_graph(call):
     for vertex in (-1, -4, 4, 7, 9):
         with pytest.raises(ValueError, match=f"vertex {vertex} is not in the graph"):
             _VERTEX_CALLS[call](g, m, vertex)
+
+
+@pytest.mark.parametrize("call", ["optimal_walks", "first_pass_scan", "second_pass_scan"])
+def test_walk_api_refuses_a_matching_on_a_non_edge(call):
+    # 1-3 is no edge of the path 0-1-2-3; the root 0 is exposed
+    g, _m = _short_path()
+    with pytest.raises(MNotAMatching, match="matching uses edges outside the graph"):
+        _VERTEX_CALLS[call](g, Matching.from_pairs([(1, 3)]), 0)
 
 
 def test_second_pass_scan_refuses_a_deleted_set_it_cannot_answer_for():
