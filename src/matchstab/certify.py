@@ -28,10 +28,15 @@ certificate holds, with exact arithmetic and nothing else:
   `_vertex_set` for vertex sets, `pairs_doc` and `_edge_pairs` for
   matchings and edge sets, `x_entries` and `_halves_from_entries` for x,
   `cover_doc` and `_cover_from_doc` for y. Odd cycles, which `pairs_doc`
-  also writes, are compared as they are printed, and `event_doc` and
-  `diagnostics_doc` have no reader yet.
-  The CLI fills the envelope with these writers and renders no field
-  itself.
+  also writes, are compared as they are printed with the label lists of
+  the checked x, and `events_doc` and `diagnostics_doc` have no reader
+  yet. The writers of these large fields (x, vertex tuples, covers,
+  events, diagnostics) render the field's JSON text straight from the
+  solver's integers, with no dict or list per row: a `Fragment`, exactly
+  `json.dumps(value, indent=2)` of the field's value at depth 0, which
+  reads each label from `quoted_labels`, quoted once per document.
+  `cli._indented` places each fragment at the depth of its field. The
+  CLI fills the envelope with these writers and renders no field itself.
 
 Every check runs on scaled integers: the graph's D.w, the cover's common
 denominator q and integers q.y that `FractionalVertexCover` stores, and the
@@ -48,6 +53,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from typing import AbstractSet, Any, Optional
 
@@ -256,12 +262,57 @@ def _vertex_set(index, doc: dict, key: str) -> set[int]:
     return set(_distinct(key, [index[label] for label in doc[key]]))
 
 
-def pairs_doc(graph: WeightedGraph, pairs) -> list[list[str]]:
+class Fragment:
+    """The JSON text of one document field, exactly `json.dumps(value,
+    indent=2)` of the value it stands for, at depth 0. `cli._indented`
+    places it at its depth with one `str.replace` of its newlines, which is
+    exact because json escapes every newline inside a string. A fragment is
+    no str, so one that reaches `json.dumps` raises instead of being
+    quoted."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+def quoted_labels(graph: WeightedGraph) -> list[str]:
+    """Every vertex label as a JSON string, by vertex index: the text
+    writers below take these, so that a document quotes each label once."""
+    return [_quote(graph.label_of(v)) for v in range(graph.n)]
+
+
+def _list_text(items: list[str], indent: str) -> str:
+    """A JSON list of the JSON texts `items`, on the line indentation
+    `indent` (a newline and the spaces of the line that holds the list)."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
+def _labels_text(names: list[str], vertices, indent: str) -> str:
+    """A list of vertices by label, on the line indentation `indent`."""
+    return _list_text(list(map(names.__getitem__, vertices)), indent)
+
+
+def _tuples_text(names: list[str], tuples, indent: str) -> str:
+    """A list of vertex tuples by label, on the line indentation `indent`;
+    each tuple is one join, with no call of its own."""
+    inner = indent + "  "
+    head, sep, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+    label = names.__getitem__
+    return _list_text([
+        head + sep.join(map(label, t)) + tail if t else "[]" for t in tuples
+    ], indent)
+
+
+def pairs_doc(names: list[str], pairs) -> Fragment:
     """Vertex tuples by label, each in its order and all in the order
     given: a matching's sorted pairs or the ends of edges, which
     `_edge_pairs` reads back, and odd cycles, which `verify` compares with
     the ones of the checked x as they are printed."""
-    return [_names(graph, pair) for pair in pairs]
+    return Fragment(_tuples_text(names, pairs, "\n"))
 
 
 def _edge_pairs(index, doc: dict, key: str) -> list[tuple[int, int]]:
@@ -270,18 +321,18 @@ def _edge_pairs(index, doc: dict, key: str) -> list[tuple[int, int]]:
     return _distinct(key, [tuple(sorted((index[a], index[b]))) for a, b in doc[key]])
 
 
-def x_entries(bfm: BasicFractionalMatching) -> list[dict[str, str]]:
-    """The nonzero entries of x, in the edge order of the graph x lives on."""
-    graph = bfm.graph
-    ends, halves = graph.ends, bfm.halves
-    return [
-        {
-            "u": graph.label_of(ends[i][0]),
-            "v": graph.label_of(ends[i][1]),
-            "x": "1/2" if halves[i] == 1 else "1",
-        }
+_HALF, _ONE = '"1/2"', '"1"'
+
+
+def x_entries(names: list[str], bfm: BasicFractionalMatching) -> Fragment:
+    """The nonzero entries of x, {"u", "v", "x"} each, in the edge order of
+    the graph x lives on."""
+    ends, halves = bfm.graph.ends, bfm.halves
+    return Fragment(_list_text([
+        f'{{\n    "u": {names[ends[i][0]]},\n    "v": {names[ends[i][1]]},'
+        f'\n    "x": {_HALF if halves[i] == 1 else _ONE}\n  }}'
         for i in bfm.support
-    ]
+    ], "\n"))
 
 
 @lru_cache(maxsize=256)
@@ -304,11 +355,14 @@ def _halves_from_entries(graph: WeightedGraph, index, entries) -> list:
     return halves
 
 
-def cover_doc(graph: WeightedGraph, cover: FractionalVertexCover, removed=()) -> dict[str, str]:
-    """y on every vertex that is not in the stabilizer's S, `removed`,
-    printed from q.y_v and q."""
+def cover_doc(names: list[str], cover: FractionalVertexCover, removed=()) -> Fragment:
+    """y by label on every vertex that is not in the stabilizer's S,
+    `removed`, printed from q.y_v and q; each distinct q.y_v is printed
+    once."""
     a, q, removed = cover.int_values, cover.scale, set(removed)
-    return {graph.label_of(v): _ratio_str(a[v], q) for v in range(graph.n) if v not in removed}
+    printed = {a_v: f'"{_ratio_str(a_v, q)}"' for a_v in set(a)}
+    rows = [f"{names[v]}: {printed[a_v]}" for v, a_v in enumerate(a) if v not in removed]
+    return Fragment("{\n  " + ",\n  ".join(rows) + "\n}" if rows else "{}")
 
 
 def _cover_from_doc(graph, index, doc, zero_elsewhere=False) -> FractionalVertexCover:
@@ -322,34 +376,42 @@ def _cover_from_doc(graph, index, doc, zero_elsewhere=False) -> FractionalVertex
     )
 
 
-def event_doc(graph: WeightedGraph, event) -> dict[str, Any]:
-    """One move of `reduce_cycles`, as its `kind` names it: a frustrated
-    tree, or an augmentation of one of four kinds."""
-    if event.kind == "frustrated_tree":
-        return {
-            "event": event.kind,
-            "cycles": pairs_doc(graph, [event.root_cycle]),
-            "deleted_vertices": _names(graph, event.deleted_vertices),
-        }
-    return {
-        "event": event.kind,
-        "cycles": pairs_doc(graph, event.cycles),
-        "rounded_at": _names(graph, event.rounded_at),
-        "path": _names(graph, event.path),
-    }
+def events_doc(names: list[str], events) -> Fragment:
+    """The moves of `reduce_cycles`, each as its `kind` names it: a
+    frustrated tree, with its root cycle and deleted vertices, or an
+    augmentation of one of four kinds, with its cycles, the vertices it
+    rounds at and its path."""
+    rows = []
+    for event in events:
+        if event.kind == "frustrated_tree":
+            rows.append(  # "cycles" holds the root cycle alone
+                f'{{{_FIELD}"event": "frustrated_tree",'
+                f'{_FIELD}"cycles": [{_ROW}{_labels_text(names, event.root_cycle, _ROW)}{_FIELD}],'
+                f'{_FIELD}"deleted_vertices": {_labels_text(names, event.deleted_vertices, _FIELD)}'
+                "\n  }"
+            )
+        else:
+            rows.append(
+                f'{{{_FIELD}"event": {_quote(event.kind)},'
+                f'{_FIELD}"cycles": {_tuples_text(names, event.cycles, _FIELD)},'
+                f'{_FIELD}"rounded_at": {_labels_text(names, event.rounded_at, _FIELD)},'
+                f'{_FIELD}"path": {_labels_text(names, event.path, _FIELD)}\n  }}'
+            )
+    return Fragment(_list_text(rows, "\n"))
 
 
-def diagnostics_doc(graph: WeightedGraph, diagnostics) -> list[dict[str, Any]]:
+# the lines of a field of a row of a list at depth 0, and of a row of its value
+_FIELD, _ROW = "\n    ", "\n      "
+
+
+def diagnostics_doc(names: list[str], diagnostics) -> Fragment:
     """The reason for each deletion of `m_vertex_stabilizer`, with the
-    deleted vertex and the other end of its walk, if any."""
-    return [
-        {
-            "reason": reason,
-            "vertex": graph.label_of(u),
-            "other": graph.label_of(v) if v is not None else None,
-        }
+    deleted vertex and the other end of its walk, or null."""
+    return Fragment(_list_text([
+        f'{{\n    "reason": {_quote(reason)},\n    "vertex": {names[u]},'
+        f'\n    "other": {names[v] if v is not None else "null"}\n  }}'
         for reason, u, v in diagnostics
-    ]
+    ], "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +464,8 @@ def _infeasibility_doc(
 def _support_check(graph, outputs, bfm: BasicFractionalMatching) -> tuple[str, bool]:
     """`matched_and_odd_cycles_equal_x`: the printed M(x) and C(x) are the
     ones of the checked x."""
-    matched_ok = outputs["matched"] == pairs_doc(graph, bfm.matched.sorted_pairs())
-    cycles_ok = outputs["odd_cycles"] == pairs_doc(graph, bfm.odd_cycles)
+    matched_ok = outputs["matched"] == [_names(graph, p) for p in bfm.matched.sorted_pairs()]
+    cycles_ok = outputs["odd_cycles"] == [_names(graph, cycle) for cycle in bfm.odd_cycles]
     return ("matched_and_odd_cycles_equal_x", matched_ok and cycles_ok)
 
 

@@ -3,16 +3,19 @@ each command to its solver or oracle; `selftest` too.
 
 The CLI renders no document field: `certify` is the codec of the result
 document, with the envelope, each field's writer and `verify`, which reads
-the fields back with pure arithmetic. Every numeric value in a result
-document is an exact fraction string; counts are plain integers. Identical
-inputs produce byte-identical output (timing is only emitted under --timing
-for that reason).
+the fields back with pure arithmetic. The writers of the large fields
+render their JSON text, a `certify.Fragment`, and `_indented` places each
+one at the depth of its field as it writes the envelope. Every numeric
+value in a result document is an exact fraction string; counts are plain
+integers. Identical inputs produce byte-identical output (timing is only
+emitted under --timing for that reason).
 
 The format is a contract. A single-file document, like every `verify`
-report, is exactly `json.dumps(doc, indent=2)` and one trailing newline: a
-two-space indent, ASCII only with `\\uXXXX` escapes, keys in the order
-written. Several instance files print one compact line each,
-`json.dumps(doc, separators=(",", ":"))`.
+report, is exactly `json.dumps(doc, indent=2)` of its value and one
+trailing newline: a two-space indent, ASCII only with `\\uXXXX` escapes,
+keys in the order written. Several instance files print one compact line
+each, the compact re-encoding of that indented text,
+`json.dumps(json.loads(text), separators=(",", ":"))`.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from typing import Any, Optional
 
 from . import oracle as oracle_mod
 from .certify import (
-    cover_doc, diagnostics_doc, document, event_doc, exact_str, labels_doc, load_result,
-    pairs_doc, verify, x_entries,
+    Fragment, cover_doc, diagnostics_doc, document, events_doc, exact_str, labels_doc,
+    load_result, pairs_doc, quoted_labels, verify, x_entries,
 )
 from .cycles import reduce_cycles
 from .errors import BudgetExceeded, MatchingRequired, MatchstabError, NotOptimalPair, ParseError
@@ -65,6 +68,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _run_command(command: str, instance: Instance, path: str, digest: str) -> tuple[dict, int]:
     graph = instance.graph
+    names = quoted_labels(graph)
     outputs: dict[str, Any] = {}
     certificates: dict[str, Any] = {}
     exit_code = 0
@@ -73,14 +77,14 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
         bfm, cover = solve_fractional(graph)
         outputs = {
             "nu_f": exact_str(bfm.weight),
-            "x": x_entries(bfm),
-            "matched": pairs_doc(graph, bfm.matched.sorted_pairs()),
-            "odd_cycles": pairs_doc(graph, bfm.odd_cycles),
+            "x": x_entries(names, bfm),
+            "matched": pairs_doc(names, bfm.matched.sorted_pairs()),
+            "odd_cycles": pairs_doc(names, bfm.odd_cycles),
         }
-        certificates = {"cover": cover_doc(graph, cover)}
+        certificates = {"cover": cover_doc(names, cover)}
     elif command in ("min-cycles", "gamma"):
         result = reduce_cycles(graph)
-        x_doc = x_entries(result.solution)
+        x_doc = x_entries(names, result.solution)
         if command == "gamma":
             # x is printed once: among the outputs of min-cycles, here in the certificate
             outputs = {"gamma": result.gamma}
@@ -90,11 +94,11 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
                 "gamma": result.gamma,
                 "nu_f": exact_str(result.weight),
                 "x": x_doc,
-                "matched": pairs_doc(graph, result.solution.matched.sorted_pairs()),
-                "odd_cycles": pairs_doc(graph, result.solution.odd_cycles),
+                "matched": pairs_doc(names, result.solution.matched.sorted_pairs()),
+                "odd_cycles": pairs_doc(names, result.solution.odd_cycles),
             }
-        certificates["cover"] = cover_doc(graph, result.cover)
-        certificates["events"] = [event_doc(graph, e) for e in result.events]
+        certificates["cover"] = cover_doc(names, result.cover)
+        certificates["events"] = events_doc(names, result.events)
     elif command == "stabilize-vertices":
         result = min_vertex_stabilizer(graph)
         try:
@@ -108,13 +112,13 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
             "nu_after": exact_str(result.nu_after),
         }
         certificates = {
-            "surviving_matching": pairs_doc(graph, result.surviving_matching.sorted_pairs()),
-            "surviving_cover": cover_doc(graph, result.surviving_cover, result.removed),
+            "surviving_matching": pairs_doc(names, result.surviving_matching.sorted_pairs()),
+            "surviving_cover": cover_doc(names, result.surviving_cover, result.removed),
         }
     elif command == "stabilize-edges":
         result = edge_stabilizer_approx(graph)
         outputs = {
-            "F": pairs_doc(graph, [graph.ends[i] for i in result.removed_edges]),
+            "F": pairs_doc(names, [graph.ends[i] for i in result.removed_edges]),
             "size": len(result.removed_edges),
             "gamma": result.gamma,
             "lower_bound": result.lower_bound,
@@ -123,8 +127,8 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
         vertex_stab = result.vertex_result
         certificates = {
             "S": labels_doc(graph, vertex_stab.removed),
-            "surviving_matching": pairs_doc(graph, vertex_stab.surviving_matching.sorted_pairs()),
-            "surviving_cover": cover_doc(graph, vertex_stab.surviving_cover, vertex_stab.removed),
+            "surviving_matching": pairs_doc(names, vertex_stab.surviving_matching.sorted_pairs()),
+            "surviving_cover": cover_doc(names, vertex_stab.surviving_cover, vertex_stab.removed),
         }
     elif command == "m-stabilize":
         if instance.matching is None:
@@ -137,23 +141,23 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
             "S2": labels_doc(graph, result.second_phase),
             "w_M": exact_str(result.matching_weight),
         }
-        certificates = {"diagnostics": diagnostics_doc(graph, result.diagnostics)}
+        certificates = {"diagnostics": diagnostics_doc(names, result.diagnostics)}
         if result.status == INFEASIBLE:
             # x lives on G - delta(X), X the M-exposed vertices, and outweighs M
-            certificates["x"] = x_entries(result.x)
+            certificates["x"] = x_entries(names, result.x)
             exit_code = 2
         else:
             outputs["residual_nu_f"] = exact_str(result.residual_nu_f)
-            certificates["residual_cover"] = cover_doc(graph, result.residual_cover, result.removed)
+            certificates["residual_cover"] = cover_doc(names, result.residual_cover, result.removed)
     elif command == "check-stability":
         nu, witness = oracle_mod.exact_nu(graph)
         bfm, cover = solve_fractional(graph)
         nu_f = bfm.weight  # the pair is proven optimal, so w(x) = nu_f
         outputs = {"stable": nu == nu_f, "nu": exact_str(nu), "nu_f": exact_str(nu_f)}
         certificates = {
-            "max_matching": pairs_doc(graph, witness.sorted_pairs()),
-            "x": x_entries(bfm),
-            "cover": cover_doc(graph, cover),
+            "max_matching": pairs_doc(names, witness.sorted_pairs()),
+            "x": x_entries(names, bfm),
+            "cover": cover_doc(names, cover),
         }
     return document(command, digest, outputs, certificates), exit_code
 
@@ -163,7 +167,8 @@ def _run_oracle(sub: str, instance: Instance, path: str, digest: str) -> tuple[d
     outputs: dict[str, Any] = {}
     if sub == "nu":
         value, witness = oracle_mod.exact_nu(graph)
-        outputs = {"nu": exact_str(value), "matching": pairs_doc(graph, witness.sorted_pairs())}
+        matching = pairs_doc(quoted_labels(graph), witness.sorted_pairs())
+        outputs = {"nu": exact_str(value), "matching": matching}
     elif sub == "nu-f":
         outputs = {"nu_f": exact_str(oracle_mod.exact_nu_f(graph))}
     elif sub == "gamma":
@@ -176,7 +181,7 @@ def _run_oracle(sub: str, instance: Instance, path: str, digest: str) -> tuple[d
     elif sub == "min-edge-stabilizer":
         subset = oracle_mod.brute_min_edge_stabilizer(graph)
         edges = [graph.ends[i] for i in sorted(subset)]
-        outputs = {"F": pairs_doc(graph, edges), "size": len(subset)}
+        outputs = {"F": pairs_doc(quoted_labels(graph), edges), "size": len(subset)}
     elif sub == "min-m-stabilizer":
         if instance.matching is None:
             raise MatchingRequired(f'{path}: min-m-stabilizer needs a "matching" field')
@@ -336,12 +341,16 @@ def _load_instance(path: str) -> tuple[Instance, str]:
 
 def _indented(value, indent: str = "\n") -> str:
     """json.dumps(value, indent=2) for a document of dicts with str keys,
-    lists, strings, ints, bools, None and the --timing float. `indent` is
-    the newline and indentation of the line that holds `value`. Strings go
-    through json's C `encode_basestring_ascii` without a call of their own,
-    so a container of strings alone, such as a cover, an x entry or a label
-    list, is one `str.join`."""
+    lists, strings, ints, bools, None, the --timing float and the
+    `certify.Fragment` texts of the large fields, each as json.dumps(value,
+    indent=2) prints the value it stands for. `indent` is the newline and
+    indentation of the line that holds `value`, and a fragment is placed
+    there by indenting each of its newlines. Strings go through json's C
+    `encode_basestring_ascii` without a call of their own, so a container
+    of strings alone, such as a label list, is one `str.join`."""
     kind = type(value)
+    if kind is Fragment:
+        return value.text.replace("\n", indent)
     if kind is dict:
         if not value:
             return "{}"
@@ -368,10 +377,10 @@ def _emit(doc: dict, timing: Optional[float], compact: bool) -> None:
     if timing is not None:
         doc = dict(doc)
         doc["timing_seconds"] = timing
-    if compact:
-        sys.stdout.write(json.dumps(doc, separators=(",", ":")) + "\n")
-    else:
-        sys.stdout.write(_indented(doc) + "\n")
+    text = _indented(doc)
+    if compact:  # the same document, re-encoded on one line
+        text = json.dumps(json.loads(text), separators=(",", ":"))
+    sys.stdout.write(text + "\n")
 
 
 def _internal_error(exc: Exception) -> str:

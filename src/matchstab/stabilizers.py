@@ -44,6 +44,14 @@ def min_vertex_stabilizer(graph: WeightedGraph) -> VertexStabilizerResult:
     nu(G - S) >= (2/3) nu(G). Ties on the cover value break to the lowest
     vertex index. nu(G) itself is not computed here.
     """
+    return _vertex_stabilizer_and_stars(graph)[0]
+
+
+def _vertex_stabilizer_and_stars(
+    graph: WeightedGraph,
+) -> tuple[VertexStabilizerResult, frozenset[int]]:
+    """`min_vertex_stabilizer`'s result and the indices of the edges at its
+    S, which its certificate check reads and the edge stabilizer deletes."""
     reduction = reduce_cycles(graph)
     bfm, cover = reduction.solution, reduction.cover
     a = list(cover.int_values)  # q.y orders the vertices as y does
@@ -56,14 +64,16 @@ def min_vertex_stabilizer(graph: WeightedGraph) -> VertexStabilizerResult:
     for v in removed:
         a[v] = 0
     surviving_cover = FractionalVertexCover(tuple(a), cover.scale)
-    verify_stable_subgraph(graph, graph.stars(removed), survivors, surviving_cover)
-    return VertexStabilizerResult(
+    stars = graph.stars(removed)
+    verify_stable_subgraph(graph, stars, survivors, surviving_cover)
+    result = VertexStabilizerResult(
         removed=tuple(sorted(removed)),
         gamma=reduction.gamma,
         nu_after=survivors.weight(graph),
         surviving_matching=survivors,
         surviving_cover=surviving_cover,
     )
+    return result, stars
 
 
 class EdgeStabilizerResult(NamedTuple):
@@ -83,10 +93,10 @@ class EdgeStabilizerResult(NamedTuple):
 
 def edge_stabilizer_approx(graph: WeightedGraph) -> EdgeStabilizerResult:
     """Delete every edge incident to the minimum vertex-stabilizer."""
-    vertex_result = min_vertex_stabilizer(graph)
+    vertex_result, stars = _vertex_stabilizer_and_stars(graph)
     gamma = vertex_result.gamma
     return EdgeStabilizerResult(
-        removed_edges=tuple(sorted(graph.stars(vertex_result.removed))),
+        removed_edges=tuple(sorted(stars)),
         gamma=gamma,
         lower_bound=-(-gamma // 2),
         upper_bound=gamma * graph.max_degree,

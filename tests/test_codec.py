@@ -1,8 +1,10 @@
 """`certify` is the one codec of the result document: each field's reader
-gives back what its writer encoded. `graph` computes a cover's per-edge
-slack and a vertex set's stars in one place each, and every `matchstab`
-module imports first in a fresh interpreter, along a package import graph
-without a cycle. Every error type has a raiser.
+gives back what its writer encoded, and each text writer prints exactly
+`json.dumps(value, indent=2)` of its field's value as `value_writers`
+builds it. `graph` computes a cover's per-edge slack and a vertex set's
+stars in one place each, and every `matchstab` module imports first in a
+fresh interpreter, along a package import graph without a cycle. Every
+error type has a raiser.
 """
 
 from __future__ import annotations
@@ -14,16 +16,19 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import Any
 
 import pytest
 
 import matchstab
-from conftest import bench_families, count_calls
+from conftest import bench_families, count_calls, random_matching
+from matchstab import cli
 from matchstab.certify import (
-    _cover_from_doc, _edge_pairs, _exact, _halves_from_entries, _vertex_set, cover_doc,
-    exact_str, labels_doc, optimal_pair_checks, pairs_doc, x_entries,
+    Fragment, _cover_from_doc, _edge_pairs, _exact, _halves_from_entries, _vertex_set, cover_doc,
+    diagnostics_doc, events_doc, exact_str, labels_doc, optimal_pair_checks, pairs_doc,
+    quoted_labels, x_entries,
 )
-from matchstab.cycles import FrustrationEvent, reduce_cycles
+from matchstab.cycles import AugmentationEvent, FrustrationEvent, reduce_cycles
 from matchstab.graph import FractionalVertexCover, WeightedGraph
 from matchstab.instance import parse_instance
 from matchstab.lp import solve_fractional
@@ -31,6 +36,7 @@ from matchstab.mstab import FEASIBLE, m_vertex_stabilizer
 from matchstab.stabilizers import edge_stabilizer_approx, min_vertex_stabilizer
 from test_cover_checks import _feasible_on_residual, _reference_is_feasible_for
 from test_emit import ODD_INSTANCE
+from value_writers import cover_value, diagnostics_value, events_value, pairs_value, x_value
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(matchstab.__file__).parent
@@ -41,9 +47,15 @@ def _x_by_ends(graph, halves) -> dict:
     return {graph.ends[i]: h for i, h in enumerate(halves) if h}
 
 
+def _value(fragment: Fragment):
+    """The JSON value a text writer printed."""
+    return json.loads(fragment.text)
+
+
 def _assert_round_trips(instance) -> None:
     graph, matching = instance
     index = {graph.label_of(v): v for v in range(graph.n)}
+    names = quoted_labels(graph)
     bfm, cover = solve_fractional(graph)
     reduction = reduce_cycles(graph)
     vertex = min_vertex_stabilizer(graph)
@@ -62,12 +74,16 @@ def _assert_round_trips(instance) -> None:
         else:
             xs.append(result.x)  # x of G - delta(X), read back on G
     for x in xs:
-        halves = _halves_from_entries(graph, index, x_entries(x))
+        entries = _value(x_entries(names, x))
+        assert len(entries) == len(x.support)
+        halves = _halves_from_entries(graph, index, entries)
         assert _x_by_ends(graph, halves) == _x_by_ends(x.graph, x.halves)
     for y in covers:
-        assert _cover_from_doc(graph, index, cover_doc(graph, y)) == y
+        doc = _value(cover_doc(names, y))
+        assert len(doc) == graph.n and _cover_from_doc(graph, index, doc) == y
     for y, removed in stable:
-        doc = cover_doc(graph, y, removed)
+        doc = _value(cover_doc(names, y, removed))
+        assert len(doc) == graph.n - len(removed)
         assert _cover_from_doc(graph, index, doc, zero_elsewhere=True) == y
     for vertices in sets:
         assert _vertex_set(index, {"S": labels_doc(graph, vertices)}, "S") == set(vertices)
@@ -78,7 +94,7 @@ def _assert_round_trips(instance) -> None:
     if matching is not None:
         pair_lists.append(matching.sorted_pairs())
     for pairs in pair_lists:
-        assert _edge_pairs(index, {"F": pairs_doc(graph, pairs)}, "F") == list(pairs)
+        assert _edge_pairs(index, {"F": _value(pairs_doc(names, pairs))}, "F") == list(pairs)
     for value in values:
         assert _exact(exact_str(value)) == value
 
@@ -99,8 +115,109 @@ def test_every_reader_gives_back_its_writers_fields_on_odd_labels():
     _assert_round_trips(parse_instance(json.dumps(ODD_INSTANCE, ensure_ascii=False)))
 
 
+# what a label may hold that a text writer must escape, or must not read
+# as a format: a quote, a backslash, a newline, a percent sign, braces, and
+# non-ASCII up to a non-BMP emoji
+LABEL_PARTS = ['"', "\\", "\n", "%", "%s", "{}", "é", "\U0001F600", "\u2028", "v"]
+
+
+def _relabelled(rng: random.Random, graph: WeightedGraph) -> WeightedGraph:
+    labels: set[str] = set()
+    while len(labels) < graph.n:
+        labels.add("".join(rng.choices(LABEL_PARTS, k=rng.randint(0, 3))))
+    order = sorted(labels)
+    rng.shuffle(order)
+    return WeightedGraph.from_edges(graph.n, graph.edges, labels=order)
+
+
+def _written_fields(rng: random.Random, graph: WeightedGraph) -> list[tuple[Fragment, Any]]:
+    """Each text writer's field on the results of every solver on `graph`,
+    with the value `value_writers` builds for it."""
+    names = quoted_labels(graph)
+    bfm, cover = solve_fractional(graph)
+    reduction = reduce_cycles(graph)
+    vertex = min_vertex_stabilizer(graph)
+    edge = edge_stabilizer_approx(graph)
+    result = m_vertex_stabilizer(graph, random_matching(rng, graph))
+    tuples = [
+        bfm.matched.sorted_pairs(), bfm.odd_cycles, reduction.solution.odd_cycles,
+        vertex.surviving_matching.sorted_pairs(), [graph.ends[i] for i in edge.removed_edges],
+    ]
+    covers = [(cover, ()), (reduction.cover, ()), (vertex.surviving_cover, vertex.removed)]
+    xs = [bfm, reduction.solution]
+    if result.status == FEASIBLE:
+        covers.append((result.residual_cover, result.removed))
+    else:
+        xs.append(result.x)  # x of G - delta(X), printed with G's labels
+    return [
+        *[(x_entries(names, x), x_value(x)) for x in xs],
+        *[(pairs_doc(names, t), pairs_value(graph, t)) for t in tuples],
+        *[(cover_doc(names, y, removed), cover_value(graph, y, removed)) for y, removed in covers],
+        (events_doc(names, reduction.events), events_value(graph, reduction.events)),
+        (diagnostics_doc(names, result.diagnostics), diagnostics_value(graph, result.diagnostics)),
+    ]
+
+
+def _edge_case_fields() -> list[tuple[Fragment, Any]]:
+    """Empty lists and dicts, an empty tuple, a null `other` and every kind
+    of event, on a triangle with odd labels."""
+    graph = WeightedGraph.from_edges(
+        3, [(0, 1, 2), (0, 2, 2), (1, 2, 2)], labels=['"%s"', "\\\n", "é\U0001F600"]
+    )
+    names = quoted_labels(graph)
+    edgeless = WeightedGraph.from_edges(2, [], labels=["%d", "{}"])
+    bfm, cover = solve_fractional(graph)
+    events = [
+        FrustrationEvent((0, 1, 2), ()),
+        FrustrationEvent((1, 2, 0), (2, 0)),
+        AugmentationEvent("cycle_zero_cover", ((0, 1, 2),), (0,), ()),
+        AugmentationEvent("two_cycles", ((0, 1, 2), (2, 1, 0)), (0, 2), (0, 1, 2)),
+        AugmentationEvent("path_to_covered", ((0, 1, 2),), (1,), (1, 0)),
+        AugmentationEvent("path_to_exposed", ((0, 1, 2),), (2,), (2,)),
+    ]
+    diagnostics = [("flower", 2, None), ("walk_between_exposed", 0, 1)]
+    empty_x = solve_fractional(edgeless)[0]
+    return [
+        (pairs_doc(names, []), []),
+        (pairs_doc(names, [(), (1, 0)]), [[], ["\\\n", '"%s"']]),
+        (cover_doc(names, cover, range(3)), {}),
+        (x_entries(quoted_labels(edgeless), empty_x), []),
+        (events_doc(names, []), []),
+        (events_doc(names, events), events_value(graph, events)),
+        (diagnostics_doc(names, []), []),
+        (diagnostics_doc(names, diagnostics), diagnostics_value(graph, diagnostics)),
+    ]
+
+
+def _assert_writes_as_json(fragment: Fragment, reference) -> None:
+    assert type(fragment) is Fragment
+    assert fragment.text == json.dumps(reference, indent=2)
+    for depth in range(4):  # placed at any depth, as the document would print the value
+        indent = "\n" + "  " * depth
+        assert cli._indented(fragment, indent) == cli._indented(reference, indent)
+    with pytest.raises(TypeError):  # a fragment is never quoted as a string
+        json.dumps(fragment)
+
+
+def test_each_text_writer_prints_its_reference_value_as_json_does(property_suite):
+    rng = random.Random(4848)
+    fields = _edge_case_fields()
+    for i, graph in enumerate(property_suite):
+        # half the graphs keep no labels, so their vertices print as indices
+        fields += _written_fields(rng, _relabelled(rng, graph) if i % 2 else graph)
+    for fragment, reference in fields:
+        _assert_writes_as_json(fragment, reference)
+    printed = "".join(fragment.text for fragment, _ in fields)
+    for part in LABEL_PARTS:
+        assert json.dumps(part)[1:-1] in printed  # escaped as json escapes it
+    assert '"other": null' in printed
+    kinds = {row["event"] for _, value in fields if type(value) is list
+             for row in value if type(row) is dict and "event" in row}
+    assert len(kinds) == 5
+
+
 def test_a_frustration_event_names_its_kind_outside_its_fields():
-    # `event_doc` dispatches on `kind`; the record keeps its two fields
+    # `events_doc` dispatches on `kind`; the record keeps its two fields
     event = FrustrationEvent((0, 1, 2), (3,))
     assert event.kind == "frustrated_tree" and FrustrationEvent._fields == (
         "root_cycle", "deleted_vertices",

@@ -273,8 +273,9 @@ def test_one_lp_gives_the_verdict_of_the_passes_and_of_the_oracle(property_suite
             # the document prints the LP's x as the certificate, and verifies
             instance, digest = Instance(g, m), "0" * 64
             doc, code = cli._run_command("m-stabilize", instance, "instance.json", digest)
-            assert code == 2 and doc["certificates"]["x"]
-            report, code = verify(instance, digest, load_result(json.dumps(doc)))
+            text = cli._indented(doc)  # x is the writer's JSON text, placed in the document
+            assert code == 2 and json.loads(text)["certificates"]["x"]
+            report, code = verify(instance, digest, load_result(text))
             assert code == 0, report
     assert verdicts[INFEASIBLE] >= 250 and verdicts[FEASIBLE] >= 1900 and verdicts["oracle"] >= 1300
 

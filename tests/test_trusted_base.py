@@ -51,7 +51,6 @@ TRUSTED_BASE = {
     "matchstab.certify._verify_report",
     "matchstab.certify._vertex_set",
     "matchstab.certify.optimal_pair_checks",
-    "matchstab.certify.pairs_doc",
     "matchstab.certify.stable_subgraph_checks",
     "matchstab.certify.verify",
     "matchstab.graph.BasicFractionalMatching.__init__",
