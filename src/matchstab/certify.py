@@ -58,8 +58,8 @@ from math import gcd
 from typing import AbstractSet, Any, Optional
 
 from .errors import (
-    DegreeConstraintViolated, GraphError, InfeasibleCover, MatchingRequired, MatchstabError,
-    NotBasic, NotHalfIntegral, NotOptimalPair, ParseError,
+    BudgetExceeded, DegreeConstraintViolated, GraphError, InfeasibleCover, MatchingRequired,
+    MatchstabError, NotBasic, NotHalfIntegral, NotOptimalPair, ParseError,
 )
 from .graph import (
     ZERO, BasicFractionalMatching, FractionalVertexCover, Matching, WeightedGraph, as_fraction,
@@ -193,14 +193,14 @@ def exact_str(value) -> str:
 
 def _ratio_str(num: int, den: int) -> str:
     """num/den, den > 0, in lowest terms as str(Fraction) prints it ("a" or
-    "a/b"), or MatchstabError when a part has more digits than Python may
-    convert to a string."""
+    "a/b"), or BudgetExceeded, an input error, when a part has more digits
+    than Python may convert to a string."""
     g = gcd(num, den)
     try:
         return str(num // g) if g == den else f"{num // g}/{den // g}"
     except ValueError:  # only a Python with a digit limit raises it
         limit = sys.get_int_max_str_digits()
-        raise MatchstabError(f"an exact value has more than {limit} digits, too many to print")
+        raise BudgetExceeded(f"an exact value has more than {limit} digits, too many to print")
 
 
 def _string(value: object) -> str:

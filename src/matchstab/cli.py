@@ -16,6 +16,13 @@ trailing newline: a two-space indent, ASCII only with `\\uXXXX` escapes,
 keys in the order written. Several instance files print one compact line
 each, the compact re-encoding of that indented text,
 `json.dumps(json.loads(text), separators=(",", ":"))`.
+
+A run command or oracle subcommand has one failure rule. The inputs it
+refuses, BudgetExceeded and MatchingRequired, exit 1 like every other input
+error. Any other exception raised while it computes its document failed
+inside a solver: no document is printed, and stderr names the failure, by
+`_internal_error`, and the instance's sha256, with exit code 3. The solvers
+hold no `assert`, so a run does the same under `python -O`.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .certify import (
     load_result, pairs_doc, quoted_labels, verify, x_entries,
 )
 from .cycles import reduce_cycles
-from .errors import BudgetExceeded, MatchingRequired, MatchstabError, NotOptimalPair, ParseError
+from .errors import BudgetExceeded, MatchingRequired, MatchstabError, ParseError
 from .graph import Matching, WeightedGraph
 from .instance import Instance, parse_instance
 from .lp import solve_fractional
@@ -384,14 +391,15 @@ def _emit(doc: dict, timing: Optional[float], compact: bool) -> None:
 
 
 def _internal_error(exc: Exception) -> str:
-    """What failed inside a solver: a NotOptimalPair's failed checks, or
-    the module:line of a failed assert."""
-    if isinstance(exc, NotOptimalPair):
+    """What failed inside a solver: a MatchstabError by its message, which
+    for a NotOptimalPair names the failed checks, and any other exception
+    by its type and the module:line it was raised at."""
+    if isinstance(exc, MatchstabError):
         return str(exc)
     tb = exc.__traceback__
     while tb.tb_next is not None:
         tb = tb.tb_next
-    return f"assertion failed at {tb.tb_frame.f_globals['__name__']}:{tb.tb_lineno}"
+    return f"{type(exc).__name__} at {tb.tb_frame.f_globals['__name__']}:{tb.tb_lineno}"
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -422,8 +430,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                     doc, code = _run_oracle(args.oracle_command, instance, path, digest)
                 else:
                     doc, code = _run_command(args.command, instance, path, digest)
-            except (NotOptimalPair, AssertionError) as exc:
-                # a solver failed its own certificate or invariant: not an input error
+            except (BudgetExceeded, MatchingRequired):
+                raise  # the two inputs a command refuses
+            except Exception as exc:
+                # anything else failed inside a solver: not an input error
                 failed = _internal_error(exc)
                 print(f"matchstab: internal error: {path}: {failed} (instance sha256 {digest})",
                       file=sys.stderr)

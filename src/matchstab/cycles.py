@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .certify import verify_optimal_pair
 from .edmonds import AugmentingPath, AuxiliaryGraph, TreeSearch, build_auxiliary, grow_tree
-from .errors import EndpointNotRecognized, PathNotAugmenting
+from .errors import EndpointNotRecognized, NotOptimalPair, PathNotAugmenting
 from .graph import (
     BasicFractionalMatching,
     FractionalVertexCover,
@@ -84,7 +84,7 @@ def _validate_alternating(aux: AuxiliaryGraph, path: Sequence[int]) -> None:
         if b not in aux.adjacency[a]:
             raise PathNotAugmenting(f"({a},{b}) is not a search-graph edge")
         flags.append(aux.mate[a] == b)
-    if flags[0] or flags[-1]:
+    if flags[-1]:  # the first edge is unmatched: path[0] is exposed
         raise PathNotAugmenting("path must start and end with unmatched edges")
     for f, g in zip(flags, flags[1:]):
         if f == g:
@@ -215,6 +215,11 @@ def reduce_cycles(
     tree is rooted at the first cycle whose pseudonode is live: the order a
     rescan from the first cycle after each augmentation would give.
 
+    No certificate covers the search itself, so two of its invariants are
+    explicit checks that raise NotOptimalPair, also under `python -O`: a
+    frustrated tree holds its root as its one pseudonode, and after the
+    moves x's cycles are G''s live pseudonodes.
+
     The entry pair is proven optimal by `solve_fractional` (or here, when
     `start` is given). The moves change x but not the cover, so when any
     move ran, x is validated by one `decompose` and the final pair proven
@@ -246,11 +251,13 @@ def reduce_cycles(
             else:
                 deleted = sorted(v for v in outcome.nodes if aux.kind(v) == "vertex")
                 # z and shadows cannot join a frustrated tree, nor a second cycle
-                assert outcome.nodes - set(deleted) == {root}
+                if outcome.nodes - set(deleted) != {root}:
+                    raise NotOptimalPair("not a frustrated tree: holds_one_pseudonode failed")
                 dead.update(outcome.nodes)
                 events.append(FrustrationEvent(aux.cycle_of[root], tuple(deleted)))
         if len(aux.cycle_of) < len(bfm.odd_cycles):
             bfm = decompose(graph, halves)
-            assert bfm.odd_cycles == tuple(aux.cycle_of.values())
+            if bfm.odd_cycles != tuple(aux.cycle_of.values()):
+                raise NotOptimalPair("not the x of G': cycles_are_live_pseudonodes failed")
             verify_optimal_pair(graph, bfm, cover)
     return ReduceCyclesResult(bfm, cover, len(bfm.odd_cycles), tuple(events))

@@ -121,8 +121,7 @@ def _find_alternating(
 
     def mark_path(v: int, b: int, child: int, in_blossom: list[int]) -> None:
         while base[v] != b:
-            mate = match[v]
-            assert mate is not None
+            mate: int = match[v]  # type: ignore[assignment]
             for x in (base[v], base[mate]):
                 mark[x] = True
                 in_blossom.append(x)
@@ -186,15 +185,13 @@ def grow_tree(search: TreeSearch, root: int, dead: AbstractSet[int]) -> GrowResu
         path = [endpoint]
         v: Optional[int] = endpoint
         while True:
-            pv = parent[v]  # type: ignore[index]
-            assert pv is not None
+            pv: int = parent[v]  # type: ignore[index, assignment]
             path.append(pv)
             if match[pv] is None:
                 break
             path.append(match[pv])
             v = match[pv]
         path.reverse()
-        assert path[0] == root
         result = AugmentingPath(tuple(path))
     else:
         even = frozenset(i for i in nodes if used[i])

@@ -28,7 +28,9 @@ class InfeasibleCover(MatchstabError, ValueError):
 
 
 class NotOptimalPair(MatchstabError, ValueError):
-    """Primal/dual pair fails cover feasibility, strong duality or slackness."""
+    """A solver's own named check failed, on its certificate (cover
+    feasibility, strong duality, slackness or a stable subgraph's) or on
+    its search: `not <what>: <checks> failed`."""
 
 
 class PathNotAugmenting(MatchstabError, ValueError):
@@ -48,7 +50,8 @@ class VertexNotExposed(MatchstabError, ValueError):
 
 
 class BudgetExceeded(MatchstabError, ValueError):
-    """Instance is beyond the oracle's desk-scale budget."""
+    """Instance is beyond the oracle's desk-scale budget, or a result has an
+    exact value with more digits than Python may print."""
 
 
 class ParseError(MatchstabError, ValueError):

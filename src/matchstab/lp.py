@@ -154,7 +154,6 @@ def _run_phase(
                     mate = match_r[r]
                     if mate is None:
                         break
-                    assert match_l[mate] == r  # so mate is not in the tree yet
                     parent[r] = u
                     odd.append(r)
                     p_right[r] -= shift
@@ -197,7 +196,6 @@ def _run_phase(
                     mate = match_r[r]
                     if mate is None:
                         break
-                    assert match_l[mate] == r  # so mate is not in the tree yet
                     parent[r] = u
                     odd.append(r)
                     p_right[r] -= shift
@@ -216,7 +214,6 @@ def _run_phase(
                     break
                 # flip the matching along the tree from u's parent
                 r = match_l[u]
-                assert r is not None
                 match_l[u] = None
                 u = parent[r]
         # give right r to even node u, cascading along the tree to the root

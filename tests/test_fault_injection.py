@@ -6,9 +6,15 @@ final certificate check to raise NotOptimalPair: the LP pair, the pair
 The cases run in a ``python -O`` subprocess, where every ``assert`` is
 stripped, so they pass only if those checks are explicit raises.
 
-Through the CLI, such a fault is an internal error, not an input error: a
-planted certificate failure under ``-O``, and a planted failed ``assert``
-without it, each exit 3 and name the check and the instance's sha256.
+Through the CLI, such a fault is an internal error, not an input error.
+The run commands have one failure rule: only BudgetExceeded and
+MatchingRequired are inputs a command refuses, with exit 1, and every
+other exception raised while a command computes its document exits 3 and
+names the failure and the instance's sha256. The planted faults (a
+certificate that fails, a frustrated tree that holds z, an augmenting path
+cut short, a plain TypeError inside `reduce_cycles`) each exit 3 with the
+same stderr with and without ``-O``: no module of matchstab holds an
+``assert``, so ``-O`` strips no check from a run.
 
 A fault in code that the solvers and `verify` share would be common-mode:
 both checks would agree on it. `verify` builds no subgraph, so a fault
@@ -18,6 +24,7 @@ the solver's own check on G, or else leaves a document that is right.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -28,8 +35,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import feasible_sparse
-from matchstab import cli
+from matchstab import cli, errors
 from matchstab.graph import WeightedGraph
 from matchstab.instance import parse_instance
 
@@ -150,9 +159,10 @@ import sys
 import matchstab.cycles as cycles
 import matchstab.lp as lp
 from matchstab.cli import main
-from matchstab.edmonds import FrustratedTree
+from matchstab.edmonds import AugmentingPath, FrustratedTree
 
 fault, n, *argv = sys.argv[1:]
+grow = cycles.grow_tree
 if fault == "certificate":
     hungarian = lp.bipartite_max_weight_matching
 
@@ -163,7 +173,6 @@ if fault == "certificate":
 
     lp.bipartite_max_weight_matching = right_potential_raised
 elif fault == "tree":
-    grow = cycles.grow_tree
 
     def tree_holding_z(search, root, dead):
         # G' node n is z, which no frustrated tree can hold
@@ -173,6 +182,26 @@ elif fault == "tree":
         return outcome
 
     cycles.grow_tree = tree_holding_z
+elif fault == "path":
+
+    def path_cut_short(search, root, dead):
+        # the augmenting path keeps its first two nodes only
+        outcome = grow(search, root, dead)
+        if isinstance(outcome, AugmentingPath):
+            outcome = AugmentingPath(outcome.vertices[:2])
+        return outcome
+
+    cycles.grow_tree = path_cut_short
+elif fault == "type":
+
+    def tree_of_no_nodes(search, root, dead):
+        # reading the tree's nodes raises a plain TypeError inside reduce_cycles
+        outcome = grow(search, root, dead)
+        if isinstance(outcome, FrustratedTree):
+            outcome = outcome._replace(nodes=None)
+        return outcome
+
+    cycles.grow_tree = tree_of_no_nodes
 sys.exit(main(argv))
 """
 
@@ -186,6 +215,29 @@ FRUSTRATED = {
         {"u": "0", "v": "4", "w": "4"},
         {"u": "1", "v": "2", "w": "4"},
     ],
+}
+
+# the triangle 1-2-3 and the edge 0-1: its one search augments, to the
+# shadow of the zero-cover vertex 0
+AUGMENTING = {
+    "vertices": ["0", "1", "2", "3"],
+    "edges": [
+        {"u": "1", "v": "2", "w": "4"},
+        {"u": "2", "v": "3", "w": "4"},
+        {"u": "0", "v": "1", "w": "1"},
+        {"u": "1", "v": "3", "w": "2"},
+    ],
+}
+
+# each planted fault: the command it fails, its instance, and the check
+# stderr names
+PLANTS = {
+    "certificate": (
+        "solve-fractional", json.loads((ROOT / "fixtures" / "fig9.json").read_text()),
+        "not an optimal pair: strong_duality, complementary_slackness failed",
+    ),
+    "tree": ("min-cycles", FRUSTRATED, "not a frustrated tree: holds_one_pseudonode failed"),
+    "path": ("min-cycles", AUGMENTING, "endpoints must be exposed in the search graph"),
 }
 
 
@@ -202,30 +254,77 @@ def _cli_with_fault(fault: str, optimize: bool, command: str, path: Path):
     )
 
 
-def test_a_certificate_failure_exits_3_under_dash_o():
-    path = ROOT / "fixtures" / "fig9.json"
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    proc = _cli_with_fault("certificate", True, "solve-fractional", path)
+def _instance_file(tmp_path: Path, instance: dict) -> tuple[Path, str]:
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    return path, hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "dash-O"])
+@pytest.mark.parametrize("fault", list(PLANTS))
+def test_a_planted_fault_exits_3_alike_with_and_without_dash_o(tmp_path, fault, optimize):
+    command, instance, failed = PLANTS[fault]
+    path, digest = _instance_file(tmp_path, instance)
+    assert _cli_with_fault("none", optimize, command, path).returncode == 0  # the control
+    proc = _cli_with_fault(fault, optimize, command, path)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == (
-        f"matchstab: internal error: {path}: not an optimal pair: strong_duality, "
-        f"complementary_slackness failed (instance sha256 {digest})\n"
+        f"matchstab: internal error: {path}: {failed} (instance sha256 {digest})\n"
     )
 
 
-def test_a_failed_assert_exits_3_with_its_module_and_line(tmp_path):
-    path = tmp_path / "frustrated.json"
-    path.write_text(json.dumps(FRUSTRATED))
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    source = (SRC / "matchstab" / "cycles.py").read_text().splitlines()
-    line = source.index("                assert outcome.nodes - set(deleted) == {root}") + 1
-    assert _cli_with_fault("none", False, "min-cycles", path).returncode == 0  # the control
-    proc = _cli_with_fault("tree", False, "min-cycles", path)
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "dash-O"])
+def test_a_plain_exception_in_a_solver_exits_3_with_its_type_and_line(tmp_path, optimize):
+    path, digest = _instance_file(tmp_path, FRUSTRATED)
+    source = [text.strip() for text in (SRC / "matchstab" / "cycles.py").read_text().splitlines()]
+    line = source.index('deleted = sorted(v for v in outcome.nodes if aux.kind(v) == "vertex")') + 1
+    proc = _cli_with_fault("type", optimize, "min-cycles", path)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == (
-        f"matchstab: internal error: {path}: assertion failed at matchstab.cycles:{line} "
+        f"matchstab: internal error: {path}: TypeError at matchstab.cycles:{line} "
         f"(instance sha256 {digest})\n"
     )
+
+
+# every error matchstab raises, and three plain ones
+RAISED = [
+    kind for kind in vars(errors).values()
+    if isinstance(kind, type) and issubclass(kind, errors.MatchstabError)
+] + [ValueError, KeyError, TypeError]
+REFUSED = (errors.BudgetExceeded, errors.MatchingRequired)  # the inputs a command refuses
+
+
+@pytest.mark.parametrize("raised", RAISED, ids=lambda kind: kind.__name__)
+def test_only_a_refused_input_exits_1_and_every_other_failure_exits_3(monkeypatch, raised):
+    path = ROOT / "fixtures" / "fig9.json"
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def failing(graph):
+        raise raised("planted")
+
+    monkeypatch.setattr(cli, "reduce_cycles", failing)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["min-cycles", str(path)])
+    assert out.getvalue() == ""
+    if raised in REFUSED:
+        assert (code, err.getvalue()) == (1, "matchstab: error: planted\n")
+    else:
+        named = "planted" if issubclass(raised, errors.MatchstabError) else raised.__name__
+        assert code == 3
+        assert err.getvalue().startswith(f"matchstab: internal error: {path}: {named}")
+        assert err.getvalue().endswith(f" (instance sha256 {digest})\n")
+
+
+def test_no_module_of_matchstab_holds_an_assert():
+    # `python -O` strips an assert, so a check written as one would not run
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "matchstab").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def _cli(*argv: str) -> tuple[int, str]:
