@@ -6,8 +6,8 @@ runtime freeze: weights and cover values are `fractions.Fraction` at the
 API, and every test (tightness, degree constraints, duality) is an exact
 comparison, never a tolerance. The graph is its integers: `WeightedGraph`
 stores the ends (u, v) of each edge, `scale`, D, the lcm of the weight
-denominators, and `int_weights`, the integers D.w, which the LP kernel, the
-walk DP, the rounding of half-valued paths and the cover checks run on.
+denominators, and `int_weights`, the integers D.w, which the LP kernel and
+its rounding of half-valued paths, the walk DP and the cover checks run on.
 `scale_weights` is the one place that turns exact weights into D and D.w,
 for `WeightedGraph.from_edges` and the instance parser; `WeightedGraph.edges`
 is the view with `Fraction` weights for the API. A graph is checked once:
@@ -22,11 +22,12 @@ denominator q and the integers q.y, so y_u + y_v >= w_uv is tested as
 (q.y_u + q.y_v).D >= D.w_uv.q, and y becomes `Fraction`s only in
 `FractionalVertexCover.values`.
 A fractional matching x is half counts 2x_i, ints 0, 1 or 2, everywhere:
-`decompose` validates them, and for `lp.normalize_to_basic` rounds their
-half-valued paths and even cycles in the walk that finds the odd cycles,
-`cycles.apply_augmentation` moves them in place, and x becomes `Fraction`s
-only in `BasicFractionalMatching.values`, for the API; the JSON documents
-print x and y from these integers.
+`lp.solve_fractional` reads them off its kernel's matching,
+`cycles.apply_augmentation` moves them in place, `decompose` validates an
+x built elsewhere (a document's in `verify`, and `reduce_cycles`' after a
+move) and splits it into M(x) and C(x), and x becomes `Fraction`s only in
+`BasicFractionalMatching.values`, for the API; the JSON documents print x
+and y from these integers.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     DegreeConstraintViolated,
@@ -352,11 +353,12 @@ class Matching(_Value):
 class BasicFractionalMatching(_Value):
     """A half-integral vector split into matched edges and odd half-cycles.
 
-    Built through :func:`decompose`, which is the only validated constructor.
-    x is kept as half counts: `halves[i]` is 2x_i, an int 0, 1 or 2, for edge
-    i of `graph`, and `vertex_halves[v]` is 2x(delta(v)); `==` and `repr`
-    read `halves`. `values`, the x_i as `Fraction`s, is derived from them for
-    the API only; the JSON documents print x from `halves`.
+    Built by :func:`decompose`, which validates x, or by the LP, which
+    reads it off its kernel's matching. x is kept as half counts:
+    `halves[i]` is 2x_i, an int 0, 1 or 2, for edge i of `graph`, and
+    `vertex_halves[v]` is 2x(delta(v)); `==` and `repr` read `halves`.
+    `values`, the x_i as `Fraction`s, is derived from them for the API
+    only; the JSON documents print x from `halves`.
     """
 
     _fields = ("graph", "halves", "matched", "odd_cycles")
@@ -387,74 +389,42 @@ class BasicFractionalMatching(_Value):
         )
 
 
-def decompose(
-    graph: WeightedGraph,
-    halves: Sequence[int],
-    keep: Optional[Callable[[list[int]], Sequence[int]]] = None,
-) -> BasicFractionalMatching:
+def decompose(graph: WeightedGraph, halves: Sequence[int]) -> BasicFractionalMatching:
     """Validate x, given as half counts 2x_i, and split it into M(x) and C(x).
 
-    This is the one validator of x. An entry other than 0, 1 or 2 (such as
-    the 3/2 that stands for x_i = 3/4) raises NotHalfIntegral, a load
-    x(delta(v)) above 1 raises DegreeConstraintViolated, and half-valued
-    edges that do not form vertex-disjoint odd cycles raise NotBasic, unless
-    `keep` is given. Then each half-valued path and even cycle is rounded in
-    the walk that finds the odd cycles, after the one counting pass:
-    `keep` gets its edge indices in walking order and returns the
-    alternation that rises to 1, and the other one falls to 0, while a
-    basic x passes unchanged. A vertex with more than two half-valued edges
-    then raises DegreeConstraintViolated, and the loads are checked after
-    the rounding.
+    This is the validator of an x built elsewhere: `verify` checks a
+    document's x with it, and `reduce_cycles` its x after a move. An entry
+    other than 0, 1 or 2 (such as the 3/2 that stands for x_i = 3/4)
+    raises NotHalfIntegral, a load x(delta(v)) above 1 raises
+    DegreeConstraintViolated, and half-valued edges that do not form
+    vertex-disjoint odd cycles raise NotBasic. Each odd cycle is written
+    from its lowest vertex toward its lower neighbour.
     """
     counts, vertex_halves, matched_pairs, half_adj = _count_halves(graph, halves)
+    for v, h in enumerate(vertex_halves):
+        if h > 2:
+            raise DegreeConstraintViolated(f"vertex {v} carries x(delta(v)) = {Fraction(h, 2)}")
     cycles: list[tuple[int, ...]] = []
     visited: set[int] = set()
-    starts = sorted(half_adj)
-    if keep is None:
-        _check_loads(vertex_halves)
-    else:
-        for v, nbrs in half_adj.items():
-            if len(nbrs) > 2:
-                raise DegreeConstraintViolated(f"vertex {v} has {len(nbrs)} half-valued edges")
-        # paths from an end first, so that each is walked whole
-        starts = [v for v in starts if len(half_adj[v]) == 1] + starts
-    for start in starts:
+    for start in sorted(half_adj):
         if start in visited:
             continue
-        if keep is None and len(half_adj[start]) != 2:
+        if len(half_adj[start]) != 2:
             raise NotBasic(f"vertex {start} has {len(half_adj[start])} half-edges")
         order = [start]
-        visited.add(start)
         prev, cur = start, min(half_adj[start])
         while cur != start:
-            visited.add(cur)
-            order.append(cur)
             if len(half_adj[cur]) != 2:
-                if keep is None:
-                    raise NotBasic(f"vertex {cur} has {len(half_adj[cur])} half-edges")
-                break  # the far end of a path
+                raise NotBasic(f"vertex {cur} has {len(half_adj[cur])} half-edges")
+            order.append(cur)
             nxt = half_adj[cur][0] if half_adj[cur][1] == prev else half_adj[cur][1]
             prev, cur = cur, nxt
-        if cur == start and len(order) % 2 == 1:
-            # `start` is the cycle's lowest vertex and the walk leaves it
-            # toward its lower neighbor, so `order` is canonical and the
-            # list sorted
-            cycles.append(tuple(order))
-            continue
-        if keep is None:
+        visited.update(order)
+        if len(order) % 2 == 0:
             raise NotBasic(f"half-edges around vertex {start} form an even cycle")
-        walk = order + [start] if cur == start else order
-        edges = [graph.edge_index(a, b) for a, b in zip(walk, walk[1:])]
-        kept = set(keep(edges))
-        for idx in edges:
-            u, v = graph.ends[idx]
-            counts[idx] = 2 if idx in kept else 0
-            vertex_halves[u] += counts[idx] - 1
-            vertex_halves[v] += counts[idx] - 1
-            if idx in kept:
-                matched_pairs.append((u, v))
-    if keep is not None:
-        _check_loads(vertex_halves)
+        # `start` is the cycle's lowest vertex and the walk leaves it toward
+        # its lower neighbor, so `order` is canonical and the list sorted
+        cycles.append(tuple(order))
     matched = Matching(frozenset(matched_pairs))  # each pair is an edge (u, v), u < v
     return BasicFractionalMatching(
         graph, tuple(counts), matched, tuple(cycles), tuple(vertex_halves)
@@ -489,14 +459,6 @@ def _count_halves(graph: WeightedGraph, halves: Sequence[int]) -> tuple:
         vertex_halves[u] += counts[idx]
         vertex_halves[v] += counts[idx]
     return counts, vertex_halves, matched_pairs, half_adj
-
-
-def _check_loads(vertex_halves: list[int]) -> None:
-    for v, h in enumerate(vertex_halves):
-        if h > 2:
-            raise DegreeConstraintViolated(
-                f"vertex {v} carries x(delta(v)) = {Fraction(h, 2)}"
-            )
 
 
 def near_perfect_matching(cycle: tuple[int, ...], v: int) -> list[tuple[int, int]]:

@@ -18,14 +18,16 @@ costs time in its tree, not in n. It keys each reached copy's least slack,
 and the potentials of its tree, against the sum of its dual steps so far,
 so a step changes no key and visits no tree node, and one pass over the
 reached copies finds the next step and the copies it makes tight.
-`solve_fractional` counts the matched copies of each edge into the half
-counts 2x of a half-integral optimum x, which stay ints through
-`normalize_to_basic`: one `graph.decompose` walk, after one counting pass,
-that keeps the odd cycles of x and rounds its half-valued paths and even
-cycles, so a basic x passes unchanged. It adds the two potentials of each
-vertex into 2D.y_v: the integers, over q = 2D, of a minimum fractional
-w-vertex cover y, which `graph.FractionalVertexCover` stores as they are,
-reduced by their gcd.
+`solve_fractional` reads a basic optimum x, as the half counts 2x, off
+the components of the kernel's matching in one walk, `_basic_x`: a matched
+pair is an edge at 1, an odd cycle stays at 1/2, and a half-valued path or
+even cycle is rounded to its heavier alternation, ties going to the one
+that holds the lowest edge index, a rule symmetric in the two alternations.
+So a basic x passes unchanged, and the LP runs no `graph.decompose`, the
+validator that `verify` checks its documents with. It adds the two
+potentials of each vertex into 2D.y_v: the integers, over q = 2D, of a
+minimum fractional w-vertex cover y, which `graph.FractionalVertexCover`
+stores as they are, reduced by their gcd.
 
 The pair is proven optimal once per result, also under `python -O`, by
 `certify.verify_optimal_pair`, the checks `matchstab verify` reports on it.
@@ -36,7 +38,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .certify import verify_optimal_pair
-from .graph import BasicFractionalMatching, FractionalVertexCover, WeightedGraph, decompose
+from .errors import NotOptimalPair
+from .graph import BasicFractionalMatching, FractionalVertexCover, Matching, WeightedGraph
 
 
 def bipartite_max_weight_matching(
@@ -234,53 +237,88 @@ def _run_phase(
         key[r] = arg[r] = None
 
 
-def normalize_to_basic(graph: WeightedGraph, halves: Sequence[int]) -> BasicFractionalMatching:
-    """Round half-valued paths and even cycles so only odd cycles stay at 1/2.
-
-    x comes and goes as half counts 2x_i (see `graph.decompose`); a basic x
-    comes back unchanged.
-
-    Each half-valued path and even cycle is split into its two 0/1
-    alternations and the heavier one is kept; for an optimal input this
-    never changes the weight. Ties go to the alternation containing the
-    lowest edge index. The two alternations are compared on the graph's
-    integer weights, in the one walk of `decompose`, which also validates
-    the result.
-    """
-    weight = graph.int_weights
-
-    def heavier(edges: list[int]) -> list[int]:
-        keep, drop = edges[0::2], edges[1::2]
-        w_keep = sum(weight[i] for i in keep)
-        w_drop = sum(weight[i] for i in drop)
-        if w_drop > w_keep or (w_drop == w_keep and drop and min(drop) < min(keep)):
-            return drop
-        return keep
-
-    return decompose(graph, halves, heavier)
-
-
 def solve_fractional(
     graph: WeightedGraph,
 ) -> tuple[BasicFractionalMatching, FractionalVertexCover]:
     """Basic maximum-weight fractional matching plus a minimum fractional cover.
 
-    x_uv gets 1/2 per matched copy of uv in the duplicate, counted as the
-    half count 2x_uv, and y_v is the mean of v's two potentials, kept as
-    their integer sum over 2D. x is validated and made basic by one call of
-    `normalize_to_basic`, which counts it once, keeps a basic x as it is and
-    rounds the half-valued paths and even cycles of any other. The pair
-    satisfies w.x = sum(y) and complementary slackness with exact
-    arithmetic; both facts are checked before returning.
+    x_uv gets 1/2 per matched copy of uv in the duplicate, and y_v is the
+    mean of v's two potentials, kept as their integer sum over 2D. x is
+    read off the components of the kernel's matching by `_basic_x`, which
+    keeps its matched pairs and odd cycles as they are and rounds its
+    half-valued paths and even cycles, by a tie rule that does not depend
+    on the direction of the walk. The pair satisfies w.x = sum(y) and
+    complementary slackness with exact arithmetic; both facts are checked
+    before returning.
     """
     match_left, p_left, p_right = bipartite_max_weight_matching(graph)
-    halves = [0] * graph.m  # matched copies of each edge, 0, 1 or 2
-    for u, r in enumerate(match_left):
-        if r is not None:
-            halves[graph.edge_index(u, r)] += 1
     cover = FractionalVertexCover(
         tuple(p_left[v] + p_right[v] for v in range(graph.n)), 2 * graph.scale
     )
-    bfm = normalize_to_basic(graph, halves)
+    bfm = _basic_x(graph, match_left)
     verify_optimal_pair(graph, bfm, cover)
     return bfm, cover
+
+
+def _basic_x(graph: WeightedGraph, match_left: Sequence[Optional[int]]) -> BasicFractionalMatching:
+    """The basic x of the kernel's matching, in one walk of its components.
+
+    u -> `match_left[u]` gives each vertex at most one successor and, once
+    inverted, at most one predecessor; a right copy matched twice raises
+    NotOptimalPair. So the map splits into matched pairs u -> v -> u, the
+    edges at 1, taken as they come, and paths and cycles, whose edges are
+    at 1/2. Each path is walked from its start, and then each cycle from
+    its lowest vertex. An odd cycle stays at 1/2, written from its lowest
+    vertex toward its lower neighbour, as `graph.decompose` writes it. A
+    path or an even cycle is rounded to its heavier alternation, compared
+    on the graph's integer weights, ties going to the one that holds the
+    lowest edge index; its two alternations are the same two edge sets
+    whichever way it is walked, so the walk's direction changes nothing,
+    and for an optimal x the weight does not change.
+    """
+    n, ends, weight, index_of = graph.n, graph.ends, graph.int_weights, graph._index_of
+    match_right: list[Optional[int]] = [None] * n
+    halves, vertex_halves = [0] * graph.m, [0] * n
+    pairs: list[tuple[int, int]] = []
+    cycles: list[tuple[int, ...]] = []
+    rest: list[int] = []  # the vertices with a successor on a path or a cycle
+    for u, r in enumerate(match_left):
+        if r is None:
+            continue
+        if match_right[r] is not None:
+            raise NotOptimalPair(
+                "not a matching of the duplicate: right_copies_matched_once failed"
+            )
+        match_right[r] = u
+        if match_left[r] != u:
+            rest.append(u)
+        elif u < r:
+            halves[index_of[u, r]] = 2
+            vertex_halves[u] = vertex_halves[r] = 2
+            pairs.append((u, r))
+    # the paths from their starts first; a walk leaves a load on every inner
+    # vertex it passes, so the first vertex of a cycle met is its lowest
+    for start in sorted(rest, key=lambda u: match_right[u] is not None):
+        if vertex_halves[start]:
+            continue
+        order, edges, a, v = [start], [], start, match_left[start]
+        while v is not None:  # to a path's end, or once around a cycle
+            edges.append(index_of[(a, v) if a < v else (v, a)])
+            if v == start:
+                break
+            order.append(v)
+            a, v = v, match_left[v]
+        if v is not None and len(edges) % 2:  # an odd cycle
+            for a, i in zip(order, edges):
+                vertex_halves[a], halves[i] = 2, 1
+            cycles.append(tuple(order) if order[1] < order[-1] else (start, *order[:0:-1]))
+            continue
+        lowest = min(edges)
+        alternations = edges[0::2], edges[1::2]
+        for i in max(alternations, key=lambda alt: (sum(weight[i] for i in alt), lowest in alt)):
+            (a, b), halves[i] = ends[i], 2
+            vertex_halves[a] = vertex_halves[b] = 2
+            pairs.append((a, b))
+    return BasicFractionalMatching(
+        graph, tuple(halves), Matching(frozenset(pairs)), tuple(cycles), tuple(vertex_halves)
+    )

@@ -30,6 +30,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -38,9 +39,11 @@ from pathlib import Path
 import pytest
 
 import feasible_sparse
-from matchstab import cli, errors
-from matchstab.graph import WeightedGraph
+from conftest import tri_chain
+from matchstab import cli, errors, graph as graph_module
+from matchstab.graph import BasicFractionalMatching, WeightedGraph
 from matchstab.instance import parse_instance
+from test_golden import _instance_text
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -172,6 +175,17 @@ if fault == "certificate":
         return match_left, p_left, p_right
 
     lp.bipartite_max_weight_matching = right_potential_raised
+elif fault == "twice":
+    hungarian = lp.bipartite_max_weight_matching
+
+    def right_copy_matched_twice(graph):
+        # a second left copy takes the right partner of the first matched one
+        match_left, p_left, p_right = hungarian(graph)
+        u, r = next((u, r) for u, r in enumerate(match_left) if r is not None)
+        match_left[min(set(range(graph.n)) - {u, r})] = r
+        return match_left, p_left, p_right
+
+    lp.bipartite_max_weight_matching = right_copy_matched_twice
 elif fault == "tree":
 
     def tree_holding_z(search, root, dead):
@@ -235,6 +249,10 @@ PLANTS = {
     "certificate": (
         "solve-fractional", json.loads((ROOT / "fixtures" / "fig9.json").read_text()),
         "not an optimal pair: strong_duality, complementary_slackness failed",
+    ),
+    "twice": (
+        "solve-fractional", json.loads((ROOT / "fixtures" / "fig9.json").read_text()),
+        "not a matching of the duplicate: right_copies_matched_once failed",
     ),
     "tree": ("min-cycles", FRUSTRATED, "not a frustrated tree: holds_one_pseudonode failed"),
     "path": ("min-cycles", AUGMENTING, "endpoints must be exposed in the search graph"),
@@ -375,3 +393,32 @@ def test_a_planted_fault_in_keep_is_not_common_mode(monkeypatch, tmp_path):
         if _cli("verify", str(path), "--result", str(result))[0] == 0:
             assert _covers_g_outside_s(path, json.loads(out)), path.name
     assert 3 in codes, codes
+
+
+def test_a_planted_fault_in_decompose_is_not_common_mode(monkeypatch, tmp_path):
+    # `decompose` writes each odd cycle toward its higher neighbour; the LP
+    # document must not change, and `verify` must refuse it
+    chain_path = tmp_path / "tri-chain-4.json"
+    chain_path.write_text(_instance_text(tri_chain(random.Random(1), 4)), encoding="utf-8")
+    paths = [ROOT / "fixtures" / "fig6.json", ROOT / "fixtures" / "fig9.json", chain_path]
+    documents = [_cli("solve-fractional", str(path)) for path in paths]
+    decompose = graph_module.decompose
+
+    def decompose_toward_the_higher_neighbour(*args):
+        bfm = decompose(*args)
+        cycles = tuple((c[0],) + c[:0:-1] for c in bfm.odd_cycles)
+        return BasicFractionalMatching(
+            bfm.graph, bfm.halves, bfm.matched, cycles, bfm.vertex_halves
+        )
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "decompose", None) is decompose:
+            monkeypatch.setattr(module, "decompose", decompose_toward_the_higher_neighbour)
+    for path, document in zip(paths, documents):
+        assert document[0] == 0 and json.loads(document[1])["outputs"]["odd_cycles"], path.name
+        assert _cli("solve-fractional", str(path)) == document, path.name
+        result = tmp_path / f"{path.stem}.result.json"
+        result.write_text(document[1], encoding="utf-8")
+        code, out = _cli("verify", str(path), "--result", str(result))
+        checks = {check["name"]: check["ok"] for check in json.loads(out)["checks"]}
+        assert (code, checks["matched_and_odd_cycles_equal_x"]) == (1, False), path.name

@@ -92,9 +92,10 @@ def _lp_graphs() -> dict[str, WeightedGraph]:
     * ``grid``: 3-column grids with weight 1 on a shuffled vertex order.
 
     Unit and 1-2 weights leave the bipartite duplicate many optimal
-    matchings, so on the ``unit``, ``w12`` and ``grid`` cases the averaged
-    vector carries half-valued paths and even cycles that
-    ``normalize_to_basic`` must round."""
+    matchings, so on every ``unit`` case and some ``w12`` and ``grid``
+    ones, and on no ``dense`` one, the kernel's matching holds half paths
+    or even cycles, which ``solve_fractional`` must round to their heavier
+    alternation."""
     out: dict[str, WeightedGraph] = {}
     for family in ("unit", "w12", "dense", "grid"):
         for n in (10, 14, 18, 22, 26, 30):

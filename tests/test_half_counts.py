@@ -1,11 +1,11 @@
-"""`decompose` and `normalize_to_basic` on half counts against their
-`Fraction` versions.
+"""`decompose` on half counts against its `Fraction` version.
 
-Both now read and write x as the half counts 2x_i, ints 0, 1 or 2, and x
-becomes `Fraction`s only in `BasicFractionalMatching.values`. The
-`Fraction` code they replaced is kept below as the reference: on every
-vector here both must give the same M(x), C(x), values and weight, or raise
-the same error class with the same text.
+It reads x as the half counts 2x_i, ints 0, 1 or 2, and x becomes
+`Fraction`s only in `BasicFractionalMatching.values`. The `Fraction` code
+it replaced is kept below as the reference: on every vector here both must
+give the same M(x), C(x), values and weight, or raise the same error class
+with the same text. So is the `Fraction` rounding of the LP's x, which
+`test_lp` compares `solve_fractional` with.
 """
 
 from __future__ import annotations
@@ -19,13 +19,14 @@ from conftest import bench_families, canonical_cycle, weight_denominator_graphs
 from matchstab.errors import DegreeConstraintViolated, NotBasic, NotHalfIntegral
 from matchstab.graph import Matching, WeightedGraph, decompose
 from matchstab.instance import parse_instance
-from matchstab.lp import bipartite_max_weight_matching, normalize_to_basic, solve_fractional
+from matchstab.lp import bipartite_max_weight_matching, solve_fractional
 
 ZERO, HALF, ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
 # ---------------------------------------------------------------------------
-# The Fraction reference: both functions as they were, comparing each entry
-# of x with HALF and ONE, with w.x written out as a Fraction sum.
+# The Fraction reference: `decompose` and the LP's rounding as they were,
+# comparing each entry of x with HALF and ONE, with w.x written out as a
+# Fraction sum.
 
 
 class _Reference(NamedTuple):
@@ -221,18 +222,12 @@ def _assert_agree(graph: WeightedGraph, seen: Counter) -> None:
         halves = _halves(values)
         got = _outcome(lambda: decompose(graph, halves))
         assert got == _outcome(lambda: _reference_decompose(graph, values)), (graph, values)
-        normalized = _outcome(lambda: normalize_to_basic(graph, halves))
-        expected = _outcome(lambda: _reference_normalize_to_basic(graph, values))
-        assert normalized == expected, (graph, values)
         seen[got[0] if got[0] != "NotBasic" or "even" not in got[1] else "even cycle"] += 1
-        seen["normalize " + normalized[0]] += 1
 
 
 def _assert_every_kind(seen: Counter) -> None:
     """Every outcome was met, so the comparison was not vacuous."""
-    for kind in ("ok", "NotHalfIntegral", "DegreeConstraintViolated", "NotBasic",
-                 "even cycle", "normalize ok", "normalize NotHalfIntegral",
-                 "normalize DegreeConstraintViolated"):
+    for kind in ("ok", "NotHalfIntegral", "DegreeConstraintViolated", "NotBasic", "even cycle"):
         assert seen[kind], (kind, seen)
 
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
@@ -22,7 +25,7 @@ from matchstab.graph import (
 )
 from matchstab.certify import optimal_pair_checks, verify_optimal_pair
 from matchstab.instance import parse_instance
-from matchstab.lp import bipartite_max_weight_matching, normalize_to_basic, solve_fractional
+from matchstab.lp import bipartite_max_weight_matching, solve_fractional
 from test_half_counts import _reference_normalize_to_basic
 
 H = Fraction(1, 2)
@@ -287,30 +290,93 @@ def test_averaged_unit_triangle():
     assert all(h in (0, 1, 2) for h in halves)
 
 
-def test_normalize_identity_on_basic():
+def _seeded_graphs() -> list[WeightedGraph]:
+    """400 random graphs, n = 3-12, with up to 2n edges of weight 1-3. Their
+    kernel matchings hold every kind of component, half paths and tied even
+    cycles among them."""
+    rng = random.Random(1)
+    graphs = []
+    for _ in range(400):
+        n = rng.randint(3, 12)
+        possible = list(itertools.combinations(range(n), 2))
+        m = rng.randint(0, min(len(possible), 2 * n))
+        edges = [(u, v, rng.randint(1, 3)) for u, v in rng.sample(possible, m)]
+        graphs.append(WeightedGraph.from_edges(n, edges))
+    return graphs
+
+
+def _kernel_components(g) -> list[tuple[str, list[int]]]:
+    """The components of the kernel's matching u -> match_left[u], each as
+    its kind ("pair", "odd cycle", "half path" or "even cycle") and its
+    edge indices in the map's order. Each is walked by following the map
+    from a vertex with no predecessor, or else from its lowest vertex: a
+    walk that returns after two arcs is a pair, one that returns after
+    more is a cycle, and one that stops is a path."""
+    succ = {u: r for u, r in enumerate(bipartite_max_weight_matching(g)[0]) if r is not None}
+    pred = {r: u for u, r in succ.items()}
+    out, seen = [], set()
+    for v in sorted(set(succ) | set(pred)):
+        if v in seen:
+            continue
+        start = v  # a path's start, or v itself on a cycle
+        while start in pred and pred[start] != v:
+            start = pred[start]
+        if pred.get(start) == v:
+            start = v
+        walk = [start]
+        while walk[-1] in succ and (len(walk) == 1 or walk[-1] != start):
+            walk.append(succ[walk[-1]])
+        seen.update(walk)
+        arcs = len(walk) - 1
+        if walk[-1] != start:
+            kind = "half path"
+        elif arcs == 2:
+            kind = "pair"
+        else:
+            kind = "odd cycle" if arcs % 2 else "even cycle"
+        out.append((kind, [g.edge_index(a, b) for a, b in zip(walk, walk[1:])]))
+    return out
+
+
+def test_solve_fractional_keeps_a_basic_kernel_x():
     tri = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
-    out = normalize_to_basic(tri, (1, 1, 1))
-    assert out.values == (H, H, H)
+    assert [kind for kind, _edges in _kernel_components(tri)] == ["odd cycle"]
+    assert solve_fractional(tri)[0].values == (H, H, H)
+    basic = 0
+    for g in _seeded_graphs():
+        if all(kind in ("pair", "odd cycle") for kind, _edges in _kernel_components(g)):
+            basic += 1
+            assert solve_fractional(g)[0].halves == tuple(_averaged(g)), g
+    assert basic >= 300
 
 
-def test_normalize_even_cycle_ties_break_by_edge_index():
-    g4 = WeightedGraph.from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
-    out = normalize_to_basic(g4, (1, 1, 1, 1))
-    assert out.weight == 2
-    assert out.values[0] == 1  # lowest-index edge wins the tie
+def test_even_cycles_and_half_paths_keep_their_heavier_alternation():
+    # ties go to the alternation that holds the component's lowest edge index
+    tied = Counter()
+    for g in _seeded_graphs():
+        halves = solve_fractional(g)[0].halves
+        weight = g.int_weights
+        for kind, edges in _kernel_components(g):
+            if kind not in ("even cycle", "half path"):
+                continue
+            first, second = edges[0::2], edges[1::2]
+            w_first = sum(weight[i] for i in first)
+            w_second = sum(weight[i] for i in second)
+            if w_first == w_second:
+                tied[kind] += 1
+                kept = first if min(edges) in first else second
+            else:
+                kept = first if w_first > w_second else second
+            assert [halves[i] for i in edges] == [2 if i in kept else 0 for i in edges], g
+    assert tied["even cycle"] and tied["half path"], tied
 
 
-def test_normalize_half_path():
+def test_a_half_path_is_rounded():
     g = WeightedGraph.from_edges(3, [(0, 1, 3), (1, 2, 3)])
-    out = normalize_to_basic(g, (1, 1))
+    assert [kind for kind, _edges in _kernel_components(g)] == ["half path"]
+    out = solve_fractional(g)[0]
     assert out.weight == 3
     assert out.values[0] == 1 and out.values[1] == 0
-
-
-def test_normalize_rejects_three_half_edges_at_a_vertex():
-    claw = WeightedGraph.from_edges(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
-    with pytest.raises(DegreeConstraintViolated):
-        normalize_to_basic(claw, (1, 1, 1))
 
 
 def test_solve_fractional_fixture_values():
@@ -341,15 +407,15 @@ def test_duality_and_slackness_on_random_suite(property_suite):
         assert decompose(g, bfm.halves) == bfm
 
 
-def test_normalize_never_changes_weight():
+def test_rounding_never_changes_weight():
     rng = random.Random(7)
-    for _ in range(60):
-        g = random_graph(rng)
+    graphs = [random_graph(rng) for _ in range(60)] + _seeded_graphs()
+    for g in graphs:
         raw = _averaged(g)
         raw_weight = sum(
             (w * h for (_u, _v, w), h in zip(g.edges, raw)), start=Fraction(0)
         ) / 2
-        assert normalize_to_basic(g, raw).weight == raw_weight
+        assert solve_fractional(g)[0].weight == raw_weight
 
 
 def test_zero_weight_edges_are_harmless():
@@ -557,27 +623,51 @@ def test_a_phase_starts_only_where_no_direct_match_exists(monkeypatch):
         assert phases[0] == expected
 
 
-def test_solve_fractional_x_equals_the_fraction_reference_rounding(monkeypatch, property_suite):
-    # the reference rounds the kernel's averaged x with `Fraction` entries,
-    # as `normalize_to_basic` did before half counts
+def _rounded_graphs(monkeypatch, property_suite) -> list[WeightedGraph]:
+    """The property suite, one seed-7 round of every workload of the
+    benchmark's instance generator, and `weight_denominator_graphs`."""
     families = bench_families(monkeypatch)
     graphs = list(property_suite)
-    graphs += [  # one round of every workload of the benchmark's instance generator
+    graphs += [
         parse_instance(inst.to_json()).graph
         for workload in families.LADDERS
         for inst in families.Generator(workload, 7).round()
     ]
-    graphs += weight_denominator_graphs(random.Random(16))
-    for g in graphs:
+    return graphs + weight_denominator_graphs(random.Random(16))
+
+
+def test_solve_fractional_x_equals_the_fraction_reference_rounding(monkeypatch, property_suite):
+    # the reference rounds the kernel's averaged x with `Fraction` entries,
+    # as the LP did before half counts
+    for g in _rounded_graphs(monkeypatch, property_suite):
         expected = _reference_normalize_to_basic(g, [Fraction(h, 2) for h in _averaged(g)])
         assert solve_fractional(g)[0].values == expected.values, g
 
 
-def test_one_solve_counts_x_once(monkeypatch):
-    """A basic x and a rounded one both take one `normalize_to_basic` walk
-    and one counting pass."""
+def test_every_lp_x_is_what_decompose_makes_of_it(monkeypatch, property_suite):
+    kinds = Counter()
+    for g in _rounded_graphs(monkeypatch, property_suite) + _seeded_graphs():
+        bfm = solve_fractional(g)[0]
+        checked = decompose(g, bfm.halves)
+        assert checked == bfm and checked.vertex_halves == bfm.vertex_halves, g
+        kinds.update(kind for kind, _edges in _kernel_components(g))
+    assert all(kinds[kind] for kind in ("pair", "odd cycle", "half path", "even cycle")), kinds
+
+
+def test_solve_fractional_reaches_no_decompose(monkeypatch):
+    """x is read off the kernel's matching: no counting pass and no
+    `decompose` call, for a basic x or a rounded one."""
     passes = count_calls(monkeypatch, graph_module, "_count_halves")
-    rounds = count_calls(monkeypatch, lp, "normalize_to_basic")
+    calls = [0]
+    decompose_of_graph = graph_module.decompose
+
+    def counted(*args):
+        calls[0] += 1
+        return decompose_of_graph(*args)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "decompose", None) is decompose_of_graph:
+            monkeypatch.setattr(module, "decompose", counted)
     path = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)], labels=["a", "b", "c"])
     assert _averaged(path) == [1, 1]  # a half-valued path, not basic
     for g in (
@@ -585,10 +675,10 @@ def test_one_solve_counts_x_once(monkeypatch):
         complete_graph(random.Random(1), 40, 1000),
         path,
     ):
-        passes[0] = rounds[0] = 0
         bfm, _cover = solve_fractional(g)
-        assert passes[0] == rounds[0] == 1, g
+        assert passes[0] == calls[0] == 0, g
     assert bfm.halves == (2, 0)
+    assert decompose(path, bfm.halves) == bfm and calls[0] == 1
 
 
 def test_decompose_degree_message_names_the_load():

@@ -7,9 +7,12 @@ of every benchmark workload, infeasible `m-stabilize` ones included; the
 set of package functions it reaches, by module and qualified name, must
 equal TRUSTED_BASE below. A function that joins or leaves the base is
 then a reviewed diff. The solvers run several of these functions too
-(`decompose` and `slack`, say), so a fault in one of them is common-mode:
-the solver's own check and `verify` would agree on it. `verify` builds no
-graph, so nothing that builds a subgraph is in the base.
+(`slack`, say, and `decompose`, which `reduce_cycles` runs after a move),
+so a fault in one of them is common-mode: the solver's own check and
+`verify` would agree on it. `solve_fractional` reads x off its kernel's
+matching and runs no `decompose`, so its documents do not share that
+function with `verify`. `verify` builds no graph, so nothing that builds a
+subgraph is in the base.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ TRUSTED_BASE = {
     "matchstab.graph.WeightedGraph.m",
     "matchstab.graph.WeightedGraph.max_degree",
     "matchstab.graph.WeightedGraph.stars",
-    "matchstab.graph._check_loads",
     "matchstab.graph._count_halves",
     "matchstab.graph.as_fraction",
     "matchstab.graph.decompose",
