@@ -30,13 +30,19 @@ certificate holds, with exact arithmetic and nothing else:
   `cover_doc` and `_cover_from_doc` for y. Odd cycles, which `pairs_doc`
   also writes, are compared as they are printed with the label lists of
   the checked x, and `events_doc` and `diagnostics_doc` have no reader
-  yet. The writers of these large fields (x, vertex tuples, covers,
-  events, diagnostics) render the field's JSON text straight from the
-  solver's integers, with no dict or list per row: a `Fragment`, exactly
-  `json.dumps(value, indent=2)` of the field's value at depth 0, which
-  reads each label from `quoted_labels`, quoted once per document.
-  `cli._indented` places each fragment at the depth of its field. The
-  CLI fills the envelope with these writers and renders no field itself.
+  yet. Two blocks of fields that two commands share have one writer each,
+  beside the checks that read them: `fractional_doc` for nu_f, x, M(x)
+  and C(x), and `surviving_doc` for a stabilizer's matching and cover.
+  The writers of the vertex lists and large fields (vertex sets and
+  tuples, x, covers, events, diagnostics) render the field's JSON text
+  straight from the solver's integers, with no dict or list per row: a
+  `Fragment`, exactly `json.dumps(value, indent=2)` of the field's value
+  at depth 0, which reads each label from `quoted_labels`, quoted once per
+  document.
+- `render` is the one writer of a document's text, for the CLI to print:
+  it places each fragment at the depth of its field, and writes every JSON
+  list and object, of a fragment or of the envelope, through one helper,
+  `_container`.
 
 Every check runs on scaled integers: the graph's D.w, the cover's common
 denominator q and integers q.y that `FractionalVertexCover` stores, and the
@@ -244,9 +250,9 @@ def _names(graph: WeightedGraph, vertices) -> list[str]:
     return [graph.label_of(v) for v in vertices]
 
 
-def labels_doc(graph: WeightedGraph, vertices) -> list[str]:
+def labels_doc(names: list[str], vertices) -> Fragment:
     """A vertex set, by label in vertex order."""
-    return _names(graph, sorted(vertices))
+    return Fragment(_labels_text(names, sorted(vertices), "\n"))
 
 
 def _distinct(name: str, keys: list) -> list:
@@ -264,10 +270,10 @@ def _vertex_set(index, doc: dict, key: str) -> set[int]:
 
 class Fragment:
     """The JSON text of one document field, exactly `json.dumps(value,
-    indent=2)` of the value it stands for, at depth 0. `cli._indented`
-    places it at its depth with one `str.replace` of its newlines, which is
-    exact because json escapes every newline inside a string. A fragment is
-    no str, so one that reaches `json.dumps` raises instead of being
+    indent=2)` of the value it stands for, at depth 0. `render` places it
+    at its depth with one `str.replace` of its newlines, which is exact
+    because json escapes every newline inside a string. A fragment is no
+    str, so one that reaches `json.dumps` raises instead of being
     quoted."""
 
     __slots__ = ("text",)
@@ -282,18 +288,59 @@ def quoted_labels(graph: WeightedGraph) -> list[str]:
     return [_quote(graph.label_of(v)) for v in range(graph.n)]
 
 
-def _list_text(items: list[str], indent: str) -> str:
-    """A JSON list of the JSON texts `items`, on the line indentation
-    `indent` (a newline and the spaces of the line that holds the list)."""
+def _container(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """A JSON list of the JSON texts `items`, or with `brackets` "{}" an
+    object of the `"key": value` texts `items`, on the line indentation
+    `indent` (a newline and the spaces of the line that holds it)."""
     if not items:
-        return "[]"
+        return brackets
     inner = indent + "  "
-    return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
+def render(doc: dict, compact: bool = False) -> str:
+    """The text a document prints as: `json.dumps(doc, indent=2)` and a
+    newline, or, for a line of a batch, the compact re-encoding of that
+    text, `json.dumps(json.loads(text), separators=(",", ":"))`, and a
+    newline."""
+    text = _indented(doc, "\n")
+    if compact:
+        text = json.dumps(json.loads(text), separators=(",", ":"))
+    return text + "\n"
+
+
+def _indented(value, indent: str) -> str:
+    """json.dumps(value, indent=2) for a document of dicts with str keys,
+    lists, strings, ints, bools, None, the --timing float and the
+    `Fragment` texts of the large fields, each as json.dumps(value,
+    indent=2) prints the value it stands for. `indent` is the newline and
+    indentation of the line that holds `value`, and a fragment is placed
+    there by indenting each of its newlines. Strings go through json's C
+    `encode_basestring_ascii` without a call of their own, so a container
+    of strings alone is one `str.join`."""
+    kind = type(value)
+    if kind is Fragment:
+        return value.text.replace("\n", indent)
+    inner = indent + "  "
+    if kind is dict:
+        return _container([
+            _quote(k) + ": " + (_quote(v) if type(v) is str else _indented(v, inner))
+            for k, v in value.items()
+        ], indent, "{}")
+    if kind is list:
+        return _container([
+            _quote(v) if type(v) is str else _indented(v, inner) for v in value
+        ], indent)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    return json.dumps(value)  # an int or a float (or a bare str), as json writes it
 
 
 def _labels_text(names: list[str], vertices, indent: str) -> str:
     """A list of vertices by label, on the line indentation `indent`."""
-    return _list_text(list(map(names.__getitem__, vertices)), indent)
+    return _container(list(map(names.__getitem__, vertices)), indent)
 
 
 def _tuples_text(names: list[str], tuples, indent: str) -> str:
@@ -302,7 +349,7 @@ def _tuples_text(names: list[str], tuples, indent: str) -> str:
     inner = indent + "  "
     head, sep, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
     label = names.__getitem__
-    return _list_text([
+    return _container([
         head + sep.join(map(label, t)) + tail if t else "[]" for t in tuples
     ], indent)
 
@@ -328,7 +375,7 @@ def x_entries(names: list[str], bfm: BasicFractionalMatching) -> Fragment:
     """The nonzero entries of x, {"u", "v", "x"} each, in the edge order of
     the graph x lives on."""
     ends, halves = bfm.graph.ends, bfm.halves
-    return Fragment(_list_text([
+    return Fragment(_container([
         f'{{\n    "u": {names[ends[i][0]]},\n    "v": {names[ends[i][1]]},'
         f'\n    "x": {_HALF if halves[i] == 1 else _ONE}\n  }}'
         for i in bfm.support
@@ -362,7 +409,7 @@ def cover_doc(names: list[str], cover: FractionalVertexCover, removed=()) -> Fra
     a, q, removed = cover.int_values, cover.scale, set(removed)
     printed = {a_v: f'"{_ratio_str(a_v, q)}"' for a_v in set(a)}
     rows = [f"{names[v]}: {printed[a_v]}" for v, a_v in enumerate(a) if v not in removed]
-    return Fragment("{\n  " + ",\n  ".join(rows) + "\n}" if rows else "{}")
+    return Fragment(_container(rows, "\n", "{}"))
 
 
 def _cover_from_doc(graph, index, doc, zero_elsewhere=False) -> FractionalVertexCover:
@@ -397,7 +444,7 @@ def events_doc(names: list[str], events) -> Fragment:
                 f'{_FIELD}"rounded_at": {_labels_text(names, event.rounded_at, _FIELD)},'
                 f'{_FIELD}"path": {_labels_text(names, event.path, _FIELD)}\n  }}'
             )
-    return Fragment(_list_text(rows, "\n"))
+    return Fragment(_container(rows, "\n"))
 
 
 # the lines of a field of a row of a list at depth 0, and of a row of its value
@@ -407,7 +454,7 @@ _FIELD, _ROW = "\n    ", "\n      "
 def diagnostics_doc(names: list[str], diagnostics) -> Fragment:
     """The reason for each deletion of `m_vertex_stabilizer`, with the
     deleted vertex and the other end of its walk, or null."""
-    return Fragment(_list_text([
+    return Fragment(_container([
         f'{{\n    "reason": {_quote(reason)},\n    "vertex": {names[u]},'
         f'\n    "other": {names[v] if v is not None else "null"}\n  }}'
         for reason, u, v in diagnostics
@@ -430,6 +477,17 @@ def _basic_x_doc(graph, index, x_entries, checks) -> Optional[BasicFractionalMat
     return bfm
 
 
+def fractional_doc(names: list[str], bfm: BasicFractionalMatching) -> dict[str, Any]:
+    """The outputs of `solve-fractional` and `min-cycles` that the optimal
+    pair proves: nu_f, which is w(x), x, and its M(x) and C(x)."""
+    return {
+        "nu_f": exact_str(bfm.weight),
+        "x": x_entries(names, bfm),
+        "matched": pairs_doc(names, bfm.matched.sorted_pairs()),
+        "odd_cycles": pairs_doc(names, bfm.odd_cycles),
+    }
+
+
 def _check_optimal_pair_doc(
     graph, index, x_entries, cover: FractionalVertexCover, checks
 ) -> Optional[BasicFractionalMatching]:
@@ -439,6 +497,14 @@ def _check_optimal_pair_doc(
     if bfm is not None:
         checks.extend(optimal_pair_checks(graph, bfm, cover))
     return bfm
+
+
+def _support_check(graph, outputs, bfm: BasicFractionalMatching) -> tuple[str, bool]:
+    """`matched_and_odd_cycles_equal_x`: the printed M(x) and C(x) are the
+    ones of the checked x."""
+    matched_ok = outputs["matched"] == [_names(graph, p) for p in bfm.matched.sorted_pairs()]
+    cycles_ok = outputs["odd_cycles"] == [_names(graph, cycle) for cycle in bfm.odd_cycles]
+    return ("matched_and_odd_cycles_equal_x", matched_ok and cycles_ok)
 
 
 def _infeasibility_doc(
@@ -461,14 +527,6 @@ def _infeasibility_doc(
     ]
 
 
-def _support_check(graph, outputs, bfm: BasicFractionalMatching) -> tuple[str, bool]:
-    """`matched_and_odd_cycles_equal_x`: the printed M(x) and C(x) are the
-    ones of the checked x."""
-    matched_ok = outputs["matched"] == [_names(graph, p) for p in bfm.matched.sorted_pairs()]
-    cycles_ok = outputs["odd_cycles"] == [_names(graph, cycle) for cycle in bfm.odd_cycles]
-    return ("matched_and_odd_cycles_equal_x", matched_ok and cycles_ok)
-
-
 def _matching_from_doc(index, doc: dict, key: str, checks) -> Optional[Matching]:
     """Append `matching_pairs_disjoint`; returns the matching `doc[key]`,
     or None when two of its pairs share a vertex."""
@@ -479,6 +537,16 @@ def _matching_from_doc(index, doc: dict, key: str, checks) -> Optional[Matching]
         return None
     checks.append(("matching_pairs_disjoint", True))
     return matching
+
+
+def surviving_doc(names: list[str], stabilizer) -> dict[str, Fragment]:
+    """The certificate of a vertex stabilizer's stable subgraph: its
+    `surviving_matching` and its `surviving_cover`, which leaves out the
+    removed vertices."""
+    return {
+        "surviving_matching": pairs_doc(names, stabilizer.surviving_matching.sorted_pairs()),
+        "surviving_cover": cover_doc(names, stabilizer.surviving_cover, stabilizer.removed),
+    }
 
 
 def _stable_subgraph_doc(
@@ -603,10 +671,12 @@ def _verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, 
             if in_graph:
                 weight = witness.weight(graph)
                 checks.append(("nu_equals_witness_weight", nu == weight))
+                # An unstable claim needs no check of its own: when every
+                # other check holds, nu = weight, nu_f = total and nu != nu_f,
+                # so weight != total, and weak duality gives weight <= total
+                # for a matching of G and a feasible cover; so weight < total.
                 if stable:
                     checks.append(("nu_equals_tau_f", weight == total))
-                else:
-                    checks.append(("gap_witnessed", weight < total))
     else:
         raise ParseError(f"verify does not support command {command!r}")
     return _verify_report(command, checks)

@@ -1,14 +1,14 @@
-"""Command-line interface: argv, files and their bytes, and the dispatch of
-each command to its solver or oracle; `selftest` too.
+"""Command-line interface: argv, files and their bytes, exit codes, and the
+dispatch of each command to its solver or oracle; `selftest` too.
 
-The CLI renders no document field: `certify` is the codec of the result
-document, with the envelope, each field's writer and `verify`, which reads
-the fields back with pure arithmetic. The writers of the large fields
-render their JSON text, a `certify.Fragment`, and `_indented` places each
-one at the depth of its field as it writes the envelope. Every numeric
-value in a result document is an exact fraction string; counts are plain
-integers. Identical inputs produce byte-identical output (timing is only
-emitted under --timing for that reason).
+The CLI writes no JSON: `certify` is the codec of the result document, with
+the envelope, each field's writer, `render`, which writes a document's
+text, and `verify`, which reads the fields back with pure arithmetic. The
+CLI fills the envelope with those writers, adds `timing_seconds` under
+--timing, and prints what `render` returns. Every numeric value in a result
+document is an exact fraction string; counts are plain integers. Identical
+inputs produce byte-identical output (timing is only emitted under --timing
+for that reason).
 
 The format is a contract. A single-file document, like every `verify`
 report, is exactly `json.dumps(doc, indent=2)` of its value and one
@@ -29,16 +29,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Optional
 
 from . import oracle as oracle_mod
 from .certify import (
-    Fragment, cover_doc, diagnostics_doc, document, events_doc, exact_str, labels_doc,
-    load_result, pairs_doc, quoted_labels, verify, x_entries,
+    cover_doc, diagnostics_doc, document, events_doc, exact_str, fractional_doc, labels_doc,
+    load_result, pairs_doc, quoted_labels, render, surviving_doc, verify, x_entries,
 )
 from .cycles import reduce_cycles
 from .errors import BudgetExceeded, MatchingRequired, MatchstabError, ParseError
@@ -82,28 +80,16 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
 
     if command == "solve-fractional":
         bfm, cover = solve_fractional(graph)
-        outputs = {
-            "nu_f": exact_str(bfm.weight),
-            "x": x_entries(names, bfm),
-            "matched": pairs_doc(names, bfm.matched.sorted_pairs()),
-            "odd_cycles": pairs_doc(names, bfm.odd_cycles),
-        }
+        outputs = fractional_doc(names, bfm)
         certificates = {"cover": cover_doc(names, cover)}
     elif command in ("min-cycles", "gamma"):
         result = reduce_cycles(graph)
-        x_doc = x_entries(names, result.solution)
         if command == "gamma":
             # x is printed once: among the outputs of min-cycles, here in the certificate
             outputs = {"gamma": result.gamma}
-            certificates = {"x": x_doc}
+            certificates = {"x": x_entries(names, result.solution)}
         else:
-            outputs = {
-                "gamma": result.gamma,
-                "nu_f": exact_str(result.weight),
-                "x": x_doc,
-                "matched": pairs_doc(names, result.solution.matched.sorted_pairs()),
-                "odd_cycles": pairs_doc(names, result.solution.odd_cycles),
-            }
+            outputs = {"gamma": result.gamma, **fractional_doc(names, result.solution)}
         certificates["cover"] = cover_doc(names, result.cover)
         certificates["events"] = events_doc(names, result.events)
     elif command == "stabilize-vertices":
@@ -113,15 +99,12 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
         except BudgetExceeded:
             nu_before = None  # the 2/3 guarantee holds but is not reported
         outputs = {
-            "S": labels_doc(graph, result.removed),
+            "S": labels_doc(names, result.removed),
             "gamma": result.gamma,
             "nu_before": nu_before,
             "nu_after": exact_str(result.nu_after),
         }
-        certificates = {
-            "surviving_matching": pairs_doc(names, result.surviving_matching.sorted_pairs()),
-            "surviving_cover": cover_doc(names, result.surviving_cover, result.removed),
-        }
+        certificates = surviving_doc(names, result)
     elif command == "stabilize-edges":
         result = edge_stabilizer_approx(graph)
         outputs = {
@@ -133,9 +116,7 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
         }
         vertex_stab = result.vertex_result
         certificates = {
-            "S": labels_doc(graph, vertex_stab.removed),
-            "surviving_matching": pairs_doc(names, vertex_stab.surviving_matching.sorted_pairs()),
-            "surviving_cover": cover_doc(names, vertex_stab.surviving_cover, vertex_stab.removed),
+            "S": labels_doc(names, vertex_stab.removed), **surviving_doc(names, vertex_stab)
         }
     elif command == "m-stabilize":
         if instance.matching is None:
@@ -143,9 +124,9 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
         result = m_vertex_stabilizer(graph, instance.matching)
         outputs = {
             "status": result.status,
-            "S": labels_doc(graph, result.removed),
-            "S1": labels_doc(graph, result.first_phase),
-            "S2": labels_doc(graph, result.second_phase),
+            "S": labels_doc(names, result.removed),
+            "S1": labels_doc(names, result.first_phase),
+            "S2": labels_doc(names, result.second_phase),
             "w_M": exact_str(result.matching_weight),
         }
         certificates = {"diagnostics": diagnostics_doc(names, result.diagnostics)}
@@ -171,11 +152,11 @@ def _run_command(command: str, instance: Instance, path: str, digest: str) -> tu
 
 def _run_oracle(sub: str, instance: Instance, path: str, digest: str) -> tuple[dict, int]:
     graph = instance.graph
+    names = quoted_labels(graph)
     outputs: dict[str, Any] = {}
     if sub == "nu":
         value, witness = oracle_mod.exact_nu(graph)
-        matching = pairs_doc(quoted_labels(graph), witness.sorted_pairs())
-        outputs = {"nu": exact_str(value), "matching": matching}
+        outputs = {"nu": exact_str(value), "matching": pairs_doc(names, witness.sorted_pairs())}
     elif sub == "nu-f":
         outputs = {"nu_f": exact_str(oracle_mod.exact_nu_f(graph))}
     elif sub == "gamma":
@@ -184,11 +165,11 @@ def _run_oracle(sub: str, instance: Instance, path: str, digest: str) -> tuple[d
         outputs = {"stable": oracle_mod.is_stable(graph)}
     elif sub == "min-vertex-stabilizer":
         subset = oracle_mod.brute_min_vertex_stabilizer(graph)
-        outputs = {"S": labels_doc(graph, subset), "size": len(subset)}
+        outputs = {"S": labels_doc(names, subset), "size": len(subset)}
     elif sub == "min-edge-stabilizer":
         subset = oracle_mod.brute_min_edge_stabilizer(graph)
         edges = [graph.ends[i] for i in sorted(subset)]
-        outputs = {"F": pairs_doc(quoted_labels(graph), edges), "size": len(subset)}
+        outputs = {"F": pairs_doc(names, edges), "size": len(subset)}
     elif sub == "min-m-stabilizer":
         if instance.matching is None:
             raise MatchingRequired(f'{path}: min-m-stabilizer needs a "matching" field')
@@ -196,7 +177,7 @@ def _run_oracle(sub: str, instance: Instance, path: str, digest: str) -> tuple[d
         if result == oracle_mod.INFEASIBLE:
             outputs = {"status": "infeasible"}
         else:
-            outputs = {"status": "feasible", "S": labels_doc(graph, result)}
+            outputs = {"status": "feasible", "S": labels_doc(names, result)}
     return document(f"oracle {sub}", digest, outputs, {}), 0
 
 
@@ -289,42 +270,36 @@ def _parse_args(args_list: list[str]) -> argparse.Namespace:
 
     The two plain forms build no parser: `<run command> PATH [PATH ...]`
     and `verify PATH --result PATH`, where no PATH starts with `-`.
-    Building the two argparse parsers costs about a third of a whole
-    desk-scale command, and these forms are nearly every call.
-    Every other argv goes through `_parse_with_parsers`, so `--timing`,
-    `--`, `-h` and every error keep argparse's own handling and messages;
-    on the plain forms it returns the same Namespace."""
+    Building the argparse tree costs about 0.8 ms (Python 3.11 on a
+    2-CPU Xeon), and these forms are nearly every call. Every other argv goes
+    through `_parse_with_parser`, so `--timing`, `--`, `-h` and every
+    error keep argparse's own handling and messages; on the plain forms it
+    returns the same Namespace."""
     command, rest = args_list[0] if args_list else None, args_list[1:]
     dashed = [i for i, arg in enumerate(rest) if arg.startswith("-")]
     if command in RUN_COMMANDS and rest and not dashed:
-        return argparse.Namespace(timing=False, command=command, rest=rest, instances=rest)
+        return argparse.Namespace(timing=False, command=command, instances=rest)
     if command == "verify" and len(rest) == 3 and rest[1] == "--result" and dashed == [1]:
-        return argparse.Namespace(
-            timing=False, command=command, rest=rest, instance=rest[0], result=rest[2]
-        )
-    return _parse_with_parsers(args_list)
+        return argparse.Namespace(timing=False, command=command, instance=rest[0], result=rest[2])
+    return _parse_with_parser(args_list)
 
 
-def _parse_with_parsers(args_list: list[str]) -> argparse.Namespace:
-    """Parse argv in two stages: `--timing` and the command name first, then
-    the rest with a parser built for that one command alone."""
+def _parse_with_parser(args_list: list[str]) -> argparse.Namespace:
+    """Parse argv with one argparse tree: `--timing`, then a subparser for
+    each command and its own arguments."""
     parser = _Parser(prog="matchstab", description=__doc__)
     parser.add_argument("--timing", action="store_true", help="append wall-clock timing")
-    parser.add_argument("command", choices=(*RUN_COMMANDS, "oracle", "verify", "selftest"))
-    rest = parser.add_argument("rest", nargs=argparse.REMAINDER, help="the command's arguments")
-    rest.required = False  # an empty argv reports the missing command alone
-    args = parser.parse_args(args_list)
-    p = _Parser(prog=f"matchstab {args.command}")
-    if args.command == "verify":
-        p.add_argument("instance")
-        p.add_argument("--result", required=True, help="result document to re-check")
-    elif args.command == "selftest":
-        p.add_argument("--seed", type=int, default=0)
-    else:
-        if args.command == "oracle":
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name in (*RUN_COMMANDS, "oracle"):
+        p = commands.add_parser(name)
+        if name == "oracle":
             p.add_argument("oracle_command", choices=ORACLE_SUBCOMMANDS)
         p.add_argument("instances", nargs="+")
-    return p.parse_args(args.rest, namespace=args)
+    p = commands.add_parser("verify")
+    p.add_argument("instance")
+    p.add_argument("--result", required=True, help="result document to re-check")
+    commands.add_parser("selftest").add_argument("--seed", type=int, default=0)
+    return parser.parse_args(args_list)
 
 
 def _read(path: str) -> tuple[bytes, str]:
@@ -346,48 +321,10 @@ def _load_instance(path: str) -> tuple[Instance, str]:
     return instance, hashlib.sha256(data).hexdigest()
 
 
-def _indented(value, indent: str = "\n") -> str:
-    """json.dumps(value, indent=2) for a document of dicts with str keys,
-    lists, strings, ints, bools, None, the --timing float and the
-    `certify.Fragment` texts of the large fields, each as json.dumps(value,
-    indent=2) prints the value it stands for. `indent` is the newline and
-    indentation of the line that holds `value`, and a fragment is placed
-    there by indenting each of its newlines. Strings go through json's C
-    `encode_basestring_ascii` without a call of their own, so a container
-    of strings alone, such as a label list, is one `str.join`."""
-    kind = type(value)
-    if kind is Fragment:
-        return value.text.replace("\n", indent)
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        return "{" + inner + ("," + inner).join([
-            _quote(k) + ": " + (_quote(v) if type(v) is str else _indented(v, inner))
-            for k, v in value.items()
-        ]) + indent + "}"
-    if kind is list:
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        return "[" + inner + ("," + inner).join([
-            _quote(v) if type(v) is str else _indented(v, inner) for v in value
-        ]) + indent + "]"
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    return json.dumps(value)  # an int or a float (or a bare str), as json writes it
-
-
 def _emit(doc: dict, timing: Optional[float], compact: bool) -> None:
     if timing is not None:
-        doc = dict(doc)
-        doc["timing_seconds"] = timing
-    text = _indented(doc)
-    if compact:  # the same document, re-encoded on one line
-        text = json.dumps(json.loads(text), separators=(",", ":"))
-    sys.stdout.write(text + "\n")
+        doc = {**doc, "timing_seconds": timing}
+    sys.stdout.write(render(doc, compact))
 
 
 def _internal_error(exc: Exception) -> str:

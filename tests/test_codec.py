@@ -22,10 +22,9 @@ import pytest
 
 import matchstab
 from conftest import bench_families, count_calls, random_matching
-from matchstab import cli
 from matchstab.certify import (
-    Fragment, _cover_from_doc, _edge_pairs, _exact, _halves_from_entries, _vertex_set, cover_doc,
-    diagnostics_doc, events_doc, exact_str, labels_doc, optimal_pair_checks, pairs_doc,
+    Fragment, _cover_from_doc, _edge_pairs, _exact, _halves_from_entries, _indented, _vertex_set,
+    cover_doc, diagnostics_doc, events_doc, exact_str, labels_doc, optimal_pair_checks, pairs_doc,
     quoted_labels, x_entries,
 )
 from matchstab.cycles import AugmentationEvent, FrustrationEvent, reduce_cycles
@@ -36,7 +35,9 @@ from matchstab.mstab import FEASIBLE, m_vertex_stabilizer
 from matchstab.stabilizers import edge_stabilizer_approx, min_vertex_stabilizer
 from test_cover_checks import _feasible_on_residual, _reference_is_feasible_for
 from test_emit import ODD_INSTANCE
-from value_writers import cover_value, diagnostics_value, events_value, pairs_value, x_value
+from value_writers import (
+    cover_value, diagnostics_value, events_value, labels_value, pairs_value, x_value,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(matchstab.__file__).parent
@@ -86,7 +87,7 @@ def _assert_round_trips(instance) -> None:
         assert len(doc) == graph.n - len(removed)
         assert _cover_from_doc(graph, index, doc, zero_elsewhere=True) == y
     for vertices in sets:
-        assert _vertex_set(index, {"S": labels_doc(graph, vertices)}, "S") == set(vertices)
+        assert _vertex_set(index, {"S": _value(labels_doc(names, vertices))}, "S") == set(vertices)
     pair_lists = [
         vertex.surviving_matching.sorted_pairs(),
         [graph.ends[i] for i in edge.removed_edges],
@@ -144,12 +145,14 @@ def _written_fields(rng: random.Random, graph: WeightedGraph) -> list[tuple[Frag
         vertex.surviving_matching.sorted_pairs(), [graph.ends[i] for i in edge.removed_edges],
     ]
     covers = [(cover, ()), (reduction.cover, ()), (vertex.surviving_cover, vertex.removed)]
+    sets = [vertex.removed, result.removed, result.first_phase, result.second_phase]
     xs = [bfm, reduction.solution]
     if result.status == FEASIBLE:
         covers.append((result.residual_cover, result.removed))
     else:
         xs.append(result.x)  # x of G - delta(X), printed with G's labels
     return [
+        *[(labels_doc(names, s), labels_value(graph, s)) for s in sets],
         *[(x_entries(names, x), x_value(x)) for x in xs],
         *[(pairs_doc(names, t), pairs_value(graph, t)) for t in tuples],
         *[(cover_doc(names, y, removed), cover_value(graph, y, removed)) for y, removed in covers],
@@ -178,6 +181,8 @@ def _edge_case_fields() -> list[tuple[Fragment, Any]]:
     diagnostics = [("flower", 2, None), ("walk_between_exposed", 0, 1)]
     empty_x = solve_fractional(edgeless)[0]
     return [
+        (labels_doc(names, ()), []),
+        (labels_doc(names, (2, 0)), ['"%s"', "é\U0001F600"]),
         (pairs_doc(names, []), []),
         (pairs_doc(names, [(), (1, 0)]), [[], ["\\\n", '"%s"']]),
         (cover_doc(names, cover, range(3)), {}),
@@ -194,7 +199,7 @@ def _assert_writes_as_json(fragment: Fragment, reference) -> None:
     assert fragment.text == json.dumps(reference, indent=2)
     for depth in range(4):  # placed at any depth, as the document would print the value
         indent = "\n" + "  " * depth
-        assert cli._indented(fragment, indent) == cli._indented(reference, indent)
+        assert _indented(fragment, indent) == _indented(reference, indent)
     with pytest.raises(TypeError):  # a fragment is never quoted as a string
         json.dumps(fragment)
 

@@ -1,13 +1,14 @@
 """Every printed document is json's own text of its value, byte for byte,
 and a CLI call leaves no garbage for the cyclic collector.
 
-`certify`'s table writers render the large fields (x, matchings, odd
-cycles and edge sets, covers, events and diagnostics) as JSON text, a
-`certify.Fragment`, and `cli._indented` places each fragment at its depth
-in the document it writes; a batch line is the compact re-encoding of that
-indented text. No dict of the whole document is ever built, so each test
-here reads the printed text back and holds it to the bytes json gives for
-the value it reads:
+`certify`'s text writers render the vertex lists and large fields (vertex
+sets, x, matchings, odd cycles and edge sets, covers, events and
+diagnostics) as JSON text, a `certify.Fragment`, and `certify.render`, the
+one writer of a document's text, places each fragment at its depth in the
+document; a batch line is the compact re-encoding of that indented text.
+No dict of the whole document is ever built, so each test here reads the
+printed text back and holds it to the bytes json gives for the value it
+reads:
 
 - a single-file document, like every `verify` report, is
   `json.dumps(json.loads(out), indent=2)` and a newline;
@@ -35,6 +36,7 @@ import pytest
 import matchstab
 from conftest import bench_families
 from matchstab import cli
+from matchstab.certify import render
 from matchstab.cli import ORACLE_SUBCOMMANDS, RUN_COMMANDS
 from test_golden import _instance_path
 from test_instance_cli import FORGED_CLAIMS, _instance
@@ -104,7 +106,8 @@ def test_every_golden_document_its_report_and_its_batch_line_print_as_json_does(
         if not row["stdout"]:  # an input error prints no document
             continue
         doc = json.loads(row["stdout"])
-        assert cli._indented(doc) + "\n" == _dumps(doc) == row["stdout"]
+        assert render(doc) == _dumps(doc) == row["stdout"]
+        assert render(doc, compact=True) == _compact(doc)
         command, name = case.split(" ", 1)
         instance = _instance_path(f"{golden}.json", name, tmp_path)
         _verify_printed(tmp_path, instance, row["stdout"])
@@ -121,7 +124,7 @@ def test_every_forged_document_and_its_report_print_as_json_does(tmp_path, row):
     _code, out = _printed([command, str(instance)])
     doc = json.loads(out)
     edit(doc)
-    assert cli._indented(doc) + "\n" == _dumps(doc)
+    assert render(doc) == _dumps(doc)
     _verify_printed(tmp_path, instance, json.dumps(doc))
 
 
@@ -173,7 +176,7 @@ EDGE_CASES = {
 
 @pytest.mark.parametrize("doc", EDGE_CASES.values(), ids=EDGE_CASES)
 def test_the_writer_prints_each_edge_case(doc):
-    assert cli._indented(doc) + "\n" == _dumps(doc)
+    assert (render(doc), render(doc, compact=True)) == (_dumps(doc), _compact(doc))
 
 
 def _timed(doc: dict) -> bool:

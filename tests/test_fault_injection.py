@@ -14,7 +14,9 @@ names the failure and the instance's sha256. The planted faults (a
 certificate that fails, a frustrated tree that holds z, an augmenting path
 cut short, a plain TypeError inside `reduce_cycles`) each exit 3 with the
 same stderr with and without ``-O``: no module of matchstab holds an
-``assert``, so ``-O`` strips no check from a run.
+``assert``, so ``-O`` strips no check from a run. Nor does cli.py write
+JSON: it imports nothing from json and names no `Fragment`, as
+`certify.render` writes every document's text.
 
 A fault in code that the solvers and `verify` share would be common-mode:
 both checks would agree on it. `verify` builds no subgraph, so a fault
@@ -342,6 +344,24 @@ def test_no_module_of_matchstab_holds_an_assert():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_the_cli_writes_no_json_of_its_own():
+    # `certify.render` writes every document's text: cli.py imports nothing
+    # from json or json.encoder, and names no Fragment
+    found = []
+    for node in ast.walk(ast.parse((SRC / "matchstab" / "cli.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "json"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+            found.append(node.module)
+        elif isinstance(node, ast.alias) and node.name == "Fragment":
+            found.append(node.name)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and "Fragment" in (
+            getattr(node, "id", None), getattr(node, "attr", None)
+        ):
+            found.append(ast.unparse(node))
     assert found == []
 
 

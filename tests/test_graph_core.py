@@ -473,8 +473,9 @@ def test_value_constructors_refuse_bad_input():
         WeightedGraph(2, ((0, 2),), (1,), 1)
     with pytest.raises(GraphError, match="u < v"):
         WeightedGraph(2, ((1, 0),), (1,), 1)
-    with pytest.raises(GraphError, match="sorted"):
-        Matching(frozenset({(1, 0)}))
+    for unsorted in ((1, 0), (1, 1)):  # a loop (v, v) is no sorted pair either
+        with pytest.raises(GraphError, match="sorted"):
+            Matching(frozenset({unsorted}))
     with pytest.raises(GraphError, match="share a vertex"):
         Matching.from_pairs([(0, 1), (1, 2)])
     for twice in ([(0, 1), (0, 1)], [(0, 1), (1, 0)]):

@@ -582,6 +582,9 @@ FORGED_CLAIMS = [
         ("min-cycles", "fig6", _set("outputs", "nu_f", "7"), {"nu_f_equals_cover_total"}),
         ("min-cycles", "fig6", lambda d: d["outputs"]["x"][3].update(x="1/2"),
          {"x_is_basic_feasible"}),
+        # 2x = 2/3 is no half count, which a reader that took it for 2 would miss
+        ("min-cycles", "fig6", lambda d: d["outputs"]["x"][3].update(x="1/3"),
+         {"x_is_basic_feasible"}),
         ("stabilize-vertices", "fig9", _set("outputs", "nu_after", "100"),
          {"nu_after_equals_cover_total"}),
         ("stabilize-vertices", "fig9", _set("outputs", "gamma", 2), {"S_size_equals_gamma"}),
@@ -1059,25 +1062,40 @@ def test_selftest_smoke(capsys):
 
 # ---------------------------------------------------------------------------
 # argv handling: a plain run command or `verify` builds no parser; any other
-# argv gets one small parser for `--timing` and the command name, then one
-# for that command's own arguments
+# argv gets one argparse tree, a parser for `--timing` with a subparser for
+# each command and its own arguments
 
 
-_CHOICES = (
-    "'solve-fractional', 'min-cycles', 'stabilize-vertices', 'stabilize-edges', "
-    "'m-stabilize', 'check-stability', 'gamma', 'oracle', 'verify', 'selftest'"
+def _choices(*names: str) -> str:
+    """The choices an argparse error lists, each written as the running
+    argparse writes one, read off the error of a reference parser with one
+    argument: quoted, as by Python 3.11 and 3.12.1, or bare, as by 3.13.13."""
+    reference = cli._Parser()
+    reference.add_argument("a", choices=["c"])
+    try:
+        reference.parse_args(["d"])
+    except ParseError as exc:
+        written = str(exc).removeprefix("argument a: invalid choice: 'd' ")
+        quoted = {"(choose from 'c')": True, "(choose from c)": False}[written]
+    return ", ".join(f"'{name}'" if quoted else name for name in names)
+
+
+_CHOICES = _choices(
+    "solve-fractional", "min-cycles", "stabilize-vertices", "stabilize-edges",
+    "m-stabilize", "check-stability", "gamma", "oracle", "verify", "selftest",
 )
-_ORACLE_CHOICES = (
-    "'nu', 'nu-f', 'gamma', 'stable', 'min-vertex-stabilizer', 'min-edge-stabilizer', "
-    "'min-m-stabilizer'"
+_ORACLE_CHOICES = _choices(
+    "nu", "nu-f", "gamma", "stable", "min-vertex-stabilizer", "min-edge-stabilizer",
+    "min-m-stabilizer",
 )
 _GAMMA_FIG8 = json.loads((Path(__file__).parent / "golden" / "fixtures.json").read_text())[
     "gamma fig8.json"
 ]["stdout"]
 _F = "fixtures/fig8.json"
 
-# (argv, exit code, stdout, stderr) as the single argparse tree with one
-# subparser per command printed them; "exit" is the SystemExit code of -h
+# (argv, exit code, stdout, stderr) as the argparse tree of
+# `cli._parse_with_parser`, one subparser per command, prints them; "exit" is
+# the SystemExit code of -h
 ARGV_TABLE = [
     ([], 1, "", "matchstab: error: the following arguments are required: command\n"),
     (["--timing"], 1, "", "matchstab: error: the following arguments are required: command\n"),
@@ -1120,7 +1138,7 @@ def test_argv_outcomes_are_unchanged(capsys, monkeypatch, argv, code, out, err):
     assert (got, stdout, captured.err) == (code, out, err)
 
 
-def test_each_call_builds_at_most_two_parsers(tmp_path, capsys, monkeypatch):
+def test_each_call_builds_at_most_one_parser_tree(tmp_path, capsys, monkeypatch):
     built = []
     init = cli._Parser.__init__
 
@@ -1135,18 +1153,21 @@ def test_each_call_builds_at_most_two_parsers(tmp_path, capsys, monkeypatch):
     assert built == []  # the plain forms build none
     _run(capsys, "verify", fig8, "--result", str(result))
     assert built == []
+    # one top-level parser, and one subparser for each command
+    commands = (*cli.RUN_COMMANDS, "oracle", "verify", "selftest")
+    tree = ["matchstab", *(f"matchstab {command}" for command in commands)]
     for argv in (["--timing", "gamma", fig8], ["gamma", "--", fig8],
                  ["verify", "--result", str(result), fig8], ["oracle", "nu", fig8],
                  ["selftest", "--seed", "x"], ["frobnicate"], []):
         before = len(built)
         _run(capsys, *argv)
-        assert 1 <= len(built) - before <= 2, argv
-    # a second identical call builds its own parsers again
+        assert [p.prog for p in built[before:]] == tree, argv
+    # a second identical call builds its own tree again
     before = len(built)
     _run(capsys, "gamma", "--", fig8)
     _run(capsys, "gamma", "--", fig8)
     fresh = built[before:]
-    assert len(fresh) == 4 and len({id(p) for p in fresh}) == 4
+    assert len(fresh) == 2 * len(tree) and len({id(p) for p in fresh}) == len(fresh)
 
 
 _PLAIN_PATHS = (
@@ -1163,26 +1184,26 @@ PLAIN_ARGV = [[command, *paths] for command in cli.RUN_COMMANDS for paths in _PL
 ]
 
 
-def test_a_plain_argv_parses_as_the_two_parsers_parse_it(monkeypatch):
-    expected = [cli._parse_with_parsers(list(argv)) for argv in PLAIN_ARGV]
+def test_a_plain_argv_parses_as_the_parser_tree_parses_it(monkeypatch):
+    expected = [cli._parse_with_parser(list(argv)) for argv in PLAIN_ARGV]
 
     def refuse(argv):
         raise AssertionError(f"{argv} built a parser")
 
-    monkeypatch.setattr(cli, "_parse_with_parsers", refuse)
+    monkeypatch.setattr(cli, "_parse_with_parser", refuse)
     for argv, namespace in zip(PLAIN_ARGV, expected):
         assert cli._parse_args(list(argv)) == namespace, argv
 
 
-def test_every_other_argv_takes_the_parsers(capsys, monkeypatch):
+def test_every_other_argv_takes_the_parser_tree(capsys, monkeypatch):
     taken = []
-    parse = cli._parse_with_parsers
+    parse = cli._parse_with_parser
 
     def recorded(argv):
         taken.append(argv)
         return parse(argv)
 
-    monkeypatch.setattr(cli, "_parse_with_parsers", recorded)
+    monkeypatch.setattr(cli, "_parse_with_parser", recorded)
     others = [argv for argv, *_outcome in ARGV_TABLE] + [
         ["--timing", "gamma", _F], ["gamma", "-1"], ["verify", "--result", "R.json", _F],
         ["oracle", "nu", _F], ["selftest", "--seed", "3"],

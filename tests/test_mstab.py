@@ -17,7 +17,7 @@ from conftest import (
 )
 from feasible_sparse import feasible_sparse, instance_json
 from matchstab import cli, mstab, oracle
-from matchstab.certify import load_result, verify
+from matchstab.certify import load_result, render, verify
 from matchstab.errors import MNotAMatching, NotOptimalPair
 from matchstab.graph import Matching, WeightedGraph
 from matchstab.instance import Instance
@@ -273,7 +273,7 @@ def test_one_lp_gives_the_verdict_of_the_passes_and_of_the_oracle(property_suite
             # the document prints the LP's x as the certificate, and verifies
             instance, digest = Instance(g, m), "0" * 64
             doc, code = cli._run_command("m-stabilize", instance, "instance.json", digest)
-            text = cli._indented(doc)  # x is the writer's JSON text, placed in the document
+            text = render(doc)  # x is the writer's JSON text, placed in the document
             assert code == 2 and json.loads(text)["certificates"]["x"]
             report, code = verify(instance, digest, load_result(text))
             assert code == 0, report

@@ -1,7 +1,7 @@
 """The document fields as JSON values: the reference for `certify`'s text writers.
 
-`certify.x_entries`, `pairs_doc`, `cover_doc`, `events_doc` and
-`diagnostics_doc` render their field's JSON text straight from the solver's
+`certify.labels_doc`, `x_entries`, `pairs_doc`, `cover_doc`, `events_doc`
+and `diagnostics_doc` render their field's JSON text straight from the solver's
 integers, and no dict or list of the field is ever built. The tests build
 those values here, one per field, the way the fields are defined, and
 require each text writer to print exactly `json.dumps(value, indent=2)` of
@@ -19,6 +19,11 @@ from matchstab.graph import BasicFractionalMatching, FractionalVertexCover, Weig
 def names(graph: WeightedGraph, vertices) -> list[str]:
     """The labels of `vertices`, in the order given."""
     return [graph.label_of(v) for v in vertices]
+
+
+def labels_value(graph: WeightedGraph, vertices) -> list[str]:
+    """A vertex set, by label in vertex order."""
+    return names(graph, sorted(vertices))
 
 
 def pairs_value(graph: WeightedGraph, pairs) -> list[list[str]]:
