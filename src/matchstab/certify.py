@@ -24,7 +24,7 @@ certificate holds, with exact arithmetic and nothing else:
 - The codec: `document` builds the envelope of every run and oracle
   document, `{command, instance_sha256, outputs, certificates}`, and each
   field has its writer here, beside the reader `verify` decodes it with:
-  `exact_str` and `_exact` for exact values, `labels_doc` and
+  `exact_str` and `_ratio` for exact values, `labels_doc` and
   `_vertex_set` for vertex sets, `pairs_doc` and `_edge_pairs` for
   matchings and edge sets, `x_entries` and `_halves_from_entries` for x,
   `cover_doc` and `_cover_from_doc` for y. Odd cycles, which `pairs_doc`
@@ -42,12 +42,18 @@ certificate holds, with exact arithmetic and nothing else:
 - `render` is the one writer of a document's text, for the CLI to print:
   it places each fragment at the depth of its field, and writes every JSON
   list and object, of a fragment or of the envelope, through one helper,
-  `_container`.
+  `_container`. `verify`'s report is written the same way: its checks are
+  a `Fragment`.
 
 Every check runs on scaled integers: the graph's D.w, the cover's common
 denominator q and integers q.y that `FractionalVertexCover` stores, and the
-half counts 2x that `graph.decompose` keeps. A cover meets the weights in
-one place, `FractionalVertexCover.slack`, and a vertex set's edges in one,
+half counts 2x that `graph.decompose` keeps. The readers make the same
+integers: `_ratio` reads each exact string as an int pair (num, den), a
+cover becomes q and q.y by `FractionalVertexCover.from_ratios`, an x entry
+its half count 2.num/den, and each printed total is compared with the one
+the certificate gives by one cross-multiplication, so `verify` makes no
+`Fraction` on a valid document. A cover meets the weights in one place,
+`FractionalVertexCover.slack`, and a vertex set's edges in one,
 `WeightedGraph.stars`. `verify` reads each cover a document prints into one
 such object, once. `verify` builds no graph: every check of a document
 reads the instance graph itself.
@@ -56,6 +62,7 @@ reads the instance graph itself.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -68,7 +75,7 @@ from .errors import (
     MatchstabError, NotBasic, NotHalfIntegral, NotOptimalPair, ParseError,
 )
 from .graph import (
-    ZERO, BasicFractionalMatching, FractionalVertexCover, Matching, WeightedGraph, as_fraction,
+    BasicFractionalMatching, FractionalVertexCover, Matching, WeightedGraph, as_fraction,
     decompose,
 )
 from .instance import Instance, strict_object
@@ -89,9 +96,10 @@ def optimal_pair_checks(
     `strong_duality` (w.x = sum y) and `complementary_slackness` (every
     supported edge is tight, and x(delta(v)) = 1 wherever y_v > 0), each with
     its result. All three are decided on integers: the graph's D.w, the
-    cover's q.y and the half counts 2x of `decompose`. The first and the
-    last read one `cover.slack` list, so the edges are walked once. An x
-    that lives on another graph than `graph` raises NotOptimalPair.
+    cover's q.y and the half counts 2x of `decompose`; strong duality is
+    2D.w(x).q = 2D.(q.y total). The first and the last read one
+    `cover.slack` list, so the edges are walked once. An x that lives on
+    another graph than `graph` raises NotOptimalPair.
     """
     if bfm.graph is not graph and bfm.graph != graph:
         raise NotOptimalPair("x lives on another graph")
@@ -102,7 +110,7 @@ def optimal_pair_checks(
     support_tight = not any([slack[i] for i in bfm.support])
     return [
         ("cover_is_feasible", min(a, default=0) >= 0 and min(slack, default=0) >= 0),
-        ("strong_duality", bfm.weight == cover.total),
+        ("strong_duality", _x_total(bfm) * cover.scale == 2 * graph.scale * sum(a)),
         ("complementary_slackness", support_tight and all(
             a_v == 0 or loads[v] == 2 for v, a_v in enumerate(a)
         )),
@@ -124,7 +132,7 @@ def stable_subgraph_checks(
     `matching_lives_in_residual`, `cover_feasible_on_residual` and
     `matching_weight_equals_cover`, each with its result; the second reads
     `cover.slack(graph)` and asks that every edge it finds uncovered be in
-    `gone`.
+    `gone`, and the third compares D.w(M).q with D.(q.y total).
 
     These three imply that y is 0 on S, where S is isolated in H. Let
     y >= 0 be feasible on H, and let M be a matching of H with w(M) =
@@ -143,8 +151,21 @@ def stable_subgraph_checks(
     return [
         ("matching_lives_in_residual", lives),
         ("cover_feasible_on_residual", feasible),
-        ("matching_weight_equals_cover", lives and matching.weight(graph) == cover.total),
+        ("matching_weight_equals_cover",
+         lives and _matching_total(graph, matching) * cover.scale == graph.scale * sum(a)),
     ]
+
+
+def _x_total(bfm: BasicFractionalMatching) -> int:
+    """2D.w(x): the int sum of D.w_i times 2x_i, which
+    `BasicFractionalMatching.weight` divides by 2D."""
+    return sum([bfm.graph.int_weights[i] * bfm.halves[i] for i in bfm.support])
+
+
+def _matching_total(graph: WeightedGraph, matching: Matching) -> int:
+    """D.w(M): the int sum of D.w over the pairs of M, each an edge of
+    `graph`, which `Matching.weight` divides by D."""
+    return sum([graph.int_weights[graph.edge_index(u, v)] for u, v in matching.pairs])
 
 
 def _raise_unless_all(what: str, checks: list[tuple[str, bool]]) -> None:
@@ -213,8 +234,8 @@ def _string(value: object) -> str:
     """The value, when it is a string, as the document prints every exact
     value, such as "3/4". `Fraction` alone would also take the JSON number
     6.0 or 0.5, which no document prints, so a value that is not a string
-    makes the document malformed. The type is checked before any cache
-    hashes the value, which a JSON array or object could not be."""
+    makes the document malformed. The type is checked before the cache of
+    `_ratio` hashes the value, which a JSON array or object could not be."""
     if type(value) is not str:
         raise ParseError(
             f"malformed result document: an exact value must be a string, got {json.dumps(value)}"
@@ -222,15 +243,34 @@ def _string(value: object) -> str:
     return value
 
 
-def _exact(value: object) -> Fraction:
-    """An exact value of the document, read by `as_fraction` from its
-    string. A document repeats a few values, such as "1/2" and "0", many
-    times: each distinct string is parsed once, and only strings are
-    cached."""
-    return _fraction(_string(value))
+# the form a document prints an exact value in, "-?[0-9]+(/[0-9]+)?", with den > 0
+_PRINTED = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?").fullmatch
 
 
-_fraction = lru_cache(maxsize=256)(as_fraction)
+@lru_cache(maxsize=256)
+def _ratio(text: str) -> tuple[int, int]:
+    """The exact value string `text` as the int pair (num, den), den > 0,
+    not necessarily in lowest terms; the caller checks with `_string` that
+    it is a string first. A document repeats a few values, such as "1/2"
+    and "0", many times, so each distinct string is read once. The printed
+    form is read by `int` alone, which refuses a part past Python's int
+    digit limit as `Fraction` does; every other string is read by
+    `as_fraction`, which accepts and refuses exactly what it does for an
+    instance's weights."""
+    if printed := _PRINTED(text):
+        return int(printed[1]), int(printed[2] or 1)
+    return as_fraction(text).as_integer_ratio()
+
+
+def _total(cover: FractionalVertexCover) -> tuple[int, int]:
+    """The total of the cover y as (q.y total, q)."""
+    return sum(cover.int_values), cover.scale
+
+
+def _same(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Whether the exact values a = (num, den) and b, dens > 0, are equal:
+    one cross-multiplication of ints."""
+    return a[0] * b[1] == b[0] * a[1]
 
 
 def _typed(doc: dict, key: str, kind: type) -> Any:
@@ -382,23 +422,16 @@ def x_entries(names: list[str], bfm: BasicFractionalMatching) -> Fragment:
     ], "\n"))
 
 
-@lru_cache(maxsize=256)
-def _half_count(value: str):
-    """2x for the exact value string x of an x entry: an int when 2x is
-    one, as for every entry of a basic x, else the `Fraction`, such as 3/2,
-    which `decompose` refuses. As for `_exact`, each distinct string is
-    read once, and the caller checks that it is a string first."""
-    count = 2 * _fraction(value)
-    return count.numerator if count.denominator == 1 else count
-
-
 def _halves_from_entries(graph: WeightedGraph, index, entries) -> list:
     """The half counts 2x_i of the x that `x_entries` printed as `entries`,
-    for `decompose` to validate."""
+    for `decompose` to validate: the int 2.num/den where den divides 2.num,
+    as for every entry of a basic x, else the `Fraction`, such as 3/2,
+    which `decompose` refuses."""
     edges = _distinct("x", [graph.edge_index(index[e["u"]], index[e["v"]]) for e in entries])
     halves: list = [0] * graph.m
     for i, entry in zip(edges, entries):
-        halves[i] = _half_count(_string(entry["x"]))
+        num, den = _ratio(_string(entry["x"]))
+        halves[i] = 2 * num // den if 2 * num % den == 0 else Fraction(2 * num, den)
     return halves
 
 
@@ -417,10 +450,10 @@ def _cover_from_doc(graph, index, doc, zero_elsewhere=False) -> FractionalVertex
     names every vertex, and a vertex it leaves out makes the document
     malformed; a stable subgraph's cover leaves out S, and is 0 on every
     vertex it does not name."""
-    named = {index[label]: _exact(value) for label, value in doc.items()}
-    return FractionalVertexCover.from_values(
-        named.get(v, ZERO) if zero_elsewhere else named[v] for v in range(graph.n)
-    )
+    named = {index[label]: _ratio(_string(value)) for label, value in doc.items()}
+    return FractionalVertexCover.from_ratios([
+        named.get(v, (0, 1)) if zero_elsewhere else named[v] for v in range(graph.n)
+    ])
 
 
 def events_doc(names: list[str], events) -> Fragment:
@@ -508,22 +541,21 @@ def _support_check(graph, outputs, bfm: BasicFractionalMatching) -> tuple[str, b
 
 
 def _infeasibility_doc(
-    graph, index, matching: Matching, w_m: Fraction, certificates, checks
+    graph, index, matching: Matching, w_m: int, certificates, checks
 ) -> None:
     """Append the checks of an infeasible `m-stabilize` certificate: x, a
     basic fractional matching of G that uses no edge at an M-exposed vertex,
     so one of G - delta(X) for X the M-exposed vertices, and weighs more
-    than M, whose weight is `w_m`. Then every S the stabilizer may delete
-    leaves x in G - delta(S), and nu_f(G - delta(S)) > w(M). w(x) is the
-    int sum of 2x_i.D.w_i over 2D, as `BasicFractionalMatching.weight` sums
-    it, and w(M) the int sum of its D.w_i over D."""
+    than M, whose weight is `w_m` over D. Then every S the stabilizer may
+    delete leaves x in G - delta(S), and nu_f(G - delta(S)) > w(M): w(x)
+    is `_x_total` over 2D, so it is compared with 2.`w_m`."""
     bfm = _basic_x_doc(graph, index, certificates["x"], checks)
     if bfm is None:
         return
     ends, covers = graph.ends, matching.covers
     checks += [
         ("x_avoids_M_exposed", all(covers(ends[i][0]) and covers(ends[i][1]) for i in bfm.support)),
-        ("x_outweighs_M", bfm.weight > w_m),
+        ("x_outweighs_M", _x_total(bfm) > 2 * w_m),
     ]
 
 
@@ -552,10 +584,11 @@ def surviving_doc(names: list[str], stabilizer) -> dict[str, Fragment]:
 def _stable_subgraph_doc(
     graph, index, certificates: dict, gone, removed, checks,
     matching: Optional[Matching] = None,
-) -> FractionalVertexCover:
+) -> tuple[int, int]:
     """Append the stable-subgraph checks on `graph` without the edges
     `gone`, then `cover_only_on_residual` (the cover names no vertex of the
-    stabilizer's S, `removed`), and return the cover they read. The
+    stabilizer's S, `removed`), and return the total of the cover they
+    read, as `_total` gives it. The
     certificate is `surviving_matching`, which must pass
     `matching_pairs_disjoint` first, with `surviving_cover`; or, given the
     instance `matching` of an `m-stabilize` document, that with
@@ -567,7 +600,7 @@ def _stable_subgraph_doc(
     if matching is not None:
         checks.extend(stable_subgraph_checks(graph, gone, matching, cover))
         checks.append(("cover_only_on_residual", not any(index[lb] in removed for lb in named)))
-    return cover
+    return _total(cover)
 
 
 def verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, int]:
@@ -594,7 +627,8 @@ def _verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, 
     certificates = result_doc.get("certificates", {})
     outputs = result_doc.get("outputs", {})
     checks = [("instance_sha256_matches", result_doc.get("instance_sha256") == digest)]
-    index = {graph.label_of(v): v for v in range(graph.n)}
+    # each vertex by its label, or by str(v) in a graph with none, as `label_of` names it
+    index = dict(zip(graph.labels or map(str, range(graph.n)), range(graph.n)))
 
     if command in ("solve-fractional", "min-cycles", "gamma"):
         cover = _cover_from_doc(graph, index, certificates["cover"])
@@ -606,14 +640,14 @@ def _verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, 
         if bfm is not None and command != "gamma":
             checks.append(_support_check(graph, outputs, bfm))
         if command != "gamma":
-            nu_f = _exact(outputs["nu_f"])
-            checks.append(("nu_f_equals_cover_total", nu_f == cover.total))
+            nu_f = _ratio(_string(outputs["nu_f"]))
+            checks.append(("nu_f_equals_cover_total", _same(nu_f, _total(cover))))
     elif command == "stabilize-vertices":
         removed = _vertex_set(index, outputs, "S")
         gone = graph.stars(removed)
-        cover = _stable_subgraph_doc(graph, index, certificates, gone, removed, checks)
+        total = _stable_subgraph_doc(graph, index, certificates, gone, removed, checks)
         checks += [
-            ("nu_after_equals_cover_total", _exact(outputs["nu_after"]) == cover.total),
+            ("nu_after_equals_cover_total", _same(_ratio(_string(outputs["nu_after"])), total)),
             ("S_size_equals_gamma", len(removed) == _typed(outputs, "gamma", int)),
         ]
     elif command == "stabilize-edges":
@@ -641,53 +675,59 @@ def _verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, 
             ("S_is_S1_plus_S2", not s1 & s2 and s1 | s2 == removed),
             ("S_is_M_exposed", not any(matching.covers(v) for v in removed)),
         ]
-        w_m = matching.weight(graph)
+        w_m = (_matching_total(graph, matching), graph.scale)
         status = outputs["status"]
         if status == "feasible":
-            cover = _stable_subgraph_doc(
+            total = _stable_subgraph_doc(
                 graph, index, certificates, graph.stars(removed), removed, checks, matching
             )
-            nu_f = _exact(outputs["residual_nu_f"])
-            checks.append(("residual_nu_f_equals_cover_total", nu_f == cover.total))
+            nu_f = _ratio(_string(outputs["residual_nu_f"]))
+            checks.append(("residual_nu_f_equals_cover_total", _same(nu_f, total)))
         else:
             checks.append(("infeasible_reported", status == "infeasible"))
             if status == "infeasible":
                 printed = removed or s1 or s2 or certificates["diagnostics"] != []
                 checks.append(("infeasible_prints_no_stabilizer", not printed))
-                _infeasibility_doc(graph, index, matching, w_m, certificates, checks)
-        checks.append(("w_M_equals_matching_weight", _exact(outputs["w_M"]) == w_m))
+                _infeasibility_doc(graph, index, matching, w_m[0], certificates, checks)
+        checks.append(("w_M_equals_matching_weight", _same(_ratio(_string(outputs["w_M"])), w_m)))
     elif command == "check-stability":
         cover = _cover_from_doc(graph, index, certificates["cover"])
         _check_optimal_pair_doc(graph, index, certificates["x"], cover, checks)
-        total = cover.total
-        nu, nu_f = _exact(outputs["nu"]), _exact(outputs["nu_f"])
+        total = _total(cover)
+        nu, nu_f = _ratio(_string(outputs["nu"])), _ratio(_string(outputs["nu_f"]))
         stable = _typed(outputs, "stable", bool)
-        checks.append(("nu_f_equals_cover_total", nu_f == total))
-        checks.append(("stable_iff_nu_equals_nu_f", stable == (nu == nu_f)))
+        checks.append(("nu_f_equals_cover_total", _same(nu_f, total)))
+        checks.append(("stable_iff_nu_equals_nu_f", stable == _same(nu, nu_f)))
         witness = _matching_from_doc(index, certificates, "max_matching", checks)
         if witness is not None:
             in_graph = witness.is_matching_in(graph)
             checks.append(("witness_is_matching", in_graph))
             if in_graph:
-                weight = witness.weight(graph)
-                checks.append(("nu_equals_witness_weight", nu == weight))
+                weight = (_matching_total(graph, witness), graph.scale)
+                checks.append(("nu_equals_witness_weight", _same(nu, weight)))
                 # An unstable claim needs no check of its own: when every
                 # other check holds, nu = weight, nu_f = total and nu != nu_f,
                 # so weight != total, and weak duality gives weight <= total
                 # for a matching of G and a feasible cover; so weight < total.
                 if stable:
-                    checks.append(("nu_equals_tau_f", weight == total))
+                    checks.append(("nu_equals_tau_f", _same(weight, total)))
     else:
         raise ParseError(f"verify does not support command {command!r}")
     return _verify_report(command, checks)
 
 
+_CHECK = '{\n    "name": %s,\n    "ok": %s\n  }'  # a row of the report's checks
+
+
 def _verify_report(command: Optional[str], checks: list[tuple[str, bool]]) -> tuple[dict, int]:
-    verified = all(ok for _name, ok in checks)
+    """The report and its exit code; `checks` is written as the text of
+    its list of {"name", "ok"} objects."""
+    verified = all([ok for _name, ok in checks])
+    rows = [_CHECK % (_quote(name), "true" if ok else "false") for name, ok in checks]
     doc = {
         "command": "verify",
         "verified_command": command,
         "verified": verified,
-        "checks": [{"name": name, "ok": ok} for name, ok in checks],
+        "checks": Fragment(_container(rows, "\n")),
     }
     return doc, 0 if verified else 1

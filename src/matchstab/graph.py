@@ -476,9 +476,9 @@ class FractionalVertexCover(_Value):
 
     Like the graph's D, the pair is canonical: the constructor divides q, a
     positive int, and every q.y by their gcd, so `==` compares covers by
-    value. `values`, the y_v as `Fraction`s, is derived for the API only
-    (the JSON documents print y from q.y and q); `from_values` builds a
-    cover from such values.
+    value. `values`, the y_v as `Fraction`s, is derived for the API only:
+    the JSON documents print y from q.y and q, and `from_ratios` builds the
+    cover a document prints from its (num, den) pairs.
     """
 
     _fields = ("int_values", "scale")
@@ -490,21 +490,17 @@ class FractionalVertexCover(_Value):
         self.int_values, self.scale = int_values, scale
 
     @staticmethod
-    def from_values(values: Iterable[Fraction]) -> "FractionalVertexCover":
-        """The cover of the exact values y, by vertex, over q, the lcm of
-        their denominators."""
-        values = tuple(values)
-        q = lcm(*(y.denominator for y in values))
-        return FractionalVertexCover(tuple(y.numerator * (q // y.denominator) for y in values), q)
+    def from_ratios(ratios: Sequence[tuple[int, int]]) -> "FractionalVertexCover":
+        """The cover of the exact values y_v = num/den, given by vertex as
+        int pairs (num, den) with den > 0, not necessarily in lowest terms,
+        over q, the lcm of the dens."""
+        q = lcm(*[den for _num, den in ratios])
+        return FractionalVertexCover(tuple([num * (q // den) for num, den in ratios]), q)
 
     @cached_property
     def values(self) -> tuple[Fraction, ...]:
         """y_v = q.y_v / q, by vertex."""
         return tuple(Fraction(a_v, self.scale) for a_v in self.int_values)
-
-    @property
-    def total(self) -> Fraction:
-        return Fraction(sum(self.int_values), self.scale)
 
     def slack(self, graph: WeightedGraph) -> list[int]:
         """(q.y_u + q.y_v).D - D.w_uv.q for each edge of `graph`, by edge

@@ -5,6 +5,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -307,8 +308,10 @@ def full_sweep_iterations(arcs, source: int, k: int):
 
 def cover_of(values) -> FractionalVertexCover:
     """A fractional vertex cover with the given exact values (ints, strings
-    or Fractions), by vertex, built as `verify` builds a document's."""
-    return FractionalVertexCover.from_values(Fraction(v) for v in values)
+    or Fractions), by vertex, over q, the lcm of their denominators."""
+    ys = [Fraction(v) for v in values]
+    q = lcm(*(y.denominator for y in ys))
+    return FractionalVertexCover(tuple(y.numerator * (q // y.denominator) for y in ys), q)
 
 
 def is_valid_walk(walk: AlternatingWalk, matching: Matching) -> bool:

@@ -15,20 +15,22 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
 import pytest
 
 import matchstab
-from conftest import bench_families, count_calls, random_matching
+from conftest import bench_families, count_calls, cover_of, random_matching
 from matchstab.certify import (
-    Fragment, _cover_from_doc, _edge_pairs, _exact, _halves_from_entries, _indented, _vertex_set,
-    cover_doc, diagnostics_doc, events_doc, exact_str, labels_doc, optimal_pair_checks, pairs_doc,
-    quoted_labels, x_entries,
+    Fragment, _cover_from_doc, _edge_pairs, _halves_from_entries, _indented, _ratio, _string,
+    _vertex_set, cover_doc, diagnostics_doc, events_doc, exact_str, labels_doc,
+    optimal_pair_checks, pairs_doc, quoted_labels, x_entries,
 )
 from matchstab.cycles import AugmentationEvent, FrustrationEvent, reduce_cycles
-from matchstab.graph import FractionalVertexCover, WeightedGraph
+from matchstab.errors import ParseError
+from matchstab.graph import FractionalVertexCover, WeightedGraph, as_fraction
 from matchstab.instance import parse_instance
 from matchstab.lp import solve_fractional
 from matchstab.mstab import FEASIBLE, m_vertex_stabilizer
@@ -64,7 +66,7 @@ def _assert_round_trips(instance) -> None:
     xs, covers = [bfm, reduction.solution], [cover, reduction.cover]
     stable = [(vertex.surviving_cover, vertex.removed)]
     sets = [vertex.removed]
-    values = [bfm.weight, cover.total, vertex.nu_after, *cover.values]
+    values = [bfm.weight, sum(cover.values), vertex.nu_after, *cover.values]
     if matching is not None:
         result = m_vertex_stabilizer(graph, matching)
         sets += [result.removed, result.first_phase, result.second_phase]
@@ -96,8 +98,8 @@ def _assert_round_trips(instance) -> None:
         pair_lists.append(matching.sorted_pairs())
     for pairs in pair_lists:
         assert _edge_pairs(index, {"F": _value(pairs_doc(names, pairs))}, "F") == list(pairs)
-    for value in values:
-        assert _exact(exact_str(value)) == value
+    for value in values:  # printed in lowest terms, so read back as the same pair
+        assert _ratio(exact_str(value)) == (value.numerator, value.denominator)
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in (ROOT / "fixtures").glob("*.json")))
@@ -114,6 +116,63 @@ def test_every_reader_gives_back_its_writers_fields_on_a_bench_round(monkeypatch
 
 def test_every_reader_gives_back_its_writers_fields_on_odd_labels():
     _assert_round_trips(parse_instance(json.dumps(ODD_INSTANCE, ensure_ascii=False)))
+
+
+def _reference_exact(value: object) -> Fraction:
+    """An exact value of a document as `verify` read it before it read
+    (num, den) pairs: the `Fraction` that `as_fraction` reads off its
+    string."""
+    return as_fraction(_string(value))
+
+
+def _read(reader, value):
+    """What `reader` gives for `value`: the value, or the refusal's type and
+    message."""
+    try:
+        return reader(value)
+    except (ParseError, ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_reads_as_the_reference(value) -> None:
+    expected = _read(_reference_exact, value)
+    got = _read(lambda v: _ratio(_string(v)), value)
+    if isinstance(expected, Fraction):
+        num, den = got
+        assert den > 0 and num * expected.denominator == expected.numerator * den, value
+    else:
+        assert got == expected, value
+
+
+# the printed form, in lowest terms or not; what only `Fraction` reads (a
+# sign, blanks, a decimal, an exponent, a non-ASCII digit); and refusals,
+# with values that are no string
+EXACT_VALUES = [
+    "3", "3/4", "-1", "-0", "007", "2/4",
+    "+1", " 1 ", "0.5", "5e-1", "\u0663",
+    "1_0", "1/0", "0/0", "1/-2", "", "/", "1e99999", "x",
+    0.5, 1, True, None, ["1"], {"a": 1},
+]
+
+
+@pytest.mark.parametrize("value", EXACT_VALUES, ids=[repr(v) for v in EXACT_VALUES])
+def test_the_integer_reader_reads_each_value_as_the_fraction_reader(value):
+    _assert_reads_as_the_reference(value)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int digit limit"
+)
+def test_the_integer_reader_refuses_a_part_past_the_digit_limit_as_the_fraction_reader():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the int digit limit is off")
+    long = "1" * (limit + 1)
+    longer = "2" * (limit + 2)
+    for value in (long, f"-{long}", f"{long}/3", f"3/{long}", f"{longer}/{long}", "1" * limit):
+        _assert_reads_as_the_reference(value)
+    with pytest.raises(ValueError):
+        _ratio(long)
 
 
 # what a label may hold that a text writer must escape, or must not read
@@ -254,7 +313,7 @@ def test_the_pair_check_computes_the_slack_once(monkeypatch, property_suite):
     slacks = count_calls(monkeypatch, FractionalVertexCover, "slack")
     for graph in property_suite:
         bfm, cover = solve_fractional(graph)
-        other = FractionalVertexCover.from_values(rng.randint(0, 3) for _ in range(graph.n))
+        other = cover_of(rng.randint(0, 3) for _ in range(graph.n))
         removed = pick.sample(range(graph.n), pick.randint(0, graph.n))
         for y in (cover, other):
             before = slacks[0]

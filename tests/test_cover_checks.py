@@ -24,14 +24,13 @@ from fractions import Fraction
 from math import lcm
 
 from conftest import (
-    bench_families, count_calls, count_fractions, fig8, random_graph, random_matching,
+    bench_families, count_calls, count_fractions, cover_of, fig8, random_graph, random_matching,
 )
 import matchstab.graph as graph_module
 from matchstab.certify import optimal_pair_checks, stable_subgraph_checks
 from matchstab.errors import InfeasibleCover
 from matchstab.graph import (
     ZERO,
-    FractionalVertexCover,
     Matching,
     WeightedGraph,
     decompose,
@@ -148,7 +147,7 @@ def _assert_checks_agree(graph, seen: Counter, rng: random.Random) -> None:
     ]
     removed = rng.sample(range(graph.n), rng.randint(0, graph.n))
     for y in _covers_near(graph, cover.values):
-        candidate = FractionalVertexCover.from_values(y)
+        candidate = cover_of(y)
         feasible = _feasible_on_residual(graph, graph.stars(()), candidate)
         assert feasible == _reference_is_feasible_for(y, graph.delete_stars(())), (graph, y)
         on_rest = _feasible_on_residual(graph, graph.stars(removed), candidate)
@@ -159,7 +158,7 @@ def _assert_checks_agree(graph, seen: Counter, rng: random.Random) -> None:
         tight = _outcome(lambda: tight_edges(graph, candidate))
         assert tight == _outcome(lambda: _reference_tight_edges(graph, y)), (graph, y)
         if len(y) == graph.n:
-            assert candidate.total == sum(y, start=ZERO)
+            assert sum(candidate.values) == sum(y, start=ZERO)
         seen["feasible", feasible] += 1
         seen["tight_edges raises", isinstance(tight, tuple)] += 1
         for x in xs:
@@ -217,14 +216,14 @@ def test_cover_checks_on_fig8_edge_cases():
     bfm, cover = solve_fractional(g)
     y = cover.values
     # y = (1, 2, 2, 3/2, 5/2) has q = 2; y_p - 1/7 makes it 14
-    lowered = FractionalVertexCover.from_values((y[0] - Fraction(1, 7),) + y[1:])
+    lowered = cover_of((y[0] - Fraction(1, 7),) + y[1:])
     assert (lowered.scale, lowered.int_values) == (14, (12, 28, 28, 21, 35))
     assert not _feasible_on_residual(g, frozenset(), lowered)
     assert [ok for _name, ok in optimal_pair_checks(g, bfm, lowered)] == [False, False, False]
-    negative = FractionalVertexCover.from_values((Fraction(-1, 2),) + y[1:])
+    negative = cover_of((Fraction(-1, 2),) + y[1:])
     assert not _feasible_on_residual(g, frozenset(), negative)
     for wrong in (y[:-1], y + (ZERO,)):
-        short_or_long = FractionalVertexCover.from_values(wrong)
+        short_or_long = cover_of(wrong)
         assert not _feasible_on_residual(g, frozenset(), short_or_long)
         for check in (tight_edges, lambda g, c: optimal_pair_checks(g, bfm, c)):
             assert _outcome(lambda: check(g, short_or_long)) == (
@@ -322,14 +321,15 @@ def test_the_cover_is_the_reference_on_the_bench_families(monkeypatch):
 
 
 def test_a_dense_k40_cover_is_built_with_no_fraction_per_vertex(monkeypatch):
-    # the bench's dense K_40 of seed 1: solve_fractional makes only the two
-    # totals strong_duality compares, w(x) and sum y, and computes no lcm
+    # the bench's dense K_40 of seed 1: solve_fractional makes no Fraction,
+    # since strong_duality compares w(x) and sum y on integers, and computes
+    # no lcm
     families = bench_families(monkeypatch)
     _n, edges = families._dense(random.Random(1), 40)
     graph = WeightedGraph.from_edges(40, [(u, v, w) for (u, v), w in sorted(edges.items())])
     fractions = count_fractions(monkeypatch)
     lcms = count_calls(monkeypatch, graph_module, "lcm")
     _bfm, cover = solve_fractional(graph)
-    assert fractions[0] == 2 and lcms[0] == 0
+    assert fractions[0] == 0 and lcms[0] == 0
     # the same counter sees the values, one Fraction per vertex
-    assert len(cover.values) == 40 and fractions[0] == 2 + 40
+    assert len(cover.values) == 40 and fractions[0] == 40

@@ -53,7 +53,6 @@ SRC = ROOT / "src"
 SCRIPT = r"""
 import json
 import sys
-from fractions import Fraction
 
 import matchstab.cycles as cycles
 import matchstab.lp as lp
@@ -73,9 +72,9 @@ def raised(run):
 
 
 def one_more_at(cover, v):
-    values = list(cover.values)
-    values[v] += 1
-    return FractionalVertexCover.from_values(values)
+    values = list(cover.int_values)
+    values[v] += cover.scale
+    return FractionalVertexCover(tuple(values), cover.scale)
 
 
 fig9 = WeightedGraph.from_edges(4, [(0, 1, 4), (0, 2, 4), (1, 2, 4), (0, 3, 1)])
@@ -122,9 +121,8 @@ out["m_vertex_stabilizer"] = raised(
 bridged = WeightedGraph.from_edges(
     6, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (3, 5, 1), (4, 5, 1)]
 )
-half = Fraction(1, 2)
 halves = tuple(0 if (u, v) == (2, 3) else 1 for u, v, _w in bridged.edges)
-start = (decompose(bridged, halves), FractionalVertexCover.from_values((half,) * 6))
+start = (decompose(bridged, halves), FractionalVertexCover((1,) * 6, 2))
 move = cycles.apply_augmentation
 
 

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import NamedTuple
 
@@ -563,6 +564,18 @@ def _floats(doc):
     doc["certificates"]["cover"]["p"] = 2.0
 
 
+def _off_by_a_unit(key: str, cover: str, d: int):
+    """Add to outputs[key] the smallest unit of the total it is compared
+    with, 1/(2Dq), for D = `d`, the instance's weight denominator, and q
+    the denominator of the cover certificates[cover]."""
+
+    def edit(doc):
+        q = lcm(*(Fraction(y).denominator for y in doc["certificates"][cover].values()))
+        doc["outputs"][key] = str(Fraction(doc["outputs"][key]) + Fraction(1, 2 * d * q))
+
+    return edit
+
+
 # (command, fixture, forgery, the checks it fails, or Malformed for a
 # document that cannot be read); verified in process here and, every row
 # in one subprocess, under python -O below
@@ -580,6 +593,12 @@ FORGED_CLAIMS = [
         ("solve-fractional", "fig8", _set("outputs", "nu_f", "999"),
          {"nu_f_equals_cover_total"}),
         ("min-cycles", "fig6", _set("outputs", "nu_f", "7"), {"nu_f_equals_cover_total"}),
+        # fig6 has D = 2 and covers over q = 4: each total is off by 1/16
+        ("min-cycles", "fig6", _off_by_a_unit("nu_f", "cover", 2), {"nu_f_equals_cover_total"}),
+        ("stabilize-vertices", "fig6", _off_by_a_unit("nu_after", "surviving_cover", 2),
+         {"nu_after_equals_cover_total"}),
+        ("m-stabilize", None, _off_by_a_unit("residual_nu_f", "residual_cover", 1),
+         {"residual_nu_f_equals_cover_total"}),
         ("min-cycles", "fig6", lambda d: d["outputs"]["x"][3].update(x="1/2"),
          {"x_is_basic_feasible"}),
         # 2x = 2/3 is no half count, which a reader that took it for 2 would miss
@@ -646,6 +665,11 @@ FORGED_CLAIMS = [
         # an exact value given as a JSON number, which verified while the
         # values were read by `Fraction` alone
         ("solve-fractional", "fig9", _floats, _not_a_string("2.0")),
+        # a zero denominator, in a total and in a cover value
+        ("min-cycles", "fig6", _set("outputs", "nu_f", "1/0"),
+         Malformed("malformed result document: ZeroDivisionError('Fraction(1, 0)')")),
+        ("min-cycles", "fig6", lambda d: d["certificates"]["cover"].update({"4": "1/0"}),
+         Malformed("malformed result document: ZeroDivisionError('Fraction(1, 0)')")),
         ("solve-fractional", "fig9", _set("outputs", "nu_f", 6.0), _not_a_string("6.0")),
         ("solve-fractional", "fig9", lambda d: d["outputs"]["x"][0].update(x=0.5),
          _not_a_string("0.5")),
@@ -701,6 +725,20 @@ def test_verify_rejects_each_forged_claim(tmp_path, capsys, command, fixture, ed
     report = json.loads(out)
     assert report["verified"] is False
     assert {c["name"] for c in report["checks"] if not c["ok"]} == failing
+
+
+@pytest.mark.parametrize("label,value", [("4", "2/8"), ("4", "0.25"), ("4", " 1/4"), ("1", "3/3")])
+def test_verify_reads_a_cover_value_in_any_spelling(tmp_path, capsys, label, value):
+    # fig6's min-cycles cover is 1/4 on vertices 4 and 5 and 1 elsewhere; a
+    # value in lowest terms or not, as a decimal or with blanks, is the
+    # same value, and the report is the one of the printed document
+    instance = str(FIXTURES / "fig6.json")
+    doc = json.loads(_run(capsys, "min-cycles", instance)[1])
+    assert doc["certificates"]["cover"]["4"] == "1/4"
+    printed = _run(capsys, "verify", instance, "--result", str(_write(tmp_path, doc)))
+    assert printed[0] == 0 and json.loads(printed[1])["verified"] is True
+    doc["certificates"]["cover"][label] = value
+    assert _run(capsys, "verify", instance, "--result", str(_write(tmp_path, doc))) == printed
 
 
 def test_verify_of_m_stabilize_needs_the_instance_matching(tmp_path, capsys):

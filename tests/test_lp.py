@@ -11,14 +11,13 @@ import pytest
 
 from complete_graph import complete_graph
 from conftest import (
-    bench_families, count_calls, fig6, fig8, fig9, random_graph, tri_chain,
+    bench_families, count_calls, cover_of, fig6, fig8, fig9, random_graph, tri_chain,
     weight_denominator_graphs,
 )
 from matchstab import graph as graph_module, lp, oracle
 from matchstab.errors import DegreeConstraintViolated, NotHalfIntegral, NotOptimalPair
 from matchstab.graph import (
     ZERO,
-    FractionalVertexCover,
     WeightedGraph,
     decompose,
     tight_edges,
@@ -395,7 +394,7 @@ def test_solve_fractional_fixture_values():
 def test_duality_and_slackness_on_random_suite(property_suite):
     for g in property_suite:
         bfm, cover = solve_fractional(g)
-        assert bfm.weight == cover.total
+        assert bfm.weight == sum(cover.values)
         tight = tight_edges(g, cover)
         assert all(i in tight for i in bfm.support)
         assert all(
@@ -421,11 +420,11 @@ def test_rounding_never_changes_weight():
 def test_zero_weight_edges_are_harmless():
     g = WeightedGraph.from_edges(3, [(0, 1, 0), (1, 2, 0), (0, 2, 0)])
     bfm, cover = solve_fractional(g)
-    assert bfm.weight == 0 and cover.total == 0
+    assert bfm.weight == 0 and sum(cover.values) == 0
 
     mixed = WeightedGraph.from_edges(4, [(0, 1, 3), (1, 2, 0), (2, 3, 2)])
     bfm, cover = solve_fractional(mixed)
-    assert bfm.weight == 5 == cover.total
+    assert bfm.weight == 5 == sum(cover.values)
     from matchstab.cycles import reduce_cycles
 
     assert reduce_cycles(mixed).gamma == 0
@@ -436,7 +435,7 @@ def test_pair_checks_reject_a_negative_cover():
     # y = (-2, -2, 3, 3) covers every edge, sums to 2 and is complementary
     g = WeightedGraph.from_edges(4, [(0, 2, 1), (1, 3, 1), (2, 3, 3)])
     bfm = decompose(g, (2, 2, 0))
-    cover = FractionalVertexCover.from_values(Fraction(y) for y in (-2, -2, 3, 3))
+    cover = cover_of((-2, -2, 3, 3))
     assert dict(optimal_pair_checks(g, bfm, cover)) == {
         "cover_is_feasible": False,
         "strong_duality": True,
@@ -696,7 +695,7 @@ def test_pair_checks_on_tampered_fig8_pairs():
     bfm, cover = solve_fractional(g)
     y = list(cover.values)
     y[0] = Fraction(0)  # p's cover value
-    assert optimal_pair_checks(g, bfm, FractionalVertexCover.from_values(y)) == [
+    assert optimal_pair_checks(g, bfm, cover_of(y)) == [
         ("cover_is_feasible", False),
         ("strong_duality", False),
         ("complementary_slackness", False),

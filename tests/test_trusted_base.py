@@ -35,41 +35,43 @@ PACKAGE = Path(matchstab.__file__).resolve().parent
 FIXTURES = PACKAGE.parents[1] / "fixtures"
 
 TRUSTED_BASE = {
+    "matchstab.certify.Fragment.__init__",
     "matchstab.certify._basic_x_doc",
     "matchstab.certify._check_optimal_pair_doc",
+    "matchstab.certify._container",
     "matchstab.certify._cover_from_doc",
     "matchstab.certify._distinct",
     "matchstab.certify._edge_pairs",
-    "matchstab.certify._exact",
-    "matchstab.certify._half_count",
     "matchstab.certify._halves_from_entries",
     "matchstab.certify._infeasibility_doc",
     "matchstab.certify._matching_from_doc",
+    "matchstab.certify._matching_total",
     "matchstab.certify._names",
+    "matchstab.certify._ratio",
+    "matchstab.certify._same",
     "matchstab.certify._stable_subgraph_doc",
     "matchstab.certify._string",
     "matchstab.certify._support_check",
+    "matchstab.certify._total",
     "matchstab.certify._typed",
     "matchstab.certify._verify",
     "matchstab.certify._verify_report",
     "matchstab.certify._vertex_set",
+    "matchstab.certify._x_total",
     "matchstab.certify.optimal_pair_checks",
     "matchstab.certify.stable_subgraph_checks",
     "matchstab.certify.verify",
     "matchstab.graph.BasicFractionalMatching.__init__",
     "matchstab.graph.BasicFractionalMatching.support",
-    "matchstab.graph.BasicFractionalMatching.weight",
     "matchstab.graph.FractionalVertexCover.__init__",
-    "matchstab.graph.FractionalVertexCover.from_values",
+    "matchstab.graph.FractionalVertexCover.from_ratios",
     "matchstab.graph.FractionalVertexCover.slack",
-    "matchstab.graph.FractionalVertexCover.total",
     "matchstab.graph.Matching.__init__",
     "matchstab.graph.Matching._partner",
     "matchstab.graph.Matching.covers",
     "matchstab.graph.Matching.from_pairs",
     "matchstab.graph.Matching.is_matching_in",
     "matchstab.graph.Matching.sorted_pairs",
-    "matchstab.graph.Matching.weight",
     "matchstab.graph.WeightedGraph.edge_index",
     "matchstab.graph.WeightedGraph.has_edge",
     "matchstab.graph.WeightedGraph.label_of",
@@ -77,7 +79,6 @@ TRUSTED_BASE = {
     "matchstab.graph.WeightedGraph.max_degree",
     "matchstab.graph.WeightedGraph.stars",
     "matchstab.graph._count_halves",
-    "matchstab.graph.as_fraction",
     "matchstab.graph.decompose",
 }
 
@@ -137,9 +138,8 @@ def test_verify_reaches_exactly_its_pinned_trusted_base(monkeypatch, tmp_path):
             if key in names:
                 reached.add(names[key])
 
-    # the caches of exact values would hide `as_fraction` behind earlier tests
-    certify._fraction.cache_clear()
-    certify._half_count.cache_clear()
+    # the caches of exact values would hide their readers behind earlier tests
+    certify._ratio.cache_clear()
     documents = 0
     for fixture in sorted(FIXTURES.glob("*.json")):
         for command in cli.RUN_COMMANDS:

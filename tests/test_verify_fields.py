@@ -23,6 +23,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+from conftest import count_fractions
 from matchstab.certify import verify
 from matchstab.cli import main
 from matchstab.errors import MatchstabError
@@ -79,6 +80,22 @@ def _feasible_m_document(tmp_path) -> tuple[str, str]:
     with contextlib.redirect_stdout(out):
         assert main(["m-stabilize", str(instance)]) == 0
     return instance.read_text(encoding="utf-8"), out.getvalue()
+
+
+def test_verify_makes_no_fraction_on_a_golden_document(monkeypatch, tmp_path):
+    # each exact value is read as (num, den) and every check is decided on
+    # integers, so a valid document costs no Fraction; the instances, some
+    # with weights such as "1/2", are parsed before the count starts
+    documents = [*_golden_documents().values(), _feasible_m_document(tmp_path)]
+    checked = [
+        (parse_instance(text), hashlib.sha256(text.encode("utf-8")).hexdigest(), json.loads(doc))
+        for text, doc in documents
+    ]
+    fractions = count_fractions(monkeypatch)
+    for instance, digest, doc in checked:
+        report, code = verify(instance, digest, doc)
+        assert (code, report["verified"]) == (0, True), doc["command"]
+    assert fractions[0] == 0 and len(checked) == 31 + 48 + 1
 
 
 def test_verify_reads_every_printed_field(tmp_path):
