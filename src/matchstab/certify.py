@@ -46,23 +46,25 @@ certificate holds, with exact arithmetic and nothing else:
   a `Fragment`.
 
 Every check runs on scaled integers: the graph's D.w, the cover's common
-denominator q and integers q.y that `FractionalVertexCover` stores, and the
-half counts 2x that `graph.decompose` keeps. The readers make the same
-integers: `_ratio` reads each exact string as an int pair (num, den), a
-cover becomes q and q.y by `FractionalVertexCover.from_ratios`, an x entry
-its half count 2.num/den, and each printed total is compared with the one
-the certificate gives by one cross-multiplication, so `verify` makes no
-`Fraction` on a valid document. A cover meets the weights in one place,
-`FractionalVertexCover.slack`, and a vertex set's edges in one,
-`WeightedGraph.stars`. `verify` reads each cover a document prints into one
-such object, once. `verify` builds no graph: every check of a document
+denominator q and integers q.y that `FractionalVertexCover` stores, the
+half counts 2x that `graph.decompose` keeps, and the integer totals
+D.w(M) and 2D.w(x) of `Matching.int_weight` and
+`BasicFractionalMatching.int_weight`. The readers make the same integers:
+`_ratio` reads each exact string as an int pair (num, den) by
+`graph.read_exact`, the one reader of an exact string, which also reads an
+instance's weights; a cover becomes q and q.y by `graph.scale_ratios`, an
+x entry its half count 2.num/den, and each printed total is compared with
+the one the certificate gives by one cross-multiplication, so `verify`
+makes no `Fraction` on a valid document. A cover meets the weights in one
+place, `FractionalVertexCover.slack`, and a vertex set's edges in one,
+`WeightedGraph.stars`. `verify` reads each cover a document prints into
+one such object, once. `verify` builds no graph: every check of a document
 reads the instance graph itself.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -75,8 +77,8 @@ from .errors import (
     MatchstabError, NotBasic, NotHalfIntegral, NotOptimalPair, ParseError,
 )
 from .graph import (
-    BasicFractionalMatching, FractionalVertexCover, Matching, WeightedGraph, as_fraction,
-    decompose,
+    BasicFractionalMatching, FractionalVertexCover, Matching, WeightedGraph, decompose,
+    read_exact, scale_ratios,
 )
 from .instance import Instance, strict_object
 
@@ -97,8 +99,9 @@ def optimal_pair_checks(
     supported edge is tight, and x(delta(v)) = 1 wherever y_v > 0), each with
     its result. All three are decided on integers: the graph's D.w, the
     cover's q.y and the half counts 2x of `decompose`; strong duality is
-    2D.w(x).q = 2D.(q.y total). The first and the last read one
-    `cover.slack` list, so the edges are walked once. An x that lives on
+    2D.w(x).q = 2D.(q.y total), with 2D.w(x) from `bfm.int_weight`. The
+    first and the last read one `cover.slack` list, so the edges are
+    walked once. An x that lives on
     another graph than `graph` raises NotOptimalPair.
     """
     if bfm.graph is not graph and bfm.graph != graph:
@@ -110,7 +113,7 @@ def optimal_pair_checks(
     support_tight = not any([slack[i] for i in bfm.support])
     return [
         ("cover_is_feasible", min(a, default=0) >= 0 and min(slack, default=0) >= 0),
-        ("strong_duality", _x_total(bfm) * cover.scale == 2 * graph.scale * sum(a)),
+        ("strong_duality", bfm.int_weight * cover.scale == 2 * graph.scale * sum(a)),
         ("complementary_slackness", support_tight and all(
             a_v == 0 or loads[v] == 2 for v, a_v in enumerate(a)
         )),
@@ -132,7 +135,8 @@ def stable_subgraph_checks(
     `matching_lives_in_residual`, `cover_feasible_on_residual` and
     `matching_weight_equals_cover`, each with its result; the second reads
     `cover.slack(graph)` and asks that every edge it finds uncovered be in
-    `gone`, and the third compares D.w(M).q with D.(q.y total).
+    `gone`, and the third compares D.w(M).q, from `matching.int_weight`,
+    with D.(q.y total).
 
     These three imply that y is 0 on S, where S is isolated in H. Let
     y >= 0 be feasible on H, and let M be a matching of H with w(M) =
@@ -152,20 +156,8 @@ def stable_subgraph_checks(
         ("matching_lives_in_residual", lives),
         ("cover_feasible_on_residual", feasible),
         ("matching_weight_equals_cover",
-         lives and _matching_total(graph, matching) * cover.scale == graph.scale * sum(a)),
+         lives and matching.int_weight(graph) * cover.scale == graph.scale * sum(a)),
     ]
-
-
-def _x_total(bfm: BasicFractionalMatching) -> int:
-    """2D.w(x): the int sum of D.w_i times 2x_i, which
-    `BasicFractionalMatching.weight` divides by 2D."""
-    return sum([bfm.graph.int_weights[i] * bfm.halves[i] for i in bfm.support])
-
-
-def _matching_total(graph: WeightedGraph, matching: Matching) -> int:
-    """D.w(M): the int sum of D.w over the pairs of M, each an edge of
-    `graph`, which `Matching.weight` divides by D."""
-    return sum([graph.int_weights[graph.edge_index(u, v)] for u, v in matching.pairs])
 
 
 def _raise_unless_all(what: str, checks: list[tuple[str, bool]]) -> None:
@@ -243,23 +235,10 @@ def _string(value: object) -> str:
     return value
 
 
-# the form a document prints an exact value in, "-?[0-9]+(/[0-9]+)?", with den > 0
-_PRINTED = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?").fullmatch
-
-
-@lru_cache(maxsize=256)
-def _ratio(text: str) -> tuple[int, int]:
-    """The exact value string `text` as the int pair (num, den), den > 0,
-    not necessarily in lowest terms; the caller checks with `_string` that
-    it is a string first. A document repeats a few values, such as "1/2"
-    and "0", many times, so each distinct string is read once. The printed
-    form is read by `int` alone, which refuses a part past Python's int
-    digit limit as `Fraction` does; every other string is read by
-    `as_fraction`, which accepts and refuses exactly what it does for an
-    instance's weights."""
-    if printed := _PRINTED(text):
-        return int(printed[1]), int(printed[2] or 1)
-    return as_fraction(text).as_integer_ratio()
+# an exact value string, checked by `_string` first, as `read_exact` reads it;
+# a document repeats a few values, such as "1/2" and "0", many times, so each
+# distinct string is read once
+_ratio = lru_cache(maxsize=256)(read_exact)
 
 
 def _total(cover: FractionalVertexCover) -> tuple[int, int]:
@@ -451,9 +430,10 @@ def _cover_from_doc(graph, index, doc, zero_elsewhere=False) -> FractionalVertex
     malformed; a stable subgraph's cover leaves out S, and is 0 on every
     vertex it does not name."""
     named = {index[label]: _ratio(_string(value)) for label, value in doc.items()}
-    return FractionalVertexCover.from_ratios([
+    q, int_values = scale_ratios([
         named.get(v, (0, 1)) if zero_elsewhere else named[v] for v in range(graph.n)
     ])
+    return FractionalVertexCover._unchecked(int_values, q)
 
 
 def events_doc(names: list[str], events) -> Fragment:
@@ -548,14 +528,14 @@ def _infeasibility_doc(
     so one of G - delta(X) for X the M-exposed vertices, and weighs more
     than M, whose weight is `w_m` over D. Then every S the stabilizer may
     delete leaves x in G - delta(S), and nu_f(G - delta(S)) > w(M): w(x)
-    is `_x_total` over 2D, so it is compared with 2.`w_m`."""
+    is `bfm.int_weight` over 2D, so it is compared with 2.`w_m`."""
     bfm = _basic_x_doc(graph, index, certificates["x"], checks)
     if bfm is None:
         return
     ends, covers = graph.ends, matching.covers
     checks += [
         ("x_avoids_M_exposed", all(covers(ends[i][0]) and covers(ends[i][1]) for i in bfm.support)),
-        ("x_outweighs_M", _x_total(bfm) > 2 * w_m),
+        ("x_outweighs_M", bfm.int_weight > 2 * w_m),
     ]
 
 
@@ -675,7 +655,7 @@ def _verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, 
             ("S_is_S1_plus_S2", not s1 & s2 and s1 | s2 == removed),
             ("S_is_M_exposed", not any(matching.covers(v) for v in removed)),
         ]
-        w_m = (_matching_total(graph, matching), graph.scale)
+        w_m = (matching.int_weight(graph), graph.scale)
         status = outputs["status"]
         if status == "feasible":
             total = _stable_subgraph_doc(
@@ -703,7 +683,7 @@ def _verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, 
             in_graph = witness.is_matching_in(graph)
             checks.append(("witness_is_matching", in_graph))
             if in_graph:
-                weight = (_matching_total(graph, witness), graph.scale)
+                weight = (witness.int_weight(graph), graph.scale)
                 checks.append(("nu_equals_witness_weight", _same(nu, weight)))
                 # An unstable claim needs no check of its own: when every
                 # other check holds, nu = weight, nu_f = total and nu != nu_f,

@@ -4,13 +4,17 @@ fractional vertex covers.
 Everything in this module is exact, and immutable by construction, with no
 runtime freeze: weights and cover values are `fractions.Fraction` at the
 API, and every test (tightness, degree constraints, duality) is an exact
-comparison, never a tolerance. The graph is its integers: `WeightedGraph`
-stores the ends (u, v) of each edge, `scale`, D, the lcm of the weight
+comparison, never a tolerance. Every exact quantity has one implementation
+here. `read_exact` is the one reader of an exact string, to an int pair
+(num, den), for the instance parser and `verify` alike, and `scale_ratios`
+the one common-denominator scaler, which turns such pairs into a canonical
+d and the integers d.r. The graph is its integers: `WeightedGraph` stores
+the ends (u, v) of each edge, `scale`, D, the lcm of the weight
 denominators, and `int_weights`, the integers D.w, which the LP kernel and
 its rounding of half-valued paths, the walk DP and the cover checks run on.
-`scale_weights` is the one place that turns exact weights into D and D.w,
-for `WeightedGraph.from_edges` and the instance parser; `WeightedGraph.edges`
-is the view with `Fraction` weights for the API. A graph is checked once:
+`scale_weights` turns exact weights into D and D.w for
+`WeightedGraph.from_edges`; `WeightedGraph.edges` is the view with
+`Fraction` weights for the API. A graph is checked once:
 `WeightedGraph.__init__` checks every field, for `from_edges` and every
 caller outside this module and the parser. `WeightedGraph._unchecked`
 builds a graph with no check, for its two callers, which guarantee its
@@ -27,7 +31,10 @@ A fractional matching x is half counts 2x_i, ints 0, 1 or 2, everywhere:
 x built elsewhere (a document's in `verify`, and `reduce_cycles`' after a
 move) and splits it into M(x) and C(x), and x becomes `Fraction`s only in
 `BasicFractionalMatching.values`, for the API; the JSON documents print x
-and y from these integers.
+and y from these integers. A weight total is an integer too:
+`Matching.int_weight` is D.w(M) and `BasicFractionalMatching.int_weight`
+2D.w(x), which the certificate checks compare and the `weight` views
+divide.
 """
 
 from __future__ import annotations
@@ -81,19 +88,48 @@ def as_fraction(value: WeightLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+# the form a document prints an exact value in, "-?[0-9]+(/[0-9]+)?", with den > 0
+_PRINTED = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?").fullmatch
+
+
+def read_exact(text: str) -> tuple[int, int]:
+    """The exact string `text` as the int pair (num, den), den > 0, not
+    necessarily in lowest terms. The printed form is read by `int` alone,
+    which refuses a part past Python's int digit limit as `Fraction` does;
+    every other string is read by `as_fraction`, so an instance's weights
+    and a document's values accept and refuse exactly the same strings."""
+    if printed := _PRINTED(text):
+        return int(printed[1]), int(printed[2] or 1)
+    return as_fraction(text).as_integer_ratio()
+
+
+def scale_ratios(ratios: Sequence[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """(d, d.r) for the exact values r = num/den given as int pairs, den >
+    0, not necessarily in lowest terms: d, the lcm of the dens, and the
+    integers d.r, in order, reduced by `_lowest` so that d is canonical."""
+    d = lcm(*[den for _num, den in ratios])
+    return _lowest(d, [num * (d // den) for num, den in ratios])
+
+
+def _lowest(d: int, scaled: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """A positive common denominator d and the integers it scales, both
+    divided by their gcd: the canonical pair, in which no prime divides d
+    and every scaled integer."""
+    g = 1 if d == 1 else gcd(d, *scaled)
+    return (d, tuple(scaled)) if g == 1 else (d // g, tuple([a // g for a in scaled]))
+
+
 def scale_weights(weights: Sequence[WeightLike]) -> tuple[int, tuple[int, ...]]:
     """(D, D.w) for exact weights: D, the lcm of their denominators, and the
     integers D.w, in order.
 
     All-int weights are their own D.w with D = 1, read with no lcm and no
     Fraction; any other weight list is coerced by `as_fraction`, so a float
-    or bool is refused. D is canonical: no prime divides D and every D.w.
+    or bool is refused, and scaled by `scale_ratios`.
     """
     if all(type(w) is int for w in weights):
         return 1, tuple(weights)
-    exact = [as_fraction(w) for w in weights]
-    d = lcm(*(w.denominator for w in exact))
-    return d, tuple(w.numerator * (d // w.denominator) for w in exact)
+    return scale_ratios([as_fraction(w).as_integer_ratio() for w in weights])
 
 
 class _Value:
@@ -258,13 +294,10 @@ class WeightedGraph(_Value):
         equal, and each D.w is still a nonnegative int. Only the canonical D
         can be lost, and only when D > 1 (with D = 1 the gcd is 1): g =
         gcd(D, kept D.w) may exceed 1, and D / g with the D.w / g is the
-        same graph with gcd 1, so that one reduction is all that runs."""
-        ends, weights, d = self.ends, self.int_weights, self.scale
+        same graph with gcd 1, so `_lowest` is all that runs."""
+        ends, weights = self.ends, self.int_weights
         kept_ends = tuple([ends[i] for i in kept])
-        kept_weights = tuple([weights[i] for i in kept])
-        if d > 1 and (g := gcd(d, *kept_weights)) > 1:
-            d //= g
-            kept_weights = tuple([w // g for w in kept_weights])
+        d, kept_weights = _lowest(self.scale, [weights[i] for i in kept])
         index_of = dict(zip(kept_ends, range(len(kept_ends))))
         return WeightedGraph._unchecked(self.n, kept_ends, kept_weights, d, self.labels, index_of)
 
@@ -339,12 +372,16 @@ class Matching(_Value):
     def is_matching_in(self, graph: WeightedGraph) -> bool:
         return all(graph.has_edge(u, v) for u, v in self.pairs)
 
-    def weight(self, graph: WeightedGraph) -> Fraction:
-        """w(M), summed on the graph's integer weights D.w. Each pair is
-        stored sorted, as the graph keys its edges; a pair that is no edge of
-        the graph raises KeyError."""
+    def int_weight(self, graph: WeightedGraph) -> int:
+        """D.w(M): the sum of the graph's integer weights D.w over M. Each
+        pair is stored sorted, as the graph keys its edges; a pair that is
+        no edge of the graph raises KeyError."""
         weight, index_of = graph.int_weights, graph._index_of
-        return Fraction(sum(weight[index_of[pair]] for pair in self.pairs), graph.scale)
+        return sum([weight[index_of[pair]] for pair in self.pairs])
+
+    def weight(self, graph: WeightedGraph) -> Fraction:
+        """w(M) = D.w(M) / D."""
+        return Fraction(self.int_weight(graph), graph.scale)
 
     def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.pairs))
@@ -381,12 +418,15 @@ class BasicFractionalMatching(_Value):
         return tuple(i for i, h in enumerate(self.halves) if h)
 
     @cached_property
-    def weight(self) -> Fraction:
-        """w.x, summed as D.w_i times 2x_i over 2D."""
+    def int_weight(self) -> int:
+        """2D.w(x): the sum of D.w_i times 2x_i over the support."""
         weight, halves = self.graph.int_weights, self.halves
-        return Fraction(
-            sum(weight[i] * halves[i] for i in self.support), 2 * self.graph.scale
-        )
+        return sum([weight[i] * halves[i] for i in self.support])
+
+    @cached_property
+    def weight(self) -> Fraction:
+        """w(x) = 2D.w(x) / 2D."""
+        return Fraction(self.int_weight, 2 * self.graph.scale)
 
 
 def decompose(graph: WeightedGraph, halves: Sequence[int]) -> BasicFractionalMatching:
@@ -477,25 +517,24 @@ class FractionalVertexCover(_Value):
     Like the graph's D, the pair is canonical: the constructor divides q, a
     positive int, and every q.y by their gcd, so `==` compares covers by
     value. `values`, the y_v as `Fraction`s, is derived for the API only:
-    the JSON documents print y from q.y and q, and `from_ratios` builds the
-    cover a document prints from its (num, den) pairs.
+    the JSON documents print y from q.y and q, and `verify` builds the
+    cover a document prints from its (num, den) pairs by `scale_ratios`,
+    which reduces the pair once, and `_unchecked`.
     """
 
     _fields = ("int_values", "scale")
 
     def __init__(self, int_values: tuple[int, ...], scale: int) -> None:
-        g = gcd(scale, *int_values)
-        if g > 1:
-            scale, int_values = scale // g, tuple(a_v // g for a_v in int_values)
-        self.int_values, self.scale = int_values, scale
+        self.scale, self.int_values = _lowest(scale, int_values)
 
-    @staticmethod
-    def from_ratios(ratios: Sequence[tuple[int, int]]) -> "FractionalVertexCover":
-        """The cover of the exact values y_v = num/den, given by vertex as
-        int pairs (num, den) with den > 0, not necessarily in lowest terms,
-        over q, the lcm of the dens."""
-        q = lcm(*[den for _num, den in ratios])
-        return FractionalVertexCover(tuple([num * (q // den) for num, den in ratios]), q)
+    @classmethod
+    def _unchecked(cls, int_values: tuple[int, ...], scale: int) -> "FractionalVertexCover":
+        """The cover of a pair that is already canonical, built with no
+        reduction. Its one caller, `verify`'s cover reader, has the pair
+        from `scale_ratios`, which has reduced it."""
+        cover = object.__new__(cls)
+        cover.int_values, cover.scale = int_values, scale
+        return cover
 
     @cached_property
     def values(self) -> tuple[Fraction, ...]:

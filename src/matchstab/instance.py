@@ -18,15 +18,15 @@ canonical D.
 The weight column is read after the loop, and hands the graph its
 integers. A column of non-empty ASCII digit strings, the common form of
 integer weights, is read by one `map(int, ...)` with D = 1. Any other
-column is read one distinct string at a time: a string of ASCII digits by
-`int`, any other through `graph.as_fraction`, which refuses an underscore
-and an exponent too large to expand, and `graph.scale_weights` turns the
-weights into D and D.w. An instance whose weights are all integers is read
-with no `Fraction` at all. The errors keep the order of a parser that reads
-each edge whole: at a bad label the loop first reads the weights before
-it, so a bad weight is named before a bad label at a later edge, and a
-loop or a parallel edge is named only once every label and weight has
-been read.
+column is read one distinct string at a time, to an int pair (num, den),
+by `graph.read_exact`, the reader `verify` reads a document's exact values
+with, and `graph.scale_ratios` turns the pairs into D and D.w. A weight in
+the printed form "-?[0-9]+(/[0-9]+)?" is read with no `Fraction`, and a
+decimal, such as "0.5", with one. The errors keep the order of a parser
+that reads each edge whole: at a bad label the loop first reads the
+weights before it, so a bad weight is named before a bad label at a later
+edge, and a loop or a parallel edge is named only once every label and
+weight has been read.
 
 A JSON object that names a key twice is refused: `json.loads` alone would
 keep the last value, where a person reading the file may see the first. The
@@ -44,12 +44,11 @@ from __future__ import annotations
 
 import json
 from contextlib import suppress
-from fractions import Fraction
 from functools import partial
-from typing import Any, NamedTuple, Optional, Union
+from typing import Any, NamedTuple, Optional
 
 from .errors import GraphError, ParseError
-from .graph import Matching, WeightedGraph, as_fraction, scale_weights
+from .graph import Matching, WeightedGraph, read_exact, scale_ratios
 
 
 class Instance(NamedTuple):
@@ -57,45 +56,41 @@ class Instance(NamedTuple):
     matching: Optional[Matching]
 
 
-def _parse_weight(raw: Any, pos: int) -> Union[int, Fraction]:
-    """The exact weight of edge `pos`: an int for a JSON integer or a string
-    of ASCII digits, else the `Fraction` of the string, read by
-    `as_fraction`."""
+def _parse_weight(raw: Any, pos: int) -> tuple[int, int]:
+    """The exact weight of edge `pos` as the int pair (num, den): (raw, 1)
+    for a JSON integer, else the pair `read_exact` reads off the string."""
     if type(raw) is str:
         try:
-            # ASCII digits alone spell a nonnegative integer: skip the regex
-            value = int(raw) if raw.isascii() and raw.isdigit() else as_fraction(raw)
+            num, den = read_exact(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"edges[{pos}]: cannot parse weight {raw!r}") from exc
     elif type(raw) is int:
-        value = raw
+        num, den = raw, 1
     elif isinstance(raw, (bool, float)):
         raise ParseError(f"edges[{pos}]: weight must be an integer or exact string, got {raw!r}")
     else:
         raise ParseError(f"edges[{pos}]: weight must be an integer or string, got {raw!r}")
-    if value < 0:
+    if num < 0:
         raise ParseError(f"edges[{pos}]: weight {raw!r} is negative")
-    return value
+    return num, den
 
 
 def _weights(raws: list[Any]) -> tuple[int, tuple[int, ...]]:
     """(D, D.w) of the weight column, or ParseError at its first bad
     weight. A column of non-empty ASCII digit strings is read by one
     `map(int, ...)`; any other one by `_parse_weight`, each distinct string
-    once, and `scale_weights`."""
+    once, and `scale_ratios`."""
     # `join` refuses a weight that is no string, `int` a "" or one past its
     # digit limit; each goes to the careful path
     with suppress(TypeError, ValueError):
         digits = "".join(raws)
         if digits.isascii() and digits.isdigit():
             return 1, tuple(map(int, raws))
-    parsed: dict[str, Union[int, Fraction]] = {}
+    parsed: dict[Any, tuple[int, int]] = {}  # an int weight is read at each edge
     for pos, raw in enumerate(raws):
-        if type(raw) is not str:
-            _parse_weight(raw, pos)  # an int is its own weight
-        elif raw not in parsed:
+        if type(raw) is not str or raw not in parsed:
             parsed[raw] = _parse_weight(raw, pos)
-    return scale_weights([parsed.get(raw, raw) for raw in raws])
+    return scale_ratios([parsed[raw] for raw in raws])
 
 
 def strict_object(what: str, pairs: list[tuple[str, Any]]) -> dict[str, Any]:

@@ -231,7 +231,7 @@ def brute_min_m_stabilizer(
         f"M-stabilizer oracle limited to {MAX_SUBSET_VERTICES} vertices",
     )
     exposed = [v for v in range(graph.n) if not matching.covers(v)]
-    target = matching.weight(graph) * graph.scale
+    target = matching.int_weight(graph)
     memo, table = {0: 0}, _basic_table(graph)
 
     def stabilizes(subset) -> bool:

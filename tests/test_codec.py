@@ -1,10 +1,10 @@
 """`certify` is the one codec of the result document: each field's reader
 gives back what its writer encoded, and each text writer prints exactly
 `json.dumps(value, indent=2)` of its field's value as `value_writers`
-builds it. `graph` computes a cover's per-edge slack and a vertex set's
-stars in one place each, and every `matchstab` module imports first in a
-fresh interpreter, along a package import graph without a cycle. Every
-error type has a raiser.
+builds it. `graph` reads every exact string, and computes a cover's
+per-edge slack and a vertex set's stars, in one place each, and every
+`matchstab` module imports first in a fresh interpreter, along a package
+import graph without a cycle. Every error type has a raiser.
 """
 
 from __future__ import annotations
@@ -173,6 +173,30 @@ def test_the_integer_reader_refuses_a_part_past_the_digit_limit_as_the_fraction_
         _assert_reads_as_the_reference(value)
     with pytest.raises(ValueError):
         _ratio(long)
+
+
+def test_each_exact_string_has_one_reader():
+    # `graph.read_exact` reads every exact string, an instance's weights and
+    # a document's values alike, so no other module reads one: instance.py
+    # imports no `fractions`, certify.py no `re`, and only graph.py names
+    # `as_fraction`
+    banned = {"instance": "fractions", "certify": "re"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            else:
+                imported = []
+            if banned.get(path.stem) in [module.split(".")[0] for module in imported]:
+                found.append(f"{path.name}:{node.lineno} imports {banned[path.stem]}")
+            if path.stem != "graph" and "as_fraction" in (
+                getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
+            ):
+                found.append(f"{path.name}:{node.lineno} names as_fraction")
+    assert found == []
 
 
 # what a label may hold that a text writer must escape, or must not read

@@ -233,12 +233,14 @@ def test_cover_checks_on_fig8_edge_cases():
 
 # ---------------------------------------------------------------------------
 # The Fraction reference of the cover: one Fraction per vertex, the mean of
-# its two potentials, and the lcm `scaled` the checks read.
+# its two potentials, and the lcm q and integers q.y the checks read.
 
 
 def _reference_cover(graph):
-    """(y, (q, q.y)) as `solve_fractional` and `FractionalVertexCover.scaled`
-    built them before the cover stored its integers."""
+    """(y, (q, q.y)): y as `solve_fractional` built it from `Fraction`s
+    before the cover stored its integers, and the common denominator q and
+    integers q.y that `FractionalVertexCover` stores as `scale` and
+    `int_values`."""
     _match_left, p_left, p_right = bipartite_max_weight_matching(graph)
     double = 2 * graph.scale
     values = tuple(Fraction(p_left[v] + p_right[v], double) for v in range(graph.n))

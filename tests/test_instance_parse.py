@@ -44,7 +44,14 @@ def _reference_parse_weight(raw: Any, where: str) -> Fraction:
         value = Fraction(raw)
     elif isinstance(raw, str):
         try:
+            # `Fraction` reads digit groups only from Python 3.11, and would
+            # expand an exponent of any size: an exact string has neither
+            if "_" in raw:
+                raise ValueError(f"{raw!r} has an underscore")
             value = Fraction(int(raw)) if raw.isascii() and raw.isdigit() else Fraction(raw)
+            _mantissa, e, exponent = raw.strip().lower().partition("e")
+            if e and abs(int(exponent)) > 4300:
+                raise ValueError(f"the exponent of {raw!r} exceeds 4300")
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{where}: cannot parse weight {raw!r}") from exc
     else:
@@ -154,6 +161,9 @@ def _e(u, v, w) -> dict:
     return {"u": u, "v": v, "w": w}
 
 
+_ONE_WEIGHT_READ = ("2/4", "0.5", "1e2", "-0", "+1", " 1 ", "\u0663")
+_ONE_WEIGHT = (*_ONE_WEIGHT_READ, "1_0", "1e99999")
+
 MALFORMED = {
     "list entry": _doc(["a", "b", "1"]),
     "string entry": _doc("uvw"),
@@ -216,6 +226,13 @@ MALFORMED = {
     "parallel edge both ways": _doc(_e("b", "c", "1"), _e("c", "b", "1")),
     "loop": _doc(_e("a", "a", "1")),
     "0.5 next to 1/2": _doc(_e("a", "b", "0.5"), _e("b", "c", "1/2")),
+    "weights not in lowest terms": _doc(
+        _e("a", "b", "2/4"), _e("b", "c", "0/6"), _e("a", "c", "4/6")
+    ),
+    # a weight that only `as_fraction` reads (a decimal, an exponent, a sign,
+    # blanks, a non-ASCII digit) or refuses (digit groups, an exponent too
+    # large to expand), and "2/4", whose D is 2
+    **{f"one weight {raw!r}": _doc(_e("a", "b", raw)) for raw in _ONE_WEIGHT},
     "one weight string on every edge": _doc(_e("a", "b", "3"), _e("b", "c", "3"), _e("c", "a", "3")),
     "int and string weights": _doc(_e("a", "b", 3), _e("b", "c", "3"), _e("c", "a", 0)),
     "matching on a reversed edge": _doc(_e("b", "a", "2"), matching=[["a", "b"]]),
@@ -294,6 +311,8 @@ GRAPH_DOCUMENTS = {
         "digit column that ends in 3/4", "leading zeros in a digit column",
         "spaced weight in a digit column", "signed weight in a digit column",
         "arabic-indic digits in a digit column", "int weight in a digit column",
+        "weights not in lowest terms",
+        *(f"one weight {raw!r}" for raw in _ONE_WEIGHT_READ),
     )},
 }
 
@@ -332,9 +351,12 @@ def test_an_integer_k40_is_parsed_with_no_fraction(monkeypatch):
     assert graph.m == 780 and graph.scale == 1
     assert graph.int_weights == tuple(int(e["w"]) for e in edges)
     assert fractions[0] == 0 and lcms[0] == 0
-    # the same counters see the Fraction and the lcm of a "3/4"
+    # a "3/4" is read as the pair (3, 4), with no Fraction, and scaled by one lcm
     parse_instance(json.dumps({"vertices": ["a", "b"], "edges": [_e("a", "b", "3/4")]}))
-    assert fractions[0] == 1 and lcms[0] == 1
+    assert fractions[0] == 0 and lcms[0] == 1
+    # the same counters see the Fraction of a decimal
+    parse_instance(json.dumps({"vertices": ["a", "b"], "edges": [_e("a", "b", "0.5")]}))
+    assert fractions[0] == 1 and lcms[0] == 2
 
 
 def test_an_integer_k40_is_built_with_no_second_check(monkeypatch):

@@ -45,9 +45,7 @@ TRUSTED_BASE = {
     "matchstab.certify._halves_from_entries",
     "matchstab.certify._infeasibility_doc",
     "matchstab.certify._matching_from_doc",
-    "matchstab.certify._matching_total",
     "matchstab.certify._names",
-    "matchstab.certify._ratio",
     "matchstab.certify._same",
     "matchstab.certify._stable_subgraph_doc",
     "matchstab.certify._string",
@@ -57,19 +55,19 @@ TRUSTED_BASE = {
     "matchstab.certify._verify",
     "matchstab.certify._verify_report",
     "matchstab.certify._vertex_set",
-    "matchstab.certify._x_total",
     "matchstab.certify.optimal_pair_checks",
     "matchstab.certify.stable_subgraph_checks",
     "matchstab.certify.verify",
     "matchstab.graph.BasicFractionalMatching.__init__",
+    "matchstab.graph.BasicFractionalMatching.int_weight",
     "matchstab.graph.BasicFractionalMatching.support",
-    "matchstab.graph.FractionalVertexCover.__init__",
-    "matchstab.graph.FractionalVertexCover.from_ratios",
+    "matchstab.graph.FractionalVertexCover._unchecked",
     "matchstab.graph.FractionalVertexCover.slack",
     "matchstab.graph.Matching.__init__",
     "matchstab.graph.Matching._partner",
     "matchstab.graph.Matching.covers",
     "matchstab.graph.Matching.from_pairs",
+    "matchstab.graph.Matching.int_weight",
     "matchstab.graph.Matching.is_matching_in",
     "matchstab.graph.Matching.sorted_pairs",
     "matchstab.graph.WeightedGraph.edge_index",
@@ -79,7 +77,10 @@ TRUSTED_BASE = {
     "matchstab.graph.WeightedGraph.max_degree",
     "matchstab.graph.WeightedGraph.stars",
     "matchstab.graph._count_halves",
+    "matchstab.graph._lowest",
     "matchstab.graph.decompose",
+    "matchstab.graph.read_exact",
+    "matchstab.graph.scale_ratios",
 }
 
 
