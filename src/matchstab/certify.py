@@ -20,7 +20,10 @@ certificate holds, with exact arithmetic and nothing else:
   over G's other edges.
 - `verify` re-checks a result document against its instance. It runs the
   same named checks on the document's own numbers, plus the checks of each
-  command's other claims, and reports every one.
+  command's other claims, and reports every one. The four commands whose
+  certificate is an optimal pair, `solve-fractional`, `min-cycles`, `gamma`
+  and `check-stability`, share one reading of it: the cover, then x, then
+  the pair's checks, then the command's own claims.
 - The codec: `document` builds the envelope of every run and oracle
   document, `{command, instance_sha256, outputs, certificates}`, and each
   field has its writer here, beside the reader `verify` decodes it with:
@@ -53,9 +56,10 @@ D.w(M) and 2D.w(x) of `Matching.int_weight` and
 `_ratio` reads each exact string as an int pair (num, den) by
 `graph.read_exact`, the one reader of an exact string, which also reads an
 instance's weights; a cover becomes q and q.y by `graph.scale_ratios`, an
-x entry its half count 2.num/den, and each printed total is compared with
-the one the certificate gives by one cross-multiplication, so `verify`
-makes no `Fraction` on a valid document. A cover meets the weights in one
+x entry its half count 2.num/den, or -1 when that is no integer, and each
+printed total is compared with the one the certificate gives by one
+cross-multiplication. So this module makes no `Fraction`, and `verify`
+makes none on a valid document. A cover meets the weights in one
 place, `FractionalVertexCover.slack`, and a vertex set's edges in one,
 `WeightedGraph.stars`. `verify` reads each cover a document prints into
 one such object, once. `verify` builds no graph: every check of a document
@@ -66,7 +70,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
@@ -401,16 +404,16 @@ def x_entries(names: list[str], bfm: BasicFractionalMatching) -> Fragment:
     ], "\n"))
 
 
-def _halves_from_entries(graph: WeightedGraph, index, entries) -> list:
+def _halves_from_entries(graph: WeightedGraph, index, entries) -> list[int]:
     """The half counts 2x_i of the x that `x_entries` printed as `entries`,
     for `decompose` to validate: the int 2.num/den where den divides 2.num,
-    as for every entry of a basic x, else the `Fraction`, such as 3/2,
-    which `decompose` refuses."""
+    as for every entry of a basic x, else -1, which no x has and which
+    `decompose` refuses, as it refuses the 3/2 of an entry "3/4"."""
     edges = _distinct("x", [graph.edge_index(index[e["u"]], index[e["v"]]) for e in entries])
-    halves: list = [0] * graph.m
+    halves = [0] * graph.m
     for i, entry in zip(edges, entries):
         num, den = _ratio(_string(entry["x"]))
-        halves[i] = 2 * num // den if 2 * num % den == 0 else Fraction(2 * num, den)
+        halves[i] = 2 * num // den if 2 * num % den == 0 else -1
     return halves
 
 
@@ -499,17 +502,6 @@ def fractional_doc(names: list[str], bfm: BasicFractionalMatching) -> dict[str, 
         "matched": pairs_doc(names, bfm.matched.sorted_pairs()),
         "odd_cycles": pairs_doc(names, bfm.odd_cycles),
     }
-
-
-def _check_optimal_pair_doc(
-    graph, index, x_entries, cover: FractionalVertexCover, checks
-) -> Optional[BasicFractionalMatching]:
-    """Append `x_is_basic_feasible` and, when x is basic, the optimal-pair
-    checks; returns the decomposed x, or None when it is not basic."""
-    bfm = _basic_x_doc(graph, index, x_entries, checks)
-    if bfm is not None:
-        checks.extend(optimal_pair_checks(graph, bfm, cover))
-    return bfm
 
 
 def _support_check(graph, outputs, bfm: BasicFractionalMatching) -> tuple[str, bool]:
@@ -610,18 +602,42 @@ def _verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, 
     # each vertex by its label, or by str(v) in a graph with none, as `label_of` names it
     index = dict(zip(graph.labels or map(str, range(graph.n)), range(graph.n)))
 
-    if command in ("solve-fractional", "min-cycles", "gamma"):
+    if command in ("solve-fractional", "min-cycles", "gamma", "check-stability"):
+        # the optimal pair (x, y): the outputs of solve-fractional and
+        # min-cycles claim x, and gamma and check-stability certify with it
+        claims_x = command in ("solve-fractional", "min-cycles")
         cover = _cover_from_doc(graph, index, certificates["cover"])
-        x_doc = certificates if command == "gamma" else outputs
-        bfm = _check_optimal_pair_doc(graph, index, x_doc["x"], cover, checks)
-        if bfm is not None and command != "solve-fractional":
-            gamma = _typed(outputs, "gamma", int)
-            checks.append(("gamma_matches_support", gamma == len(bfm.odd_cycles)))
-        if bfm is not None and command != "gamma":
-            checks.append(_support_check(graph, outputs, bfm))
-        if command != "gamma":
+        bfm = _basic_x_doc(graph, index, (outputs if claims_x else certificates)["x"], checks)
+        if bfm is not None:
+            checks += optimal_pair_checks(graph, bfm, cover)
+            if command in ("min-cycles", "gamma"):
+                gamma = _typed(outputs, "gamma", int)
+                checks.append(("gamma_matches_support", gamma == len(bfm.odd_cycles)))
+            if claims_x:
+                checks.append(_support_check(graph, outputs, bfm))
+        total = _total(cover)
+        if claims_x:
             nu_f = _ratio(_string(outputs["nu_f"]))
-            checks.append(("nu_f_equals_cover_total", _same(nu_f, _total(cover))))
+            checks.append(("nu_f_equals_cover_total", _same(nu_f, total)))
+        elif command == "check-stability":
+            nu, nu_f = _ratio(_string(outputs["nu"])), _ratio(_string(outputs["nu_f"]))
+            stable = _typed(outputs, "stable", bool)
+            checks.append(("nu_f_equals_cover_total", _same(nu_f, total)))
+            checks.append(("stable_iff_nu_equals_nu_f", stable == _same(nu, nu_f)))
+            witness = _matching_from_doc(index, certificates, "max_matching", checks)
+            if witness is not None:
+                in_graph = witness.is_matching_in(graph)
+                checks.append(("witness_is_matching", in_graph))
+                if in_graph:
+                    weight = (witness.int_weight(graph), graph.scale)
+                    checks.append(("nu_equals_witness_weight", _same(nu, weight)))
+                    # An unstable claim needs no check of its own: when
+                    # every other check holds, nu = weight, nu_f = total and
+                    # nu != nu_f, so weight != total, and weak duality gives
+                    # weight <= total for a matching of G and a feasible
+                    # cover; so weight < total.
+                    if stable:
+                        checks.append(("nu_equals_tau_f", _same(weight, total)))
     elif command == "stabilize-vertices":
         removed = _vertex_set(index, outputs, "S")
         gone = graph.stars(removed)
@@ -670,27 +686,6 @@ def _verify(instance: Instance, digest: str, result_doc: object) -> tuple[dict, 
                 checks.append(("infeasible_prints_no_stabilizer", not printed))
                 _infeasibility_doc(graph, index, matching, w_m[0], certificates, checks)
         checks.append(("w_M_equals_matching_weight", _same(_ratio(_string(outputs["w_M"])), w_m)))
-    elif command == "check-stability":
-        cover = _cover_from_doc(graph, index, certificates["cover"])
-        _check_optimal_pair_doc(graph, index, certificates["x"], cover, checks)
-        total = _total(cover)
-        nu, nu_f = _ratio(_string(outputs["nu"])), _ratio(_string(outputs["nu_f"]))
-        stable = _typed(outputs, "stable", bool)
-        checks.append(("nu_f_equals_cover_total", _same(nu_f, total)))
-        checks.append(("stable_iff_nu_equals_nu_f", stable == _same(nu, nu_f)))
-        witness = _matching_from_doc(index, certificates, "max_matching", checks)
-        if witness is not None:
-            in_graph = witness.is_matching_in(graph)
-            checks.append(("witness_is_matching", in_graph))
-            if in_graph:
-                weight = (witness.int_weight(graph), graph.scale)
-                checks.append(("nu_equals_witness_weight", _same(nu, weight)))
-                # An unstable claim needs no check of its own: when every
-                # other check holds, nu = weight, nu_f = total and nu != nu_f,
-                # so weight != total, and weak duality gives weight <= total
-                # for a matching of G and a feasible cover; so weight < total.
-                if stable:
-                    checks.append(("nu_equals_tau_f", _same(weight, total)))
     else:
         raise ParseError(f"verify does not support command {command!r}")
     return _verify_report(command, checks)

@@ -199,6 +199,13 @@ def _run_phase(
                     mate = match_r[r]
                     if mate is None:
                         break
+                    # r turns odd, its mate turns even: the step of the scan
+                    # above, written out again on purpose. One local closure
+                    # for both would make `shift` and `floor` cell variables
+                    # of this hot loop: it slowed this kernel on two seeded
+                    # rounds each of the dense-lp and tri-chain graphs, median
+                    # 19.7 -> 20.6 and 20.3 -> 21.8 ms over 60 alternating
+                    # in-process runs (Python 3.11.7, 2-CPU Xeon).
                     parent[r] = u
                     odd.append(r)
                     p_right[r] -= shift

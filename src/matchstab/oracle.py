@@ -9,9 +9,11 @@ and keeps nothing once it returns. Both are keyed by vertex mask, so one call's
 tables answer for every induced subgraph, which is what makes the stabilizer
 subset searches affordable. ν is a lazy memo filled top-down: it holds only
 the masks its recursion reaches from the masks asked for, 377 of the 4096 for
-ν of K_12. ν_f and γ come from a bottom-up table of (2D.ν_f, γ) over all 2^n
-masks, which reads the heaviest odd cycle on each vertex set from a Held-Karp
-path table built once per call, O(2^n.n^2) work.
+ν of K_12, each with the choice at its lowest vertex that attains D.ν, and
+`exact_nu` follows those choices to its witness. ν_f and γ come from a
+bottom-up table of (2D.ν_f, γ) over all 2^n masks, which reads the heaviest
+odd cycle on each vertex set from a Held-Karp path table built once per
+call, O(2^n.n^2) work.
 """
 
 from __future__ import annotations
@@ -38,29 +40,32 @@ def _full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def _nu_at(graph: WeightedGraph, memo: dict[int, int], mask: int) -> int:
+def _nu_at(graph: WeightedGraph, memo: dict, mask: int) -> int:
     """D.ν of the subgraph induced by mask, through the memo, which maps
-    masks to D.ν with D = `graph.scale` and starts as {0: 0}.
+    masks to (D.ν, choice) with D = `graph.scale` and starts as
+    {0: (0, None)}.
 
     With v the lowest vertex of the mask and rest the mask without v,
     ν(mask) = max(ν(rest), max over u in N(v) & rest of D.w_vu + ν(rest - u)).
-    Every mask stored has all of these submasks stored too, which is what
-    `exact_nu` rebuilds its witness from. Each call drops at least one
-    vertex, so the recursion is at most n deep.
+    The choice is the u that attains it, the first in `adjacency` order,
+    or None when leaving v exposed does, ties included. Every mask stored
+    has the submask its choice leaves stored too, which is what `exact_nu`
+    follows to its witness. Each call drops at least one vertex, so the
+    recursion is at most n deep.
     """
-    value = memo.get(mask)
-    if value is None:
+    entry = memo.get(mask)
+    if entry is None:
         v = (mask & -mask).bit_length() - 1
         rest = mask & ~(1 << v)
-        value = _nu_at(graph, memo, rest)
+        value, choice = _nu_at(graph, memo, rest), None
         weights = graph.int_weights
         for u, idx in graph.adjacency[v]:
             if rest >> u & 1:
                 cand = weights[idx] + _nu_at(graph, memo, rest & ~(1 << u))
                 if cand > value:
-                    value = cand
-        memo[mask] = value
-    return value
+                    value, choice = cand, u
+        entry = memo[mask] = (value, choice)
+    return entry[0]
 
 
 def _cycle_weights(graph: WeightedGraph) -> list[Optional[int]]:
@@ -131,28 +136,19 @@ def _basic_table(graph: WeightedGraph) -> list[tuple[int, int]]:
 def exact_nu(graph: WeightedGraph) -> tuple[Fraction, Matching]:
     """Maximum-weight matching value and one witness, by enumeration."""
     _require(graph.n <= MAX_VERTICES, f"nu oracle limited to {MAX_VERTICES} vertices")
-    memo = {0: 0}
+    memo = {0: (0, None)}
     full = _full_mask(graph.n)
     nu = _nu_at(graph, memo, full)
-    # rebuild one optimal matching deterministically: v stays exposed when
-    # that is optimal, else it takes its first optimal neighbour
-    weights = graph.int_weights
+    # follow the choices from the full mask: v stays exposed, or takes u
     pairs: list[tuple[int, int]] = []
     mask = full
     while mask:
         v = (mask & -mask).bit_length() - 1
-        rest = mask & ~(1 << v)
-        value = memo[mask]
-        if value == memo[rest]:
-            mask = rest
-            continue
-        for u, idx in graph.adjacency[v]:
-            if rest >> u & 1 and value == weights[idx] + memo[rest & ~(1 << u)]:
-                pairs.append((v, u))
-                mask = rest & ~(1 << u)
-                break
-        else:  # pragma: no cover - the memo holds every submask it was built from
-            raise AssertionError("nu memo reconstruction failed")
+        u = memo[mask][1]
+        mask &= ~(1 << v)
+        if u is not None:
+            pairs.append((v, u))
+            mask &= ~(1 << u)
     return Fraction(nu, graph.scale), Matching.from_pairs(pairs)
 
 
@@ -171,10 +167,10 @@ def brute_gamma(graph: WeightedGraph) -> int:
 def is_stable(graph: WeightedGraph) -> bool:
     """nu(G) == nu_f(G), both by enumeration."""
     _require(graph.n <= MAX_VERTICES, f"nu oracle limited to {MAX_VERTICES} vertices")
-    return _mask_stable(graph, {0: 0}, _basic_table(graph), _full_mask(graph.n))
+    return _mask_stable(graph, {0: (0, None)}, _basic_table(graph), _full_mask(graph.n))
 
 
-def _mask_stable(graph: WeightedGraph, memo: dict[int, int], table: list, mask: int) -> bool:
+def _mask_stable(graph: WeightedGraph, memo: dict, table: list, mask: int) -> bool:
     """ν == ν_f on the subgraph induced by mask, as 2.(D.ν) == 2D.ν_f."""
     return 2 * _nu_at(graph, memo, mask) == table[mask][0]
 
@@ -200,7 +196,7 @@ def brute_min_vertex_stabilizer(graph: WeightedGraph) -> frozenset[int]:
         graph.n <= MAX_SUBSET_VERTICES,
         f"vertex-stabilizer oracle limited to {MAX_SUBSET_VERTICES} vertices",
     )
-    memo, table = {0: 0}, _basic_table(graph)
+    memo, table = {0: (0, None)}, _basic_table(graph)
     return _smallest_subset(
         range(graph.n), lambda s: _mask_stable(graph, memo, table, _mask_without(graph, s))
     )
@@ -232,7 +228,7 @@ def brute_min_m_stabilizer(
     )
     exposed = [v for v in range(graph.n) if not matching.covers(v)]
     target = matching.int_weight(graph)
-    memo, table = {0: 0}, _basic_table(graph)
+    memo, table = {0: (0, None)}, _basic_table(graph)
 
     def stabilizes(subset) -> bool:
         mask = _mask_without(graph, subset)

@@ -178,9 +178,9 @@ def test_the_integer_reader_refuses_a_part_past_the_digit_limit_as_the_fraction_
 def test_each_exact_string_has_one_reader():
     # `graph.read_exact` reads every exact string, an instance's weights and
     # a document's values alike, so no other module reads one: instance.py
-    # imports no `fractions`, certify.py no `re`, and only graph.py names
-    # `as_fraction`
-    banned = {"instance": "fractions", "certify": "re"}
+    # imports no `fractions`, certify.py neither `re` nor `fractions`, and
+    # only graph.py names `as_fraction`
+    banned = {"instance": {"fractions"}, "certify": {"re", "fractions"}}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -190,8 +190,8 @@ def test_each_exact_string_has_one_reader():
                 imported = [node.module or ""]
             else:
                 imported = []
-            if banned.get(path.stem) in [module.split(".")[0] for module in imported]:
-                found.append(f"{path.name}:{node.lineno} imports {banned[path.stem]}")
+            for module in banned.get(path.stem, set()) & {m.split(".")[0] for m in imported}:
+                found.append(f"{path.name}:{node.lineno} imports {module}")
             if path.stem != "graph" and "as_fraction" in (
                 getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
             ):

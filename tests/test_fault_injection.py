@@ -12,11 +12,12 @@ MatchingRequired are inputs a command refuses, with exit 1, and every
 other exception raised while a command computes its document exits 3 and
 names the failure and the instance's sha256. The planted faults (a
 certificate that fails, a frustrated tree that holds z, an augmenting path
-cut short, a plain TypeError inside `reduce_cycles`) each exit 3 with the
-same stderr with and without ``-O``: no module of matchstab holds an
-``assert``, so ``-O`` strips no check from a run. Nor does cli.py write
-JSON: it imports nothing from json and names no `Fragment`, as
-`certify.render` writes every document's text.
+cut short, a move that drops a live cycle from G', a plain TypeError inside
+`reduce_cycles`) each exit 3 with the same stderr with and without ``-O``:
+no module of matchstab holds an ``assert``, or a raise of AssertionError,
+so ``-O`` strips no check from a run. Nor does cli.py write JSON: it
+imports nothing from json and names no `Fragment`, as `certify.render`
+writes every document's text.
 
 A fault in code that the solvers and `verify` share would be common-mode:
 both checks would agree on it. `verify` builds no subgraph, so a fault
@@ -216,6 +217,16 @@ elif fault == "type":
         return outcome
 
     cycles.grow_tree = tree_of_no_nodes
+elif fault == "live":
+    move = cycles.apply_augmentation
+
+    def move_dropping_a_live_cycle(graph, cover, tight, aux, halves, path):
+        # G' loses one more live pseudonode than the move rounds in x
+        event = move(graph, cover, tight, aux, halves, path)
+        aux.cycle_of.pop(next(iter(aux.cycle_of)))
+        return event
+
+    cycles.apply_augmentation = move_dropping_a_live_cycle
 sys.exit(main(argv))
 """
 
@@ -243,6 +254,15 @@ AUGMENTING = {
     ],
 }
 
+# AUGMENTING beside FRUSTRATED, relabelled from 4: one search augments and
+# the other grows a frustrated tree, whose cycle stays live in G'
+BOTH = {
+    "vertices": AUGMENTING["vertices"] + [str(int(v) + 4) for v in FRUSTRATED["vertices"]],
+    "edges": AUGMENTING["edges"] + [
+        dict(e, u=str(int(e["u"]) + 4), v=str(int(e["v"]) + 4)) for e in FRUSTRATED["edges"]
+    ],
+}
+
 # each planted fault: the command it fails, its instance, and the check
 # stderr names
 PLANTS = {
@@ -256,6 +276,7 @@ PLANTS = {
     ),
     "tree": ("min-cycles", FRUSTRATED, "not a frustrated tree: holds_one_pseudonode failed"),
     "path": ("min-cycles", AUGMENTING, "endpoints must be exposed in the search graph"),
+    "live": ("min-cycles", BOTH, "not the x of G': cycles_are_live_pseudonodes failed"),
 }
 
 
@@ -334,13 +355,23 @@ def test_only_a_refused_input_exits_1_and_every_other_failure_exits_3(monkeypatc
         assert err.getvalue().endswith(f" (instance sha256 {digest})\n")
 
 
+def _raises_assertion_error(node: ast.AST) -> bool:
+    """`raise AssertionError` or `raise AssertionError(...)`."""
+    exc = node.exc if isinstance(node, ast.Raise) else None
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_module_of_matchstab_holds_an_assert():
-    # `python -O` strips an assert, so a check written as one would not run
+    # `python -O` strips an assert, so a check written as one would not run;
+    # nor may one come back disguised as a raise of AssertionError, which
+    # names no check and so no failure a run could report
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted((SRC / "matchstab").glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
+        if isinstance(node, ast.Assert) or _raises_assertion_error(node)
     ]
     assert found == []
 

@@ -1,10 +1,11 @@
 """The oracle's integer tables against the `Fraction` tables they replaced.
 
 `oracle.exact_nu` fills a memo of its own top-down on the integers D.w,
-storing only the masks its recursion reaches, and rebuilds the witness from
-it. The bottom-up `Fraction` table over all 2^n masks and the `exact_nu`
-that read it are kept below as the reference: on every graph here both must
-give the same value and the same witness pairs.
+storing only the masks its recursion reaches, each with the choice that
+attains its value, and follows those choices to the witness. The bottom-up
+`Fraction` table over all 2^n masks and the `exact_nu` that read it are
+kept below as the reference: on every graph here both must give the same
+value and the same witness pairs.
 
 `oracle._basic_table` holds (2D.ν_f, γ) for every mask, reading the heaviest
 odd cycle on each vertex set from a Held-Karp table. The `Fraction` table
@@ -286,7 +287,7 @@ def test_stabilizer_searches_match_the_reference(property_suite):
 
 def test_nu_memo_of_a_12_vertex_graph_stays_within_2_to_the_12():
     k12 = WeightedGraph.from_edges(12, [(u, v, 1) for u, v in combinations(range(12), 2)])
-    memo = {0: 0}
+    memo = {0: (0, None)}
     oracle._nu_at(k12, memo, (1 << 12) - 1)
     assert 0 < len(memo) < 1 << 12  # only the masks the recursion reaches
     for mask in range(1 << 12):  # every induced subgraph asked for

@@ -37,7 +37,6 @@ FIXTURES = PACKAGE.parents[1] / "fixtures"
 TRUSTED_BASE = {
     "matchstab.certify.Fragment.__init__",
     "matchstab.certify._basic_x_doc",
-    "matchstab.certify._check_optimal_pair_doc",
     "matchstab.certify._container",
     "matchstab.certify._cover_from_doc",
     "matchstab.certify._distinct",
